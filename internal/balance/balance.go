@@ -68,10 +68,10 @@ type Config struct {
 	Match MatchStrategy // Rearrange matching algorithm
 	Seed  uint64        // seed for MatchRandomized
 	TCost matching.TCost
-	// Trace, when non-nil, records a "repair-rearrange" span per Rearrange
-	// call (the Algorithm 5-7 repair step) under the "sort" layer. Nil is
-	// free and changes nothing observable.
-	Trace *obs.Tracer
+	// Parent, when live, gets a "repair-rearrange" child span per
+	// Rearrange call (the Algorithm 5-7 repair step) under the "sort"
+	// layer. The zero value is inert: free, and changes nothing observable.
+	Parent obs.Active
 }
 
 // Stats counts the balancing work performed, for experiments E4/E12/E13/E15.
@@ -314,7 +314,7 @@ func (bl *Balancer) PlaceTrack(buckets []int) (writes []Placement, carry []int) 
 // entries are deleted from twoCols. The returned placements share one write
 // round (one parallel memory reference).
 func (bl *Balancer) rearrange(buckets, assigned []int, twoCols map[int]int, round int) []Placement {
-	sp := bl.cfg.Trace.Begin("sort", "repair-rearrange", 0)
+	sp := bl.cfg.Parent.Child("sort", "repair-rearrange", 0)
 	cols := sortedKeys(twoCols)
 	// U is at most ⌊H/2⌋ columns ("the next ⌊H'/2⌋ 2s").
 	if len(cols) > bl.cfg.H/2 {

@@ -301,6 +301,51 @@ func TestDedupSetBounded(t *testing.T) {
 	}
 }
 
+// TestSupersededPeerConnDropped: the receiving goroutine of a severed peer
+// connection can fall behind the sender's replacement connection, which
+// meanwhile stores the in-flight block's retransmission and the block
+// after it. When the stale goroutine finally stores its copy, the
+// newest-key dedup no longer matches; the connection generation must drop
+// it instead of gathering the block twice.
+func TestSupersededPeerConnDropped(t *testing.T) {
+	w := NewWorker(WorkerConfig{ScratchDir: t.TempDir()})
+	s, err := newSession(w, &msgHello{JobID: 1, Worker: 0, Workers: 4, S: 8, BlockRecs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.teardown()
+	hello := &msgPeerHello{JobID: 1, Src: 2, Epoch: 0}
+	severed, ok := s.acceptPeer(hello)
+	if !ok {
+		t.Fatal("first peer connection refused")
+	}
+	replacement, ok := s.acceptPeer(hello)
+	if !ok {
+		t.Fatal("replacement peer connection refused")
+	}
+	data := make([]byte, 4*record.EncodedSize)
+	store := func(gen uint64, seq uint32) bool {
+		t.Helper()
+		stale, err := s.storeFrom(&msgBlock{Phase: 2, Src: 2, Bucket: 0, Seq: seq, Data: data}, 0, gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stale
+	}
+	if store(replacement, 5) || store(replacement, 6) {
+		t.Fatal("the live connection's blocks were rejected")
+	}
+	if !store(severed, 5) {
+		t.Fatal("a superseded connection's block was accepted")
+	}
+	if s.recvGatherRecs != 8 {
+		t.Fatalf("gathered %d records, want 8 (two blocks, none twice)", s.recvGatherRecs)
+	}
+	if _, ok := s.acceptPeer(&msgPeerHello{JobID: 1, Src: 2, Epoch: 1}); ok {
+		t.Fatal("a stale-epoch hello was accepted")
+	}
+}
+
 // TestDialCancelDuringBackoff: canceling the context while dial sleeps
 // between attempts must return promptly with context.Canceled, not ride out
 // the remaining backoff schedule.

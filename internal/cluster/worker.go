@@ -130,7 +130,37 @@ type Worker struct {
 
 	mu     sync.Mutex
 	sess   *session
+	idle   chan struct{} // closed when sess is cleared
 	parked *parkedShard
+}
+
+// sessionHandoff bounds how long a new job waits for the worker's previous
+// session to finish. A coordinator returns as soon as it has said Bye, so
+// its next job's hello can overtake the old session's last steps; a
+// session still running after this long belongs to a concurrent job, and
+// the new one is refused as busy.
+const sessionHandoff = time.Second
+
+// claim makes s the worker's session, waiting up to sessionHandoff for a
+// finishing predecessor to clear. It reports false when the worker stays
+// busy.
+func (w *Worker) claim(s *session) bool {
+	timer := time.NewTimer(sessionHandoff)
+	defer timer.Stop()
+	w.mu.Lock()
+	for w.sess != nil {
+		idle := w.idle
+		w.mu.Unlock()
+		select {
+		case <-idle:
+		case <-timer.C:
+			return false
+		}
+		w.mu.Lock()
+	}
+	w.sess, w.idle = s, make(chan struct{})
+	w.mu.Unlock()
+	return true
 }
 
 // parkedShard is the state a worker keeps after its coordinator vanished on
@@ -276,6 +306,7 @@ func (w *Worker) clearSession(s *session) {
 	w.mu.Lock()
 	if w.sess == s {
 		w.sess = nil
+		close(w.idle)
 	}
 	w.mu.Unlock()
 }
@@ -311,7 +342,12 @@ func (w *Worker) handleConn(ctx context.Context, conn net.Conn) {
 			return
 		}
 		s := w.current()
-		if s == nil || !s.peerHelloOK(&ph) {
+		var gen uint64
+		ok := false
+		if s != nil {
+			gen, ok = s.acceptPeer(&ph)
+		}
+		if !ok {
 			// Unknown job or a stale epoch: refuse silently. The dialing
 			// peer retries with backoff; a stale-epoch sender is about to
 			// be canceled by its own re-scatter anyway.
@@ -322,7 +358,7 @@ func (w *Worker) handleConn(ctx context.Context, conn net.Conn) {
 			conn.Close()
 			return
 		}
-		s.servePeer(conn, br, ph.Epoch)
+		s.servePeer(conn, br, ph.Epoch, gen)
 	case mMonHello:
 		var mh msgMonHello
 		if err := mh.decode(payload); err != nil {
@@ -386,15 +422,11 @@ func (w *Worker) runJob(ctx context.Context, conn net.Conn, br *bufio.Reader, h 
 		return
 	}
 	s.version = ver
-	w.mu.Lock()
-	if w.sess != nil {
-		w.mu.Unlock()
+	if !w.claim(s) {
 		s.teardown()
 		sendErr(int(h.Worker), errors.New("worker busy with another job"))
 		return
 	}
-	w.sess = s
-	w.mu.Unlock()
 	defer func() {
 		w.clearSession(s)
 		s.teardown()
@@ -461,6 +493,9 @@ func (w *Worker) runAttach(ctx context.Context, conn net.Conn, br *bufio.Reader,
 		s.setShardRecs(parked.shardRecs)
 		s.epoch = parked.epoch
 	}
+	// An attach does not wait for a finishing session the way a new job
+	// does: the parked shard was taken above, before the old session could
+	// park it, and a resuming coordinator retries a refusal itself.
 	w.mu.Lock()
 	if w.sess != nil {
 		w.mu.Unlock()
@@ -468,7 +503,7 @@ func (w *Worker) runAttach(ctx context.Context, conn net.Conn, br *bufio.Reader,
 		sendErr(int(a.Worker), errors.New("worker busy with another job"))
 		return
 	}
-	w.sess = s
+	w.sess, w.idle = s, make(chan struct{})
 	w.mu.Unlock()
 	defer func() {
 		w.clearSession(s)
@@ -612,6 +647,7 @@ type session struct {
 	keepDir        bool          // parked: teardown must not delete the dir
 	recvErr        error
 	last           map[streamKey]dedupEntry
+	peerGen        map[uint32]uint64 // src → generation of its newest block connection
 	exFile         *os.File
 	exSize         int64
 	exIndex        map[int][]blockLoc
@@ -676,6 +712,7 @@ func newSession(w *Worker, h *msgHello) (*session, error) {
 		ctlCh:     make(chan frameMsg, 16),
 		done:      make(chan struct{}),
 		last:      make(map[streamKey]dedupEntry),
+		peerGen:   make(map[uint32]uint64),
 		exIndex:   make(map[int][]blockLoc),
 		conns:     make(map[net.Conn]struct{}),
 		monConns:  make(map[net.Conn]struct{}),
@@ -724,13 +761,21 @@ func (s *session) curEpoch() uint32 {
 	return s.epoch
 }
 
-// peerHelloOK validates an inbound peer handshake against the session's
+// acceptPeer validates an inbound peer handshake against the session's
 // current membership and epoch, under the lock: a join grows s.workers
-// mid-job, so the width check can no longer read an immutable field.
-func (s *session) peerHelloOK(ph *msgPeerHello) bool {
+// mid-job, so the width check can no longer read an immutable field. An
+// accepted connection becomes src's newest one, and acceptPeer returns
+// its generation. It runs before the hello is acked, and a sender dials a
+// replacement only after its connection failed, so the newest generation
+// is always the sender's live connection.
+func (s *session) acceptPeer(ph *msgPeerHello) (gen uint64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.jobID == ph.JobID && int(ph.Src) >= 0 && int(ph.Src) < s.workers && ph.Epoch == s.epoch
+	if s.jobID != ph.JobID || int(ph.Src) < 0 || int(ph.Src) >= s.workers || ph.Epoch != s.epoch {
+		return 0, false
+	}
+	s.peerGen[ph.Src]++
+	return s.peerGen[ph.Src], true
 }
 
 // ectx is the context phase work should run under: canceled the moment a
@@ -1090,10 +1135,11 @@ func (s *session) expectCtl(ctl *wlink, want byte) ([]byte, error) {
 	return payload, nil
 }
 
-// servePeer handles one inbound block stream for one epoch. A connection
-// error here is not fatal to the job: the sending side redials and
-// retransmits, and the per-stream dedup keeps replays idempotent.
-func (s *session) servePeer(conn net.Conn, br *bufio.Reader, epoch uint32) {
+// servePeer handles one inbound block stream for one epoch; gen is the
+// connection's generation from acceptPeer. A connection error here is not
+// fatal to the job: the sending side redials and retransmits, and the
+// per-stream dedup keeps replays idempotent.
+func (s *session) servePeer(conn net.Conn, br *bufio.Reader, epoch uint32, gen uint64) {
 	s.registerConn(conn)
 	defer func() {
 		s.unregisterConn(conn)
@@ -1113,13 +1159,13 @@ func (s *session) servePeer(conn net.Conn, br *bufio.Reader, epoch uint32) {
 		if err := b.decode(payload); err != nil {
 			return
 		}
-		stale, err := s.storeBlock(&b, epoch)
+		stale, err := s.storeFrom(&b, epoch, gen)
 		if err != nil {
 			s.fail(err)
 			return
 		}
 		if stale {
-			return // epoch moved on mid-stream: drop the conn, no ack
+			return // epoch or connection superseded mid-stream: drop the conn, no ack
 		}
 		ack := (&msgBlockAck{Phase: b.Phase, Bucket: b.Bucket, Seq: b.Seq}).encode()
 		setOpDeadline(conn, s.dial)
@@ -1377,9 +1423,20 @@ feed:
 	<-done
 }
 
-// storeBlock persists one received (or self-delivered) block, exactly once.
-// It reports stale=true when the block belongs to a superseded epoch.
+// storeBlock persists one self-delivered block, exactly once. It reports
+// stale=true when the block belongs to a superseded epoch.
 func (s *session) storeBlock(b *msgBlock, epoch uint32) (stale bool, err error) {
+	return s.storeFrom(b, epoch, 0)
+}
+
+// storeFrom is storeBlock for a block that arrived on the peer connection
+// of generation gen (0: not from a connection). A block from a connection
+// the sender has since replaced is stale too: the receiving goroutine of
+// a severed connection can fall behind its replacement, and by the time
+// it stores the in-flight block the replacement may have stored that
+// block's retransmission and the next one, which the newest-key dedup no
+// longer catches.
+func (s *session) storeFrom(b *msgBlock, epoch uint32, gen uint64) (stale bool, err error) {
 	key := blockKey{phase: b.Phase, src: b.Src, bucket: b.Bucket, seq: b.Seq}
 	sk := streamKey{phase: b.Phase, src: b.Src}
 	s.mu.Lock()
@@ -1387,7 +1444,7 @@ func (s *session) storeBlock(b *msgBlock, epoch uint32) (stale bool, err error) 
 	if s.aborted {
 		return false, errors.New("cluster: job aborted")
 	}
-	if epoch != s.epoch {
+	if epoch != s.epoch || (gen != 0 && gen != s.peerGen[b.Src]) {
 		return true, nil
 	}
 	if int(b.Bucket) >= s.s {

@@ -64,10 +64,10 @@ type DiskConfig struct {
 	CrashAfterCommits int
 	// Trace, when non-nil, records a span per work-list step ("base-case",
 	// "distribute-pass") and per distribution sub-phase ("run-formation",
-	// "partition-elements", "distribute-tracks") under the "sort" layer,
-	// and is forwarded to the balancer for repair spans. Nil is free and
-	// cannot perturb the model I/O counts — tracing is pure host-side
-	// timekeeping.
+	// "partition-elements", "distribute-tracks") under the "sort" layer;
+	// the balancer's "repair-rearrange" spans are children of
+	// "distribute-tracks". Nil is free and cannot perturb the model I/O
+	// counts — tracing is pure host-side timekeeping.
 	Trace *obs.Tracer
 }
 
@@ -165,6 +165,18 @@ type DiskSorter struct {
 
 	s       int // buckets per pass
 	memload int // records per memoryload (phase-1 unit), B-aligned
+
+	// Host buffers reused across steps so the in-memory work allocates
+	// nothing at steady state. They are not model memory: the MemTracker
+	// charges stay on the records they hold. loadBuf receives a level's
+	// memoryloads, stageBuf one round of a chain source's virtual blocks,
+	// trackBuf a run's phase-3 tracks and labels their buckets,
+	// freeBlocks holds VB-record block buffers whose writes have completed,
+	// and sampleBuf backs a pass's phase-1 sample.
+	loadBuf, stageBuf, trackBuf []record.Record
+	labels                      []int
+	freeBlocks                  [][]record.Record
+	sampleBuf                   []record.Record
 
 	met Metrics
 }
@@ -300,9 +312,9 @@ func (ds *DiskSorter) Resume(done []Region, work []SourceDesc, prior Metrics) []
 func (ds *DiskSorter) openSource(d SourceDesc) source {
 	switch d.Kind {
 	case KindStriped:
-		return newStripedSource(ds.arr, d.Off, d.N)
+		return newStripedSource(ds.arr, d.Off, d.N, &ds.loadBuf)
 	case KindChains:
-		return newChainSource(ds.vd, &chains{perDisk: d.Chains, total: d.Total()})
+		return newChainSource(ds.vd, &chains{perDisk: d.Chains, total: d.Total()}, &ds.loadBuf, &ds.stageBuf)
 	}
 	panic(fmt.Sprintf("core: unknown source kind %q", d.Kind))
 }
@@ -359,6 +371,17 @@ type formedBlock struct {
 	count  int
 }
 
+// newBlock returns an empty block buffer with room for one virtual block,
+// recycled from the blocks flushWrites has written when there is one.
+func (ds *DiskSorter) newBlock() []record.Record {
+	if k := len(ds.freeBlocks); k > 0 {
+		blk := ds.freeBlocks[k-1]
+		ds.freeBlocks = ds.freeBlocks[:k-1]
+		return blk[:0]
+	}
+	return make([]record.Record, 0, ds.vd.VB())
+}
+
 // distribute is one pass of Algorithm 1's else-branch on the disk model:
 // form sorted runs while sampling (phase 1), pick partition elements
 // (phase 2), stream the runs through the balancer into per-bucket block
@@ -383,7 +406,7 @@ func (ds *DiskSorter) distribute(pass obs.Active, src source, depth int) []Sourc
 		// thin below instead (multi-level sampling).
 		stride = ds.memload
 	}
-	var sample []record.Record
+	sample := ds.sampleBuf[:0]
 	var runs []Region
 	for src.Total() > 0 {
 		ds.checkCtx()
@@ -435,7 +458,7 @@ func (ds *DiskSorter) distribute(pass obs.Active, src source, depth int) []Sourc
 		pivots = append(pivots, sample[idx])
 	}
 	ds.arr.Mem.Release(len(sample))
-	sample = nil
+	ds.sampleBuf = sample[:0]
 	ds.arr.Mem.Use(len(pivots))
 	phase2.End(obs.Attr{Key: "pivots", Val: int64(len(pivots))})
 
@@ -443,7 +466,7 @@ func (ds *DiskSorter) distribute(pass obs.Active, src source, depth int) []Sourc
 	phase3 := pass.Child("sort", "distribute-tracks", 0)
 	h := ds.vd.V()
 	vb := ds.vd.VB()
-	pl := ds.newPlacer(s, h)
+	pl := ds.newPlacer(phase3, s, h)
 	matrixWords := 3 * s * h
 	ds.arr.Mem.Use(matrixWords / 2) // X, A, L matrices; 2 words per record-equivalent
 
@@ -452,8 +475,9 @@ func (ds *DiskSorter) distribute(pass obs.Active, src source, depth int) []Sourc
 		buckets[b] = newChains(h)
 	}
 	pools := make([][]record.Record, s)
-	var pending []formedBlock
+	var pending, carried []formedBlock
 	counts := make([]int, s)
+	trackLabels := make([]int, h)
 
 	// Records are charged against internal memory exactly once, when their
 	// track is read; flushWrites releases a block's records when they reach
@@ -467,7 +491,7 @@ func (ds *DiskSorter) distribute(pass obs.Active, src source, depth int) []Sourc
 				take = h
 			}
 			track := pending[:take]
-			labels := make([]int, take)
+			labels := trackLabels[:take]
 			for i, fb := range track {
 				labels[i] = fb.bucket
 			}
@@ -481,17 +505,20 @@ func (ds *DiskSorter) distribute(pass obs.Active, src source, depth int) []Sourc
 				idle = 0
 			}
 			ds.flushWrites(track, writes, buckets)
-			rest := append([]formedBlock(nil), pending[take:]...)
+			// The queue becomes the untouched blocks followed by the
+			// carried ones, in place.
+			carried = carried[:0]
 			for _, c := range carry {
-				rest = append(rest, track[c])
+				carried = append(carried, track[c])
 			}
-			pending = rest
+			rest := copy(pending, pending[take:])
+			pending = append(pending[:rest], carried...)
 		}
 	}
 
 	trackRecs := h * vb
 	for _, run := range runs {
-		rsrc := newStripedSource(ds.arr, run.Off, run.N)
+		rsrc := newStripedSource(ds.arr, run.Off, run.N, &ds.trackBuf)
 		for rsrc.Total() > 0 {
 			ds.checkCtx()
 			want := trackRecs
@@ -500,11 +527,14 @@ func (ds *DiskSorter) distribute(pass obs.Active, src source, depth int) []Sourc
 			}
 			ds.arr.Mem.Use(want)
 			recs := rsrc.ReadSome(want)
-			labels := ds.cpu.Partition(recs, pivots)
+			ds.labels = ds.cpu.Partition(recs, pivots, ds.labels)
 			ds.cpu.ChargeScan(len(recs))
 			for i, r := range recs {
-				b := labels[i]
+				b := ds.labels[i]
 				counts[b]++
+				if pools[b] == nil {
+					pools[b] = ds.newBlock()
+				}
 				pools[b] = append(pools[b], r)
 				if len(pools[b]) == vb {
 					pending = append(pending, formedBlock{bucket: b, recs: pools[b], count: vb})
@@ -575,7 +605,9 @@ func (ds *DiskSorter) distribute(pass obs.Active, src source, depth int) []Sourc
 }
 
 // flushWrites performs the parallel write I/Os for one track's placements,
-// one ParallelVIO per balancer round, and records the chain entries.
+// one ParallelVIO per balancer round, and records the chain entries. The
+// stores copy every block before ParallelVIO returns, so each written
+// block's buffer goes straight back to the free list.
 func (ds *DiskSorter) flushWrites(track []formedBlock, writes []balance.Placement, buckets []*chains) {
 	if len(writes) == 0 {
 		return
@@ -587,21 +619,17 @@ func (ds *DiskSorter) flushWrites(track []formedBlock, writes []balance.Placemen
 		}
 	}
 	vb := ds.vd.VB()
+	ops := make([]pdm.VOp, 0, len(writes))
 	for r := 0; r <= maxRound; r++ {
-		var ops []pdm.VOp
+		ops = ops[:0]
 		for _, w := range writes {
 			if w.Round != r {
 				continue
 			}
 			fb := track[w.Block]
-			data := fb.recs
-			if len(data) < vb {
-				padded := make([]record.Record, vb)
-				copy(padded, data)
-				for i := len(data); i < vb; i++ {
-					padded[i] = record.Record{Key: ^uint64(0), Loc: ^uint64(0)}
-				}
-				data = padded
+			data := fb.recs[:vb] // every block buffer has room for VB records
+			for i := len(fb.recs); i < vb; i++ {
+				data[i] = record.Record{Key: ^uint64(0), Loc: ^uint64(0)}
 			}
 			off := ds.vd.Alloc(w.VDisk, 1)
 			ops = append(ops, pdm.VOp{VDisk: w.VDisk, Off: off, Write: true, Data: data})
@@ -609,6 +637,9 @@ func (ds *DiskSorter) flushWrites(track []formedBlock, writes []balance.Placemen
 			ds.arr.Mem.Release(fb.count)
 		}
 		ds.vd.ParallelVIO(ops)
+		for _, op := range ops {
+			ds.freeBlocks = append(ds.freeBlocks, op.Data)
+		}
 	}
 }
 

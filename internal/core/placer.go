@@ -2,6 +2,7 @@ package core
 
 import (
 	"balancesort/internal/balance"
+	"balancesort/internal/obs"
 	"balancesort/internal/record"
 )
 
@@ -13,16 +14,18 @@ type placer interface {
 	stats() balance.Stats
 }
 
-func (ds *DiskSorter) newPlacer(s, h int) placer {
+// newPlacer returns the configured placer for one distribution pass whose
+// distribute-tracks span is parent (repair spans become its children).
+func (ds *DiskSorter) newPlacer(parent obs.Active, s, h int) placer {
 	switch ds.cfg.Placement {
 	case PlacementBalanced:
 		return &balancedPlacer{bal: balance.New(balance.Config{
 			S: s, H: h,
-			Rule:  ds.cfg.Rule,
-			Match: ds.cfg.Match,
-			Seed:  ds.cfg.Seed,
-			TCost: ds.cfg.TCost,
-			Trace: ds.cfg.Trace,
+			Rule:   ds.cfg.Rule,
+			Match:  ds.cfg.Match,
+			Seed:   ds.cfg.Seed,
+			TCost:  ds.cfg.TCost,
+			Parent: parent,
 		})}
 	case PlacementRandom:
 		return &randomPlacer{h: h, rng: record.NewRNG(ds.cfg.Seed ^ 0x5eed)}

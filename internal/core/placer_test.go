@@ -3,8 +3,40 @@ package core
 import (
 	"testing"
 
+	"balancesort/internal/obs"
 	"balancesort/internal/record"
 )
+
+// TestRepairSpansNestUnderDistributeTracks checks that the balancer's
+// repair spans are children of the pass's distribute-tracks span, one per
+// Rearrange call, at a geometry small enough that repairs happen.
+func TestRepairSpansNestUnderDistributeTracks(t *testing.T) {
+	tr := obs.New(1<<16, nil)
+	in := record.Generate(record.Uniform, 20000, 1)
+	out, ds := sortOnDisks(t, smallParams(), DiskConfig{Trace: tr}, in)
+	checkSorted(t, in, out)
+	calls := ds.Metrics().Balance.RearrangeCalls
+	if calls == 0 {
+		t.Fatal("no Rearrange calls; the test needs a geometry that repairs")
+	}
+	names := make(map[uint64]string)
+	for _, s := range tr.Spans() {
+		names[s.SpanID] = s.Name
+	}
+	repairs := 0
+	for _, s := range tr.Spans() {
+		if s.Name != "repair-rearrange" {
+			continue
+		}
+		repairs++
+		if p := names[s.Parent]; p != "distribute-tracks" {
+			t.Fatalf("repair-rearrange span %d parented under %q, want distribute-tracks", s.SpanID, p)
+		}
+	}
+	if repairs != calls {
+		t.Fatalf("%d repair-rearrange spans for %d Rearrange calls", repairs, calls)
+	}
+}
 
 func TestSortRandomPlacementStillSorts(t *testing.T) {
 	for _, w := range []record.Workload{record.Uniform, record.BucketSkew} {

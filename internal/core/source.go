@@ -12,22 +12,36 @@ import (
 type source interface {
 	// Total returns how many records remain unread.
 	Total() int
-	// ReadSome reads up to max records into a fresh slice using parallel
-	// I/Os of the virtual-disk layer and returns them. It returns fewer
-	// records only when the source is exhausted.
+	// ReadSome reads up to max records using parallel I/Os of the
+	// virtual-disk layer and returns them. It returns fewer records only
+	// when the source is exhausted. The records live in a read buffer the
+	// sorter owns and reuses: the slice stays valid only until the next
+	// ReadSome on a source sharing that buffer.
 	ReadSome(max int) []record.Record
+}
+
+// grow returns (*buf)[:n], replacing *buf with a larger buffer only when
+// its capacity is short, so a sorter's read buffers reach their working
+// size once and are reused from then on.
+func grow(buf *[]record.Record, n int) []record.Record {
+	if cap(*buf) < n {
+		*buf = make([]record.Record, n)
+	}
+	return (*buf)[:n]
 }
 
 // stripedSource reads a block-aligned striped region of the physical array.
 type stripedSource struct {
 	arr *pdm.Array
-	off int // block offset of the region start
-	n   int // records remaining
-	pos int // records already consumed
+	off int              // block offset of the region start
+	n   int              // records remaining
+	pos int              // records already consumed
+	buf *[]record.Record // read buffer; blocks land in it directly
+	ops []pdm.Op         // one parallel I/O's transfers, reused
 }
 
-func newStripedSource(arr *pdm.Array, off, n int) *stripedSource {
-	return &stripedSource{arr: arr, off: off, n: n}
+func newStripedSource(arr *pdm.Array, off, n int, buf *[]record.Record) *stripedSource {
+	return &stripedSource{arr: arr, off: off, n: n, buf: buf}
 }
 
 func (s *stripedSource) Total() int { return s.n }
@@ -48,28 +62,20 @@ func (s *stripedSource) ReadSome(max int) []record.Record {
 		panic("core: striped source consumed off block boundary")
 	}
 	nblocks := (max + b - 1) / b
-	out := make([]record.Record, 0, nblocks*b)
+	out := grow(s.buf, nblocks*b)
 	firstBlock := s.pos / b
 	for base := 0; base < nblocks; base += d {
-		var ops []pdm.Op
-		bufs := make([][]record.Record, 0, d)
+		s.ops = s.ops[:0]
 		for j := 0; j < d && base+j < nblocks; j++ {
-			blk := firstBlock + base + j
-			buf := make([]record.Record, b)
-			bufs = append(bufs, buf)
-			ops = append(ops, pdm.Op{Disk: blk % d, Off: s.off + blk/d, Data: buf})
+			k := base + j
+			blk := firstBlock + k
+			s.ops = append(s.ops, pdm.Op{Disk: blk % d, Off: s.off + blk/d, Data: out[k*b : (k+1)*b]})
 		}
-		s.arr.ParallelIO(ops)
-		for _, buf := range bufs {
-			out = append(out, buf...)
-		}
+		s.arr.ParallelIO(s.ops)
 	}
-	if len(out) > max {
-		out = out[:max]
-	}
-	s.pos += len(out)
-	s.n -= len(out)
-	return out
+	s.pos += max
+	s.n -= max
+	return out[:max]
 }
 
 // chains records where a bucket's blocks live: chains[h] lists the blocks
@@ -104,17 +110,24 @@ func (c *chains) rounds() int {
 }
 
 // chainSource reads a bucket's chains, one block per virtual disk per
-// parallel I/O.
+// parallel I/O. Each round's virtual blocks land in a staging buffer of H
+// virtual blocks; their real records are compacted into the read buffer,
+// and whatever does not fit stays compacted at the front of the staging
+// buffer as spill until the next call.
 type chainSource struct {
-	vd    *pdm.Virtual
-	ch    *chains
-	round int
-	n     int
-	spill []record.Record // records read but not yet returned
+	vd     *pdm.Virtual
+	ch     *chains
+	round  int
+	rounds int
+	n      int
+	out    *[]record.Record // read buffer ReadSome returns records in
+	stage  *[]record.Record // one round of virtual blocks
+	spill  []record.Record  // records read but not yet returned, in stage
+	ops    []pdm.VOp
 }
 
-func newChainSource(vd *pdm.Virtual, ch *chains) *chainSource {
-	return &chainSource{vd: vd, ch: ch, n: ch.total}
+func newChainSource(vd *pdm.Virtual, ch *chains, out, stage *[]record.Record) *chainSource {
+	return &chainSource{vd: vd, ch: ch, rounds: ch.rounds(), n: ch.total, out: out, stage: stage}
 }
 
 // Total returns the records not yet returned (buffered spill included,
@@ -122,7 +135,7 @@ func newChainSource(vd *pdm.Virtual, ch *chains) *chainSource {
 func (s *chainSource) Total() int { return s.n }
 
 func (s *chainSource) ReadSome(max int) []record.Record {
-	var out []record.Record
+	out := grow(s.out, max)[:0]
 	// Serve buffered records first.
 	if len(s.spill) > 0 {
 		take := len(s.spill)
@@ -132,35 +145,33 @@ func (s *chainSource) ReadSome(max int) []record.Record {
 		out = append(out, s.spill[:take]...)
 		s.spill = s.spill[take:]
 	}
-	for len(out) < max && s.round < s.maxRound() {
-		var ops []pdm.VOp
-		var metas []ChainEntry
-		var bufs [][]record.Record
+	vb := s.vd.VB()
+	for len(out) < max && s.round < s.rounds {
+		stage := grow(s.stage, len(s.ch.perDisk)*vb)
+		s.ops = s.ops[:0]
 		for h, ch := range s.ch.perDisk {
 			if s.round >= len(ch) {
 				continue
 			}
-			e := ch[s.round]
-			buf := make([]record.Record, s.vd.VB())
-			bufs = append(bufs, buf)
-			metas = append(metas, e)
-			ops = append(ops, pdm.VOp{VDisk: h, Off: e.Off, Data: buf})
+			k := len(s.ops)
+			s.ops = append(s.ops, pdm.VOp{VDisk: h, Off: ch[s.round].Off, Data: stage[k*vb : (k+1)*vb]})
 		}
-		s.round++
-		s.vd.ParallelVIO(ops)
-		for i, buf := range bufs {
-			real := buf[:metas[i].Count]
-			room := max - len(out)
-			if room >= len(real) {
-				out = append(out, real...)
-			} else {
-				out = append(out, real[:room]...)
-				s.spill = append(s.spill, real[room:]...)
+		s.vd.ParallelVIO(s.ops)
+		// Compacting the spill towards the front of stage never overtakes
+		// the block being read, since each block holds at most vb records.
+		spill := stage[:0]
+		for _, op := range s.ops {
+			real := op.Data[:s.ch.perDisk[op.VDisk][s.round].Count]
+			take := max - len(out)
+			if take > len(real) {
+				take = len(real)
 			}
+			out = append(out, real[:take]...)
+			spill = append(spill, real[take:]...)
 		}
+		s.spill = spill
+		s.round++
 	}
 	s.n -= len(out)
 	return out
 }
-
-func (s *chainSource) maxRound() int { return s.ch.rounds() }

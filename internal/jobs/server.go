@@ -385,6 +385,11 @@ func (s *Server) runJob(t *Ticket) {
 		if man.LocalInput == "" {
 			os.Remove(filepath.Join(dir, "input.bin"))
 		}
+		// Count the job before its status reads done, so a client that saw
+		// it finish finds it in /metrics.
+		s.mu.Lock()
+		s.counters.completed++
+		s.mu.Unlock()
 		j.mu.Lock()
 		j.man.State = StateDone
 		j.man.FinishedUnix = time.Now().Unix()
@@ -395,9 +400,6 @@ func (s *Server) runJob(t *Ticket) {
 		if werr := WriteManifest(dir, &man); werr != nil {
 			s.opt.Logf("jobs: %s: %v", t.ID, werr)
 		}
-		s.mu.Lock()
-		s.counters.completed++
-		s.mu.Unlock()
 		s.sched.EndJob(t, true, man.DiskBytes-man.RetainBytes)
 		close(j.done)
 		return
@@ -412,6 +414,9 @@ func (s *Server) runJob(t *Ticket) {
 		return
 	case errors.Is(cause, errCanceledByUser):
 		s.removeJobFiles(dir, man.LocalInput == "")
+		s.mu.Lock()
+		s.counters.canceled++
+		s.mu.Unlock()
 		j.mu.Lock()
 		j.man.State = StateCanceled
 		j.man.FinishedUnix = time.Now().Unix()
@@ -420,15 +425,15 @@ func (s *Server) runJob(t *Ticket) {
 		if werr := WriteManifest(dir, &man); werr != nil {
 			s.opt.Logf("jobs: %s: %v", t.ID, werr)
 		}
-		s.mu.Lock()
-		s.counters.canceled++
-		s.mu.Unlock()
 		s.sched.EndJob(t, true, man.DiskBytes)
 		close(j.done)
 		return
 	default:
 		status, code := Classify(err)
 		s.removeJobFiles(dir, man.LocalInput == "")
+		s.mu.Lock()
+		s.counters.failed++
+		s.mu.Unlock()
 		j.mu.Lock()
 		j.man.State = StateFailed
 		j.man.FinishedUnix = time.Now().Unix()
@@ -440,9 +445,6 @@ func (s *Server) runJob(t *Ticket) {
 			s.opt.Logf("jobs: %s: %v", t.ID, werr)
 		}
 		s.opt.Logf("jobs: %s failed (%d %s): %v", t.ID, status, code, err)
-		s.mu.Lock()
-		s.counters.failed++
-		s.mu.Unlock()
 		s.sched.EndJob(t, true, man.DiskBytes)
 		close(j.done)
 		return

@@ -63,7 +63,9 @@ type Op struct {
 	Off   int  // block offset on that disk
 	Write bool // direction
 	// Data is the source for a write (exactly B records) or the
-	// destination for a read (exactly B records).
+	// destination for a read (exactly B records). Every block store copies
+	// Data before ParallelIO returns, so callers may reuse the buffer as
+	// soon as it does.
 	Data []record.Record
 }
 
@@ -521,23 +523,24 @@ func (a *Array) AllocStripe(n int) int {
 // WriteStripe writes len(data)/B blocks striped across the disks starting
 // at block offset off: block i goes to disk i%D at offset off + i/D. Records
 // beyond the last full block are padded with +inf sentinels the caller must
-// track. It returns the number of parallel I/Os used.
+// track. Full blocks are written straight from data; only a partial last
+// block is copied. It returns the number of parallel I/Os used.
 func (a *Array) WriteStripe(off int, data []record.Record) int {
 	b, d := a.params.B, a.params.D
 	nblocks := (len(data) + b - 1) / b
+	ops := make([]Op, 0, d)
 	ios := 0
 	for base := 0; base < nblocks; base += d {
-		var ops []Op
+		ops = ops[:0]
 		for j := 0; j < d && base+j < nblocks; j++ {
-			blk := make([]record.Record, b)
 			lo := (base + j) * b
-			hi := lo + b
-			if hi > len(data) {
-				hi = len(data)
-			}
-			copy(blk, data[lo:hi])
-			for k := hi - lo; k < b; k++ {
-				blk[k] = record.Record{Key: ^uint64(0), Loc: ^uint64(0)} // sentinel pad
+			blk := data[lo:min(lo+b, len(data))]
+			if len(blk) < b {
+				padded := make([]record.Record, b)
+				for k := copy(padded, blk); k < b; k++ {
+					padded[k] = record.Record{Key: ^uint64(0), Loc: ^uint64(0)} // sentinel pad
+				}
+				blk = padded
 			}
 			ops = append(ops, Op{Disk: j, Off: off + base/d, Write: true, Data: blk})
 		}
@@ -548,29 +551,31 @@ func (a *Array) WriteStripe(off int, data []record.Record) int {
 }
 
 // ReadStripe reads n records striped from block offset off (the layout
-// written by WriteStripe) and returns the parallel I/O count.
+// written by WriteStripe) and returns the parallel I/O count. Full blocks
+// are read straight into dst; only a partial last block goes through a
+// scratch block.
 func (a *Array) ReadStripe(off int, dst []record.Record) int {
 	b, d := a.params.B, a.params.D
 	nblocks := (len(dst) + b - 1) / b
+	ops := make([]Op, 0, d)
+	var tail []record.Record // the partial last block, when there is one
 	ios := 0
 	for base := 0; base < nblocks; base += d {
-		var ops []Op
-		bufs := make([][]record.Record, 0, d)
+		ops = ops[:0]
 		for j := 0; j < d && base+j < nblocks; j++ {
-			bb := make([]record.Record, b)
-			bufs = append(bufs, bb)
-			ops = append(ops, Op{Disk: j, Off: off + base/d, Data: bb})
+			lo := (base + j) * b
+			blk := dst[lo:min(lo+b, len(dst))]
+			if len(blk) < b {
+				tail = make([]record.Record, b)
+				blk = tail
+			}
+			ops = append(ops, Op{Disk: j, Off: off + base/d, Data: blk})
 		}
 		a.ParallelIO(ops)
 		ios++
-		for j, bb := range bufs {
-			lo := (base + j) * b
-			hi := lo + b
-			if hi > len(dst) {
-				hi = len(dst)
-			}
-			copy(dst[lo:hi], bb[:hi-lo])
-		}
+	}
+	if tail != nil {
+		copy(dst[(nblocks-1)*b:], tail)
 	}
 	return ios
 }

@@ -156,9 +156,18 @@ func TestStripeRoundTrip(t *testing.T) {
 	defer a.Close()
 
 	n := 100 // not a multiple of B*D: exercises padding
-	data := record.Generate(record.Uniform, n, 1)
+	// Full blocks are written straight from data, so WriteStripe must
+	// neither modify it nor pad into the backing array past its end.
+	backing := record.Generate(record.Uniform, n+8, 1)
+	data := backing[:n]
+	orig := append([]record.Record(nil), backing...)
 	off := a.AllocStripe(8)
 	wios := a.WriteStripe(off, data)
+	for i := range backing {
+		if backing[i] != orig[i] {
+			t.Fatalf("WriteStripe changed the caller's records at %d", i)
+		}
+	}
 
 	got := make([]record.Record, n)
 	rios := a.ReadStripe(off, got)

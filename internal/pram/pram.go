@@ -18,7 +18,7 @@ package pram
 import (
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"balancesort/internal/record"
@@ -264,7 +264,7 @@ func (m *Machine) Sort(rs []record.Record) {
 	m.ChargeSort(len(rs))
 	w := m.workers(len(rs))
 	if w <= 1 {
-		sort.Slice(rs, func(i, j int) bool { return rs[i].Less(rs[j]) })
+		slices.SortFunc(rs, record.Record.Compare)
 		return
 	}
 	parallelMergeSort(rs, w)
@@ -286,7 +286,7 @@ func parallelMergeSort(rs []record.Record, w int) {
 		wg.Add(1)
 		go func(c []record.Record) {
 			defer wg.Done()
-			sort.Slice(c, func(i, j int) bool { return c[i].Less(c[j]) })
+			slices.SortFunc(c, record.Record.Compare)
 		}(c)
 	}
 	wg.Wait()
@@ -344,11 +344,12 @@ func mergeInto(a, b, out []record.Record) {
 
 // Partition assigns each record of rs its bucket among the sorted pivots:
 // bucket(r) = number of pivots <= r, so records below pivots[0] map to 0 and
-// records >= pivots[len-1] map to len(pivots). It charges a parallel binary
-// search and runs fanned out for large inputs.
-func (m *Machine) Partition(rs []record.Record, pivots []record.Record) []int {
+// records >= pivots[len-1] map to len(pivots). The labels are written into
+// dst, which is grown only when its capacity is short, and returned. It
+// charges a parallel binary search and runs fanned out for large inputs.
+func (m *Machine) Partition(rs []record.Record, pivots []record.Record, dst []int) []int {
 	m.ChargePartition(len(rs), len(pivots)+1)
-	out := make([]int, len(rs))
+	out := slices.Grow(dst[:0], len(rs))[:len(rs)]
 	w := m.workers(len(rs))
 	if w <= 1 {
 		for i, r := range rs {

@@ -186,7 +186,7 @@ func TestPartition(t *testing.T) {
 	rs := []record.Record{
 		{Key: 5}, {Key: 10}, {Key: 15}, {Key: 25}, {Key: 35},
 	}
-	got := m.Partition(rs, pivots)
+	got := m.Partition(rs, pivots, nil)
 	// bucket = number of pivots <= r: 5→0, 10→1 (pivot {10,0} equals it... pivot Loc=0, record Loc=0), 15→1, 25→2, 35→3.
 	want := []int{0, 1, 1, 2, 3}
 	for i := range want {
@@ -208,7 +208,7 @@ func TestPartitionMatchesLinearScan(t *testing.T) {
 			pivots[i] = record.Record{Key: uint64((i + 1) * 10), Loc: 0}
 		}
 		m := New(3)
-		got := m.Partition(rs, pivots)
+		got := m.Partition(rs, pivots, nil)
 		for i, r := range rs {
 			count := 0
 			for _, p := range pivots {
@@ -234,7 +234,7 @@ func TestPartitionBucketsAreOrdered(t *testing.T) {
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
 	pivots := []record.Record{sorted[1000], sorted[2500], sorted[4000]}
 	m := New(4)
-	buckets := m.Partition(rs, pivots)
+	buckets := m.Partition(rs, pivots, nil)
 	maxOf := make(map[int]record.Record)
 	minOf := make(map[int]record.Record)
 	for i, b := range buckets {

@@ -1,26 +1,60 @@
 package pram
 
 import (
-	"sort"
+	"fmt"
+	"math"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"balancesort/internal/record"
 )
 
-func TestSortRadixMatchesComparison(t *testing.T) {
-	for _, w := range record.AllWorkloads {
-		rs := record.Generate(w, 5000, 17)
-		want := append([]record.Record(nil), rs...)
-		sort.Slice(want, func(i, j int) bool { return want[i].Less(want[j]) })
-		m := New(4)
-		m.SortRadix(rs)
-		for i := range want {
-			if rs[i] != want[i] {
-				t.Fatalf("%v: radix mismatch at %d", w, i)
-			}
+// checkRadix sorts a copy of rs with SortRadix and with the comparison
+// sort and fails on the first difference.
+func checkRadix(t *testing.T, name string, rs []record.Record) {
+	t.Helper()
+	got := slices.Clone(rs)
+	want := slices.Clone(rs)
+	slices.SortFunc(want, record.Record.Compare)
+	New(4).SortRadix(got)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: radix mismatch at %d of %d: got %v, want %v", name, i, len(rs), got[i], want[i])
 		}
 	}
+}
+
+// TestSortRadixMatchesComparison compares the radix kernel with the
+// comparison sort on every workload at sizes around the digit and
+// memoryload boundaries, and on inputs built to hit the shared-digit skip.
+func TestSortRadixMatchesComparison(t *testing.T) {
+	for _, w := range record.AllWorkloads {
+		for _, n := range []int{0, 1, 2, 255, 256, 257, 5000, 8191, 8192, 65537} {
+			checkRadix(t, fmt.Sprintf("%v/n=%d", w, n), record.Generate(w, n, uint64(n)+17))
+		}
+	}
+
+	const n = 4099
+	same := make([]record.Record, n) // every digit of every record shared
+	for i := range same {
+		same[i] = record.Record{Key: 0xdeadbeef12345678, Loc: 0x0102030405060708}
+	}
+	checkRadix(t, "all-digits-shared", same)
+
+	equalKeys := record.Generate(record.Uniform, n, 3) // only Loc differs
+	for i := range equalKeys {
+		equalKeys[i].Key = 42
+	}
+	checkRadix(t, "equal-keys", equalKeys)
+
+	highLoc := record.Generate(record.Uniform, n, 5) // Loc's high bytes vary
+	for i := range highLoc {
+		highLoc[i].Loc = uint64(n-i)<<52 | uint64(i)
+	}
+	checkRadix(t, "high-loc-bits", highLoc)
 }
 
 func TestSortRadixTiny(t *testing.T) {
@@ -67,26 +101,107 @@ func TestSortRadixQuick(t *testing.T) {
 	}
 }
 
+// TestSortRadixChargesWork pins the Rajasekaran–Reif charge exactly: 8
+// counting passes over 16-bit digits, each 2n + 2^16 work at depth
+// lg n + 16, whatever digits the host actually executes.
 func TestSortRadixChargesWork(t *testing.T) {
+	for _, p := range []int{1, 4} {
+		for _, n := range []int{2, 3, 4096, 5000} {
+			m := New(p)
+			m.SortRadix(record.Generate(record.Zipf, n, 1))
+			var work, tm float64
+			for pass := 0; pass < 8; pass++ {
+				w := float64(2*n + 1<<16)
+				work += w
+				tm += w/float64(p) + (lg(float64(n)) + 16)
+			}
+			if m.Syncs() != 8 || m.Work() != work || m.Time() != tm {
+				t.Fatalf("P=%d n=%d: syncs=%d work=%v time=%v, want 8, %v, %v", p, n, m.Syncs(), m.Work(), m.Time(), work, tm)
+			}
+		}
+	}
 	m := New(1)
-	rs := record.Generate(record.Uniform, 4096, 5)
-	m.SortRadix(rs)
-	if m.Time() <= 0 || m.Syncs() != 8 {
-		t.Fatalf("radix charged time=%v syncs=%d, want 8 passes", m.Time(), m.Syncs())
+	m.SortRadix(make([]record.Record, 1))
+	if m.Syncs() != 0 {
+		t.Fatal("a singleton sort must be free")
 	}
 }
 
 func TestSortRadixExtremeValues(t *testing.T) {
-	rs := []record.Record{
-		{Key: ^uint64(0), Loc: ^uint64(0)},
-		{Key: 0, Loc: 0},
-		{Key: ^uint64(0), Loc: 0},
-		{Key: 0, Loc: ^uint64(0)},
-		{Key: 1 << 63, Loc: 42},
+	var rs []record.Record
+	for _, k := range []uint64{0, 1, 1 << 63, math.MaxUint64 - 1, math.MaxUint64} {
+		for _, l := range []uint64{0, 1, 42, 1 << 63, math.MaxUint64 - 1, math.MaxUint64} {
+			rs = append(rs, record.Record{Key: k, Loc: l})
+		}
 	}
+	slices.Reverse(rs)
+	checkRadix(t, "extremes", rs)
+}
+
+// TestSortRadixAllocFree pins the steady state: once the pool holds a
+// large enough buffer, sorting a memoryload allocates nothing.
+func TestSortRadixAllocFree(t *testing.T) {
+	src := record.Generate(record.Uniform, 8192, 9)
+	rs := make([]record.Record, len(src))
+	m := New(1)
+	allocs := testing.AllocsPerRun(20, func() {
+		copy(rs, src)
+		m.SortRadix(rs)
+	})
+	if allocs != 0 {
+		t.Fatalf("SortRadix of 8Ki records: %v allocs per call, want 0", allocs)
+	}
+}
+
+// TestSortRadixConcurrent shares one Machine, and the scratch pool, among
+// goroutines sorting different inputs at once, as cluster shard sorts and
+// served jobs do.
+func TestSortRadixConcurrent(t *testing.T) {
+	const goroutines = 4
 	m := New(2)
-	m.SortRadix(rs)
-	if !record.IsSorted(rs) {
-		t.Fatalf("extreme values unsorted: %v", rs)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				rs := record.Generate(record.AllWorkloads[(g+i)%len(record.AllWorkloads)], 3000+g*500, uint64(g*10+i))
+				want := slices.Clone(rs)
+				slices.SortFunc(want, record.Record.Compare)
+				m.SortRadix(rs)
+				if !slices.Equal(rs, want) {
+					t.Errorf("goroutine %d round %d: radix output differs from the comparison sort", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if m.Syncs() != goroutines*5*8 {
+		t.Fatalf("syncs = %d, want %d", m.Syncs(), goroutines*5*8)
+	}
+}
+
+// BenchmarkSortRadix times the kernel on memoryload-sized and larger
+// inputs; each iteration sorts a fresh copy of the same input.
+func BenchmarkSortRadix(b *testing.B) {
+	for _, w := range []record.Workload{record.Uniform, record.Zipf} {
+		for _, n := range []int{256, 8 << 10, 64 << 10, 1 << 20} {
+			b.Run(fmt.Sprintf("%v/n=%d", w, n), func(b *testing.B) {
+				src := record.Generate(w, n, 11)
+				rs := make([]record.Record, n)
+				m := New(1)
+				b.ReportAllocs()
+				b.ResetTimer()
+				var sorting time.Duration
+				for i := 0; i < b.N; i++ {
+					copy(rs, src)
+					t0 := time.Now()
+					m.SortRadix(rs)
+					sorting += time.Since(t0)
+				}
+				b.ReportMetric(float64(n)*float64(b.N)/1e6/sorting.Seconds(), "Mrec/s")
+			})
+		}
 	}
 }

@@ -179,6 +179,20 @@ func TestSortFileObsParity(t *testing.T) {
 	if !parented {
 		t.Fatal("run-formation span is not parented under distribute-pass")
 	}
+	// Every sort phase below the per-step roots hangs off a recorded span;
+	// in particular repair-rearrange is a child of distribute-tracks.
+	for _, s := range onRes.Trace.Spans() {
+		if s.Layer != "sort" || s.Name == "base-case" || s.Name == "distribute-pass" {
+			continue
+		}
+		parent, ok := byID[s.Parent]
+		if s.Parent == 0 || !ok {
+			t.Fatalf("sort/%s span %d has no recorded parent (parent id %d)", s.Name, s.SpanID, s.Parent)
+		}
+		if s.Name == "repair-rearrange" && parent != "distribute-tracks" {
+			t.Fatalf("repair-rearrange parented under %q, want distribute-tracks", parent)
+		}
+	}
 
 	// The /metrics endpoint must expose the sort's phase histograms.
 	resp, err := http.Get("http://" + srv.Addr() + "/metrics")

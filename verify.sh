@@ -30,6 +30,9 @@ go build ./...
 echo "== go test (tier 1) =="
 go test ./...
 
+echo "== radix kernel benchmark smoke (one iteration per size) =="
+go test -run '^$' -bench SortRadix -benchtime 1x ./internal/pram/
+
 echo "== go test -race (concurrency layer) =="
 go test -race ./internal/diskio/... ./internal/pdm/... ./internal/cluster/... ./internal/jobs/...
 
