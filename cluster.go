@@ -113,8 +113,8 @@ type ClusterConfig struct {
 	// finisher when not pinned), demotion of a stalled worker to the
 	// failover path, and — with Hedge set — speculative re-execution of a
 	// straggling shard sort on the fastest finished peer, first result
-	// wins. The zero value disables detection entirely (liveness-only
-	// heartbeats, the pre-v6 behaviour).
+	// wins. The zero value disables detection entirely, leaving only the
+	// liveness heartbeats.
 	Straggler ClusterStraggler
 	// Stall, when non-nil, slows one worker by a multiplicative factor
 	// from the start of the named coordinator phase — the latency chaos
@@ -192,7 +192,7 @@ func ClusterSortFile(ctx context.Context, inPath, outPath string, cfg ClusterCon
 // ResumeClusterSortFile restarts a crashed coordinator's job from the
 // journal at cfg.JournalPath (which must be the path the original
 // ClusterSortFile wrote). It replays the phase-commit log, re-dials the
-// workers with the v4 resume handshake — each reports which epoch-tagged
+// workers with the resume handshake — each reports which epoch-tagged
 // shard it still holds, and only lost shards are re-scattered — and
 // re-enters the pipeline at the last committed phase. The output is
 // byte-identical to an uninterrupted sort; the journaled pivots are
@@ -253,8 +253,8 @@ type WorkerOptions struct {
 	// DropAfterBlocks force-closes a peer connection once after that many
 	// sent blocks — fault injection for the retransmit path. 0 disables.
 	DropAfterBlocks int
-	// ResumeWindow bounds how long a worker parks its shard after losing a
-	// v4 coordinator, waiting for a resumed coordinator to re-attach. Past
+	// ResumeWindow bounds how long a worker parks its shard after losing its
+	// coordinator, waiting for a resumed coordinator to re-attach. Past
 	// the window the parked scratch is reclaimed. 0 means 2 minutes.
 	ResumeWindow time.Duration
 	// ObsAddr, when non-empty, serves this worker's Prometheus /metrics

@@ -20,28 +20,36 @@ func startWorkers(t testing.TB, n int, mutate func(i int, cfg *WorkerConfig)) []
 	t.Helper()
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg := WorkerConfig{ScratchDir: t.TempDir()}
 		if mutate != nil {
 			mutate(i, &cfg)
 		}
-		w := NewWorker(cfg)
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			_ = w.Serve(ctx, ln)
-		}()
-		t.Cleanup(func() {
-			cancel()
-			<-done
-		})
-		addrs[i] = ln.Addr().String()
+		addrs[i], _ = serveWorker(t, cfg)
 	}
 	return addrs
+}
+
+// serveWorker runs one worker on a loopback listener and returns its
+// address and a stop func that cancels the worker and returns once Serve
+// has. The test's cleanup stops it too.
+func serveWorker(t testing.TB, cfg WorkerConfig) (string, func()) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = NewWorker(cfg).Serve(ctx, ln)
+	}()
+	stop := func() {
+		cancel()
+		<-done
+	}
+	t.Cleanup(stop)
+	return ln.Addr().String(), stop
 }
 
 // makeInput writes n pseudo-random records (seeded, so reproducible) and

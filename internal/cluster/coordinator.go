@@ -30,17 +30,15 @@ type SortSpec struct {
 	BlockRecs int
 	// Dial tunes connection retry/backoff and per-op timeouts.
 	Dial DialConfig
-	// Heartbeat tunes the v3 failure detector.
+	// Heartbeat tunes the failure detector.
 	Heartbeat Heartbeat
 	// Chaos, when non-nil, injects one fault: the named worker is killed
-	// (or hung) the moment the coordinator enters the named phase. It
-	// requires an all-v3 cluster; against v2 workers it is ignored.
+	// (or hung) the moment the coordinator enters the named phase.
 	Chaos *ChaosSpec
 	// Join, when non-nil, admits one extra worker mid-job: the moment the
 	// coordinator enters the named phase it dials Addr, attaches it as
-	// worker W via the v4 mJoin handshake — an *added* virtual disk, the
-	// dual of failover's removed one — and reseeds the cluster under a new
-	// epoch. It requires an all-v4 cluster; otherwise it is ignored.
+	// worker W via the mJoin handshake — an *added* virtual disk, the dual
+	// of failover's removed one — and reseeds the cluster under a new epoch.
 	Join *JoinSpec
 	// Straggler configures the progress-rate failure detector, the phase
 	// deadline budgets, and the hedged shard-sort re-execution. The zero
@@ -49,8 +47,7 @@ type SortSpec struct {
 	// Stall, when non-nil, injects one slowdown: the named worker keeps
 	// answering heartbeats but does every unit of work Factor times slower
 	// from the moment the coordinator enters the named phase — the latency
-	// dual of Chaos's kill/hang. It requires an all-v6 cluster; otherwise
-	// it is ignored.
+	// dual of Chaos's kill/hang.
 	Stall *StallSpec
 	// JournalPath, when nonempty, appends the coordinator's recovery
 	// state — per-worker partition extents after the scatter, each phase
@@ -72,7 +69,7 @@ type SortSpec struct {
 }
 
 // Heartbeat configures the coordinator's failure detector: a dedicated
-// monitor connection per v3 worker carrying mPing/mPong. A worker whose
+// monitor connection per worker carrying mPing/mPong. A worker whose
 // pong is late Interval·(MissBudget+1) in a row is declared lost. Any pong
 // — however late — resets the miss counter, so a flapping link does not
 // trigger failover.
@@ -98,7 +95,7 @@ func (h Heartbeat) withDefaults() Heartbeat {
 	return h
 }
 
-// StragglerConfig tunes the v6 straggler mitigation: a progress-rate
+// StragglerConfig tunes the straggler mitigation: a progress-rate
 // failure detector that runs alongside the liveness heartbeat. The
 // heartbeat can only see a dead or hung worker; this detector sees a live
 // worker that answers every ping yet makes no useful progress — a
@@ -112,8 +109,8 @@ func (h Heartbeat) withDefaults() Heartbeat {
 // internal/plan cost model's predicted single-node wall-clock for the
 // shard — so one fast outlier cannot condemn honest peers, and one slow
 // cohort cannot stretch the budget without bound. A worker past its
-// deadline earns a single grace extension if its progress counters (the
-// v6 pong trailer) advanced recently; past that it is demoted to the
+// deadline earns a single grace extension if its progress counters (carried
+// on every pong) advanced recently; past that it is demoted to the
 // failover path with a typed *StragglerError, exactly as if it had died.
 //
 // During the local-sort phase a gentler remedy runs first when Hedge is
@@ -125,8 +122,7 @@ type StragglerConfig struct {
 	// Enabled turns the detector (and budgets, and demotion) on.
 	Enabled bool
 	// Hedge allows speculative re-execution of a straggling local sort on
-	// the fastest idle worker. Requires an all-v6 cluster; ignored
-	// otherwise.
+	// the fastest idle worker.
 	Hedge bool
 	// SoftBudget is the local-sort deadline past which the hedge fires.
 	// Zero derives it like the hard budget.
@@ -180,7 +176,7 @@ type ChaosSpec struct {
 	Hang bool
 	// Coordinator makes the coordinator itself the victim: entering the
 	// phase returns ErrCoordinatorChaosKill without a word on any link, so
-	// every connection dies abruptly (v4 workers park their shards) and
+	// every connection dies abruptly (workers park their shards) and
 	// the job is left for Resume. Worker and Hang are ignored.
 	Coordinator bool
 }
@@ -417,12 +413,8 @@ type coordinator struct {
 	net     *netMeter
 	jobID   uint64
 
-	links    []*link // grows only on join (under mu); dead entries keep a closed conn
-	vers     []int   // negotiated protocol version per worker
-	failover bool    // all workers v3: losses trigger recovery, not failure
-	elastic  bool    // all workers v4: join and resume are available
-	progress bool    // all workers v6: progress pongs, stall chaos, hedging
-	joined   bool    // the configured Join already fired
+	links  []*link // grows only on join (under mu); dead entries keep a closed conn
+	joined bool    // the configured Join already fired
 
 	mu       sync.Mutex
 	deadErr  map[int]error // worker -> first loss, as a *WorkerLostError
@@ -488,8 +480,8 @@ type coordinator struct {
 	expectGather []uint64
 }
 
-// progTrack is one worker's latest progress report, decoded from the v6
-// pong trailer. at is when the (phase, units) pair last changed — the
+// progTrack is one worker's latest progress report, decoded from its
+// pong. at is when the (phase, units) pair last changed — the
 // detector's notion of "recent progress".
 type progTrack struct {
 	have  bool
@@ -544,17 +536,28 @@ func Sort(ctx context.Context, inPath, outPath string, spec SortSpec) (*SortStat
 		return nil, fmt.Errorf("cluster: %s is %d bytes, not a whole number of %d-byte records",
 			inPath, st.Size(), record.EncodedSize)
 	}
+	c, teardown := newCoordinator(ctx, spec, in, inPath, outPath,
+		int(st.Size()/record.EncodedSize), uint64(time.Now().UnixNano()))
+	defer teardown()
+	return c.run(ctx)
+}
+
+// newCoordinator builds the per-job coordinator state Sort and Resume
+// share, and attaches the resource source and sampler to the trace. The
+// returned teardown stops every watcher, monitor, and hedge, closes every
+// link and the journal, and detaches the trace.
+func newCoordinator(ctx context.Context, spec SortSpec, in *os.File, inPath, outPath string, n int, jobID uint64) (*coordinator, func()) {
 	c := &coordinator{
 		spec:    spec,
 		W:       len(spec.Workers),
 		S:       spec.Buckets,
-		n:       int(st.Size() / record.EncodedSize),
+		n:       n,
 		in:      in,
 		inPath:  inPath,
 		outPath: outPath,
 		tr:      spec.Trace,
 		net:     &netMeter{},
-		jobID:   uint64(time.Now().UnixNano()),
+		jobID:   jobID,
 		deadErr: make(map[int]error),
 		lostSig: make(chan struct{}, 1),
 		prog:    make(map[int]progTrack),
@@ -566,16 +569,11 @@ func Sort(ctx context.Context, inPath, outPath string, spec SortSpec) (*SortStat
 		// shard of it, whatever the phase.
 		c.predicted = time.Duration(plan.PhaseBudgetSeconds(c.n, record.EncodedSize) * float64(time.Second))
 	}
-	if c.tr != nil {
-		// Every coordinator span closes with its network and allocation
-		// deltas; the optional sampler adds utilization counter tracks.
-		c.tr.SetResourceSource(c.net.resourceSource(), "cluster")
-		defer c.tr.SetResourceSource(nil)
-		smp := obs.StartSampler(c.tr, spec.Sample,
-			append(obs.RuntimeGauges(), c.net.gauges()...))
-		defer smp.Stop()
-	}
-	defer func() {
+	// Every coordinator span closes with its network and allocation deltas;
+	// the optional sampler adds utilization counter tracks.
+	c.tr.SetResourceSource(c.net.resourceSource(), "cluster")
+	smp := obs.StartSampler(c.tr, spec.Sample, append(obs.RuntimeGauges(), c.net.gauges()...))
+	return c, func() {
 		c.stopPhaseWatch()
 		if c.monCancel != nil {
 			c.monCancel()
@@ -593,8 +591,9 @@ func Sort(ctx context.Context, inPath, outPath string, spec SortSpec) (*SortStat
 		if c.jr != nil {
 			c.jr.Close()
 		}
-	}()
-	return c.run(ctx)
+		smp.Stop()
+		c.tr.SetResourceSource(nil)
+	}
 }
 
 func (c *coordinator) run(ctx context.Context) (*SortStats, error) {
@@ -670,15 +669,11 @@ func (c *coordinator) finish(ctx context.Context, err error) (*SortStats, error)
 
 	// Collect worker traces and merge them into the job timeline before
 	// saying goodbye: node 0 is the coordinator, node w+1 is worker w. The
-	// output is already complete, so with failover enabled a worker dying
-	// here only costs its spans, not the job.
+	// output is already complete, so a worker dying here only costs its
+	// spans, not the job.
 	if c.tr != nil {
 		for _, i := range c.active() {
-			if terr := c.collectTrace(i); terr != nil {
-				if !c.failover {
-					return nil, fmt.Errorf("cluster: trace from worker %d: %w", i, terr)
-				}
-			}
+			_ = c.collectTrace(i)
 		}
 	}
 
@@ -720,7 +715,6 @@ func (c *coordinator) finish(ctx context.Context, err error) (*SortStats, error)
 // *WorkerLostError — failover only covers workers that joined the job.
 func (c *coordinator) connect(ctx context.Context) error {
 	c.links = make([]*link, c.W)
-	c.vers = make([]int, c.W)
 	for i, addr := range c.spec.Workers {
 		conn, derr := c.spec.Dial.dial(ctx, i, addr)
 		if derr != nil {
@@ -728,59 +722,52 @@ func (c *coordinator) connect(ctx context.Context) error {
 		}
 		c.links[i] = newLink(i, conn, c.spec.Dial, c.net)
 	}
-	var flags uint32
-	if c.tr != nil {
-		flags |= helloFlagTrace
-	}
 	for i, l := range c.links {
-		h := msgHello{
-			Version: protocolVersion, JobID: c.jobID,
-			Worker: uint32(i), Workers: uint32(c.W),
-			S: uint32(c.S), BlockRecs: uint32(c.spec.BlockRecs),
-			Flags: flags,
-			Peers: c.spec.Workers,
-		}
-		if err := l.send(mHello, h.encode()); err != nil {
+		if err := l.send(mHello, c.hello(i, c.spec.Workers).encode()); err != nil {
 			return fmt.Errorf("cluster: hello to worker %d: %w", i, err)
 		}
 	}
-	for i := range c.links {
-		payload, err := c.expectHandshake(i, mHelloAck)
-		if err != nil {
+	for i, l := range c.links {
+		if err := c.expectHelloAck(l); err != nil {
 			return fmt.Errorf("cluster: worker %d handshake: %w", i, err)
-		}
-		var v msgVersion
-		if err := v.decode(payload); err != nil {
-			return fmt.Errorf("cluster: worker %d handshake: %w", i, err)
-		}
-		c.vers[i] = int(v.Version)
-	}
-	c.failover = true
-	c.elastic = true
-	c.progress = true
-	for _, v := range c.vers {
-		if v < 3 {
-			c.failover = false
-		}
-		if v < 4 {
-			c.elastic = false
-		}
-		if v < 6 {
-			c.progress = false
 		}
 	}
 	return nil
 }
 
-// expectHandshake reads one frame from worker i with the handshake timeout
-// (the only read the coordinator bounds by a deadline: past this point
-// liveness comes from the failure detector).
-func (c *coordinator) expectHandshake(i int, want byte) ([]byte, error) {
-	return c.expectHandshakeOn(c.links[i], want)
+// hello builds the job announcement for worker id of a membership whose
+// address table is peers: the mHello of a fresh job, or the mJoin/mResume
+// payload of a mid-job attach.
+func (c *coordinator) hello(id int, peers []string) *msgHello {
+	h := &msgHello{
+		Version: protocolVersion, JobID: c.jobID,
+		Worker: uint32(id), Workers: uint32(len(peers)),
+		S: uint32(c.S), BlockRecs: uint32(c.spec.BlockRecs),
+		Peers: peers,
+	}
+	if c.tr != nil {
+		h.Flags |= helloFlagTrace
+	}
+	return h
 }
 
-// expectHandshakeOn is expectHandshake for a link not (yet) registered in
-// c.links — a joiner being vetted before the membership commit.
+// expectHelloAck reads a worker's mHelloAck and refuses a worker that
+// speaks a different protocol version.
+func (c *coordinator) expectHelloAck(l *link) error {
+	payload, err := c.expectHandshakeOn(l, mHelloAck)
+	if err != nil {
+		return err
+	}
+	var v msgVersion
+	if err := v.decode(payload); err != nil {
+		return err
+	}
+	return versionMismatch(v.Version)
+}
+
+// expectHandshakeOn reads one frame from l with the handshake timeout (the
+// only read the coordinator bounds by a deadline: past this point liveness
+// comes from the failure detector).
 func (c *coordinator) expectHandshakeOn(l *link, want byte) ([]byte, error) {
 	t := time.NewTimer(c.spec.Dial.IOTimeout)
 	defer t.Stop()
@@ -806,8 +793,7 @@ func (c *coordinator) expectHandshakeOn(l *link, want byte) ([]byte, error) {
 }
 
 // lost marks worker i dead (idempotently), closes its control connection,
-// and returns the error the caller should propagate: errFailover when the
-// cluster can recover, the transport error itself when it cannot.
+// and returns errFailover, which unwinds the caller to the recovery loop.
 func (c *coordinator) lost(i int, err error) error {
 	c.mu.Lock()
 	if _, dup := c.deadErr[i]; !dup {
@@ -831,10 +817,7 @@ func (c *coordinator) lost(i int, err error) error {
 	} else {
 		c.mu.Unlock()
 	}
-	if c.failover {
-		return errFailover
-	}
-	return err
+	return errFailover
 }
 
 // lostAsync is lost() for the monitor goroutines, which have no phase
@@ -893,22 +876,12 @@ func (c *coordinator) pendingLoss() bool {
 // loss.
 func (c *coordinator) sendTo(i int, typ byte, payload []byte) error {
 	if c.isDead(i) {
-		return c.deadSendErr(i)
+		return errFailover
 	}
 	if err := c.links[i].send(typ, payload); err != nil {
 		return c.lost(i, err)
 	}
 	return nil
-}
-
-func (c *coordinator) deadSendErr(i int) error {
-	if c.failover {
-		return errFailover
-	}
-	c.mu.Lock()
-	err := c.deadErr[i]
-	c.mu.Unlock()
-	return err
 }
 
 // triage handles the frames every wait on worker i must absorb: transport
@@ -959,7 +932,7 @@ func (c *coordinator) triage(i int, fr frameMsg) (typ byte, payload []byte, skip
 // aborted. It blocks until a frame or any loss signal arrives.
 func (c *coordinator) recvFrom(i int) (byte, []byte, error) {
 	if c.isDead(i) {
-		return 0, nil, c.deadSendErr(i)
+		return 0, nil, errFailover
 	}
 	l := c.links[i]
 	for {
@@ -985,7 +958,7 @@ func (c *coordinator) recvFrom(i int) (byte, []byte, error) {
 // iteration cannot hide its peers' progress from the phase watcher.
 func (c *coordinator) recvPoll(i int) (typ byte, payload []byte, ok bool, err error) {
 	if c.isDead(i) {
-		return 0, nil, false, c.deadSendErr(i)
+		return 0, nil, false, errFailover
 	}
 	l := c.links[i]
 	for {
@@ -1025,20 +998,20 @@ func (c *coordinator) enterPhase(name string) error {
 	c.phase = name
 	c.mu.Unlock()
 	c.journal(journalEvent{Event: "phase", Epoch: c.epoch, Phase: name})
-	if c.failover && c.pendingLoss() {
+	if c.pendingLoss() {
 		return errFailover
 	}
 	if ch := c.spec.Chaos; ch != nil && ch.Coordinator && !c.chaosFired && ch.Phase == name && c.epoch == 0 {
 		// Simulated coordinator crash: die without a word on any link. The
-		// deferred cleanup closes every connection abruptly; v4 workers
-		// park their shards and wait for a Resume.
+		// deferred cleanup closes every connection abruptly; workers park
+		// their shards and wait for a Resume.
 		c.chaosFired = true
 		return ErrCoordinatorChaosKill
 	}
 	c.maybeChaos(name)
 	c.maybeStall(name)
 	c.beginPhaseWatch(name)
-	if j := c.spec.Join; j != nil && !c.joined && c.elastic && j.Phase == name {
+	if j := c.spec.Join; j != nil && !c.joined && j.Phase == name {
 		c.joined = true
 		return errRejoin
 	}
@@ -1050,7 +1023,7 @@ func (c *coordinator) enterPhase(name string) error {
 // death is survivable, not that the job outlives arbitrary repetition.
 func (c *coordinator) maybeChaos(phase string) {
 	ch := c.spec.Chaos
-	if ch == nil || c.chaosFired || ch.Phase != phase || !c.failover || c.epoch != 0 {
+	if ch == nil || c.chaosFired || ch.Phase != phase || c.epoch != 0 {
 		return
 	}
 	c.chaosFired = true
@@ -1065,11 +1038,9 @@ func (c *coordinator) maybeChaos(phase string) {
 
 // maybeStall fires the configured slowdown if this is its phase — the
 // latency analogue of maybeChaos, under the same fire-once, epoch-0 rules.
-// v6-only: only the progress detector can see a stalled-but-ponging
-// worker, so injecting one into an older cluster would just hang the job.
 func (c *coordinator) maybeStall(phase string) {
 	st := c.spec.Stall
-	if st == nil || c.stallFired || st.Phase != phase || !c.progress || c.epoch != 0 {
+	if st == nil || c.stallFired || st.Phase != phase || c.epoch != 0 {
 		return
 	}
 	c.stallFired = true
@@ -1138,7 +1109,7 @@ func (c *coordinator) notePhaseDone(i int) {
 	c.pmu.Unlock()
 }
 
-// noteProgress folds one v6 pong trailer into the progress table,
+// noteProgress folds one pong's progress counters into the table,
 // timestamping only actual advancement so the watcher's grace check reads
 // "made progress recently", not "answered a ping recently".
 func (c *coordinator) noteProgress(i int, pg msgProgress) {
@@ -1153,8 +1124,8 @@ func (c *coordinator) noteProgress(i int, pg msgProgress) {
 }
 
 // progressWithin reports whether worker i's progress counters advanced in
-// the last grace window. Without v6 pongs there is no progress evidence,
-// so no grace.
+// the last grace window. Without a pong there is no progress evidence, so
+// no grace.
 func (c *coordinator) progressWithin(i int, now time.Time, grace time.Duration) bool {
 	c.pmu.Lock()
 	defer c.pmu.Unlock()
@@ -1226,7 +1197,7 @@ func (c *coordinator) watchPhase(phase string, stop chan struct{}) {
 		// reliably rank two still-sorting workers (a sort is one coarse work
 		// unit), so spending the job's single hedge while several workers are
 		// legitimately busy risks wasting it on a healthy one.
-		if phase == "local-sort" && st.Hedge && c.progress && soft > 0 && elapsed > soft &&
+		if phase == "local-sort" && st.Hedge && soft > 0 && elapsed > soft &&
 			len(unfinished) == 1 {
 			c.maybeHedge(unfinished[0], done)
 		}
@@ -1280,7 +1251,7 @@ func (c *coordinator) watchPhase(phase string, stop chan struct{}) {
 	}
 }
 
-// straggliest picks the most-behind worker among cands by the v6 progress
+// straggliest picks the most-behind worker among cands by the progress
 // counters: lowest worker phase first, then fewest work units, then lowest
 // ID for determinism. Workers that never reported progress sort first.
 func (c *coordinator) straggliest(cands []int) int {
@@ -1673,13 +1644,10 @@ func (c *coordinator) scatter(ctx context.Context) error {
 		}
 		w := turn % c.W
 		if c.isDead(w) {
-			return c.deadSendErr(w) // errFailover: recovery re-streams from here
+			return errFailover // recovery re-streams from here
 		}
 		if err := c.sendTo(w, mRecords, chunk); err != nil {
-			if errors.Is(err, errFailover) {
-				return err
-			}
-			return fmt.Errorf("cluster: scattering to worker %d: %w", w, err)
+			return err
 		}
 		c.assign[turn] = int32(w)
 		c.perWorker[w] += uint64(m)
@@ -1687,10 +1655,7 @@ func (c *coordinator) scatter(ctx context.Context) error {
 	}
 	for i := 0; i < c.W; i++ {
 		if err := c.sendTo(i, mScatterDone, (&msgCount{Count: c.perWorker[i]}).encode()); err != nil {
-			if errors.Is(err, errFailover) {
-				return err
-			}
-			return fmt.Errorf("cluster: finishing scatter to worker %d: %w", i, err)
+			return err
 		}
 	}
 	c.journal(journalEvent{
@@ -1713,7 +1678,7 @@ func (c *coordinator) scatter(ctx context.Context) error {
 func (c *coordinator) collectBarrier(want byte, what string, hedge bool, onFrame func(i int, payload []byte) error) error {
 	pending := c.active()
 	for len(pending) > 0 {
-		if c.failover && c.pendingLoss() {
+		if c.pendingLoss() {
 			return errFailover
 		}
 		var hr *hedgeRun
@@ -1832,7 +1797,7 @@ func (c *coordinator) histogramPhase() error {
 	pv := (&msgPivots{Pivots: c.pivots}).encode()
 	for _, i := range c.active() {
 		if err := c.sendTo(i, mPivots, pv); err != nil {
-			return phaseErr("pivots to worker", i, err)
+			return err
 		}
 		c.flowOut("pivots", i)
 	}
@@ -1961,7 +1926,7 @@ func (c *coordinator) planPhase() error {
 			ExpectGatherRecs: expectGather[i],
 		}
 		if err := c.sendTo(i, mPlan, p.encode()); err != nil {
-			return phaseErr("plan to worker", i, err)
+			return err
 		}
 		c.flowOut("plan", i)
 	}
@@ -2006,7 +1971,7 @@ func (c *coordinator) gatherPhase() error {
 	sp := c.tr.Begin("cluster", "gather", 0)
 	for _, i := range c.active() {
 		if err := c.sendTo(i, mStartGather, nil); err != nil {
-			return phaseErr("starting gather on worker", i, err)
+			return err
 		}
 		c.flowOut("gather", i)
 	}
@@ -2036,7 +2001,7 @@ func (c *coordinator) sortPhase() error {
 	sp := c.tr.Begin("cluster", "local-sort", 0)
 	for _, i := range c.active() {
 		if err := c.sendTo(i, mSortReq, nil); err != nil {
-			return phaseErr("sort request to worker", i, err)
+			return err
 		}
 		c.flowOut("local-sort", i)
 	}
@@ -2100,7 +2065,7 @@ func (c *coordinator) drainShards() (err error) {
 			c.setWatchFocus(hr.target)
 			got, derr := c.drainHedge(hr, w, &prev, &first)
 			if derr != nil {
-				return phaseErr("draining hedged shard for worker", i, c.lost(hr.target, derr))
+				return c.lost(hr.target, derr)
 			}
 			written += got
 			c.journalWDone("drain", i)
@@ -2109,7 +2074,7 @@ func (c *coordinator) drainShards() (err error) {
 		}
 		c.setWatchFocus(i)
 		if err := c.sendTo(i, mFetch, nil); err != nil {
-			return phaseErr("fetch from worker", i, err)
+			return err
 		}
 		c.flowOut("drain", i)
 		var got uint64
@@ -2282,16 +2247,11 @@ func (c *coordinator) recoverLost(ctx context.Context) error {
 // resumed worker whose parked state did not survive: their announcement
 // carries the Fresh flag (truncate before appending) and every chunk they
 // own is re-fed to them. Chunks with no live owner are re-dealt
-// round-robin across the actives. On an elastic (all-v4) cluster the
-// announcement also carries the full peer table, so worker-side
-// membership changes atomically with the epoch; on v3 clusters fresh is
-// always nil and the wire encoding is unchanged.
+// round-robin across the actives. The announcement also carries the full
+// peer table, so worker-side membership changes atomically with the epoch.
 func (c *coordinator) reseed(fresh map[int]bool) (pending int, rescatteredRecs uint64, err error) {
 	activeList := c.active()
-	var peers []string
-	if c.elastic {
-		peers = append([]string(nil), c.spec.Workers...)
-	}
+	peers := append([]string(nil), c.spec.Workers...)
 	if c.assign == nil {
 		// The interruption predates scatter-done: nothing is known to be
 		// delivered, so deal every chunk out as if scattering afresh.
@@ -2398,7 +2358,7 @@ func (c *coordinator) reseed(fresh map[int]bool) (pending int, rescatteredRecs u
 	return pending, rescatteredRecs, nil
 }
 
-// admitJoin dials the scheduled joiner and runs the v4 attach handshake;
+// admitJoin dials the scheduled joiner and runs the attach handshake;
 // only once the joiner is known good does it commit the membership growth
 // — worker W exists from the epoch bump onward, its whole (empty) shard
 // streamed to it under the Fresh flag while every incumbent rewinds to the
@@ -2419,7 +2379,6 @@ func (c *coordinator) admitJoin(ctx context.Context) error {
 		// Commit: from here the joiner is a full member and its loss is a
 		// failover like any other's.
 		c.links = append(c.links, l)
-		c.vers = append(c.vers, protocolVersion)
 		c.spec.Workers = newPeers
 		c.W = id + 1
 		c.rec.Joins++
@@ -2469,37 +2428,14 @@ func (c *coordinator) attachJoiner(ctx context.Context, id int, addr string, new
 		return nil, err
 	}
 	l := newLink(id, conn, c.spec.Dial, c.net)
-	drop := func() {
+	err = l.send(mJoin, c.hello(id, newPeers).encode())
+	if err == nil {
+		err = c.expectHelloAck(l)
+	}
+	if err != nil {
 		conn.Close()
 		close(l.done)
-	}
-	var flags uint32
-	if c.tr != nil {
-		flags |= helloFlagTrace
-	}
-	a := msgAttach{
-		Version: protocolVersion, JobID: c.jobID,
-		Worker: uint32(id), Workers: uint32(id + 1),
-		S: uint32(c.S), BlockRecs: uint32(c.spec.BlockRecs),
-		Flags: flags, Epoch: c.epoch + 1, Peers: newPeers,
-	}
-	if err := l.send(mJoin, a.encode()); err != nil {
-		drop()
 		return nil, err
-	}
-	payload, err := c.expectHandshakeOn(l, mHelloAck)
-	if err != nil {
-		drop()
-		return nil, err
-	}
-	var v msgVersion
-	if err := v.decode(payload); err != nil {
-		drop()
-		return nil, err
-	}
-	if v.Version < 4 {
-		drop()
-		return nil, fmt.Errorf("cluster: joiner %s speaks protocol %d, join needs 4", addr, v.Version)
 	}
 	return l, nil
 }
@@ -2523,7 +2459,7 @@ func boolAttr(b bool) int64 {
 // startMonitors launches one heartbeat goroutine per worker. Monitors are
 // the only detector that can see a hung-but-connected worker.
 func (c *coordinator) startMonitors(ctx context.Context) {
-	if !c.failover || c.spec.Heartbeat.Disable {
+	if c.spec.Heartbeat.Disable {
 		return
 	}
 	mctx, cancel := context.WithCancel(ctx)
@@ -2603,10 +2539,8 @@ func (c *coordinator) monitor(ctx context.Context, i int) {
 		}
 		if typ == mPong {
 			misses = 0
-			// v6 pongs carry a progress trailer; older ones decode with
-			// Have == false and feed the detector nothing.
 			var pg msgProgress
-			if pg.decode(payload) == nil && pg.Have {
+			if pg.decode(payload) == nil {
 				c.noteProgress(i, pg)
 			}
 		}

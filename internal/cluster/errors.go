@@ -50,8 +50,8 @@ func (e *ClusterDegradedError) Unwrap() error { return e.Err }
 // of WorkerLostError: the worker is reachable, just uselessly slow. A job
 // that survives the demotion never surfaces it (the failover rebuild
 // absorbs it, reported via RecoveryStats); it reaches the caller only when
-// the demotion breaks quorum, wrapped in a ClusterDegradedError, or when
-// failover is disabled. jobs.Classify maps it to a retryable status.
+// the demotion breaks quorum, wrapped in a ClusterDegradedError.
+// jobs.Classify maps it to a retryable status.
 type StragglerError struct {
 	Worker int           // the straggling worker's ID in the job
 	Addr   string        // its address (still reachable, unlike a lost worker)

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"balancesort/internal/obs"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -90,13 +92,22 @@ func TestFrameTruncation(t *testing.T) {
 // must likewise survive hostile input without panicking.
 func FuzzFrame(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(appendFrame(nil, mHello, (&msgHello{Version: 1, Workers: 2, Peers: []string{"a", "b"}}).encode()))
+	f.Add(appendFrame(nil, mHello, (&msgHello{Version: protocolVersion, Workers: 2, Peers: []string{"a", "b"}}).encode()))
 	f.Add(appendFrame(nil, mBlock, (&msgBlock{Phase: 1, Bucket: 3, Data: make([]byte, 32)}).encode()))
 	f.Add(appendFrame(nil, mError, (&msgError{Code: ecWorkerLost, Addr: "x", Text: "y"}).encode()))
 	f.Add(appendFrame(nil, mRescatter, (&msgRescatter{Epoch: 2, Active: []uint32{0, 2}, Fresh: true, Peers: []string{"a", "b", "c"}}).encode()))
-	f.Add(appendFrame(nil, mJoin, (&msgAttach{Version: 4, JobID: 7, Worker: 4, Workers: 5, S: 16, BlockRecs: 128, Epoch: 1, Peers: []string{"a", "b"}}).encode()))
-	f.Add(appendFrame(nil, mResume, (&msgAttach{Version: 4, JobID: 7, Worker: 0, Workers: 4, S: 16, BlockRecs: 128, Epoch: 3}).encode()))
-	f.Add(appendFrame(nil, mResumeState, (&msgResumeState{Version: 4, HaveShard: 1, Epoch: 3, ShardRecs: 5000}).encode()))
+	f.Add(appendFrame(nil, mJoin, (&msgHello{Version: protocolVersion, JobID: 7, Worker: 4, Workers: 5, S: 16, BlockRecs: 128, Peers: []string{"a", "b", "c", "d", "e"}}).encode()))
+	f.Add(appendFrame(nil, mResume, (&msgHello{Version: protocolVersion, JobID: 7, Worker: 0, Workers: 1, S: 16, BlockRecs: 128, Peers: []string{"a"}}).encode()))
+	f.Add(appendFrame(nil, mResumeState, (&msgResumeState{Version: protocolVersion, HaveShard: 1, Epoch: 3, ShardRecs: 5000}).encode()))
+	f.Add(appendFrame(nil, mPong, (&msgProgress{Seq: 4, Phase: 3, Units: 100, ShardRecs: 5000, RecvBlocks: 7, GatherRecs: 9}).encode()))
+	f.Add(appendFrame(nil, mCrash, (&msgCrash{Mode: crashStall, Factor: 10}).encode()))
+	f.Add(appendFrame(nil, mError, (&msgError{Code: ecStraggler, Worker: 1, Addr: "x", Text: "slow", Phase: "gather", Budget: 1 << 30}).encode()))
+	f.Add(appendFrame(nil, mTrace, (&msgTrace{EpochNanos: 1, Spans: []obs.Span{
+		{Layer: "cluster", Name: "gather", ID: 2, Dur: 5, SpanID: 3, Parent: 1, Flow: 99, FlowOut: true,
+			Attrs: []obs.Attr{{Key: "records", Val: 12}}},
+	}}).encode()))
+	f.Add(appendFrame(nil, mHedgeHello, (&msgHedgeHello{JobID: 7, Epoch: 1, Victim: 2, Recs: 300, Buckets: []uint32{4, 5}}).encode()))
+	f.Add(appendFrame(nil, mHedgeSend, (&msgHedgeSend{Epoch: 1, Victim: 2, Target: 0, Buckets: []uint32{4, 5}}).encode()))
 	trunc := appendFrame(nil, mPlan, []byte("truncate me"))
 	f.Add(trunc[:len(trunc)-3])
 	corrupt := appendFrame(nil, mPivots, []byte("corrupt me"))
@@ -126,7 +137,10 @@ func FuzzFrame(f *testing.F) {
 // decodeAny runs payload through every message decoder; values are
 // discarded, only absence of panics matters.
 func decodeAny(p []byte) {
-	_ = (&msgHello{}).decode(p)
+	var h msgHello
+	if h.decode(p) == nil {
+		_ = h.check()
+	}
 	_ = (&msgCount{}).decode(p)
 	_ = (&msgHistogram{}).decode(p)
 	_ = (&msgPivots{}).decode(p)
@@ -134,10 +148,20 @@ func decodeAny(p []byte) {
 	_ = (&msgPlan{}).decode(p)
 	_ = (&msgPhaseDone{}).decode(p)
 	_ = (&msgPeerHello{}).decode(p)
+	_ = (&msgVersion{}).decode(p)
+	_ = (&msgMonHello{}).decode(p)
+	_ = (&msgPing{}).decode(p)
+	_ = (&msgProgress{}).decode(p)
+	_ = (&msgHedgeHello{}).decode(p)
+	_ = (&msgHedgeSend{}).decode(p)
+	_ = (&msgCrash{}).decode(p)
+	_ = (&msgPeerLost{}).decode(p)
+	_ = (&msgRescatter{}).decode(p)
+	_ = (&msgRescatterDone{}).decode(p)
+	_ = (&msgRescatterAck{}).decode(p)
+	_ = (&msgResumeState{}).decode(p)
 	_ = (&msgBlock{}).decode(p)
 	_ = (&msgBlockAck{}).decode(p)
 	_ = (&msgError{}).decode(p)
-	_ = (&msgRescatter{}).decode(p)
-	_ = (&msgAttach{}).decode(p)
-	_ = (&msgResumeState{}).decode(p)
+	_ = (&msgTrace{}).decode(p)
 }

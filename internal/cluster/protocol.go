@@ -9,51 +9,21 @@ import (
 	"balancesort/internal/record"
 )
 
-// protocolVersion is bumped on any incompatible wire change; Hello carries
-// it and the two sides settle on min(coordinator, worker) before any data
-// moves. Version 2 added the Hello Flags word and the trace-collection
-// messages. Version 3 added the failure-detector messages (mMonHello,
-// mPing/mPong), the failover messages (mPeerLost, mRescatter,
-// mRescatterDone, mRescatterAck), the chaos message (mCrash), a version
-// payload on mHelloAck, and an optional epoch suffix on mPeerHello.
-//
-// A v3 worker still serves a v2 coordinator byte-for-byte (empty HelloAck,
-// no epochs on the wire, fail-fast on peer loss); a v3 coordinator driving
-// any v2 worker disables heartbeats and failover for the whole job, so a
-// mixed cluster degrades to v2 semantics rather than failing the handshake.
-//
-// Version 4 added the membership-churn messages: mJoin (a worker added
-// mid-job as a new virtual disk), mResume/mResumeState (coordinator crash
-// recovery: a restarted coordinator re-attaches to parked worker sessions
-// and learns which epoch-tagged shard state each still holds), and two
-// optional trailing fields on mRescatter — a Fresh flag that forces the
-// shard to be truncated before the re-scatter stream, and a Peers list that
-// replaces the session's peer table so survivors learn a joiner's address.
-// All of it degrades: a v4 coordinator driving any v<4 worker disables
-// join and resume for the job (c.elastic), and the epoch-0/no-churn wire
-// encoding stays byte-identical to v3.
-//
-// Version 5 extended the mTrace span encoding with causality fields (span
-// id, parent id, flow id, flow direction) behind the traceExtFlag bit of
-// the span-count word. A v5 worker only emits the extended encoding when
-// the session settled on version 5, so a v<5 coordinator still receives
-// byte-identical v4 trace chunks; a v5 decoder reads both forms.
-//
-// Version 6 added the straggler-mitigation wire surface: an optional
-// progress trailer on mPong (per-phase work counters, so the coordinator
-// can detect a live-but-stalled worker), the crashStall chaos mode with an
-// optional slowdown factor on mCrash, the hedged shard-sort messages
-// (mHedgeHello/mHedgeHelloAck on a dedicated coordinator->target
-// connection, mHedgeSend on every control link, mHedgeDone, mSortCancel),
-// and the ecStraggler error code with an optional phase/budget trailer on
-// mError. All of it degrades: a v6 worker only appends the pong trailer
-// when the session settled on version 6, hedging and stall injection are
-// disabled for the whole job unless every worker negotiated v6, and the
-// v<6 encodings stay byte-identical.
-const (
-	protocolVersion    = 6
-	minProtocolVersion = 2
-)
+// protocolVersion is bumped on any wire change. Coordinator and worker ship
+// in one binary, so there is exactly one dialect: every handshake (mHello,
+// mJoin and mResume, and their acks) must carry this version exactly, and
+// either side refuses a peer that speaks any other one before data moves.
+// Every message has one fixed layout.
+const protocolVersion = 7
+
+// versionMismatch is the handshake check both sides run on a peer's
+// announced protocol version.
+func versionMismatch(v uint32) error {
+	if v != protocolVersion {
+		return fmt.Errorf("cluster: peer speaks protocol %d, this binary speaks %d", v, protocolVersion)
+	}
+	return nil
+}
 
 // Message types. Coordinator<->worker control messages and worker<->worker
 // block messages share one frame namespace so a single decoder serves both.
@@ -81,20 +51,17 @@ const (
 	mTraceReq
 	mTrace
 	mTraceDone
-	// v3 messages below. A v2 peer never sees them on the wire.
 	mMonHello      // coordinator opens a heartbeat connection to a worker
 	mPing          // coordinator liveness probe on the monitor connection
 	mPong          // worker liveness reply
 	mPeerLost      // worker -> coordinator: a peer stopped answering; keep me alive
-	mCrash         // coordinator -> worker chaos injection: die or hang now
+	mCrash         // coordinator -> worker chaos injection: die, hang, or stall now
 	mRescatter     // coordinator -> survivor: new epoch begins, extra shard records follow
 	mRescatterDone // coordinator -> survivor: re-scatter stream complete, total shard size
 	mRescatterAck  // survivor -> coordinator: reset done, ready for the new epoch
-	// v4 messages below. A v<4 peer never sees them on the wire.
-	mJoin        // coordinator -> new worker: attach mid-job as an added virtual disk
-	mResume      // restarted coordinator -> worker: re-open the job's control link
-	mResumeState // worker -> coordinator: the epoch-tagged shard state it still holds
-	// v6 messages below. A v<6 peer never sees them on the wire.
+	mJoin          // coordinator -> new worker: attach mid-job as an added virtual disk
+	mResume        // restarted coordinator -> worker: re-open the job's control link
+	mResumeState   // worker -> coordinator: the epoch-tagged shard state it still holds
 	mHedgeHello    // coordinator -> hedge target: re-run a straggler's shard sort
 	mHedgeHelloAck // hedge target -> coordinator: hedge session armed
 	mHedgeSend     // coordinator -> every worker: resend a victim's gather blocks to the target
@@ -207,7 +174,11 @@ func (r *rcur) done() error {
 	return nil
 }
 
-// msgHello is the coordinator's job announcement to one worker.
+// msgHello is the coordinator's job announcement to one worker. It is the
+// payload of mHello, and of mJoin (the recipient is a brand-new worker
+// added as an extra virtual disk mid-job) and mResume (the recipient may
+// still hold a parked session from before the coordinator crashed). An
+// attached worker learns its epoch from the mRescatter that follows.
 type msgHello struct {
 	Version   uint32
 	JobID     uint64
@@ -253,6 +224,20 @@ func (m *msgHello) decode(p []byte) error {
 		m.Peers = append(m.Peers, r.str())
 	}
 	return r.done()
+}
+
+// check validates a decoded hello before a worker builds a session from
+// it: the exact protocol version first, then the job's shape.
+func (m *msgHello) check() error {
+	if err := versionMismatch(m.Version); err != nil {
+		return err
+	}
+	if m.Workers < 1 || m.Worker >= m.Workers || int(m.Workers) != len(m.Peers) ||
+		m.S < 1 || m.BlockRecs < 1 || int(m.BlockRecs)*record.EncodedSize+64 > MaxFramePayload {
+		return fmt.Errorf("cluster: malformed hello: W=%d self=%d peers=%d S=%d blockRecs=%d",
+			m.Workers, m.Worker, len(m.Peers), m.S, m.BlockRecs)
+	}
+	return nil
 }
 
 // maxWorkers bounds cluster width; it exists to keep hostile peer lists and
@@ -464,11 +449,9 @@ func (m *msgPhaseDone) decode(p []byte) error {
 }
 
 // msgPeerHello opens a worker-to-worker block connection. Epoch is the
-// failover epoch the sender believes the job is in; it is appended to the
-// payload only when nonzero, so the epoch-0 encoding is byte-identical to
-// the v2 wire format (recovery epochs only exist in all-v3 clusters). A
-// receiver refuses connections from a stale epoch: the sender is a zombie
-// from before a failover and its blocks must not land in the reset shard.
+// failover epoch the sender believes the job is in. A receiver refuses
+// connections from a stale epoch: the sender is a zombie from before a
+// failover and its blocks must not land in the reset shard.
 type msgPeerHello struct {
 	JobID uint64
 	Src   uint32
@@ -479,9 +462,7 @@ func (m *msgPeerHello) encode() []byte {
 	var w wcur
 	w.u64(m.JobID)
 	w.u32(m.Src)
-	if m.Epoch != 0 {
-		w.u32(m.Epoch)
-	}
+	w.u32(m.Epoch)
 	return w.b
 }
 
@@ -489,17 +470,12 @@ func (m *msgPeerHello) decode(p []byte) error {
 	r := rcur{b: p}
 	m.JobID = r.u64()
 	m.Src = r.u32()
-	m.Epoch = 0
-	if r.off < len(r.b) {
-		m.Epoch = r.u32()
-	}
+	m.Epoch = r.u32()
 	return r.done()
 }
 
-// msgVersion is the mHelloAck payload from a v3 worker carrying the
-// protocol version it settled on. A v2 worker acks with an empty payload,
-// which decodes as version 2, so the coordinator learns each worker's
-// dialect from the ack alone.
+// msgVersion is the mHelloAck payload: the protocol version the worker
+// speaks, which the coordinator requires to match its own.
 type msgVersion struct {
 	Version uint32
 }
@@ -511,10 +487,6 @@ func (m *msgVersion) encode() []byte {
 }
 
 func (m *msgVersion) decode(p []byte) error {
-	if len(p) == 0 {
-		m.Version = minProtocolVersion
-		return nil
-	}
 	r := rcur{b: p}
 	m.Version = r.u32()
 	return r.done()
@@ -558,17 +530,14 @@ func (m *msgPing) decode(p []byte) error {
 	return r.done()
 }
 
-// msgProgress is the v6 mPong payload: the echoed ping sequence followed
-// by the worker's per-phase progress counters. A v<6 worker answers with
-// the bare 8-byte echo, which decodes with Have == false, so the
-// coordinator's progress detector silently degrades to liveness-only for
-// that worker. Units is a monotone count of work items finished in the
-// current phase (records scanned, blocks stored, chunks sent, ...): the
-// detector only compares successive values of the same worker, so the
-// unit does not have to mean the same thing across phases or peers.
+// msgProgress is the mPong payload: the echoed ping sequence followed by
+// the worker's per-phase progress counters. Units is a monotone count of
+// work items finished in the current phase (records scanned, blocks
+// stored, chunks sent, ...): the detector only compares successive values
+// of the same worker, so the unit does not have to mean the same thing
+// across phases or peers.
 type msgProgress struct {
 	Seq        uint64
-	Have       bool  // trailer present: the worker speaks v6
 	Phase      uint8 // index into WorkerPhases
 	Units      uint64
 	ShardRecs  uint64 // records scattered into the shard
@@ -579,28 +548,22 @@ type msgProgress struct {
 func (m *msgProgress) encode() []byte {
 	var w wcur
 	w.u64(m.Seq)
-	if m.Have {
-		w.u8(m.Phase)
-		w.u64(m.Units)
-		w.u64(m.ShardRecs)
-		w.u64(m.RecvBlocks)
-		w.u64(m.GatherRecs)
-	}
+	w.u8(m.Phase)
+	w.u64(m.Units)
+	w.u64(m.ShardRecs)
+	w.u64(m.RecvBlocks)
+	w.u64(m.GatherRecs)
 	return w.b
 }
 
 func (m *msgProgress) decode(p []byte) error {
 	r := rcur{b: p}
 	m.Seq = r.u64()
-	m.Have = false
-	if !r.bad && r.off < len(r.b) {
-		m.Have = true
-		m.Phase = r.u8()
-		m.Units = r.u64()
-		m.ShardRecs = r.u64()
-		m.RecvBlocks = r.u64()
-		m.GatherRecs = r.u64()
-	}
+	m.Phase = r.u8()
+	m.Units = r.u64()
+	m.ShardRecs = r.u64()
+	m.RecvBlocks = r.u64()
+	m.GatherRecs = r.u64()
 	return r.done()
 }
 
@@ -695,13 +658,12 @@ func (m *msgHedgeSend) decode(p []byte) error {
 const (
 	crashKill  uint8 = iota // drop the session and close every connection
 	crashHang               // go silent: stop ponging and stop making progress
-	crashStall              // v6: keep ponging but slow every unit of work by Factor
+	crashStall              // keep ponging but slow every unit of work by Factor
 )
 
 // msgCrash is the chaos-harness injection: the worker dies, hangs, or
 // slows down the instant its control reader sees it, whatever phase the
-// job is in. Factor is appended only for crashStall, which only an all-v6
-// cluster ever sends, so the kill/hang encoding is unchanged.
+// job is in.
 type msgCrash struct {
 	Mode   uint8
 	Factor uint32 // crashStall only: every work unit takes Factor times as long
@@ -710,25 +672,20 @@ type msgCrash struct {
 func (m *msgCrash) encode() []byte {
 	var w wcur
 	w.u8(m.Mode)
-	if m.Mode == crashStall {
-		w.u32(m.Factor)
-	}
+	w.u32(m.Factor)
 	return w.b
 }
 
 func (m *msgCrash) decode(p []byte) error {
 	r := rcur{b: p}
 	m.Mode = r.u8()
-	m.Factor = 0
-	if m.Mode == crashStall && r.off < len(r.b) {
-		m.Factor = r.u32()
-	}
+	m.Factor = r.u32()
 	return r.done()
 }
 
-// msgPeerLost is a v3 worker's report that a peer stopped answering during
-// the exchange or gather phase. Unlike the v2 mError path the reporter
-// stays alive and waits for the coordinator's recovery instructions.
+// msgPeerLost is a worker's report that a peer stopped answering during
+// the exchange or gather phase. The reporter stays alive and waits for the
+// coordinator's recovery instructions.
 type msgPeerLost struct {
 	Worker uint32
 	Addr   string
@@ -756,17 +713,16 @@ func (m *msgPeerLost) decode(p []byte) error {
 // the shrunk active set. The dead workers' shard records follow as
 // mRecords frames, then mRescatterDone closes the stream.
 //
-// Two v4 trailing fields are appended only when churn needs them, so the
-// v3 failover encoding is unchanged: Fresh forces the shard to be truncated
-// before the stream (a resumed worker whose shard no longer matches the
-// journal must be re-fed from scratch), and a non-empty Peers list replaces
-// the session's peer address table (a join grows it; the active set can now
-// name a worker the session has never met).
+// Fresh forces the shard to be truncated before the stream (a joiner, or a
+// resumed worker whose shard no longer matches the journal, is re-fed from
+// scratch). Peers is the job's full peer address table as of the new
+// epoch: a join grows it, so the active set can name a worker the session
+// has never met.
 type msgRescatter struct {
 	Epoch  uint32
 	Active []uint32 // surviving worker IDs, ascending
-	Fresh  bool     // v4: truncate the shard before applying the stream
-	Peers  []string // v4: full replacement peer table, empty = keep current
+	Fresh  bool     // truncate the shard before applying the stream
+	Peers  []string // full replacement peer table
 }
 
 func (m *msgRescatter) encode() []byte {
@@ -776,16 +732,14 @@ func (m *msgRescatter) encode() []byte {
 	for _, a := range m.Active {
 		w.u32(a)
 	}
-	if m.Fresh || len(m.Peers) > 0 {
-		if m.Fresh {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
-		w.u32(uint32(len(m.Peers)))
-		for _, p := range m.Peers {
-			w.str(p)
-		}
+	if m.Fresh {
+		w.u8(1)
+	} else {
+		w.u8(0)
+	}
+	w.u32(uint32(len(m.Peers)))
+	for _, p := range m.Peers {
+		w.str(p)
 	}
 	return w.b
 }
@@ -801,17 +755,14 @@ func (m *msgRescatter) decode(p []byte) error {
 	for i := 0; i < n && !r.bad; i++ {
 		m.Active = append(m.Active, r.u32())
 	}
-	m.Fresh, m.Peers = false, nil
-	if !r.bad && r.off < len(r.b) {
-		m.Fresh = r.u8() != 0
-		np := int(r.u32())
-		if np > maxWorkers {
-			return fmt.Errorf("cluster: rescatter lists %d peers", np)
-		}
-		m.Peers = make([]string, 0, np)
-		for i := 0; i < np && !r.bad; i++ {
-			m.Peers = append(m.Peers, r.str())
-		}
+	m.Fresh = r.u8() != 0
+	np := int(r.u32())
+	if np > maxWorkers {
+		return fmt.Errorf("cluster: rescatter lists %d peers", np)
+	}
+	m.Peers = make([]string, 0, np)
+	for i := 0; i < np && !r.bad; i++ {
+		m.Peers = append(m.Peers, r.str())
 	}
 	return r.done()
 }
@@ -856,62 +807,6 @@ func (m *msgRescatterAck) decode(p []byte) error {
 	r := rcur{b: p}
 	m.Epoch = r.u32()
 	m.ShardRecs = r.u64()
-	return r.done()
-}
-
-// msgAttach is the payload shared by mJoin and mResume (v4): the full job
-// description a fresh mHello would carry, plus the epoch the attaching
-// worker must adopt. For mJoin the recipient is a brand-new worker added as
-// an extra virtual disk mid-job; for mResume the recipient may still hold a
-// parked session from before the coordinator crashed, and answers with
-// mResumeState describing whatever epoch-tagged shard it kept.
-type msgAttach struct {
-	Version   uint32
-	JobID     uint64
-	Worker    uint32 // the recipient's ID in this job
-	Workers   uint32 // cluster width W after the attach
-	S         uint32 // bucket count
-	BlockRecs uint32 // records per exchange block
-	Flags     uint32 // helloFlag* bits
-	Epoch     uint32 // the epoch the attach establishes / resumes into
-	Peers     []string
-}
-
-func (m *msgAttach) encode() []byte {
-	var w wcur
-	w.u32(m.Version)
-	w.u64(m.JobID)
-	w.u32(m.Worker)
-	w.u32(m.Workers)
-	w.u32(m.S)
-	w.u32(m.BlockRecs)
-	w.u32(m.Flags)
-	w.u32(m.Epoch)
-	w.u32(uint32(len(m.Peers)))
-	for _, p := range m.Peers {
-		w.str(p)
-	}
-	return w.b
-}
-
-func (m *msgAttach) decode(p []byte) error {
-	r := rcur{b: p}
-	m.Version = r.u32()
-	m.JobID = r.u64()
-	m.Worker = r.u32()
-	m.Workers = r.u32()
-	m.S = r.u32()
-	m.BlockRecs = r.u32()
-	m.Flags = r.u32()
-	m.Epoch = r.u32()
-	n := int(r.u32())
-	if n > maxWorkers {
-		return fmt.Errorf("cluster: attach lists %d peers", n)
-	}
-	m.Peers = make([]string, 0, n)
-	for i := 0; i < n && !r.bad; i++ {
-		m.Peers = append(m.Peers, r.str())
-	}
 	return r.done()
 }
 
@@ -1011,12 +906,10 @@ func (m *msgBlockAck) decode(p []byte) error {
 const (
 	ecGeneric uint32 = iota
 	ecWorkerLost
-	ecStraggler // v6: a live worker demoted for falling past its phase budget
+	ecStraggler // a live worker demoted for falling past its phase budget
 )
 
-// msgError propagates a fatal job error in either direction. The Phase and
-// Budget fields ride a trailer appended only for ecStraggler — a code only
-// v6-aware peers ever produce — so the v2 encoding is unchanged.
+// msgError propagates a fatal job error in either direction.
 type msgError struct {
 	Code   uint32
 	Worker uint32
@@ -1032,10 +925,8 @@ func (m *msgError) encode() []byte {
 	w.u32(m.Worker)
 	w.str(m.Addr)
 	w.str(m.Text)
-	if m.Code == ecStraggler {
-		w.str(m.Phase)
-		w.u64(m.Budget)
-	}
+	w.str(m.Phase)
+	w.u64(m.Budget)
 	return w.b
 }
 
@@ -1045,45 +936,31 @@ func (m *msgError) decode(p []byte) error {
 	m.Worker = r.u32()
 	m.Addr = r.str()
 	m.Text = r.str()
-	m.Phase, m.Budget = "", 0
-	if m.Code == ecStraggler && !r.bad && r.off < len(r.b) {
-		m.Phase = r.str()
-		m.Budget = r.u64()
-	}
+	m.Phase = r.str()
+	m.Budget = r.u64()
 	return r.done()
 }
 
-// traceChunkSpans bounds spans per mTrace frame. A span is ~60 bytes on
+// traceChunkSpans bounds spans per mTrace frame. A span is ~85 bytes on
 // the wire with typical names, so 8192 spans stay well under the 2 MiB
 // MaxFramePayload even with generous attribute lists.
 const traceChunkSpans = 8192
 
-// traceExtFlag marks a v5 extended trace chunk in the top bit of the
-// span-count word. Legitimate counts are bounded by traceChunkSpans, so
-// the bit is never set by a v4 encoder, and a v4 decoder fed an extended
-// chunk fails the count bound cleanly instead of mis-parsing.
-const traceExtFlag uint32 = 1 << 31
-
 // msgTrace ships one chunk of a worker's recorded spans back to the
 // coordinator. EpochNanos is the worker tracer's epoch as wall-clock
 // UnixNano, which the coordinator uses to rebase span offsets onto its
-// own epoch before merging into the job timeline. Ext selects the v5
-// encoding that carries each span's causality fields; set it only when
-// the session settled on protocol 5.
+// own epoch before merging into the job timeline. Each span carries its
+// causality fields (span id, parent id, flow id, flow direction), so flow
+// edges and parent links survive the merge.
 type msgTrace struct {
 	EpochNanos uint64
 	Spans      []obs.Span
-	Ext        bool
 }
 
 func (m *msgTrace) encode() []byte {
 	var w wcur
 	w.u64(m.EpochNanos)
-	count := uint32(len(m.Spans))
-	if m.Ext {
-		count |= traceExtFlag
-	}
-	w.u32(count)
+	w.u32(uint32(len(m.Spans)))
 	for _, s := range m.Spans {
 		w.str(s.Layer)
 		w.str(s.Name)
@@ -1095,15 +972,13 @@ func (m *msgTrace) encode() []byte {
 			w.str(a.Key)
 			w.u64(uint64(a.Val))
 		}
-		if m.Ext {
-			w.u64(s.SpanID)
-			w.u64(s.Parent)
-			w.u64(s.Flow)
-			if s.FlowOut {
-				w.u8(1)
-			} else {
-				w.u8(0)
-			}
+		w.u64(s.SpanID)
+		w.u64(s.Parent)
+		w.u64(s.Flow)
+		if s.FlowOut {
+			w.u8(1)
+		} else {
+			w.u8(0)
 		}
 	}
 	return w.b
@@ -1112,13 +987,11 @@ func (m *msgTrace) encode() []byte {
 func (m *msgTrace) decode(p []byte) error {
 	r := rcur{b: p}
 	m.EpochNanos = r.u64()
-	count := r.u32()
-	m.Ext = count&traceExtFlag != 0
-	n := int(count &^ traceExtFlag)
-	// A span is at least 32 bytes (two empty strings, id, start, dur,
-	// attr count); bound before allocating so a hostile count cannot
-	// balloon memory.
-	if n < 0 || n > (len(p)-r.off)/32 {
+	n := int(r.u32())
+	// A span is at least 57 bytes (two empty strings, id, start, dur,
+	// attr count, span id, parent, flow, flow direction); bound before
+	// allocating so a hostile count cannot balloon memory.
+	if n < 0 || n > (len(p)-r.off)/57 {
 		return fmt.Errorf("cluster: trace chunk claims %d spans in %d bytes", n, len(p))
 	}
 	m.Spans = make([]obs.Span, 0, n)
@@ -1142,12 +1015,10 @@ func (m *msgTrace) decode(p []byte) error {
 				s.Attrs = append(s.Attrs, a)
 			}
 		}
-		if m.Ext {
-			s.SpanID = r.u64()
-			s.Parent = r.u64()
-			s.Flow = r.u64()
-			s.FlowOut = r.u8() != 0
-		}
+		s.SpanID = r.u64()
+		s.Parent = r.u64()
+		s.Flow = r.u64()
+		s.FlowOut = r.u8() != 0
 		m.Spans = append(m.Spans, s)
 	}
 	return r.done()

@@ -1,8 +1,17 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
+	"context"
+	"errors"
+	"net"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,70 +77,147 @@ func TestMessageRoundTrips(t *testing.T) {
 		ExpectGatherRecs: 9999,
 	}, &msgPlan{})
 	roundTrip(t, "phasedone", &msgPhaseDone{Phase: 2, BlocksSent: 5, BlocksRecv: 6, RecsRecv: 7}, &msgPhaseDone{})
-	roundTrip(t, "peerhello", &msgPeerHello{JobID: 42, Src: 3}, &msgPeerHello{})
+	roundTrip(t, "peerhello", &msgPeerHello{JobID: 42, Src: 3, Epoch: 2}, &msgPeerHello{})
 	roundTrip(t, "block", &msgBlock{Phase: 1, Src: 2, Bucket: 3, Seq: 4, Data: make([]byte, 64)}, &msgBlock{})
 	roundTrip(t, "blockack", &msgBlockAck{Phase: 1, Bucket: 3, Seq: 4}, &msgBlockAck{})
 	roundTrip(t, "error", &msgError{Code: ecWorkerLost, Worker: 2, Addr: "h:1", Text: "gone"}, &msgError{})
+	roundTrip(t, "error-straggler", &msgError{
+		Code: ecStraggler, Worker: 1, Addr: "h:2", Text: "progress flat",
+		Phase: "local-sort", Budget: uint64(750 * time.Millisecond),
+	}, &msgError{})
 	roundTrip(t, "trace", &msgTrace{
 		EpochNanos: 0x1122334455667788,
 		Spans: []obs.Span{
 			{Layer: "cluster", Name: "exchange", ID: 3, Start: 5 * time.Millisecond, Dur: time.Millisecond,
+				SpanID: 7, Parent: 2,
 				Attrs: []obs.Attr{{Key: "blocks", Val: 12}, {Key: "neg", Val: -7}}},
+			{Layer: "cluster", Name: "flow-plan", ID: 1, Start: time.Microsecond,
+				SpanID: 9, Flow: 0xDEADBEEFCAFE, FlowOut: true},
 			{Layer: "sort", Name: "base-case", Start: time.Microsecond, Dur: time.Microsecond},
 		},
 	}, &msgTrace{})
 	roundTrip(t, "trace-empty", &msgTrace{EpochNanos: 1}, &msgTrace{})
-	// Protocol v5: extended span encoding with causality and flow fields.
-	roundTrip(t, "trace-ext", &msgTrace{
-		EpochNanos: 0x1122334455667788,
-		Ext:        true,
-		Spans: []obs.Span{
-			{Layer: "cluster", Name: "exchange", ID: 3, Start: 5 * time.Millisecond, Dur: time.Millisecond,
-				SpanID: 7, Parent: 2,
-				Attrs: []obs.Attr{{Key: "net.bytes_out", Val: 4096}}},
-			{Layer: "cluster", Name: "flow-plan", ID: 1, Start: time.Microsecond,
-				SpanID: 9, Flow: 0xDEADBEEFCAFE, FlowOut: true},
-		},
-	}, &msgTrace{})
-	// Protocol v3 messages.
-	roundTrip(t, "peerhello-epoch", &msgPeerHello{JobID: 42, Src: 3, Epoch: 2}, &msgPeerHello{})
 	roundTrip(t, "version", &msgVersion{Version: protocolVersion}, &msgVersion{})
 	roundTrip(t, "monhello", &msgMonHello{JobID: 0xFEEDFACE}, &msgMonHello{})
 	roundTrip(t, "ping", &msgPing{Seq: 1 << 50}, &msgPing{})
+	roundTrip(t, "progress", &msgProgress{
+		Seq: 9, Phase: 5, Units: 1 << 40, ShardRecs: 77, RecvBlocks: 12, GatherRecs: 1 << 33,
+	}, &msgProgress{})
 	roundTrip(t, "crash", &msgCrash{Mode: crashHang}, &msgCrash{})
+	roundTrip(t, "crash-stall", &msgCrash{Mode: crashStall, Factor: 20}, &msgCrash{})
 	roundTrip(t, "peerlost", &msgPeerLost{Worker: 2, Addr: "h:9", Text: "conn reset"}, &msgPeerLost{})
 	roundTrip(t, "rescatter", &msgRescatter{Epoch: 1, Active: []uint32{0, 2, 3}}, &msgRescatter{})
+	roundTrip(t, "rescatter-churn", &msgRescatter{
+		Epoch: 3, Active: []uint32{0, 1, 4}, Fresh: true, Peers: []string{"a:1", "b:2", "", "d:4", "e:5"},
+	}, &msgRescatter{})
 	roundTrip(t, "rescatterdone", &msgRescatterDone{Epoch: 1, Total: 1 << 33}, &msgRescatterDone{})
 	roundTrip(t, "rescatterack", &msgRescatterAck{Epoch: 1, ShardRecs: 77}, &msgRescatterAck{})
+	roundTrip(t, "resumestate", &msgResumeState{
+		Version: protocolVersion, HaveShard: 1, Epoch: 3, ShardRecs: 5000,
+	}, &msgResumeState{})
+	roundTrip(t, "hedgehello", &msgHedgeHello{
+		JobID: 7, Epoch: 2, Victim: 1, Recs: 5000, Buckets: []uint32{3, 4, 5},
+	}, &msgHedgeHello{})
+	roundTrip(t, "hedgesend", &msgHedgeSend{Epoch: 2, Victim: 1, Target: 3, Buckets: []uint32{3, 4}}, &msgHedgeSend{})
 }
 
-func TestPeerHelloEpochZeroIsV2Compatible(t *testing.T) {
-	// Epoch 0 must encode to the exact v2 wire format (no epoch field), so
-	// a v2 worker can parse a v3 peer's first-epoch handshake and vice
-	// versa; a nonzero epoch extends the payload.
-	v2 := (&msgPeerHello{JobID: 7, Src: 1}).encode()
-	var m msgPeerHello
-	if err := m.decode(v2); err != nil {
-		t.Fatalf("decode v2 peer hello: %v", err)
+// TestHandshakeVersionMismatch: one dialect means an exact version match on
+// every handshake. A worker refuses mHello, mJoin and mResume at any other
+// version with an mError naming both versions; a coordinator whose worker
+// acks with another version fails the job at once, with no failover; and a
+// joiner that acks with another version is not admitted.
+func TestHandshakeVersionMismatch(t *testing.T) {
+	addrs := startWorkers(t, 1, fastWorker)
+	for _, typ := range []byte{mHello, mJoin, mResume} {
+		for _, v := range []uint32{protocolVersion - 1, protocolVersion + 1} {
+			h := msgHello{Version: v, JobID: 9, Worker: 0, Workers: 1, S: 4, BlockRecs: 16, Peers: addrs}
+			conn, err := net.DialTimeout("tcp", addrs[0], 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+			if err := writeFrame(conn, typ, h.encode()); err != nil {
+				t.Fatal(err)
+			}
+			rt, payload, err := readFrame(conn)
+			conn.Close()
+			if err != nil {
+				t.Fatalf("message %d at protocol %d: %v, want an mError", typ, v, err)
+			}
+			var e msgError
+			if rt != mError || e.decode(payload) != nil {
+				t.Fatalf("message %d at protocol %d answered with message %d, want mError", typ, v, rt)
+			}
+			if want := versionMismatch(v).Error(); e.Text != want {
+				t.Fatalf("message %d at protocol %d refused with %q, want %q", typ, v, e.Text, want)
+			}
+		}
 	}
-	if m.Epoch != 0 || m.JobID != 7 || m.Src != 1 {
-		t.Fatalf("v2 peer hello decoded as %+v", m)
-	}
-	withEpoch := (&msgPeerHello{JobID: 7, Src: 1, Epoch: 3}).encode()
-	if len(withEpoch) != len(v2)+4 {
-		t.Fatalf("epoch field is %d bytes, want 4", len(withEpoch)-len(v2))
-	}
-}
 
-func TestVersionDecodeEmptyMeansV2(t *testing.T) {
-	// A v2 worker acks Hello with an empty payload; the coordinator must
-	// read that as the minimum protocol version.
-	var m msgVersion
-	if err := m.decode(nil); err != nil {
-		t.Fatalf("decode empty version: %v", err)
+	// A fake worker that answers every handshake with another version.
+	other := uint32(protocolVersion + 1)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m.Version != minProtocolVersion {
-		t.Fatalf("empty version payload decoded as %d, want %d", m.Version, minProtocolVersion)
+	var (
+		fakes sync.WaitGroup
+		joins atomic.Int32 // mJoin handshakes the fake answered
+	)
+	defer fakes.Wait()
+	defer ln.Close()
+	fakes.Add(1)
+	go func() {
+		defer fakes.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			fakes.Add(1)
+			go func() {
+				defer fakes.Done()
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				typ, _, err := readFrame(br)
+				if err != nil {
+					return
+				}
+				if typ == mJoin {
+					joins.Add(1)
+				}
+				_ = writeFrame(conn, mHelloAck, (&msgVersion{Version: other}).encode())
+				_, _, _ = readFrame(br) // hold the connection until the coordinator drops it
+			}()
+		}
+	}()
+
+	inPath, _ := makeInput(t, 3000, 13, false)
+	outPath := filepath.Join(t.TempDir(), "out.dat")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	_, err = Sort(ctx, inPath, outPath, SortSpec{Workers: []string{ln.Addr().String()}, Dial: fastDial})
+	if err == nil || !strings.Contains(err.Error(), versionMismatch(other).Error()) {
+		t.Fatalf("sort against a protocol-%d worker returned %v, want the version mismatch", other, err)
+	}
+	var lost *WorkerLostError
+	if errors.As(err, &lost) || ctx.Err() != nil {
+		t.Fatalf("version mismatch surfaced as a loss or a hang: %v", err)
+	}
+	if _, serr := os.Stat(outPath); serr == nil {
+		t.Fatal("refused sort left an output file behind")
+	}
+
+	addrs = startWorkers(t, 2, fastWorker)
+	stats := runClusterSort(t, addrs, 3000, 13, false, SortSpec{
+		BlockRecs: 128, Dial: fastDial, Heartbeat: fastHeartbeat(),
+		Join: &JoinSpec{Phase: "plan", Addr: ln.Addr().String()},
+	})
+	if joins.Load() != 1 {
+		t.Fatalf("the fake joiner saw %d mJoin handshakes, want 1", joins.Load())
+	}
+	if stats.Workers != 2 || (stats.Recovery != nil && stats.Recovery.Joins != 0) {
+		t.Fatalf("a protocol-%d joiner was admitted: workers %d, recovery %+v", other, stats.Workers, stats.Recovery)
 	}
 }
 

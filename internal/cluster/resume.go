@@ -10,7 +10,6 @@ import (
 
 	"balancesort/internal/obs"
 	"balancesort/internal/pdm"
-	"balancesort/internal/plan"
 	"balancesort/internal/record"
 )
 
@@ -73,10 +72,10 @@ func parseJournalState(entries []pdm.JournalEntry) (*journalState, error) {
 
 // Resume restarts a crashed coordinator's job from its journal: it replays
 // the phase-commit log to recover the job identity, membership, chunk
-// ownership, and committed pivots, re-dials the workers with the v4
-// mResume handshake (each reports which epoch-tagged shard it still
-// holds), re-scatters only what was lost, and re-enters the pipeline at
-// the epoch cut. Output is byte-identical to an uninterrupted Sort — the
+// ownership, and committed pivots, re-dials the workers with the mResume
+// handshake (each reports which epoch-tagged shard it still holds),
+// re-scatters only what was lost, and re-enters the pipeline at the epoch
+// cut. Output is byte-identical to an uninterrupted Sort — the
 // committed pivots are cross-checked against the recomputed ones as a
 // determinism assertion. Workers that cannot be re-reached count as
 // losses; quorum decides whether the resumed job proceeds.
@@ -135,29 +134,11 @@ func Resume(ctx context.Context, inPath, outPath string, spec SortSpec) (*SortSt
 			inPath, ist.Size(), st.records, record.EncodedSize)
 	}
 
-	c := &coordinator{
-		spec:       spec,
-		W:          len(spec.Workers),
-		S:          spec.Buckets,
-		n:          st.records,
-		in:         in,
-		inPath:     inPath,
-		outPath:    outPath,
-		tr:         spec.Trace,
-		net:        &netMeter{},
-		jobID:      st.jobID,
-		jr:         jr,
-		epoch:      st.maxEpoch,
-		deadErr:    make(map[int]error),
-		lostSig:    make(chan struct{}, 1),
-		prog:       make(map[int]progTrack),
-		wantPivots: st.pivots,
-		wantDigest: st.digest,
-	}
-	c.hctx, c.hcancel = context.WithCancel(ctx)
-	if spec.Straggler.Enabled {
-		c.predicted = time.Duration(plan.PhaseBudgetSeconds(c.n, record.EncodedSize) * float64(time.Second))
-	}
+	c, teardown := newCoordinator(ctx, spec, in, inPath, outPath, st.records, st.jobID)
+	defer teardown()
+	c.jr = jr
+	c.epoch = st.maxEpoch
+	c.wantPivots, c.wantDigest = st.pivots, st.digest
 	if len(st.assign) > 0 {
 		c.chunks = (c.n + scatterChunk - 1) / scatterChunk
 		if len(st.assign) == c.chunks {
@@ -166,41 +147,12 @@ func Resume(ctx context.Context, inPath, outPath string, spec SortSpec) (*SortSt
 			c.chunks = 0 // corrupt ownership map: reseed re-deals everything
 		}
 	}
-	defer func() {
-		c.stopPhaseWatch()
-		if c.monCancel != nil {
-			c.monCancel()
-			c.monWG.Wait()
-		}
-		c.hcancel()
-		c.closeHedge()
-		c.watchWG.Wait()
-		for _, l := range c.links {
-			if l != nil {
-				l.conn.Close()
-				close(l.done)
-			}
-		}
-		if c.jr != nil {
-			c.jr.Close()
-		}
-	}()
 	return c.resume(ctx, st)
 }
 
 func (c *coordinator) resume(ctx context.Context, st *journalState) (*SortStats, error) {
-	if c.tr != nil {
-		c.tr.SetResourceSource(c.net.resourceSource(), "cluster")
-		defer c.tr.SetResourceSource(nil)
-		smp := obs.StartSampler(c.tr, c.spec.Sample,
-			append(obs.RuntimeGauges(), c.net.gauges()...))
-		defer smp.Stop()
-	}
 	sp := c.tr.Begin("cluster", "resume", 0)
 	c.links = make([]*link, c.W)
-	c.vers = make([]int, c.W)
-	c.failover = true
-	c.elastic = true
 	fresh := make(map[int]bool)
 	expected := c.expectedPerWorker()
 	for i := range c.spec.Workers {
@@ -295,18 +247,17 @@ func (c *coordinator) attachResume(ctx context.Context, i int, expected []uint64
 		}
 		l := newLink(i, conn, c.spec.Dial, c.net)
 		c.links[i] = l
-		a := msgAttach{
-			Version: protocolVersion, JobID: c.jobID,
-			Worker: uint32(i), Workers: uint32(c.W),
-			S: uint32(c.S), BlockRecs: uint32(c.spec.BlockRecs),
-			Flags: c.helloFlags(), Epoch: c.epoch, Peers: c.spec.Workers,
-		}
-		payload, err := func() ([]byte, error) {
-			if err := l.send(mResume, a.encode()); err != nil {
-				return nil, err
+		var rs msgResumeState
+		err = l.send(mResume, c.hello(i, c.spec.Workers).encode())
+		if err == nil {
+			var payload []byte
+			if payload, err = c.expectHandshakeOn(l, mResumeState); err == nil {
+				err = rs.decode(payload)
 			}
-			return c.expectHandshakeOn(l, mResumeState)
-		}()
+		}
+		if err == nil {
+			err = versionMismatch(rs.Version)
+		}
 		if err != nil {
 			conn.Close()
 			close(l.done)
@@ -314,28 +265,12 @@ func (c *coordinator) attachResume(ctx context.Context, i int, expected []uint64
 			lastErr = err
 			continue
 		}
-		var rs msgResumeState
-		if err := rs.decode(payload); err != nil {
-			conn.Close()
-			close(l.done)
-			c.links[i] = nil
-			lastErr = err
-			continue
-		}
-		c.vers[i] = int(rs.Version)
 		if rs.HaveShard != 1 || rs.ShardRecs != expected[i] {
 			fresh[i] = true
 		}
 		return nil
 	}
 	return lastErr
-}
-
-func (c *coordinator) helloFlags() uint32 {
-	if c.tr != nil {
-		return helloFlagTrace
-	}
-	return 0
 }
 
 // markDeadEarly records worker i as lost during resume's reconnect, before

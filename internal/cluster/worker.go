@@ -37,10 +37,6 @@ type WorkerConfig struct {
 	// gather barrier for blocks that never arrive (its peers' failure
 	// reports normally arrive much sooner). Default 2 minutes.
 	PhaseTimeout time.Duration
-	// ProtocolVersion pins the highest protocol version this worker
-	// negotiates; 0 means the newest it speaks. Pinning to 2 exercises the
-	// mixed-cluster downgrade path: no heartbeats, no failover.
-	ProtocolVersion int
 	// DropAfterBlocks is a fault-injection knob: after this many blocks
 	// have been sent to peers, the worker force-closes that connection
 	// once, exercising the redial/retransmit/dedup path. 0 disables.
@@ -50,7 +46,7 @@ type WorkerConfig struct {
 	// miss counter must absorb the flap without declaring the worker lost.
 	PongDelay      time.Duration
 	PongDelayCount int
-	// ResumeWindow is how long a v4 worker keeps a parked shard after its
+	// ResumeWindow is how long a worker keeps a parked shard after its
 	// coordinator connection dies on a transport error, waiting for a
 	// restarted coordinator's mResume. Past the window the shard is
 	// deleted and a resume starts the worker from scratch (the coordinator
@@ -76,9 +72,6 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	}
 	if c.SortShard == nil {
 		c.SortShard = memorySortShard
-	}
-	if c.ProtocolVersion == 0 {
-		c.ProtocolVersion = protocolVersion
 	}
 	if c.ResumeWindow <= 0 {
 		c.ResumeWindow = 2 * time.Minute
@@ -141,14 +134,18 @@ type Worker struct {
 // the new one is refused as busy.
 const sessionHandoff = time.Second
 
-// claim makes s the worker's session, waiting up to sessionHandoff for a
+// claim makes s the worker's session, waiting up to handoff for a
 // finishing predecessor to clear. It reports false when the worker stays
 // busy.
-func (w *Worker) claim(s *session) bool {
-	timer := time.NewTimer(sessionHandoff)
+func (w *Worker) claim(s *session, handoff time.Duration) bool {
+	timer := time.NewTimer(handoff)
 	defer timer.Stop()
 	w.mu.Lock()
 	for w.sess != nil {
+		if handoff <= 0 {
+			w.mu.Unlock()
+			return false
+		}
 		idle := w.idle
 		w.mu.Unlock()
 		select {
@@ -178,12 +175,12 @@ type parkedShard struct {
 }
 
 // maybePark decides whether a failed session is worth keeping for a
-// coordinator resume: the session must speak v4, the failure must look like
-// the coordinator dying (a transport error — not a chaos kill, not a local
-// cancellation, not a lost peer the coordinator would have handled), and
-// the shard file must be exactly the records the session accounted for.
+// coordinator resume: the failure must look like the coordinator dying (a
+// transport error — not a chaos kill, not a local cancellation or disk
+// error, not a lost peer the coordinator would have handled), and the
+// shard file must be exactly the records the session accounted for.
 func (w *Worker) maybePark(s *session, err error) bool {
-	if s.version < 4 || s.isHung() {
+	if s.isHung() {
 		return false
 	}
 	var lost *WorkerLostError
@@ -245,7 +242,10 @@ func (w *Worker) takeParked(jobID uint64, worker int) *parkedShard {
 }
 
 // isTransportErr classifies connection-death errors: the kind a coordinator
-// crash produces on the worker's end of the wire.
+// crash produces on the worker's end of the wire. It matches *net.OpError
+// rather than the net.Error interface, which every syscall.Errno satisfies:
+// an ENOENT or EIO from the worker's own scratch disk is not the
+// coordinator dying.
 func isTransportErr(err error) bool {
 	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
@@ -254,8 +254,8 @@ func isTransportErr(err error) bool {
 		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) {
 		return true
 	}
-	var ne net.Error
-	return errors.As(err, &ne)
+	var oe *net.OpError
+	return errors.As(err, &oe)
 }
 
 // NewWorker builds a worker from cfg.
@@ -265,8 +265,23 @@ func NewWorker(cfg WorkerConfig) *Worker {
 
 // Serve accepts connections on ln until ctx is canceled or the listener
 // fails. Coordinator connections run jobs; peer and monitor connections
-// attach to the active job.
+// attach to the active job. Before it returns, Serve closes every accepted
+// connection and waits for its handler, so once Serve returns no session
+// of this call touches ScratchDir any more and the caller may delete it.
 func (w *Worker) Serve(ctx context.Context, ln net.Listener) error {
+	var (
+		hmu      sync.Mutex
+		conns    = make(map[net.Conn]struct{})
+		handlers sync.WaitGroup
+	)
+	defer func() {
+		hmu.Lock()
+		for c := range conns {
+			c.Close()
+		}
+		hmu.Unlock()
+		handlers.Wait()
+	}()
 	watchDone := make(chan struct{})
 	defer close(watchDone)
 	go func() {
@@ -289,7 +304,17 @@ func (w *Worker) Serve(ctx context.Context, ln net.Listener) error {
 			}
 			return err
 		}
-		go w.handleConn(ctx, conn)
+		hmu.Lock()
+		conns[conn] = struct{}{}
+		hmu.Unlock()
+		handlers.Add(1)
+		go func() {
+			defer handlers.Done()
+			w.handleConn(ctx, conn)
+			hmu.Lock()
+			delete(conns, conn)
+			hmu.Unlock()
+		}()
 	}
 }
 
@@ -321,20 +346,13 @@ func (w *Worker) handleConn(ctx context.Context, conn net.Conn) {
 		return
 	}
 	switch typ {
-	case mHello:
+	case mHello, mJoin, mResume:
 		var h msgHello
 		if err := h.decode(payload); err != nil {
 			conn.Close()
 			return
 		}
-		w.runJob(ctx, conn, br, &h)
-	case mJoin, mResume:
-		var a msgAttach
-		if err := a.decode(payload); err != nil {
-			conn.Close()
-			return
-		}
-		w.runAttach(ctx, conn, br, &a, typ == mResume)
+		w.runJob(ctx, conn, br, typ, &h)
 	case mPeerHello:
 		var ph msgPeerHello
 		if err := ph.decode(payload); err != nil {
@@ -378,7 +396,7 @@ func (w *Worker) handleConn(ctx context.Context, conn net.Conn) {
 			return
 		}
 		s := w.current()
-		if s == nil || s.jobID != hh.JobID || s.version < 6 {
+		if s == nil || s.jobID != hh.JobID {
 			conn.Close()
 			return
 		}
@@ -388,41 +406,42 @@ func (w *Worker) handleConn(ctx context.Context, conn net.Conn) {
 	}
 }
 
-// runJob executes one coordinator session on the calling goroutine.
-func (w *Worker) runJob(ctx context.Context, conn net.Conn, br *bufio.Reader, h *msgHello) {
+// runJob executes one coordinator session on the calling goroutine. typ is
+// the opening handshake: mHello starts a job with a scatter; mJoin (a new
+// virtual disk) and mResume (a restarted coordinator) attach mid-job.
+func (w *Worker) runJob(ctx context.Context, conn net.Conn, br *bufio.Reader, typ byte, h *msgHello) {
 	defer conn.Close()
 	sendErr := func(self int, err error) {
 		setOpDeadline(conn, w.cfg.Dial)
 		_ = writeFrame(conn, mError, errorToWire(self, err).encode())
 	}
-	if h.Version < minProtocolVersion {
-		sendErr(int(h.Worker), fmt.Errorf("protocol version %d, worker requires at least %d",
-			h.Version, minProtocolVersion))
+	if err := h.check(); err != nil {
+		sendErr(int(h.Worker), err)
 		return
 	}
-	ver := w.cfg.ProtocolVersion
-	if int(h.Version) < ver {
-		ver = int(h.Version)
+	var parked *parkedShard
+	if typ == mResume {
+		// A matching parked shard lives in the exact directory newSession
+		// derives from (jobID, worker), so adoption is just not deleting it.
+		parked = w.takeParked(h.JobID, int(h.Worker))
 	}
-	if ver < minProtocolVersion {
-		sendErr(int(h.Worker), fmt.Errorf("worker pinned to protocol %d, below minimum %d",
-			ver, minProtocolVersion))
-		return
-	}
-	if h.Workers < 1 || h.Worker >= h.Workers || int(h.Workers) != len(h.Peers) ||
-		h.S < 1 || h.BlockRecs < 1 || int(h.BlockRecs)*record.EncodedSize+64 > MaxFramePayload {
-		sendErr(int(h.Worker), fmt.Errorf("malformed hello: W=%d self=%d peers=%d S=%d blockRecs=%d",
-			h.Workers, h.Worker, len(h.Peers), h.S, h.BlockRecs))
-		return
-	}
-
 	s, err := newSession(w, h)
 	if err != nil {
 		sendErr(int(h.Worker), err)
 		return
 	}
-	s.version = ver
-	if !w.claim(s) {
+	if parked != nil {
+		s.setShardRecs(parked.shardRecs)
+		s.epoch = parked.epoch
+	}
+	// An attach does not wait for a finishing session the way a new job
+	// does: the parked shard was taken above, before the old session could
+	// park it, and a resuming coordinator retries a refusal itself.
+	handoff := sessionHandoff
+	if typ != mHello {
+		handoff = 0
+	}
+	if !w.claim(s, handoff) {
 		s.teardown()
 		sendErr(int(h.Worker), errors.New("worker busy with another job"))
 		return
@@ -440,7 +459,7 @@ func (w *Worker) runJob(ctx context.Context, conn net.Conn, br *bufio.Reader, h 
 	s.ctlConn = conn
 	s.mu.Unlock()
 
-	if err := s.run(&wlink{conn: conn, br: br, cfg: w.cfg.Dial, s: s}); err != nil {
+	if err := s.run(&wlink{conn: conn, br: br, cfg: w.cfg.Dial, s: s}, typ, parked != nil); err != nil {
 		if w.maybePark(s, err) {
 			return // shard kept for a coordinator resume; defers abort + close
 		}
@@ -449,88 +468,10 @@ func (w *Worker) runJob(ctx context.Context, conn net.Conn, br *bufio.Reader, h 
 	}
 }
 
-// runAttach executes a v4 mid-job attach — a join (new virtual disk) or a
-// coordinator resume — on the calling goroutine. Both end up in the same
-// place as a failover survivor: waiting for the coordinator's mRescatter to
-// open the attach epoch, then running the pipeline loop.
-func (w *Worker) runAttach(ctx context.Context, conn net.Conn, br *bufio.Reader, a *msgAttach, resume bool) {
-	defer conn.Close()
-	sendErr := func(self int, err error) {
-		setOpDeadline(conn, w.cfg.Dial)
-		_ = writeFrame(conn, mError, errorToWire(self, err).encode())
-	}
-	ver := w.cfg.ProtocolVersion
-	if int(a.Version) < ver {
-		ver = int(a.Version)
-	}
-	if ver < 4 {
-		sendErr(int(a.Worker), fmt.Errorf("cluster: join/resume needs protocol 4, settled on %d", ver))
-		return
-	}
-	if a.Workers < 1 || a.Worker >= a.Workers || int(a.Workers) != len(a.Peers) ||
-		a.S < 1 || a.BlockRecs < 1 || int(a.BlockRecs)*record.EncodedSize+64 > MaxFramePayload {
-		sendErr(int(a.Worker), fmt.Errorf("malformed attach: W=%d self=%d peers=%d S=%d blockRecs=%d",
-			a.Workers, a.Worker, len(a.Peers), a.S, a.BlockRecs))
-		return
-	}
-	var parked *parkedShard
-	if resume {
-		// A matching parked shard lives in the exact directory newSession
-		// derives from (jobID, worker), so adoption is just not deleting it.
-		parked = w.takeParked(a.JobID, int(a.Worker))
-	}
-	h := &msgHello{
-		Version: a.Version, JobID: a.JobID, Worker: a.Worker, Workers: a.Workers,
-		S: a.S, BlockRecs: a.BlockRecs, Flags: a.Flags, Peers: a.Peers,
-	}
-	s, err := newSession(w, h)
-	if err != nil {
-		sendErr(int(a.Worker), err)
-		return
-	}
-	s.version = ver
-	if parked != nil {
-		s.setShardRecs(parked.shardRecs)
-		s.epoch = parked.epoch
-	}
-	// An attach does not wait for a finishing session the way a new job
-	// does: the parked shard was taken above, before the old session could
-	// park it, and a resuming coordinator retries a refusal itself.
-	w.mu.Lock()
-	if w.sess != nil {
-		w.mu.Unlock()
-		s.teardown()
-		sendErr(int(a.Worker), errors.New("worker busy with another job"))
-		return
-	}
-	w.sess, w.idle = s, make(chan struct{})
-	w.mu.Unlock()
-	defer func() {
-		w.clearSession(s)
-		s.teardown()
-	}()
-
-	jobCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	s.ctx = jobCtx
-	s.cancel = cancel
-	s.mu.Lock()
-	s.ctlConn = conn
-	s.mu.Unlock()
-
-	if err := s.runAttached(&wlink{conn: conn, br: br, cfg: w.cfg.Dial, s: s}, resume, parked != nil); err != nil {
-		if w.maybePark(s, err) {
-			return
-		}
-		s.abort(err)
-		sendErr(s.self, err)
-	}
-}
-
-// wlink is the worker's framed control connection to the coordinator. Under
-// protocol v3 only the control reader goroutine reads from it; sends stay
-// on the job goroutine. A hung session (chaos) blocks every send until the
-// session dies, simulating a live TCP peer that has stopped participating.
+// wlink is the worker's framed control connection to the coordinator. Only
+// the control reader goroutine reads from it; sends stay on the job
+// goroutine. A hung session (chaos) blocks every send until the session
+// dies, simulating a live TCP peer that has stopped participating.
 type wlink struct {
 	conn net.Conn
 	br   *bufio.Reader
@@ -539,7 +480,7 @@ type wlink struct {
 }
 
 func (l *wlink) send(typ byte, payload []byte) error {
-	if l.s != nil && l.s.isHung() {
+	if l.s.isHung() {
 		<-l.s.done
 		return errors.New("cluster: worker hung")
 	}
@@ -547,25 +488,8 @@ func (l *wlink) send(typ byte, payload []byte) error {
 	if err := writeFrame(l.conn, typ, payload); err != nil {
 		return err
 	}
-	if l.s != nil {
-		l.s.net.out(len(payload))
-	}
+	l.s.net.out(len(payload))
 	return nil
-}
-
-// recv reads directly from the connection — protocol v2 only (under v3 the
-// control reader owns all reads).
-func (l *wlink) recv(slow bool) (byte, []byte, error) {
-	if slow {
-		clearDeadline(l.conn)
-	} else {
-		setOpDeadline(l.conn, l.cfg)
-	}
-	typ, payload, err := readFrame(l.br)
-	if err == nil && l.s != nil {
-		l.s.net.in(len(payload))
-	}
-	return typ, payload, err
 }
 
 // errInterrupted unwinds the worker's phase machinery when a re-scatter
@@ -614,7 +538,6 @@ type session struct {
 	workers   int
 	s         int // bucket count S
 	blockRecs int
-	version   int
 	peers     []string
 	dir       string
 	dial      DialConfig
@@ -666,7 +589,7 @@ type session struct {
 	dropOnce    sync.Once
 	pongsServed atomic.Int64 // feeds PongDelayCount
 
-	// Progress state the monitor goroutine reads for the v6 pong trailer.
+	// Progress state the monitor goroutine reads for each pong.
 	// workUnits is a monotone count of work items finished (records
 	// scanned, blocks moved, chunks streamed); phaseIdx indexes
 	// WorkerPhases; stallFactor is the crashStall slowdown multiplier.
@@ -745,7 +668,7 @@ func newSession(w *Worker, h *msgHello) (*session, error) {
 }
 
 // setShardRecs records the shard size for the job goroutine and mirrors it
-// for the monitor goroutine's progress trailer.
+// for the monitor goroutine's progress reports.
 func (s *session) setShardRecs(n uint64) {
 	s.shardRecs = n
 	s.shardRecsA.Store(n)
@@ -906,7 +829,7 @@ func (s *session) fail(err error) {
 	s.cond.Broadcast()
 }
 
-// initEpoch arms epoch 0's context (protocol v3).
+// initEpoch arms the first epoch's context.
 func (s *session) initEpoch() {
 	s.mu.Lock()
 	s.epochCtx, s.epochCancel = context.WithCancel(s.ctx)
@@ -932,8 +855,9 @@ func (s *session) noteRescatter(m *msgRescatter) {
 // resetEpoch rewinds the session to its post-scatter state for epoch m:
 // received blocks, plan, pivots, and peer connections all belong to the
 // dead epoch and are discarded; the shard file is the one durable input.
-// A v4 announcement may also replace the peer table (a join grew the
-// cluster) — the new width takes effect atomically with the epoch.
+// The announcement's peer table replaces the session's (a join may have
+// grown the cluster), so the new width takes effect atomically with the
+// epoch.
 func (s *session) resetEpoch(m *msgRescatter) error {
 	s.mu.Lock()
 	s.epoch = m.Epoch
@@ -941,10 +865,8 @@ func (s *session) resetEpoch(m *msgRescatter) error {
 		s.epochCancel()
 	}
 	s.epochCtx, s.epochCancel = context.WithCancel(s.ctx)
-	if len(m.Peers) > 0 {
-		s.peers = append([]string(nil), m.Peers...)
-		s.workers = len(m.Peers)
-	}
+	s.peers = append([]string(nil), m.Peers...)
+	s.workers = len(m.Peers)
 	// Drop dedup entries of superseded epochs eagerly: every stream
 	// restarts from seq 0 under the new epoch, so stale entries can only
 	// accumulate across churn, never match again.
@@ -991,7 +913,7 @@ func (s *session) resetEpoch(m *msgRescatter) error {
 	return nil
 }
 
-// readCtl is the protocol-v3 control reader: it owns every read from the
+// readCtl is the control reader: it owns every read from the
 // coordinator connection, acts on chaos and re-scatter frames immediately
 // (even while the job goroutine is deep inside a phase), and forwards the
 // rest — including the re-scatter frame itself, which doubles as the
@@ -1004,14 +926,10 @@ func (s *session) readCtl(ctl *wlink) {
 			s.net.in(len(payload))
 		}
 		if err != nil {
-			if s.isHung() || s.version >= 4 {
-				// v4: a dead control link means the coordinator is gone.
-				// Abort so phase barriers wake promptly; the job goroutine
-				// surfaces the transport error and may park the shard for
-				// a resume. (Hung sessions need it too: nobody else will
-				// ever read the pushed error.)
-				s.abort(err)
-			}
+			// A dead control link means the coordinator is gone. Abort so
+			// phase barriers wake promptly; the job goroutine surfaces the
+			// transport error and may park the shard for a resume.
+			s.abort(err)
 			s.pushCtl(frameMsg{err: err})
 			return
 		}
@@ -1082,12 +1000,8 @@ func (s *session) pushCtl(f frameMsg) {
 }
 
 // recvCtlRaw returns the next control frame: the pushed-back one first,
-// then the reader channel (v3) or the connection itself (v2).
-func (s *session) recvCtlRaw(ctl *wlink) (frameMsg, error) {
-	if s.version < 3 {
-		typ, payload, err := ctl.recv(true)
-		return frameMsg{typ: typ, payload: payload, err: err}, err
-	}
+// then the control reader's channel.
+func (s *session) recvCtlRaw() (frameMsg, error) {
 	if f := s.reFrame; f != nil {
 		s.reFrame = nil
 		return *f, f.err
@@ -1102,8 +1016,8 @@ func (s *session) recvCtlRaw(ctl *wlink) (frameMsg, error) {
 
 // recvCtl is recvCtlRaw with the epoch turn: a re-scatter frame is pushed
 // back (so doRecover can re-read it) and surfaced as errInterrupted.
-func (s *session) recvCtl(ctl *wlink) (byte, []byte, error) {
-	f, err := s.recvCtlRaw(ctl)
+func (s *session) recvCtl() (byte, []byte, error) {
+	f, err := s.recvCtlRaw()
 	if err != nil {
 		return 0, nil, err
 	}
@@ -1117,8 +1031,8 @@ func (s *session) recvCtl(ctl *wlink) (byte, []byte, error) {
 
 // expectCtl reads the next control frame and requires it to be of type
 // want, converting a coordinator-reported mError into its typed Go error.
-func (s *session) expectCtl(ctl *wlink, want byte) ([]byte, error) {
-	typ, payload, err := s.recvCtl(ctl)
+func (s *session) expectCtl(want byte) ([]byte, error) {
+	typ, payload, err := s.recvCtl()
 	if err != nil {
 		return nil, err
 	}
@@ -1203,26 +1117,24 @@ func (s *session) serveMonitor(conn net.Conn, br *bufio.Reader) {
 				return
 			}
 		}
-		if s.version >= 6 {
-			// v6: the pong carries the progress counters the coordinator's
-			// straggler detector rates. A stalled worker keeps ponging —
-			// that is the point: it is alive, just not advancing.
-			var ping msgPing
-			if err := ping.decode(payload); err != nil {
-				return
-			}
-			s.mu.Lock()
-			recvBlocks, gatherRecs := s.recvBlocks, s.recvGatherRecs
-			s.mu.Unlock()
-			payload = (&msgProgress{
-				Seq: ping.Seq, Have: true,
-				Phase:      uint8(s.phaseIdx.Load()),
-				Units:      s.workUnits.Load(),
-				ShardRecs:  s.shardRecsA.Load(),
-				RecvBlocks: recvBlocks,
-				GatherRecs: gatherRecs,
-			}).encode()
+		// The pong carries the progress counters the coordinator's
+		// straggler detector rates. A stalled worker keeps ponging — that
+		// is the point: it is alive, just not advancing.
+		var ping msgPing
+		if err := ping.decode(payload); err != nil {
+			return
 		}
+		s.mu.Lock()
+		recvBlocks, gatherRecs := s.recvBlocks, s.recvGatherRecs
+		s.mu.Unlock()
+		payload = (&msgProgress{
+			Seq:        ping.Seq,
+			Phase:      uint8(s.phaseIdx.Load()),
+			Units:      s.workUnits.Load(),
+			ShardRecs:  s.shardRecsA.Load(),
+			RecvBlocks: recvBlocks,
+			GatherRecs: gatherRecs,
+		}).encode()
 		setOpDeadline(conn, s.dial)
 		if err := writeFrame(conn, mPong, payload); err != nil {
 			return
@@ -1719,61 +1631,29 @@ func (s *session) deliver(conn net.Conn, br *bufio.Reader, phase uint8, blk *out
 	return nil
 }
 
-// run is the worker side of the job protocol: the scatter, then epochs of
-// the phase pipeline, re-entered through doRecover whenever the
-// coordinator announces a failover re-scatter.
-func (s *session) run(ctl *wlink) error {
-	var ack []byte
-	if s.version >= 3 {
-		ack = (&msgVersion{Version: uint32(s.version)}).encode()
-	}
-	if err := ctl.send(mHelloAck, ack); err != nil {
-		return err
-	}
-	if s.version >= 3 {
-		s.initEpoch()
-		go s.readCtl(ctl)
-	}
-
-	sp := s.trace.Begin("cluster", "scatter-recv", s.self)
-	err := s.recvScatter(ctl)
-	sp.End(obs.Attr{Key: "records", Val: int64(s.shardRecs)})
-	if err != nil && !errors.Is(err, errInterrupted) {
-		return err
-	}
-	for {
-		if err == nil {
-			err = s.pipeline(ctl)
-		}
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, errInterrupted) {
-			return err
-		}
-		err = s.doRecover(ctl)
-	}
-}
-
-// runAttached is run's counterpart for a v4 mid-job attach. A joiner
-// answers with mHelloAck and starts from an empty shard; a resumed worker
-// answers with mResumeState reporting the epoch-tagged shard it still
-// holds (if any). Either way the coordinator's next control frame is the
-// mRescatter opening the attach epoch, so the session enters the pipeline
-// through doRecover exactly like a failover survivor.
-func (s *session) runAttached(ctl *wlink, resume, adopted bool) error {
-	if resume {
-		st := msgResumeState{Version: uint32(s.version), Epoch: s.epoch, ShardRecs: s.shardRecs}
+// run is the worker side of the job protocol: answer the handshake, then
+// run epochs of the phase pipeline, re-entered through doRecover whenever
+// the coordinator announces a re-scatter. A new job (mHello) acks and
+// receives the scatter first. A joiner (mJoin) acks and starts from an
+// empty shard; a resumed worker (mResume) answers with mResumeState,
+// reporting the epoch-tagged shard it still holds, if any (adopted). Either
+// attach waits for the mRescatter that opens the attach epoch, and enters
+// the pipeline through doRecover exactly like a failover survivor.
+func (s *session) run(ctl *wlink, typ byte, adopted bool) error {
+	var err error
+	if typ == mResume {
+		st := msgResumeState{Version: protocolVersion, Epoch: s.epoch, ShardRecs: s.shardRecs}
 		if adopted {
 			st.HaveShard = 1
 		}
-		if err := ctl.send(mResumeState, st.encode()); err != nil {
-			return err
-		}
+		err = ctl.send(mResumeState, st.encode())
 	} else {
-		if err := ctl.send(mHelloAck, (&msgVersion{Version: uint32(s.version)}).encode()); err != nil {
-			return err
-		}
+		err = ctl.send(mHelloAck, (&msgVersion{Version: protocolVersion}).encode())
+	}
+	if err != nil {
+		return err
+	}
+	if typ == mJoin {
 		// A joiner's durable input starts empty: the attach epoch's
 		// re-scatter streams its whole shard with Fresh set.
 		if err := os.WriteFile(s.shardPath(), nil, 0o644); err != nil {
@@ -1783,7 +1663,12 @@ func (s *session) runAttached(ctl *wlink, resume, adopted bool) error {
 	s.initEpoch()
 	go s.readCtl(ctl)
 
-	err := s.doRecover(ctl)
+	err = errInterrupted // an attach has no scatter: its epoch opens with mRescatter
+	if typ == mHello {
+		sp := s.trace.Begin("cluster", "scatter-recv", s.self)
+		err = s.recvScatter()
+		sp.End(obs.Attr{Key: "records", Val: int64(s.shardRecs)})
+	}
 	for {
 		if err == nil {
 			err = s.pipeline(ctl)
@@ -1817,7 +1702,7 @@ func (s *session) pipeline(ctl *wlink) error {
 	spHist.End()
 
 	// Pivots, then per-bucket counts.
-	payload, err := s.expectCtl(ctl, mPivots)
+	payload, err := s.expectCtl(mPivots)
 	if err != nil {
 		return err
 	}
@@ -1842,7 +1727,7 @@ func (s *session) pipeline(ctl *wlink) error {
 	spCounts.End(obs.Attr{Key: "buckets", Val: int64(s.s)})
 
 	// Plan.
-	payload, err = s.expectCtl(ctl, mPlan)
+	payload, err = s.expectCtl(mPlan)
 	if err != nil {
 		return err
 	}
@@ -1880,7 +1765,7 @@ func (s *session) pipeline(ctl *wlink) error {
 	)
 
 	// Gather: push every stored block to its bucket's owner.
-	if _, err := s.expectCtl(ctl, mStartGather); err != nil {
+	if _, err := s.expectCtl(mStartGather); err != nil {
 		return err
 	}
 	s.flowIn("gather")
@@ -1903,7 +1788,7 @@ func (s *session) pipeline(ctl *wlink) error {
 	spGather.End(obs.Attr{Key: "records", Val: int64(gatherRecs)})
 
 	// Local sort of the final shard.
-	if _, err := s.expectCtl(ctl, mSortReq); err != nil {
+	if _, err := s.expectCtl(mSortReq); err != nil {
 		return err
 	}
 	s.flowIn("local-sort")
@@ -1939,7 +1824,7 @@ func (s *session) pipeline(ctl *wlink) error {
 	// won the race against our mSortDone, in which case mSortCancel (not
 	// mFetch) arrives and the shard is never drained.
 	for {
-		typ, payload, err := s.recvCtl(ctl)
+		typ, payload, err := s.recvCtl()
 		if err != nil {
 			return err
 		}
@@ -1976,7 +1861,7 @@ func (s *session) pipeline(ctl *wlink) error {
 // mSortCancel is hedge debris and is ignored.
 func (s *session) awaitEnd(ctl *wlink) error {
 	for {
-		typ, _, err := s.recvCtl(ctl)
+		typ, _, err := s.recvCtl()
 		if errors.Is(err, errInterrupted) {
 			return err
 		}
@@ -2004,22 +1889,21 @@ func (s *session) sortWasCanceled() bool {
 }
 
 // phaseFail triages a phase error. Interruption wins: the epoch is being
-// replaced and the error is just its debris. A peer loss under protocol v3
-// is reported to the coordinator — which answers with a re-scatter (we
-// join the new epoch) or gives up (we fail with the original error). Under
-// v2 the error propagates and fails the job, exactly as before.
+// replaced and the error is just its debris. A peer loss is reported to
+// the coordinator — which answers with a re-scatter (we join the new
+// epoch) or gives up (we fail with the original error).
 func (s *session) phaseFail(ctl *wlink, err error) error {
 	if s.interrupted() || errors.Is(err, errInterrupted) {
 		return errInterrupted
 	}
 	var lost *WorkerLostError
-	if s.version >= 3 && errors.As(err, &lost) {
+	if errors.As(err, &lost) {
 		pl := msgPeerLost{Worker: uint32(lost.Worker), Addr: lost.Addr, Text: lost.Err.Error()}
 		if serr := ctl.send(mPeerLost, pl.encode()); serr != nil {
 			return err
 		}
 		for {
-			f, rerr := s.recvCtlRaw(ctl)
+			f, rerr := s.recvCtlRaw()
 			if rerr != nil {
 				return err
 			}
@@ -2046,7 +1930,7 @@ func (s *session) doRecover(ctl *wlink) error {
 	s.phaseIdx.Store(0) // back to scatter-recv: the new epoch re-feeds the shard
 	var m msgRescatter
 	for {
-		f, err := s.recvCtlRaw(ctl)
+		f, err := s.recvCtlRaw()
 		if err != nil {
 			return err
 		}
@@ -2085,7 +1969,7 @@ restart:
 		return shard.Close()
 	}
 	for {
-		f, err := s.recvCtlRaw(ctl)
+		f, err := s.recvCtlRaw()
 		if err != nil {
 			shard.Close()
 			return err
@@ -2140,19 +2024,16 @@ restart:
 
 // sendTrace ships every locally recorded span to the coordinator in bounded
 // chunks, tagged with this worker's epoch so the coordinator can rebase the
-// offsets onto its own timeline, and finishes with mTraceDone. Against a v5
-// coordinator the chunks carry each span's causality fields; a v<5 session
-// ships the byte-identical v4 encoding and loses only span ids and flows.
+// offsets onto its own timeline, and finishes with mTraceDone.
 func (s *session) sendTrace(ctl *wlink) error {
 	spans := s.trace.Spans()
 	epoch := uint64(s.trace.Epoch().UnixNano())
-	ext := s.version >= 5
 	for len(spans) > 0 {
 		n := traceChunkSpans
 		if n > len(spans) {
 			n = len(spans)
 		}
-		m := msgTrace{EpochNanos: epoch, Spans: spans[:n], Ext: ext}
+		m := msgTrace{EpochNanos: epoch, Spans: spans[:n]}
 		if err := ctl.send(mTrace, m.encode()); err != nil {
 			return err
 		}
@@ -2172,7 +2053,7 @@ func (s *session) flowIn(phase string) {
 // A re-scatter landing mid-stream (the coordinator lost some other worker
 // while scattering) flushes what arrived — those records are ours to keep —
 // and hands control to doRecover.
-func (s *session) recvScatter(ctl *wlink) error {
+func (s *session) recvScatter() error {
 	s.phaseIdx.Store(0) // scatter-recv
 	shard, err := os.Create(s.shardPath())
 	if err != nil {
@@ -2181,7 +2062,7 @@ func (s *session) recvScatter(ctl *wlink) error {
 	bw := bufio.NewWriterSize(shard, 1<<16)
 	var got uint64
 	for {
-		typ, payload, err := s.recvCtl(ctl)
+		typ, payload, err := s.recvCtl()
 		if err != nil {
 			ferr := bw.Flush()
 			cerr := shard.Close()
