@@ -373,10 +373,13 @@ func BenchmarkE16_WriteFullness(b *testing.B) {
 // file-backed sort. The ios metric must be identical across all four
 // sub-benchmarks: the engine never changes model costs. The first pair
 // compares the synchronous stores against the engine on a fast device
-// (tmpfs — the engine's request hop is visible, its overlap is not); the
-// slow-disk pair injects per-op device latency and compares the engine
-// with its overlap machinery (write-behind + read-ahead) off and on,
-// which is where the wall-clock win lives.
+// (tmpfs — the engine's overlap is not visible there); the slow-disk pair
+// injects per-op device latency and compares the engine with its overlap
+// machinery (write-behind + read-ahead) off and on, which is where the
+// wall-clock win lives. The injected latency is a time.Sleep of up to
+// 100µs, so the slow-disk pair also measures how far the host's sleeps
+// overshoot: the idler the process, the longer each sleep runs past its
+// deadline, with the device ops themselves unchanged.
 func BenchmarkE18_FileEngine(b *testing.B) {
 	n := 1 << 16
 	dir := b.TempDir()

@@ -504,32 +504,11 @@ func guideRunAndDrain(arr *pdm.Array, gcfg guidesort.Config, st guidesort.State,
 	}
 	outCreated = true
 	w := bufio.NewWriterSize(out, 1<<16)
-	p := arr.Params()
-	rowRecs := p.D * p.B
-	row := make([]record.Record, rowRecs)
-	var prev record.Record
-	first := true
-	written := 0
-	for written < reg.N {
-		m := rowRecs
-		if reg.N-written < m {
-			m = reg.N - written
-		}
-		arr.ReadStripe(reg.Off+written/rowRecs, row[:m])
-		for _, r := range row[:m] {
-			if !first && r.Less(prev) {
-				out.Close()
-				return nil, errors.New("balancesort: internal error: output not sorted")
-			}
-			prev, first = r, false
-		}
-		if err := record.WriteAll(w, row[:m]); err != nil {
-			out.Close()
-			return nil, err
-		}
-		written += m
+	written, err := drainRegions(arr, []core.Region{reg}, w)
+	if err == nil {
+		err = w.Flush()
 	}
-	if err := w.Flush(); err != nil {
+	if err != nil {
 		out.Close()
 		return nil, err
 	}
@@ -545,7 +524,7 @@ func guideRunAndDrain(arr *pdm.Array, gcfg guidesort.Config, st guidesort.State,
 		IO:                 ioStats,
 		MeasuredThroughput: measuredThroughput(ioStats),
 		IOs:                met.IOs,
-		IOLowerBound:       core.LowerBoundIOs(n, p),
+		IOLowerBound:       core.LowerBoundIOs(n, arr.Params()),
 		PRAMTime:           met.PRAMTime,
 		PRAMWork:           met.PRAMWork,
 		Depth:              met.Depth,

@@ -123,8 +123,8 @@ func (a Abort) Error() string { return "core: sort aborted: " + a.Err.Error() }
 func (a Abort) Unwrap() error { return a.Err }
 
 // checkCtx panics an Abort if the configured context is done. It is
-// called only between I/Os, never during one, so the disk goroutines are
-// always quiescent when the panic unwinds.
+// called only between I/Os, never during one, so no block transfer is in
+// flight when the panic unwinds.
 func (ds *DiskSorter) checkCtx() {
 	if ds.cfg.Context == nil {
 		return

@@ -5,9 +5,9 @@ import (
 	"sync/atomic"
 )
 
-// bufPool recycles block-sized byte buffers so that steady-state transfers
-// — demand reads, write copies, prefetches — allocate nothing. inUse counts
-// buffers currently checked out (gets minus puts), the occupancy signal the
+// bufPool recycles the block-sized byte buffers of the read-ahead cache so
+// that steady-state prefetching allocates nothing. inUse counts buffers
+// currently checked out (gets minus puts), the occupancy signal the
 // utilization sampler reports.
 type bufPool struct {
 	size  int

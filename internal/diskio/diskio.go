@@ -4,9 +4,10 @@
 // machinery that makes that true in wall-clock terms for real storage:
 //
 //   - one worker goroutine per disk with a bounded request queue, so a
-//     parallel I/O round issues all D block transfers concurrently;
-//   - a sync.Pool buffer manager, so steady-state transfers allocate
-//     nothing;
+//     parallel I/O round, handed over as one batch (Do), runs all D block
+//     transfers concurrently and its caller waits once;
+//   - pooled requests, so a steady-state transfer allocates nothing, and a
+//     sync.Pool of block buffers for the read-ahead cache;
 //   - a read-ahead prefetcher that speculatively fetches the next block on
 //     each disk's current stripe whenever the disk is otherwise idle;
 //   - a write-behind coalescer that batches adjacent block writes into a
@@ -135,11 +136,12 @@ func (e *DiskFailedError) Error() string {
 func (e *DiskFailedError) Unwrap() error { return e.Err }
 
 // Engine serves block reads and writes for a set of devices, one worker
-// goroutine per device. Read, Write, and Flush may be called from any
+// goroutine per device. Do, Read, Write, and Flush may be called from any
 // goroutine; Close must not race with them.
 type Engine struct {
 	cfg     Config
 	pool    *bufPool
+	calls   chan *call // idle calls, so a warmed Do allocates nothing
 	workers []*worker
 	closed  bool
 }
@@ -159,6 +161,9 @@ func New(cfg Config, devs []Device) (*Engine, error) {
 		pool:    newBufPool(cfg.BlockBytes),
 		workers: make([]*worker, len(devs)),
 	}
+	// One idle call per disk covers a concurrent caller per disk; a
+	// burst beyond that allocates, and the surplus is dropped on return.
+	e.calls = make(chan *call, len(devs))
 	for i, dev := range devs {
 		w := newWorker(i, &e.cfg, dev, e.pool)
 		e.workers[i] = w
@@ -170,22 +175,59 @@ func New(cfg Config, devs []Device) (*Engine, error) {
 // Disks returns the number of devices the engine serves.
 func (e *Engine) Disks() int { return len(e.workers) }
 
+// Transfer is one block transfer of a batch handed to Do.
+type Transfer struct {
+	Disk  int
+	Block int64
+	Write bool
+	// Buf is the source of a write or the destination of a read, exactly
+	// BlockBytes long. The engine is done with it when Do returns.
+	Buf []byte
+	// Err is the transfer's outcome, set by Do.
+	Err error
+}
+
+// Do runs a batch of block transfers: it submits every transfer to its
+// disk's worker before it waits, so the batch's disks work concurrently
+// and the caller waits once. Transfers on the same disk run in batch
+// order. Each transfer's outcome lands in its Err; Do returns the first
+// error in batch order. A batch that names a bad disk or buffer is
+// rejected whole, before anything is submitted: every Err is that error.
+func (e *Engine) Do(batch []Transfer) error {
+	for _, t := range batch {
+		err := e.checkDisk(t.Disk)
+		if err == nil && len(t.Buf) != e.cfg.BlockBytes {
+			err = fmt.Errorf("diskio: buffer is %d bytes, block is %d", len(t.Buf), e.cfg.BlockBytes)
+		}
+		if err != nil {
+			for i := range batch {
+				batch[i].Err = err
+			}
+			return err
+		}
+	}
+	c := e.getCall(len(batch))
+	for i, t := range batch {
+		op := opRead
+		if t.Write {
+			op = opWrite
+		}
+		c.reqs[i] = request{op: op, disk: t.Disk, block: t.Block, buf: t.Buf}
+	}
+	err := e.run(c)
+	for i := range batch {
+		batch[i].Err = c.reqs[i].err
+	}
+	e.putCall(c)
+	return err
+}
+
 // Read fills dst (len BlockBytes) with block blk of the given disk. It
 // blocks until the transfer completes and is safe to call concurrently
 // with operations on other disks — that concurrency is the point.
 func (e *Engine) Read(disk int, blk int64, dst []byte) error {
-	w, err := e.worker(disk)
-	if err != nil {
-		return err
-	}
-	if len(dst) != e.cfg.BlockBytes {
-		return fmt.Errorf("diskio: read buffer is %d bytes, block is %d", len(dst), e.cfg.BlockBytes)
-	}
-	r := &request{op: opRead, block: blk, buf: dst, reply: make(chan error, 1)}
-	if err := w.submit(r); err != nil {
-		return err
-	}
-	return <-r.reply
+	t := [1]Transfer{{Disk: disk, Block: blk, Buf: dst}}
+	return e.Do(t[:])
 }
 
 // Write stores src (len BlockBytes) as block blk of the given disk. The
@@ -193,46 +235,32 @@ func (e *Engine) Read(disk int, blk int64, dst []byte) error {
 // device transfer may happen later, and a deferred flush error surfaces on
 // a subsequent Write, Flush, or Close of the same disk.
 func (e *Engine) Write(disk int, blk int64, src []byte) error {
-	w, err := e.worker(disk)
-	if err != nil {
-		return err
-	}
-	if len(src) != e.cfg.BlockBytes {
-		return fmt.Errorf("diskio: write buffer is %d bytes, block is %d", len(src), e.cfg.BlockBytes)
-	}
-	buf := e.pool.get()
-	copy(buf, src)
-	r := &request{op: opWrite, block: blk, buf: buf, reply: make(chan error, 1)}
-	if err := w.submit(r); err != nil {
-		e.pool.put(buf)
-		return err
-	}
-	return <-r.reply
+	t := [1]Transfer{{Disk: disk, Block: blk, Write: true, Buf: src}}
+	return e.Do(t[:])
 }
 
 // Flush forces the disk's write-behind run to the device and returns any
 // deferred write error.
 func (e *Engine) Flush(disk int) error {
-	w, err := e.worker(disk)
-	if err != nil {
+	if err := e.checkDisk(disk); err != nil {
 		return err
 	}
-	r := &request{op: opFlush, reply: make(chan error, 1)}
-	if err := w.submit(r); err != nil {
-		return err
-	}
-	return <-r.reply
+	return e.flush(disk, disk+1)
 }
 
-// FlushAll flushes every disk and returns the first error.
-func (e *Engine) FlushAll() error {
-	var firstErr error
-	for i := range e.workers {
-		if err := e.Flush(i); err != nil && firstErr == nil {
-			firstErr = err
-		}
+// FlushAll flushes every disk concurrently and returns the first error in
+// disk order.
+func (e *Engine) FlushAll() error { return e.flush(0, len(e.workers)) }
+
+// flush flushes disks [lo, hi) as one call.
+func (e *Engine) flush(lo, hi int) error {
+	c := e.getCall(hi - lo)
+	for i := range c.reqs {
+		c.reqs[i] = request{op: opFlush, disk: lo + i}
 	}
-	return firstErr
+	err := e.run(c)
+	e.putCall(c)
+	return err
 }
 
 // Close flushes every disk, stops the workers, and closes the devices.
@@ -254,11 +282,72 @@ func (e *Engine) Close() error {
 	return firstErr
 }
 
-func (e *Engine) worker(disk int) (*worker, error) {
+func (e *Engine) checkDisk(disk int) error {
 	if disk < 0 || disk >= len(e.workers) {
-		return nil, fmt.Errorf("diskio: disk %d of %d", disk, len(e.workers))
+		return fmt.Errorf("diskio: disk %d of %d", disk, len(e.workers))
 	}
-	return e.workers[disk], nil
+	return nil
+}
+
+// run submits every request of c, in order, then waits for each submitted
+// one to complete, and returns the first request error. A submit that
+// fails (the context was canceled while the queue was full) fails its
+// request and every one after it, unsubmitted.
+func (e *Engine) run(c *call) error {
+	sent := 0
+	for i := range c.reqs {
+		r := &c.reqs[i]
+		r.done = c.done
+		if err := e.workers[r.disk].submit(r); err != nil {
+			for j := i; j < len(c.reqs); j++ {
+				c.reqs[j].err = err
+			}
+			break
+		}
+		sent++
+	}
+	for ; sent > 0; sent-- {
+		<-c.done
+	}
+	for i := range c.reqs {
+		if err := c.reqs[i].err; err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// call is one Do, Read, Write, Flush, or FlushAll in flight: a request per
+// transfer and the completion channel they all reply on. The channel holds
+// a slot for every request, so a worker never blocks on a reply.
+type call struct {
+	reqs []request
+	done chan struct{}
+}
+
+func (e *Engine) getCall(n int) *call {
+	var c *call
+	select {
+	case c = <-e.calls:
+	default:
+		c = new(call)
+	}
+	if cap(c.reqs) < n {
+		c.reqs = make([]request, n)
+	}
+	c.reqs = c.reqs[:n]
+	if cap(c.done) < n {
+		c.done = make(chan struct{}, n)
+	}
+	return c
+}
+
+func (e *Engine) putCall(c *call) {
+	clear(c.reqs) // drop the callers' buffers
+	select {
+	case e.calls <- c:
+	default: // more calls in flight than the free list keeps
+	}
 }
 
 // request ops.
@@ -270,11 +359,14 @@ const (
 
 type request struct {
 	op    int
+	disk  int
 	block int64
-	// buf is the caller's destination for opRead and an engine-owned
-	// pooled copy of the payload for opWrite.
-	buf   []byte
-	reply chan error
+	// buf is the caller's destination for opRead and its source for
+	// opWrite; the caller waits for the reply, so the worker may use it
+	// until then.
+	buf  []byte
+	err  error
+	done chan<- struct{} // the call's completion channel
 }
 
 // worker owns one device. All device access, the write-behind run, and the
@@ -393,16 +485,16 @@ func (w *worker) run() {
 func (w *worker) handle(r *request) {
 	switch r.op {
 	case opRead:
-		r.reply <- w.read(r.block, r.buf)
+		r.err = w.read(r.block, r.buf)
 	case opWrite:
-		r.reply <- w.write(r.block, r.buf)
+		r.err = w.write(r.block, r.buf)
 	case opFlush:
-		err := w.flushWB()
-		if err == nil {
-			err = w.takeDeferred()
+		r.err = w.flushWB()
+		if r.err == nil {
+			r.err = w.takeDeferred()
 		}
-		r.reply <- err
 	}
+	r.done <- struct{}{}
 }
 
 // read serves a demand read: write-behind run first (read-your-writes),
@@ -434,7 +526,6 @@ func (w *worker) read(blk int64, dst []byte) error {
 // write buffers blk into the write-behind run (or writes through when
 // write-behind is off) and reports any deferred flush error.
 func (w *worker) write(blk int64, buf []byte) error {
-	defer w.pool.put(buf)
 	defer w.syncWB()
 	w.invalidate(blk)
 	bb := int64(w.cfg.BlockBytes)

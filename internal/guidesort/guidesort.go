@@ -39,7 +39,6 @@
 package guidesort
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"sort"
@@ -140,6 +139,16 @@ type Sorter struct {
 	met     Metrics
 	prior   Metrics
 	commits int
+
+	// Reused buffers: the op list of one parallel I/O, one block for a
+	// partial last block (sentinel-padded on writes), the formation
+	// memoryload, and the striped merge's per-run stripe rows. Full blocks
+	// move as subslices of the caller's buffer, since every store copies
+	// Op.Data before ParallelIO returns.
+	ops  []pdm.Op
+	pad  []record.Record
+	load []record.Record
+	rows [][]record.Record
 }
 
 // NewSorter builds a sorter for the array. Requires 4·D·B ≤ M (the same
@@ -153,6 +162,8 @@ func NewSorter(arr *pdm.Array, cfg Config) *Sorter {
 		cfg.P = 1
 	}
 	s := &Sorter{arr: arr, cpu: pram.New(cfg.P), cfg: cfg}
+	s.ops = make([]pdm.Op, 0, p.D)
+	s.pad = make([]record.Record, p.B)
 	s.memload = (p.M / 2 / p.B) * p.B
 	if !cfg.Striped && !GuidedFits(p) {
 		// M is too small to host the guide, the prefetch cache, and the
@@ -334,7 +345,10 @@ func (s *Sorter) internalSort(rs []record.Record) {
 func (s *Sorter) formRun(inOff, pos, want int) Run {
 	p := s.arr.Params()
 	s.arr.Mem.Use(want)
-	buf := make([]record.Record, want)
+	if cap(s.load) < want {
+		s.load = make([]record.Record, s.memload)
+	}
+	buf := s.load[:want]
 	s.readAligned(inOff, pos, buf)
 	s.internalSort(buf)
 	outOff := s.allocStripe(want)
@@ -602,9 +616,9 @@ func (s *Sorter) mergeGuided(parent obs.Active, group []Run, total, level int, f
 			curs[i].buf = curs[i].buf[1:]
 		}
 	}
-	heap.Init(&h)
+	h.init()
 	written := 0
-	for h.Len() > 0 {
+	for len(h) > 0 {
 		it := h[0]
 		if mins != nil && written%p.B == 0 {
 			mins.add(it.rec)
@@ -618,9 +632,9 @@ func (s *Sorter) mergeGuided(parent obs.Active, group []Run, total, level int, f
 		if len(c.buf) > 0 {
 			h[0] = mergeItem{rec: c.buf[0], run: it.run}
 			c.buf = c.buf[1:]
-			heap.Fix(&h, 0)
+			h.down(0)
 		} else {
-			heap.Pop(&h)
+			h.pop()
 		}
 	}
 	out.close()
@@ -654,6 +668,9 @@ func (s *Sorter) mergeStriped(group []Run, total, level int) Run {
 		buf []record.Record
 	}
 	curs := make([]runCur, len(group))
+	for len(s.rows) < len(group) {
+		s.rows = append(s.rows, make([]record.Record, row))
+	}
 	refill := func(i int) bool {
 		c := &curs[i]
 		if c.pos >= group[i].N {
@@ -664,7 +681,7 @@ func (s *Sorter) mergeStriped(group []Run, total, level int) Run {
 			want = group[i].N - c.pos
 		}
 		s.checkCtx()
-		buf := make([]record.Record, want)
+		buf := s.rows[i][:want]
 		s.readAligned(group[i].Off, c.pos, buf)
 		c.pos += want
 		c.buf = buf
@@ -679,9 +696,9 @@ func (s *Sorter) mergeStriped(group []Run, total, level int) Run {
 			curs[i].buf = curs[i].buf[1:]
 		}
 	}
-	heap.Init(&h)
+	h.init()
 	written := 0
-	for h.Len() > 0 {
+	for len(h) > 0 {
 		it := h[0]
 		out.add(it.rec)
 		written++
@@ -692,9 +709,9 @@ func (s *Sorter) mergeStriped(group []Run, total, level int) Run {
 		if len(c.buf) > 0 {
 			h[0] = mergeItem{rec: c.buf[0], run: it.run}
 			c.buf = c.buf[1:]
-			heap.Fix(&h, 0)
+			h.down(0)
 		} else {
-			heap.Pop(&h)
+			h.pop()
 		}
 	}
 	out.close()
@@ -715,18 +732,39 @@ type mergeItem struct {
 	run int
 }
 
+// mergeHeap is a binary min-heap of run heads ordered by record.
 type mergeHeap []mergeItem
 
-func (h mergeHeap) Len() int           { return len(h) }
-func (h mergeHeap) Less(i, j int) bool { return h[i].rec.Less(h[j].rec) }
-func (h mergeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)        { *h = append(*h, x.(mergeItem)) }
-func (h *mergeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+func (h mergeHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// down restores the heap order below position i.
+func (h mergeHeap) down(i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && h[r].rec.Less(h[j].rec) {
+			j = r
+		}
+		if !h[j].rec.Less(h[i].rec) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
+// pop removes the minimum.
+func (h *mergeHeap) pop() {
+	last := len(*h) - 1
+	(*h)[0] = (*h)[last]
+	*h = (*h)[:last]
+	h.down(0)
 }
 
 // allocStripe allocates a striped region for n records.
@@ -742,7 +780,8 @@ func (s *Sorter) allocStripe(n int) int {
 
 // readAligned reads buf's worth of records starting at record index pos of
 // the striped region at block offset off, full-width. pos must be a
-// multiple of B.
+// multiple of B. Full blocks land straight in buf; only a partial last
+// block goes through the reused pad block.
 func (s *Sorter) readAligned(off, pos int, buf []record.Record) {
 	p := s.arr.Params()
 	if pos%p.B != 0 {
@@ -751,24 +790,20 @@ func (s *Sorter) readAligned(off, pos int, buf []record.Record) {
 	first := pos / p.B
 	nblocks := (len(buf) + p.B - 1) / p.B
 	for base := 0; base < nblocks; base += p.D {
-		var ops []pdm.Op
-		var dsts [][]record.Record
+		ops := s.ops[:0]
+		tail := -1
 		for j := 0; j < p.D && base+j < nblocks; j++ {
 			blk := first + base + j
-			b := make([]record.Record, p.B)
-			dsts = append(dsts, b)
-			ops = append(ops, pdm.Op{Disk: blk % p.D, Off: off + blk/p.D, Data: b})
+			lo := (base + j) * p.B
+			dst := buf[lo:min(lo+p.B, len(buf))]
+			if len(dst) < p.B {
+				dst, tail = s.pad, lo
+			}
+			ops = append(ops, pdm.Op{Disk: blk % p.D, Off: off + blk/p.D, Data: dst})
 		}
 		s.arr.ParallelIO(ops)
-		for j, b := range dsts {
-			lo := (base + j) * p.B
-			hi := lo + p.B
-			if hi > len(buf) {
-				hi = len(buf)
-			}
-			if lo < len(buf) {
-				copy(buf[lo:hi], b[:hi-lo])
-			}
+		if tail >= 0 {
+			copy(buf[tail:], s.pad)
 		}
 	}
 }
@@ -784,19 +819,26 @@ func (s *Sorter) writeAligned(off, pos int, buf []record.Record) {
 	first := pos / p.B
 	nblocks := (len(buf) + p.B - 1) / p.B
 	for base := 0; base < nblocks; base += p.D {
-		var ops []pdm.Op
+		ops := s.ops[:0]
 		for j := 0; j < p.D && base+j < nblocks; j++ {
 			blk := first + base + j
-			b := make([]record.Record, p.B)
 			lo := (base + j) * p.B
-			n := copy(b, buf[lo:min(lo+p.B, len(buf))])
-			for k := n; k < p.B; k++ {
-				b[k] = record.Record{Key: ^uint64(0), Loc: ^uint64(0)}
-			}
-			ops = append(ops, pdm.Op{Disk: blk % p.D, Off: off + blk/p.D, Write: true, Data: b})
+			ops = append(ops, pdm.Op{Disk: blk % p.D, Off: off + blk/p.D, Write: true, Data: s.block(buf[lo:min(lo+p.B, len(buf))])})
 		}
 		s.arr.ParallelIO(ops)
 	}
+}
+
+// block returns recs as a whole block to write: recs itself when full,
+// else recs copied into the reused pad block and sentinel-padded.
+func (s *Sorter) block(recs []record.Record) []record.Record {
+	if len(recs) == len(s.pad) {
+		return recs
+	}
+	for k := copy(s.pad, recs); k < len(s.pad); k++ {
+		s.pad[k] = record.Record{Key: ^uint64(0), Loc: ^uint64(0)}
+	}
+	return s.pad
 }
 
 // regionWriter streams records into a fresh striped region, flushing
@@ -832,19 +874,13 @@ func (w *regionWriter) flush(force bool) {
 	p := w.s.arr.Params()
 	pos := 0
 	for len(w.buf)-pos >= p.B || (force && len(w.buf) > pos) {
-		var ops []pdm.Op
+		ops := w.s.ops[:0]
 		for j := 0; j < w.rowBlocks && len(w.buf) > pos; j++ {
-			rem := w.buf[pos:]
-			blk := make([]record.Record, p.B)
-			take := copy(blk, rem)
-			if take < p.B {
-				for k := take; k < p.B; k++ {
-					blk[k] = record.Record{Key: ^uint64(0), Loc: ^uint64(0)}
-				}
-				if !force {
-					break
-				}
+			take := min(p.B, len(w.buf)-pos)
+			if take < p.B && !force {
+				break
 			}
+			blk := w.s.block(w.buf[pos : pos+take])
 			pos += take
 			ops = append(ops, pdm.Op{Disk: w.blk % p.D, Off: w.off + w.blk/p.D, Write: true, Data: blk})
 			w.blk++
@@ -858,10 +894,3 @@ func (w *regionWriter) flush(force bool) {
 }
 
 func (w *regionWriter) close() { w.flush(true) }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

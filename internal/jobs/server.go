@@ -385,8 +385,10 @@ func (s *Server) runJob(t *Ticket) {
 		if man.LocalInput == "" {
 			os.Remove(filepath.Join(dir, "input.bin"))
 		}
-		// Count the job before its status reads done, so a client that saw
-		// it finish finds it in /metrics.
+		// Return the reservation and count the job before its status reads
+		// done, so a client that saw it finish finds the freed disk and the
+		// job in /metrics.
+		s.sched.EndJob(t, true, man.DiskBytes-man.RetainBytes)
 		s.mu.Lock()
 		s.counters.completed++
 		s.mu.Unlock()
@@ -400,7 +402,6 @@ func (s *Server) runJob(t *Ticket) {
 		if werr := WriteManifest(dir, &man); werr != nil {
 			s.opt.Logf("jobs: %s: %v", t.ID, werr)
 		}
-		s.sched.EndJob(t, true, man.DiskBytes-man.RetainBytes)
 		close(j.done)
 		return
 	}
@@ -414,6 +415,7 @@ func (s *Server) runJob(t *Ticket) {
 		return
 	case errors.Is(cause, errCanceledByUser):
 		s.removeJobFiles(dir, man.LocalInput == "")
+		s.sched.EndJob(t, true, man.DiskBytes)
 		s.mu.Lock()
 		s.counters.canceled++
 		s.mu.Unlock()
@@ -425,12 +427,12 @@ func (s *Server) runJob(t *Ticket) {
 		if werr := WriteManifest(dir, &man); werr != nil {
 			s.opt.Logf("jobs: %s: %v", t.ID, werr)
 		}
-		s.sched.EndJob(t, true, man.DiskBytes)
 		close(j.done)
 		return
 	default:
 		status, code := Classify(err)
 		s.removeJobFiles(dir, man.LocalInput == "")
+		s.sched.EndJob(t, true, man.DiskBytes)
 		s.mu.Lock()
 		s.counters.failed++
 		s.mu.Unlock()
@@ -445,7 +447,6 @@ func (s *Server) runJob(t *Ticket) {
 			s.opt.Logf("jobs: %s: %v", t.ID, werr)
 		}
 		s.opt.Logf("jobs: %s failed (%d %s): %v", t.ID, status, code, err)
-		s.sched.EndJob(t, true, man.DiskBytes)
 		close(j.done)
 		return
 	}
@@ -992,6 +993,12 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 	// Queued: pull it out of the scheduler before a worker can take it.
 	if t := s.sched.CancelQueued(id); t != nil {
+		// Return the reservation before the job reads canceled, so a client
+		// that sees the terminal state never reads a stale free-disk figure.
+		j.mu.Lock()
+		diskBytes := j.man.DiskBytes
+		j.mu.Unlock()
+		s.sched.EndJob(t, false, diskBytes)
 		j.mu.Lock()
 		uploaded := j.man.LocalInput == ""
 		j.man.State = StateCanceled
@@ -1002,7 +1009,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		if err := WriteManifest(s.jobDir(id), &man); err != nil {
 			s.opt.Logf("jobs: %s: %v", id, err)
 		}
-		s.sched.EndJob(t, false, man.DiskBytes)
 		s.mu.Lock()
 		s.counters.canceled++
 		s.mu.Unlock()

@@ -19,15 +19,19 @@ import (
 // the data outlives the process and its footprint is disk, not RAM, so the
 // library genuinely sorts datasets larger than host memory.
 //
-// The drives are served either synchronously (fileStore) or through the
-// concurrent diskio engine (engineStore over *os.File devices); the
+// The drives are served either synchronously, one block at a time on the
+// calling goroutine (fileStore), or through the concurrent diskio engine,
+// one batch per parallel I/O (engineStore over *os.File devices); the
 // engine-backed variants take a diskio.Config.
 //
-// Integrity: unless disabled, every block carries a CRC32C (Castagnoli) in
-// a per-disk sidecar file (disk%03d.crc, 4 little-endian bytes per block),
-// written on every block write and verified on every block read. A
-// mismatch surfaces as a typed *CorruptBlockError, and Scrub sweeps every
-// written block without the sort having to touch it.
+// Integrity: unless disabled, every block carries a CRC32C (Castagnoli) of
+// its wire bytes. Each drive keeps the checksums in an in-memory table,
+// recorded on every block write and verified on every block read, and
+// writes the entries changed since the last flush to its sidecar file
+// (disk%03d.crc, 4 little-endian bytes per block) at every Sync and Close,
+// before the manifest names the blocks. A mismatch surfaces as a typed
+// *CorruptBlockError, and Scrub sweeps every written block without the
+// sort having to touch it.
 //
 // Close writes a manifest (parameters, mode, allocation and write marks,
 // checksum algorithm) so a later OpenFileBacked can resume against the
@@ -77,130 +81,69 @@ func (e *TruncatedDiskError) Error() string {
 		e.Disk, e.Path, e.GotBytes, e.WantBlocks, e.BlockBytes)
 }
 
-// fileStore backs one drive with one file; block i occupies bytes
-// [i*B*EncodedSize, (i+1)*B*EncodedSize). When crc is non-nil the store
-// maintains the CRC32C sidecar and verifies every read against it.
-type fileStore struct {
-	b       int
+// blockIndex is the bookkeeping of one file-backed drive: which blocks hold
+// data and, with checksums on, the CRC32C table. The table costs 4 bytes of
+// host memory per written block and reaches the sidecar only at flush
+// (Sync and Close), so a block transfer is the data transfer alone.
+type blockIndex struct {
 	disk    int
-	f       *os.File
-	crc     *os.File // checksum sidecar; nil = checksums off
 	written []bool
-	// scratch is the store's reusable wire-format staging buffer; safe
-	// because each store is driven by one disk goroutine (Peek is
-	// contractually never concurrent with a ParallelIO).
-	scratch []byte
+	crc     *os.File // checksum sidecar; nil = checksums off
+	// sums[off] is the CRC32C of block off's wire bytes; entries
+	// [dirtyLo, dirtyHi) changed since the last flush.
+	sums             []uint32
+	dirtyLo, dirtyHi int
+	enc              []byte // flush staging buffer
 }
 
-func (s *fileStore) blockBytes() int { return s.b * record.EncodedSize }
+func (x *blockIndex) isWritten(off int) bool { return off < len(x.written) && x.written[off] }
 
-func (s *fileStore) read(off int, dst []record.Record) error {
-	if off >= len(s.written) || !s.written[off] {
-		return fmt.Errorf("pdm: read of unwritten block off=%d", off)
+func (x *blockIndex) highWater() int { return len(x.written) }
+
+func (x *blockIndex) checksummed() bool { return x.crc != nil }
+
+// record marks block off written with the given wire bytes.
+func (x *blockIndex) record(off int, wire []byte) {
+	if off >= len(x.written) {
+		x.written = append(x.written, make([]bool, off+1-len(x.written))...)
 	}
-	if s.scratch == nil {
-		s.scratch = make([]byte, s.blockBytes())
+	x.written[off] = true
+	if x.crc == nil {
+		return
 	}
-	if _, err := s.f.ReadAt(s.scratch, int64(off)*int64(s.blockBytes())); err != nil {
-		return fmt.Errorf("pdm: file read: %w", err)
+	if off >= len(x.sums) {
+		x.sums = append(x.sums, make([]uint32, off+1-len(x.sums))...)
 	}
-	if err := verifyCRC(s.crc, s.disk, off, s.scratch); err != nil {
-		return err
+	x.sums[off] = crc32.Checksum(wire, castagnoli)
+	if x.dirtyLo == x.dirtyHi {
+		x.dirtyLo, x.dirtyHi = off, off+1
+	} else {
+		x.dirtyLo, x.dirtyHi = min(x.dirtyLo, off), max(x.dirtyHi, off+1)
 	}
-	for i := range dst {
-		dst[i] = record.Decode(s.scratch[i*record.EncodedSize:])
-	}
-	return nil
 }
 
-func (s *fileStore) write(off int, src []record.Record) error {
-	if s.scratch == nil {
-		s.scratch = make([]byte, s.blockBytes())
-	}
-	buf := s.scratch[:0]
-	for _, r := range src {
-		buf = record.Encode(buf, r)
-	}
-	if _, err := s.f.WriteAt(buf, int64(off)*int64(s.blockBytes())); err != nil {
-		return fmt.Errorf("pdm: file write: %w", err)
-	}
-	if err := writeCRC(s.crc, off, buf); err != nil {
-		return err
-	}
-	for off >= len(s.written) {
-		s.written = append(s.written, false)
-	}
-	s.written[off] = true
-	return nil
-}
-
-func (s *fileStore) close() error {
-	err := s.f.Close()
-	if s.crc != nil {
-		if cerr := s.crc.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
-
-func (s *fileStore) highWater() int { return len(s.written) }
-
-func (s *fileStore) checksummed() bool { return s.crc != nil }
-
-func (s *fileStore) verifyAll() (int, []*CorruptBlockError) {
-	if s.scratch == nil {
-		s.scratch = make([]byte, s.blockBytes())
-	}
-	checked := 0
-	var bad []*CorruptBlockError
-	for off, w := range s.written {
-		if !w {
-			continue
-		}
-		if _, err := s.f.ReadAt(s.scratch, int64(off)*int64(s.blockBytes())); err != nil {
-			bad = append(bad, &CorruptBlockError{Disk: s.disk, Block: off})
-			checked++
-			continue
-		}
-		if isAllocationHole(s.crc, off, s.scratch) {
-			continue
-		}
-		checked++
-		if err := verifyCRC(s.crc, s.disk, off, s.scratch); err != nil {
-			if ce, ok := err.(*CorruptBlockError); ok {
-				bad = append(bad, ce)
-			}
-		}
-	}
-	return checked, bad
-}
-
-// writeCRC records the block's checksum in the sidecar (no-op when
-// checksums are off).
-func writeCRC(crc *os.File, off int, data []byte) error {
-	if crc == nil {
+// verify checks a written block's wire bytes against its table entry.
+func (x *blockIndex) verify(off int, wire []byte) error {
+	if x.crc == nil {
 		return nil
 	}
-	var b [crcSize]byte
-	binary.LittleEndian.PutUint32(b[:], crc32.Checksum(data, castagnoli))
-	if _, err := crc.WriteAt(b[:], int64(off)*crcSize); err != nil {
-		return fmt.Errorf("pdm: checksum write: %w", err)
+	got := crc32.Checksum(wire, castagnoli)
+	if want := x.sums[off]; want != got {
+		return &CorruptBlockError{Disk: x.disk, Block: off, Want: want, Got: got}
 	}
 	return nil
 }
 
 // isAllocationHole reports whether a block below the write high-water
 // mark was in fact never written: distribution allocates chains eagerly,
-// so both the data file and the sidecar can be sparse there, reading back
-// as zeros. A genuinely written all-zero block is distinguishable — its
-// sidecar entry would hold the (nonzero) CRC32C of the zero block.
-func isAllocationHole(crc *os.File, off int, data []byte) bool {
-	var b [crcSize]byte
-	if _, err := crc.ReadAt(b[:], int64(off)*crcSize); err != nil || binary.LittleEndian.Uint32(b[:]) != 0 {
+// so the data file can be sparse there, reading back as zeros, with a zero
+// table entry. A genuinely written all-zero block is distinguishable — its
+// entry holds the (nonzero) CRC32C of the zero block.
+func (x *blockIndex) isAllocationHole(off int, wire []byte) bool {
+	if x.sums[off] != 0 {
 		return false
 	}
-	for _, v := range data {
+	for _, v := range wire {
 		if v != 0 {
 			return false
 		}
@@ -208,22 +151,130 @@ func isAllocationHole(crc *os.File, off int, data []byte) bool {
 	return true
 }
 
-// verifyCRC checks data against the sidecar entry for block off; an
-// unreadable sidecar entry counts as corruption (Want = 0).
-func verifyCRC(crc *os.File, disk, off int, data []byte) error {
-	if crc == nil {
+// flush writes the table entries changed since the last flush to the
+// sidecar in one WriteAt.
+func (x *blockIndex) flush() error {
+	if x.crc == nil || x.dirtyLo == x.dirtyHi {
 		return nil
 	}
-	got := crc32.Checksum(data, castagnoli)
-	var b [crcSize]byte
-	if _, err := crc.ReadAt(b[:], int64(off)*crcSize); err != nil {
-		return &CorruptBlockError{Disk: disk, Block: off, Want: 0, Got: got}
+	x.enc = x.enc[:0]
+	for _, v := range x.sums[x.dirtyLo:x.dirtyHi] {
+		x.enc = binary.LittleEndian.AppendUint32(x.enc, v)
 	}
-	want := binary.LittleEndian.Uint32(b[:])
-	if want != got {
-		return &CorruptBlockError{Disk: disk, Block: off, Want: want, Got: got}
+	if _, err := x.crc.WriteAt(x.enc, int64(x.dirtyLo)*crcSize); err != nil {
+		return fmt.Errorf("pdm: checksum write: %w", err)
+	}
+	x.dirtyLo, x.dirtyHi = 0, 0
+	return nil
+}
+
+// load resumes a reopened drive: its first n blocks count as written and,
+// with checksums on, their table entries come from the sidecar.
+func (x *blockIndex) load(n int) error {
+	x.written = make([]bool, n)
+	for i := range x.written {
+		x.written[i] = true
+	}
+	if x.crc == nil {
+		return nil
+	}
+	raw := make([]byte, n*crcSize)
+	if _, err := x.crc.ReadAt(raw, 0); err != nil {
+		return fmt.Errorf("pdm: checksum sidecar: %w", err)
+	}
+	x.sums = make([]uint32, n)
+	for i := range x.sums {
+		x.sums[i] = binary.LittleEndian.Uint32(raw[i*crcSize:])
 	}
 	return nil
+}
+
+// closeSidecar flushes the table and closes the sidecar.
+func (x *blockIndex) closeSidecar() error {
+	if x.crc == nil {
+		return nil
+	}
+	err := x.flush()
+	if cerr := x.crc.Close(); cerr != nil && err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// scrub re-reads every written block into buf with readRaw and verifies
+// it against the table, returning how many were checked and the ones
+// whose checksum did not match. An unreadable block counts as corrupt.
+func (x *blockIndex) scrub(buf []byte, readRaw func(off int, buf []byte) error) (int, []*CorruptBlockError) {
+	checked := 0
+	var bad []*CorruptBlockError
+	for off, w := range x.written {
+		if !w {
+			continue
+		}
+		if err := readRaw(off, buf); err != nil {
+			bad = append(bad, &CorruptBlockError{Disk: x.disk, Block: off})
+			checked++
+			continue
+		}
+		if x.isAllocationHole(off, buf) {
+			continue
+		}
+		checked++
+		if err := x.verify(off, buf); err != nil {
+			bad = append(bad, err.(*CorruptBlockError))
+		}
+	}
+	return checked, bad
+}
+
+// fileStore backs one drive with one file; block i occupies bytes
+// [i*B*EncodedSize, (i+1)*B*EncodedSize). It moves one block per call, on
+// the calling goroutine.
+type fileStore struct {
+	blockIndex
+	f *os.File
+	// scratch is one block of wire bytes, reused per op; safe because
+	// ParallelIO serializes its callers (and Peek and Scrub are
+	// contractually never concurrent with a ParallelIO).
+	scratch []byte
+}
+
+func (s *fileStore) read(off int, dst []record.Record) error {
+	if !s.isWritten(off) {
+		return fmt.Errorf("pdm: read of unwritten block off=%d", off)
+	}
+	if _, err := s.f.ReadAt(s.scratch, int64(off)*int64(len(s.scratch))); err != nil {
+		return fmt.Errorf("pdm: file read: %w", err)
+	}
+	if err := s.verify(off, s.scratch); err != nil {
+		return err
+	}
+	record.DecodeInto(dst, s.scratch)
+	return nil
+}
+
+func (s *fileStore) write(off int, src []record.Record) error {
+	buf := record.AppendSlice(s.scratch[:0], src)
+	if _, err := s.f.WriteAt(buf, int64(off)*int64(len(s.scratch))); err != nil {
+		return fmt.Errorf("pdm: file write: %w", err)
+	}
+	s.record(off, buf)
+	return nil
+}
+
+func (s *fileStore) close() error {
+	err := s.closeSidecar()
+	if ferr := s.f.Close(); ferr != nil && err == nil {
+		err = ferr
+	}
+	return err
+}
+
+func (s *fileStore) verifyAll() (int, []*CorruptBlockError) {
+	return s.scrub(s.scratch, func(off int, buf []byte) error {
+		_, err := s.f.ReadAt(buf, int64(off)*int64(len(buf)))
+		return err
+	})
 }
 
 // Manifest is the JSON persisted next to the disk files. It is exported
@@ -359,7 +410,7 @@ func NewFileBackedOpts(p Params, dir string, o FileOptions) (*Array, error) {
 			crcs[i] = c
 		}
 	}
-	a, err := assembleFileBacked(p, dir, o.Mode, o.Engine, files, crcs, nil)
+	a, err := assembleFileBacked(p, dir, o.Mode, o.Engine, files, crcs, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -455,30 +506,24 @@ func OpenFileBackedOpts(dir string, o FileOptions) (*Array, error) {
 			}
 		}
 	}
-	return assembleFileBacked(p, dir, m.Mode, o.Engine, files, crcs, func(a *Array) {
-		copy(a.nextFree, m.NextFree)
-		for i, d := range a.disks {
-			marks := make([]bool, written[i])
-			for j := range marks {
-				marks[j] = true
-			}
-			switch s := d.store.(type) {
-			case *fileStore:
-				s.written = marks
-			case *engineStore:
-				s.written = marks
-			}
-		}
-	})
+	return assembleFileBacked(p, dir, m.Mode, o.Engine, files, crcs, m.NextFree, written)
 }
 
 // assembleFileBacked builds the array over the opened files — plain
 // fileStores when ecfg is nil, an engine mount otherwise — and arranges
-// for Sync and Close to persist the manifest. init (if non-nil) restores
-// resumed state before the array is returned.
-func assembleFileBacked(p Params, dir string, mode Mode, ecfg *diskio.Config, files, crcs []*os.File, init func(*Array)) (*Array, error) {
+// for Sync and Close to persist the checksum tables and the manifest. A
+// resumed array passes its allocation marks and per-disk write marks; its
+// checksum tables are loaded from the sidecars up to the write marks.
+func assembleFileBacked(p Params, dir string, mode Mode, ecfg *diskio.Config, files, crcs []*os.File, nextFree, written []int) (*Array, error) {
+	fail := func(err error) (*Array, error) {
+		closeFiles(files)
+		closeFiles(crcs)
+		return nil, err
+	}
+	idx := make([]*blockIndex, p.D)
 	stores := make([]blockStore, p.D)
 	var eng *diskio.Engine
+	var mount *engineMount
 	if ecfg != nil {
 		cfg := *ecfg
 		cfg.BlockBytes = p.B * record.EncodedSize
@@ -487,26 +532,32 @@ func assembleFileBacked(p Params, dir string, mode Mode, ecfg *diskio.Config, fi
 			devs[i] = f
 		}
 		var err error
-		eng, err = diskio.New(cfg, devs)
-		if err != nil {
-			closeFiles(files)
-			closeFiles(crcs)
-			return nil, err
+		if eng, err = diskio.New(cfg, devs); err != nil {
+			return fail(err)
 		}
+		mount = newEngineMount(p, eng)
 		for i := range stores {
-			es := newEngineStore(p.B, i, eng)
-			if crcs != nil {
-				es.crc = crcs[i]
-			}
-			stores[i] = es
+			es := mount.stores[i]
+			idx[i], stores[i] = &es.blockIndex, es
 		}
 	} else {
 		for i, f := range files {
-			fs := &fileStore{b: p.B, disk: i, f: f}
-			if crcs != nil {
-				fs.crc = crcs[i]
+			fs := &fileStore{blockIndex: blockIndex{disk: i}, f: f, scratch: make([]byte, p.B*record.EncodedSize)}
+			idx[i], stores[i] = &fs.blockIndex, fs
+		}
+	}
+	for i, x := range idx {
+		if crcs != nil {
+			x.crc = crcs[i]
+		}
+		if written != nil {
+			if err := x.load(written[i]); err != nil {
+				if eng != nil {
+					eng.Close() // closes the data files
+					files = nil
+				}
+				return fail(err)
 			}
-			stores[i] = fs
 		}
 	}
 	checksum := ""
@@ -523,18 +574,13 @@ func assembleFileBacked(p Params, dir string, mode Mode, ecfg *diskio.Config, fi
 		})
 	}
 	a = newWithStores(p, mode, stores, func() error {
-		// For engine mounts the per-store close() only flushed; closing
-		// the engine stops the workers and closes the files, and must
-		// precede the manifest write so its data is durable first. The
-		// crc sidecars are not engine devices, so they are closed here.
+		// The stores have flushed their write-behind runs and checksum
+		// tables and closed the sidecars; closing the engine stops the
+		// workers and closes the data files, and must precede the manifest
+		// write so its data is durable first.
 		var firstErr error
 		if eng != nil {
 			firstErr = eng.Close()
-			for _, c := range crcs {
-				if err := c.Close(); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
 		}
 		if err := persist(); err != nil && firstErr == nil {
 			firstErr = err
@@ -543,10 +589,17 @@ func assembleFileBacked(p Params, dir string, mode Mode, ecfg *diskio.Config, fi
 	})
 	// Sync makes everything written so far durable and the manifest
 	// consistent with it — the commit primitive the sort-pass journal
-	// builds on.
+	// builds on: the data reaches the files, the changed checksum entries
+	// reach the sidecars, then data, sidecars, and manifest are made
+	// durable in that order.
 	a.syncFn = func() error {
 		if eng != nil {
 			if err := eng.FlushAll(); err != nil {
+				return err
+			}
+		}
+		for _, x := range idx {
+			if err := x.flush(); err != nil {
 				return err
 			}
 		}
@@ -562,9 +615,9 @@ func assembleFileBacked(p Params, dir string, mode Mode, ecfg *diskio.Config, fi
 		}
 		return persist()
 	}
-	a.engine = eng
-	if init != nil {
-		init(a)
+	a.mount = mount
+	if nextFree != nil {
+		copy(a.nextFree, nextFree)
 	}
 	return a, nil
 }

@@ -4,20 +4,21 @@
 // an internal memory of capacity M records.
 //
 // The simulator is the measurement instrument for every disk experiment in
-// this repository: it executes the real data movement in memory, serves
-// each disk from its own goroutine (disks operate independently, as real
-// drives do), counts parallel I/O operations, and enforces the model's two
-// rules — at most one block per disk per I/O, and at most M records resident
-// in internal memory. An AgV compatibility mode (Figure 1, the
-// Aggarwal–Vitter model) relaxes the one-block-per-disk rule so the two
-// models can be compared head to head (experiment E14).
+// this repository: it executes the real data movement, counts parallel I/O
+// operations, and enforces the model's two rules — at most one block per
+// disk per I/O, and at most M records resident in internal memory. A
+// parallel I/O runs from the calling goroutine: in-memory and plain file
+// stores transfer inline, and an engine-mounted array hands the whole I/O
+// to the diskio engine as one batch, whose per-disk workers run the
+// transfers concurrently, as independent drives do. An AgV compatibility
+// mode (Figure 1, the Aggarwal–Vitter model) relaxes the one-block-per-disk
+// rule so the two models can be compared head to head (experiment E14).
 package pdm
 
 import (
 	"fmt"
 	"sync"
 
-	"balancesort/internal/diskio"
 	"balancesort/internal/record"
 )
 
@@ -117,9 +118,25 @@ type Array struct {
 	params Params
 	mode   Mode
 
-	disks []*disk
+	stores []blockStore
 
-	mu    sync.Mutex
+	// ioMu serializes parallel I/Os: the scratch below and an engine
+	// mount's wire buffers are reused by every one. It is held while an
+	// engine batch completes, which cannot deadlock: the engine's workers
+	// never take it.
+	ioMu sync.Mutex
+	// claimed[d] marks disk d as taken by the I/O being validated (PDM
+	// mode's one-block-per-disk rule).
+	claimed []bool
+	// stripeOps and stripePad are WriteStripe's and ReadStripe's op list
+	// and partial-last-block buffer.
+	stripeOps []Op
+	stripePad []record.Record
+	// mount batches each parallel I/O onto the diskio engine; nil when
+	// the stores transfer inline (see engine.go and IOMetrics).
+	mount *engineMount
+
+	mu    sync.Mutex // guards stats
 	stats Stats
 
 	// Mem tracks internal memory occupancy against params.M.
@@ -127,10 +144,6 @@ type Array struct {
 
 	// nextFree[d] is the lowest never-allocated block offset on disk d.
 	nextFree []int
-
-	// engine is the diskio engine the stores are mounted on, nil when the
-	// blocks are served synchronously (see engine.go and IOMetrics).
-	engine *diskio.Engine
 
 	onClose func() error
 
@@ -141,7 +154,10 @@ type Array struct {
 
 // blockStore is the storage behind one simulated drive. The in-memory
 // store is the default; the file-backed store in file.go persists blocks to
-// a real file so the library can sort datasets larger than host memory.
+// a real file so the library can sort datasets larger than host memory,
+// and the engine store in engine.go reaches its file through the diskio
+// engine. ParallelIO calls the stores from the calling goroutine, block by
+// block, except on an engine mount, which takes each I/O as one batch.
 type blockStore interface {
 	// read copies block off into dst (len dst = B); it errors on a block
 	// that was never written.
@@ -149,16 +165,6 @@ type blockStore interface {
 	// write stores dst as block off.
 	write(off int, src []record.Record) error
 	close() error
-}
-
-// disk is a single simulated drive served by its own goroutine.
-type disk struct {
-	b      int
-	store  blockStore
-	reqs   chan diskReq
-	done   chan struct{}
-	reads  int64
-	writes int64
 }
 
 // memStore keeps blocks in a growable slice.
@@ -190,11 +196,6 @@ func (s *memStore) write(off int, src []record.Record) error {
 
 func (s *memStore) close() error { return nil }
 
-type diskReq struct {
-	ops   []Op // all for this disk
-	reply chan<- error
-}
-
 // New creates a disk array with the given parameters in PDM mode.
 // It panics if the parameters are invalid; model parameters are chosen by
 // the programmer, not by runtime input.
@@ -212,33 +213,26 @@ func NewMode(p Params, mode Mode) *Array {
 }
 
 // newWithStores wires an array over the given per-disk stores; onClose (if
-// non-nil) runs after the disk goroutines stop.
+// non-nil) runs after the stores are closed.
 func newWithStores(p Params, mode Mode, stores []blockStore, onClose func() error) *Array {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
 	a := &Array{
-		params:   p,
-		mode:     mode,
-		disks:    make([]*disk, p.D),
-		nextFree: make([]int, p.D),
-		Mem:      NewMemTracker(p.M),
-		onClose:  onClose,
+		params:    p,
+		mode:      mode,
+		stores:    stores,
+		claimed:   make([]bool, p.D),
+		stripeOps: make([]Op, 0, p.D),
+		stripePad: make([]record.Record, p.B),
+		nextFree:  make([]int, p.D),
+		Mem:       NewMemTracker(p.M),
+		onClose:   onClose,
 	}
 	a.stats.PerDiskReads = make([]int64, p.D)
 	a.stats.PerDiskWrites = make([]int64, p.D)
 	a.stats.WidthHist = make([]int64, p.D+1)
 	a.stats.WriteWidthHist = make([]int64, p.D+1)
-	for i := range a.disks {
-		d := &disk{
-			b:     p.B,
-			store: stores[i],
-			reqs:  make(chan diskReq),
-			done:  make(chan struct{}),
-		}
-		a.disks[i] = d
-		go d.serve()
-	}
 	return a
 }
 
@@ -248,15 +242,13 @@ func (a *Array) Params() Params { return a.params }
 // Mode returns which model's I/O rule the array enforces.
 func (a *Array) Mode() Mode { return a.mode }
 
-// Close stops the per-disk server goroutines and releases the backing
-// stores (for file-backed arrays this persists the manifest). The array
-// must not be used afterwards.
+// Close releases the backing stores (for file-backed arrays this flushes
+// the checksum tables and persists the manifest). The array must not be
+// used afterwards.
 func (a *Array) Close() error {
 	var firstErr error
-	for _, d := range a.disks {
-		close(d.reqs)
-		<-d.done
-		if err := d.store.close(); err != nil && firstErr == nil {
+	for _, s := range a.stores {
+		if err := s.close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -324,8 +316,8 @@ type ScrubReport struct {
 // array call Sync first so write-behind data has reached the device.
 func (a *Array) Scrub() ScrubReport {
 	var rep ScrubReport
-	for _, d := range a.disks {
-		s, ok := d.store.(scrubbable)
+	for _, st := range a.stores {
+		s, ok := st.(scrubbable)
 		if !ok || !s.checksummed() {
 			continue
 		}
@@ -340,82 +332,36 @@ func (a *Array) Scrub() ScrubReport {
 // writtenMarks returns the per-disk write high-water marks in blocks, for
 // the manifest.
 func (a *Array) writtenMarks() []int {
-	marks := make([]int, len(a.disks))
-	for i, d := range a.disks {
-		if s, ok := d.store.(interface{ highWater() int }); ok {
+	marks := make([]int, len(a.stores))
+	for i, st := range a.stores {
+		if s, ok := st.(interface{ highWater() int }); ok {
 			marks[i] = s.highWater()
 		}
 	}
 	return marks
 }
 
-func (d *disk) serve() {
-	defer close(d.done)
-	for req := range d.reqs {
-		var err error
-		for _, op := range req.ops {
-			if err = d.execute(op); err != nil {
-				break
-			}
-		}
-		req.reply <- err
-	}
-}
-
-func (d *disk) execute(op Op) error {
-	if len(op.Data) != d.b {
-		return fmt.Errorf("pdm: op transfers %d records, block size is %d", len(op.Data), d.b)
-	}
-	if op.Write {
-		if err := d.store.write(op.Off, op.Data); err != nil {
-			return err
-		}
-		d.writes++
-		return nil
-	}
-	// Reading a never-written block is almost always a bug in the caller,
-	// so the store fails loudly (the error becomes a panic in ParallelIO).
-	if err := d.store.read(op.Off, op.Data); err != nil {
-		return err
-	}
-	d.reads++
-	return nil
-}
-
 // ParallelIO performs one parallel I/O consisting of the given block
 // transfers. In ModePDM at most one op may address each disk; in ModeAgV at
 // most D ops are allowed in total. A nil or empty op list is a no-op that
-// costs nothing.
+// costs nothing. It runs on the calling goroutine and is safe for
+// concurrent callers, which it serializes. A rule violation or a failed
+// transfer panics; the failure keeps its error type (a *CorruptBlockError,
+// a wrapped *diskio.DiskFailedError, a context error).
 func (a *Array) ParallelIO(ops []Op) {
+	a.ioMu.Lock()
+	defer a.ioMu.Unlock()
+	a.parallelIO(ops)
+}
+
+// parallelIO is ParallelIO for a caller that holds ioMu.
+func (a *Array) parallelIO(ops []Op) {
 	if len(ops) == 0 {
 		return
 	}
-	if len(ops) > a.params.D {
-		panic(fmt.Sprintf("pdm: %d ops in one I/O, model allows at most D = %d", len(ops), a.params.D))
-	}
-	perDisk := make(map[int][]Op, len(ops))
-	for _, op := range ops {
-		if op.Disk < 0 || op.Disk >= a.params.D {
-			panic(fmt.Sprintf("pdm: op addresses disk %d of %d", op.Disk, a.params.D))
-		}
-		if a.mode == ModePDM && len(perDisk[op.Disk]) > 0 {
-			panic(fmt.Sprintf("pdm: two blocks on disk %d in one I/O (PDM mode)", op.Disk))
-		}
-		perDisk[op.Disk] = append(perDisk[op.Disk], op)
-	}
-
-	replies := make(chan error, len(perDisk))
-	for diskID, dops := range perDisk {
-		a.disks[diskID].reqs <- diskReq{ops: dops, reply: replies}
-	}
-	var firstErr error
-	for range perDisk {
-		if err := <-replies; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		panic(firstErr)
+	a.validate(ops)
+	if err := a.transfer(ops); err != nil {
+		panic(err)
 	}
 
 	a.mu.Lock()
@@ -447,6 +393,56 @@ func (a *Array) ParallelIO(ops []Op) {
 		a.stats.WriteWidthHist[width]++
 	}
 	a.mu.Unlock()
+}
+
+// validate panics unless ops obey the array's I/O rule and each moves
+// exactly one block. The caller holds ioMu.
+func (a *Array) validate(ops []Op) {
+	if len(ops) > a.params.D {
+		panic(fmt.Sprintf("pdm: %d ops in one I/O, model allows at most D = %d", len(ops), a.params.D))
+	}
+	defer func() {
+		for _, op := range ops {
+			if op.Disk >= 0 && op.Disk < a.params.D {
+				a.claimed[op.Disk] = false
+			}
+		}
+	}()
+	for _, op := range ops {
+		if op.Disk < 0 || op.Disk >= a.params.D {
+			panic(fmt.Sprintf("pdm: op addresses disk %d of %d", op.Disk, a.params.D))
+		}
+		if a.mode == ModePDM && a.claimed[op.Disk] {
+			panic(fmt.Sprintf("pdm: two blocks on disk %d in one I/O (PDM mode)", op.Disk))
+		}
+		a.claimed[op.Disk] = true
+		if len(op.Data) != a.params.B {
+			panic(fmt.Errorf("pdm: op transfers %d records, block size is %d", len(op.Data), a.params.B))
+		}
+	}
+}
+
+// transfer moves the blocks of validated ops: as one engine batch on an
+// engine mount, else inline, store by store, stopping at the first error.
+// Reading a never-written block is almost always a bug in the caller, so
+// the stores fail loudly (the error becomes a panic in ParallelIO).
+func (a *Array) transfer(ops []Op) error {
+	if a.mount != nil {
+		return a.mount.do(ops)
+	}
+	for _, op := range ops {
+		s := a.stores[op.Disk]
+		var err error
+		if op.Write {
+			err = s.write(op.Off, op.Data)
+		} else {
+			err = s.read(op.Off, op.Data)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // IOCounts returns the scalar model-I/O tallies without copying the
@@ -491,7 +487,9 @@ func (a *Array) Peek(d, off int) []record.Record {
 		panic(fmt.Sprintf("pdm: peek at disk %d of %d", d, a.params.D))
 	}
 	dst := make([]record.Record, a.params.B)
-	if err := a.disks[d].store.read(off, dst); err != nil {
+	a.ioMu.Lock()
+	defer a.ioMu.Unlock()
+	if err := a.stores[d].read(off, dst); err != nil {
 		panic(err)
 	}
 	return dst
@@ -526,25 +524,25 @@ func (a *Array) AllocStripe(n int) int {
 // track. Full blocks are written straight from data; only a partial last
 // block is copied. It returns the number of parallel I/Os used.
 func (a *Array) WriteStripe(off int, data []record.Record) int {
+	a.ioMu.Lock()
+	defer a.ioMu.Unlock()
 	b, d := a.params.B, a.params.D
 	nblocks := (len(data) + b - 1) / b
-	ops := make([]Op, 0, d)
 	ios := 0
 	for base := 0; base < nblocks; base += d {
-		ops = ops[:0]
+		ops := a.stripeOps[:0]
 		for j := 0; j < d && base+j < nblocks; j++ {
 			lo := (base + j) * b
 			blk := data[lo:min(lo+b, len(data))]
 			if len(blk) < b {
-				padded := make([]record.Record, b)
-				for k := copy(padded, blk); k < b; k++ {
-					padded[k] = record.Record{Key: ^uint64(0), Loc: ^uint64(0)} // sentinel pad
+				for k := copy(a.stripePad, blk); k < b; k++ {
+					a.stripePad[k] = record.Record{Key: ^uint64(0), Loc: ^uint64(0)} // sentinel pad
 				}
-				blk = padded
+				blk = a.stripePad
 			}
 			ops = append(ops, Op{Disk: j, Off: off + base/d, Write: true, Data: blk})
 		}
-		a.ParallelIO(ops)
+		a.parallelIO(ops)
 		ios++
 	}
 	return ios
@@ -555,27 +553,27 @@ func (a *Array) WriteStripe(off int, data []record.Record) int {
 // are read straight into dst; only a partial last block goes through a
 // scratch block.
 func (a *Array) ReadStripe(off int, dst []record.Record) int {
+	a.ioMu.Lock()
+	defer a.ioMu.Unlock()
 	b, d := a.params.B, a.params.D
 	nblocks := (len(dst) + b - 1) / b
-	ops := make([]Op, 0, d)
-	var tail []record.Record // the partial last block, when there is one
 	ios := 0
 	for base := 0; base < nblocks; base += d {
-		ops = ops[:0]
+		ops := a.stripeOps[:0]
+		tail := -1
 		for j := 0; j < d && base+j < nblocks; j++ {
 			lo := (base + j) * b
 			blk := dst[lo:min(lo+b, len(dst))]
 			if len(blk) < b {
-				tail = make([]record.Record, b)
-				blk = tail
+				blk, tail = a.stripePad, lo
 			}
 			ops = append(ops, Op{Disk: j, Off: off + base/d, Data: blk})
 		}
-		a.ParallelIO(ops)
+		a.parallelIO(ops)
+		if tail >= 0 {
+			copy(dst[tail:], a.stripePad)
+		}
 		ios++
-	}
-	if tail != nil {
-		copy(dst[(nblocks-1)*b:], tail)
 	}
 	return ios
 }

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"balancesort/internal/record"
@@ -94,6 +96,98 @@ func TestChecksumCatchesFlippedByte(t *testing.T) {
 				t.Fatalf("scrub found %+v, want exactly disk 2 block 1", rep.Corrupt)
 			}
 			a.Close()
+		})
+	}
+}
+
+// copyDir copies every regular file of src into a fresh directory, as the
+// files stand — the on-disk state a crash without Close leaves behind.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// TestChecksumsPersistAtSync checks the in-memory checksum tables reach
+// the sidecars at every Sync: after a crash without Close, every block a
+// synced manifest names reads back and scrubs clean, and a damaged one is
+// caught against the checksum that was synced.
+func TestChecksumsPersistAtSync(t *testing.T) {
+	p := testParams()
+	for _, engine := range []bool{false, true} {
+		t.Run(fmt.Sprintf("engine=%v", engine), func(t *testing.T) {
+			open := func(dir string) (*Array, error) {
+				if engine {
+					return OpenFileBackedEngine(dir, engineConfig())
+				}
+				return OpenFileBacked(dir)
+			}
+			dir := t.TempDir()
+			var a *Array
+			var err error
+			if engine {
+				a, err = NewFileBackedEngine(p, dir, engineConfig())
+			} else {
+				a, err = NewFileBacked(p, dir)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			const rows = 3
+			synced := record.Generate(record.Uniform, rows*p.D*p.B, 5)
+			off := a.AllocStripe(rows)
+			a.WriteStripe(off, synced)
+			if err := a.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			a.WriteStripe(a.AllocStripe(rows), record.Generate(record.Uniform, rows*p.D*p.B, 6))
+
+			crashed := copyDir(t, dir)
+			b, err := open(crashed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]record.Record, len(synced))
+			b.ReadStripe(off, got)
+			if !slices.Equal(got, synced) {
+				t.Fatal("synced region does not read back after a crash")
+			}
+			if rep := b.Scrub(); !rep.Checksummed || rep.BlocksChecked != rows*p.D || len(rep.Corrupt) != 0 {
+				t.Fatalf("scrub after a crash: %+v, want %d clean blocks", rep, rows*p.D)
+			}
+			b.Close()
+
+			// Damage block 1 of disk 2 (stripe row 1 of the synced region).
+			blockBytes := p.B * record.EncodedSize
+			flipByte(t, filepath.Join(crashed, "disk002.bin"), int64(off+1)*int64(blockBytes)+3)
+			b, err = open(crashed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			var corrupt *CorruptBlockError
+			if err := readRecovered(b, 2, off+1); !errors.As(err, &corrupt) {
+				t.Fatalf("damaged block read: got %v, want *CorruptBlockError", err)
+			}
+			first := (1*p.D + 2) * p.B // the block's first record in the region
+			want := crc32.Checksum(record.EncodeSlice(synced[first:first+p.B]), castagnoli)
+			if corrupt.Disk != 2 || corrupt.Block != off+1 || corrupt.Want != want || corrupt.Got == want {
+				t.Fatalf("corruption report %+v, want disk 2 block %d against the synced checksum %08x", corrupt, off+1, want)
+			}
 		})
 	}
 }

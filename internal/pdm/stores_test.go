@@ -3,10 +3,34 @@ package pdm
 import (
 	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
 
 	"balancesort/internal/record"
 )
+
+// testArrays opens one array of each store kind: in memory, file-backed,
+// engine-mounted over memory devices, and engine-mounted over files.
+func testArrays(p Params) map[string]func(tb testing.TB) *Array {
+	return map[string]func(tb testing.TB) *Array{
+		"mem": func(testing.TB) *Array { return New(p) },
+		"file": func(tb testing.TB) *Array {
+			a, err := NewFileBacked(p, filepath.Join(tb.TempDir(), "s"))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return a
+		},
+		"engine": func(testing.TB) *Array { return NewModeEngine(p, ModePDM, engineConfig()) },
+		"file-engine": func(tb testing.TB) *Array {
+			a, err := NewFileBackedEngine(p, filepath.Join(tb.TempDir(), "s"), engineConfig())
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return a
+		},
+	}
+}
 
 // TestStoresCopyOpData pins the contract buffer reuse above this package
 // relies on: every block store copies Op.Data before ParallelIO returns.
@@ -14,25 +38,7 @@ import (
 // must not change what the block holds.
 func TestStoresCopyOpData(t *testing.T) {
 	p := testParams()
-	arrays := map[string]func(t *testing.T) *Array{
-		"mem": func(t *testing.T) *Array { return New(p) },
-		"file": func(t *testing.T) *Array {
-			a, err := NewFileBacked(p, filepath.Join(t.TempDir(), "s"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return a
-		},
-		"engine": func(t *testing.T) *Array { return NewModeEngine(p, ModePDM, engineConfig()) },
-		"file-engine": func(t *testing.T) *Array {
-			a, err := NewFileBackedEngine(p, filepath.Join(t.TempDir(), "s"), engineConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return a
-		},
-	}
-	for name, open := range arrays {
+	for name, open := range testArrays(p) {
 		t.Run(name, func(t *testing.T) {
 			a := open(t)
 			defer a.Close()
@@ -54,6 +60,100 @@ func TestStoresCopyOpData(t *testing.T) {
 			a.ParallelIO([]Op{{Disk: 1, Off: 0, Data: again}})
 			if !slices.Equal(again, want) {
 				t.Fatalf("block changed after its read buffer was overwritten: %v", again)
+			}
+		})
+	}
+}
+
+// TestParallelIOConcurrentCallers checks ParallelIO is safe for
+// concurrent callers on every store kind: each goroutine writes and reads
+// back its own stripe rows while the others do the same, and the model
+// counts every I/O.
+func TestParallelIOConcurrentCallers(t *testing.T) {
+	p := testParams()
+	const callers, rows = 4, 8
+	for name, open := range testArrays(p) {
+		t.Run(name, func(t *testing.T) {
+			a := open(t)
+			defer a.Close()
+			base := a.AllocStripe(callers * rows)
+			var wg sync.WaitGroup
+			for c := 0; c < callers; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for r := 0; r < rows; r++ {
+						off := base + c*rows + r
+						write, read := fullWidth(p, off)
+						a.ParallelIO(write)
+						a.ParallelIO(read)
+						for d := range read {
+							if !slices.Equal(read[d].Data, write[d].Data) {
+								t.Errorf("caller %d row %d disk %d read back other data", c, r, d)
+								return
+							}
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+			if s := a.Stats(); s.IOs != 2*callers*rows {
+				t.Fatalf("counted %d I/Os, want %d", s.IOs, 2*callers*rows)
+			}
+		})
+	}
+}
+
+// fullWidth returns one full-width write and one full-width read of the
+// stripe row at offset off.
+func fullWidth(p Params, off int) (write, read []Op) {
+	for d := 0; d < p.D; d++ {
+		write = append(write, Op{Disk: d, Off: off, Write: true, Data: block(p.B, uint64(off*p.D+d))})
+		read = append(read, Op{Disk: d, Off: off, Data: make([]record.Record, p.B)})
+	}
+	return write, read
+}
+
+// TestParallelIOAllocFree checks a parallel I/O costs no allocation beyond
+// its data transfer on every store kind: no per-call bookkeeping, no
+// request or reply channel, no staging buffer.
+func TestParallelIOAllocFree(t *testing.T) {
+	p := testParams()
+	for name, open := range testArrays(p) {
+		t.Run(name, func(t *testing.T) {
+			a := open(t)
+			defer a.Close()
+			write, read := fullWidth(p, a.AllocStripe(1))
+			a.ParallelIO(write)
+			a.ParallelIO(read)
+			allocs := testing.AllocsPerRun(100, func() {
+				a.ParallelIO(write)
+				a.ParallelIO(read)
+			})
+			if allocs != 0 {
+				t.Fatalf("a warmed full-width write plus read made %.1f allocations, want 0", allocs)
+			}
+		})
+	}
+}
+
+// BenchmarkParallelIO times one full-width write plus one full-width read
+// per op on each store kind, at D=8 B=64: the per-block host cost of the
+// I/O layer, with its allocations.
+func BenchmarkParallelIO(b *testing.B) {
+	p := Params{D: 8, B: 64, M: 1 << 14}
+	for _, name := range []string{"mem", "file", "engine", "file-engine"} {
+		b.Run(name, func(b *testing.B) {
+			a := testArrays(p)[name](b)
+			defer a.Close()
+			write, read := fullWidth(p, a.AllocStripe(1))
+			a.ParallelIO(write)
+			b.ReportAllocs()
+			b.SetBytes(int64(2 * p.D * p.B * record.EncodedSize))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.ParallelIO(write)
+				a.ParallelIO(read)
 			}
 		})
 	}

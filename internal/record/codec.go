@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Wire format: 16 bytes per record, little-endian Key then Loc. This is
@@ -31,11 +32,27 @@ func Decode(buf []byte) Record {
 
 // EncodeSlice returns the wire form of rs.
 func EncodeSlice(rs []Record) []byte {
-	out := make([]byte, 0, len(rs)*EncodedSize)
-	for _, r := range rs {
-		out = Encode(out, r)
+	return AppendSlice(make([]byte, 0, len(rs)*EncodedSize), rs)
+}
+
+// AppendSlice appends the wire form of rs to buf and returns the extended
+// slice.
+func AppendSlice(buf []byte, rs []Record) []byte {
+	n := len(buf)
+	buf = slices.Grow(buf, len(rs)*EncodedSize)[:n+len(rs)*EncodedSize]
+	for i, r := range rs {
+		b := buf[n+i*EncodedSize : n+(i+1)*EncodedSize]
+		binary.LittleEndian.PutUint64(b[0:8], r.Key)
+		binary.LittleEndian.PutUint64(b[8:16], r.Loc)
 	}
-	return out
+	return buf
+}
+
+// DecodeInto fills dst from the first len(dst)*EncodedSize bytes of buf.
+func DecodeInto(dst []Record, buf []byte) {
+	for i := range dst {
+		dst[i] = Decode(buf[i*EncodedSize:])
+	}
 }
 
 // DecodeSlice parses a whole buffer of encoded records.

@@ -227,25 +227,11 @@ func runAndDrain(ds *core.DiskSorter, arr *pdm.Array, done []core.Region, work [
 	}
 	outCreated = true
 	w := bufio.NewWriterSize(out, 1<<16)
-	var prev record.Record
-	first := true
-	written := 0
-	for _, seg := range segs {
-		recs := ds.ReadRegion(seg)
-		for _, r := range recs {
-			if !first && r.Less(prev) {
-				out.Close()
-				return nil, fmt.Errorf("balancesort: internal error: output not sorted")
-			}
-			prev, first = r, false
-		}
-		if err := record.WriteAll(w, recs); err != nil {
-			out.Close()
-			return nil, err
-		}
-		written += len(recs)
+	written, err := drainRegions(arr, segs, w)
+	if err == nil {
+		err = w.Flush()
 	}
-	if err := w.Flush(); err != nil {
+	if err != nil {
 		out.Close()
 		return nil, err
 	}
@@ -278,6 +264,37 @@ func runAndDrain(ds *core.DiskSorter, arr *pdm.Array, done []core.Region, work [
 		res.Scrub = scrubReportFrom(arr.Scrub())
 	}
 	return res, nil
+}
+
+// drainRegions streams the sorted striped regions into w, in order, and
+// returns the number of records written. It reads one stripe row per
+// parallel I/O into a reused row buffer, checks the order across regions,
+// and encodes into a reused byte buffer, so the drain allocates nothing
+// per row.
+func drainRegions(arr *pdm.Array, regs []core.Region, w io.Writer) (int, error) {
+	p := arr.Params()
+	rowRecs := p.D * p.B
+	row := make([]record.Record, rowRecs)
+	wire := make([]byte, 0, rowRecs*record.EncodedSize)
+	var prev record.Record
+	written := 0
+	for _, reg := range regs {
+		for pos := 0; pos < reg.N; pos += rowRecs {
+			recs := row[:min(rowRecs, reg.N-pos)]
+			arr.ReadStripe(reg.Off+pos/rowRecs, recs)
+			for _, r := range recs {
+				if written > 0 && r.Less(prev) {
+					return written, errors.New("balancesort: internal error: output not sorted")
+				}
+				prev = r
+				written++
+			}
+			if _, err := w.Write(record.AppendSlice(wire[:0], recs)); err != nil {
+				return written, err
+			}
+		}
+	}
+	return written, nil
 }
 
 // commitState makes one pass durable: flush the array (data, checksums,
@@ -430,9 +447,7 @@ func loadFileStriped(arr *pdm.Array, r io.Reader, inPath string, n int) (int, er
 			return 0, fmt.Errorf("balancesort: reading %s at record %d (byte offset %d): %w",
 				inPath, pos, int64(pos)*record.EncodedSize, err)
 		}
-		for i := 0; i < m; i++ {
-			row[i] = record.Decode(buf[i*record.EncodedSize:])
-		}
+		record.DecodeInto(row[:m], buf)
 		// Row k of the region occupies stripe offset off+k on every disk.
 		arr.WriteStripe(off+pos/rowRecs, row[:m])
 		pos += m

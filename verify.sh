@@ -33,12 +33,18 @@ go test ./...
 echo "== radix kernel benchmark smoke (one iteration per size) =="
 go test -run '^$' -bench SortRadix -benchtime 1x ./internal/pram/
 
+echo "== parallel I/O benchmark smoke (one iteration per store kind) =="
+go test -run '^$' -bench ParallelIO -benchtime 1x ./internal/pdm/
+
 echo "== go test -race (concurrency layer) =="
 go test -race ./internal/diskio/... ./internal/pdm/... ./internal/cluster/... ./internal/jobs/...
 
 echo "== go test -race (crash recovery + engine parity) =="
 go test -race -run 'Robust|Crash|Resume|Cancel|Scrub|EngineParity|EngineAuto' .
 go test -race -count=1 -run 'KillRestart|DrainRestart|RecoveryQuarantine' ./internal/jobs/
+
+echo "== go test -race -count=100 (cancel repeat gate: a job reads canceled only after its reservation is returned) =="
+go test -race -count=100 -run 'TestServerCancelRunning$' ./internal/jobs/
 go test -race -count=1 -run 'Crash|Cancel' ./internal/guidesort/
 
 echo "== go test -race (cluster churn matrix: worker kills, coordinator kill+resume, and joins at every phase) =="
