@@ -32,7 +32,6 @@ import (
 	"balancesort/internal/balance"
 	"balancesort/internal/baseline"
 	"balancesort/internal/core"
-	"balancesort/internal/guidesort"
 	"balancesort/internal/hier"
 	"balancesort/internal/hmm"
 	"balancesort/internal/matching"
@@ -309,10 +308,6 @@ const (
 	// approximate merge (each disk independently fetches its most promising
 	// block; the pool emits eagerly) followed by the window-sort cleanup.
 	AlgoGreedSort
-	// AlgoGuideSort is the guided mergesort of internal/guidesort: block
-	// minima form a guide that precomputes the merge's exact block
-	// consumption order, restoring high merge arity with full-width I/Os.
-	AlgoGuideSort
 )
 
 // String names the algorithm for tables.
@@ -328,8 +323,6 @@ func (a Algorithm) String() string {
 		return "columnsort"
 	case AlgoGreedSort:
 		return "greedsort"
-	case AlgoGuideSort:
-		return "guidesort"
 	default:
 		return "unknown"
 	}
@@ -358,31 +351,6 @@ func SortWith(algo Algorithm, recs []Record, cfg Config) (*Result, error) {
 	}
 	off := arr.AllocStripe(perDisk)
 	arr.WriteStripe(off, recs)
-
-	if algo == AlgoGuideSort {
-		if 4*p.D*p.B > p.M {
-			return nil, fmt.Errorf("balancesort: DB = %d needs M >= %d (got %d)", p.D*p.B, 4*p.D*p.B, p.M)
-		}
-		s := guidesort.NewSorter(arr, guidesort.Config{P: cfg.Processors, NoRadix: cfg.NoRadix, Context: cfg.ctx})
-		gReg := s.Sort(off, len(recs))
-		gMet := s.Metrics()
-		out := make([]Record, gReg.N)
-		arr.ReadStripe(gReg.Off, out)
-		if !record.IsSorted(out) {
-			return nil, errors.New("balancesort: internal error: guidesort output not sorted")
-		}
-		return &Result{
-			Records:      out,
-			IOs:          gMet.IOs,
-			IOLowerBound: core.LowerBoundIOs(len(recs), p),
-			PRAMTime:     gMet.PRAMTime,
-			PRAMWork:     gMet.PRAMWork,
-			Passes:       gMet.Passes,
-			Depth:        gMet.Depth,
-			MemPeak:      gMet.MemPeak,
-			Engine:       "guidesort",
-		}, nil
-	}
 
 	var reg baseline.Region
 	var met baseline.Metrics

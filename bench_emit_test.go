@@ -46,7 +46,6 @@ func TestEmitSortBench(t *testing.T) {
 		eng  balancesort.Engine
 	}{
 		{"balancesort", balancesort.AlgoBalanceSort, balancesort.EngineBalanceSort},
-		{"guidesort", balancesort.AlgoGuideSort, balancesort.EngineGuideSort},
 		{"stripedmerge", balancesort.AlgoStripedMerge, balancesort.EngineStripedMerge},
 	}
 

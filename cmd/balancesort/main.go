@@ -40,7 +40,7 @@ func main() {
 		m         = flag.Int("m", 0, "internal memory in records (M); 0 = 8*D*B")
 		p         = flag.Int("p", 1, "PRAM processors (P)")
 		v         = flag.Int("v", 0, "virtual disks for partial striping; 0 = D")
-		algo      = flag.String("algo", "balancesort", "balancesort|guidesort|stripedmerge|forecastmerge|columnsort|greedsort")
+		algo      = flag.String("algo", "balancesort", "balancesort|stripedmerge|forecastmerge|columnsort|greedsort")
 		placement = flag.String("placement", "balanced", "balanced|random|roundrobin")
 		match     = flag.String("match", "derandomized", "derandomized|randomized|greedy")
 		hierM     = flag.String("hier", "", "run on a hierarchy instead: hmm-log|hmm-power|bt-log|bt-power|umh")
@@ -62,7 +62,7 @@ func main() {
 		timeout    = flag.Duration("timeout", 0, "bound the run: cancel a file or cluster sort, or drain the job server, after this long (0 = no deadline)")
 
 		// Engine selection (with -infile and inside -serve/-join sorts).
-		engine   = flag.String("engine", "", "file-sort engine: auto|balancesort|guidesort|stripedmerge|inmem (empty = balancesort; auto asks the cost-model planner)")
+		engine   = flag.String("engine", "", "file-sort engine: auto|balancesort|stripedmerge|inmem (empty = balancesort; auto asks the cost-model planner)")
 		noCRadix = flag.Bool("nocradix", false, "sort memoryloads with the comparison sort instead of the default LSD radix sort")
 
 		// Disk I/O engine knobs (with -infile).
@@ -538,8 +538,6 @@ func main() {
 	switch strings.ToLower(*algo) {
 	case "balancesort":
 		a = balancesort.AlgoBalanceSort
-	case "guidesort":
-		a = balancesort.AlgoGuideSort
 	case "stripedmerge":
 		a = balancesort.AlgoStripedMerge
 	case "forecastmerge":

@@ -1,10 +1,10 @@
 // Command benchguard compares a freshly emitted BENCH_sort.json against the
 // committed one and fails (exit 1) when any engine's I/O efficiency
 // regresses: a row's io_ratio_vs_lower_bound more than 10% above the
-// committed ratio for the same (engine, workload, records) point, a point
-// that disappeared from the fresh file, or a guidesort model row above the
-// 5.0 acceptance bar. Model I/O counts are deterministic, so the tolerance
-// only exists to absorb intentional small re-tunings without a guard edit.
+// committed ratio for the same (engine, workload, records) point, or a
+// point that disappeared from the fresh file. Model I/O counts are
+// deterministic, so the tolerance only exists to absorb intentional small
+// re-tunings without a guard edit.
 //
 // Usage: benchguard -committed BENCH_sort.json -fresh /tmp/BENCH_sort.json
 package main
@@ -54,7 +54,6 @@ func main() {
 	committedPath := flag.String("committed", "BENCH_sort.json", "committed benchmark file (the baseline)")
 	freshPath := flag.String("fresh", "", "freshly emitted benchmark file to check")
 	slack := flag.Float64("slack", 1.10, "allowed ratio growth factor before failing")
-	guideBar := flag.Float64("guidebar", 5.0, "absolute io_ratio ceiling for guidesort model rows")
 	flag.Parse()
 	if *freshPath == "" {
 		fmt.Fprintln(os.Stderr, "benchguard: -fresh is required")
@@ -93,11 +92,6 @@ func main() {
 				key(old), now.IORatio, old.IORatio, (*slack-1)*100, now.IOs, old.IOs)
 		} else {
 			fmt.Printf("benchguard: ok %s ratio %.3f (committed %.3f)\n", key(old), now.IORatio, old.IORatio)
-		}
-	}
-	for _, r := range fresh.Results {
-		if r.Engine == "guidesort" && !r.FileBacked && r.IORatio > *guideBar {
-			fail("%s: guidesort ratio %.3f above the %.1f acceptance bar", key(r), r.IORatio, *guideBar)
 		}
 	}
 	if failed {

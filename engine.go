@@ -33,27 +33,25 @@ const (
 	EngineAuto Engine = "auto"
 	// EngineBalanceSort is the paper's distribution sort (the default).
 	EngineBalanceSort Engine = Engine(plan.EngineBalanceSort)
-	// EngineGuideSort is the guided mergesort of internal/guidesort.
-	EngineGuideSort Engine = Engine(plan.EngineGuideSort)
 	// EngineStripedMerge is merge sort with the D disks striped as one
-	// logical disk (the guidesort machinery in its striped discipline).
+	// logical disk (internal/guidesort).
 	EngineStripedMerge Engine = Engine(plan.EngineStripedMerge)
 	// EngineInMem reads the whole file into memory — only when N ≤ M/2.
 	EngineInMem Engine = Engine(plan.EngineInMem)
 )
 
 // Engines lists every selectable engine name, auto first.
-var Engines = []Engine{EngineAuto, EngineBalanceSort, EngineGuideSort, EngineStripedMerge, EngineInMem}
+var Engines = []Engine{EngineAuto, EngineBalanceSort, EngineStripedMerge, EngineInMem}
 
 // ParseEngine parses an -engine flag value ("" = balancesort).
 func ParseEngine(s string) (Engine, error) {
 	switch Engine(s) {
 	case "":
 		return EngineBalanceSort, nil
-	case EngineAuto, EngineBalanceSort, EngineGuideSort, EngineStripedMerge, EngineInMem:
+	case EngineAuto, EngineBalanceSort, EngineStripedMerge, EngineInMem:
 		return Engine(s), nil
 	default:
-		return "", fmt.Errorf("balancesort: unknown engine %q (want auto, balancesort, guidesort, stripedmerge, or inmem)", s)
+		return "", fmt.Errorf("balancesort: unknown engine %q (want auto, balancesort, stripedmerge, or inmem)", s)
 	}
 }
 
@@ -126,8 +124,8 @@ func sortFile(ctx context.Context, inPath, outPath, scratchDir string, cfg Confi
 		case "", string(EngineBalanceSort):
 			// Untagged journals predate engine selection.
 			eng = EngineBalanceSort
-		case string(EngineGuideSort), string(EngineStripedMerge):
-			eng = Engine(tag)
+		case string(EngineStripedMerge):
+			eng = EngineStripedMerge
 		default:
 			return nil, fmt.Errorf("balancesort: journal names unknown engine %q", tag)
 		}
@@ -146,7 +144,7 @@ func sortFile(ctx context.Context, inPath, outPath, scratchDir string, cfg Confi
 			}
 			pl = p
 			eng = Engine(p.Engine)
-		case EngineBalanceSort, EngineGuideSort, EngineStripedMerge, EngineInMem:
+		case EngineBalanceSort, EngineStripedMerge, EngineInMem:
 		default:
 			return nil, fmt.Errorf("balancesort: unknown engine %q", cfg.Engine)
 		}
@@ -157,10 +155,8 @@ func sortFile(ctx context.Context, inPath, outPath, scratchDir string, cfg Confi
 	switch eng {
 	case EngineInMem:
 		res, err = inMemSortFile(ctx, inPath, outPath, cfg)
-	case EngineGuideSort:
-		res, err = guideSortFile(ctx, inPath, outPath, scratchDir, cfg, resume, false)
 	case EngineStripedMerge:
-		res, err = guideSortFile(ctx, inPath, outPath, scratchDir, cfg, resume, true)
+		res, err = guideSortFile(ctx, inPath, outPath, scratchDir, cfg, resume)
 	default:
 		res, err = balanceSortFile(ctx, inPath, outPath, scratchDir, cfg, resume)
 	}
@@ -239,8 +235,8 @@ func inMemSortFile(ctx context.Context, inPath, outPath string, cfg Config) (*Re
 	}, nil
 }
 
-// guideJournalState is the payload of one guidesort/stripedmerge journal
-// commit: the engine tag, the geometry (checked against the manifest on
+// guideJournalState is the payload of one stripedmerge journal commit:
+// the engine tag, the geometry (checked against the manifest on
 // resume), the allocation marks, and the sorter's complete State.
 type guideJournalState struct {
 	Engine string `json:"engine"`
@@ -252,7 +248,7 @@ type guideJournalState struct {
 	State    guidesort.State `json:"state"`
 }
 
-// checkGuideJournalState validates a deserialized guidesort journal
+// checkGuideJournalState validates a deserialized stripedmerge journal
 // payload; nothing read off disk after a crash is trusted blindly.
 func checkGuideJournalState(js *guideJournalState, p pdm.Params) error {
 	if js.D != p.D || js.B != p.B || js.M != p.M {
@@ -279,7 +275,7 @@ func checkGuideJournalState(js *guideJournalState, p pdm.Params) error {
 	}
 	formed := 0
 	for _, r := range st.Runs {
-		if r.Off < 0 || r.N < 0 || r.MinOff < 0 || r.MinN < 0 {
+		if r.Off < 0 || r.N < 0 {
 			return fmt.Errorf("balancesort: journal has bad run %+v", r)
 		}
 		formed += r.N
@@ -290,15 +286,15 @@ func checkGuideJournalState(js *guideJournalState, p pdm.Params) error {
 	return nil
 }
 
-// commitGuideState makes one guidesort step durable: flush the array, then
+// commitGuideState makes one stripedmerge step durable: flush the array, then
 // append the tagged state to the journal and fsync it.
-func commitGuideState(arr *pdm.Array, jnl *pdm.Journal, engine Engine, st guidesort.State) error {
+func commitGuideState(arr *pdm.Array, jnl *pdm.Journal, st guidesort.State) error {
 	if err := arr.Sync(); err != nil {
 		return err
 	}
 	p := arr.Params()
 	payload, err := json.Marshal(guideJournalState{
-		Engine: string(engine), D: p.D, B: p.B, M: p.M,
+		Engine: string(EngineStripedMerge), D: p.D, B: p.B, M: p.M,
 		NextFree: arr.NextFree(), State: st,
 	})
 	if err != nil {
@@ -308,11 +304,11 @@ func commitGuideState(arr *pdm.Array, jnl *pdm.Journal, engine Engine, st guides
 	return err
 }
 
-// reopenGuideScratch reopens a journaled guidesort scratch directory for
+// reopenGuideScratch reopens a journaled stripedmerge scratch directory for
 // resumption, mirroring reopenScratch: array from manifest, journal
 // recovery with torn-tail truncation, state validation, allocation marks
 // restored to the commit point.
-func reopenGuideScratch(ctx context.Context, scratchDir string, cfg *Config, striped bool) (*pdm.Array, *pdm.Journal, guidesort.State, error) {
+func reopenGuideScratch(ctx context.Context, scratchDir string, cfg *Config) (*pdm.Array, *pdm.Journal, guidesort.State, error) {
 	var none guidesort.State
 	opts := pdm.FileOptions{}
 	if cfg.IO.Engine {
@@ -343,13 +339,9 @@ func reopenGuideScratch(ctx context.Context, scratchDir string, cfg *Config, str
 		jnl.Close()
 		return fail(fmt.Errorf("balancesort: bad journal payload: %w", err))
 	}
-	want := EngineGuideSort
-	if striped {
-		want = EngineStripedMerge
-	}
-	if js.Engine != string(want) {
+	if js.Engine != string(EngineStripedMerge) {
 		jnl.Close()
-		return fail(fmt.Errorf("balancesort: journal engine %q, resuming as %q", js.Engine, want))
+		return fail(fmt.Errorf("balancesort: journal engine %q, resuming as %q", js.Engine, EngineStripedMerge))
 	}
 	if err := checkGuideJournalState(&js, p); err != nil {
 		jnl.Close()
@@ -359,15 +351,10 @@ func reopenGuideScratch(ctx context.Context, scratchDir string, cfg *Config, str
 	return arr, jnl, js.State, nil
 }
 
-// guideSortFile runs the guidesort engine (or, with striped, its
-// striped-merge discipline) on a file, with the same scratch handling,
-// journaling, crash classification, and drain contract as the
-// balancesort path.
-func guideSortFile(ctx context.Context, inPath, outPath, scratchDir string, cfg Config, resume, striped bool) (*Result, error) {
-	engine := EngineGuideSort
-	if striped {
-		engine = EngineStripedMerge
-	}
+// guideSortFile runs the stripedmerge engine on a file, with the same
+// scratch handling, journaling, crash classification, and drain contract
+// as the balancesort path.
+func guideSortFile(ctx context.Context, inPath, outPath, scratchDir string, cfg Config, resume bool) (*Result, error) {
 	cfg.ctx = ctx
 	cfg.tracer = cfg.Obs.tracer()
 	cfg.Obs.attach("sort", cfg.tracer)
@@ -393,7 +380,7 @@ func guideSortFile(ctx context.Context, inPath, outPath, scratchDir string, cfg 
 	)
 	if resume {
 		var err error
-		arr, jnl, st, err = reopenGuideScratch(ctx, scratchDir, &cfg, striped)
+		arr, jnl, st, err = reopenGuideScratch(ctx, scratchDir, &cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -448,7 +435,7 @@ func guideSortFile(ctx context.Context, inPath, outPath, scratchDir string, cfg 
 			}
 			// Commit the loaded-input state so even a crash before the first
 			// run resumes without re-reading inPath.
-			if err := commitGuideState(arr, jnl, engine, st); err != nil {
+			if err := commitGuideState(arr, jnl, st); err != nil {
 				jnl.Close()
 				arr.Close()
 				return nil, err
@@ -464,7 +451,6 @@ func guideSortFile(ctx context.Context, inPath, outPath, scratchDir string, cfg 
 
 	gcfg := guidesort.Config{
 		P:                 cfg.Processors,
-		Striped:           striped,
 		NoRadix:           cfg.NoRadix,
 		Context:           ctx,
 		CrashAfterCommits: cfg.Robust.crashAfterCommits,
@@ -472,16 +458,17 @@ func guideSortFile(ctx context.Context, inPath, outPath, scratchDir string, cfg 
 	}
 	if jnl != nil {
 		gcfg.Checkpoint = func(s guidesort.State) error {
-			return commitGuideState(arr, jnl, engine, s)
+			return commitGuideState(arr, jnl, s)
 		}
 	}
 
 	return guideRunAndDrain(arr, gcfg, st, outPath, cfg)
 }
 
-// guideRunAndDrain runs (or resumes) the guidesort and streams the sorted
-// region into outPath, converting panic-based operational errors into
-// returned ones and never leaving a partial output file behind.
+// guideRunAndDrain runs (or resumes) the striped merge sort and streams
+// the sorted region into outPath, converting panic-based operational
+// errors into returned ones and never leaving a partial output file
+// behind.
 func guideRunAndDrain(arr *pdm.Array, gcfg guidesort.Config, st guidesort.State, outPath string, cfg Config) (res *Result, err error) {
 	outCreated := false
 	defer func() {

@@ -5,16 +5,16 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"balancesort/internal/core"
 	"balancesort/internal/pdm"
 )
 
-func sortFileWithEngine(t *testing.T, dir, name, inPath string, eng Engine) ([]byte, *Result) {
+func sortFileWithEngine(t *testing.T, dir, name, inPath string, cfg Config, eng Engine) ([]byte, *Result) {
 	t.Helper()
 	outPath := filepath.Join(dir, name+".out")
-	cfg := matrixConfig()
 	cfg.Engine = eng
 	res, err := SortFile(inPath, outPath, "", cfg)
 	if err != nil {
@@ -42,46 +42,59 @@ func TestEngineParityMatrix(t *testing.T) {
 		if err := WriteRecordFile(inPath, in); err != nil {
 			t.Fatal(err)
 		}
-		want, _ := sortFileWithEngine(t, dir, w.String()+"-balance", inPath, EngineBalanceSort)
-		for _, eng := range []Engine{EngineGuideSort, EngineStripedMerge} {
-			got, _ := sortFileWithEngine(t, dir, w.String()+"-"+string(eng), inPath, eng)
-			if string(got) != string(want) {
-				t.Fatalf("%s/%s: output differs from balancesort", w, eng)
-			}
+		want, _ := sortFileWithEngine(t, dir, w.String()+"-balance", inPath, matrixConfig(), EngineBalanceSort)
+		got, _ := sortFileWithEngine(t, dir, w.String()+"-striped", inPath, matrixConfig(), EngineStripedMerge)
+		if string(got) != string(want) {
+			t.Fatalf("%s: stripedmerge output differs from balancesort", w)
 		}
 	}
 }
 
 // TestEngineAutoParity pins the auto contract: the planner's pick sorts to
-// the same bytes as balancesort, records its decision, and does not
-// perform more model I/Os than balancesort at this geometry.
+// the same bytes as balancesort, records its decision, and performs no
+// more model I/Os than either external engine run on its own.
 func TestEngineAutoParity(t *testing.T) {
 	dir := t.TempDir()
-	inPath, _ := writeMatrixInput(t, dir)
-	want, bal := sortFileWithEngine(t, dir, "balance", inPath, EngineBalanceSort)
+	matrixIn, _ := writeMatrixInput(t, dir)
+	wideIn := filepath.Join(dir, "wide.bin")
+	if err := WriteRecordFile(wideIn, NewWorkload(Uniform, 1<<16, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, inPath string
+		cfg          Config
+	}{
+		{"matrix", matrixIn, matrixConfig()},
+		// DB/M = 1/8, where the striped merge's fan-in M/(2DB) is only 4.
+		{"wide-stripe", wideIn, Config{Disks: 16, BlockSize: 128, Memory: 1 << 14}},
+	} {
+		want, bal := sortFileWithEngine(t, dir, tc.name+"-balance", tc.inPath, tc.cfg, EngineBalanceSort)
+		_, striped := sortFileWithEngine(t, dir, tc.name+"-striped", tc.inPath, tc.cfg, EngineStripedMerge)
 
-	outPath := filepath.Join(dir, "auto.out")
-	cfg := matrixConfig()
-	cfg.Engine = EngineAuto
-	res, err := SortFile(inPath, outPath, "", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Fatal("auto output differs from balancesort")
-	}
-	if res.Plan == nil {
-		t.Fatal("auto did not record its plan")
-	}
-	if res.Engine != res.Plan.Engine {
-		t.Fatalf("ran %q but planned %q", res.Engine, res.Plan.Engine)
-	}
-	if res.IOs > bal.IOs {
-		t.Fatalf("auto picked %s at %d I/Os, worse than balancesort's %d", res.Engine, res.IOs, bal.IOs)
+		outPath := filepath.Join(dir, tc.name+"-auto.out")
+		cfg := tc.cfg
+		cfg.Engine = EngineAuto
+		res, err := SortFile(tc.inPath, outPath, "", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(outPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("%s: auto output differs from balancesort", tc.name)
+		}
+		if res.Plan == nil {
+			t.Fatalf("%s: auto did not record its plan", tc.name)
+		}
+		if res.Engine != res.Plan.Engine {
+			t.Fatalf("%s: ran %q but planned %q", tc.name, res.Engine, res.Plan.Engine)
+		}
+		if res.IOs > bal.IOs || res.IOs > striped.IOs {
+			t.Fatalf("%s: auto ran %s at %d I/Os; balancesort needs %d, stripedmerge %d",
+				tc.name, res.Engine, res.IOs, bal.IOs, striped.IOs)
+		}
 	}
 }
 
@@ -92,8 +105,8 @@ func TestEngineInMemFile(t *testing.T) {
 	if err := WriteRecordFile(inPath, in); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := sortFileWithEngine(t, dir, "balance", inPath, EngineBalanceSort)
-	got, res := sortFileWithEngine(t, dir, "inmem", inPath, EngineInMem)
+	want, _ := sortFileWithEngine(t, dir, "balance", inPath, matrixConfig(), EngineBalanceSort)
+	got, res := sortFileWithEngine(t, dir, "inmem", inPath, matrixConfig(), EngineInMem)
 	if string(got) != string(want) {
 		t.Fatal("inmem output differs from balancesort")
 	}
@@ -121,7 +134,6 @@ func TestParseEngine(t *testing.T) {
 		{"", EngineBalanceSort},
 		{"auto", EngineAuto},
 		{"balancesort", EngineBalanceSort},
-		{"guidesort", EngineGuideSort},
 		{"stripedmerge", EngineStripedMerge},
 		{"inmem", EngineInMem},
 	} {
@@ -130,22 +142,24 @@ func TestParseEngine(t *testing.T) {
 			t.Fatalf("ParseEngine(%q) = %v, %v", tc.in, got, err)
 		}
 	}
-	if _, err := ParseEngine("quantum"); err == nil {
-		t.Fatal("unknown engine accepted")
+	for _, bad := range []string{"quantum", "guidesort"} {
+		if _, err := ParseEngine(bad); err == nil {
+			t.Fatalf("unknown engine %q accepted", bad)
+		}
 	}
 }
 
-// TestGuidesortCrashMatrixResume mirrors TestCrashMatrixResume for the
-// guidesort engine: kill immediately before every journal commit in turn,
-// resume, and demand byte-identical output plus a bounded I/O overhead
-// (at most one redone step).
-func TestGuidesortCrashMatrixResume(t *testing.T) {
+// TestStripedMergeCrashMatrixResume mirrors TestCrashMatrixResume for the
+// stripedmerge engine: kill immediately before every journal commit in
+// turn, resume, and demand byte-identical output plus a bounded I/O
+// overhead (at most one redone step).
+func TestStripedMergeCrashMatrixResume(t *testing.T) {
 	dir := t.TempDir()
 	inPath, _ := writeMatrixInput(t, dir)
 
 	basePath := filepath.Join(dir, "base.bin")
 	cfg := matrixConfig()
-	cfg.Engine = EngineGuideSort
+	cfg.Engine = EngineStripedMerge
 	cfg.Robust = RobustConfig{Journal: true}
 	base, err := SortFile(inPath, basePath, filepath.Join(dir, "base-scratch"), cfg)
 	if err != nil {
@@ -171,7 +185,7 @@ func TestGuidesortCrashMatrixResume(t *testing.T) {
 		if err := json.Unmarshal(e.Payload, &js); err != nil {
 			t.Fatal(err)
 		}
-		if js.Engine != string(EngineGuideSort) {
+		if js.Engine != string(EngineStripedMerge) {
 			t.Fatalf("journal entry tagged %q", js.Engine)
 		}
 		if d := js.State.Metrics.IOs - prevIOs; d > maxStep {
@@ -194,7 +208,7 @@ func TestGuidesortCrashMatrixResume(t *testing.T) {
 		os.Remove(outPath)
 
 		cfg := matrixConfig()
-		cfg.Engine = EngineGuideSort
+		cfg.Engine = EngineStripedMerge
 		cfg.Robust = RobustConfig{Journal: true, crashAfterCommits: k}
 		_, err := SortFile(inPath, outPath, scratch, cfg)
 		if !errors.Is(err, core.ErrInjectedCrash) {
@@ -209,8 +223,8 @@ func TestGuidesortCrashMatrixResume(t *testing.T) {
 		if err != nil {
 			t.Fatalf("resume after kill %d: %v", k, err)
 		}
-		if res.Engine != string(EngineGuideSort) {
-			t.Fatalf("resume after kill %d ran %q, journal said guidesort", k, res.Engine)
+		if res.Engine != string(EngineStripedMerge) {
+			t.Fatalf("resume after kill %d ran %q, journal said stripedmerge", k, res.Engine)
 		}
 		got, err := os.ReadFile(outPath)
 		if err != nil {
@@ -231,7 +245,7 @@ func TestGuidesortCrashMatrixResume(t *testing.T) {
 func TestStripedMergeCrashResume(t *testing.T) {
 	dir := t.TempDir()
 	inPath, _ := writeMatrixInput(t, dir)
-	want, _ := sortFileWithEngine(t, dir, "striped-base", inPath, EngineStripedMerge)
+	want, _ := sortFileWithEngine(t, dir, "striped-base", inPath, matrixConfig(), EngineStripedMerge)
 
 	scratch := filepath.Join(dir, "scratch")
 	outPath := filepath.Join(dir, "out.bin")
@@ -257,32 +271,49 @@ func TestStripedMergeCrashResume(t *testing.T) {
 	}
 }
 
-// TestGuidesortRatioAcceptance is the issue's acceptance bar: at the
-// committed bench geometry, guidesort's I/O ratio vs the lower bound is at
-// most 5.0 and strictly better than balancesort's.
-func TestGuidesortRatioAcceptance(t *testing.T) {
-	cfg := Config{Disks: 8, BlockSize: 64, Memory: 1 << 15}
-	in := NewWorkload(Uniform, 1<<16, 42)
-	guide, err := SortWith(AlgoGuideSort, in, cfg)
+// TestResumeRejectsGuidesortJournal resumes a scratch directory whose
+// last journal commit is tagged with the removed guided-merge engine: the
+// resume must fail with the unknown-engine error and write no output.
+func TestResumeRejectsGuidesortJournal(t *testing.T) {
+	dir := t.TempDir()
+	inPath, _ := writeMatrixInput(t, dir)
+	scratch := filepath.Join(dir, "scratch")
+	outPath := filepath.Join(dir, "out.bin")
+	cfg := matrixConfig()
+	cfg.Engine = EngineStripedMerge
+	cfg.Robust = RobustConfig{Journal: true, crashAfterCommits: 1}
+	if _, err := SortFile(inPath, outPath, scratch, cfg); !errors.Is(err, core.ErrInjectedCrash) {
+		t.Fatalf("got %v, want the injected crash", err)
+	}
+
+	// Recommit the loaded-input state under the old engine tag.
+	jnl, entries, err := pdm.OpenJournalAppend(pdm.JournalPath(scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Verify(in, guide.Records) {
-		t.Fatal("guidesort output wrong")
+	var js guideJournalState
+	if err := json.Unmarshal(entries[len(entries)-1].Payload, &js); err != nil {
+		t.Fatal(err)
 	}
-	ratio := float64(guide.IOs) / guide.IOLowerBound
-	if ratio > 5.0 {
-		t.Fatalf("guidesort ratio %.2f exceeds the 5.0 acceptance bar", ratio)
-	}
-	bal, err := Sort(in, cfg)
+	js.Engine = "guidesort"
+	payload, err := json.Marshal(js)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if guide.IOs >= bal.IOs {
-		t.Fatalf("guidesort %d I/Os did not beat balancesort's %d", guide.IOs, bal.IOs)
+	if _, err := jnl.Append(payload); err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("guidesort %.2fx lower bound (%d I/Os) vs balancesort %.2fx (%d I/Os)",
-		ratio, guide.IOs, float64(bal.IOs)/bal.IOLowerBound, bal.IOs)
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = ResumeSortFile(inPath, outPath, scratch, matrixConfig())
+	if err == nil || !strings.Contains(err.Error(), `journal names unknown engine "guidesort"`) {
+		t.Fatalf("resume of a guidesort journal: got %v, want the unknown-engine error", err)
+	}
+	if _, err := os.Stat(outPath); !os.IsNotExist(err) {
+		t.Fatal("rejected resume left an output file")
+	}
 }
 
 func TestPlanFile(t *testing.T) {

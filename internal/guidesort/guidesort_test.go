@@ -10,8 +10,9 @@ import (
 	"balancesort/internal/record"
 )
 
-// pGuided is a geometry where the guided discipline fits comfortably.
-func pGuided() pdm.Params { return pdm.Params{D: 4, B: 8, M: 1024} }
+// pTest is a small geometry whose merges reach arity M/(2DB) = 16, so the
+// larger inputs below take several runs and at least one merge.
+func pTest() pdm.Params { return pdm.Params{D: 4, B: 8, M: 1024} }
 
 // run sorts in on a fresh in-memory array and returns the output.
 func run(t *testing.T, p pdm.Params, cfg Config, in []record.Record) ([]record.Record, Metrics) {
@@ -57,28 +58,14 @@ func check(t *testing.T, in, out []record.Record) {
 	}
 }
 
-func TestGuidedSortsAllWorkloads(t *testing.T) {
+func TestSortsAllWorkloads(t *testing.T) {
 	for _, w := range record.AllWorkloads {
 		for _, n := range []int{1, 7, 64, 500, 4000} {
 			in := record.Generate(w, n, 11)
-			out, met := run(t, pGuided(), Config{}, in)
+			out, met := run(t, pTest(), Config{}, in)
 			check(t, in, out)
-			if met.MemPeak > pGuided().M {
-				t.Fatalf("%v n=%d: mem peak %d exceeds M=%d", w, n, met.MemPeak, pGuided().M)
-			}
-		}
-	}
-}
-
-func TestStripedModeMatchesGuided(t *testing.T) {
-	for _, w := range record.AllWorkloads {
-		in := record.Generate(w, 3000, 13)
-		guided, _ := run(t, pGuided(), Config{}, in)
-		striped, _ := run(t, pGuided(), Config{Striped: true}, in)
-		check(t, in, guided)
-		for i := range guided {
-			if guided[i] != striped[i] {
-				t.Fatalf("%v: guided and striped outputs differ at %d", w, i)
+			if met.MemPeak > pTest().M {
+				t.Fatalf("%v n=%d: mem peak %d exceeds M=%d", w, n, met.MemPeak, pTest().M)
 			}
 		}
 	}
@@ -86,8 +73,8 @@ func TestStripedModeMatchesGuided(t *testing.T) {
 
 func TestRadixAndComparisonBaseCasesAgree(t *testing.T) {
 	in := record.Generate(record.Zipf, 2500, 17)
-	radix, mr := run(t, pGuided(), Config{}, in)
-	comp, mc := run(t, pGuided(), Config{NoRadix: true}, in)
+	radix, mr := run(t, pTest(), Config{}, in)
+	comp, mc := run(t, pTest(), Config{NoRadix: true}, in)
 	check(t, in, radix)
 	for i := range radix {
 		if radix[i] != comp[i] {
@@ -99,50 +86,11 @@ func TestRadixAndComparisonBaseCasesAgree(t *testing.T) {
 	}
 }
 
-func TestTinyMemoryFallsBackToStriped(t *testing.T) {
-	p := pdm.Params{D: 2, B: 2, M: 16}
-	if GuidedFits(p) {
-		t.Fatalf("geometry %+v unexpectedly fits the guided discipline", p)
-	}
-	in := record.Generate(record.Uniform, 300, 19)
-	arr := pdm.New(p)
-	defer arr.Close()
-	off := loadInput(arr, in)
-	s := NewSorter(arr, Config{})
-	if !s.cfg.Striped {
-		t.Fatal("sorter did not degrade to striped mode")
-	}
-	reg := s.Sort(off, len(in))
-	out := make([]record.Record, reg.N)
-	readRegion(arr, reg.Off, out)
-	check(t, in, out)
-}
-
-func TestGuideThinningBoundsGuideSize(t *testing.T) {
-	// Small M relative to N forces totalBlocks >> guideCap.
-	p := pdm.Params{D: 2, B: 4, M: 256}
-	if !GuidedFits(p) {
-		t.Skip("geometry does not fit guided mode")
-	}
-	in := record.Generate(record.Uniform, 6000, 23)
-	out, met := run(t, p, Config{}, in)
-	check(t, in, out)
-	_, _, guideCap := guidedBudget(p)
-	// Thinning halves until totalBlocks/thin <= guideCap; per-run rounding
-	// adds at most one entry per run in the group.
-	if met.GuidePeak > guideCap+met.MergeArity {
-		t.Fatalf("guide peak %d exceeds cap %d + arity %d", met.GuidePeak, guideCap, met.MergeArity)
-	}
-	if met.GuidePeak == 0 {
-		t.Fatal("no guide was ever built")
-	}
-}
-
 func TestCancellationAborts(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	in := record.Generate(record.Uniform, 2000, 29)
-	arr := pdm.New(pGuided())
+	arr := pdm.New(pTest())
 	defer arr.Close()
 	off := loadInput(arr, in)
 	s := NewSorter(arr, Config{Context: ctx})
@@ -165,12 +113,12 @@ func TestCancellationAborts(t *testing.T) {
 // same array and demands output identical to an uninterrupted run.
 func TestCrashAtEveryCommitResumes(t *testing.T) {
 	in := record.Generate(record.Zipf, 4000, 31)
-	want, _ := run(t, pGuided(), Config{}, in)
+	want, _ := run(t, pTest(), Config{}, in)
 
 	// Count the commits of a clean run first.
 	commits := 0
 	func() {
-		arr := pdm.New(pGuided())
+		arr := pdm.New(pTest())
 		defer arr.Close()
 		off := loadInput(arr, in)
 		s := NewSorter(arr, Config{Checkpoint: func(State) error { commits++; return nil }})
@@ -181,7 +129,7 @@ func TestCrashAtEveryCommitResumes(t *testing.T) {
 	}
 
 	for k := 1; k <= commits; k++ {
-		arr := pdm.New(pGuided())
+		arr := pdm.New(pTest())
 		off := loadInput(arr, in)
 		var last State
 		have := false
@@ -231,19 +179,10 @@ func TestCrashAtEveryCommitResumes(t *testing.T) {
 
 func TestMetricsPopulated(t *testing.T) {
 	in := record.Generate(record.Uniform, 4000, 37)
-	_, met := run(t, pGuided(), Config{}, in)
+	_, met := run(t, pTest(), Config{}, in)
 	if met.N != 4000 || met.IOs == 0 || met.ReadIOs == 0 || met.WriteIOs == 0 ||
 		met.Passes == 0 || met.Depth == 0 || met.MergeArity < 2 ||
 		met.PRAMTime == 0 || met.PRAMWork == 0 || met.MemPeak == 0 {
 		t.Fatalf("metrics incomplete: %+v", met)
 	}
-}
-
-func TestDuplicateHeavyGuideSchedules(t *testing.T) {
-	// FewDistinct makes nearly every guide key equal — the schedule's
-	// (key, run, block) tie-break must still fetch every block exactly once.
-	in := record.Generate(record.FewDistinct, 5000, 41)
-	out, met := run(t, pGuided(), Config{}, in)
-	check(t, in, out)
-	t.Logf("demand fetches on dup-heavy input: %d of %d IOs", met.DemandFetches, met.IOs)
 }

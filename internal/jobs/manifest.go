@@ -19,14 +19,12 @@ const (
 
 // SortParams is the per-job engine geometry, chosen at submission.
 type SortParams struct {
-	Disks     int  `json:"disks"`
-	BlockSize int  `json:"block_size"`
-	Memory    int  `json:"memory"`
-	Buckets   int  `json:"buckets,omitempty"`
-	Engine    bool `json:"engine"`
+	Disks     int `json:"disks"`
+	BlockSize int `json:"block_size"`
+	Memory    int `json:"memory"`
+	Buckets   int `json:"buckets,omitempty"`
 	// SortEngine picks the sort engine for the job: "auto" consults the
-	// cost-model planner, "" means balancesort. (Engine above is the disk
-	// I/O concurrency toggle, kept for wire compatibility.)
+	// cost-model planner, "" means balancesort.
 	SortEngine string `json:"sort_engine,omitempty"`
 	// Cluster runs the job on the server's configured worker cluster
 	// (Options.Cluster) instead of the local file-backed engine. The

@@ -45,7 +45,8 @@ type Options struct {
 	// TenantWeights sets per-tenant fair-queueing weights (default 1).
 	TenantWeights map[string]int
 	// Sort is the base engine configuration jobs inherit; per-job
-	// parameters (disks, block size, memory, buckets, engine) override it.
+	// parameters (disks, block size, memory, buckets, sort engine)
+	// override it. Sort.IO applies to every job.
 	Sort balancesort.Config
 	// Cluster lists worker addresses for cluster-backed jobs (SortParams.
 	// Cluster). Empty refuses such jobs at submission. The workers must
@@ -353,7 +354,6 @@ func (s *Server) runJob(t *Ticket) {
 		cfg.BlockSize = man.Params.BlockSize
 		cfg.Memory = man.Params.Memory
 		cfg.Buckets = man.Params.Buckets
-		cfg.IO.Engine = man.Params.Engine
 		cfg.Engine = balancesort.Engine(man.Params.SortEngine)
 		cfg.Robust.Journal = true
 		cfg.Obs = oc
@@ -690,7 +690,6 @@ type submitRequest struct {
 	BlockSize  int    `json:"block_size"`
 	Memory     int    `json:"memory"`
 	Buckets    int    `json:"buckets"`
-	Engine     *bool  `json:"engine"`
 	SortEngine string `json:"sort_engine"`
 	Cluster    bool   `json:"cluster"`
 }
@@ -699,10 +698,7 @@ type submitRequest struct {
 // validates the geometry the way SortFile will.
 func (s *Server) params(req submitRequest) (SortParams, error) {
 	base := s.opt.Sort
-	p := SortParams{Disks: req.Disks, BlockSize: req.BlockSize, Memory: req.Memory, Buckets: req.Buckets, Engine: base.IO.Engine, SortEngine: string(base.Engine), Cluster: req.Cluster}
-	if req.Engine != nil {
-		p.Engine = *req.Engine
-	}
+	p := SortParams{Disks: req.Disks, BlockSize: req.BlockSize, Memory: req.Memory, Buckets: req.Buckets, SortEngine: string(base.Engine), Cluster: req.Cluster}
 	if req.SortEngine != "" {
 		eng, err := balancesort.ParseEngine(req.SortEngine)
 		if err != nil {
@@ -789,16 +785,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			}
 			*dst = n
 		}
-		if v := r.URL.Query().Get("engine"); v != "" {
-			// "engine" historically toggled the disk I/O engine (a bool);
-			// any non-boolean value now names a sort engine, so
-			// engine=auto or engine=guidesort routes to the planner.
-			if b, err := strconv.ParseBool(v); err == nil {
-				req.Engine = &b
-			} else {
-				req.SortEngine = v
-			}
-		}
+		req.SortEngine = r.URL.Query().Get("engine")
 		if v := r.URL.Query().Get("cluster"); v != "" {
 			b, err := strconv.ParseBool(v)
 			if err != nil {

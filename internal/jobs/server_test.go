@@ -717,15 +717,15 @@ func TestServerMetricsEndpoint(t *testing.T) {
 }
 
 // TestServerSortEngineParam drives the per-job engine selector: engine=auto
-// routes the job through the planner, engine=guidesort pins the Guidesort
-// engine, a boolean value keeps its historical I/O-engine meaning, and an
-// unknown name is rejected at submission.
+// routes the job through the planner, engine=stripedmerge pins that
+// engine, and anything that names no sort engine is rejected at
+// submission, including a boolean and the removed guidesort.
 func TestServerSortEngineParam(t *testing.T) {
 	input := matrixInput(t)
 	want := matrixReference(t, input)
 	_, ts := newTestServer(t, Options{Workers: 2})
 
-	for _, eng := range []string{"guidesort", "auto"} {
+	for _, eng := range []string{"stripedmerge", "auto"} {
 		st := submitUpload(t, ts.URL, "", matrixQuery+"&engine="+eng, input)
 		if st.Params.SortEngine != eng {
 			t.Fatalf("engine=%s recorded as %q", eng, st.Params.SortEngine)
@@ -736,13 +736,9 @@ func TestServerSortEngineParam(t *testing.T) {
 		}
 	}
 
-	// A boolean still toggles the disk I/O engine, not the sort engine.
-	st := submitUpload(t, ts.URL, "", matrixQuery+"&engine=true", input)
-	if !st.Params.Engine || st.Params.SortEngine != "" {
-		t.Fatalf("engine=true parsed as %+v", st.Params)
-	}
-
-	if _, code := trySubmitUpload(t, ts.URL, "", matrixQuery+"&engine=quantum", input); code != http.StatusBadRequest {
-		t.Fatalf("engine=quantum: status %d, want 400", code)
+	for _, bad := range []string{"true", "quantum", "guidesort"} {
+		if _, code := trySubmitUpload(t, ts.URL, "", matrixQuery+"&engine="+bad, input); code != http.StatusBadRequest {
+			t.Fatalf("engine=%s: status %d, want 400", bad, code)
+		}
 	}
 }

@@ -12,15 +12,13 @@
 // The model is deliberately simple and closed-form. Every external engine
 // moves the dataset passes × 2 times (read + write) in ⌈N/DB⌉-I/O sweeps;
 // engines differ in how many passes their fan-in/fan-out affords and in a
-// calibrated per-engine efficiency factor (partial-width writes, sidecar
-// and bookkeeping traffic) fitted against the committed BENCH_sort.json:
+// calibrated per-engine efficiency factor (partial-width writes and
+// bookkeeping traffic) fitted against the committed BENCH_sort.json:
 //
 //   - balancesort:  fan-out S = ⌊(M/B)^{1/4}⌋ per distribution pass,
 //     memoryload base case; factor ≈ 2.0 (tracks, partial-width bucket
 //     writes, partition-element sampling).
 //   - stripedmerge: fan-in M/(2DB); factor 1.0 (every I/O full-width).
-//   - guidesort:    fan-in M/(8B); factor ≈ 1.15 (minima sidecars, guide
-//     reads, occasional lone demand fetches).
 //   - inmem:        one read + one write pass, only when N fits a
 //     half-memory load.
 //
@@ -34,21 +32,20 @@ import (
 	"math"
 	"sort"
 
-	"balancesort/internal/guidesort"
+	"balancesort/internal/core"
 	"balancesort/internal/pdm"
 )
 
 // Engine names, shared with the root facade's Config.Engine.
 const (
 	EngineBalanceSort  = "balancesort"
-	EngineGuideSort    = "guidesort"
 	EngineStripedMerge = "stripedmerge"
 	EngineInMem        = "inmem"
 )
 
 // Engines lists every engine the planner ranks, in preference order for
 // cost ties (cheapest bookkeeping first).
-var Engines = []string{EngineInMem, EngineStripedMerge, EngineGuideSort, EngineBalanceSort}
+var Engines = []string{EngineInMem, EngineStripedMerge, EngineBalanceSort}
 
 // Geometry is the instance the planner decides for.
 type Geometry struct {
@@ -129,7 +126,6 @@ func (p *Plan) Predicted() Prediction {
 const (
 	factorBalance = 2.0
 	factorStriped = 1.0
-	factorGuide   = 1.15
 )
 
 // Choose validates the geometry, predicts every engine, and picks the
@@ -175,7 +171,7 @@ func Choose(g Geometry, t Throughput) (*Plan, error) {
 	}
 	return &Plan{
 		Engine:        cands[0].Engine,
-		LowerBoundIOs: lowerBoundIOs(g.N, p),
+		LowerBoundIOs: core.LowerBoundIOs(g.N, p),
 		Candidates:    cands,
 	}, nil
 }
@@ -211,28 +207,6 @@ func predict(engine string, g Geometry, p pdm.Params, t Throughput) Prediction {
 		pr.Feasible = true
 		pr.Passes = 1 + mergePasses(runs, arity)
 		pr.IOs = float64(pr.Passes) * 2 * sweeps * factorStriped
-	case EngineGuideSort:
-		if 4*p.D*p.B > p.M {
-			pr.Reason = fmt.Sprintf("DB=%d needs M>=%d", p.D*p.B, 4*p.D*p.B)
-			return pr
-		}
-		arity := p.M / (8 * p.B)
-		if arity < 2 {
-			arity = 2
-		}
-		factor := factorGuide
-		if !guidesort.GuidedFits(p) {
-			// The engine degrades to its striped discipline at this
-			// geometry; model it as such.
-			arity = p.M / (2 * p.D * p.B)
-			if arity < 2 {
-				arity = 2
-			}
-			factor = factorStriped
-		}
-		pr.Feasible = true
-		pr.Passes = 1 + mergePasses(runs, arity)
-		pr.IOs = float64(pr.Passes) * 2 * sweeps * factor
 	case EngineBalanceSort:
 		if 4*p.D*p.B > p.M {
 			pr.Reason = fmt.Sprintf("DB=%d needs M>=%d", p.D*p.B, 4*p.D*p.B)
@@ -296,19 +270,3 @@ func mergePasses(runs, arity int) int {
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// lowerBoundIOs mirrors core.LowerBoundIOs exactly (duplicated to keep
-// this package's import graph to pdm + guidesort only).
-func lowerBoundIOs(n int, p pdm.Params) float64 {
-	if n == 0 {
-		return 0
-	}
-	lg := func(x float64) float64 {
-		if x <= 2 {
-			return 1
-		}
-		return math.Log2(x)
-	}
-	fn := float64(n)
-	return fn / float64(p.D*p.B) * lg(fn/float64(p.B)) / lg(float64(p.M)/float64(p.B))
-}

@@ -1,11 +1,6 @@
 package plan
 
-import (
-	"testing"
-
-	"balancesort/internal/guidesort"
-	"balancesort/internal/pdm"
-)
+import "testing"
 
 // benchGeometries are the committed BENCH_sort.json points.
 var benchGeometries = []Geometry{
@@ -76,19 +71,6 @@ func TestPredictedIOsTrackCommittedBench(t *testing.T) {
 	}
 }
 
-func TestGuidesortBeatsBalanceSortInModel(t *testing.T) {
-	for _, g := range benchGeometries {
-		pl := mustChoose(t, g)
-		gd, bal := find(pl, EngineGuideSort), find(pl, EngineBalanceSort)
-		if !gd.Feasible {
-			t.Fatalf("%+v: guidesort infeasible", g)
-		}
-		if gd.IOs >= bal.IOs {
-			t.Fatalf("%+v: guidesort predicted %.0f IOs, not better than balancesort's %.0f", g, gd.IOs, bal.IOs)
-		}
-	}
-}
-
 func TestAsymmetricThroughputChangesSeconds(t *testing.T) {
 	g := benchGeometries[0]
 	fast, err := Choose(g, Throughput{ReadBytesPerSec: 1 << 30, WriteBytesPerSec: 1 << 30})
@@ -150,7 +132,6 @@ func FuzzPlan(f *testing.F) {
 		if err != nil {
 			return // invalid or infeasible geometry is allowed to error
 		}
-		p := pdm.Params{D: d, B: b, M: m}
 		chosen := pl.Predicted()
 		if !chosen.Feasible {
 			t.Fatalf("chose infeasible engine %s at %+v", pl.Engine, g)
@@ -160,28 +141,6 @@ func FuzzPlan(f *testing.F) {
 		case EngineInMem:
 			if n > m/2 {
 				t.Fatalf("inmem chosen with N=%d > M/2=%d", n, m/2)
-			}
-		case EngineGuideSort:
-			if 4*d*b > m {
-				t.Fatalf("guidesort chosen with 4DB=%d > M=%d", 4*d*b, m)
-			}
-			if guidesort.GuidedFits(p) {
-				arity, window, guideCap := 0, 0, 0
-				arity = m / (8 * b)
-				if arity < 2 {
-					arity = 2
-				}
-				window = m / (8 * b)
-				if window < 1 {
-					window = 1
-				}
-				guideCap = m / 8
-				if guideCap < 8 {
-					guideCap = 8
-				}
-				if need := arity*b + window*b + d*b + b + guideCap + arity; need > m {
-					t.Fatalf("GuidedFits lied: residents %d > M=%d", need, m)
-				}
 			}
 		case EngineStripedMerge, EngineBalanceSort:
 			if 4*d*b > m {

@@ -41,11 +41,11 @@ go test -race ./internal/diskio/... ./internal/pdm/... ./internal/cluster/... ./
 
 echo "== go test -race (crash recovery + engine parity) =="
 go test -race -run 'Robust|Crash|Resume|Cancel|Scrub|EngineParity|EngineAuto' .
+go test -race -count=1 -run 'Crash|Cancel' ./internal/guidesort/
 go test -race -count=1 -run 'KillRestart|DrainRestart|RecoveryQuarantine' ./internal/jobs/
 
 echo "== go test -race -count=100 (cancel repeat gate: a job reads canceled only after its reservation is returned) =="
 go test -race -count=100 -run 'TestServerCancelRunning$' ./internal/jobs/
-go test -race -count=1 -run 'Crash|Cancel' ./internal/guidesort/
 
 echo "== go test -race (cluster churn matrix: worker kills, coordinator kill+resume, and joins at every phase) =="
 go test -race -count=1 -run 'Chaos|Degraded|Flap|FailoverJournal|Join|Resume|Dedup' ./internal/cluster/
