@@ -107,7 +107,9 @@ type Config struct {
 	Processors int
 	// VirtualDisks enables partial striping (must divide Disks; 0 = D).
 	VirtualDisks int
-	// Buckets overrides S (0 = the paper's (M/B)^{1/4}).
+	// Buckets fixes S, the bucket count of every distribution pass. 0 = the
+	// size-aware fan-out: each pass takes just enough buckets that every
+	// bucket fits one memoryload, capped by memory and by the sample.
 	Buckets int
 	// Match selects the rebalance matching strategy.
 	Match MatchStrategy
@@ -173,6 +175,34 @@ func (c Config) diskConfig() core.DiskConfig {
 		CrashAfterCommits: c.Robust.crashAfterCommits,
 		Trace:             c.tracer,
 	}
+}
+
+// Validate reports, as an error rather than a panic out of the sorter,
+// a configuration Balance Sort cannot run: a geometry the model rejects,
+// DB > M/4, VirtualDisks not dividing Disks, or a Buckets count that is
+// negative or overflows internal memory in a distribution pass. Unset
+// geometry fields take their defaults first. Sort, and SortFile when it
+// runs Balance Sort, apply it before they start.
+func (c Config) Validate() error {
+	c.fill()
+	p := pdm.Params{D: c.Disks, B: c.BlockSize, M: c.Memory}
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if 4*p.D*p.B > p.M {
+		return fmt.Errorf("balancesort: DB = %d needs M >= %d (got %d)", p.D*p.B, 4*p.D*p.B, p.M)
+	}
+	v := c.VirtualDisks
+	if v == 0 {
+		v = c.Disks
+	}
+	if v < 1 || c.Disks%v != 0 {
+		return fmt.Errorf("balancesort: VirtualDisks = %d does not divide Disks = %d", c.VirtualDisks, c.Disks)
+	}
+	if err := core.CheckBuckets(p, c.Disks/v*c.BlockSize, c.Buckets); err != nil {
+		return fmt.Errorf("balancesort: Buckets = %d: %w", c.Buckets, err)
+	}
+	return nil
 }
 
 func (c *Config) fill() {
@@ -243,16 +273,10 @@ type Result struct {
 // records with the model costs. The input slice is not modified.
 func Sort(recs []Record, cfg Config) (*Result, error) {
 	cfg.fill()
-	p := pdm.Params{D: cfg.Disks, B: cfg.BlockSize, M: cfg.Memory}
-	if err := p.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if 4*p.D*p.B > p.M {
-		return nil, fmt.Errorf("balancesort: DB = %d needs M >= %d (got %d)", p.D*p.B, 4*p.D*p.B, p.M)
-	}
-	if cfg.VirtualDisks != 0 && cfg.Disks%cfg.VirtualDisks != 0 {
-		return nil, fmt.Errorf("balancesort: VirtualDisks = %d does not divide Disks = %d", cfg.VirtualDisks, cfg.Disks)
-	}
+	p := pdm.Params{D: cfg.Disks, B: cfg.BlockSize, M: cfg.Memory}
 	cfg.tracer = cfg.Obs.tracer()
 	cfg.Obs.attach("sort", cfg.tracer)
 

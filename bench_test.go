@@ -23,10 +23,13 @@ import (
 )
 
 // benchDiskSort runs one Balance Sort on the standard bench geometry and
-// reports I/Os and the Theorem-1 ratio.
+// reports I/Os and the Theorem-1 ratio. An unset S runs the paper's.
 func benchDiskSort(b *testing.B, cfg core.DiskConfig, w record.Workload, n int) core.Metrics {
 	b.Helper()
 	p := pdm.Params{D: 8, B: 32, M: 1 << 13}
+	if cfg.S == 0 {
+		cfg.S = core.PaperS(p)
+	}
 	recs := record.Generate(w, n, 42)
 	var met core.Metrics
 	for i := 0; i < b.N; i++ {
@@ -357,7 +360,7 @@ func BenchmarkE16_WriteFullness(b *testing.B) {
 			var st pdm.Stats
 			for i := 0; i < b.N; i++ {
 				arr := pdm.New(p)
-				ds := core.NewDiskSorter(arr, core.DiskConfig{Placement: pl.p})
+				ds := core.NewDiskSorter(arr, core.DiskConfig{S: core.PaperS(p), Placement: pl.p})
 				in := ds.WriteInput(recs)
 				ds.Sort(in.Off, in.N)
 				st = arr.Stats()

@@ -87,7 +87,7 @@ func PlanFile(inPath string, cfg Config) (*Plan, error) {
 
 func planGeometry(n int, cfg Config) (*Plan, error) {
 	return plan.Choose(plan.Geometry{
-		N: n, D: cfg.Disks, B: cfg.BlockSize, M: cfg.Memory,
+		N: n, D: cfg.Disks, B: cfg.BlockSize, M: cfg.Memory, V: cfg.VirtualDisks,
 		RecordBytes: RecordSize,
 	}, cfg.Throughput)
 }

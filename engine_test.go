@@ -60,13 +60,21 @@ func TestEngineAutoParity(t *testing.T) {
 	if err := WriteRecordFile(wideIn, NewWorkload(Uniform, 1<<16, 1)); err != nil {
 		t.Fatal(err)
 	}
+	wideBigIn := filepath.Join(dir, "wide-big.bin")
+	if err := WriteRecordFile(wideBigIn, NewWorkload(Uniform, 1<<18, 1)); err != nil {
+		t.Fatal(err)
+	}
+	wide := Config{Disks: 16, BlockSize: 128, Memory: 1 << 14}
 	for _, tc := range []struct {
 		name, inPath string
 		cfg          Config
 	}{
 		{"matrix", matrixIn, matrixConfig()},
 		// DB/M = 1/8, where the striped merge's fan-in M/(2DB) is only 4.
-		{"wide-stripe", wideIn, Config{Disks: 16, BlockSize: 128, Memory: 1 << 14}},
+		{"wide-stripe", wideIn, wide},
+		// The fan-out's S·VB ≤ M/4 cap leaves balancesort's top-level buckets
+		// at two memoryloads, so it needs a second level.
+		{"wide-stripe-256Ki", wideBigIn, wide},
 	} {
 		want, bal := sortFileWithEngine(t, dir, tc.name+"-balance", tc.inPath, tc.cfg, EngineBalanceSort)
 		_, striped := sortFileWithEngine(t, dir, tc.name+"-striped", tc.inPath, tc.cfg, EngineStripedMerge)

@@ -46,13 +46,13 @@ func FuzzSort(f *testing.F) {
 func FuzzBalancer(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 0, 0}, uint8(4), uint8(4))
 	f.Add([]byte{0}, uint8(1), uint8(1))
-	f.Add(make([]byte, 512), uint8(15), uint8(15)) // all one bucket, max geometry
+	f.Add(make([]byte, 512), uint8(255), uint8(15)) // all one bucket, S=256, H=16
 	f.Add([]byte{5, 5, 5, 5, 1, 1, 1, 1, 5, 5, 5, 5}, uint8(2), uint8(8))
 	f.Fuzz(func(t *testing.T, labels []byte, sRaw, hRaw uint8) {
 		if len(labels) > 4096 {
 			labels = labels[:4096]
 		}
-		s := 1 + int(sRaw%16)
+		s := 1 + int(sRaw) // up to 256, the widest size-aware fan-out
 		h := 1 + int(hRaw%16)
 		bl := balance.New(balance.Config{S: s, H: h})
 		var pending []int

@@ -103,6 +103,12 @@ type Balancer struct {
 	rot int
 	rng *record.RNG
 
+	// Per-track scratch, reused so placing a track allocates nothing that
+	// grows with S: the track's block->vdisk assignment, the block holding
+	// a 2 in each column (-1 for none), one auxiliary row, and the row copy
+	// the median selection works in.
+	assigned, twoAt, auxBuf, medBuf []int
+
 	stats Stats
 }
 
@@ -119,6 +125,10 @@ func New(cfg Config) *Balancer {
 	for i := range b.x {
 		b.x[i] = make([]int, cfg.H)
 	}
+	b.assigned = make([]int, cfg.H)
+	b.twoAt = make([]int, cfg.H)
+	b.auxBuf = make([]int, cfg.H)
+	b.medBuf = make([]int, cfg.H)
 	return b
 }
 
@@ -145,48 +155,52 @@ func (bl *Balancer) Histogram() [][]int {
 // resident).
 func (bl *Balancer) MemoryWords() int { return 3 * bl.cfg.S * bl.cfg.H }
 
-// rowMedian returns m_b for the current X.
+// rowMedian returns m_b for the current X, selecting in a reused row.
 func (bl *Balancer) rowMedian(b int) int {
-	return selection.RowMedian(bl.x[b])
+	return selection.RowMedian(bl.medBuf, bl.x[b])
+}
+
+// auxRow computes row b of the auxiliary matrix for the current histogram
+// into a reused buffer, valid until the next call. Placing a track reads A
+// only on its own blocks' rows, so this keeps the per-track work
+// independent of S.
+func (bl *Balancer) auxRow(b int) []int {
+	row := bl.auxBuf
+	switch bl.cfg.Rule {
+	case AuxMedian:
+		m := bl.rowMedian(b)
+		for h, x := range bl.x[b] {
+			row[h] = max(0, x-m)
+		}
+	case AuxTwiceAverage:
+		total := 0
+		for _, x := range bl.x[b] {
+			total += x
+		}
+		// Twice the evenly-balanced number, rounded up; +1 keeps the rule
+		// permissive when a bucket holds almost nothing yet.
+		limit := 2*((total+bl.cfg.H-1)/bl.cfg.H) + 1
+		for h, x := range bl.x[b] {
+			row[h] = 0
+			if x > limit {
+				row[h] = 2
+			}
+		}
+	default:
+		panic("balance: unknown aux rule")
+	}
+	return row
 }
 
 // Aux computes the auxiliary matrix for the current histogram (Algorithm 4
 // under AuxMedian; the Arge variant under AuxTwiceAverage, scaled so that
 // "overloaded" entries read 2 and balanced entries 0, which lets the rest
-// of the machinery treat both rules uniformly).
+// of the machinery treat both rules uniformly). It materialises all S rows,
+// for the invariant checks and tests; placement reads rows with auxRow.
 func (bl *Balancer) Aux() [][]int {
 	a := make([][]int, bl.cfg.S)
-	switch bl.cfg.Rule {
-	case AuxMedian:
-		for b := range a {
-			m := bl.rowMedian(b)
-			row := make([]int, bl.cfg.H)
-			for h, x := range bl.x[b] {
-				if x > m {
-					row[h] = x - m
-				}
-			}
-			a[b] = row
-		}
-	case AuxTwiceAverage:
-		for b := range a {
-			total := 0
-			for _, x := range bl.x[b] {
-				total += x
-			}
-			// Twice the evenly-balanced number, rounded up; +1 keeps the
-			// rule permissive when a bucket holds almost nothing yet.
-			limit := 2*((total+bl.cfg.H-1)/bl.cfg.H) + 1
-			row := make([]int, bl.cfg.H)
-			for h, x := range bl.x[b] {
-				if x > limit {
-					row[h] = 2
-				}
-			}
-			a[b] = row
-		}
-	default:
-		panic("balance: unknown aux rule")
+	for b := range a {
+		a[b] = append([]int(nil), bl.auxRow(b)...)
 	}
 	return a
 }
@@ -255,7 +269,7 @@ func (bl *Balancer) PlaceTrack(buckets []int) (writes []Placement, carry []int) 
 	// Line (2-3) of Algorithm 3: tentatively assign block j to virtual disk
 	// (j + rot) mod H — distinct disks within the track — and update X.
 	// The rotation spreads the formation order across columns over time.
-	assigned := make([]int, len(buckets)) // block -> vdisk
+	assigned := bl.assigned[:len(buckets)] // block -> vdisk
 	for j, b := range buckets {
 		h := (j + bl.rot) % bl.cfg.H
 		assigned[j] = h
@@ -263,22 +277,26 @@ func (bl *Balancer) PlaceTrack(buckets []int) (writes []Placement, carry []int) 
 	}
 	bl.rot = (bl.rot + len(buckets)) % bl.cfg.H
 
-	// Line (4): A := ComputeAux(X). Only incremented entries can have
-	// become 2 (medians never decrease), so each overloaded column carries
-	// exactly one of this track's blocks.
-	a := bl.Aux()
-	overloaded := func(j int) bool { return a[buckets[j]][assigned[j]] >= 2 }
-
-	// Line (5-6): write out blocks on columns free of 2s (round 0).
-	twoCols := make(map[int]int) // vdisk -> block index with the 2
-	for j := range buckets {
-		if overloaded(j) {
+	// Line (4): A := ComputeAux(X), read at this track's entries only. Only
+	// incremented entries can have become 2 (medians never decrease), so
+	// each overloaded column carries exactly one of this track's blocks.
+	twoAt := bl.twoAt // vdisk -> block index with the 2, or -1
+	for h := range twoAt {
+		twoAt[h] = -1
+	}
+	twos := 0
+	for j, b := range buckets {
+		if bl.auxRow(b)[assigned[j]] >= 2 {
 			bl.stats.TwosIntroduced++
-			twoCols[assigned[j]] = j
+			twoAt[assigned[j]] = j
+			twos++
 		}
 	}
+
+	// Line (5-6): write out blocks on columns free of 2s (round 0).
+	writes = make([]Placement, 0, len(buckets))
 	for j := range buckets {
-		if !overloaded(j) {
+		if twoAt[assigned[j]] != j {
 			writes = append(writes, Placement{Block: j, VDisk: assigned[j], Round: 0})
 		}
 	}
@@ -287,20 +305,23 @@ func (bl *Balancer) PlaceTrack(buckets []int) (writes []Placement, carry []int) 
 	// still hold 2s, run Rearrange on ⌊H/2⌋ of them; each call removes at
 	// least ⌈H/4⌉, so the loop runs at most twice.
 	round := 1
-	for len(twoCols) >= bl.cfg.H/2 && bl.cfg.H >= 2 {
-		moved := bl.rearrange(buckets, assigned, twoCols, round)
+	for twos >= bl.cfg.H/2 && bl.cfg.H >= 2 {
+		moved := bl.rearrange(buckets, round)
 		writes = append(writes, moved...)
 		if len(moved) == 0 {
 			break // degenerate instance; remaining blocks will be carried
 		}
+		twos -= len(moved)
 		round++
 	}
 
-	// Remaining 2s become unprocessed blocks: decrement X (line 7's
-	// compensation) and report them as carry.
-	for _, j := range sortedValues(twoCols) {
-		bl.x[buckets[j]][assigned[j]]--
-		carry = append(carry, j)
+	// Remaining 2s become unprocessed blocks, in column order: decrement X
+	// (line 7's compensation) and report them as carry.
+	for _, j := range twoAt {
+		if j >= 0 {
+			bl.x[buckets[j]][assigned[j]]--
+			carry = append(carry, j)
+		}
 	}
 
 	bl.stats.BlocksPlaced += len(writes)
@@ -309,26 +330,24 @@ func (bl *Balancer) PlaceTrack(buckets []int) (writes []Placement, carry []int) 
 	return writes, carry
 }
 
-// rearrange is Algorithm 6: build the bipartite instance over the columns
-// in twoCols, match, and move each matched block to its zero column. Matched
-// entries are deleted from twoCols. The returned placements share one write
-// round (one parallel memory reference).
-func (bl *Balancer) rearrange(buckets, assigned []int, twoCols map[int]int, round int) []Placement {
+// rearrange is Algorithm 6: build the bipartite instance over the first
+// ⌊H/2⌋ columns holding 2s, match, and move each matched block to its zero
+// column. Matched columns are cleared from twoAt. The returned placements
+// share one write round (one parallel memory reference).
+func (bl *Balancer) rearrange(buckets []int, round int) []Placement {
 	sp := bl.cfg.Parent.Child("sort", "repair-rearrange", 0)
-	cols := sortedKeys(twoCols)
 	// U is at most ⌊H/2⌋ columns ("the next ⌊H'/2⌋ 2s").
-	if len(cols) > bl.cfg.H/2 {
-		cols = cols[:bl.cfg.H/2]
+	var cols []int
+	for h, j := range bl.twoAt {
+		if j >= 0 && len(cols) < bl.cfg.H/2 {
+			cols = append(cols, h)
+		}
 	}
-	a := bl.Aux()
 	g := matching.NewGraph(bl.cfg.H, len(cols))
 	for i, h := range cols {
 		g.U[i] = h
-		b := buckets[twoCols[h]]
-		for v := 0; v < bl.cfg.H; v++ {
-			if a[b][v] == 0 {
-				g.Adj[i][v] = true
-			}
+		for v, a := range bl.auxRow(buckets[bl.twoAt[h]]) {
+			g.Adj[i][v] = a == 0
 		}
 	}
 
@@ -349,13 +368,13 @@ func (bl *Balancer) rearrange(buckets, assigned []int, twoCols map[int]int, roun
 	var moved []Placement
 	for _, pr := range res.Pairs {
 		h := g.U[pr.I]
-		j := twoCols[h]
+		j := bl.twoAt[h]
 		b := buckets[j]
 		// Swap the placement: the 2 at (b, h) moves to the 0 at (b, pr.V).
 		bl.x[b][h]--
 		bl.x[b][pr.V]++
 		moved = append(moved, Placement{Block: j, VDisk: pr.V, Round: round})
-		delete(twoCols, h)
+		bl.twoAt[h] = -1
 		bl.stats.RearrangeMoves++
 	}
 	sp.End(
@@ -364,35 +383,6 @@ func (bl *Balancer) rearrange(buckets, assigned []int, twoCols map[int]int, roun
 		obs.Attr{Key: "moved", Val: int64(len(moved))},
 	)
 	return moved
-}
-
-// sortedKeys returns the map's keys in increasing order (deterministic
-// iteration for the deterministic algorithm).
-func sortedKeys(m map[int]int) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	insertionSortInts(out)
-	return out
-}
-
-// sortedValues returns the map's values ordered by key.
-func sortedValues(m map[int]int) []int {
-	keys := sortedKeys(m)
-	out := make([]int, len(keys))
-	for i, k := range keys {
-		out[i] = m[k]
-	}
-	return out
-}
-
-func insertionSortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // PlaceStream drives the track discipline over an arbitrary stream of

@@ -270,7 +270,7 @@ func TestInvariant2Property(t *testing.T) {
 	// Property: for any bucket-label stream, invariant 2 holds after every
 	// track and the balance factor stays bounded.
 	f := func(seed uint64, sRaw, hRaw uint8) bool {
-		s := 1 + int(sRaw%16)
+		s := 1 + int(sRaw) // up to 256, the widest size-aware fan-out
 		h := 1 + int(hRaw%16)
 		bl := New(Config{S: s, H: h})
 		rng := record.NewRNG(seed)
@@ -293,6 +293,28 @@ func TestInvariant2Property(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPlaceTrackAllocsIndependentOfS pins the per-track cost: placement
+// reads A only on the track's own rows, so a pass with 256 buckets
+// allocates no more per track than one with 4. Both see the same labels.
+func TestPlaceTrackAllocsIndependentOfS(t *testing.T) {
+	perTrack := func(s int) float64 {
+		bl := New(Config{S: s, H: 8})
+		rng := record.NewRNG(1)
+		track := make([]int, 8)
+		return testing.AllocsPerRun(200, func() {
+			for j := range track {
+				track[j] = rng.Intn(4)
+			}
+			bl.PlaceTrack(track)
+		})
+	}
+	few, many := perTrack(4), perTrack(256)
+	t.Logf("allocations per track: %.1f at S=4, %.1f at S=256", few, many)
+	if many > few {
+		t.Fatalf("PlaceTrack allocates %.1f times per track at S=256, %.1f at S=4", many, few)
 	}
 }
 

@@ -24,8 +24,9 @@ type DiskConfig struct {
 	// V is the number of virtual disks for partial striping; 0 selects D
 	// (no striping), the paper's default for the disk model.
 	V int
-	// S overrides the bucket count; 0 selects the paper's S = (M/B)^{1/4},
-	// floored at 2.
+	// S fixes the bucket count of every distribution pass (floored at 2);
+	// 0 = the size-aware fan-out, which picks each pass's count with Fanout.
+	// PaperS gives the paper's constant.
 	S int
 	// P is the number of PRAM processors doing the internal work; 0 means 1.
 	P int
@@ -163,7 +164,6 @@ type DiskSorter struct {
 	cpu *pram.Machine
 	cfg DiskConfig
 
-	s       int // buckets per pass
 	memload int // records per memoryload (phase-1 unit), B-aligned
 
 	// Host buffers reused across steps so the in-memory work allocates
@@ -194,19 +194,11 @@ func NewDiskSorter(arr *pdm.Array, cfg DiskConfig) *DiskSorter {
 	if cfg.TCost == nil {
 		cfg.TCost = matching.PRAMCost
 	}
-	s := cfg.S
-	if s == 0 {
-		s = int(math.Floor(math.Pow(float64(p.M)/float64(p.B), 0.25)))
-	}
-	if s < 2 {
-		s = 2
-	}
 	ds := &DiskSorter{
 		arr: arr,
 		vd:  pdm.NewVirtual(arr, cfg.V),
 		cpu: pram.NewVariant(cfg.P, cfg.PRAM),
 		cfg: cfg,
-		s:   s,
 	}
 	// The distribution pass keeps one track, the pending/carried blocks of
 	// the previous track, and the partial per-bucket pools resident at
@@ -215,14 +207,78 @@ func NewDiskSorter(arr *pdm.Array, cfg DiskConfig) *DiskSorter {
 	if 4*p.D*p.B > p.M {
 		panic(fmt.Sprintf("core: DB = %d exceeds M/4 = %d; the sorter needs that headroom", p.D*p.B, p.M/4))
 	}
-	ds.memload = (p.M / 2 / p.B) * p.B
+	ds.memload = Memoryload(p)
 	if ds.memload < ds.vd.V()*ds.vd.VB() {
 		panic(fmt.Sprintf("core: memoryload %d smaller than one track %d", ds.memload, ds.vd.V()*ds.vd.VB()))
 	}
-	if ds.s*ds.vd.VB() > p.M/4 {
-		panic(fmt.Sprintf("core: S*VB = %d exceeds M/4 = %d; lower S or V", ds.s*ds.vd.VB(), p.M/4))
+	if err := CheckBuckets(p, ds.vd.VB(), cfg.S); err != nil {
+		panic(err.Error())
 	}
 	return ds
+}
+
+// Memoryload is the phase-1 unit: ⌊M/2B⌋·B records, one B-aligned half of
+// internal memory. A subproblem of at most this many records is a base case.
+func Memoryload(p pdm.Params) int { return (p.M / 2 / p.B) * p.B }
+
+// PaperS is the paper's bucket count, S = ⌊(M/B)^{1/4}⌋ floored at 2: the
+// largest S with S⁴·B ≤ M, found in integers so an exact fourth power is
+// not rounded down. The experiments pass it explicitly so they reproduce
+// the paper's constant.
+func PaperS(p pdm.Params) int {
+	s := 2
+	for t := s + 1; t*t*t*t*p.B <= p.M; t++ {
+		s = t
+	}
+	return s
+}
+
+// Fanout is the size-aware bucket count of one distribution pass over n
+// records with virtual blocks of vb records. Theorem 1 holds for any fixed
+// exponent c in S = (M/B)^c, so the pass takes just enough buckets that
+// every bucket fits one memoryload L: the partition elements bound a
+// bucket by 2n/S, so S = ⌈2n/L⌉. Two caps apply. maxBuckets keeps the
+// pass inside internal memory. S ≤ ⌊(M/4)/runs⌋, with runs = ⌈n/L⌉,
+// keeps one sample per run inside every bucket of phase 1's M/4-record
+// sample; without it the 2n/S bound fails. The floor is 2, so a subproblem
+// just over L gets a 2- or 3-way split rather than a full pass.
+func Fanout(n int, p pdm.Params, vb int) int {
+	load := Memoryload(p)
+	runs := (n + load - 1) / load
+	limit := maxBuckets(p, vb)
+	if runs > 0 {
+		limit = min(limit, p.M/4/runs)
+	}
+	return max(2, min((2*n+load-1)/load, limit))
+}
+
+// maxBuckets is the largest bucket count a distribution pass with virtual
+// blocks of vb records (h = DB/vb virtual disks) holds in internal memory.
+// The S partial block pools get the M/4 records reserved for them,
+// S·VB ≤ M/4, and the whole of phase 3 must fit M. Phase 3 keeps S−1
+// pivots, ⌊3Sh/2⌋ words of balancer matrices, fewer than VB records in
+// each pool, fewer than h blocks queued for placement, and the h·VB-record
+// track being read: at most S·VB + ⌊3Sh/2⌋ + 2DB − VB − 1 words. Rounding
+// the matrix words up to S·⌈3h/2⌉ gives the bound in closed form. The
+// result may be below 2 at a geometry too small for any pass.
+func maxBuckets(p pdm.Params, vb int) int {
+	h := p.D * p.B / vb
+	return min(p.M/(4*vb), (p.M-2*p.D*p.B+vb+1)/(vb+(3*h+1)/2))
+}
+
+// CheckBuckets reports whether a distribution pass can run with bucket
+// count s (0 = the size-aware fan-out) and virtual blocks of vb records:
+// s must not be negative or exceed maxBuckets. Every pass uses at least
+// two buckets, so s = 0 and s = 1 need room for two.
+func CheckBuckets(p pdm.Params, vb, s int) error {
+	if s < 0 {
+		return fmt.Errorf("core: negative bucket count S = %d", s)
+	}
+	if limit := maxBuckets(p, vb); max(s, 2) > limit {
+		return fmt.Errorf("core: S = %d buckets exceed the %d a distribution pass fits in M = %d with VB = %d; lower S or V",
+			max(s, 2), limit, p.M, vb)
+	}
+	return nil
 }
 
 // CPU exposes the PRAM cost model (for experiment harnesses).
@@ -236,9 +292,6 @@ func (ds *DiskSorter) internalSort(rs []record.Record) {
 	}
 	ds.cpu.Sort(rs)
 }
-
-// S returns the bucket count per distribution pass.
-func (ds *DiskSorter) S() int { return ds.s }
 
 // Metrics returns the metrics of the last Sort call.
 func (ds *DiskSorter) Metrics() Metrics { return ds.met }
@@ -382,6 +435,16 @@ func (ds *DiskSorter) newBlock() []record.Record {
 	return make([]record.Record, 0, ds.vd.VB())
 }
 
+// buckets is the bucket count of a distribution pass over n records: the
+// configured S when set, else the size-aware fan-out. It depends only on n
+// and the geometry, so a resumed sort recomputes it exactly.
+func (ds *DiskSorter) buckets(n int) int {
+	if ds.cfg.S > 0 {
+		return max(2, ds.cfg.S)
+	}
+	return Fanout(n, ds.arr.Params(), ds.vd.VB())
+}
+
 // distribute is one pass of Algorithm 1's else-branch on the disk model:
 // form sorted runs while sampling (phase 1), pick partition elements
 // (phase 2), stream the runs through the balancer into per-bucket block
@@ -445,7 +508,7 @@ func (ds *DiskSorter) distribute(pass obs.Active, src source, depth int) []Sourc
 	// --- Phase 2: partition elements from the sample ---------------------
 	phase2 := pass.Child("sort", "partition-elements", 0)
 	ds.internalSort(sample)
-	s := ds.s
+	s := ds.buckets(n)
 	pivots := make([]record.Record, 0, s-1)
 	for j := 1; j < s; j++ {
 		idx := j*len(sample)/s - 1

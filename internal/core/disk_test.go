@@ -177,13 +177,26 @@ func TestBucketSizesBounded(t *testing.T) {
 func TestMemoryNeverExceedsM(t *testing.T) {
 	// The Mem tracker panics on overflow, so surviving the run is the
 	// assertion; additionally the peak must be meaningfully below M.
-	in := record.Generate(record.Uniform, 16000, 12)
-	_, ds := sortOnDisks(t, smallParams(), DiskConfig{}, in)
-	if peak := ds.Metrics().MemPeak; peak > smallParams().M {
-		t.Fatalf("memory peak %d exceeds M = %d", peak, smallParams().M)
-	}
-	if ds.Metrics().MemPeak == 0 {
-		t.Fatal("memory accounting recorded nothing")
+	for _, tc := range []struct {
+		p pdm.Params
+		n int
+	}{
+		{smallParams(), 16000},
+		// DB = M/4 and more virtual disks than a block has records: a
+		// pass's balancer matrices and track take as much memory as its
+		// block pools, so they, not the pools, cap the fan-out.
+		{pdm.Params{D: 8, B: 4, M: 128}, 256},
+		{pdm.Params{D: 16, B: 8, M: 512}, 2048},
+	} {
+		in := record.Generate(record.Uniform, tc.n, 12)
+		out, ds := sortOnDisks(t, tc.p, DiskConfig{}, in)
+		checkSorted(t, in, out)
+		if peak := ds.Metrics().MemPeak; peak > tc.p.M {
+			t.Fatalf("%+v: memory peak %d exceeds M", tc.p, peak)
+		}
+		if ds.Metrics().MemPeak == 0 {
+			t.Fatal("memory accounting recorded nothing")
+		}
 	}
 }
 
@@ -192,6 +205,12 @@ func TestIOsWithinConstantOfLowerBound(t *testing.T) {
 	in := record.Generate(record.Uniform, 1<<16, 13)
 	out, ds := sortOnDisks(t, p, DiskConfig{}, in)
 	checkSorted(t, in, out)
+	// The sample cap holds the top level to 8 buckets of ~8 memoryloads
+	// each, so the bound must also hold across a re-distribution from the
+	// bucket chains.
+	if d := ds.Metrics().Depth; d < 2 {
+		t.Fatalf("depth = %d, want >= 2", d)
+	}
 	lb := LowerBoundIOs(len(in), p)
 	ratio := float64(ds.Metrics().IOs) / lb
 	if ratio > 12 {
@@ -245,22 +264,57 @@ func TestLowerBoundFormula(t *testing.T) {
 	}
 }
 
-func TestSConfigOverride(t *testing.T) {
-	arr := pdm.New(smallParams())
-	defer arr.Close()
-	ds := NewDiskSorter(arr, DiskConfig{S: 3})
-	if ds.S() != 3 {
-		t.Fatalf("S = %d, want 3", ds.S())
+// TestFanout pins the per-pass bucket count: the size-aware rule at the
+// benchmark geometries, where each of its bounds binds, and an explicit S,
+// which every pass uses as given.
+func TestFanout(t *testing.T) {
+	sortDist := pdm.Params{D: 8, B: 64, M: 1 << 14}
+	for _, tc := range []struct {
+		name string
+		p    pdm.Params
+		s, n int // s is DiskConfig.S; 0 selects the size-aware rule
+		want int
+	}{
+		// ⌈2n/L⌉ = 64 buckets of at most one memoryload each; S·VB = M/4.
+		{"sort-dist", sortDist, 0, 1 << 18, 64},
+		// One record over L: a 3-way split, not a full pass.
+		{"just over one memoryload", sortDist, 0, Memoryload(sortDist) + 1, 3},
+		// 128 runs share the M/4 sample: (M/4)/runs = 32 < ⌈2n/L⌉ = 256.
+		{"sample cap", sortDist, 0, 1 << 20, 32},
+		// 63 runs leave room for two buckets.
+		{"smallParams", smallParams(), 0, 16000, 2},
+		// DB = M/4 with many small blocks: the balancer matrices and the
+		// track, not the pools, cap S below ⌈2n/L⌉ = 8 and 16.
+		{"memory cap, D=8", pdm.Params{D: 8, B: 4, M: 128}, 0, 256, 4},
+		{"memory cap, D=16", pdm.Params{D: 16, B: 8, M: 512}, 0, 2048, 8},
+		{"explicit S", smallParams(), 3, 16000, 3},
+	} {
+		arr := pdm.New(tc.p)
+		ds := NewDiskSorter(arr, DiskConfig{S: tc.s})
+		if got := ds.buckets(tc.n); got != tc.want {
+			t.Errorf("%s: buckets(%d) = %d, want %d", tc.name, tc.n, got, tc.want)
+		}
+		if got := Fanout(tc.n, tc.p, tc.p.B); tc.s == 0 && got != tc.want {
+			t.Errorf("%s: Fanout(%d) = %d, want %d", tc.name, tc.n, got, tc.want)
+		}
+		arr.Close()
 	}
 }
 
-func TestDefaultSFollowsPaper(t *testing.T) {
-	arr := pdm.New(pdm.Params{D: 4, B: 8, M: 2048})
-	defer arr.Close()
-	ds := NewDiskSorter(arr, DiskConfig{})
-	// (M/B)^{1/4} = 256^{1/4} = 4.
-	if ds.S() != 4 {
-		t.Fatalf("default S = %d, want 4", ds.S())
+func TestPaperS(t *testing.T) {
+	for _, tc := range []struct {
+		p    pdm.Params
+		want int
+	}{
+		{pdm.Params{D: 4, B: 8, M: 2048}, 4},     // (M/B)^{1/4} = 256^{1/4}
+		{pdm.Params{D: 8, B: 64, M: 1 << 15}, 4}, // 512^{1/4} ≈ 4.76
+		{pdm.Params{D: 4, B: 8, M: 256}, 2},      // 32^{1/4} ≈ 2.38
+		{pdm.Params{D: 1, B: 1, M: 1 << 16}, 16}, // 65536^{1/4}
+		{pdm.Params{D: 1, B: 4, M: 32}, 2},       // 8^{1/4} ≈ 1.68, floored at 2
+	} {
+		if got := PaperS(tc.p); got != tc.want {
+			t.Errorf("PaperS(%+v) = %d, want %d", tc.p, got, tc.want)
+		}
 	}
 }
 
@@ -322,8 +376,8 @@ func TestSortRandomConfigurations(t *testing.T) {
 		}
 		p := pdm.Params{D: d, B: b, M: m}
 		cfg := DiskConfig{V: v, S: s, P: 1 + rng.Intn(4)}
-		if s != 0 && s*(b*d/v) > m/4 {
-			continue // would violate the pool budget; not a legal config
+		if CheckBuckets(p, b*d/v, s) != nil {
+			continue // a pass would overflow internal memory; not a legal config
 		}
 		w := record.AllWorkloads[rng.Intn(len(record.AllWorkloads))]
 		n := 500 + rng.Intn(8000)

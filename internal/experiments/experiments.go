@@ -29,7 +29,12 @@ const (
 )
 
 // diskRun sorts a workload on a fresh array and returns the sorter metrics.
+// An unset S runs the paper's S = ⌊(M/B)^{1/4}⌋, the constant the tables
+// reproduce, rather than the sorter's size-aware fan-out.
 func diskRun(p pdm.Params, cfg core.DiskConfig, w record.Workload, n int, seed uint64) core.Metrics {
+	if cfg.S == 0 {
+		cfg.S = core.PaperS(p)
+	}
 	arr := pdm.New(p)
 	defer arr.Close()
 	ds := core.NewDiskSorter(arr, cfg)

@@ -328,7 +328,7 @@ func E16(s Scale) *stats.Table {
 	} {
 		for _, w := range []record.Workload{record.Uniform, record.BucketSkew} {
 			arr := pdm.New(p)
-			ds := core.NewDiskSorter(arr, core.DiskConfig{Placement: pl.p, Seed: 16})
+			ds := core.NewDiskSorter(arr, core.DiskConfig{S: core.PaperS(p), Placement: pl.p, Seed: 16})
 			in := ds.WriteInput(record.Generate(w, n, 16))
 			segs := ds.Sort(in.Off, in.N)
 			verifySegments(ds, segs, n)

@@ -349,12 +349,7 @@ func (s *Server) runJob(t *Ticket) {
 	if man.Params.Cluster {
 		err = s.runClusterJob(ctx, inPath, outPath, scratch, &man, oc)
 	} else {
-		cfg := s.opt.Sort
-		cfg.Disks = man.Params.Disks
-		cfg.BlockSize = man.Params.BlockSize
-		cfg.Memory = man.Params.Memory
-		cfg.Buckets = man.Params.Buckets
-		cfg.Engine = balancesort.Engine(man.Params.SortEngine)
+		cfg := s.sortConfig(man.Params)
 		cfg.Robust.Journal = true
 		cfg.Obs = oc
 
@@ -736,7 +731,26 @@ func (s *Server) params(req submitRequest) (SortParams, error) {
 	if 4*p.Disks*p.BlockSize > p.Memory {
 		return p, fmt.Errorf("DB = %d needs M >= %d (got %d): %w", p.Disks*p.BlockSize, 4*p.Disks*p.BlockSize, p.Memory, ErrBadRequest)
 	}
+	if p.Cluster {
+		return p, nil // buckets is the cluster's key-range count, not a pass's S
+	}
+	// A local job's buckets is the sort's fixed S.
+	if err := s.sortConfig(p).Validate(); err != nil {
+		return p, fmt.Errorf("%v: %w", err, ErrBadRequest)
+	}
 	return p, nil
+}
+
+// sortConfig is the server's base Sort config with a local job's
+// parameters applied.
+func (s *Server) sortConfig(p SortParams) balancesort.Config {
+	cfg := s.opt.Sort
+	cfg.Disks = p.Disks
+	cfg.BlockSize = p.BlockSize
+	cfg.Memory = p.Memory
+	cfg.Buckets = p.Buckets
+	cfg.Engine = balancesort.Engine(p.SortEngine)
+	return cfg
 }
 
 func queryInt(r *http.Request, key string) (int, error) {

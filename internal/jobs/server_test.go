@@ -268,9 +268,25 @@ func TestServerLocalPathSubmit(t *testing.T) {
 	}
 }
 
+// TestServerQuarterMemoryGeometry runs a local job with the default
+// bucket count at DB = M/4 on 16 disks, where a distribution pass's
+// balancer matrices and track take as much memory as its block pools. The
+// sort must finish with the reference output, not panic in the job
+// goroutine and take the server down.
+func TestServerQuarterMemoryGeometry(t *testing.T) {
+	input := matrixInput(t)
+	want := matrixReference(t, input)
+	_, ts := newTestServer(t, Options{Workers: 1})
+	st := submitUpload(t, ts.URL, "", "?disks=16&block=8&memory=512", input)
+	waitState(t, ts.URL, "", st.ID, StateDone, 30*time.Second)
+	if got := download(t, ts.URL, "", st.ID); !bytes.Equal(got, want) {
+		t.Fatal("output differs from direct SortFile")
+	}
+}
+
 // TestServerRejections drives the admission errors through HTTP: bad
-// input size (400), memory over budget (507), tenant over quota (429),
-// output before done (409), unknown job (404).
+// input size, geometry or bucket count (400), memory over budget (507),
+// tenant over quota (429), output before done (409), unknown job (404).
 func TestServerRejections(t *testing.T) {
 	_, ts := newTestServer(t, Options{
 		Workers: 1,
@@ -289,6 +305,12 @@ func TestServerRejections(t *testing.T) {
 	// 400: bad geometry (M < 4DB).
 	if _, code := trySubmitUpload(t, ts.URL, "", "?disks=4&block=8&memory=100", input); code != http.StatusBadRequest {
 		t.Fatalf("bad geometry: %d, want 400", code)
+	}
+	// 400: a local job's buckets is the pass's S, and 100000 buckets cannot
+	// fit M = 1024 (the job goroutine used to panic in the sorter and take
+	// the server down).
+	if _, code := trySubmitUpload(t, ts.URL, "", "?disks=4&block=8&memory=1024&buckets=100000", input); code != http.StatusBadRequest {
+		t.Fatalf("oversized bucket count: %d, want 400", code)
 	}
 	// 400: bad tenant name.
 	if _, code := trySubmitUpload(t, ts.URL, "no spaces", matrixQuery, input); code != http.StatusBadRequest {

@@ -11,14 +11,14 @@
 //
 // The model is deliberately simple and closed-form. Every external engine
 // moves the dataset passes × 2 times (read + write) in ⌈N/DB⌉-I/O sweeps;
-// engines differ in how many passes their fan-in/fan-out affords and in a
-// calibrated per-engine efficiency factor (partial-width writes and
-// bookkeeping traffic) fitted against the committed BENCH_sort.json:
+// engines differ only in how many passes they make:
 //
-//   - balancesort:  fan-out S = ⌊(M/B)^{1/4}⌋ per distribution pass,
-//     memoryload base case; factor ≈ 2.0 (tracks, partial-width bucket
-//     writes, partition-element sampling).
-//   - stripedmerge: fan-in M/(2DB); factor 1.0 (every I/O full-width).
+//   - balancesort:  each distribution level is two sweeps (run formation,
+//     then distribution into buckets) and the memoryload base case one.
+//     Levels follow the sorter's own size-aware fan-out (core.Fanout) at
+//     the geometry's virtual block size, each shrinking the largest
+//     bucket to ⌈2·span/S⌉.
+//   - stripedmerge: run formation plus ⌈log_{M/(2DB)} runs⌉ merge passes.
 //   - inmem:        one read + one write pass, only when N fits a
 //     half-memory load.
 //
@@ -54,6 +54,9 @@ type Geometry struct {
 	D int `json:"d"`
 	B int `json:"b"`
 	M int `json:"m"`
+	// V is Balance Sort's virtual-disk count for partial striping (0 = D);
+	// it must divide D. Its virtual blocks of D/V·B records set the fan-out.
+	V int `json:"v,omitempty"`
 	// RecordBytes is the on-disk width of one record (0 = 16).
 	RecordBytes int `json:"record_bytes,omitempty"`
 }
@@ -121,13 +124,6 @@ func (p *Plan) Predicted() Prediction {
 	return Prediction{}
 }
 
-// Calibrated per-engine efficiency factors (measured I/Os ÷ ideal
-// passes·2·⌈N/DB⌉ at the committed bench geometries).
-const (
-	factorBalance = 2.0
-	factorStriped = 1.0
-)
-
 // Choose validates the geometry, predicts every engine, and picks the
 // cheapest feasible one (ties break by the Engines preference order).
 func Choose(g Geometry, t Throughput) (*Plan, error) {
@@ -137,6 +133,9 @@ func Choose(g Geometry, t Throughput) (*Plan, error) {
 	p := pdm.Params{D: g.D, B: g.B, M: g.M}
 	if err := p.Validate(); err != nil {
 		return nil, err
+	}
+	if g.V < 0 || g.V > 0 && g.D%g.V != 0 {
+		return nil, fmt.Errorf("plan: V = %d does not divide D = %d", g.V, g.D)
 	}
 	if g.RecordBytes <= 0 {
 		g.RecordBytes = 16
@@ -180,10 +179,7 @@ func Choose(g Geometry, t Throughput) (*Plan, error) {
 func predict(engine string, g Geometry, p pdm.Params, t Throughput) Prediction {
 	pr := Prediction{Engine: engine}
 	sweeps := math.Ceil(float64(g.N) / float64(p.D*p.B)) // I/Os per full read or write of the data
-	memload := (p.M / 2 / p.B) * p.B
-	if memload < 1 {
-		memload = 1
-	}
+	memload := core.Memoryload(p)
 	runs := ceilDiv(g.N, memload)
 
 	switch engine {
@@ -206,28 +202,26 @@ func predict(engine string, g Geometry, p pdm.Params, t Throughput) Prediction {
 		}
 		pr.Feasible = true
 		pr.Passes = 1 + mergePasses(runs, arity)
-		pr.IOs = float64(pr.Passes) * 2 * sweeps * factorStriped
 	case EngineBalanceSort:
 		if 4*p.D*p.B > p.M {
 			pr.Reason = fmt.Sprintf("DB=%d needs M>=%d", p.D*p.B, 4*p.D*p.B)
 			return pr
 		}
-		s := int(math.Floor(math.Pow(float64(p.M)/float64(p.B), 0.25)))
-		if s < 2 {
-			s = 2
+		vb := p.B
+		if g.V > 0 {
+			vb = p.D / g.V * p.B
 		}
-		// Distribution levels until buckets fit a memoryload.
-		levels := 0
-		for span := g.N; span > memload; span = ceilDiv(span, s) {
-			levels++
+		if err := core.CheckBuckets(p, vb, 0); err != nil {
+			pr.Reason = err.Error()
+			return pr
 		}
 		pr.Feasible = true
-		pr.Passes = levels + 1
-		pr.IOs = float64(pr.Passes) * 2 * sweeps * factorBalance
+		pr.Passes = 2*distributionLevels(g.N, p, vb) + 1
 	default:
 		pr.Reason = "unknown engine"
 		return pr
 	}
+	pr.IOs = float64(pr.Passes) * 2 * sweeps
 
 	pr.Bytes = pr.IOs * float64(p.D*p.B) * float64(g.RecordBytes)
 	// Half the volume is read, half written, across D disks in parallel.
@@ -254,6 +248,22 @@ func PhaseBudgetSeconds(records, recordBytes int) float64 {
 		return 0
 	}
 	return p.Predicted().Seconds
+}
+
+// distributionLevels counts Balance Sort's distribution levels over n
+// records with virtual blocks of vb records: each level takes the sorter's
+// fan-out S for the largest bucket left, whose size the partition
+// elements bound by ⌈2·span/S⌉, until that bucket fits one memoryload.
+// At S = 2 the bound predicts no progress, while the sorter panics rather
+// than leave one bucket holding everything; the model then takes three
+// quarters of the span, so the count stays finite and grows with the span.
+func distributionLevels(n int, p pdm.Params, vb int) int {
+	memload := core.Memoryload(p)
+	levels := 0
+	for span := n; span > memload; levels++ {
+		span = min(ceilDiv(2*span, core.Fanout(span, p, vb)), 3*span/4)
+	}
+	return levels
 }
 
 // mergePasses is ⌈log_arity(runs)⌉ for runs ≥ 1.

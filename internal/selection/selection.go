@@ -19,24 +19,25 @@ func Select(rs []record.Record, k int) record.Record {
 
 // SelectInts returns the k-th smallest of xs (0-indexed), used for the
 // histogram-row medians where the values are block counts, not records.
-// It does not modify xs.
-func SelectInts(xs []int, k int) int {
+// It does not modify xs. It selects in scratch when scratch has room for
+// len(xs) entries, and so allocates nothing; nil scratch allocates a copy.
+func SelectInts(scratch, xs []int, k int) int {
 	if k < 0 || k >= len(xs) {
 		panic("selection: rank out of range")
 	}
-	work := append([]int(nil), xs...)
-	return intSelect(work, k)
+	return intSelect(append(scratch[:0], xs...), k)
 }
 
 // RowMedian returns the paper's median of a histogram row: the ceil(n/2)-th
 // smallest element (1-indexed), per the convention in Section 4.1 footnote 3
-// ("the median is always the ceil(D/2)-th smallest element").
-func RowMedian(xs []int) int {
+// ("the median is always the ceil(D/2)-th smallest element"). scratch is as
+// for SelectInts.
+func RowMedian(scratch, xs []int) int {
 	if len(xs) == 0 {
 		panic("selection: median of empty row")
 	}
 	k := (len(xs)+1)/2 - 1 // ceil(n/2)-th smallest, 0-indexed
-	return SelectInts(xs, k)
+	return SelectInts(scratch, xs, k)
 }
 
 func selectInPlace(rs []record.Record, k int) record.Record {
@@ -124,19 +125,19 @@ func intSelect(xs []int, k int) int {
 	}
 }
 
+// intMedianOfMedians permutes xs in place: it sorts each group of five and
+// swaps the group's median to the front, so the selection allocates
+// nothing. Callers only rely on xs keeping its multiset.
 func intMedianOfMedians(xs []int) int {
-	n := (len(xs) + 4) / 5
-	meds := make([]int, 0, n)
+	n := 0
 	for i := 0; i < len(xs); i += 5 {
-		j := i + 5
-		if j > len(xs) {
-			j = len(xs)
-		}
-		g := append([]int(nil), xs[i:j]...)
+		g := xs[i:min(i+5, len(xs))]
 		intInsertionSort(g)
-		meds = append(meds, g[(len(g)-1)/2])
+		mid := i + (len(g)-1)/2
+		xs[n], xs[mid] = xs[mid], xs[n]
+		n++
 	}
-	return intSelect(meds, (len(meds)-1)/2)
+	return intSelect(xs[:n], (n-1)/2)
 }
 
 func intPartition3(xs []int, pivot int) (lt, gt int) {

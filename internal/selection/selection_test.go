@@ -62,7 +62,7 @@ func TestSelectIntsQuick(t *testing.T) {
 			xs[i] = int(v)
 		}
 		k := int(kraw) % len(xs)
-		got := SelectInts(xs, k)
+		got := SelectInts(nil, xs, k)
 		sorted := append([]int(nil), xs...)
 		sort.Ints(sorted)
 		return got == sorted[k]
@@ -87,7 +87,7 @@ func TestRowMedianConvention(t *testing.T) {
 		{[]int{9, 7, 5, 3, 1}, 5},
 	}
 	for _, c := range cases {
-		if got := RowMedian(c.xs); got != c.want {
+		if got := RowMedian(nil, c.xs); got != c.want {
 			t.Fatalf("RowMedian(%v) = %d, want %d", c.xs, got, c.want)
 		}
 	}
@@ -99,12 +99,12 @@ func TestRowMedianEmptyPanics(t *testing.T) {
 			t.Fatal("empty row did not panic")
 		}
 	}()
-	RowMedian(nil)
+	RowMedian(nil, nil)
 }
 
 func TestRowMedianDoesNotMutate(t *testing.T) {
 	xs := []int{5, 4, 3, 2, 1}
-	RowMedian(xs)
+	RowMedian(make([]int, len(xs)), xs)
 	want := []int{5, 4, 3, 2, 1}
 	for i := range xs {
 		if xs[i] != want[i] {

@@ -1,6 +1,7 @@
 package balancesort
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -171,6 +172,58 @@ func TestCrashMatrixResume(t *testing.T) {
 	}
 }
 
+// TestCrashResumeSizeAwareFanout kills a journaled sort that runs the
+// size-aware fan-out (Buckets = 0) across its two distribution levels. The
+// journal records no per-pass S, so each resume recomputes it from the
+// pending subproblem's size: the output must be byte-identical to the
+// uninterrupted run at no more than one redone pass of extra I/Os.
+func TestCrashResumeSizeAwareFanout(t *testing.T) {
+	dir := t.TempDir()
+	inPath := filepath.Join(dir, "in.bin")
+	if err := WriteRecordFile(inPath, NewWorkload(Uniform, 20000, 22)); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Disks: 4, BlockSize: 8, Memory: 1024, Robust: RobustConfig{Journal: true}}
+	basePath := filepath.Join(dir, "base.bin")
+	base, err := SortFile(inPath, basePath, filepath.Join(dir, "base-scratch"), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Depth < 2 {
+		t.Fatalf("depth %d; the test needs a second distribution level", base.Depth)
+	}
+	baseBytes, err := os.ReadFile(basePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One pass at most re-reads and re-writes the whole input twice.
+	maxStep := 4 * int64((20000+cfg.Disks*cfg.BlockSize-1)/(cfg.Disks*cfg.BlockSize))
+	for _, k := range []int{1, 2, 3, 5, 8, 13, 21, 34} {
+		scratch := filepath.Join(dir, "scratch")
+		outPath := filepath.Join(dir, "out.bin")
+		os.RemoveAll(scratch)
+		crash := cfg
+		crash.Robust.crashAfterCommits = k
+		if _, err := SortFile(inPath, outPath, scratch, crash); !errors.Is(err, core.ErrInjectedCrash) {
+			t.Fatalf("kill %d: got %v, want the injected crash", k, err)
+		}
+		res, err := ResumeSortFile(inPath, outPath, scratch, Config{})
+		if err != nil {
+			t.Fatalf("resume after kill %d: %v", k, err)
+		}
+		got, err := os.ReadFile(outPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, baseBytes) {
+			t.Fatalf("resume after kill %d: output differs from the uninterrupted run", k)
+		}
+		if res.IOs > base.IOs+maxStep {
+			t.Fatalf("resume after kill %d: %d I/Os, uninterrupted %d + one pass %d", k, res.IOs, base.IOs, maxStep)
+		}
+	}
+}
+
 // TestResumeRefusesCorruptScratch flips one byte of a committed scratch
 // block after a crash; the resume must surface the typed corruption error
 // and must not write an output file.
@@ -200,6 +253,61 @@ func TestResumeRefusesCorruptScratch(t *testing.T) {
 	}
 	if _, err := os.Stat(outPath); !os.IsNotExist(err) {
 		t.Fatal("corrupt resume emitted an output file")
+	}
+}
+
+// TestOversizedBucketsRejected checks that a bucket count whose
+// distribution pass cannot fit internal memory, or a negative one, comes
+// back from Sort, SortFile and a resume of a journal recording it as an
+// error, never as a panic out of the sorter, and leaves no output file.
+func TestOversizedBucketsRejected(t *testing.T) {
+	dir := t.TempDir()
+	inPath, in := writeMatrixInput(t, dir)
+	outPath := filepath.Join(dir, "out.bin")
+	for _, s := range []int{1000, -1} {
+		// The defaults (D=8 B=64 M=4096) fit at most 16 buckets.
+		if _, err := Sort(in, Config{Buckets: s}); err == nil {
+			t.Fatalf("Sort accepted Buckets = %d", s)
+		}
+		if _, err := SortFile(inPath, outPath, "", Config{Buckets: s}); err == nil {
+			t.Fatalf("SortFile accepted Buckets = %d", s)
+		}
+		if _, err := os.Stat(outPath); !os.IsNotExist(err) {
+			t.Fatalf("rejected Buckets = %d left an output file", s)
+		}
+	}
+
+	// A journal whose recorded S does not fit its own geometry.
+	scratch := filepath.Join(dir, "scratch")
+	cfg := matrixConfig()
+	cfg.Robust = RobustConfig{Journal: true, crashAfterCommits: 1}
+	if _, err := SortFile(inPath, outPath, scratch, cfg); !errors.Is(err, core.ErrInjectedCrash) {
+		t.Fatalf("got %v, want the injected crash", err)
+	}
+	jnl, entries, err := pdm.OpenJournalAppend(pdm.JournalPath(scratch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var js sortJournalState
+	if err := json.Unmarshal(entries[len(entries)-1].Payload, &js); err != nil {
+		t.Fatal(err)
+	}
+	js.S = 1000
+	payload, err := json.Marshal(js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jnl.Append(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumeSortFile(inPath, outPath, scratch, matrixConfig()); err == nil {
+		t.Fatal("resume accepted a journaled S = 1000")
+	}
+	if _, err := os.Stat(outPath); !os.IsNotExist(err) {
+		t.Fatal("rejected resume left an output file")
 	}
 }
 

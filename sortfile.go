@@ -114,13 +114,10 @@ func balanceSortFile(ctx context.Context, inPath, outPath, scratchDir string, cf
 		}
 		n = prior.N
 	} else {
-		p := pdm.Params{D: cfg.Disks, B: cfg.BlockSize, M: cfg.Memory}
-		if err := p.Validate(); err != nil {
+		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
-		if 4*p.D*p.B > p.M {
-			return nil, fmt.Errorf("balancesort: DB = %d needs M >= %d (got %d)", p.D*p.B, 4*p.D*p.B, p.M)
-		}
+		p := pdm.Params{D: cfg.Disks, B: cfg.BlockSize, M: cfg.Memory}
 
 		in, err := os.Open(inPath)
 		if err != nil {
@@ -369,12 +366,16 @@ func reopenScratch(ctx context.Context, scratchDir string, cfg *Config) (*pdm.Ar
 	if st.V == 0 {
 		st.V = st.D
 	}
-	if err := checkJournalState(&st, p, st.V); err != nil {
+	cfg.VirtualDisks = st.V
+	cfg.Buckets = st.S
+	err = cfg.Validate()
+	if err == nil {
+		err = checkJournalState(&st, p, st.V)
+	}
+	if err != nil {
 		jnl.Close()
 		return fail(err)
 	}
-	cfg.VirtualDisks = st.V
-	cfg.Buckets = st.S
 	arr.SetNextFree(st.NextFree)
 
 	var done []core.Region

@@ -1,9 +1,13 @@
 package balancesort
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"balancesort/internal/core"
+	"balancesort/internal/pdm"
 )
 
 func TestSortFileEndToEnd(t *testing.T) {
@@ -30,6 +34,51 @@ func TestSortFileEndToEnd(t *testing.T) {
 	}
 	if !Verify(in, out) {
 		t.Fatal("file sort output is not the sorted permutation of the input")
+	}
+}
+
+// TestSortFileSizeAwareFanout sorts the sort-dist benchmark's input (256Ki
+// uniform records, D=8 B=64 M=16Ki): the size-aware fan-out takes 64
+// buckets of at most one memoryload each, so one distribution pass does
+// what the paper's S = 4 needs 21 for. Theorem 4's read balance must hold
+// at the larger S, and the output must match the paper's S byte for byte.
+func TestSortFileSizeAwareFanout(t *testing.T) {
+	dir := t.TempDir()
+	inPath := filepath.Join(dir, "in.bin")
+	if err := WriteRecordFile(inPath, NewWorkload(Uniform, 1<<18, 1)); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Disks: 8, BlockSize: 64, Memory: 1 << 14}
+	sized := filepath.Join(dir, "sized.bin")
+	res, err := SortFile(inPath, sized, "", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Passes > 3 {
+		t.Errorf("%d distribution passes, want <= 3", res.Passes)
+	}
+	if r := float64(res.IOs) / res.IOLowerBound; r > 4.6 {
+		t.Errorf("%d I/Os are %.2fx the bound, want <= 4.6x", res.IOs, r)
+	}
+	if res.MaxBucketReadRatio > 2 {
+		t.Errorf("bucket read ratio %.2f exceeds Theorem 4's 2", res.MaxBucketReadRatio)
+	}
+
+	paper := filepath.Join(dir, "paper.bin")
+	cfg.Buckets = core.PaperS(pdm.Params{D: cfg.Disks, B: cfg.BlockSize, M: cfg.Memory})
+	if _, err := SortFile(inPath, paper, "", cfg); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(sized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(paper)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("size-aware output differs from the paper's S")
 	}
 }
 
