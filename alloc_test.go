@@ -14,7 +14,7 @@ func heapAllocBytes() uint64 {
 }
 
 // TestSortFileAllocBudget guards the allocation-free sort paths: a sort of
-// 64Ki records at D=8 B=64 M=16Ki with the I/O engine on reuses its radix
+// 64Ki records at D=8 B=64 M=16Ki through the I/O layer reuses its radix
 // scratch, memoryload, merge and block buffers, and a parallel I/O costs
 // no allocation of its own, so each engine allocates tens of bytes per
 // record, not the hundreds a fresh buffer, request and reply channel per
@@ -35,7 +35,7 @@ func TestSortFileAllocBudget(t *testing.T) {
 			if err := WriteRecordFile(in, NewWorkload(tc.dist, n, 3)); err != nil {
 				t.Fatal(err)
 			}
-			cfg := Config{Disks: 8, BlockSize: 64, Memory: 1 << 14, Engine: tc.engine, IO: IOConfig{Engine: true}}
+			cfg := Config{Disks: 8, BlockSize: 64, Memory: 1 << 14, Engine: tc.engine}
 
 			before := heapAllocBytes()
 			if _, err := SortFile(in, out, filepath.Join(dir, "scratch"), cfg); err != nil {

@@ -134,9 +134,9 @@ type Config struct {
 	CRCW bool
 	// Seed feeds the randomized variants.
 	Seed uint64
-	// IO configures the concurrent disk I/O engine for file-backed sorts
-	// (SortFile only; in-memory sorts ignore it). The zero value keeps
-	// the synchronous file stores.
+	// IO configures the I/O layer of file-backed sorts: fault injection
+	// and retries (SortFile and ResumeSortFile; in-memory sorts ignore
+	// it). The zero value injects nothing and retries with defaults.
 	IO IOConfig
 	// Robust configures checksums, journaling, and scrubbing for
 	// file-backed sorts (SortFile and ResumeSortFile; in-memory sorts
@@ -246,14 +246,14 @@ type Result struct {
 	Passes int `json:"passes"`
 	// MemPeak is the internal-memory high-water mark in records.
 	MemPeak int `json:"mem_peak"`
-	// IO carries the disk-engine metrics when the sort mounted the I/O
-	// engine (Config.IO.Engine with SortFile); nil otherwise.
+	// IO carries the I/O layer's per-disk metrics of a sort that used a
+	// scratch array (SortFile and ResumeSortFile); nil otherwise, as for
+	// an in-memory sort or the inmem engine.
 	IO *IOStats `json:"io,omitempty"`
-	// MeasuredThroughput is the per-disk device bandwidth the I/O engine
+	// MeasuredThroughput is the per-disk device bandwidth the I/O layer
 	// observed during this sort (bytes over device-busy time). Feed it into
 	// Config.Throughput so EngineAuto plans with measured rates; cluster
-	// workers do this automatically between shard sorts. Nil when no engine
-	// ran.
+	// workers do this automatically between shard sorts. Nil when IO is.
 	MeasuredThroughput *Throughput `json:"measured_throughput,omitempty"`
 	// Scrub carries the post-sort integrity sweep when the sort ran with
 	// Config.Robust.ScrubAfter; nil otherwise.
@@ -271,7 +271,12 @@ type Result struct {
 
 // Sort runs Balance Sort on a simulated disk array and returns the sorted
 // records with the model costs. The input slice is not modified.
-func Sort(recs []Record, cfg Config) (*Result, error) {
+func Sort(recs []Record, cfg Config) (res *Result, err error) {
+	defer func() {
+		if e := classifySortPanic(recover()); e != nil {
+			res, err = nil, e
+		}
+	}()
 	cfg.fill()
 	if err := cfg.Validate(); err != nil {
 		return nil, err

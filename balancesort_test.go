@@ -1,8 +1,12 @@
 package balancesort
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"balancesort/internal/core"
 	"balancesort/internal/record"
 )
 
@@ -313,5 +317,74 @@ func TestHierarchyHPrimeOverride(t *testing.T) {
 	}
 	if _, err := SortHierarchy(in, HierConfig{Hierarchies: 16, HPrime: 3}); err == nil {
 		t.Fatal("non-divisor H' accepted")
+	}
+}
+
+// smallMemoryGeometries are (D, B, M) points at which a Balance Sort pass
+// used to stall until the recursion guard panicked: single-sample runs
+// gave their maximum, a thinned sample crowded toward the last runs, and
+// the first pivot could be the subproblem's minimum.
+var smallMemoryGeometries = [][3]int{
+	{4, 2, 32}, {4, 2, 64}, {4, 2, 128}, {4, 4, 128},
+	{8, 4, 128}, {2, 4, 32}, {8, 2, 64}, {2, 2, 16},
+}
+
+// TestSortSmallMemory sorts every workload at the small-memory geometries
+// and checks the output and that the recursion stays shallow.
+func TestSortSmallMemory(t *testing.T) {
+	workloads := []Workload{Uniform, FewDistinct, NearlySorted, Reversed, BucketSkew, Zipf}
+	for _, g := range smallMemoryGeometries {
+		cfg := Config{Disks: g[0], BlockSize: g[1], Memory: g[2]}
+		for _, w := range workloads {
+			for seed := uint64(1); seed <= 2; seed++ {
+				in := NewWorkload(w, 6000, seed)
+				res, err := Sort(in, cfg)
+				if err != nil {
+					t.Fatalf("D=%d B=%d M=%d %v seed %d: %v", g[0], g[1], g[2], w, seed, err)
+				}
+				if !Verify(in, res.Records) {
+					t.Fatalf("D=%d B=%d M=%d %v seed %d: output is not the sorted input", g[0], g[1], g[2], w, seed)
+				}
+				if res.Depth > 32 {
+					t.Fatalf("D=%d B=%d M=%d %v seed %d: recursion depth %d, want <= 32", g[0], g[1], g[2], w, seed, res.Depth)
+				}
+			}
+		}
+	}
+}
+
+// TestSortStallIsAnError checks a sort whose distribution stops making
+// progress returns an error instead of panicking — a *core.StallError from
+// Sort and SortFile, and an error from ResumeSortFile. At D=1 B=1 M=8 (a 2-record sample)
+// few-distinct input still exhausts the recursion guard; reversed input,
+// which used to, now sorts.
+func TestSortStallIsAnError(t *testing.T) {
+	cfg := Config{Disks: 1, BlockSize: 1, Memory: 8}
+	rev := NewWorkload(Reversed, 6000, 1)
+	res, err := Sort(rev, cfg)
+	if err != nil || !Verify(rev, res.Records) {
+		t.Fatalf("reversed input at D=1 B=1 M=8: err %v", err)
+	}
+
+	var stall *core.StallError
+	if _, err := Sort(NewWorkload(FewDistinct, 6000, 1), cfg); !errors.As(err, &stall) {
+		t.Fatalf("Sort: got %v, want a *core.StallError", err)
+	}
+	dir := t.TempDir()
+	in, out, scratch := filepath.Join(dir, "in.bin"), filepath.Join(dir, "out.bin"), filepath.Join(dir, "scratch")
+	if err := WriteRecordFile(in, NewWorkload(FewDistinct, 3000, 1)); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Robust.Journal = true
+	if _, err := SortFile(in, out, scratch, cfg); !errors.As(err, &stall) {
+		t.Fatalf("SortFile: got %v, want a *core.StallError", err)
+	}
+	// The last commit holds work past the recursion guard, which the
+	// resume's journal check refuses before sorting.
+	if _, err := ResumeSortFile(in, out, scratch, cfg); err == nil {
+		t.Fatal("ResumeSortFile of a stalled sort returned no error")
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatal("a stalled sort left an output file")
 	}
 }

@@ -7,7 +7,6 @@ package balancesort_test
 
 import (
 	"testing"
-	"time"
 
 	"balancesort"
 	"balancesort/internal/balance"
@@ -368,51 +367,6 @@ func BenchmarkE16_WriteFullness(b *testing.B) {
 			}
 			b.ReportMetric(st.WriteFullness(p.D, 1.0), "full-writes")
 			b.ReportMetric(st.Utilization(p.D), "utilization")
-		})
-	}
-}
-
-// BenchmarkE18_FileEngine — the diskio engine's wall-clock effect on a
-// file-backed sort. The ios metric must be identical across all four
-// sub-benchmarks: the engine never changes model costs. The first pair
-// compares the synchronous stores against the engine on a fast device
-// (tmpfs — the engine's overlap is not visible there); the slow-disk pair
-// injects per-op device latency and compares the engine with its overlap
-// machinery (write-behind + read-ahead) off and on, which is where the
-// wall-clock win lives. The injected latency is a time.Sleep of up to
-// 100µs, so the slow-disk pair also measures how far the host's sleeps
-// overshoot: the idler the process, the longer each sleep runs past its
-// deadline, with the device ops themselves unchanged.
-func BenchmarkE18_FileEngine(b *testing.B) {
-	n := 1 << 16
-	dir := b.TempDir()
-	inPath := dir + "/in.bin"
-	if err := balancesort.WriteRecordFile(inPath, record.Generate(record.Uniform, n, 23)); err != nil {
-		b.Fatal(err)
-	}
-	const latency = 100 * time.Microsecond
-	for _, eng := range []struct {
-		name string
-		io   balancesort.IOConfig
-	}{
-		{"engine=off", balancesort.IOConfig{}},
-		{"engine=on", balancesort.IOConfig{Engine: true}},
-		{"slowdisk/overlap=off", balancesort.IOConfig{
-			Engine: true, LatencyJitter: latency, Prefetch: -1, WriteBehind: -1}},
-		{"slowdisk/overlap=on", balancesort.IOConfig{
-			Engine: true, LatencyJitter: latency, Prefetch: 4, WriteBehind: 8}},
-	} {
-		b.Run(eng.name, func(b *testing.B) {
-			var ios int64
-			for i := 0; i < b.N; i++ {
-				res, err := balancesort.SortFile(inPath, dir+"/out.bin", "",
-					balancesort.Config{Disks: 8, BlockSize: 64, Memory: 1 << 14, IO: eng.io})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ios = res.IOs
-			}
-			b.ReportMetric(float64(ios), "ios")
 		})
 	}
 }

@@ -236,7 +236,7 @@ type WorkerOptions struct {
 	// means the OS temp dir.
 	ScratchDir string
 	// Sort configures the worker-local file-backed sort (disks, block
-	// size, memory, I/O engine, robustness) exactly as for SortFile. If
+	// size, memory, I/O layer, robustness) exactly as for SortFile. If
 	// Sort.Engine is empty the worker defaults to EngineAuto so the
 	// planner picks per shard.
 	Sort Config

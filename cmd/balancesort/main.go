@@ -65,16 +65,12 @@ func main() {
 		engine   = flag.String("engine", "", "file-sort engine: auto|balancesort|stripedmerge|inmem (empty = balancesort; auto asks the cost-model planner)")
 		noCRadix = flag.Bool("nocradix", false, "sort memoryloads with the comparison sort instead of the default LSD radix sort")
 
-		// Disk I/O engine knobs (with -infile).
-		ioEngine    = flag.Bool("ioengine", true, "serve the file-backed disks with the concurrent I/O engine")
-		stats       = flag.Bool("stats", false, "print the engine's per-disk I/O metrics")
-		queueDepth  = flag.Int("queue", 0, "engine request-queue depth per disk (0 = default)")
-		prefetch    = flag.Int("prefetch", 0, "engine read-ahead window in blocks (0 = default, <0 = off)")
-		writeBehind = flag.Int("writebehind", 0, "engine write-coalescing run length in blocks (0 = default, <0 = off)")
-		retries     = flag.Int("retries", 0, "engine retries per failed device op (0 = default)")
-		faultRate   = flag.Float64("faultrate", 0, "inject transient device faults with this probability")
-		tornRate    = flag.Float64("tornrate", 0, "probability an injected write fault tears the block")
-		jitter      = flag.Duration("jitter", 0, "inject up to this much per-op device latency")
+		// Disk I/O layer knobs (with -infile).
+		stats     = flag.Bool("stats", false, "print the I/O layer's per-disk metrics")
+		retries   = flag.Int("retries", 0, "retries per failed device op (0 = default)")
+		faultRate = flag.Float64("faultrate", 0, "inject transient device faults with this probability")
+		tornRate  = flag.Float64("tornrate", 0, "probability an injected write fault tears the block")
+		jitter    = flag.Duration("jitter", 0, "inject up to this much per-op device latency")
 
 		// Cluster mode (coordinator/worker Balance Sort over TCP).
 		join       = flag.String("join", "", "serve as a cluster worker on this listen address (e.g. 127.0.0.1:0)")
@@ -164,10 +160,6 @@ func main() {
 			Engine:  sortEngine,
 			NoRadix: *noCRadix,
 			IO: balancesort.IOConfig{
-				Engine:        *ioEngine,
-				QueueDepth:    *queueDepth,
-				Prefetch:      *prefetch,
-				WriteBehind:   *writeBehind,
 				MaxRetries:    *retries,
 				FaultRate:     *faultRate,
 				TornWriteRate: *tornRate,
@@ -468,8 +460,8 @@ func main() {
 			emitJSON(res)
 			return
 		}
-		fmt.Printf("externally sorted %s -> %s (D=%d B=%d M=%d, engine=%s, ioengine=%v, %v)\n",
-			*inFile, *outFile, cfg.Disks, cfg.BlockSize, cfg.Memory, res.Engine, *ioEngine, elapsed.Round(time.Millisecond))
+		fmt.Printf("externally sorted %s -> %s (D=%d B=%d M=%d, engine=%s, %v)\n",
+			*inFile, *outFile, cfg.Disks, cfg.BlockSize, cfg.Memory, res.Engine, elapsed.Round(time.Millisecond))
 		if res.Plan != nil {
 			pred := res.Plan.Predicted()
 			fmt.Printf("  planner:               chose %s (predicted %.0f I/Os, %.3fs; candidates", res.Plan.Engine, pred.IOs, pred.Seconds)
@@ -624,24 +616,22 @@ func (p *progressRenderer) SpanEnd(s balancesort.Span) {
 
 func (p *progressRenderer) Count(layer, name string, id int, delta int64) {}
 
-// printIOStats renders the engine's per-disk metrics table for -stats.
+// printIOStats renders the I/O layer's per-disk metrics table for -stats.
 func printIOStats(s *balancesort.IOStats) {
 	if s == nil {
-		fmt.Println("  I/O engine:            off (no engine metrics; run with -ioengine)")
+		fmt.Println("  I/O layer:             no scratch array (no device metrics)")
 		return
 	}
 	agg := s.Aggregate()
-	fmt.Println("  I/O engine metrics:")
-	fmt.Printf("    %-6s %8s %8s %10s %10s %8s %8s %8s %8s %6s\n",
-		"disk", "reads", "writes", "rd-bytes", "wr-bytes", "pf-hit", "wb-hit", "coalesce", "retries", "qmax")
+	fmt.Println("  I/O layer metrics:")
+	fmt.Printf("    %-6s %8s %8s %10s %10s %8s\n",
+		"disk", "reads", "writes", "rd-bytes", "wr-bytes", "retries")
 	for i, d := range s.PerDisk {
-		fmt.Printf("    %-6d %8d %8d %10d %10d %8d %8d %8d %8d %6d\n",
-			i, d.Reads, d.Writes, d.BytesRead, d.BytesWritten,
-			d.PrefetchHits, d.WriteBufferHits, d.CoalescedBlocks, d.Retries, d.QueueMax)
+		fmt.Printf("    %-6d %8d %8d %10d %10d %8d\n",
+			i, d.Reads, d.Writes, d.BytesRead, d.BytesWritten, d.Retries)
 	}
-	fmt.Printf("    %-6s %8d %8d %10d %10d %8d %8d %8d %8d %6d\n",
-		"total", agg.Reads, agg.Writes, agg.BytesRead, agg.BytesWritten,
-		agg.PrefetchHits, agg.WriteBufferHits, agg.CoalescedBlocks, agg.Retries, agg.QueueMax)
+	fmt.Printf("    %-6s %8d %8d %10d %10d %8d\n",
+		"total", agg.Reads, agg.Writes, agg.BytesRead, agg.BytesWritten, agg.Retries)
 	if agg.Faults > 0 || agg.BreakerTrips > 0 {
 		fmt.Printf("    faults injected: %d   breaker trips: %d\n", agg.Faults, agg.BreakerTrips)
 	}

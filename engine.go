@@ -310,12 +310,7 @@ func commitGuideState(arr *pdm.Array, jnl *pdm.Journal, st guidesort.State) erro
 // restored to the commit point.
 func reopenGuideScratch(ctx context.Context, scratchDir string, cfg *Config) (*pdm.Array, *pdm.Journal, guidesort.State, error) {
 	var none guidesort.State
-	opts := pdm.FileOptions{}
-	if cfg.IO.Engine {
-		ecfg := cfg.IO.engineConfig(ctx, cfg.tracer)
-		opts.Engine = &ecfg
-	}
-	arr, err := pdm.OpenFileBackedOpts(scratchDir, opts)
+	arr, err := pdm.OpenFileBackedOpts(scratchDir, pdm.FileOptions{IO: cfg.IO.layerConfig(ctx, cfg.tracer)})
 	if err != nil {
 		return nil, nil, none, err
 	}
@@ -402,12 +397,10 @@ func guideSortFile(ctx context.Context, inPath, outPath, scratchDir string, cfg 
 			in.Close()
 			return nil, err
 		}
-		opts := pdm.FileOptions{NoChecksums: cfg.Robust.NoChecksums}
-		if cfg.IO.Engine {
-			ecfg := cfg.IO.engineConfig(ctx, cfg.tracer)
-			opts.Engine = &ecfg
-		}
-		arr, err = pdm.NewFileBackedOpts(p, scratchDir, opts)
+		arr, err = pdm.NewFileBackedOpts(p, scratchDir, pdm.FileOptions{
+			IO:          cfg.IO.layerConfig(ctx, cfg.tracer),
+			NoChecksums: cfg.Robust.NoChecksums,
+		})
 		if err != nil {
 			in.Close()
 			return nil, err
@@ -520,9 +513,6 @@ func guideRunAndDrain(arr *pdm.Array, gcfg guidesort.Config, st guidesort.State,
 		Trace:              traceFrom(cfg.tracer),
 	}
 	if cfg.Robust.ScrubAfter {
-		if err := arr.Sync(); err != nil {
-			return nil, err
-		}
 		res.Scrub = scrubReportFrom(arr.Scrub())
 	}
 	return res, nil

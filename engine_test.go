@@ -270,6 +270,9 @@ func TestStripedMergeCrashResume(t *testing.T) {
 	if res.Engine != string(EngineStripedMerge) {
 		t.Fatalf("resumed as %q", res.Engine)
 	}
+	if res.IO == nil {
+		t.Fatal("resumed stripedmerge sort has no Result.IO")
+	}
 	got, err := os.ReadFile(outPath)
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,12 @@
 package balancesort_test
 
 import (
+	"errors"
 	"testing"
 
 	"balancesort"
 	"balancesort/internal/balance"
+	"balancesort/internal/core"
 	"balancesort/internal/record"
 )
 
@@ -37,6 +39,53 @@ func FuzzSort(f *testing.F) {
 		}
 		if !balancesort.Verify(in, res.Records) {
 			t.Fatalf("bad output for d=%d b=%d n=%d", d, bs, len(in))
+		}
+	})
+}
+
+// geometryWorkloads are the workloads FuzzSortGeometry draws from.
+var geometryWorkloads = []balancesort.Workload{
+	balancesort.Uniform, balancesort.FewDistinct, balancesort.NearlySorted,
+	balancesort.Reversed, balancesort.BucketSkew, balancesort.Zipf,
+}
+
+// FuzzSortGeometry drives Sort over the geometries Config.Validate
+// accepts — D and B in 1..16, M in [4DB, 64DB], fewer than 8192 records of
+// any workload — down to the smallest memories, where a distribution pass
+// can stall. Sort must never panic: it sorts, or it returns the sorter's
+// *core.StallError.
+func FuzzSortGeometry(f *testing.F) {
+	// Rows that panicked before single-sample runs gave their median,
+	// thinning spread the sample over every run, and the first pivot
+	// skipped the sample minimum: (D-1, B-1, M-4DB, n, workload, seed).
+	f.Add(uint8(3), uint8(1), uint16(96), uint16(6000), uint8(0), uint64(1)) // D=4 B=2 M=128 uniform
+	f.Add(uint8(3), uint8(1), uint16(0), uint16(6000), uint8(3), uint64(1))  // D=4 B=2 M=32 reversed
+	f.Add(uint8(3), uint8(1), uint16(32), uint16(6000), uint8(4), uint64(2)) // D=4 B=2 M=64 bucketskew
+	f.Add(uint8(3), uint8(1), uint16(64), uint16(6000), uint8(0), uint64(3)) // D=4 B=2 M=96 uniform
+	f.Add(uint8(3), uint8(3), uint16(0), uint16(6000), uint8(4), uint64(1))  // D=4 B=4 M=64 bucketskew
+	f.Add(uint8(3), uint8(3), uint16(64), uint16(6000), uint8(0), uint64(2)) // D=4 B=4 M=128 uniform
+	f.Add(uint8(7), uint8(3), uint16(0), uint16(6000), uint8(4), uint64(3))  // D=8 B=4 M=128 bucketskew
+	f.Add(uint8(1), uint8(3), uint16(0), uint16(6000), uint8(2), uint64(1))  // D=2 B=4 M=32 nearlysorted
+	f.Add(uint8(7), uint8(1), uint16(0), uint16(6000), uint8(0), uint64(4))  // D=8 B=2 M=64 uniform
+	f.Add(uint8(0), uint8(0), uint16(4), uint16(6000), uint8(3), uint64(1))  // D=1 B=1 M=8 reversed, now sorts
+	f.Add(uint8(0), uint8(0), uint16(4), uint16(6000), uint8(1), uint64(1))  // D=1 B=1 M=8 fewdistinct, still stalls
+	f.Fuzz(func(t *testing.T, dRaw, bRaw uint8, mRaw, nRaw uint16, wRaw uint8, seed uint64) {
+		d, b := 1+int(dRaw%16), 1+int(bRaw%16)
+		cfg := balancesort.Config{Disks: d, BlockSize: b, Memory: 4*d*b + int(mRaw)%(60*d*b+1)}
+		if cfg.Validate() != nil {
+			t.Skip()
+		}
+		in := balancesort.NewWorkload(geometryWorkloads[int(wRaw)%len(geometryWorkloads)], int(nRaw%8192), seed)
+		res, err := balancesort.Sort(in, cfg)
+		if err != nil {
+			var stall *core.StallError
+			if !errors.As(err, &stall) {
+				t.Fatalf("D=%d B=%d M=%d n=%d: %v", d, b, cfg.Memory, len(in), err)
+			}
+			return
+		}
+		if !balancesort.Verify(in, res.Records) {
+			t.Fatalf("D=%d B=%d M=%d n=%d: output is not the sorted input", d, b, cfg.Memory, len(in))
 		}
 	})
 }

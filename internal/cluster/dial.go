@@ -9,7 +9,7 @@ import (
 
 // DialConfig tunes how cluster links are established and how patient block
 // delivery is, mirroring the retry/backoff/fail-fast discipline of the
-// diskio engine: transient failures are retried with exponential backoff,
+// diskio layer: transient failures are retried with exponential backoff,
 // and a peer that exhausts the whole budget is declared lost with a typed
 // *WorkerLostError rather than hung on.
 type DialConfig struct {

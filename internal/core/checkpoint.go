@@ -122,6 +122,20 @@ func (a Abort) Error() string { return "core: sort aborted: " + a.Err.Error() }
 
 func (a Abort) Unwrap() error { return a.Err }
 
+// StallError reports a distribution that stopped making progress: a
+// pass left one bucket holding its whole subproblem, or the recursion
+// passed maxDepth levels. Tiny memories can still cause it (D=1 B=1 M=8 on
+// few-distinct input does). The sorter panics with it, like Abort, and the
+// public façade returns it as an error.
+type StallError struct {
+	Depth int // recursion depth of the stalled subproblem
+	N     int // its records
+}
+
+func (e *StallError) Error() string {
+	return fmt.Sprintf("core: distribution is not making progress (depth %d, %d records)", e.Depth, e.N)
+}
+
 // checkCtx panics an Abort if the configured context is done. It is
 // called only between I/Os, never during one, so no block transfer is in
 // flight when the panic unwinds.

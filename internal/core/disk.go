@@ -326,7 +326,7 @@ func (ds *DiskSorter) Resume(done []Region, work []SourceDesc, prior Metrics) []
 		d := work[0]
 		work = work[1:]
 		if d.Depth > maxDepth {
-			panic("core: recursion depth exceeded — distribution is not making progress")
+			panic(&StallError{Depth: d.Depth, N: d.Total()})
 		}
 		if d.Depth > ds.met.Depth {
 			ds.met.Depth = d.Depth
@@ -471,6 +471,10 @@ func (ds *DiskSorter) distribute(pass obs.Active, src source, depth int) []Sourc
 	}
 	sample := ds.sampleBuf[:0]
 	var runs []Region
+	// every is the interval between sampled runs: each thinning below
+	// doubles it, so later runs are sampled as sparsely as the thinned
+	// earlier ones and the sample stays spread over the whole input.
+	every := 1
 	for src.Total() > 0 {
 		ds.checkCtx()
 		want := ds.memload
@@ -480,13 +484,19 @@ func (ds *DiskSorter) distribute(pass obs.Active, src source, depth int) []Sourc
 		ds.arr.Mem.Use(want)
 		load := src.ReadSome(want)
 		ds.internalSort(load)
-		step := stride
-		if step > len(load) {
-			step = len(load) // at least one sample per sorted run
-		}
-		for i := step - 1; i < len(load); i += step {
-			sample = append(sample, load[i])
+		switch {
+		case (len(runs)+1)%every != 0:
+		case len(load) < 2*stride:
+			// A run that yields one sample gives its median, not its
+			// maximum: a sample of run maxima puts every pivot near the
+			// top and can leave a pass without progress.
+			sample = append(sample, load[len(load)/2])
 			ds.arr.Mem.Use(1)
+		default:
+			for i := stride - 1; i < len(load); i += stride {
+				sample = append(sample, load[i])
+				ds.arr.Mem.Use(1)
+			}
 		}
 		// Keep the sample within its M/4 budget: halve it whenever it
 		// overflows. Thinning coarsens the pivots (buckets may exceed
@@ -499,6 +509,7 @@ func (ds *DiskSorter) distribute(pass obs.Active, src source, depth int) []Sourc
 			}
 			ds.arr.Mem.Release(len(sample) - len(kept))
 			sample = kept
+			every *= 2
 		}
 		runs = append(runs, ds.writeStriped(load))
 		ds.arr.Mem.Release(want)
@@ -510,11 +521,12 @@ func (ds *DiskSorter) distribute(pass obs.Active, src source, depth int) []Sourc
 	ds.internalSort(sample)
 	s := ds.buckets(n)
 	pivots := make([]record.Record, 0, s-1)
+	// A sample smaller than 2S would put the first pivot at index 0; if
+	// that is the subproblem's minimum, bucket 0 is empty and the pass
+	// splits less. With two or more samples, start at index 1.
+	lo := min(1, len(sample)-1)
 	for j := 1; j < s; j++ {
-		idx := j*len(sample)/s - 1
-		if idx < 0 {
-			idx = 0
-		}
+		idx := max(j*len(sample)/s-1, lo)
 		if idx >= len(sample) {
 			idx = len(sample) - 1
 		}
@@ -644,7 +656,7 @@ func (ds *DiskSorter) distribute(pass obs.Active, src source, depth int) []Sourc
 				ds.met.MaxBucketFrac = frac
 			}
 			if counts[b] >= n {
-				panic("core: distribution made no progress (one bucket holds everything)")
+				panic(&StallError{Depth: depth, N: n})
 			}
 			opt := (buckets[b].total + h*vb - 1) / (h * vb)
 			if opt > 0 {

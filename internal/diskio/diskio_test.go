@@ -10,15 +10,15 @@ import (
 
 const testBlock = 64
 
-func testEngine(t *testing.T, cfg Config, disks int) (*Engine, []*MemDevice) {
+func testDrives(t *testing.T, cfg Config, disks int) (*Drives, []*memDevice) {
 	t.Helper()
 	if cfg.BlockBytes == 0 {
 		cfg.BlockBytes = testBlock
 	}
 	devs := make([]Device, disks)
-	mems := make([]*MemDevice, disks)
+	mems := make([]*memDevice, disks)
 	for i := range devs {
-		mems[i] = NewMemDevice()
+		mems[i] = &memDevice{}
 		devs[i] = mems[i]
 	}
 	e, err := New(cfg, devs)
@@ -37,11 +37,11 @@ func pattern(blk int64, disk int) []byte {
 }
 
 func TestEngineRoundTrip(t *testing.T) {
-	e, _ := testEngine(t, Config{}, 3)
+	e, _ := testDrives(t, Config{}, 3)
 	defer e.Close()
 	for disk := 0; disk < 3; disk++ {
 		for blk := int64(0); blk < 10; blk++ {
-			if err := e.Write(disk, blk, pattern(blk, disk)); err != nil {
+			if err := e.Drive(disk).Write(blk, pattern(blk, disk)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -49,7 +49,7 @@ func TestEngineRoundTrip(t *testing.T) {
 	got := make([]byte, testBlock)
 	for disk := 0; disk < 3; disk++ {
 		for blk := int64(9); blk >= 0; blk-- {
-			if err := e.Read(disk, blk, got); err != nil {
+			if err := e.Drive(disk).Read(blk, got); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, pattern(blk, disk)) {
@@ -60,163 +60,61 @@ func TestEngineRoundTrip(t *testing.T) {
 }
 
 func TestEngineRejectsBadArgs(t *testing.T) {
-	if _, err := New(Config{}, []Device{NewMemDevice()}); err == nil {
+	if _, err := New(Config{}, []Device{&memDevice{}}); err == nil {
 		t.Fatal("BlockBytes = 0 accepted")
 	}
 	if _, err := New(Config{BlockBytes: 8}, nil); err == nil {
 		t.Fatal("no devices accepted")
 	}
-	e, _ := testEngine(t, Config{}, 1)
+	e, _ := testDrives(t, Config{}, 1)
 	defer e.Close()
-	if err := e.Read(5, 0, make([]byte, testBlock)); err == nil {
-		t.Fatal("out-of-range disk accepted")
-	}
-	if err := e.Write(0, 0, make([]byte, 3)); err == nil {
+	if err := e.Drive(0).Write(0, make([]byte, 3)); err == nil {
 		t.Fatal("short write buffer accepted")
 	}
-	if err := e.Read(0, 0, make([]byte, 3)); err == nil {
+	if err := e.Drive(0).Read(0, make([]byte, 3)); err == nil {
 		t.Fatal("short read buffer accepted")
 	}
 }
 
-// TestWriteBehindCoalesces checks that adjacent writes merge into fewer,
-// larger device transfers, and that the data still lands correctly.
-func TestWriteBehindCoalesces(t *testing.T) {
-	e, mems := testEngine(t, Config{WriteBehind: 4}, 1)
-	for blk := int64(0); blk < 12; blk++ {
-		if err := e.Write(0, blk, pattern(blk, 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.Flush(0); err != nil {
-		t.Fatal(err)
-	}
-	m := e.Metrics().Aggregate()
-	if m.Coalesced == 0 {
-		t.Fatal("no writes coalesced")
-	}
-	if m.Writes >= 12 {
-		t.Fatalf("device saw %d writes for 12 blocks; coalescing did nothing", m.Writes)
-	}
-	if mems[0].Len() != 12*testBlock {
-		t.Fatalf("device holds %d bytes, want %d", mems[0].Len(), 12*testBlock)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for blk := int64(0); blk < 12; blk++ {
-		got := make([]byte, testBlock)
-		if _, err := mems[0].ReadAt(got, blk*testBlock); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, pattern(blk, 0)) {
-			t.Fatalf("block %d corrupted after coalesced flush", blk)
-		}
-	}
-}
-
-// TestReadYourWrites checks reads see data still sitting in the
-// write-behind run, including overwrites of buffered blocks.
+// TestReadYourWrites checks a read returns the block's latest write,
+// including an overwrite.
 func TestReadYourWrites(t *testing.T) {
-	e, _ := testEngine(t, Config{WriteBehind: 8}, 1)
+	e, _ := testDrives(t, Config{}, 1)
 	defer e.Close()
-	if err := e.Write(0, 3, pattern(3, 0)); err != nil {
+	if err := e.Drive(0).Write(3, pattern(3, 0)); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, testBlock)
-	if err := e.Read(0, 3, got); err != nil {
+	if err := e.Drive(0).Read(3, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, pattern(3, 0)) {
-		t.Fatal("read missed the write-behind run")
+		t.Fatal("read missed the write")
 	}
-	// Overwrite while buffered; the fresh bytes must win.
+	// Overwrite; the fresh bytes must win.
 	fresh := pattern(99, 0)
-	if err := e.Write(0, 3, fresh); err != nil {
+	if err := e.Drive(0).Write(3, fresh); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Read(0, 3, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, fresh) {
-		t.Fatal("overwrite of a buffered block lost")
-	}
-	if m := e.Metrics().Aggregate(); m.WriteBufferHits == 0 {
-		t.Fatal("write-buffer hits not counted")
-	}
-}
-
-// TestPrefetchHits checks a sequential scan is served from read-ahead.
-func TestPrefetchHits(t *testing.T) {
-	e, _ := testEngine(t, Config{Prefetch: 4}, 1)
-	defer e.Close()
-	const blocks = 64
-	for blk := int64(0); blk < blocks; blk++ {
-		if err := e.Write(0, blk, pattern(blk, 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := make([]byte, testBlock)
-	for blk := int64(0); blk < blocks; blk++ {
-		if err := e.Read(0, blk, got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, pattern(blk, 0)) {
-			t.Fatalf("block %d corrupted", blk)
-		}
-		// Let the worker drain its speculation queue so the scan actually
-		// exercises the cache (a real sort gives it idle time naturally).
-		if blk%8 == 7 {
-			time.Sleep(time.Millisecond)
-		}
-	}
-	m := e.Metrics().Aggregate()
-	if m.PrefetchIssued == 0 {
-		t.Fatal("no prefetches issued")
-	}
-	if m.PrefetchHits == 0 {
-		t.Fatal("no prefetch hits on a sequential scan")
-	}
-}
-
-// TestPrefetchInvalidatedByWrite checks a write after a speculative fetch
-// of the same block makes the next read return the new data.
-func TestPrefetchInvalidatedByWrite(t *testing.T) {
-	e, _ := testEngine(t, Config{Prefetch: 2}, 1)
-	defer e.Close()
-	for blk := int64(0); blk < 4; blk++ {
-		if err := e.Write(0, blk, pattern(blk, 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := make([]byte, testBlock)
-	if err := e.Read(0, 0, got); err != nil { // schedules prefetch of 1, 2
-		t.Fatal(err)
-	}
-	time.Sleep(2 * time.Millisecond) // let speculation land in the cache
-	fresh := pattern(42, 0)
-	if err := e.Write(0, 1, fresh); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Read(0, 1, got); err != nil {
+	if err := e.Drive(0).Read(3, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, fresh) {
-		t.Fatal("read served stale prefetched data after a write")
+		t.Fatal("overwrite of a block lost")
 	}
 }
 
 // TestFaultRetryRecovers checks a realistic transient-error rate is fully
 // absorbed by retries: every op succeeds and the data is intact.
 func TestFaultRetryRecovers(t *testing.T) {
-	e, _ := testEngine(t, Config{
+	e, _ := testDrives(t, Config{
 		RetryBase: 10 * time.Microsecond,
 		Fault:     FaultConfig{ErrorRate: 0.3, TornWriteRate: 0.5, Seed: 7},
 	}, 2)
 	defer e.Close()
 	for disk := 0; disk < 2; disk++ {
 		for blk := int64(0); blk < 32; blk++ {
-			if err := e.Write(disk, blk, pattern(blk, disk)); err != nil {
+			if err := e.Drive(disk).Write(blk, pattern(blk, disk)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -224,7 +122,7 @@ func TestFaultRetryRecovers(t *testing.T) {
 	got := make([]byte, testBlock)
 	for disk := 0; disk < 2; disk++ {
 		for blk := int64(0); blk < 32; blk++ {
-			if err := e.Read(disk, blk, got); err != nil {
+			if err := e.Drive(disk).Read(blk, got); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, pattern(blk, disk)) {
@@ -241,13 +139,13 @@ func TestFaultRetryRecovers(t *testing.T) {
 // TestTornWriteRepaired forces every first write attempt to fail torn and
 // checks the retry leaves a whole block, not half of one.
 func TestTornWriteRepaired(t *testing.T) {
-	e, mems := testEngine(t, Config{
+	e, mems := testDrives(t, Config{
 		RetryBase:  10 * time.Microsecond,
 		MaxRetries: 8,
 		Fault:      FaultConfig{ErrorRate: 0.5, TornWriteRate: 1, Seed: 3},
 	}, 1)
 	want := pattern(0, 0)
-	if err := e.Write(0, 0, want); err != nil {
+	if err := e.Drive(0).Write(0, want); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Close(); err != nil {
@@ -265,7 +163,7 @@ func TestTornWriteRepaired(t *testing.T) {
 // TestPermanentFailureSurfaces checks a 100% error rate exhausts the
 // retries, trips the breaker, and returns the injected error.
 func TestPermanentFailureSurfaces(t *testing.T) {
-	e, _ := testEngine(t, Config{
+	e, _ := testDrives(t, Config{
 		RetryBase:        10 * time.Microsecond,
 		MaxRetries:       3,
 		BreakerThreshold: 2,
@@ -273,7 +171,7 @@ func TestPermanentFailureSurfaces(t *testing.T) {
 		Fault:            FaultConfig{ErrorRate: 1, Seed: 1},
 	}, 1)
 	defer e.Close()
-	err := e.Read(0, 0, make([]byte, testBlock))
+	err := e.Drive(0).Read(0, make([]byte, testBlock))
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("got %v, want ErrInjected", err)
 	}
@@ -286,62 +184,11 @@ func TestPermanentFailureSurfaces(t *testing.T) {
 	}
 }
 
-// TestDeferredFlushErrorSurfaces checks a write-behind flush failure is
-// reported on a later call instead of vanishing.
-func TestDeferredFlushErrorSurfaces(t *testing.T) {
-	e, _ := testEngine(t, Config{
-		WriteBehind: 2,
-		RetryBase:   10 * time.Microsecond,
-		MaxRetries:  1,
-		Fault:       FaultConfig{ErrorRate: 1, Seed: 5},
-	}, 1)
-	defer e.Close()
-	// Fill a run, then force a flush by writing a non-adjacent block; the
-	// flush fails and must surface on the write or flush that follows.
-	var sawErr bool
-	for _, blk := range []int64{0, 1, 9, 20} {
-		if err := e.Write(0, blk, pattern(blk, 0)); err != nil {
-			sawErr = true
-		}
-	}
-	if err := e.Flush(0); err != nil {
-		sawErr = true
-	}
-	if !sawErr {
-		t.Fatal("failed flush never surfaced")
-	}
-}
-
-// TestQueueDepthMetric checks the high-water mark responds to backlog.
-func TestQueueDepthMetric(t *testing.T) {
-	e, _ := testEngine(t, Config{
-		QueueDepth: 16,
-		Fault:      FaultConfig{LatencyJitter: 200 * time.Microsecond, Seed: 2},
-	}, 1)
-	defer e.Close()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for blk := int64(0); blk < 4; blk++ {
-				if err := e.Write(0, int64(g)*4+blk, pattern(blk, 0)); err != nil {
-					t.Error(err)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if m := e.Metrics().Aggregate(); m.QueueMax < 2 {
-		t.Fatalf("queue max = %d under 8 concurrent writers", m.QueueMax)
-	}
-}
-
-// TestConcurrentDisks hammers all disks from many goroutines while
-// snapshotting metrics — the race detector's view of the engine.
+// TestConcurrentDisks drives every disk from its own goroutine while
+// snapshotting metrics — the race detector's view of the layer.
 func TestConcurrentDisks(t *testing.T) {
 	const disks = 4
-	e, _ := testEngine(t, Config{Prefetch: 2, WriteBehind: 4}, disks)
+	e, _ := testDrives(t, Config{}, disks)
 	var wg sync.WaitGroup
 	for disk := 0; disk < disks; disk++ {
 		wg.Add(1)
@@ -349,13 +196,13 @@ func TestConcurrentDisks(t *testing.T) {
 			defer wg.Done()
 			buf := make([]byte, testBlock)
 			for blk := int64(0); blk < 50; blk++ {
-				if err := e.Write(disk, blk, pattern(blk, disk)); err != nil {
+				if err := e.Drive(disk).Write(blk, pattern(blk, disk)); err != nil {
 					t.Error(err)
 					return
 				}
 			}
 			for blk := int64(0); blk < 50; blk++ {
-				if err := e.Read(disk, blk, buf); err != nil {
+				if err := e.Drive(disk).Read(blk, buf); err != nil {
 					t.Error(err)
 					return
 				}
@@ -387,19 +234,19 @@ func TestConcurrentDisks(t *testing.T) {
 // TestFaultDeterminism checks the same seed injects the same faults.
 func TestFaultDeterminism(t *testing.T) {
 	run := func() DiskStats {
-		e, _ := testEngine(t, Config{
+		e, _ := testDrives(t, Config{
 			RetryBase: time.Microsecond,
 			Fault:     FaultConfig{ErrorRate: 0.4, Seed: 11},
 		}, 1)
 		defer e.Close()
 		buf := make([]byte, testBlock)
 		for blk := int64(0); blk < 40; blk++ {
-			if err := e.Write(0, blk, pattern(blk, 0)); err != nil {
+			if err := e.Drive(0).Write(blk, pattern(blk, 0)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for blk := int64(0); blk < 40; blk++ {
-			if err := e.Read(0, blk, buf); err != nil {
+			if err := e.Drive(0).Read(blk, buf); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -17,99 +18,43 @@ func (failingDevice) ReadAt([]byte, int64) (int, error)  { return 0, errDead }
 func (failingDevice) WriteAt([]byte, int64) (int, error) { return 0, errDead }
 func (failingDevice) Close() error                       { return nil }
 
-// writeBatch is one write of block blk on every disk.
-func writeBatch(disks int, blk int64) []Transfer {
-	batch := make([]Transfer, disks)
-	for d := range batch {
-		batch[d] = Transfer{Disk: d, Block: blk, Write: true, Buf: pattern(blk, d)}
+// writeRow writes block blk on every disk and returns each transfer's
+// outcome.
+func writeRow(s *Drives, disks int, blk int64) []error {
+	errs := make([]error, disks)
+	for d := range errs {
+		errs[d] = s.Drive(d).Write(blk, pattern(blk, d))
 	}
-	return batch
+	return errs
 }
 
-// TestEngineDo checks a batch behaves exactly like its transfers issued
-// one call at a time — results, retries, fail-fast, and cancellation —
-// and that a warmed batch allocates nothing.
+// TestEngineDo checks the per-transfer contract of a parallel I/O's
+// block transfers: each transfer has its own outcome, faults are retried,
+// a dead disk fails fast while the other disks complete, a canceled
+// context ends the backoff, and a warmed transfer allocates nothing.
 func TestEngineDo(t *testing.T) {
 	const disks = 4
 
-	t.Run("matches-per-call", func(t *testing.T) {
-		cfg := Config{WriteBehind: 2, Prefetch: 1}
-		batched, bm := testEngine(t, cfg, disks)
-		single, sm := testEngine(t, cfg, disks)
-		for blk := int64(0); blk < 6; blk++ {
-			if err := batched.Do(writeBatch(disks, blk)); err != nil {
-				t.Fatal(err)
-			}
-			for d := 0; d < disks; d++ {
-				if err := single.Write(d, blk, pattern(blk, d)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		// A mixed batch: reads and writes over every disk, two transfers on
-		// disk 0 (they run in batch order).
-		mixed := []Transfer{
-			{Disk: 0, Block: 1, Buf: make([]byte, testBlock)},
-			{Disk: 1, Block: 9, Write: true, Buf: pattern(9, 1)},
-			{Disk: 2, Block: 4, Buf: make([]byte, testBlock)},
-			{Disk: 3, Block: 2, Write: true, Buf: pattern(20, 3)},
-			{Disk: 0, Block: 5, Buf: make([]byte, testBlock)},
-		}
-		if err := batched.Do(mixed); err != nil {
-			t.Fatal(err)
-		}
-		for _, tr := range mixed {
-			if tr.Err != nil {
-				t.Fatalf("transfer %+v failed: %v", tr, tr.Err)
-			}
-			if tr.Write {
-				if err := single.Write(tr.Disk, tr.Block, tr.Buf); err != nil {
-					t.Fatal(err)
-				}
-				continue
-			}
-			want := make([]byte, testBlock)
-			if err := single.Read(tr.Disk, tr.Block, want); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(tr.Buf, want) {
-				t.Fatalf("batched read of disk %d block %d differs from a per-call read", tr.Disk, tr.Block)
-			}
-		}
-		if err := batched.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := single.Close(); err != nil {
-			t.Fatal(err)
-		}
-		for d := 0; d < disks; d++ {
-			if !bytes.Equal(bm[d].data, sm[d].data) {
-				t.Fatalf("disk %d holds different bytes after batched and per-call runs", d)
-			}
-		}
-	})
-
 	t.Run("faults-retried", func(t *testing.T) {
-		e, _ := testEngine(t, Config{
+		e, _ := testDrives(t, Config{
 			RetryBase: 10 * time.Microsecond,
 			Fault:     FaultConfig{ErrorRate: 0.3, TornWriteRate: 0.5, Seed: 7},
 		}, disks)
 		defer e.Close()
 		for blk := int64(0); blk < 16; blk++ {
-			if err := e.Do(writeBatch(disks, blk)); err != nil {
-				t.Fatal(err)
+			for d, err := range writeRow(e, disks, blk) {
+				if err != nil {
+					t.Fatalf("disk %d block %d: %v", d, blk, err)
+				}
 			}
 		}
+		got := make([]byte, testBlock)
 		for blk := int64(0); blk < 16; blk++ {
-			batch := make([]Transfer, disks)
-			for d := range batch {
-				batch[d] = Transfer{Disk: d, Block: blk, Buf: make([]byte, testBlock)}
-			}
-			if err := e.Do(batch); err != nil {
-				t.Fatal(err)
-			}
-			for d, tr := range batch {
-				if !bytes.Equal(tr.Buf, pattern(blk, d)) {
+			for d := 0; d < disks; d++ {
+				if err := e.Drive(d).Read(blk, got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, pattern(blk, d)) {
 					t.Fatalf("disk %d block %d corrupted under faults", d, blk)
 				}
 			}
@@ -122,7 +67,7 @@ func TestEngineDo(t *testing.T) {
 	t.Run("failed-disk", func(t *testing.T) {
 		devs := make([]Device, disks)
 		for d := range devs {
-			devs[d] = NewMemDevice()
+			devs[d] = &memDevice{}
 		}
 		devs[2] = failingDevice{}
 		e, err := New(Config{
@@ -137,15 +82,21 @@ func TestEngineDo(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer e.Close()
-		batch := writeBatch(disks, 0)
-		err = e.Do(batch)
-		var failed *DiskFailedError
-		if !errors.As(err, &failed) || failed.Disk != 2 || !errors.Is(err, errDead) {
-			t.Fatalf("Do on a dead disk: got %v, want *DiskFailedError for disk 2", err)
-		}
-		for d, tr := range batch {
-			if d != 2 && tr.Err != nil {
-				t.Fatalf("healthy disk %d's transfer failed: %v", d, tr.Err)
+		for round := 0; round < 2; round++ {
+			// The second round hits the failed disk's fail-fast path.
+			retries := e.Metrics().PerDisk[2].Retries
+			errs := writeRow(e, disks, int64(round))
+			var failed *DiskFailedError
+			if !errors.As(errs[2], &failed) || failed.Disk != 2 || !errors.Is(errs[2], errDead) {
+				t.Fatalf("round %d: write to a dead disk got %v, want *DiskFailedError for disk 2", round, errs[2])
+			}
+			if got := e.Metrics().PerDisk[2].Retries; round > 0 && got != retries {
+				t.Fatalf("fail-fast write retried (%d -> %d)", retries, got)
+			}
+			for d, err := range errs {
+				if d != 2 && err != nil {
+					t.Fatalf("healthy disk %d's transfer failed: %v", d, err)
+				}
 			}
 		}
 		got := make([]byte, testBlock)
@@ -153,7 +104,7 @@ func TestEngineDo(t *testing.T) {
 			if d == 2 {
 				continue
 			}
-			if err := e.Read(d, 0, got); err != nil || !bytes.Equal(got, pattern(0, d)) {
+			if err := e.Drive(d).Read(1, got); err != nil || !bytes.Equal(got, pattern(1, d)) {
 				t.Fatalf("disk %d did not complete its write (err %v)", d, err)
 			}
 		}
@@ -162,14 +113,16 @@ func TestEngineDo(t *testing.T) {
 	t.Run("canceled", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		e, _ := testEngine(t, Config{
+		e, _ := testDrives(t, Config{
 			MaxRetries: 50,
 			RetryBase:  time.Hour, // a retry backoff only cancellation cuts short
 			Context:    ctx,
 			Fault:      FaultConfig{ErrorRate: 1, Seed: 9},
 		}, disks)
-		if err := e.Do(writeBatch(disks, 0)); err != ctx.Err() {
-			t.Fatalf("got %v, want %v", err, ctx.Err())
+		for d, err := range writeRow(e, disks, 0) {
+			if err != ctx.Err() {
+				t.Fatalf("disk %d: got %v, want %v", d, err, ctx.Err())
+			}
 		}
 		if err := e.Close(); err != nil {
 			t.Fatalf("close after cancellation: %v", err)
@@ -177,22 +130,54 @@ func TestEngineDo(t *testing.T) {
 	})
 
 	t.Run("alloc-free", func(t *testing.T) {
-		e, _ := testEngine(t, Config{}, disks)
+		e, _ := testDrives(t, Config{}, disks)
 		defer e.Close()
-		batch := writeBatch(disks, 0)
-		if err := e.Do(batch); err != nil {
-			t.Fatal(err)
+		bufs := make([][]byte, disks)
+		for d := range bufs {
+			bufs[d] = pattern(0, d)
+			if err := e.Drive(d).Write(0, bufs[d]); err != nil {
+				t.Fatal(err)
+			}
 		}
 		allocs := testing.AllocsPerRun(100, func() {
-			for i := range batch {
-				batch[i].Write = !batch[i].Write
-			}
-			if err := e.Do(batch); err != nil {
-				t.Fatal(err)
+			for d, buf := range bufs {
+				if err := e.Drive(d).Write(0, buf); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Drive(d).Read(0, buf); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("a warmed Do of %d transfers made %.1f allocations, want 0", disks, allocs)
+			t.Fatalf("a warmed write plus read on %d disks made %.1f allocations, want 0", disks, allocs)
 		}
 	})
+}
+
+// TestNoGoroutines checks the layer runs every transfer on its caller:
+// guarding devices, moving blocks through them (retries included) and
+// closing them starts no goroutine.
+func TestNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e, _ := testDrives(t, Config{
+		RetryBase: time.Microsecond,
+		Fault:     FaultConfig{ErrorRate: 0.2, TornWriteRate: 0.5, Seed: 4},
+	}, 4)
+	for blk := int64(0); blk < 8; blk++ {
+		for d, err := range writeRow(e, 4, blk) {
+			if err != nil {
+				t.Fatalf("disk %d block %d: %v", d, blk, err)
+			}
+		}
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("%d goroutines with the drives open, %d before", got, before)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("%d goroutines after Close, %d before", got, before)
+	}
 }

@@ -33,8 +33,8 @@ func (f FaultConfig) enabled() bool {
 	return f.ErrorRate > 0 || f.LatencyJitter > 0
 }
 
-// injector is one disk's fault source. It lives on the worker goroutine
-// and is never shared.
+// injector is one disk's fault source. Only its drive's transfers use it,
+// and they never run concurrently.
 type injector struct {
 	cfg FaultConfig
 	rng *rand.Rand

@@ -2,37 +2,22 @@ package diskio
 
 // DiskStats is a snapshot of one disk's counters.
 type DiskStats struct {
-	// Reads and Writes count completed device transfers (a coalesced run
-	// of adjacent blocks is one write), with BytesRead/BytesWritten the
-	// payload moved.
+	// Reads and Writes count completed device transfers, with
+	// BytesRead/BytesWritten the payload moved.
 	Reads, Writes           int64
 	BytesRead, BytesWritten int64
 	// Retries counts backoff-then-retry rounds; Faults counts injected
 	// failures; BreakerTrips counts circuit-breaker cooldowns.
 	Retries, Faults int64
 	BreakerTrips    int64
-	// PrefetchIssued/PrefetchHits measure the read-ahead; WriteBufferHits
-	// counts reads served from the write-behind run.
-	PrefetchIssued  int64
-	PrefetchHits    int64
-	WriteBufferHits int64
-	// Coalesced counts blocks merged into an already-open write-behind
-	// run; Flushes counts runs pushed to the device.
-	Coalesced, Flushes int64
-	// QueueMax is the deepest observed demand queue.
-	QueueMax int64
 	// ReadNanos/WriteNanos sum the device time of successful transfers —
 	// BytesRead/ReadNanos is this disk's measured read bandwidth.
 	// BusyNanos sums all device-op time, failed attempts included.
 	ReadNanos, WriteNanos int64
 	BusyNanos             int64
-	// QueueLen and WBBacklog are instantaneous: the demand queue depth and
-	// the write-behind run length (blocks) at snapshot time.
-	QueueLen  int64
-	WBBacklog int64
 }
 
-// Add accumulates o into s (QueueMax takes the max).
+// Add accumulates o into s.
 func (s *DiskStats) Add(o DiskStats) {
 	s.Reads += o.Reads
 	s.Writes += o.Writes
@@ -41,27 +26,14 @@ func (s *DiskStats) Add(o DiskStats) {
 	s.Retries += o.Retries
 	s.Faults += o.Faults
 	s.BreakerTrips += o.BreakerTrips
-	s.PrefetchIssued += o.PrefetchIssued
-	s.PrefetchHits += o.PrefetchHits
-	s.WriteBufferHits += o.WriteBufferHits
-	s.Coalesced += o.Coalesced
-	s.Flushes += o.Flushes
-	if o.QueueMax > s.QueueMax {
-		s.QueueMax = o.QueueMax
-	}
 	s.ReadNanos += o.ReadNanos
 	s.WriteNanos += o.WriteNanos
 	s.BusyNanos += o.BusyNanos
-	s.QueueLen += o.QueueLen
-	s.WBBacklog += o.WBBacklog
 }
 
-// Snapshot is the whole engine's metrics at one instant.
+// Snapshot is every drive's metrics at one instant.
 type Snapshot struct {
 	PerDisk []DiskStats
-	// PoolInUse is the number of block buffers currently checked out of
-	// the engine's buffer pool.
-	PoolInUse int64
 }
 
 // Aggregate sums the per-disk stats.
@@ -73,30 +45,23 @@ func (s Snapshot) Aggregate() DiskStats {
 	return total
 }
 
-// Metrics snapshots every disk's counters. Safe to call at any time,
-// including while transfers are in flight.
-func (e *Engine) Metrics() Snapshot {
-	snap := Snapshot{PerDisk: make([]DiskStats, len(e.workers)), PoolInUse: e.pool.inUse.Load()}
-	for i, w := range e.workers {
+// Metrics snapshots every drive's counters. Safe to call at any time,
+// including while a transfer is in flight.
+func (s *Drives) Metrics() Snapshot {
+	snap := Snapshot{PerDisk: make([]DiskStats, len(s.drives))}
+	for i := range s.drives {
+		m := &s.drives[i].m
 		snap.PerDisk[i] = DiskStats{
-			Reads:           w.m.reads.Load(),
-			Writes:          w.m.writes.Load(),
-			BytesRead:       w.m.bytesRead.Load(),
-			BytesWritten:    w.m.bytesWritten.Load(),
-			Retries:         w.m.retries.Load(),
-			Faults:          w.m.faults.Load(),
-			BreakerTrips:    w.m.breakerTrips.Load(),
-			PrefetchIssued:  w.m.prefetchIssued.Load(),
-			PrefetchHits:    w.m.prefetchHits.Load(),
-			WriteBufferHits: w.m.writeHits.Load(),
-			Coalesced:       w.m.coalesced.Load(),
-			Flushes:         w.m.flushes.Load(),
-			QueueMax:        w.m.queueMax.Load(),
-			ReadNanos:       w.m.readNanos.Load(),
-			WriteNanos:      w.m.writeNanos.Load(),
-			BusyNanos:       w.m.busyNanos.Load(),
-			QueueLen:        int64(len(w.demand)),
-			WBBacklog:       w.m.wbBacklog.Load(),
+			Reads:        m.reads.Load(),
+			Writes:       m.writes.Load(),
+			BytesRead:    m.bytesRead.Load(),
+			BytesWritten: m.bytesWritten.Load(),
+			Retries:      m.retries.Load(),
+			Faults:       m.faults.Load(),
+			BreakerTrips: m.breakerTrips.Load(),
+			ReadNanos:    m.readNanos.Load(),
+			WriteNanos:   m.writeNanos.Load(),
+			BusyNanos:    m.busyNanos.Load(),
 		}
 	}
 	return snap

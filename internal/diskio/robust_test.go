@@ -12,7 +12,7 @@ import (
 // retries accumulate FailThreshold consecutive trips — and checks both the
 // typed error and the fail-fast short-circuit on subsequent ops.
 func TestDiskFailedErrorFailFast(t *testing.T) {
-	e, _ := testEngine(t, Config{
+	e, _ := testDrives(t, Config{
 		MaxRetries:       6,
 		BreakerThreshold: 1,
 		BreakerCooldown:  time.Microsecond,
@@ -23,7 +23,7 @@ func TestDiskFailedErrorFailFast(t *testing.T) {
 	defer e.Close()
 
 	buf := make([]byte, testBlock)
-	err := e.Read(0, 0, buf)
+	err := e.Drive(0).Read(0, buf)
 	var failed *DiskFailedError
 	if !errors.As(err, &failed) {
 		t.Fatalf("got %v, want *DiskFailedError", err)
@@ -38,24 +38,22 @@ func TestDiskFailedErrorFailFast(t *testing.T) {
 	// Subsequent ops on the failed disk short-circuit: same typed error,
 	// no further retries.
 	retries := e.Metrics().PerDisk[0].Retries
-	if err := e.Read(0, 1, buf); !errors.As(err, &failed) {
+	if err := e.Drive(0).Read(1, buf); !errors.As(err, &failed) {
 		t.Fatalf("second op: got %v, want fail-fast *DiskFailedError", err)
 	}
 	if got := e.Metrics().PerDisk[0].Retries; got != retries {
 		t.Fatalf("fail-fast op retried (%d -> %d)", retries, got)
 	}
 
-	// The write path surfaces it too, and does not leak the pooled buffer
-	// (Close would deadlock or the race detector would complain if the
-	// buffer accounting were off).
-	if err := e.Write(0, 0, pattern(0, 0)); !errors.As(err, &failed) {
+	// The write path surfaces it too.
+	if err := e.Drive(0).Write(0, pattern(0, 0)); !errors.As(err, &failed) {
 		t.Fatalf("write on failed disk: got %v", err)
 	}
 
 	// The other disk is unaffected by disk 0's failure — but with
 	// ErrorRate 1 it fails its own retries with the root cause, not a
 	// premature permanent-failure verdict (its trips are independent).
-	err = e.Read(1, 0, buf)
+	err = e.Drive(1).Read(0, buf)
 	if err == nil {
 		t.Fatal("disk 1 read with ErrorRate 1 succeeded")
 	}
@@ -64,7 +62,7 @@ func TestDiskFailedErrorFailFast(t *testing.T) {
 // TestFailThresholdDisabled checks a negative FailThreshold keeps the old
 // behavior: trips accumulate but no disk is ever declared failed.
 func TestFailThresholdDisabled(t *testing.T) {
-	e, _ := testEngine(t, Config{
+	e, _ := testDrives(t, Config{
 		MaxRetries:       6,
 		BreakerThreshold: 1,
 		BreakerCooldown:  time.Microsecond,
@@ -73,7 +71,7 @@ func TestFailThresholdDisabled(t *testing.T) {
 		Fault:            FaultConfig{ErrorRate: 1, Seed: 3},
 	}, 1)
 	defer e.Close()
-	err := e.Read(0, 0, make([]byte, testBlock))
+	err := e.Drive(0).Read(0, make([]byte, testBlock))
 	var failed *DiskFailedError
 	if errors.As(err, &failed) {
 		t.Fatal("FailThreshold < 0 still declared the disk failed")
@@ -88,7 +86,7 @@ func TestFailThresholdDisabled(t *testing.T) {
 // long time returns ctx.Err() promptly.
 func TestContextCancelAbortsRetries(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	e, _ := testEngine(t, Config{
+	e, _ := testDrives(t, Config{
 		MaxRetries: 100,
 		RetryBase:  time.Hour, // would block ~forever without cancellation
 		Context:    ctx,
@@ -97,7 +95,7 @@ func TestContextCancelAbortsRetries(t *testing.T) {
 	defer e.Close()
 
 	done := make(chan error, 1)
-	go func() { done <- e.Read(0, 0, make([]byte, testBlock)) }()
+	go func() { done <- e.Drive(0).Read(0, make([]byte, testBlock)) }()
 	time.Sleep(10 * time.Millisecond) // let the op enter its backoff sleep
 	cancel()
 	select {
@@ -111,17 +109,17 @@ func TestContextCancelAbortsRetries(t *testing.T) {
 }
 
 // TestContextPreCanceled checks an already-canceled context fails ops at
-// the first sleep without hanging, and the engine still closes cleanly.
+// the first sleep without hanging, and the drives still close cleanly.
 func TestContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	e, _ := testEngine(t, Config{
+	e, _ := testDrives(t, Config{
 		MaxRetries: 50,
 		RetryBase:  time.Hour,
 		Context:    ctx,
 		Fault:      FaultConfig{ErrorRate: 1, Seed: 9},
 	}, 1)
-	err := e.Read(0, 0, make([]byte, testBlock))
+	err := e.Drive(0).Read(0, make([]byte, testBlock))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}

@@ -284,6 +284,64 @@ func TestServerQuarterMemoryGeometry(t *testing.T) {
 	}
 }
 
+// recordFile returns the wire bytes of n generated records.
+func recordFile(t *testing.T, w balancesort.Workload, n int, seed uint64) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "in.bin")
+	if err := balancesort.WriteRecordFile(path, balancesort.NewWorkload(w, n, seed)); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestServerSmallMemoryJob serves the small-memory geometry whose
+// distribution used to stall: the sorter panicked inside the job
+// goroutine and took the whole server down. The job now completes with
+// the bytes of a direct SortFile.
+func TestServerSmallMemoryJob(t *testing.T) {
+	input := recordFile(t, balancesort.Uniform, 6000, 1)
+	dir := t.TempDir()
+	inPath, outPath := filepath.Join(dir, "in.bin"), filepath.Join(dir, "out.bin")
+	if err := os.WriteFile(inPath, input, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := balancesort.SortFile(inPath, outPath, "", balancesort.Config{Disks: 4, BlockSize: 2, Memory: 128}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Options{Workers: 1})
+	st := submitUpload(t, ts.URL, "", "?disks=4&block=2&memory=128", input)
+	waitState(t, ts.URL, "", st.ID, StateDone, 60*time.Second)
+	if got := download(t, ts.URL, "", st.ID); !bytes.Equal(got, want) {
+		t.Fatal("output differs from direct SortFile")
+	}
+}
+
+// TestServerStalledJobFails checks a job whose distribution still stops
+// making progress (D=1 B=1 M=8 on few-distinct input) fails with
+// internal_error, and the server goes on to complete the next job.
+func TestServerStalledJobFails(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	st := submitUpload(t, ts.URL, "", "?disks=1&block=1&memory=8", recordFile(t, balancesort.FewDistinct, 3000, 1))
+	failed := waitState(t, ts.URL, "", st.ID, StateFailed, 60*time.Second)
+	if failed.ErrorCode != CodeInternal {
+		t.Fatalf("stalled job failed with %q (%s), want %q", failed.ErrorCode, failed.Error, CodeInternal)
+	}
+	input := matrixInput(t)
+	next := submitUpload(t, ts.URL, "", matrixQuery, input)
+	waitState(t, ts.URL, "", next.ID, StateDone, 30*time.Second)
+	if got := download(t, ts.URL, "", next.ID); !bytes.Equal(got, matrixReference(t, input)) {
+		t.Fatal("output differs from direct SortFile")
+	}
+}
+
 // TestServerRejections drives the admission errors through HTTP: bad
 // input size, geometry or bucket count (400), memory over budget (507),
 // tenant over quota (429), output before done (409), unknown job (404).
@@ -294,7 +352,7 @@ func TestServerRejections(t *testing.T) {
 		Quota:   Quota{MaxJobsPerTenant: 1},
 		// A slow engine keeps the first job running while the quota case
 		// submits a second one.
-		Sort: balancesort.Config{IO: balancesort.IOConfig{Engine: true, LatencyJitter: time.Millisecond}},
+		Sort: balancesort.Config{IO: balancesort.IOConfig{LatencyJitter: time.Millisecond}},
 	})
 	input := matrixInput(t)
 
@@ -350,7 +408,7 @@ func TestServerRejections(t *testing.T) {
 func TestServerCancelRunning(t *testing.T) {
 	srv, ts := newTestServer(t, Options{
 		Workers: 1,
-		Sort:    balancesort.Config{IO: balancesort.IOConfig{Engine: true, LatencyJitter: time.Millisecond}},
+		Sort:    balancesort.Config{IO: balancesort.IOConfig{LatencyJitter: time.Millisecond}},
 	})
 	input := matrixInput(t)
 	st := submitUpload(t, ts.URL, "", matrixQuery, input)
@@ -378,7 +436,7 @@ func TestServerCancelRunning(t *testing.T) {
 func TestServerCancelQueued(t *testing.T) {
 	srv, ts := newTestServer(t, Options{
 		Workers: 1,
-		Sort:    balancesort.Config{IO: balancesort.IOConfig{Engine: true, LatencyJitter: time.Millisecond}},
+		Sort:    balancesort.Config{IO: balancesort.IOConfig{LatencyJitter: time.Millisecond}},
 	})
 	input := matrixInput(t)
 	running := submitUpload(t, ts.URL, "", matrixQuery, input)
@@ -417,7 +475,7 @@ func TestServerKillRestartResume(t *testing.T) {
 	// the kill lands mid-recursion, after ≥2 journal commits.
 	srv1, err := New(Options{
 		DataDir: dataDir, Workers: 1, Logf: t.Logf,
-		Sort: balancesort.Config{IO: balancesort.IOConfig{Engine: true, LatencyJitter: time.Millisecond}},
+		Sort: balancesort.Config{IO: balancesort.IOConfig{LatencyJitter: time.Millisecond}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -479,7 +537,7 @@ func TestServerDrainRestart(t *testing.T) {
 
 	srv1, err := New(Options{
 		DataDir: dataDir, Workers: 1, Logf: t.Logf,
-		Sort: balancesort.Config{IO: balancesort.IOConfig{Engine: true, LatencyJitter: time.Millisecond}},
+		Sort: balancesort.Config{IO: balancesort.IOConfig{LatencyJitter: time.Millisecond}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -587,7 +645,7 @@ func TestServerClusterKillRestartResume(t *testing.T) {
 	// Slow worker-side shard sorts give the kill a wide mid-job window.
 	workers := startClusterWorkers(t, 3, balancesort.Config{
 		Disks: 4, BlockSize: 8, Memory: 1024,
-		IO: balancesort.IOConfig{Engine: true, LatencyJitter: time.Millisecond},
+		IO: balancesort.IOConfig{LatencyJitter: time.Millisecond},
 	})
 
 	srv1, err := New(Options{DataDir: dataDir, Workers: 1, Logf: t.Logf, Cluster: workers})

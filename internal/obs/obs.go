@@ -1,5 +1,5 @@
 // Package obs is the zero-dependency tracing and metrics layer shared by
-// the sort core, the disk engine, and the cluster runtime. It answers the
+// the sort core, the disk I/O layer, and the cluster runtime. It answers the
 // question the end-of-run counters cannot: *where does the time go* inside
 // a distribute pass, a matching round, or a cluster phase.
 //
@@ -37,7 +37,7 @@ type Attr struct {
 }
 
 // LayerCounter marks a Span as one sample of a utilization counter track
-// (queue depth, busy %, backlog, ...) rather than a phase. Counter spans
+// (busy %, bytes/s, goroutines, ...) rather than a phase. Counter spans
 // have Dur 0, carry their value as the single attribute "value", never feed
 // the duration histograms, and export as Chrome "C" events.
 const LayerCounter = "counter"

@@ -23,7 +23,7 @@ type Metric struct {
 	Value  float64
 }
 
-// Source produces the current samples of one component (disk engine
+// Source produces the current samples of one component (disk I/O layer
 // stats, cluster worker counters, ...). Sources are polled on every
 // /metrics scrape.
 type Source func() []Metric

@@ -11,7 +11,7 @@ import (
 type GaugeKind int
 
 const (
-	// GaugeInstant records Fn() as-is (queue depth, backlog, occupancy).
+	// GaugeInstant records Fn() as-is (goroutines, heap size).
 	GaugeInstant GaugeKind = iota
 	// GaugeRate treats Fn() as a cumulative total and records the delta
 	// per second since the previous tick (bytes → bytes/s).
@@ -143,7 +143,7 @@ func (s *Sampler) Metrics() []Metric {
 		ms = append(ms, Metric{
 			Name:   "balancesort_util",
 			Type:   "gauge",
-			Help:   "Sampled utilization by track (queue depth, busy %, backlog, bytes/s, ...).",
+			Help:   "Sampled utilization by track (busy %, bytes/s, goroutines, ...).",
 			Labels: []Label{{"track", g.Name}},
 			Value:  float64(vals[i]),
 		})

@@ -19,10 +19,10 @@ import (
 // the data outlives the process and its footprint is disk, not RAM, so the
 // library genuinely sorts datasets larger than host memory.
 //
-// The drives are served either synchronously, one block at a time on the
-// calling goroutine (fileStore), or through the concurrent diskio engine,
-// one batch per parallel I/O (engineStore over *os.File devices); the
-// engine-backed variants take a diskio.Config.
+// Every block moves on the calling goroutine through the drive's guarded
+// device (internal/diskio): fault injection, retry with backoff, the
+// circuit breaker and fail-fast *diskio.DiskFailedError, and the per-disk
+// counters IOMetrics reports. FileOptions.IO configures that layer.
 //
 // Integrity: unless disabled, every block carries a CRC32C (Castagnoli) of
 // its wire bytes. Each drive keeps the checksums in an in-memory table,
@@ -229,10 +229,10 @@ func (x *blockIndex) scrub(buf []byte, readRaw func(off int, buf []byte) error) 
 
 // fileStore backs one drive with one file; block i occupies bytes
 // [i*B*EncodedSize, (i+1)*B*EncodedSize). It moves one block per call, on
-// the calling goroutine.
+// the calling goroutine, through the drive's guarded device.
 type fileStore struct {
 	blockIndex
-	f *os.File
+	dev *diskio.Drive
 	// scratch is one block of wire bytes, reused per op; safe because
 	// ParallelIO serializes its callers (and Peek and Scrub are
 	// contractually never concurrent with a ParallelIO).
@@ -243,7 +243,7 @@ func (s *fileStore) read(off int, dst []record.Record) error {
 	if !s.isWritten(off) {
 		return fmt.Errorf("pdm: read of unwritten block off=%d", off)
 	}
-	if _, err := s.f.ReadAt(s.scratch, int64(off)*int64(len(s.scratch))); err != nil {
+	if err := s.dev.Read(int64(off), s.scratch); err != nil {
 		return fmt.Errorf("pdm: file read: %w", err)
 	}
 	if err := s.verify(off, s.scratch); err != nil {
@@ -255,25 +255,20 @@ func (s *fileStore) read(off int, dst []record.Record) error {
 
 func (s *fileStore) write(off int, src []record.Record) error {
 	buf := record.AppendSlice(s.scratch[:0], src)
-	if _, err := s.f.WriteAt(buf, int64(off)*int64(len(s.scratch))); err != nil {
+	if err := s.dev.Write(int64(off), buf); err != nil {
 		return fmt.Errorf("pdm: file write: %w", err)
 	}
 	s.record(off, buf)
 	return nil
 }
 
-func (s *fileStore) close() error {
-	err := s.closeSidecar()
-	if ferr := s.f.Close(); ferr != nil && err == nil {
-		err = ferr
-	}
-	return err
-}
+// close flushes the checksum table to the sidecar; the data files are
+// closed with the drives (see the array's onClose).
+func (s *fileStore) close() error { return s.closeSidecar() }
 
 func (s *fileStore) verifyAll() (int, []*CorruptBlockError) {
 	return s.scrub(s.scratch, func(off int, buf []byte) error {
-		_, err := s.f.ReadAt(buf, int64(off)*int64(len(buf)))
-		return err
+		return s.dev.Read(int64(off), buf)
 	})
 }
 
@@ -344,16 +339,17 @@ type FileOptions struct {
 	// Mode selects the model's I/O rule (new arrays; reopened arrays
 	// follow their manifest).
 	Mode Mode
-	// Engine, when non-nil, mounts the concurrent diskio engine with this
-	// configuration (BlockBytes is derived and may be left zero).
-	Engine *diskio.Config
+	// IO configures the drives' I/O layer: fault injection, retries, the
+	// circuit breaker, the context that cancels its sleeps, and its trace.
+	// BlockBytes is derived and may be left zero.
+	IO diskio.Config
 	// NoChecksums disables the CRC32C block sidecars for a new array.
 	// Reopened arrays follow their manifest, whatever this says.
 	NoChecksums bool
 }
 
 // NewFileBacked creates a file-backed array under dir (created if absent)
-// in PDM mode with checksums on, served synchronously. Any existing array
+// in PDM mode with checksums on and a default I/O layer. Any existing array
 // files in dir are truncated.
 func NewFileBacked(p Params, dir string) (*Array, error) {
 	return NewFileBackedOpts(p, dir, FileOptions{})
@@ -363,13 +359,6 @@ func NewFileBacked(p Params, dir string) (*Array, error) {
 // is persisted in the manifest so the array resumes under the same rule.
 func NewFileBackedMode(p Params, dir string, mode Mode) (*Array, error) {
 	return NewFileBackedOpts(p, dir, FileOptions{Mode: mode})
-}
-
-// NewFileBackedEngine creates a file-backed array whose drives are served
-// concurrently by a diskio engine with the given configuration
-// (ecfg.BlockBytes is derived from p and may be left zero).
-func NewFileBackedEngine(p Params, dir string, ecfg diskio.Config) (*Array, error) {
-	return NewFileBackedOpts(p, dir, FileOptions{Engine: &ecfg})
 }
 
 // NewFileBackedOpts creates a file-backed array under dir with the given
@@ -410,7 +399,7 @@ func NewFileBackedOpts(p Params, dir string, o FileOptions) (*Array, error) {
 			crcs[i] = c
 		}
 	}
-	a, err := assembleFileBacked(p, dir, o.Mode, o.Engine, files, crcs, nil, nil)
+	a, err := assembleFileBacked(p, dir, o.Mode, o.IO, files, crcs, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -421,21 +410,15 @@ func NewFileBackedOpts(p Params, dir string, o FileOptions) (*Array, error) {
 	return a, nil
 }
 
-// OpenFileBacked resumes the array persisted under dir, served
-// synchronously, in the mode recorded by the manifest.
+// OpenFileBacked resumes the array persisted under dir, with a default I/O
+// layer, in the mode recorded by the manifest.
 func OpenFileBacked(dir string) (*Array, error) {
 	return OpenFileBackedOpts(dir, FileOptions{})
 }
 
-// OpenFileBackedEngine resumes the array persisted under dir with a
-// diskio engine serving the drives.
-func OpenFileBackedEngine(dir string, ecfg diskio.Config) (*Array, error) {
-	return OpenFileBackedOpts(dir, FileOptions{Engine: &ecfg})
-}
-
 // OpenFileBackedOpts resumes the array persisted under dir. The manifest
 // decides the mode and the checksum discipline (o.Mode and o.NoChecksums
-// are ignored); o.Engine selects how the drives are served. Per-disk file
+// are ignored); o.IO configures the drives' I/O layer. Per-disk file
 // sizes are validated against the manifest's write marks at open time —
 // a truncated or ragged scratch file is a typed *TruncatedDiskError here
 // rather than a confusing failure deep inside a later read.
@@ -506,59 +489,42 @@ func OpenFileBackedOpts(dir string, o FileOptions) (*Array, error) {
 			}
 		}
 	}
-	return assembleFileBacked(p, dir, m.Mode, o.Engine, files, crcs, m.NextFree, written)
+	return assembleFileBacked(p, dir, m.Mode, o.IO, files, crcs, m.NextFree, written)
 }
 
-// assembleFileBacked builds the array over the opened files — plain
-// fileStores when ecfg is nil, an engine mount otherwise — and arranges
-// for Sync and Close to persist the checksum tables and the manifest. A
-// resumed array passes its allocation marks and per-disk write marks; its
+// assembleFileBacked builds the array over the opened files, one
+// fileStore per drive behind the guarded devices, and arranges for Sync
+// and Close to persist the checksum tables and the manifest. A resumed
+// array passes its allocation marks and per-disk write marks; its
 // checksum tables are loaded from the sidecars up to the write marks.
-func assembleFileBacked(p Params, dir string, mode Mode, ecfg *diskio.Config, files, crcs []*os.File, nextFree, written []int) (*Array, error) {
+func assembleFileBacked(p Params, dir string, mode Mode, cfg diskio.Config, files, crcs []*os.File, nextFree, written []int) (*Array, error) {
 	fail := func(err error) (*Array, error) {
 		closeFiles(files)
 		closeFiles(crcs)
 		return nil, err
 	}
+	cfg.BlockBytes = p.B * record.EncodedSize
+	devs := make([]diskio.Device, p.D)
+	for i, f := range files {
+		devs[i] = f
+	}
+	drives, err := diskio.New(cfg, devs)
+	if err != nil {
+		return fail(err)
+	}
 	idx := make([]*blockIndex, p.D)
 	stores := make([]blockStore, p.D)
-	var eng *diskio.Engine
-	var mount *engineMount
-	if ecfg != nil {
-		cfg := *ecfg
-		cfg.BlockBytes = p.B * record.EncodedSize
-		devs := make([]diskio.Device, p.D)
-		for i, f := range files {
-			devs[i] = f
-		}
-		var err error
-		if eng, err = diskio.New(cfg, devs); err != nil {
-			return fail(err)
-		}
-		mount = newEngineMount(p, eng)
-		for i := range stores {
-			es := mount.stores[i]
-			idx[i], stores[i] = &es.blockIndex, es
-		}
-	} else {
-		for i, f := range files {
-			fs := &fileStore{blockIndex: blockIndex{disk: i}, f: f, scratch: make([]byte, p.B*record.EncodedSize)}
-			idx[i], stores[i] = &fs.blockIndex, fs
-		}
-	}
-	for i, x := range idx {
+	for i := range stores {
+		fs := &fileStore{blockIndex: blockIndex{disk: i}, dev: drives.Drive(i), scratch: make([]byte, cfg.BlockBytes)}
 		if crcs != nil {
-			x.crc = crcs[i]
+			fs.crc = crcs[i]
 		}
 		if written != nil {
-			if err := x.load(written[i]); err != nil {
-				if eng != nil {
-					eng.Close() // closes the data files
-					files = nil
-				}
+			if err := fs.load(written[i]); err != nil {
 				return fail(err)
 			}
 		}
+		idx[i], stores[i] = &fs.blockIndex, fs
 	}
 	checksum := ""
 	if crcs != nil {
@@ -574,14 +540,9 @@ func assembleFileBacked(p Params, dir string, mode Mode, ecfg *diskio.Config, fi
 		})
 	}
 	a = newWithStores(p, mode, stores, func() error {
-		// The stores have flushed their write-behind runs and checksum
-		// tables and closed the sidecars; closing the engine stops the
-		// workers and closes the data files, and must precede the manifest
-		// write so its data is durable first.
-		var firstErr error
-		if eng != nil {
-			firstErr = eng.Close()
-		}
+		// The stores have flushed their checksum tables and closed the
+		// sidecars; the data files close before the manifest is written.
+		firstErr := drives.Close()
 		if err := persist(); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -589,15 +550,9 @@ func assembleFileBacked(p Params, dir string, mode Mode, ecfg *diskio.Config, fi
 	})
 	// Sync makes everything written so far durable and the manifest
 	// consistent with it — the commit primitive the sort-pass journal
-	// builds on: the data reaches the files, the changed checksum entries
-	// reach the sidecars, then data, sidecars, and manifest are made
-	// durable in that order.
+	// builds on: the changed checksum entries reach the sidecars, then
+	// data, sidecars, and manifest are made durable in that order.
 	a.syncFn = func() error {
-		if eng != nil {
-			if err := eng.FlushAll(); err != nil {
-				return err
-			}
-		}
 		for _, x := range idx {
 			if err := x.flush(); err != nil {
 				return err
@@ -615,11 +570,21 @@ func assembleFileBacked(p Params, dir string, mode Mode, ecfg *diskio.Config, fi
 		}
 		return persist()
 	}
-	a.mount = mount
+	a.drives = drives
 	if nextFree != nil {
 		copy(a.nextFree, nextFree)
 	}
 	return a, nil
+}
+
+// IOMetrics snapshots the I/O layer's per-disk counters of a file-backed
+// array, or returns nil for an in-memory one.
+func (a *Array) IOMetrics() *diskio.Snapshot {
+	if a.drives == nil {
+		return nil
+	}
+	snap := a.drives.Metrics()
+	return &snap
 }
 
 func closeFiles(files []*os.File) {

@@ -7,18 +7,18 @@
 // this repository: it executes the real data movement, counts parallel I/O
 // operations, and enforces the model's two rules — at most one block per
 // disk per I/O, and at most M records resident in internal memory. A
-// parallel I/O runs from the calling goroutine: in-memory and plain file
-// stores transfer inline, and an engine-mounted array hands the whole I/O
-// to the diskio engine as one batch, whose per-disk workers run the
-// transfers concurrently, as independent drives do. An AgV compatibility
-// mode (Figure 1, the Aggarwal–Vitter model) relaxes the one-block-per-disk
-// rule so the two models can be compared head to head (experiment E14).
+// parallel I/O runs on the calling goroutine, block by block: in memory,
+// or through each file-backed drive's guarded device (internal/diskio). An
+// AgV compatibility mode (Figure 1, the Aggarwal–Vitter model) relaxes the
+// one-block-per-disk rule so the two models can be compared head to head
+// (experiment E14).
 package pdm
 
 import (
 	"fmt"
 	"sync"
 
+	"balancesort/internal/diskio"
 	"balancesort/internal/record"
 )
 
@@ -120,10 +120,8 @@ type Array struct {
 
 	stores []blockStore
 
-	// ioMu serializes parallel I/Os: the scratch below and an engine
-	// mount's wire buffers are reused by every one. It is held while an
-	// engine batch completes, which cannot deadlock: the engine's workers
-	// never take it.
+	// ioMu serializes parallel I/Os: the scratch below and the file
+	// stores' block buffers are reused by every one.
 	ioMu sync.Mutex
 	// claimed[d] marks disk d as taken by the I/O being validated (PDM
 	// mode's one-block-per-disk rule).
@@ -132,9 +130,9 @@ type Array struct {
 	// and partial-last-block buffer.
 	stripeOps []Op
 	stripePad []record.Record
-	// mount batches each parallel I/O onto the diskio engine; nil when
-	// the stores transfer inline (see engine.go and IOMetrics).
-	mount *engineMount
+	// drives guards a file-backed array's devices; nil in memory (see
+	// IOMetrics).
+	drives *diskio.Drives
 
 	mu    sync.Mutex // guards stats
 	stats Stats
@@ -154,10 +152,8 @@ type Array struct {
 
 // blockStore is the storage behind one simulated drive. The in-memory
 // store is the default; the file-backed store in file.go persists blocks to
-// a real file so the library can sort datasets larger than host memory,
-// and the engine store in engine.go reaches its file through the diskio
-// engine. ParallelIO calls the stores from the calling goroutine, block by
-// block, except on an engine mount, which takes each I/O as one batch.
+// a real file so the library can sort datasets larger than host memory.
+// ParallelIO calls the stores from the calling goroutine, block by block.
 type blockStore interface {
 	// read copies block off into dst (len dst = B); it errors on a block
 	// that was never written.
@@ -312,8 +308,7 @@ type ScrubReport struct {
 
 // Scrub walks every written block on every disk and verifies it against
 // its stored checksum, without touching model I/O accounting. Like Peek,
-// it must not run concurrently with a ParallelIO; on an engine-mounted
-// array call Sync first so write-behind data has reached the device.
+// it must not run concurrently with a ParallelIO.
 func (a *Array) Scrub() ScrubReport {
 	var rep ScrubReport
 	for _, st := range a.stores {
@@ -422,14 +417,11 @@ func (a *Array) validate(ops []Op) {
 	}
 }
 
-// transfer moves the blocks of validated ops: as one engine batch on an
-// engine mount, else inline, store by store, stopping at the first error.
-// Reading a never-written block is almost always a bug in the caller, so
-// the stores fail loudly (the error becomes a panic in ParallelIO).
+// transfer moves the blocks of validated ops, store by store, stopping at
+// the first error. Reading a never-written block is almost always a bug in
+// the caller, so the stores fail loudly (the error becomes a panic in
+// ParallelIO).
 func (a *Array) transfer(ops []Op) error {
-	if a.mount != nil {
-		return a.mount.do(ops)
-	}
 	for _, op := range ops {
 		s := a.stores[op.Disk]
 		var err error

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"testing"
 
+	"balancesort/internal/diskio"
 	"balancesort/internal/record"
 )
 
@@ -28,6 +29,15 @@ func readRecovered(a *Array, disk, off int) (err error) {
 	}()
 	a.ParallelIO([]Op{{Disk: disk, Off: off, Data: make([]record.Record, a.B())}})
 	return nil
+}
+
+// layer is the default I/O layer, or with faults the faulty one: the
+// checksums must hold whether or not retries repaired torn writes.
+func layer(faults bool) diskio.Config {
+	if faults {
+		return faultyIO()
+	}
+	return diskio.Config{}
 }
 
 // flipByte flips one byte of the file at the given offset.
@@ -52,16 +62,10 @@ func flipByte(t *testing.T, path string, off int64) {
 // disk, and checks the read surfaces a typed *CorruptBlockError while
 // Scrub pinpoints exactly the damaged block.
 func TestChecksumCatchesFlippedByte(t *testing.T) {
-	for _, engine := range []bool{false, true} {
-		t.Run(fmt.Sprintf("engine=%v", engine), func(t *testing.T) {
+	for _, faults := range []bool{false, true} {
+		t.Run(fmt.Sprintf("faults=%v", faults), func(t *testing.T) {
 			dir := t.TempDir()
-			var a *Array
-			var err error
-			if engine {
-				a, err = NewFileBackedEngine(testParams(), dir, engineConfig())
-			} else {
-				a, err = NewFileBacked(testParams(), dir)
-			}
+			a, err := NewFileBackedOpts(testParams(), dir, FileOptions{IO: layer(faults)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,22 +131,13 @@ func copyDir(t *testing.T, src string) string {
 // caught against the checksum that was synced.
 func TestChecksumsPersistAtSync(t *testing.T) {
 	p := testParams()
-	for _, engine := range []bool{false, true} {
-		t.Run(fmt.Sprintf("engine=%v", engine), func(t *testing.T) {
+	for _, faults := range []bool{false, true} {
+		t.Run(fmt.Sprintf("faults=%v", faults), func(t *testing.T) {
 			open := func(dir string) (*Array, error) {
-				if engine {
-					return OpenFileBackedEngine(dir, engineConfig())
-				}
-				return OpenFileBacked(dir)
+				return OpenFileBackedOpts(dir, FileOptions{IO: layer(faults)})
 			}
 			dir := t.TempDir()
-			var a *Array
-			var err error
-			if engine {
-				a, err = NewFileBackedEngine(p, dir, engineConfig())
-			} else {
-				a, err = NewFileBacked(p, dir)
-			}
+			a, err := NewFileBackedOpts(p, dir, FileOptions{IO: layer(faults)})
 			if err != nil {
 				t.Fatal(err)
 			}

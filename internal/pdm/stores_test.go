@@ -1,34 +1,20 @@
 package pdm
 
 import (
-	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
 
+	"balancesort/internal/diskio"
 	"balancesort/internal/record"
 )
 
-// testArrays opens one array of each store kind: in memory, file-backed,
-// engine-mounted over memory devices, and engine-mounted over files.
+// testArrays opens one array of each store kind: in memory and
+// file-backed.
 func testArrays(p Params) map[string]func(tb testing.TB) *Array {
 	return map[string]func(tb testing.TB) *Array{
-		"mem": func(testing.TB) *Array { return New(p) },
-		"file": func(tb testing.TB) *Array {
-			a, err := NewFileBacked(p, filepath.Join(tb.TempDir(), "s"))
-			if err != nil {
-				tb.Fatal(err)
-			}
-			return a
-		},
-		"engine": func(testing.TB) *Array { return NewModeEngine(p, ModePDM, engineConfig()) },
-		"file-engine": func(tb testing.TB) *Array {
-			a, err := NewFileBackedEngine(p, filepath.Join(tb.TempDir(), "s"), engineConfig())
-			if err != nil {
-				tb.Fatal(err)
-			}
-			return a
-		},
+		"mem":  func(testing.TB) *Array { return New(p) },
+		"file": func(tb testing.TB) *Array { return newFileArray(tb, p, diskio.Config{}) },
 	}
 }
 
@@ -142,7 +128,7 @@ func TestParallelIOAllocFree(t *testing.T) {
 // I/O layer, with its allocations.
 func BenchmarkParallelIO(b *testing.B) {
 	p := Params{D: 8, B: 64, M: 1 << 14}
-	for _, name := range []string{"mem", "file", "engine", "file-engine"} {
+	for _, name := range []string{"mem", "file"} {
 		b.Run(name, func(b *testing.B) {
 			a := testArrays(p)[name](b)
 			defer a.Close()

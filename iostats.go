@@ -8,27 +8,20 @@ import (
 	"balancesort/internal/obs"
 )
 
-// IOConfig configures the concurrent disk I/O engine that file-backed
-// sorts (SortFile) can mount under the simulated array. The engine changes
-// only wall-clock behavior — queueing, read-ahead, write coalescing, fault
-// tolerance — never the model costs: parallel I/O counts are identical
-// with the engine on or off.
+// IOConfig configures the I/O layer every file-backed sort (SortFile,
+// ResumeSortFile) moves its scratch blocks through: fault injection, and
+// the retries, backoff and circuit breaker that absorb faults. The layer
+// changes only wall-clock behavior, never the model costs: parallel I/O
+// counts are identical whatever it is set to.
 type IOConfig struct {
-	// Engine mounts the concurrent I/O engine. False keeps the
-	// synchronous per-disk file stores.
+	// Engine does nothing: every file-backed sort uses the I/O layer.
+	//
+	// Deprecated: kept so existing callers compile; it will be removed.
 	Engine bool
-	// QueueDepth bounds each disk's request queue (0 = 8).
-	QueueDepth int
-	// Prefetch is the per-disk read-ahead window in blocks (0 = 2 when
-	// the engine is on; use a negative value to disable read-ahead).
-	Prefetch int
-	// WriteBehind is the longest run of adjacent blocks coalesced into
-	// one write (0 = 4 when the engine is on; negative disables).
-	WriteBehind int
 	// MaxRetries bounds the retries of a failed device op (0 = 4).
 	MaxRetries int
 	// FaultRate injects transient device errors with this probability —
-	// the engine's retry/backoff/breaker machinery absorbs them.
+	// the layer's retry/backoff/breaker machinery absorbs them.
 	FaultRate float64
 	// TornWriteRate is the probability that an injected write fault
 	// leaves half the block behind (the retry rewrites it).
@@ -40,31 +33,14 @@ type IOConfig struct {
 	FaultSeed uint64
 }
 
-// engineConfig translates the facade knobs to the engine's. ctx cancels
-// blocked queue submits, retry backoffs, and breaker cooldowns; tr (may be
-// nil) records the engine's flush/retry/breaker activity.
-func (c IOConfig) engineConfig(ctx context.Context, tr *obs.Tracer) diskio.Config {
-	prefetch := c.Prefetch
-	switch {
-	case prefetch == 0:
-		prefetch = 2
-	case prefetch < 0:
-		prefetch = 0
-	}
-	writeBehind := c.WriteBehind
-	switch {
-	case writeBehind == 0:
-		writeBehind = 4
-	case writeBehind < 0:
-		writeBehind = 0
-	}
+// layerConfig translates the facade knobs to the I/O layer's. ctx cancels
+// retry backoffs and breaker cooldowns; tr (may be nil) records the
+// layer's retry/fault/breaker activity.
+func (c IOConfig) layerConfig(ctx context.Context, tr *obs.Tracer) diskio.Config {
 	return diskio.Config{
-		QueueDepth:  c.QueueDepth,
-		Prefetch:    prefetch,
-		WriteBehind: writeBehind,
-		MaxRetries:  c.MaxRetries,
-		Context:     ctx,
-		Trace:       tr,
+		MaxRetries: c.MaxRetries,
+		Context:    ctx,
+		Trace:      tr,
 		Fault: diskio.FaultConfig{
 			ErrorRate:     c.FaultRate,
 			TornWriteRate: c.TornWriteRate,
@@ -74,10 +50,10 @@ func (c IOConfig) engineConfig(ctx context.Context, tr *obs.Tracer) diskio.Confi
 	}
 }
 
-// DiskIOStats are one disk's engine counters (see IOStats).
+// DiskIOStats are one disk's I/O layer counters (see IOStats).
 type DiskIOStats struct {
-	// Reads and Writes count completed device transfers (a coalesced run
-	// is one write); BytesRead/BytesWritten are the payload moved.
+	// Reads and Writes count completed device transfers, one block each;
+	// BytesRead/BytesWritten are the payload moved.
 	Reads        int64 `json:"reads"`
 	Writes       int64 `json:"writes"`
 	BytesRead    int64 `json:"bytes_read"`
@@ -87,17 +63,15 @@ type DiskIOStats struct {
 	Retries      int64 `json:"retries"`
 	Faults       int64 `json:"faults"`
 	BreakerTrips int64 `json:"breaker_trips"`
-	// PrefetchIssued and PrefetchHits measure read-ahead effectiveness;
-	// WriteBufferHits counts reads served from the write-behind run.
+	// PrefetchIssued, PrefetchHits, CoalescedBlocks and QueueMax are
+	// always 0: the I/O layer has no read-ahead, write coalescing or
+	// request queue.
+	//
+	// Deprecated: kept so existing readers compile; they will be removed.
 	PrefetchIssued  int64 `json:"prefetch_issued"`
 	PrefetchHits    int64 `json:"prefetch_hits"`
-	WriteBufferHits int64 `json:"write_buffer_hits"`
-	// CoalescedBlocks counts blocks merged into a pending write run;
-	// Flushes counts runs pushed to the device.
 	CoalescedBlocks int64 `json:"coalesced_blocks"`
-	Flushes         int64 `json:"flushes"`
-	// QueueMax is the deepest request queue observed.
-	QueueMax int64 `json:"queue_max"`
+	QueueMax        int64 `json:"queue_max"`
 	// ReadNanos/WriteNanos sum the device time of successful transfers;
 	// BytesRead/ReadNanos is the disk's measured read bandwidth. BusyNanos
 	// sums all device-op time including failed attempts.
@@ -106,12 +80,12 @@ type DiskIOStats struct {
 	BusyNanos  int64 `json:"busy_nanos,omitempty"`
 }
 
-// IOStats are the engine metrics of a file-backed sort, per disk.
+// IOStats are the I/O layer metrics of a file-backed sort, per disk.
 type IOStats struct {
 	PerDisk []DiskIOStats `json:"per_disk"`
 }
 
-// Aggregate sums the per-disk stats (QueueMax takes the max).
+// Aggregate sums the per-disk stats.
 func (s *IOStats) Aggregate() DiskIOStats {
 	var t DiskIOStats
 	for _, d := range s.PerDisk {
@@ -122,14 +96,6 @@ func (s *IOStats) Aggregate() DiskIOStats {
 		t.Retries += d.Retries
 		t.Faults += d.Faults
 		t.BreakerTrips += d.BreakerTrips
-		t.PrefetchIssued += d.PrefetchIssued
-		t.PrefetchHits += d.PrefetchHits
-		t.WriteBufferHits += d.WriteBufferHits
-		t.CoalescedBlocks += d.CoalescedBlocks
-		t.Flushes += d.Flushes
-		if d.QueueMax > t.QueueMax {
-			t.QueueMax = d.QueueMax
-		}
 		t.ReadNanos += d.ReadNanos
 		t.WriteNanos += d.WriteNanos
 		t.BusyNanos += d.BusyNanos
@@ -159,7 +125,7 @@ func (s *IOStats) MeasureThroughput() Throughput {
 }
 
 // measuredThroughput wraps MeasureThroughput for Result assembly: nil when
-// no engine ran or nothing was measured.
+// no I/O layer ran or nothing was measured.
 func measuredThroughput(s *IOStats) *Throughput {
 	if s == nil {
 		return nil
@@ -171,7 +137,7 @@ func measuredThroughput(s *IOStats) *Throughput {
 	return &t
 }
 
-// ioStatsFrom converts an engine snapshot to the public form.
+// ioStatsFrom converts an I/O layer snapshot to the public form.
 func ioStatsFrom(snap *diskio.Snapshot) *IOStats {
 	if snap == nil {
 		return nil
@@ -179,22 +145,16 @@ func ioStatsFrom(snap *diskio.Snapshot) *IOStats {
 	s := &IOStats{PerDisk: make([]DiskIOStats, len(snap.PerDisk))}
 	for i, d := range snap.PerDisk {
 		s.PerDisk[i] = DiskIOStats{
-			Reads:           d.Reads,
-			Writes:          d.Writes,
-			BytesRead:       d.BytesRead,
-			BytesWritten:    d.BytesWritten,
-			Retries:         d.Retries,
-			Faults:          d.Faults,
-			BreakerTrips:    d.BreakerTrips,
-			PrefetchIssued:  d.PrefetchIssued,
-			PrefetchHits:    d.PrefetchHits,
-			WriteBufferHits: d.WriteBufferHits,
-			CoalescedBlocks: d.Coalesced,
-			Flushes:         d.Flushes,
-			QueueMax:        d.QueueMax,
-			ReadNanos:       d.ReadNanos,
-			WriteNanos:      d.WriteNanos,
-			BusyNanos:       d.BusyNanos,
+			Reads:        d.Reads,
+			Writes:       d.Writes,
+			BytesRead:    d.BytesRead,
+			BytesWritten: d.BytesWritten,
+			Retries:      d.Retries,
+			Faults:       d.Faults,
+			BreakerTrips: d.BreakerTrips,
+			ReadNanos:    d.ReadNanos,
+			WriteNanos:   d.WriteNanos,
+			BusyNanos:    d.BusyNanos,
 		}
 	}
 	return s

@@ -31,10 +31,10 @@ type SpanAttr = obs.Attr
 // ObsConfig turns on phase tracing and live progress for a sort.
 type ObsConfig struct {
 	// Trace records phase spans across all layers the sort touches: the
-	// distribute/repair steps of the core sorter, the disk engine's flush
-	// and retry activity, and — in cluster mode — every coordinator and
-	// worker phase, merged onto one timeline. The recorded Trace is
-	// returned on the Result.
+	// distribute/repair steps of the core sorter, the disk I/O layer's
+	// retry and breaker activity, and — in cluster mode — every
+	// coordinator and worker phase, merged onto one timeline. The recorded
+	// Trace is returned on the Result.
 	Trace bool
 	// SpanCapacity bounds the span ring buffer (0 = 16384 spans). When the
 	// ring overflows, the oldest spans are dropped; histogram totals still
@@ -44,12 +44,12 @@ type ObsConfig struct {
 	// enables the tracing machinery even when Trace is false.
 	Observer Observer
 	// Sample, when positive, runs a background utilization sampler at this
-	// interval for the duration of the sort: per-disk queue depth, busy
-	// fraction, write-behind backlog, buffer-pool occupancy, goroutines,
-	// and heap land as Chrome counter tracks in the trace and as
-	// balancesort_util gauges on Server's /metrics. Setting it enables the
-	// tracing machinery even when Trace is false. Sampling never changes
-	// what the sort computes (pinned by the parity tests).
+	// interval for the duration of the sort: per-disk busy fraction,
+	// device byte rates, goroutines, and heap land as Chrome counter
+	// tracks in the trace and as balancesort_util gauges on Server's
+	// /metrics. Setting it enables the tracing machinery even when Trace
+	// is false. Sampling never changes what the sort computes (pinned by
+	// the parity tests).
 	Sample time.Duration
 	// Server, when non-nil, exposes this sort's phase histograms and event
 	// counters on the server's /metrics endpoint for the duration of the

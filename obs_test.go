@@ -100,7 +100,7 @@ func TestSortFileObsParity(t *testing.T) {
 	if err := WriteRecordFile(inPath, NewWorkload(Uniform, 60_000, 11)); err != nil {
 		t.Fatal(err)
 	}
-	base := Config{Disks: 4, BlockSize: 64, Memory: 1 << 16, IO: IOConfig{Engine: true}}
+	base := Config{Disks: 4, BlockSize: 64, Memory: 1 << 16}
 
 	offOut := filepath.Join(dir, "off.dat")
 	offRes, err := SortFile(inPath, offOut, filepath.Join(dir, "scratch-off"), base)
@@ -137,7 +137,7 @@ func TestSortFileObsParity(t *testing.T) {
 	for _, s := range onRes.Trace.Spans() {
 		phases[s.Layer+"/"+s.Name] = true
 	}
-	for _, want := range []string{"sort/distribute-pass", "sort/run-formation", "sort/base-case", "disk/flush"} {
+	for _, want := range []string{"sort/distribute-pass", "sort/run-formation", "sort/base-case"} {
 		if !phases[want] {
 			t.Fatalf("trace has no %q span; recorded phases: %v", want, phases)
 		}
@@ -147,10 +147,11 @@ func TestSortFileObsParity(t *testing.T) {
 		t.Fatalf("PhaseTotals has no positive distribute-pass time: %v", totals)
 	}
 
-	// Attribution: at least one phase span must carry resource deltas, and
-	// the phase spans must form a causality tree (run-formation parented
-	// under its distribute-pass).
-	var attributed, counters, parented bool
+	// Attribution: at least one phase span must carry resource deltas, the
+	// device bytes must reach the trace (as a sort span's io.bytes_read or
+	// the disk0.busy_pct track), and the phase spans must form a causality
+	// tree (run-formation parented under its distribute-pass).
+	var attributed, devBytes, counters, parented bool
 	byID := make(map[uint64]string)
 	for _, s := range onRes.Trace.Spans() {
 		if s.SpanID != 0 {
@@ -162,9 +163,15 @@ func TestSortFileObsParity(t *testing.T) {
 			if a.Key == "io.bytes_read" || a.Key == "recs.moved" {
 				attributed = true
 			}
+			if s.Layer == "sort" && a.Key == "io.bytes_read" && a.Val > 0 {
+				devBytes = true
+			}
 		}
 		if s.Layer == "counter" {
 			counters = true
+			if s.Name == "disk0.busy_pct" {
+				devBytes = true
+			}
 		}
 		if s.Name == "run-formation" && byID[s.Parent] == "distribute-pass" {
 			parented = true
@@ -172,6 +179,9 @@ func TestSortFileObsParity(t *testing.T) {
 	}
 	if !attributed {
 		t.Fatal("no span carries resource-attribution deltas")
+	}
+	if !devBytes {
+		t.Fatal("no sort span carries io.bytes_read and no disk0.busy_pct track was sampled")
 	}
 	if !counters {
 		t.Fatal("sampling enabled but no counter samples recorded")

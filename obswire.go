@@ -14,7 +14,7 @@ import (
 // allocation deltas it was responsible for) and, when ObsConfig.Sample is
 // set, starts the background utilization sampler. The returned stop
 // function halts the sampler and detaches the source; callers defer it
-// before the array's own Close so the gauges never read a torn-down engine.
+// before the array's own Close so the gauges never read closed drives.
 
 func startSortObs(cfg Config, arr *pdm.Array) func() {
 	tr := cfg.tracer
@@ -22,9 +22,9 @@ func startSortObs(cfg Config, arr *pdm.Array) func() {
 		return func() {}
 	}
 	if arr != nil {
-		tr.SetResourceSource(engineResourceAttrs(arr), "sort")
+		tr.SetResourceSource(arrayResourceAttrs(arr), "sort")
 	}
-	smp := obs.StartSampler(tr, cfg.Obs.Sample, engineGauges(arr))
+	smp := obs.StartSampler(tr, cfg.Obs.Sample, arrayGauges(arr))
 	if smp != nil && cfg.Obs.Server != nil {
 		key := "sort"
 		if cfg.Obs.ServerKey != "" {
@@ -38,12 +38,12 @@ func startSortObs(cfg Config, arr *pdm.Array) func() {
 	}
 }
 
-// engineResourceAttrs builds the cumulative-counter snapshot function span
+// arrayResourceAttrs builds the cumulative-counter snapshot function span
 // attribution diffs: aggregate and per-disk device bytes, device transfer
 // counts, model parallel I/Os and block counts (records moved is blocks ×
 // B), and heap allocation totals. Zero deltas are elided per span, so a
 // phase that moved nothing stays as small as before.
-func engineResourceAttrs(arr *pdm.Array) func() []obs.Attr {
+func arrayResourceAttrs(arr *pdm.Array) func() []obs.Attr {
 	b := int64(arr.Params().B)
 	// Key strings are built once: the source runs twice per attributed
 	// span, so per-call strconv concatenation would be pure GC churn.
@@ -85,40 +85,25 @@ func engineResourceAttrs(arr *pdm.Array) func() []obs.Attr {
 	}
 }
 
-// engineGauges builds the utilization gauge set: per-disk queue depth, busy
-// fraction, and write-behind backlog, aggregate device byte rates, buffer
-// pool occupancy, plus the process-wide runtime gauges. With no I/O engine
-// mounted only the runtime gauges remain.
-func engineGauges(arr *pdm.Array) []obs.Gauge {
+// arrayGauges builds the utilization gauge set: per-disk busy fraction,
+// aggregate device byte rates, plus the process-wide runtime gauges. With
+// no scratch array only the runtime gauges remain.
+func arrayGauges(arr *pdm.Array) []obs.Gauge {
 	gs := obs.RuntimeGauges()
 	if arr == nil || arr.IOMetrics() == nil {
 		return gs
 	}
 	for i := 0; i < arr.Params().D; i++ {
-		i := i
-		name := "disk" + strconv.Itoa(i)
-		gs = append(gs,
-			obs.Gauge{Name: name + ".queue", Kind: obs.GaugeInstant, Fn: func() int64 {
-				return arr.IOMetrics().PerDisk[i].QueueLen
-			}},
-			obs.Gauge{Name: name + ".busy_pct", Kind: obs.GaugeBusyPct, Fn: func() int64 {
-				return arr.IOMetrics().PerDisk[i].BusyNanos
-			}},
-			obs.Gauge{Name: name + ".wb_backlog", Kind: obs.GaugeInstant, Fn: func() int64 {
-				return arr.IOMetrics().PerDisk[i].WBBacklog
-			}},
-		)
+		gs = append(gs, obs.Gauge{Name: "disk" + strconv.Itoa(i) + ".busy_pct", Kind: obs.GaugeBusyPct, Fn: func() int64 {
+			return arr.IOMetrics().PerDisk[i].BusyNanos
+		}})
 	}
-	gs = append(gs,
+	return append(gs,
 		obs.Gauge{Name: "io.read_bps", Kind: obs.GaugeRate, Fn: func() int64 {
 			return arr.IOMetrics().Aggregate().BytesRead
 		}},
 		obs.Gauge{Name: "io.write_bps", Kind: obs.GaugeRate, Fn: func() int64 {
 			return arr.IOMetrics().Aggregate().BytesWritten
 		}},
-		obs.Gauge{Name: "pool.bufs", Kind: obs.GaugeInstant, Fn: func() int64 {
-			return arr.IOMetrics().PoolInUse
-		}},
 	)
-	return gs
 }

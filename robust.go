@@ -190,8 +190,9 @@ func checkJournalState(st *sortJournalState, p pdm.Params, v int) error {
 
 // classifySortPanic converts the sorter's panic-based operational errors
 // into returned errors: a core.Abort (cancellation, injected crash,
-// checkpoint failure), a corrupt scratch block, or a permanently failed
-// disk. Anything else is a programming bug and keeps panicking.
+// checkpoint failure), a distribution that stopped making progress, a
+// corrupt scratch block, or a permanently failed disk. Anything else is a
+// programming bug and keeps panicking.
 func classifySortPanic(r any) error {
 	if r == nil {
 		return nil
@@ -200,9 +201,10 @@ func classifySortPanic(r any) error {
 		return ab
 	}
 	if err, ok := r.(error); ok {
+		var stall *core.StallError
 		var corrupt *pdm.CorruptBlockError
 		var failed *diskio.DiskFailedError
-		if errors.As(err, &corrupt) || errors.As(err, &failed) || errors.Is(err, diskio.ErrInjected) {
+		if errors.As(err, &stall) || errors.As(err, &corrupt) || errors.As(err, &failed) || errors.Is(err, diskio.ErrInjected) {
 			return err
 		}
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -215,12 +217,7 @@ func classifySortPanic(r any) error {
 // SortContext is Sort with cancellation: the sorter polls ctx between
 // passes, memoryloads, and distribution tracks, and a done context aborts
 // the sort with ctx's error.
-func SortContext(ctx context.Context, recs []Record, cfg Config) (res *Result, err error) {
-	defer func() {
-		if e := classifySortPanic(recover()); e != nil {
-			res, err = nil, e
-		}
-	}()
+func SortContext(ctx context.Context, recs []Record, cfg Config) (*Result, error) {
 	cfg.ctx = ctx
 	return Sort(recs, cfg)
 }

@@ -158,6 +158,9 @@ func TestCrashMatrixResume(t *testing.T) {
 		if err != nil {
 			t.Fatalf("resume after kill %d: %v", k, err)
 		}
+		if res.IO == nil {
+			t.Fatalf("resume after kill %d: Result.IO is nil", k)
+		}
 		got, err := os.ReadFile(outPath)
 		if err != nil {
 			t.Fatal(err)
@@ -363,7 +366,7 @@ func TestResumeFreshFallback(t *testing.T) {
 	}
 }
 
-// TestSortFileEngineFailure drives the I/O engine with a certain fault
+// TestSortFileEngineFailure drives the I/O layer with a certain fault
 // rate: the sort must return an error rooted in the injected fault — not
 // panic — and must not leave a partial output file.
 func TestSortFileEngineFailure(t *testing.T) {
@@ -372,10 +375,10 @@ func TestSortFileEngineFailure(t *testing.T) {
 	outPath := filepath.Join(dir, "out.bin")
 
 	cfg := matrixConfig()
-	cfg.IO = IOConfig{Engine: true, FaultRate: 1, FaultSeed: 7}
+	cfg.IO = IOConfig{FaultRate: 1, FaultSeed: 7}
 	_, err := SortFile(inPath, outPath, "", cfg)
 	if err == nil {
-		t.Fatal("sort on an always-failing engine succeeded")
+		t.Fatal("sort on always-failing disks succeeded")
 	}
 	if !errors.Is(err, diskio.ErrInjected) {
 		t.Fatalf("got %v, want an error rooted in the injected fault", err)

@@ -25,12 +25,11 @@ import (
 // The returned Result carries the model costs but not the records (they
 // are in outPath).
 //
-// With cfg.IO.Engine set, the scratch array is served by the concurrent
-// disk I/O engine (internal/diskio): per-disk worker goroutines, buffer
-// pooling, read-ahead, write coalescing, and fault injection with retries.
-// The engine changes wall-clock behavior only; the model's parallel I/O
-// counts are identical either way, and Result.IO reports the engine's
-// per-disk metrics.
+// Every scratch block moves on the sorting goroutine through the I/O
+// layer of internal/diskio: fault injection (cfg.IO), retries with
+// backoff, a per-disk circuit breaker, and per-disk counters, which
+// Result.IO reports. The layer changes wall-clock behavior only; the
+// model's parallel I/O counts are identical whatever cfg.IO says.
 //
 // Every scratch block is checksummed (CRC32C) and verified on read unless
 // cfg.Robust.NoChecksums is set; with cfg.Robust.Journal, every completed
@@ -41,8 +40,8 @@ func SortFile(inPath, outPath, scratchDir string, cfg Config) (*Result, error) {
 }
 
 // SortFileContext is SortFile with cancellation: ctx is polled between
-// sort passes, memoryloads, and distribution tracks, and also unblocks the
-// I/O engine's queues and retry backoffs. On cancellation the in-flight
+// sort passes, memoryloads, and distribution tracks, and also cuts short
+// the I/O layer's retry backoffs. On cancellation the in-flight
 // parallel I/O completes, the array closes cleanly, and — when journaling
 // is on — the scratch directory remains resumable.
 func SortFileContext(ctx context.Context, inPath, outPath, scratchDir string, cfg Config) (*Result, error) {
@@ -54,7 +53,7 @@ func SortFileContext(ctx context.Context, inPath, outPath, scratchDir string, cf
 // and journal. The output is byte-identical to what the uninterrupted run
 // would have produced. If the journal holds no committed state (the sort
 // crashed before its first commit, or never ran), the sort simply starts
-// fresh. cfg supplies the I/O engine and robustness knobs; the model
+// fresh. cfg supplies the I/O layer and robustness knobs; the model
 // geometry comes from the scratch manifest.
 func ResumeSortFile(inPath, outPath, scratchDir string, cfg Config) (*Result, error) {
 	return ResumeSortFileContext(context.Background(), inPath, outPath, scratchDir, cfg)
@@ -135,12 +134,10 @@ func balanceSortFile(ctx context.Context, inPath, outPath, scratchDir string, cf
 		}
 		n = int(st.Size() / record.EncodedSize)
 
-		opts := pdm.FileOptions{NoChecksums: cfg.Robust.NoChecksums}
-		if cfg.IO.Engine {
-			ecfg := cfg.IO.engineConfig(ctx, cfg.tracer)
-			opts.Engine = &ecfg
-		}
-		arr, err = pdm.NewFileBackedOpts(p, scratchDir, opts)
+		arr, err = pdm.NewFileBackedOpts(p, scratchDir, pdm.FileOptions{
+			IO:          cfg.IO.layerConfig(ctx, cfg.tracer),
+			NoChecksums: cfg.Robust.NoChecksums,
+		})
 		if err != nil {
 			in.Close()
 			return nil, err
@@ -255,9 +252,6 @@ func runAndDrain(ds *core.DiskSorter, arr *pdm.Array, done []core.Region, work [
 		Trace:              traceFrom(cfg.tracer),
 	}
 	if cfg.Robust.ScrubAfter {
-		if err := arr.Sync(); err != nil {
-			return nil, err
-		}
 		res.Scrub = scrubReportFrom(arr.Scrub())
 	}
 	return res, nil
@@ -334,12 +328,7 @@ func commitState(arr *pdm.Array, jnl *pdm.Journal, cfg Config, st core.Checkpoin
 // in cfg is overwritten from the manifest.
 func reopenScratch(ctx context.Context, scratchDir string, cfg *Config) (*pdm.Array, *pdm.Journal, []core.Region, []core.SourceDesc, core.Metrics, error) {
 	var none core.Metrics
-	opts := pdm.FileOptions{}
-	if cfg.IO.Engine {
-		ecfg := cfg.IO.engineConfig(ctx, cfg.tracer)
-		opts.Engine = &ecfg
-	}
-	arr, err := pdm.OpenFileBackedOpts(scratchDir, opts)
+	arr, err := pdm.OpenFileBackedOpts(scratchDir, pdm.FileOptions{IO: cfg.IO.layerConfig(ctx, cfg.tracer)})
 	if err != nil {
 		return nil, nil, nil, nil, none, err
 	}

@@ -106,8 +106,8 @@ func TestSortFileScratchPersists(t *testing.T) {
 	}
 }
 
-// TestSortFileEngine runs the external sort with the concurrent I/O engine
-// mounted and checks the output plus the engine metrics.
+// TestSortFileEngine runs the external sort through the I/O layer with its
+// defaults and checks the output plus the layer's metrics.
 func TestSortFileEngine(t *testing.T) {
 	dir := t.TempDir()
 	inPath := filepath.Join(dir, "in.bin")
@@ -116,10 +116,7 @@ func TestSortFileEngine(t *testing.T) {
 	if err := WriteRecordFile(inPath, in); err != nil {
 		t.Fatal(err)
 	}
-	res, err := SortFile(inPath, outPath, "", Config{
-		Disks: 8, BlockSize: 32, Memory: 1 << 13,
-		IO: IOConfig{Engine: true},
-	})
+	res, err := SortFile(inPath, outPath, "", Config{Disks: 8, BlockSize: 32, Memory: 1 << 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,26 +125,24 @@ func TestSortFileEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !Verify(in, out) {
-		t.Fatal("engine-backed sort output is not the sorted permutation of the input")
+		t.Fatal("file-backed sort output is not the sorted permutation of the input")
 	}
 	if res.IO == nil {
-		t.Fatal("engine on but Result.IO is nil")
+		t.Fatal("file-backed sort but Result.IO is nil")
 	}
 	agg := res.IO.Aggregate()
 	if agg.BytesWritten == 0 || agg.Reads == 0 {
-		t.Fatalf("engine metrics empty: %+v", agg)
-	}
-	if agg.CoalescedBlocks == 0 {
-		t.Fatal("striped writes never coalesced")
+		t.Fatalf("I/O layer metrics empty: %+v", agg)
 	}
 	if len(res.IO.PerDisk) != 8 {
 		t.Fatalf("metrics for %d disks, want 8", len(res.IO.PerDisk))
 	}
 }
 
-// TestSortFileEngineParity is the acceptance criterion that mounting the
-// engine cannot change the measured model costs: parallel I/O counts and
-// output bytes are identical with the engine on and off.
+// TestSortFileEngineParity is the acceptance criterion that the I/O layer
+// cannot change the measured model costs: a clean run and a run whose
+// layer retries injected faults and torn writes produce identical parallel
+// I/O counts and output bytes, and both report the layer's metrics.
 func TestSortFileEngineParity(t *testing.T) {
 	dir := t.TempDir()
 	inPath := filepath.Join(dir, "in.bin")
@@ -162,26 +157,29 @@ func TestSortFileEngineParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if res.IO == nil {
+			t.Fatalf("%s: Result.IO is nil", out)
+		}
 		return res
 	}
-	plain := run(IOConfig{}, "plain.bin")
-	engine := run(IOConfig{Engine: true}, "engine.bin")
-	if plain.IOs != engine.IOs {
-		t.Fatalf("engine changed the model cost: %d vs %d parallel I/Os", plain.IOs, engine.IOs)
+	clean := run(IOConfig{}, "clean.bin")
+	faulty := run(IOConfig{FaultRate: 0.02, TornWriteRate: 0.5, FaultSeed: 29}, "faulty.bin")
+	if clean.IOs != faulty.IOs {
+		t.Fatalf("injected faults changed the model cost: %d vs %d parallel I/Os", clean.IOs, faulty.IOs)
 	}
-	if plain.IO != nil {
-		t.Fatal("engine off but Result.IO set")
+	if agg := faulty.IO.Aggregate(); agg.Faults == 0 || agg.Retries == 0 {
+		t.Fatalf("fault injection inactive: faults=%d retries=%d", agg.Faults, agg.Retries)
 	}
-	a, err := os.ReadFile(filepath.Join(dir, "plain.bin"))
+	a, err := os.ReadFile(filepath.Join(dir, "clean.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(filepath.Join(dir, "engine.bin"))
+	b, err := os.ReadFile(filepath.Join(dir, "faulty.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(a) != string(b) {
-		t.Fatal("engine changed the output bytes")
+		t.Fatal("injected faults changed the output bytes")
 	}
 }
 
@@ -198,7 +196,6 @@ func TestSortFileUnderFaults(t *testing.T) {
 	res, err := SortFile(inPath, outPath, "", Config{
 		Disks: 8, BlockSize: 32, Memory: 1 << 13,
 		IO: IOConfig{
-			Engine:        true,
 			FaultRate:     0.02,
 			TornWriteRate: 0.5,
 			FaultSeed:     29,

@@ -1,7 +1,8 @@
 #!/bin/sh
 # verify.sh — the per-PR gate. Formatting, static checks, the full test
 # suite, and a race-checked pass over the concurrency-bearing packages
-# (the diskio engine and the pdm disk arrays mounted on it).
+# (the pdm disk arrays and their diskio layer, the cluster runtime, and
+# the job server).
 set -eu
 
 cd "$(dirname "$0")"
