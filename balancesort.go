@@ -379,7 +379,7 @@ func SortWith(algo Algorithm, recs []Record, cfg Config) (*Result, error) {
 		perDisk = 1
 	}
 	off := arr.AllocStripe(perDisk)
-	arr.WriteStripe(off, recs)
+	arr.WriteStripe(off, 0, recs)
 
 	var reg baseline.Region
 	var met baseline.Metrics
@@ -404,7 +404,7 @@ func SortWith(algo Algorithm, recs []Record, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("balancesort: unknown algorithm %d", algo)
 	}
 	out := make([]Record, reg.N)
-	arr.ReadStripe(reg.Off, out)
+	arr.ReadStripe(reg.Off, 0, out)
 	if !record.IsSorted(out) {
 		return nil, errors.New("balancesort: internal error: baseline output not sorted")
 	}

@@ -617,6 +617,8 @@ func (p *progressRenderer) SpanEnd(s balancesort.Span) {
 func (p *progressRenderer) Count(layer, name string, id int, delta int64) {}
 
 // printIOStats renders the I/O layer's per-disk metrics table for -stats.
+// The op columns count device ops, each moving one or more consecutive
+// blocks.
 func printIOStats(s *balancesort.IOStats) {
 	if s == nil {
 		fmt.Println("  I/O layer:             no scratch array (no device metrics)")
@@ -625,7 +627,7 @@ func printIOStats(s *balancesort.IOStats) {
 	agg := s.Aggregate()
 	fmt.Println("  I/O layer metrics:")
 	fmt.Printf("    %-6s %8s %8s %10s %10s %8s\n",
-		"disk", "reads", "writes", "rd-bytes", "wr-bytes", "retries")
+		"disk", "rd-ops", "wr-ops", "rd-bytes", "wr-bytes", "retries")
 	for i, d := range s.PerDisk {
 		fmt.Printf("    %-6d %8d %8d %10d %10d %8d\n",
 			i, d.Reads, d.Writes, d.BytesRead, d.BytesWritten, d.Retries)

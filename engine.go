@@ -499,7 +499,7 @@ func guideRunAndDrain(arr *pdm.Array, gcfg guidesort.Config, st guidesort.State,
 		return nil, fmt.Errorf("balancesort: internal error: wrote %d of %d records", written, n)
 	}
 
-	ioStats := ioStatsFrom(arr.IOMetrics())
+	ioStats := ioStatsFrom(arr.IOMetrics(), arr.B()*record.EncodedSize)
 	res = &Result{
 		IO:                 ioStats,
 		MeasuredThroughput: measuredThroughput(ioStats),

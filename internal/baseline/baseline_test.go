@@ -15,10 +15,10 @@ func runBaseline(t *testing.T, f func(*pdm.Array, int, int, int) (pdm.Params, Re
 	blocks := (len(in) + p.B - 1) / p.B
 	perDisk := (blocks + p.D - 1) / p.D
 	off := arr.AllocStripe(perDisk)
-	arr.WriteStripe(off, in)
+	arr.WriteStripe(off, 0, in)
 	_, reg, met := f(arr, off, len(in), 1)
 	out := make([]record.Record, reg.N)
-	arr.ReadStripe(reg.Off, out)
+	arr.ReadStripe(reg.Off, 0, out)
 	return out, met
 }
 

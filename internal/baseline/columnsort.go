@@ -54,7 +54,7 @@ func ColumnSortDisk(arr *pdm.Array, off, n, p int) (Region, Metrics, error) {
 		readAlignedFrom(arr, off, 0, buf)
 		cpu.Sort(buf)
 		out := allocStripeFor(arr, n)
-		arr.WriteStripe(out, buf)
+		arr.WriteStripe(out, 0, buf)
 		arr.Mem.Release(n)
 		met.fill(arr, cpu, 1)
 		return Region{Off: out, N: n}, met, nil

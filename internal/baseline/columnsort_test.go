@@ -12,14 +12,14 @@ func runColumnSort(t *testing.T, p pdm.Params, in []record.Record) ([]record.Rec
 	arr := pdm.New(p)
 	t.Cleanup(func() { arr.Close() })
 	off := allocStripeFor(arr, maxInt(len(in), 1))
-	arr.WriteStripe(off, in)
+	arr.WriteStripe(off, 0, in)
 	reg, met, err := ColumnSortDisk(arr, off, len(in), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := make([]record.Record, reg.N)
 	if reg.N > 0 {
-		arr.ReadStripe(reg.Off, out)
+		arr.ReadStripe(reg.Off, 0, out)
 	}
 	return out, met
 }
@@ -74,7 +74,7 @@ func TestColumnSortDiskTooLarge(t *testing.T) {
 	n := 32 * 8 // s = 8 -> 2*49 = 98 > 32
 	in := record.Generate(record.Uniform, n, 6)
 	off := allocStripeFor(arr, n)
-	arr.WriteStripe(off, in)
+	arr.WriteStripe(off, 0, in)
 	if _, _, err := ColumnSortDisk(arr, off, n, 1); err == nil {
 		t.Fatal("oversized columnsort did not error")
 	}

@@ -12,14 +12,14 @@ func runGreedSort(t *testing.T, p pdm.Params, in []record.Record) ([]record.Reco
 	arr := pdm.New(p)
 	t.Cleanup(func() { arr.Close() })
 	off := allocStripeFor(arr, maxInt(len(in), 1))
-	arr.WriteStripe(off, in)
+	arr.WriteStripe(off, 0, in)
 	reg, met, err := GreedSort(arr, off, len(in), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := make([]record.Record, reg.N)
 	if reg.N > 0 {
-		arr.ReadStripe(reg.Off, out)
+		arr.ReadStripe(reg.Off, 0, out)
 	}
 	return out, met
 }

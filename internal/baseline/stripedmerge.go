@@ -144,7 +144,7 @@ func (ms *mergeSorter) formRunsWithMinima(off, n, memload int) ([]Region, [][]re
 		ms.readAligned(off, pos, buf)
 		ms.cpu.Sort(buf)
 		outOff := ms.allocStripe(sz)
-		ms.arr.WriteStripe(outOff, buf)
+		ms.arr.WriteStripe(outOff, 0, buf)
 		runs = append(runs, Region{Off: outOff, N: sz})
 		mins := make([]record.Record, 0, (sz+p.B-1)/p.B)
 		for k := 0; k < sz; k += p.B {

@@ -412,7 +412,7 @@ func (ds *DiskSorter) writeStriped(recs []record.Record) Region {
 	blocks := (len(recs) + p.B - 1) / p.B
 	perDisk := (blocks + p.D - 1) / p.D
 	off := ds.arr.AllocStripe(perDisk)
-	ds.arr.WriteStripe(off, recs)
+	ds.arr.WriteStripe(off, 0, recs)
 	return Region{Off: off, N: len(recs)}
 }
 
@@ -722,7 +722,7 @@ func (ds *DiskSorter) flushWrites(track []formedBlock, writes []balance.Placemen
 // facade use; counts I/Os like any other access).
 func (ds *DiskSorter) ReadRegion(r Region) []record.Record {
 	dst := make([]record.Record, r.N)
-	ds.arr.ReadStripe(r.Off, dst)
+	ds.arr.ReadStripe(r.Off, 0, dst)
 	return dst
 }
 

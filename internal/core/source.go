@@ -37,7 +37,6 @@ type stripedSource struct {
 	n   int              // records remaining
 	pos int              // records already consumed
 	buf *[]record.Record // read buffer; blocks land in it directly
-	ops []pdm.Op         // one parallel I/O's transfers, reused
 }
 
 func newStripedSource(arr *pdm.Array, off, n int, buf *[]record.Record) *stripedSource {
@@ -53,7 +52,7 @@ func (s *stripedSource) ReadSome(max int) []record.Record {
 	if max == 0 {
 		return nil
 	}
-	b, d := s.arr.B(), s.arr.D()
+	b := s.arr.B()
 	// Stay block-aligned: the region was written by WriteStripe, so record
 	// i lives in stripe block i/B. We always consume whole blocks; the
 	// caller's track size is a multiple of the virtual block size, which is
@@ -61,21 +60,11 @@ func (s *stripedSource) ReadSome(max int) []record.Record {
 	if s.pos%b != 0 {
 		panic("core: striped source consumed off block boundary")
 	}
-	nblocks := (max + b - 1) / b
-	out := grow(s.buf, nblocks*b)
-	firstBlock := s.pos / b
-	for base := 0; base < nblocks; base += d {
-		s.ops = s.ops[:0]
-		for j := 0; j < d && base+j < nblocks; j++ {
-			k := base + j
-			blk := firstBlock + k
-			s.ops = append(s.ops, pdm.Op{Disk: blk % d, Off: s.off + blk/d, Data: out[k*b : (k+1)*b]})
-		}
-		s.arr.ParallelIO(s.ops)
-	}
+	out := grow(s.buf, max)
+	s.arr.ReadStripe(s.off, s.pos/b, out)
 	s.pos += max
 	s.n -= max
-	return out[:max]
+	return out
 }
 
 // chains records where a bucket's blocks live: chains[h] lists the blocks

@@ -9,11 +9,12 @@
 //     typed fail-fast *DiskFailedError once a disk stops recovering;
 //   - context-aware sleeps, so a canceled sort never waits out a backoff
 //     or a breaker cooldown;
-//   - per-disk counters (transfers, bytes, retries, faults, device time).
+//   - per-disk counters (device ops, bytes, retries, faults, device time).
 //
-// The layer starts no goroutine and holds no block past the call that moves
-// it: on page-cached scratch files, overlapping device I/O with the sort
-// costs more time than it hides.
+// A transfer is any whole number of consecutive blocks and is one device
+// op, and every guard above acts per op. The layer starts no goroutine and
+// holds no byte past the call that moves it: on page-cached scratch files,
+// overlapping device I/O with the sort costs more time than it hides.
 //
 // The layer moves raw bytes and knows nothing about records or the cost
 // model: parallel-I/O counting stays in internal/pdm, one layer up, so the
@@ -40,7 +41,8 @@ type Device interface {
 // Config fixes the layer's behavior. The zero value of every optional field
 // selects a sensible default (see withDefaults).
 type Config struct {
-	// BlockBytes is the transfer unit in bytes. Required.
+	// BlockBytes is the block size in bytes; every transfer is a whole
+	// number of blocks. Required.
 	BlockBytes int
 	// MaxRetries is how many times a failed device op is retried with
 	// exponential backoff before the error is returned. Default 4.
@@ -56,7 +58,7 @@ type Config struct {
 	// FailThreshold is the number of consecutive circuit-breaker trips
 	// (with no intervening success) after which a disk is declared
 	// permanently failed: every subsequent op on it fails fast with a
-	// typed *DiskFailedError instead of burning retries block by block.
+	// typed *DiskFailedError instead of burning retries op by op.
 	// Default 4; negative disables the fail-fast path.
 	FailThreshold int
 	// Context, when non-nil, cancels the layer's sleeps: a retry backoff
@@ -99,7 +101,7 @@ func (c Config) withDefaults() Config {
 // open: FailThreshold consecutive breaker trips passed without a single
 // successful device op. Every subsequent op on the disk returns the same
 // error immediately, so a dead device costs one diagnosis, not one
-// retry storm per block.
+// retry storm per op.
 type DiskFailedError struct {
 	Disk  int
 	Trips int64 // breaker trips observed when the disk was declared failed
@@ -176,14 +178,16 @@ type Drive struct {
 	failed *DiskFailedError
 }
 
-// Read fills dst (BlockBytes long) with block blk.
+// Read fills dst, a positive whole number of blocks, with the consecutive
+// blocks starting at blk, in one device op.
 func (d *Drive) Read(blk int64, dst []byte) error { return d.transfer(blk, dst, false) }
 
-// Write stores src (BlockBytes long) as block blk. The device holds the
-// block when Write returns.
+// Write stores src, a positive whole number of blocks, as the consecutive
+// blocks starting at blk, in one device op. The device holds every byte
+// when Write returns.
 func (d *Drive) Write(blk int64, src []byte) error { return d.transfer(blk, src, true) }
 
-// transfer runs one block transfer with exponential backoff on failure and
+// transfer runs one device op with exponential backoff on failure and
 // trips the circuit breaker after BreakerThreshold consecutive failures:
 // the disk rests for BreakerCooldown, then the breaker half-opens and the
 // op is attempted again. FailThreshold consecutive trips without a single
@@ -191,13 +195,13 @@ func (d *Drive) Write(blk int64, src []byte) error { return d.transfer(blk, src,
 // short-circuits with the same *DiskFailedError. All sleeps abort early
 // when the context is canceled.
 func (d *Drive) transfer(blk int64, buf []byte, write bool) error {
-	if len(buf) != d.cfg.BlockBytes {
-		return fmt.Errorf("diskio: buffer is %d bytes, block is %d", len(buf), d.cfg.BlockBytes)
+	if len(buf) == 0 || len(buf)%d.cfg.BlockBytes != 0 {
+		return fmt.Errorf("diskio: buffer is %d bytes, not a positive whole number of %d-byte blocks", len(buf), d.cfg.BlockBytes)
 	}
 	if d.failed != nil {
 		return d.failed
 	}
-	off := blk * int64(len(buf))
+	off := blk * int64(d.cfg.BlockBytes)
 	backoff := d.cfg.RetryBase
 	for attempt := 0; ; attempt++ {
 		var err error
@@ -289,8 +293,8 @@ func (d *Drive) deviceWrite(src []byte, off int64) error {
 		d.inj.jitter()
 		if fail, torn := d.inj.failWrite(); fail {
 			if torn && len(src) >= 2 {
-				// A torn write: half the payload reaches the platter
-				// before the fault. The retry must overwrite it fully.
+				// A torn write: half the transfer reaches the platter
+				// before the fault. The retry must overwrite all of it.
 				d.dev.WriteAt(src[:len(src)/2], off)
 			}
 			d.fault(start)
@@ -316,10 +320,11 @@ func (d *Drive) fault(start time.Time) {
 	d.cfg.Trace.Count("disk", "fault", d.id, 1)
 }
 
-// counters are the per-disk atomic tallies behind DiskStats. readNanos and
-// writeNanos sum the duration of successful device transfers (the basis
-// for measured throughput); busyNanos sums all device-op time including
-// failed attempts (the basis for the busy-fraction utilization track).
+// counters are the per-disk atomic tallies behind DiskStats. reads and
+// writes count successful device ops, whatever their block count. readNanos
+// and writeNanos sum the duration of successful device ops (the basis for
+// measured throughput); busyNanos sums all device-op time including failed
+// attempts (the basis for the busy-fraction utilization track).
 type counters struct {
 	reads, writes           atomic.Int64
 	bytesRead, bytesWritten atomic.Int64

@@ -16,14 +16,15 @@ var ErrInjected = errors.New("diskio: injected transient fault")
 // failing run replays exactly.
 type FaultConfig struct {
 	// ErrorRate is the probability in [0, 1] that a device op fails with
-	// ErrInjected.
+	// ErrInjected: one draw per op, however many blocks it moves.
 	ErrorRate float64
 	// TornWriteRate is the probability, given a failing write, that half
-	// the payload reaches the device before the fault — the classic torn
-	// write a retry must repair by rewriting the whole block.
+	// the transfer reaches the device before the fault — the classic torn
+	// write a retry must repair by rewriting the whole transfer.
 	TornWriteRate float64
 	// LatencyJitter adds a uniform random delay in [0, LatencyJitter) to
-	// every device op, modeling rotational/seek variance.
+	// every device op, however many blocks it moves, modeling
+	// rotational/seek variance.
 	LatencyJitter time.Duration
 	// Seed feeds the per-disk PRNG streams.
 	Seed uint64

@@ -2,15 +2,15 @@ package diskio
 
 // DiskStats is a snapshot of one disk's counters.
 type DiskStats struct {
-	// Reads and Writes count completed device transfers, with
-	// BytesRead/BytesWritten the payload moved.
+	// Reads and Writes count completed device ops, each moving one or more
+	// consecutive blocks; BytesRead/BytesWritten count the bytes moved.
 	Reads, Writes           int64
 	BytesRead, BytesWritten int64
 	// Retries counts backoff-then-retry rounds; Faults counts injected
 	// failures; BreakerTrips counts circuit-breaker cooldowns.
 	Retries, Faults int64
 	BreakerTrips    int64
-	// ReadNanos/WriteNanos sum the device time of successful transfers —
+	// ReadNanos/WriteNanos sum the device time of successful ops —
 	// BytesRead/ReadNanos is this disk's measured read bandwidth.
 	// BusyNanos sums all device-op time, failed attempts included.
 	ReadNanos, WriteNanos int64

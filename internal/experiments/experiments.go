@@ -340,6 +340,6 @@ func writeInput(arr *pdm.Array, n int, seed uint64) int {
 	blocks := (n + p.B - 1) / p.B
 	perDisk := (blocks + p.D - 1) / p.D
 	off := arr.AllocStripe(perDisk)
-	arr.WriteStripe(off, recs)
+	arr.WriteStripe(off, 0, recs)
 	return off
 }

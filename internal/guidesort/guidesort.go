@@ -3,11 +3,13 @@
 // simulated disk arrays the rest of this repository runs on. Run formation
 // sorts M/2-record memoryloads in memory and writes each as a striped run;
 // merges of up to M/(2DB) runs then read and write whole stripe rows, so
-// every parallel I/O is full-width. The narrow fan-in costs the
-// Θ(log(M/B)/log(M/DB)) extra factor of experiment E11. The package and
-// its run-formation span keep the name of Hagerup's guided merge, which
-// issued more parallel I/Os than this merge at every geometry probed and
-// was removed (DESIGN.md §5g).
+// every parallel I/O is full-width. A memoryload moves in one striped
+// transfer, and a merge's output collects in the idle formation buffer, so
+// each disk's share of either moves in one device call. The narrow fan-in
+// costs the Θ(log(M/B)/log(M/DB)) extra factor of experiment E11. The
+// package and its run-formation span keep the name of Hagerup's guided
+// merge, which issued more parallel I/Os than this merge at every geometry
+// probed and was removed (DESIGN.md §5g).
 //
 // The sorter has first-class parity with the Balance Sort engine on every
 // robustness axis: its complete state between commits is the serializable
@@ -103,13 +105,9 @@ type Sorter struct {
 	prior   Metrics
 	commits int
 
-	// Reused buffers: the op list of one parallel I/O, one block for a
-	// partial last block (sentinel-padded on writes), the formation
-	// memoryload, and the striped merge's per-run stripe rows. Full blocks
-	// move as subslices of the caller's buffer, since every store copies
-	// Op.Data before ParallelIO returns.
-	ops  []pdm.Op
-	pad  []record.Record
+	// Reused buffers: the formation memoryload, which the merges take as
+	// their output buffer once the runs are formed, and the striped
+	// merge's per-run stripe rows.
 	load []record.Record
 	rows [][]record.Record
 }
@@ -125,10 +123,9 @@ func NewSorter(arr *pdm.Array, cfg Config) *Sorter {
 		cfg.P = 1
 	}
 	s := &Sorter{arr: arr, cpu: pram.New(cfg.P), cfg: cfg}
-	s.ops = make([]pdm.Op, 0, p.D)
-	s.pad = make([]record.Record, p.B)
 	s.memload = (p.M / 2 / p.B) * p.B
-	// One stripe-row buffer (DB records) per run plus the output row.
+	// One stripe-row buffer (DB records) per run, at most M/2 in all, beside
+	// an output buffer of at most a memoryload.
 	s.arity = p.M / (2 * p.D * p.B)
 	if s.arity < 2 {
 		s.arity = 2
@@ -258,20 +255,25 @@ func (s *Sorter) internalSort(rs []record.Record) {
 // sorts them in memory, and writes them back as a fresh level-0 run.
 func (s *Sorter) formRun(inOff, pos, want int) Run {
 	s.arr.Mem.Use(want)
-	if cap(s.load) < want {
-		s.load = make([]record.Record, s.memload)
-	}
-	buf := s.load[:want]
+	buf := s.loadBuf()[:want]
 	s.readAligned(inOff, pos, buf)
 	s.internalSort(buf)
 	outOff := s.allocStripe(want)
-	s.writeAligned(outOff, 0, buf)
+	s.arr.WriteStripe(outOff, 0, buf)
 	s.arr.Mem.Release(want)
 	return Run{Off: outOff, N: want}
 }
 
+// loadBuf returns the formation buffer, a memoryload long.
+func (s *Sorter) loadBuf() []record.Record {
+	if s.load == nil {
+		s.load = make([]record.Record, s.memload)
+	}
+	return s.load
+}
+
 // merge merges the group of runs into one fresh run, reading one stripe
-// row per run and writing full stripe rows.
+// row per run and writing full stripe rows through the output buffer.
 func (s *Sorter) merge(group []Run) Run {
 	total := 0
 	level := 0
@@ -283,7 +285,8 @@ func (s *Sorter) merge(group []Run) Run {
 	}
 	p := s.arr.Params()
 	row := p.D * p.B
-	resident := len(group)*row + row // one stripe row per run + output row
+	out := s.newRegionWriter(total)
+	resident := len(group)*row + cap(out.buf) // ≤ M/2 + M/2
 	s.arr.Mem.Use(resident)
 
 	type runCur struct {
@@ -311,7 +314,6 @@ func (s *Sorter) merge(group []Run) Run {
 		return true
 	}
 
-	out := s.newRegionWriter(total)
 	var h mergeHeap
 	for i := range curs {
 		if refill(i) {
@@ -400,113 +402,44 @@ func (s *Sorter) allocStripe(n int) int {
 
 // readAligned reads buf's worth of records starting at record index pos of
 // the striped region at block offset off, full-width. pos must be a
-// multiple of B. Full blocks land straight in buf; only a partial last
-// block goes through the reused pad block.
+// multiple of B.
 func (s *Sorter) readAligned(off, pos int, buf []record.Record) {
-	p := s.arr.Params()
-	if pos%p.B != 0 {
+	b := s.arr.B()
+	if pos%b != 0 {
 		panic("guidesort: unaligned region read")
 	}
-	first := pos / p.B
-	nblocks := (len(buf) + p.B - 1) / p.B
-	for base := 0; base < nblocks; base += p.D {
-		ops := s.ops[:0]
-		tail := -1
-		for j := 0; j < p.D && base+j < nblocks; j++ {
-			blk := first + base + j
-			lo := (base + j) * p.B
-			dst := buf[lo:min(lo+p.B, len(buf))]
-			if len(dst) < p.B {
-				dst, tail = s.pad, lo
-			}
-			ops = append(ops, pdm.Op{Disk: blk % p.D, Off: off + blk/p.D, Data: dst})
-		}
-		s.arr.ParallelIO(ops)
-		if tail >= 0 {
-			copy(buf[tail:], s.pad)
-		}
-	}
+	s.arr.ReadStripe(off, pos/b, buf)
 }
 
-// writeAligned writes buf starting at record index pos of the striped
-// region at block offset off, full-width, sentinel-padding the last
-// partial block. pos must be a multiple of B.
-func (s *Sorter) writeAligned(off, pos int, buf []record.Record) {
-	p := s.arr.Params()
-	if pos%p.B != 0 {
-		panic("guidesort: unaligned region write")
-	}
-	first := pos / p.B
-	nblocks := (len(buf) + p.B - 1) / p.B
-	for base := 0; base < nblocks; base += p.D {
-		ops := s.ops[:0]
-		for j := 0; j < p.D && base+j < nblocks; j++ {
-			blk := first + base + j
-			lo := (base + j) * p.B
-			ops = append(ops, pdm.Op{Disk: blk % p.D, Off: off + blk/p.D, Write: true, Data: s.block(buf[lo:min(lo+p.B, len(buf))])})
-		}
-		s.arr.ParallelIO(ops)
-	}
-}
-
-// block returns recs as a whole block to write: recs itself when full,
-// else recs copied into the reused pad block and sentinel-padded.
-func (s *Sorter) block(recs []record.Record) []record.Record {
-	if len(recs) == len(s.pad) {
-		return recs
-	}
-	for k := copy(s.pad, recs); k < len(s.pad); k++ {
-		s.pad[k] = record.Record{Key: ^uint64(0), Loc: ^uint64(0)}
-	}
-	return s.pad
-}
-
-// regionWriter streams records into a fresh striped region, flushing one
-// full-width stripe row (D blocks) per parallel I/O.
+// regionWriter streams records into a fresh striped region through the
+// sorter's formation buffer, cut to whole stripe rows: each flush writes
+// what it holds in one striped transfer, so the rows go out full-width,
+// and only the final flush may end in a partial row.
 type regionWriter struct {
-	s   *Sorter
+	arr *pdm.Array
 	off int
-	blk int
-	row int
+	blk int // blocks written so far
 	buf []record.Record
 }
 
-func (s *Sorter) newRegionWriter(capacity int) *regionWriter {
-	p := s.arr.Params()
-	row := p.D * p.B
-	return &regionWriter{s: s, off: s.allocStripe(capacity), row: row, buf: make([]record.Record, 0, row)}
+func (s *Sorter) newRegionWriter(capacity int) regionWriter {
+	row := s.arr.D() * s.arr.B()
+	return regionWriter{arr: s.arr, off: s.allocStripe(capacity), buf: s.loadBuf()[: 0 : s.memload/row*row]}
 }
 
 func (w *regionWriter) add(r record.Record) {
 	w.buf = append(w.buf, r)
-	if len(w.buf) >= w.row {
-		w.flush(false)
+	if len(w.buf) == cap(w.buf) {
+		w.flush()
 	}
 }
 
-// flush writes out full stripe rows (every buffered record when force,
-// sentinel-padding the final partial block) and compacts the buffer.
-func (w *regionWriter) flush(force bool) {
-	p := w.s.arr.Params()
-	pos := 0
-	for len(w.buf)-pos >= p.B || (force && len(w.buf) > pos) {
-		ops := w.s.ops[:0]
-		for j := 0; j < p.D && len(w.buf) > pos; j++ {
-			take := min(p.B, len(w.buf)-pos)
-			if take < p.B && !force {
-				break
-			}
-			blk := w.s.block(w.buf[pos : pos+take])
-			pos += take
-			ops = append(ops, pdm.Op{Disk: w.blk % p.D, Off: w.off + w.blk/p.D, Write: true, Data: blk})
-			w.blk++
-		}
-		if len(ops) == 0 {
-			break
-		}
-		w.s.arr.ParallelIO(ops)
-	}
-	w.buf = w.buf[:copy(w.buf, w.buf[pos:])]
+// flush writes the buffered records as the region's next blocks,
+// sentinel-padding a partial last block, and empties the buffer.
+func (w *regionWriter) flush() {
+	w.arr.WriteStripe(w.off, w.blk, w.buf)
+	w.blk += (len(w.buf) + w.arr.B() - 1) / w.arr.B()
+	w.buf = w.buf[:0]
 }
 
-func (w *regionWriter) close() { w.flush(true) }
+func (w *regionWriter) close() { w.flush() }

@@ -35,14 +35,14 @@ func loadInput(arr *pdm.Array, in []record.Record) int {
 		perDisk = 1
 	}
 	off := arr.AllocStripe(perDisk)
-	arr.WriteStripe(off, in)
+	arr.WriteStripe(off, 0, in)
 	return off
 }
 
 // readRegion reads n records from a region laid out in guidesort's
 // blk%D striping (identical to WriteStripe's layout).
 func readRegion(arr *pdm.Array, off int, out []record.Record) {
-	arr.ReadStripe(off, out)
+	arr.ReadStripe(off, 0, out)
 }
 
 func check(t *testing.T, in, out []record.Record) {
@@ -67,6 +67,22 @@ func TestSortsAllWorkloads(t *testing.T) {
 			if met.MemPeak > pTest().M {
 				t.Fatalf("%v n=%d: mem peak %d exceeds M=%d", w, n, met.MemPeak, pTest().M)
 			}
+		}
+	}
+}
+
+// TestMemPeakAtSmallestMemory runs the sort at the smallest legal
+// memory, M = 4DB. There a merge holds arity M/(2DB) = 2 run rows beside
+// an output buffer of the memoryload M/2 = 2 rows, so it fills M exactly
+// and never more.
+func TestMemPeakAtSmallestMemory(t *testing.T) {
+	p := pdm.Params{D: 4, B: 8, M: 4 * 4 * 8}
+	for _, w := range record.AllWorkloads {
+		in := record.Generate(w, 1000, 13)
+		out, met := run(t, p, Config{}, in)
+		check(t, in, out)
+		if met.Passes == 0 || met.MemPeak != p.M {
+			t.Fatalf("%v: %d merges peaked at %d records, want M = %d", w, met.Passes, met.MemPeak, p.M)
 		}
 	}
 }

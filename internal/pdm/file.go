@@ -19,10 +19,11 @@ import (
 // the data outlives the process and its footprint is disk, not RAM, so the
 // library genuinely sorts datasets larger than host memory.
 //
-// Every block moves on the calling goroutine through the drive's guarded
-// device (internal/diskio): fault injection, retry with backoff, the
-// circuit breaker and fail-fast *diskio.DiskFailedError, and the per-disk
-// counters IOMetrics reports. FileOptions.IO configures that layer.
+// Every transfer moves on the calling goroutine through the drive's guarded
+// device (internal/diskio) as one device op, however many consecutive
+// blocks it holds: fault injection, retry with backoff, the circuit breaker
+// and fail-fast *diskio.DiskFailedError, and the per-disk counters
+// IOMetrics reports. FileOptions.IO configures that layer.
 //
 // Integrity: unless disabled, every block carries a CRC32C (Castagnoli) of
 // its wire bytes. Each drive keeps the checksums in an in-memory table,
@@ -48,6 +49,10 @@ const ChecksumCRC32C = "crc32c"
 
 // crcSize is the sidecar bytes per block.
 const crcSize = 4
+
+// flushPiece is how many checksum entries a sidecar flush encodes and
+// writes per WriteAt.
+const flushPiece = 1024
 
 // CorruptBlockError reports a block whose stored checksum disagrees with
 // its data — a torn write, a truncated sidecar, or silent media
@@ -93,7 +98,7 @@ type blockIndex struct {
 	// [dirtyLo, dirtyHi) changed since the last flush.
 	sums             []uint32
 	dirtyLo, dirtyHi int
-	enc              []byte // flush staging buffer
+	enc              [flushPiece * crcSize]byte // flush staging buffer
 }
 
 func (x *blockIndex) isWritten(off int) bool { return off < len(x.written) && x.written[off] }
@@ -152,17 +157,19 @@ func (x *blockIndex) isAllocationHole(off int, wire []byte) bool {
 }
 
 // flush writes the table entries changed since the last flush to the
-// sidecar in one WriteAt.
+// sidecar, flushPiece entries per WriteAt through a fixed staging buffer.
 func (x *blockIndex) flush() error {
 	if x.crc == nil || x.dirtyLo == x.dirtyHi {
 		return nil
 	}
-	x.enc = x.enc[:0]
-	for _, v := range x.sums[x.dirtyLo:x.dirtyHi] {
-		x.enc = binary.LittleEndian.AppendUint32(x.enc, v)
-	}
-	if _, err := x.crc.WriteAt(x.enc, int64(x.dirtyLo)*crcSize); err != nil {
-		return fmt.Errorf("pdm: checksum write: %w", err)
+	for lo := x.dirtyLo; lo < x.dirtyHi; lo += flushPiece {
+		piece := x.sums[lo:min(lo+flushPiece, x.dirtyHi)]
+		for i, v := range piece {
+			binary.LittleEndian.PutUint32(x.enc[i*crcSize:], v)
+		}
+		if _, err := x.crc.WriteAt(x.enc[:len(piece)*crcSize], int64(lo)*crcSize); err != nil {
+			return fmt.Errorf("pdm: checksum write: %w", err)
+		}
 	}
 	x.dirtyLo, x.dirtyHi = 0, 0
 	return nil
@@ -228,37 +235,78 @@ func (x *blockIndex) scrub(buf []byte, readRaw func(off int, buf []byte) error) 
 }
 
 // fileStore backs one drive with one file; block i occupies bytes
-// [i*B*EncodedSize, (i+1)*B*EncodedSize). It moves one block per call, on
-// the calling goroutine, through the drive's guarded device.
+// [i*B*EncodedSize, (i+1)*B*EncodedSize). A store call moves its k
+// consecutive blocks as one device op on the calling goroutine, through the
+// drive's guarded device.
 type fileStore struct {
 	blockIndex
 	dev *diskio.Drive
-	// scratch is one block of wire bytes, reused per op; safe because
-	// ParallelIO serializes its callers (and Peek and Scrub are
-	// contractually never concurrent with a ParallelIO).
-	scratch []byte
+	b   int // records per block
+	// wire holds one call's wire bytes. The array's stores share it: the
+	// array serializes its transfers, and Peek and Scrub are contractually
+	// never concurrent with one.
+	wire *[]byte
 }
 
-func (s *fileStore) read(off int, dst []record.Record) error {
-	if !s.isWritten(off) {
-		return fmt.Errorf("pdm: read of unwritten block off=%d", off)
+// newFileStores puts one store over each drive, all sharing one wire
+// buffer.
+func newFileStores(drives *diskio.Drives, p Params) []*fileStore {
+	wire := new([]byte)
+	stores := make([]*fileStore, p.D)
+	for i := range stores {
+		stores[i] = &fileStore{blockIndex: blockIndex{disk: i}, dev: drives.Drive(i), b: p.B, wire: wire}
 	}
-	if err := s.dev.Read(int64(off), s.scratch); err != nil {
+	return stores
+}
+
+// wireBuf returns the shared wire buffer resliced to n bytes, growing it
+// only when it is short.
+func (s *fileStore) wireBuf(n int) []byte {
+	if cap(*s.wire) < n {
+		*s.wire = make([]byte, n)
+	}
+	return (*s.wire)[:n]
+}
+
+func (s *fileStore) read(off, stride int, recs []record.Record) error {
+	k := (len(recs) + stride - 1) / stride
+	for j := 0; j < k; j++ {
+		if !s.isWritten(off + j) {
+			return fmt.Errorf("pdm: read of unwritten block off=%d", off+j)
+		}
+	}
+	bb := s.b * record.EncodedSize
+	wire := s.wireBuf(k * bb)
+	if err := s.dev.Read(int64(off), wire); err != nil {
 		return fmt.Errorf("pdm: file read: %w", err)
 	}
-	if err := s.verify(off, s.scratch); err != nil {
-		return err
+	for j := 0; j < k; j++ {
+		blk := wire[j*bb : (j+1)*bb]
+		if err := s.verify(off+j, blk); err != nil {
+			return err
+		}
+		record.DecodeInto(blockOf(recs, j, stride, s.b), blk)
 	}
-	record.DecodeInto(dst, s.scratch)
 	return nil
 }
 
-func (s *fileStore) write(off int, src []record.Record) error {
-	buf := record.AppendSlice(s.scratch[:0], src)
-	if err := s.dev.Write(int64(off), buf); err != nil {
+func (s *fileStore) write(off, stride int, recs []record.Record) error {
+	k := (len(recs) + stride - 1) / stride
+	bb := s.b * record.EncodedSize
+	wire := s.wireBuf(k * bb)
+	for j := 0; j < k; j++ {
+		src, blk := blockOf(recs, j, stride, s.b), wire[j*bb:(j+1)*bb]
+		record.AppendSlice(blk[:0], src)
+		for i := len(src) * record.EncodedSize; i < bb; i++ {
+			blk[i] = 0xff // a +inf sentinel record is all one bits
+		}
+	}
+	if err := s.dev.Write(int64(off), wire); err != nil {
 		return fmt.Errorf("pdm: file write: %w", err)
 	}
-	s.record(off, buf)
+	for j := 0; j < k; j++ {
+		s.record(off+j, wire[j*bb:(j+1)*bb])
+	}
 	return nil
 }
 
@@ -267,7 +315,7 @@ func (s *fileStore) write(off int, src []record.Record) error {
 func (s *fileStore) close() error { return s.closeSidecar() }
 
 func (s *fileStore) verifyAll() (int, []*CorruptBlockError) {
-	return s.scrub(s.scratch, func(off int, buf []byte) error {
+	return s.scrub(s.wireBuf(s.b*record.EncodedSize), func(off int, buf []byte) error {
 		return s.dev.Read(int64(off), buf)
 	})
 }
@@ -514,8 +562,7 @@ func assembleFileBacked(p Params, dir string, mode Mode, cfg diskio.Config, file
 	}
 	idx := make([]*blockIndex, p.D)
 	stores := make([]blockStore, p.D)
-	for i := range stores {
-		fs := &fileStore{blockIndex: blockIndex{disk: i}, dev: drives.Drive(i), scratch: make([]byte, cfg.BlockBytes)}
+	for i, fs := range newFileStores(drives, p) {
 		if crcs != nil {
 			fs.crc = crcs[i]
 		}

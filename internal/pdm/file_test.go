@@ -45,9 +45,9 @@ func TestFileBackedStripeAndStats(t *testing.T) {
 	defer a.Close()
 	data := record.Generate(record.Zipf, 200, 3)
 	off := a.AllocStripe(8)
-	a.WriteStripe(off, data)
+	a.WriteStripe(off, 0, data)
 	got := make([]record.Record, 200)
-	a.ReadStripe(off, got)
+	a.ReadStripe(off, 0, got)
 	for i := range data {
 		if got[i] != data[i] {
 			t.Fatalf("stripe mismatch at %d", i)
@@ -81,7 +81,7 @@ func TestFileBackedReopen(t *testing.T) {
 	}
 	data := record.Generate(record.Uniform, 64, 5)
 	off := a.AllocStripe(2)
-	a.WriteStripe(off, data)
+	a.WriteStripe(off, 0, data)
 	marker := a.Alloc(2, 1) // advance one disk's allocator asymmetrically
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestFileBackedReopen(t *testing.T) {
 		t.Fatalf("reopened params %+v", b.Params())
 	}
 	got := make([]record.Record, 64)
-	b.ReadStripe(off, got)
+	b.ReadStripe(off, 0, got)
 	for i := range data {
 		if got[i] != data[i] {
 			t.Fatalf("data lost across reopen at %d", i)

@@ -39,9 +39,9 @@ func TestEngineBackedStripeRoundTrip(t *testing.T) {
 	defer a.Close()
 	data := record.Generate(record.Zipf, 300, 3)
 	off := a.AllocStripe(16)
-	a.WriteStripe(off, data)
+	a.WriteStripe(off, 0, data)
 	got := make([]record.Record, 300)
-	a.ReadStripe(off, got)
+	a.ReadStripe(off, 0, got)
 	for i := range data {
 		if got[i] != data[i] {
 			t.Fatalf("stripe mismatch at %d", i)
@@ -71,9 +71,9 @@ func TestEngineBackedModelCostsIdentical(t *testing.T) {
 		defer a.Close()
 		data := record.Generate(record.Uniform, 500, 9)
 		off := a.AllocStripe(32)
-		a.WriteStripe(off, data)
+		a.WriteStripe(off, 0, data)
 		got := make([]record.Record, 500)
-		a.ReadStripe(off, got)
+		a.ReadStripe(off, 0, got)
 		a.ParallelIO([]Op{{Disk: 2, Off: off, Write: true, Data: make([]record.Record, a.B())}})
 		return a.Stats()
 	}
@@ -99,9 +99,9 @@ func TestEngineBackedFaultsRecover(t *testing.T) {
 	defer a.Close()
 	data := record.Generate(record.BucketSkew, 400, 5)
 	off := a.AllocStripe(32)
-	a.WriteStripe(off, data)
+	a.WriteStripe(off, 0, data)
 	got := make([]record.Record, 400)
-	a.ReadStripe(off, got)
+	a.ReadStripe(off, 0, got)
 	for i := range data {
 		if got[i] != data[i] {
 			t.Fatalf("data corrupted under faults at %d", i)
@@ -123,7 +123,7 @@ func TestFileBackedEngineReopen(t *testing.T) {
 	}
 	data := record.Generate(record.NearlySorted, 200, 21)
 	off := a.AllocStripe(16)
-	a.WriteStripe(off, data)
+	a.WriteStripe(off, 0, data)
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestFileBackedEngineReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := make([]record.Record, 200)
-		b.ReadStripe(off, got)
+		b.ReadStripe(off, 0, got)
 		for i := range data {
 			if got[i] != data[i] {
 				t.Fatalf("data lost across close/reopen at %d (faults %v)", i, io.Fault.ErrorRate > 0)
@@ -154,11 +154,11 @@ func TestFileBackedStartsNoGoroutine(t *testing.T) {
 	a := newFileArray(t, p, faultyIO())
 	data := record.Generate(record.Uniform, p.M/2, 4)
 	off := a.AllocStripe(len(data)/(p.D*p.B) + 1)
-	a.WriteStripe(off, data)
+	a.WriteStripe(off, 0, data)
 	got := make([]record.Record, len(data))
-	a.ReadStripe(off, got)
+	a.ReadStripe(off, 0, got)
 	sort.Slice(got, func(i, j int) bool { return got[i].Less(got[j]) })
-	a.WriteStripe(off, got)
+	a.WriteStripe(off, 0, got)
 	if err := a.Sync(); err != nil {
 		t.Fatal(err)
 	}

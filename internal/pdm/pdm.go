@@ -7,8 +7,10 @@
 // this repository: it executes the real data movement, counts parallel I/O
 // operations, and enforces the model's two rules — at most one block per
 // disk per I/O, and at most M records resident in internal memory. A
-// parallel I/O runs on the calling goroutine, block by block: in memory,
-// or through each file-backed drive's guarded device (internal/diskio). An
+// parallel I/O runs on the calling goroutine: in memory, or through each
+// file-backed drive's guarded device (internal/diskio), one device call per
+// disk. A striped transfer of many rows makes one device call per disk too,
+// and is charged as the rows it stands for. An
 // AgV compatibility mode (Figure 1, the Aggarwal–Vitter model) relaxes the
 // one-block-per-disk rule so the two models can be compared head to head
 // (experiment E14).
@@ -120,16 +122,12 @@ type Array struct {
 
 	stores []blockStore
 
-	// ioMu serializes parallel I/Os: the scratch below and the file
-	// stores' block buffers are reused by every one.
+	// ioMu serializes transfers: the scratch below and the file stores'
+	// wire buffer are reused by every one.
 	ioMu sync.Mutex
 	// claimed[d] marks disk d as taken by the I/O being validated (PDM
 	// mode's one-block-per-disk rule).
 	claimed []bool
-	// stripeOps and stripePad are WriteStripe's and ReadStripe's op list
-	// and partial-last-block buffer.
-	stripeOps []Op
-	stripePad []record.Record
 	// drives guards a file-backed array's devices; nil in memory (see
 	// IOMetrics).
 	drives *diskio.Drives
@@ -153,14 +151,30 @@ type Array struct {
 // blockStore is the storage behind one simulated drive. The in-memory
 // store is the default; the file-backed store in file.go persists blocks to
 // a real file so the library can sort datasets larger than host memory.
-// ParallelIO calls the stores from the calling goroutine, block by block.
+//
+// One call moves the consecutive blocks off, off+1, ... of the drive: block
+// j of the call is recs[j*stride : min(j*stride+B, len(recs))], so a call
+// moves ⌈len(recs)/stride⌉ blocks, and a striped transfer hands each disk
+// its share of the stripe with stride DB. Only the last block may be short:
+// a write pads it with +inf sentinels, a read fills only the records it
+// has. ParallelIO moves one whole block per call. The stores copy recs
+// before returning, and run on the calling goroutine.
 type blockStore interface {
-	// read copies block off into dst (len dst = B); it errors on a block
-	// that was never written.
-	read(off int, dst []record.Record) error
-	// write stores dst as block off.
-	write(off int, src []record.Record) error
+	// read fills recs from the blocks starting at off; it errors on a
+	// block that was never written.
+	read(off, stride int, recs []record.Record) error
+	// write stores recs as the blocks starting at off.
+	write(off, stride int, recs []record.Record) error
 	close() error
+}
+
+// sentinel pads the short last block of a write.
+var sentinel = record.Record{Key: ^uint64(0), Loc: ^uint64(0)}
+
+// blockOf returns block j of a store call's records (see blockStore).
+func blockOf(recs []record.Record, j, stride, b int) []record.Record {
+	lo := j * stride
+	return recs[lo:min(lo+b, len(recs))]
 }
 
 // memStore keeps blocks in a growable slice.
@@ -169,24 +183,30 @@ type memStore struct {
 	blocks [][]record.Record
 }
 
-func (s *memStore) read(off int, dst []record.Record) error {
-	if off >= len(s.blocks) || s.blocks[off] == nil {
-		return fmt.Errorf("pdm: read of unwritten block off=%d", off)
+func (s *memStore) read(off, stride int, recs []record.Record) error {
+	for j := 0; j*stride < len(recs); j++ {
+		if off+j >= len(s.blocks) || s.blocks[off+j] == nil {
+			return fmt.Errorf("pdm: read of unwritten block off=%d", off+j)
+		}
+		copy(blockOf(recs, j, stride, s.b), s.blocks[off+j])
 	}
-	copy(dst, s.blocks[off])
 	return nil
 }
 
-func (s *memStore) write(off int, src []record.Record) error {
-	for off >= len(s.blocks) {
-		s.blocks = append(s.blocks, nil)
+func (s *memStore) write(off, stride int, recs []record.Record) error {
+	for j := 0; j*stride < len(recs); j++ {
+		for off+j >= len(s.blocks) {
+			s.blocks = append(s.blocks, nil)
+		}
+		blk := s.blocks[off+j]
+		if blk == nil {
+			blk = make([]record.Record, s.b)
+			s.blocks[off+j] = blk
+		}
+		for k := copy(blk, blockOf(recs, j, stride, s.b)); k < s.b; k++ {
+			blk[k] = sentinel
+		}
 	}
-	blk := s.blocks[off]
-	if blk == nil {
-		blk = make([]record.Record, s.b)
-		s.blocks[off] = blk
-	}
-	copy(blk, src)
 	return nil
 }
 
@@ -215,15 +235,13 @@ func newWithStores(p Params, mode Mode, stores []blockStore, onClose func() erro
 		panic(err)
 	}
 	a := &Array{
-		params:    p,
-		mode:      mode,
-		stores:    stores,
-		claimed:   make([]bool, p.D),
-		stripeOps: make([]Op, 0, p.D),
-		stripePad: make([]record.Record, p.B),
-		nextFree:  make([]int, p.D),
-		Mem:       NewMemTracker(p.M),
-		onClose:   onClose,
+		params:   p,
+		mode:     mode,
+		stores:   stores,
+		claimed:  make([]bool, p.D),
+		nextFree: make([]int, p.D),
+		Mem:      NewMemTracker(p.M),
+		onClose:  onClose,
 	}
 	a.stats.PerDiskReads = make([]int64, p.D)
 	a.stats.PerDiskWrites = make([]int64, p.D)
@@ -417,18 +435,18 @@ func (a *Array) validate(ops []Op) {
 	}
 }
 
-// transfer moves the blocks of validated ops, store by store, stopping at
-// the first error. Reading a never-written block is almost always a bug in
-// the caller, so the stores fail loudly (the error becomes a panic in
-// ParallelIO).
+// transfer moves the blocks of validated ops, one store call each,
+// stopping at the first error. Reading a never-written block is almost
+// always a bug in the caller, so the stores fail loudly (the error becomes
+// a panic in ParallelIO).
 func (a *Array) transfer(ops []Op) error {
 	for _, op := range ops {
 		s := a.stores[op.Disk]
 		var err error
 		if op.Write {
-			err = s.write(op.Off, op.Data)
+			err = s.write(op.Off, a.params.B, op.Data)
 		} else {
-			err = s.read(op.Off, op.Data)
+			err = s.read(op.Off, a.params.B, op.Data)
 		}
 		if err != nil {
 			return err
@@ -481,7 +499,7 @@ func (a *Array) Peek(d, off int) []record.Record {
 	dst := make([]record.Record, a.params.B)
 	a.ioMu.Lock()
 	defer a.ioMu.Unlock()
-	if err := a.stores[d].read(off, dst); err != nil {
+	if err := a.stores[d].read(off, a.params.B, dst); err != nil {
 		panic(err)
 	}
 	return dst
@@ -510,64 +528,84 @@ func (a *Array) AllocStripe(n int) int {
 	return off
 }
 
-// WriteStripe writes len(data)/B blocks striped across the disks starting
-// at block offset off: block i goes to disk i%D at offset off + i/D. Records
-// beyond the last full block are padded with +inf sentinels the caller must
-// track. Full blocks are written straight from data; only a partial last
-// block is copied. It returns the number of parallel I/Os used.
-func (a *Array) WriteStripe(off int, data []record.Record) int {
-	a.ioMu.Lock()
-	defer a.ioMu.Unlock()
-	b, d := a.params.B, a.params.D
-	nblocks := (len(data) + b - 1) / b
-	ios := 0
-	for base := 0; base < nblocks; base += d {
-		ops := a.stripeOps[:0]
-		for j := 0; j < d && base+j < nblocks; j++ {
-			lo := (base + j) * b
-			blk := data[lo:min(lo+b, len(data))]
-			if len(blk) < b {
-				for k := copy(a.stripePad, blk); k < b; k++ {
-					a.stripePad[k] = record.Record{Key: ^uint64(0), Loc: ^uint64(0)} // sentinel pad
-				}
-				blk = a.stripePad
-			}
-			ops = append(ops, Op{Disk: j, Off: off + base/d, Write: true, Data: blk})
-		}
-		a.parallelIO(ops)
-		ios++
-	}
-	return ios
+// WriteStripe writes data as blocks first, first+1, ... of the striped
+// region at block offset off: block i of the call goes to disk (first+i)%D
+// at offset off+(first+i)/D. Records beyond the last full block are padded
+// with +inf sentinels the caller must track. Each disk's share of the call
+// is consecutive on that disk and moves in one store call, straight from
+// data. The model is charged exactly what the row-by-row loop the call
+// stands for would cost: one parallel I/O per D consecutive blocks, ⌈n/D⌉
+// for n blocks, which it returns.
+func (a *Array) WriteStripe(off, first int, data []record.Record) int {
+	return a.stripe(off, first, data, true)
 }
 
-// ReadStripe reads n records striped from block offset off (the layout
-// written by WriteStripe) and returns the parallel I/O count. Full blocks
-// are read straight into dst; only a partial last block goes through a
-// scratch block.
-func (a *Array) ReadStripe(off int, dst []record.Record) int {
+// ReadStripe reads len(dst) records from blocks first, first+1, ... of the
+// striped region at block offset off (the layout WriteStripe writes), one
+// store call per disk, straight into dst. It is charged and returns its
+// parallel I/Os like WriteStripe.
+func (a *Array) ReadStripe(off, first int, dst []record.Record) int {
+	return a.stripe(off, first, dst, false)
+}
+
+// stripe is the striped transfer behind WriteStripe and ReadStripe. Like
+// ParallelIO, it runs on the calling goroutine, serializes with every
+// other transfer, and panics on a failed store call.
+func (a *Array) stripe(off, first int, recs []record.Record, write bool) int {
+	b, d := a.params.B, a.params.D
+	n := (len(recs) + b - 1) / b
+	if n == 0 {
+		return 0
+	}
 	a.ioMu.Lock()
 	defer a.ioMu.Unlock()
-	b, d := a.params.B, a.params.D
-	nblocks := (len(dst) + b - 1) / b
-	ios := 0
-	for base := 0; base < nblocks; base += d {
-		ops := a.stripeOps[:0]
-		tail := -1
-		for j := 0; j < d && base+j < nblocks; j++ {
-			lo := (base + j) * b
-			blk := dst[lo:min(lo+b, len(dst))]
-			if len(blk) < b {
-				blk, tail = a.stripePad, lo
-			}
-			ops = append(ops, Op{Disk: j, Off: off + base/d, Data: blk})
+	for i := 0; i < min(n, d); i++ {
+		blk := first + i
+		s, share := a.stores[blk%d], recs[i*b:]
+		var err error
+		if write {
+			err = s.write(off+blk/d, d*b, share)
+		} else {
+			err = s.read(off+blk/d, d*b, share)
 		}
-		a.parallelIO(ops)
-		if tail >= 0 {
-			copy(dst[tail:], a.stripePad)
+		if err != nil {
+			panic(err)
 		}
-		ios++
 	}
-	return ios
+
+	// Row r of the loop moves blocks rD .. rD+D-1 of the call: the full
+	// rows are D wide, a partial last row n mod D.
+	rows, tail := n/d, n%d
+	ios := int64((n + d - 1) / d)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.stats.IOs += ios
+	perDisk := a.stats.PerDiskReads
+	if write {
+		a.stats.WriteIOs += ios
+		a.stats.BlocksWritten += int64(n)
+		perDisk = a.stats.PerDiskWrites
+	} else {
+		a.stats.ReadIOs += ios
+		a.stats.BlocksRead += int64(n)
+	}
+	for i := 0; i < min(n, d); i++ {
+		perDisk[(first+i)%d] += int64((n - i + d - 1) / d)
+	}
+	addRows(a.stats.WidthHist, d, rows, tail)
+	if write {
+		addRows(a.stats.WriteWidthHist, d, rows, tail)
+	}
+	return int(ios)
+}
+
+// addRows counts rows full-width I/Os and, if tail > 0, one tail-wide I/O
+// in the width histogram h.
+func addRows(h []int64, d, rows, tail int) {
+	h[d] += int64(rows)
+	if tail > 0 {
+		h[tail]++
+	}
 }
 
 // D returns the number of disks.

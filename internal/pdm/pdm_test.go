@@ -162,7 +162,7 @@ func TestStripeRoundTrip(t *testing.T) {
 	data := backing[:n]
 	orig := append([]record.Record(nil), backing...)
 	off := a.AllocStripe(8)
-	wios := a.WriteStripe(off, data)
+	wios := a.WriteStripe(off, 0, data)
 	for i := range backing {
 		if backing[i] != orig[i] {
 			t.Fatalf("WriteStripe changed the caller's records at %d", i)
@@ -170,7 +170,7 @@ func TestStripeRoundTrip(t *testing.T) {
 	}
 
 	got := make([]record.Record, n)
-	rios := a.ReadStripe(off, got)
+	rios := a.ReadStripe(off, 0, got)
 	for i := range data {
 		if got[i] != data[i] {
 			t.Fatalf("stripe mismatch at %d", i)

@@ -2,6 +2,7 @@ package pdm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -145,11 +146,11 @@ func TestChecksumsPersistAtSync(t *testing.T) {
 			const rows = 3
 			synced := record.Generate(record.Uniform, rows*p.D*p.B, 5)
 			off := a.AllocStripe(rows)
-			a.WriteStripe(off, synced)
+			a.WriteStripe(off, 0, synced)
 			if err := a.Sync(); err != nil {
 				t.Fatal(err)
 			}
-			a.WriteStripe(a.AllocStripe(rows), record.Generate(record.Uniform, rows*p.D*p.B, 6))
+			a.WriteStripe(a.AllocStripe(rows), 0, record.Generate(record.Uniform, rows*p.D*p.B, 6))
 
 			crashed := copyDir(t, dir)
 			b, err := open(crashed)
@@ -157,7 +158,7 @@ func TestChecksumsPersistAtSync(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := make([]record.Record, len(synced))
-			b.ReadStripe(off, got)
+			b.ReadStripe(off, 0, got)
 			if !slices.Equal(got, synced) {
 				t.Fatal("synced region does not read back after a crash")
 			}
@@ -184,6 +185,53 @@ func TestChecksumsPersistAtSync(t *testing.T) {
 				t.Fatalf("corruption report %+v, want disk 2 block %d against the synced checksum %08x", corrupt, off+1, want)
 			}
 		})
+	}
+}
+
+// TestChecksumFlushInPieces checks a dirty checksum range longer than one
+// flush piece reaches the sidecar entry for entry: after Sync each sidecar
+// holds exactly the little-endian CRC32C of every block in its data file,
+// and the reopened array scrubs clean.
+func TestChecksumFlushInPieces(t *testing.T) {
+	p := Params{D: 2, B: 2, M: 64}
+	const perDisk = 2*flushPiece + 300
+	dir := t.TempDir()
+	a, err := NewFileBacked(p, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.WriteStripe(a.AllocStripe(perDisk), 0, record.Generate(record.Uniform, perDisk*p.D*p.B, 8))
+	if err := a.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	blockBytes := p.B * record.EncodedSize
+	for d := 0; d < p.D; d++ {
+		data, err := os.ReadFile(diskPath(dir, d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []byte
+		for off := 0; off < perDisk; off++ {
+			want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(data[off*blockBytes:(off+1)*blockBytes], castagnoli))
+		}
+		got, err := os.ReadFile(crcPath(dir, d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("disk %d sidecar (%d bytes) is not the CRC32C of its %d blocks", d, len(got), perDisk)
+		}
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := OpenFileBacked(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if rep := b.Scrub(); rep.BlocksChecked != perDisk*p.D || len(rep.Corrupt) != 0 {
+		t.Fatalf("scrub after reopen: %d checked, %d corrupt; want %d clean", rep.BlocksChecked, len(rep.Corrupt), perDisk*p.D)
 	}
 }
 

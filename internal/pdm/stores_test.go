@@ -100,11 +100,13 @@ func fullWidth(p Params, off int) (write, read []Op) {
 	return write, read
 }
 
-// TestParallelIOAllocFree checks a parallel I/O costs no allocation beyond
-// its data transfer on every store kind: no per-call bookkeeping, no
-// request or reply channel, no staging buffer.
+// TestParallelIOAllocFree checks a parallel I/O, and a striped transfer of
+// several rows, costs no allocation beyond its data transfer on every
+// store kind: no per-call bookkeeping, no request or reply channel, no
+// staging buffer.
 func TestParallelIOAllocFree(t *testing.T) {
 	p := testParams()
+	const rows = 5
 	for name, open := range testArrays(p) {
 		t.Run(name, func(t *testing.T) {
 			a := open(t)
@@ -119,13 +121,50 @@ func TestParallelIOAllocFree(t *testing.T) {
 			if allocs != 0 {
 				t.Fatalf("a warmed full-width write plus read made %.1f allocations, want 0", allocs)
 			}
+
+			// A partial last row and block, from the middle of a region.
+			off := a.AllocStripe(rows + 1)
+			data := record.Generate(record.Uniform, rows*p.D*p.B-3, 2)
+			got := make([]record.Record, len(data))
+			a.WriteStripe(off, 1, data)
+			a.ReadStripe(off, 1, got)
+			allocs = testing.AllocsPerRun(100, func() {
+				a.WriteStripe(off, 1, data)
+				a.ReadStripe(off, 1, got)
+			})
+			if allocs != 0 {
+				t.Fatalf("a warmed %d-row striped write plus read made %.1f allocations, want 0", rows, allocs)
+			}
 		})
+	}
+}
+
+// TestParallelVIOAllocFree checks a full-width virtual I/O builds its
+// physical ops without allocating.
+func TestParallelVIOAllocFree(t *testing.T) {
+	p := Params{D: 8, B: 4, M: 256}
+	a := New(p)
+	defer a.Close()
+	vd := NewVirtual(a, 4)
+	off := vd.Alloc(0, 1)
+	for h := 1; h < vd.V(); h++ {
+		vd.Alloc(h, 1)
+	}
+	ops := make([]VOp, vd.V())
+	for h := range ops {
+		ops[h] = VOp{VDisk: h, Off: off, Write: true, Data: make([]record.Record, vd.VB())}
+	}
+	vd.ParallelVIO(ops)
+	allocs := testing.AllocsPerRun(100, func() { vd.ParallelVIO(ops) })
+	if allocs != 0 {
+		t.Fatalf("a warmed full-width ParallelVIO made %.1f allocations, want 0", allocs)
 	}
 }
 
 // BenchmarkParallelIO times one full-width write plus one full-width read
 // per op on each store kind, at D=8 B=64: the per-block host cost of the
-// I/O layer, with its allocations.
+// I/O layer, with its allocations. The -striped variants move 16 rows per
+// op through WriteStripe and ReadStripe, one device call per disk each.
 func BenchmarkParallelIO(b *testing.B) {
 	p := Params{D: 8, B: 64, M: 1 << 14}
 	for _, name := range []string{"mem", "file"} {
@@ -140,6 +179,21 @@ func BenchmarkParallelIO(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				a.ParallelIO(write)
 				a.ParallelIO(read)
+			}
+		})
+		b.Run(name+"-striped", func(b *testing.B) {
+			const rows = 16
+			a := testArrays(p)[name](b)
+			defer a.Close()
+			off := a.AllocStripe(rows)
+			data := record.Generate(record.Uniform, rows*p.D*p.B, 1)
+			a.WriteStripe(off, 0, data)
+			b.ReportAllocs()
+			b.SetBytes(int64(2 * len(data) * record.EncodedSize))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.WriteStripe(off, 0, data)
+				a.ReadStripe(off, 0, data)
 			}
 		})
 	}

@@ -16,10 +16,16 @@ import (
 // the balance matrices shrink from S x D to S x V while the I/O bound is
 // unchanged up to a constant. (The hierarchy algorithm uses H' = H^{1/3}; the
 // disk algorithm exposes V so experiments can sweep it.)
+//
+// A Virtual serves one goroutine: ParallelVIO reuses its own scratch.
 type Virtual struct {
 	arr   *Array
 	v     int // virtual disks
 	group int // physical disks per virtual disk
+	// seen and phys are ParallelVIO's scratch: which virtual disks the
+	// I/O being built addresses, and its physical ops.
+	seen []bool
+	phys []Op
 }
 
 // NewVirtual groups the array's D disks into v virtual disks. v must divide D.
@@ -27,7 +33,7 @@ func NewVirtual(a *Array, v int) *Virtual {
 	if v < 1 || a.params.D%v != 0 {
 		panic(fmt.Sprintf("pdm: %d virtual disks do not divide D = %d", v, a.params.D))
 	}
-	return &Virtual{arr: a, v: v, group: a.params.D / v}
+	return &Virtual{arr: a, v: v, group: a.params.D / v, seen: make([]bool, v), phys: make([]Op, 0, a.params.D)}
 }
 
 // V returns the number of virtual disks.
@@ -54,17 +60,17 @@ func (vd *Virtual) ParallelVIO(ops []VOp) {
 	if len(ops) == 0 {
 		return
 	}
-	seen := make(map[int]bool, len(ops))
-	phys := make([]Op, 0, len(ops)*vd.group)
+	clear(vd.seen)
+	phys := vd.phys[:0]
 	b := vd.arr.params.B
 	for _, op := range ops {
 		if op.VDisk < 0 || op.VDisk >= vd.v {
 			panic(fmt.Sprintf("pdm: virtual disk %d of %d", op.VDisk, vd.v))
 		}
-		if seen[op.VDisk] {
+		if vd.seen[op.VDisk] {
 			panic(fmt.Sprintf("pdm: two virtual blocks on virtual disk %d in one I/O", op.VDisk))
 		}
-		seen[op.VDisk] = true
+		vd.seen[op.VDisk] = true
 		if len(op.Data) != vd.VB() {
 			panic(fmt.Sprintf("pdm: virtual op transfers %d records, virtual block size is %d", len(op.Data), vd.VB()))
 		}

@@ -24,10 +24,10 @@ type IOConfig struct {
 	// the layer's retry/backoff/breaker machinery absorbs them.
 	FaultRate float64
 	// TornWriteRate is the probability that an injected write fault
-	// leaves half the block behind (the retry rewrites it).
+	// leaves half the transfer behind (the retry rewrites all of it).
 	TornWriteRate float64
 	// LatencyJitter adds up to this much uniform random delay per device
-	// op.
+	// op, however many blocks the op moves.
 	LatencyJitter time.Duration
 	// FaultSeed makes the injected fault sequence reproducible.
 	FaultSeed uint64
@@ -52,8 +52,9 @@ func (c IOConfig) layerConfig(ctx context.Context, tr *obs.Tracer) diskio.Config
 
 // DiskIOStats are one disk's I/O layer counters (see IOStats).
 type DiskIOStats struct {
-	// Reads and Writes count completed device transfers, one block each;
-	// BytesRead/BytesWritten are the payload moved.
+	// Reads and Writes count completed device ops; a striped transfer
+	// moves each disk's consecutive blocks in one op, so an op may carry
+	// many blocks. BytesRead/BytesWritten are the bytes moved.
 	Reads        int64 `json:"reads"`
 	Writes       int64 `json:"writes"`
 	BytesRead    int64 `json:"bytes_read"`
@@ -63,16 +64,18 @@ type DiskIOStats struct {
 	Retries      int64 `json:"retries"`
 	Faults       int64 `json:"faults"`
 	BreakerTrips int64 `json:"breaker_trips"`
-	// PrefetchIssued, PrefetchHits, CoalescedBlocks and QueueMax are
-	// always 0: the I/O layer has no read-ahead, write coalescing or
-	// request queue.
+	// CoalescedBlocks counts the blocks written beyond the first of each
+	// device write, so (Writes + CoalescedBlocks) / Writes is the blocks
+	// per device write. It is derived from BytesWritten.
+	CoalescedBlocks int64 `json:"coalesced_blocks"`
+	// PrefetchIssued, PrefetchHits and QueueMax are always 0: the I/O
+	// layer has no read-ahead or request queue.
 	//
 	// Deprecated: kept so existing readers compile; they will be removed.
-	PrefetchIssued  int64 `json:"prefetch_issued"`
-	PrefetchHits    int64 `json:"prefetch_hits"`
-	CoalescedBlocks int64 `json:"coalesced_blocks"`
-	QueueMax        int64 `json:"queue_max"`
-	// ReadNanos/WriteNanos sum the device time of successful transfers;
+	PrefetchIssued int64 `json:"prefetch_issued"`
+	PrefetchHits   int64 `json:"prefetch_hits"`
+	QueueMax       int64 `json:"queue_max"`
+	// ReadNanos/WriteNanos sum the device time of successful ops;
 	// BytesRead/ReadNanos is the disk's measured read bandwidth. BusyNanos
 	// sums all device-op time including failed attempts.
 	ReadNanos  int64 `json:"read_nanos,omitempty"`
@@ -96,6 +99,7 @@ func (s *IOStats) Aggregate() DiskIOStats {
 		t.Retries += d.Retries
 		t.Faults += d.Faults
 		t.BreakerTrips += d.BreakerTrips
+		t.CoalescedBlocks += d.CoalescedBlocks
 		t.ReadNanos += d.ReadNanos
 		t.WriteNanos += d.WriteNanos
 		t.BusyNanos += d.BusyNanos
@@ -137,24 +141,26 @@ func measuredThroughput(s *IOStats) *Throughput {
 	return &t
 }
 
-// ioStatsFrom converts an I/O layer snapshot to the public form.
-func ioStatsFrom(snap *diskio.Snapshot) *IOStats {
+// ioStatsFrom converts an I/O layer snapshot of blockBytes-byte blocks to
+// the public form.
+func ioStatsFrom(snap *diskio.Snapshot, blockBytes int) *IOStats {
 	if snap == nil {
 		return nil
 	}
 	s := &IOStats{PerDisk: make([]DiskIOStats, len(snap.PerDisk))}
 	for i, d := range snap.PerDisk {
 		s.PerDisk[i] = DiskIOStats{
-			Reads:        d.Reads,
-			Writes:       d.Writes,
-			BytesRead:    d.BytesRead,
-			BytesWritten: d.BytesWritten,
-			Retries:      d.Retries,
-			Faults:       d.Faults,
-			BreakerTrips: d.BreakerTrips,
-			ReadNanos:    d.ReadNanos,
-			WriteNanos:   d.WriteNanos,
-			BusyNanos:    d.BusyNanos,
+			Reads:           d.Reads,
+			Writes:          d.Writes,
+			BytesRead:       d.BytesRead,
+			BytesWritten:    d.BytesWritten,
+			CoalescedBlocks: d.BytesWritten/int64(blockBytes) - d.Writes,
+			Retries:         d.Retries,
+			Faults:          d.Faults,
+			BreakerTrips:    d.BreakerTrips,
+			ReadNanos:       d.ReadNanos,
+			WriteNanos:      d.WriteNanos,
+			BusyNanos:       d.BusyNanos,
 		}
 	}
 	return s

@@ -236,7 +236,7 @@ func runAndDrain(ds *core.DiskSorter, arr *pdm.Array, done []core.Region, work [
 		return nil, fmt.Errorf("balancesort: internal error: wrote %d of %d records", written, n)
 	}
 
-	ioStats := ioStatsFrom(arr.IOMetrics())
+	ioStats := ioStatsFrom(arr.IOMetrics(), arr.B()*record.EncodedSize)
 	res = &Result{
 		IO:                 ioStats,
 		MeasuredThroughput: measuredThroughput(ioStats),
@@ -257,22 +257,29 @@ func runAndDrain(ds *core.DiskSorter, arr *pdm.Array, done []core.Region, work [
 	return res, nil
 }
 
+// stripeChunk is how many records the load and the drain move per striped
+// transfer: D stripe rows, so each disk moves D consecutive blocks in one
+// device call, but never more than a memoryload.
+func stripeChunk(p pdm.Params) int {
+	return min(p.D, p.M/(2*p.D*p.B)) * p.D * p.B
+}
+
 // drainRegions streams the sorted striped regions into w, in order, and
-// returns the number of records written. It reads one stripe row per
-// parallel I/O into a reused row buffer, checks the order across regions,
+// returns the number of records written. It reads stripeChunk records per
+// striped transfer into a reused buffer, checks the order across regions,
 // and encodes into a reused byte buffer, so the drain allocates nothing
-// per row.
+// per transfer.
 func drainRegions(arr *pdm.Array, regs []core.Region, w io.Writer) (int, error) {
 	p := arr.Params()
-	rowRecs := p.D * p.B
-	row := make([]record.Record, rowRecs)
-	wire := make([]byte, 0, rowRecs*record.EncodedSize)
+	chunk := stripeChunk(p)
+	buf := make([]record.Record, chunk)
+	wire := make([]byte, 0, chunk*record.EncodedSize)
 	var prev record.Record
 	written := 0
 	for _, reg := range regs {
-		for pos := 0; pos < reg.N; pos += rowRecs {
-			recs := row[:min(rowRecs, reg.N-pos)]
-			arr.ReadStripe(reg.Off+pos/rowRecs, recs)
+		for pos := 0; pos < reg.N; pos += chunk {
+			recs := buf[:min(chunk, reg.N-pos)]
+			arr.ReadStripe(reg.Off, pos/p.B, recs)
 			for _, r := range recs {
 				if written > 0 && r.Less(prev) {
 					return written, errors.New("balancesort: internal error: output not sorted")
@@ -413,8 +420,8 @@ func ReadRecordFile(path string) ([]Record, error) {
 }
 
 // loadFileStriped streams n records from r onto a fresh striped region of
-// the array, one stripe row per parallel write, and returns the region's
-// block offset.
+// the array, stripeChunk records per striped transfer, and returns the
+// region's block offset.
 func loadFileStriped(arr *pdm.Array, r io.Reader, inPath string, n int) (int, error) {
 	p := arr.Params()
 	blocks := (n + p.B - 1) / p.B
@@ -424,23 +431,17 @@ func loadFileStriped(arr *pdm.Array, r io.Reader, inPath string, n int) (int, er
 	}
 	off := arr.AllocStripe(perDisk)
 
-	rowRecs := p.D * p.B
-	buf := make([]byte, rowRecs*record.EncodedSize)
-	row := make([]record.Record, rowRecs)
-	pos := 0
-	for pos < n {
-		m := rowRecs
-		if pos+m > n {
-			m = n - pos
-		}
+	chunk := stripeChunk(p)
+	buf := make([]byte, chunk*record.EncodedSize)
+	recs := make([]record.Record, chunk)
+	for pos := 0; pos < n; pos += chunk {
+		m := min(chunk, n-pos)
 		if _, err := io.ReadFull(r, buf[:m*record.EncodedSize]); err != nil {
 			return 0, fmt.Errorf("balancesort: reading %s at record %d (byte offset %d): %w",
 				inPath, pos, int64(pos)*record.EncodedSize, err)
 		}
-		record.DecodeInto(row[:m], buf)
-		// Row k of the region occupies stripe offset off+k on every disk.
-		arr.WriteStripe(off+pos/rowRecs, row[:m])
-		pos += m
+		record.DecodeInto(recs[:m], buf)
+		arr.WriteStripe(off, pos/p.B, recs[:m])
 	}
 	return off, nil
 }
