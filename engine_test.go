@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -131,6 +132,34 @@ func TestEngineInMemFile(t *testing.T) {
 	cfg.Engine = EngineInMem
 	if _, err := SortFile(bigPath, filepath.Join(dir, "big.out"), "", cfg); err == nil {
 		t.Fatal("inmem accepted an input larger than M/2")
+	}
+}
+
+// TestEngineInMemRefusesBeforeReading hands the inmem engine a sparse
+// 64 MiB input at the default M: it must refuse N > M/2 from the file
+// size, before it reads or decodes one record.
+func TestEngineInMemRefusesBeforeReading(t *testing.T) {
+	dir := t.TempDir()
+	inPath := filepath.Join(dir, "big.bin")
+	f, err := os.Create(inPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(64 << 20); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = SortFile(inPath, filepath.Join(dir, "out.bin"), "", Config{Engine: EngineInMem})
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "inmem engine needs") {
+		t.Fatalf("got %v, want the inmem size refusal", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("refusing the input allocated %d bytes first", d)
 	}
 }
 

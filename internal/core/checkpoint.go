@@ -65,9 +65,9 @@ func (d SourceDesc) Total() int {
 }
 
 // CheckDescs validates a deserialized work-list against the sorter's
-// geometry (v virtual disks). Journals come off disk, so a resume must
-// not trust them blindly.
-func CheckDescs(descs []SourceDesc, v int) error {
+// geometry (v virtual disks of vb-record virtual blocks). Journals come
+// off disk, so a resume must not trust them blindly.
+func CheckDescs(descs []SourceDesc, v, vb int) error {
 	for i, d := range descs {
 		switch d.Kind {
 		case KindStriped:
@@ -80,7 +80,7 @@ func CheckDescs(descs []SourceDesc, v int) error {
 			}
 			for h, ch := range d.Chains {
 				for _, e := range ch {
-					if e.Off < 0 || e.Count < 0 {
+					if e.Off < 0 || e.Count < 0 || e.Count > vb {
 						return fmt.Errorf("core: work item %d: bad chain entry %+v on vdisk %d", i, e, h)
 					}
 				}

@@ -83,6 +83,10 @@ func TestFileBackedReopen(t *testing.T) {
 	off := a.AllocStripe(2)
 	a.WriteStripe(off, 0, data)
 	marker := a.Alloc(2, 1) // advance one disk's allocator asymmetrically
+	// 64 records are 2 blocks on each of the 4 disks.
+	if !a.Written(3, off+1) || a.Written(3, off+2) || a.Written(2, marker) || a.Written(0, -1) {
+		t.Fatal("written marks disagree with the blocks written")
+	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +105,11 @@ func TestFileBackedReopen(t *testing.T) {
 		if got[i] != data[i] {
 			t.Fatalf("data lost across reopen at %d", i)
 		}
+	}
+	// The write marks survived: a resume checks the blocks its journal
+	// names against them.
+	if !b.Written(3, off+1) || b.Written(3, off+2) {
+		t.Fatal("written marks lost across reopen")
 	}
 	// Allocation marks survived: fresh allocations do not collide.
 	if next := b.Alloc(2, 1); next <= marker {

@@ -165,6 +165,8 @@ type blockStore interface {
 	read(off, stride int, recs []record.Record) error
 	// write stores recs as the blocks starting at off.
 	write(off, stride int, recs []record.Record) error
+	// isWritten reports whether block off (≥ 0) holds data.
+	isWritten(off int) bool
 	close() error
 }
 
@@ -183,9 +185,11 @@ type memStore struct {
 	blocks [][]record.Record
 }
 
+func (s *memStore) isWritten(off int) bool { return off < len(s.blocks) && s.blocks[off] != nil }
+
 func (s *memStore) read(off, stride int, recs []record.Record) error {
 	for j := 0; j*stride < len(recs); j++ {
-		if off+j >= len(s.blocks) || s.blocks[off+j] == nil {
+		if !s.isWritten(off + j) {
 			return fmt.Errorf("pdm: read of unwritten block off=%d", off+j)
 		}
 		copy(blockOf(recs, j, stride, s.b), s.blocks[off+j])
@@ -301,6 +305,14 @@ func (a *Array) SetNextFree(marks []int) {
 		panic(fmt.Sprintf("pdm: %d allocation marks for D=%d", len(marks), len(a.nextFree)))
 	}
 	copy(a.nextFree, marks)
+}
+
+// Written reports whether block off of disk d holds data: a transfer wrote
+// it, or it lies below the disk's write mark in the manifest of a reopened
+// file-backed array. Reading any other block fails. Like Peek, it must not
+// be called while a transfer is in flight.
+func (a *Array) Written(d, off int) bool {
+	return off >= 0 && a.stores[d].isWritten(off)
 }
 
 // scrubbable is implemented by stores that maintain block checksums.

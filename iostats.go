@@ -128,19 +128,6 @@ func (s *IOStats) MeasureThroughput() Throughput {
 	return t
 }
 
-// measuredThroughput wraps MeasureThroughput for Result assembly: nil when
-// no I/O layer ran or nothing was measured.
-func measuredThroughput(s *IOStats) *Throughput {
-	if s == nil {
-		return nil
-	}
-	t := s.MeasureThroughput()
-	if t == (Throughput{}) {
-		return nil
-	}
-	return &t
-}
-
 // ioStatsFrom converts an I/O layer snapshot of blockBytes-byte blocks to
 // the public form.
 func ioStatsFrom(snap *diskio.Snapshot, blockBytes int) *IOStats {

@@ -2,6 +2,7 @@ package balancesort
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -115,9 +116,106 @@ func JournalCommits(scratchDir string) (int, error) {
 	return len(entries), nil
 }
 
-// sortJournalState is the payload of one journal commit: everything a
-// resume needs to continue the sort from this boundary. The geometry
-// fields double as a consistency check against the manifest.
+// commitPoint is where a resume starts: the journal, open for appending,
+// and its last commit, whose header picked the engine.
+type commitPoint struct {
+	jnl    *pdm.Journal
+	raw    []byte
+	head   journalHead
+	engine Engine
+}
+
+// lastCommit opens a scratch directory's journal for a resume, reading it
+// once, and decodes its last commit's header. A missing or empty journal
+// returns nil: nothing was committed, so the sort starts fresh from its
+// input file. Any other error returns before anything in the directory
+// changes, so a journal that cannot be read never restarts a sort over
+// committed state.
+func lastCommit(scratchDir string) (*commitPoint, error) {
+	jnl, entries, err := pdm.OpenJournalAppend(pdm.JournalPath(scratchDir))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	if len(entries) == 0 {
+		return nil, jnl.Close()
+	}
+	c := &commitPoint{jnl: jnl, raw: entries[len(entries)-1].Payload}
+	err = json.Unmarshal(c.raw, &c.head)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("balancesort: bad journal payload: %w", err)
+	case c.head.Engine == "", c.head.Engine == string(EngineBalanceSort):
+		// Untagged journals predate engine selection.
+		c.engine = EngineBalanceSort
+	case c.head.Engine == string(EngineStripedMerge):
+		c.engine = EngineStripedMerge
+	default:
+		err = fmt.Errorf("balancesort: journal names unknown engine %q", c.head.Engine)
+	}
+	if err != nil {
+		jnl.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
+// journalHead is the part of a journal payload every engine writes: the
+// engine tag, the geometry (checked against the manifest on resume), and
+// the allocation marks a resume restores.
+type journalHead struct {
+	Engine   string `json:"engine"`
+	D        int    `json:"d"`
+	B        int    `json:"b"`
+	M        int    `json:"m"`
+	NextFree []int  `json:"next_free"`
+}
+
+// headOf is the header of a commit engine makes on arr.
+func headOf(engine Engine, arr *pdm.Array) journalHead {
+	p := arr.Params()
+	return journalHead{Engine: string(engine), D: p.D, B: p.B, M: p.M, NextFree: arr.NextFree()}
+}
+
+// check validates a resumed commit's header against the manifest the
+// scratch directory was opened with. Journals come off disk after a
+// crash; nothing in them is trusted blindly.
+func (h *journalHead) check(p pdm.Params) error {
+	if h.D != p.D || h.B != p.B || h.M != p.M {
+		return fmt.Errorf("balancesort: journal geometry D=%d B=%d M=%d disagrees with manifest D=%d B=%d M=%d",
+			h.D, h.B, h.M, p.D, p.B, p.M)
+	}
+	if len(h.NextFree) != p.D {
+		return fmt.Errorf("balancesort: journal has %d allocation marks for D=%d", len(h.NextFree), p.D)
+	}
+	for i, nf := range h.NextFree {
+		if nf < 0 {
+			return fmt.Errorf("balancesort: journal allocation mark %d on disk %d", nf, i)
+		}
+	}
+	return nil
+}
+
+// checkStripeWritten returns an error unless arr holds every block that a
+// striped transfer of n records from block first of the striped region at
+// block offset off moves: block i lies on disk i mod D at offset off+i/D.
+// A commit naming a block the array never wrote is a damaged journal, and
+// the resume fails on it before any read would.
+func checkStripeWritten(arr *pdm.Array, off, first, n int) error {
+	for i := first; (i-first)*arr.B() < n; i++ {
+		if d, o := i%arr.D(), off+i/arr.D(); !arr.Written(d, o) {
+			return fmt.Errorf("balancesort: journal names block %d of disk %d, which the array never wrote", o, d)
+		}
+	}
+	return nil
+}
+
+// sortJournalState is the Balance Sort engine as sortScratch drives it,
+// and the payload of one of its journal commits: everything a resume needs
+// to continue the sort from this boundary. The geometry fields double as
+// a consistency check against the manifest.
 type sortJournalState struct {
 	// Engine tags the journal with the engine that wrote it ("" in
 	// journals from before engine selection; both mean balancesort).
@@ -150,42 +248,113 @@ type jsReg struct {
 	N   int `json:"n"`
 }
 
-// checkJournalState validates a deserialized journal payload against the
-// manifest the scratch directory was opened with. Journals come off disk
-// after a crash; nothing in them is trusted blindly.
-func checkJournalState(st *sortJournalState, p pdm.Params, v int) error {
-	if st.D != p.D || st.B != p.B || st.M != p.M {
-		return fmt.Errorf("balancesort: journal geometry D=%d B=%d M=%d disagrees with manifest D=%d B=%d M=%d",
-			st.D, st.B, st.M, p.D, p.B, p.M)
+func (js *sortJournalState) validate(cfg Config) error { return cfg.Validate() }
+
+func (js *sortJournalState) start(off, n int) {
+	js.N, js.Work = n, []core.SourceDesc{core.StripedDesc(off, n, 0)}
+}
+
+func (js *sortJournalState) size() int { return js.N }
+
+func (js *sortJournalState) payload(arr *pdm.Array, cfg Config) ([]byte, error) {
+	h := headOf(EngineBalanceSort, arr)
+	js.Engine, js.D, js.B, js.M, js.NextFree = h.Engine, h.D, h.B, h.M, h.NextFree
+	js.V, js.S = cfg.VirtualDisks, cfg.Buckets
+	if js.V == 0 {
+		js.V = h.D
 	}
-	if st.N < 0 || st.Passes < 0 || st.IOs < 0 {
+	return json.Marshal(js)
+}
+
+// restore decodes a balancesort commit, restores the VirtualDisks and
+// Buckets it ran with, and validates them and the sort's state: nothing
+// read off disk after a crash is trusted blindly.
+func (js *sortJournalState) restore(raw []byte, arr *pdm.Array, cfg *Config) error {
+	if err := json.Unmarshal(raw, js); err != nil {
+		return fmt.Errorf("balancesort: bad journal payload: %w", err)
+	}
+	if js.V == 0 {
+		js.V = js.D
+	}
+	cfg.VirtualDisks, cfg.Buckets = js.V, js.S
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if js.N < 0 || js.Passes < 0 || js.IOs < 0 {
 		return fmt.Errorf("balancesort: journal has negative counters")
 	}
-	if len(st.NextFree) != p.D {
-		return fmt.Errorf("balancesort: journal has %d allocation marks for D=%d", len(st.NextFree), p.D)
-	}
-	for i, nf := range st.NextFree {
-		if nf < 0 {
-			return fmt.Errorf("balancesort: journal allocation mark %d on disk %d", nf, i)
-		}
-	}
 	total := 0
-	for _, r := range st.Done {
+	for _, r := range js.Done {
 		if r.Off < 0 || r.N < 0 {
 			return fmt.Errorf("balancesort: journal has bad done segment %+v", r)
 		}
+		if err := checkStripeWritten(arr, r.Off, 0, r.N); err != nil {
+			return err
+		}
 		total += r.N
 	}
-	if err := core.CheckDescs(st.Work, v); err != nil {
+	g := arr.D() / js.V
+	if err := core.CheckDescs(js.Work, js.V, g*arr.B()); err != nil {
 		return fmt.Errorf("balancesort: journal work-list invalid: %w", err)
 	}
-	for _, d := range st.Work {
+	for _, d := range js.Work {
+		// A chains descriptor has no striped region: N is 0.
+		if err := checkStripeWritten(arr, d.Off, 0, d.N); err != nil {
+			return err
+		}
+		// Block off of virtual disk h is block off of its g physical disks
+		// hg … hg+g−1: a transfer of VB records from block hg at offset off.
+		for h, ch := range d.Chains {
+			for _, e := range ch {
+				if err := checkStripeWritten(arr, e.Off, h*g, g*arr.B()); err != nil {
+					return err
+				}
+			}
+		}
 		total += d.Total()
 	}
-	if total != st.N {
-		return fmt.Errorf("balancesort: journal accounts for %d of %d records", total, st.N)
+	if total != js.N {
+		return fmt.Errorf("balancesort: journal accounts for %d of %d records", total, js.N)
 	}
 	return nil
+}
+func (js *sortJournalState) run(arr *pdm.Array, cfg Config, commit func() error) ([]core.Region, *Result) {
+	dc := cfg.diskConfig()
+	if commit != nil {
+		dc.Checkpoint = func(st core.CheckpointState) error {
+			m := st.Metrics
+			js.N, js.Passes, js.Depth = m.N, m.Passes, m.Depth
+			js.IOs, js.ReadIOs, js.WriteIOs = m.IOs, m.ReadIOs, m.WriteIOs
+			js.BlocksRead, js.BlocksWrit = m.BlocksRead, m.BlocksWrit
+			js.Done = nil
+			for _, r := range st.Done {
+				js.Done = append(js.Done, jsReg{Off: r.Off, N: r.N})
+			}
+			js.Work = st.Work
+			return commit()
+		}
+	}
+	done := make([]core.Region, len(js.Done))
+	for i, r := range js.Done {
+		done[i] = core.Region{Off: r.Off, N: r.N}
+	}
+	ds := core.NewDiskSorter(arr, dc)
+	segs := ds.Resume(done, js.Work, core.Metrics{
+		N: js.N, Passes: js.Passes, Depth: js.Depth,
+		IOs: js.IOs, ReadIOs: js.ReadIOs, WriteIOs: js.WriteIOs,
+		BlocksRead: js.BlocksRead, BlocksWrit: js.BlocksWrit,
+	})
+	m := ds.Metrics()
+	return segs, &Result{
+		IOs:                m.IOs,
+		PRAMTime:           m.PRAMTime,
+		PRAMWork:           m.PRAMWork,
+		MaxBucketReadRatio: m.MaxBucketReadRatio,
+		MaxBucketFrac:      m.MaxBucketFrac,
+		Depth:              m.Depth,
+		Passes:             m.Passes,
+		MemPeak:            m.MemPeak,
+	}
 }
 
 // classifySortPanic converts the sorter's panic-based operational errors

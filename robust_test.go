@@ -7,6 +7,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"balancesort/internal/core"
@@ -414,4 +416,231 @@ func TestScrubStandalone(t *testing.T) {
 	if len(rep.Corrupt) != 1 || rep.Corrupt[0].Disk != 0 || rep.Corrupt[0].Block != 0 {
 		t.Fatalf("scrub after damage: %+v", rep.Corrupt)
 	}
+}
+
+// tinyConfig is the geometry of FuzzResumeJournal and of the crashed
+// scratch directories under testdata/crashed-scratch: D=2 B=4 M=64, small
+// enough that a whole scratch directory stays under 64 KiB.
+func tinyConfig(eng Engine) Config {
+	return Config{Disks: 2, BlockSize: 4, Memory: 64, Engine: eng}
+}
+
+// writeTinyInput writes the 300 zipf records the tiny-geometry sorts run.
+func writeTinyInput(t testing.TB, dir string) string {
+	t.Helper()
+	inPath := filepath.Join(dir, "in.bin")
+	if err := WriteRecordFile(inPath, NewWorkload(Zipf, 300, 21)); err != nil {
+		t.Fatal(err)
+	}
+	return inPath
+}
+
+// readFiles returns the contents of every regular file in dir by name.
+func readFiles(t testing.TB, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range ents {
+		if !e.Type().IsRegular() {
+			continue
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = raw
+	}
+	return files
+}
+
+// copyDir copies the regular files of src into a new directory dst.
+func copyDir(t testing.TB, src, dst string) {
+	t.Helper()
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, raw := range readFiles(t, src) {
+		if err := os.WriteFile(filepath.Join(dst, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestResumeRefusesUnreadableJournal replaces a crashed sort's journal with
+// a directory. Only a missing or empty journal means nothing was
+// committed, so the resume must return the read error and leave every
+// scratch file as it was, not sort afresh over the committed state. With
+// the journal back, the resume completes to SortFile's bytes.
+func TestResumeRefusesUnreadableJournal(t *testing.T) {
+	dir := t.TempDir()
+	inPath, _ := writeMatrixInput(t, dir)
+	wantPath := filepath.Join(dir, "want.bin")
+	if _, err := SortFile(inPath, wantPath, "", matrixConfig()); err != nil {
+		t.Fatal(err)
+	}
+	scratch := filepath.Join(dir, "scratch")
+	outPath := filepath.Join(dir, "out.bin")
+	cfg := matrixConfig()
+	cfg.Robust = RobustConfig{Journal: true, crashAfterCommits: 3}
+	if _, err := SortFile(inPath, outPath, scratch, cfg); !errors.Is(err, core.ErrInjectedCrash) {
+		t.Fatalf("got %v, want the injected crash", err)
+	}
+
+	jpath, saved := pdm.JournalPath(scratch), filepath.Join(dir, "journal.saved")
+	if err := os.Rename(jpath, saved); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(jpath, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	before := readFiles(t, scratch)
+	if _, err := ResumeSortFile(inPath, outPath, scratch, matrixConfig()); err == nil {
+		t.Fatal("resume over an unreadable journal succeeded")
+	}
+	after := readFiles(t, scratch)
+	if len(after) != len(before) {
+		t.Fatalf("scratch held %d files before the refused resume, %d after", len(before), len(after))
+	}
+	for name, raw := range before {
+		if !bytes.Equal(after[name], raw) {
+			t.Fatalf("refused resume changed %s (%d bytes, now %d)", name, len(raw), len(after[name]))
+		}
+	}
+	if _, err := os.Stat(outPath); !os.IsNotExist(err) {
+		t.Fatal("refused resume left an output file")
+	}
+
+	if err := os.Remove(jpath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(saved, jpath); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumeSortFile(inPath, outPath, scratch, matrixConfig()); err != nil {
+		t.Fatalf("resume with the journal restored: %v", err)
+	}
+	got, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(wantPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("resumed output differs from SortFile's")
+	}
+}
+
+// TestResumeCommittedScratch resumes the scratch directories under
+// testdata/crashed-scratch, one per engine, each a journaled tiny-geometry
+// sort of writeTinyInput's records crashed mid-sort by an earlier version
+// of this package (balancesort before its 16th commit, stripedmerge before
+// its 13th). The journal format must still resume to an uninterrupted
+// sort's bytes and model I/O count.
+func TestResumeCommittedScratch(t *testing.T) {
+	dir := t.TempDir()
+	inPath := writeTinyInput(t, dir)
+	for _, eng := range []Engine{EngineBalanceSort, EngineStripedMerge} {
+		wantPath := filepath.Join(dir, string(eng)+".want")
+		want, err := SortFile(inPath, wantPath, "", tinyConfig(eng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch := filepath.Join(dir, string(eng))
+		copyDir(t, filepath.Join("testdata", "crashed-scratch", string(eng)), scratch)
+		outPath := filepath.Join(dir, string(eng)+".out")
+		res, err := ResumeSortFile(inPath, outPath, scratch, Config{})
+		if err != nil {
+			t.Fatalf("%s: %v", eng, err)
+		}
+		if res.Engine != string(eng) || res.IOs != want.IOs {
+			t.Fatalf("%s: resumed as %s with %d I/Os; the uninterrupted sort made %d", eng, res.Engine, res.IOs, want.IOs)
+		}
+		got, err := os.ReadFile(outPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBytes, err := os.ReadFile(wantPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, wantBytes) {
+			t.Fatalf("%s: resumed output differs from the uninterrupted sort", eng)
+		}
+	}
+}
+
+// FuzzResumeJournal rewrites the last commit of a crashed tiny-geometry
+// sort of each engine with a fuzzed, CRC-valid payload and resumes it.
+// Nothing read off disk is trusted: the resume must never panic, and when
+// it fails it must leave no output file. The seeds are each engine's
+// commit as written and the same commit with its first region moved to
+// block 100000, which the array never wrote.
+func FuzzResumeJournal(f *testing.F) {
+	dir := f.TempDir()
+	inPath := writeTinyInput(f, dir)
+	engines := []Engine{EngineBalanceSort, EngineStripedMerge}
+	var last [2]string
+	for i, eng := range engines {
+		scratch := filepath.Join(dir, string(eng))
+		cfg := tinyConfig(eng)
+		cfg.Robust = RobustConfig{Journal: true, crashAfterCommits: 6}
+		if _, err := SortFile(inPath, filepath.Join(dir, "out.bin"), scratch, cfg); !errors.Is(err, core.ErrInjectedCrash) {
+			f.Fatalf("%s: got %v, want the injected crash", eng, err)
+		}
+		entries, err := pdm.LoadJournal(pdm.JournalPath(scratch))
+		if err != nil {
+			f.Fatal(err)
+		}
+		last[i] = string(entries[len(entries)-1].Payload)
+		f.Add(uint8(i), []byte(last[i]))
+		f.Add(uint8(i), []byte(strings.Replace(last[i],
+			regexp.MustCompile(`"off":\d+`).FindString(last[i]), `"off":100000`, 1)))
+	}
+	// Two commits that pass every other check: a chain entry claiming 8
+	// records of a 4-record virtual block beside one claiming 0, and a
+	// formation position off a block boundary beside a run 2 records
+	// longer.
+	edit := func(s string, pairs ...string) []byte {
+		for i := 0; i < len(pairs); i += 2 {
+			s = strings.Replace(s, pairs[i], pairs[i+1], 1)
+		}
+		return []byte(s)
+	}
+	f.Add(uint8(0), edit(last[0], `"count":4`, `"count":0`, `"count":4`, `"count":8`))
+	f.Add(uint8(1), edit(last[1], `"input_pos":160`, `"input_pos":162`, `"n":32`, `"n":34`))
+	f.Fuzz(func(t *testing.T, engine uint8, payload []byte) {
+		scratch := filepath.Join(t.TempDir(), "scratch")
+		copyDir(t, filepath.Join(dir, string(engines[int(engine)%len(engines)])), scratch)
+		entries, err := pdm.LoadJournal(pdm.JournalPath(scratch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jnl, err := pdm.CreateJournal(pdm.JournalPath(scratch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries[:len(entries)-1] {
+			if _, err := jnl.Append(e.Payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err = jnl.Append(payload)
+		if cerr := jnl.Close(); cerr != nil {
+			t.Fatal(cerr)
+		}
+		if err != nil {
+			return // not JSON, so never a commit
+		}
+		outPath := filepath.Join(t.TempDir(), "out.bin")
+		if _, err := ResumeSortFile(inPath, outPath, scratch, Config{}); err != nil {
+			if _, serr := os.Stat(outPath); !os.IsNotExist(serr) {
+				t.Fatalf("failed resume (%v) left an output file", err)
+			}
+		}
+	})
 }

@@ -3,7 +3,6 @@ package balancesort
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -45,16 +44,19 @@ func SortFile(inPath, outPath, scratchDir string, cfg Config) (*Result, error) {
 // parallel I/O completes, the array closes cleanly, and — when journaling
 // is on — the scratch directory remains resumable.
 func SortFileContext(ctx context.Context, inPath, outPath, scratchDir string, cfg Config) (*Result, error) {
-	return sortFile(ctx, inPath, outPath, scratchDir, cfg, false)
+	return sortFile(ctx, inPath, outPath, scratchDir, cfg, nil)
 }
 
 // ResumeSortFile continues an interrupted journaled SortFile from its last
 // committed pass, reusing the scratch directory's disk files, manifest,
 // and journal. The output is byte-identical to what the uninterrupted run
-// would have produced. If the journal holds no committed state (the sort
-// crashed before its first commit, or never ran), the sort simply starts
-// fresh. cfg supplies the I/O layer and robustness knobs; the model
-// geometry comes from the scratch manifest.
+// would have produced. If the journal is missing or holds no committed
+// state (the sort crashed before its first commit, or never ran), the sort
+// simply starts fresh; any other error reading it is returned, and the
+// scratch directory is left as it was. A commit that fails its checks,
+// such as one naming a block the array never wrote, is an error too. cfg
+// supplies the I/O layer and robustness knobs; the model geometry comes
+// from the scratch manifest.
 func ResumeSortFile(inPath, outPath, scratchDir string, cfg Config) (*Result, error) {
 	return ResumeSortFileContext(context.Background(), inPath, outPath, scratchDir, cfg)
 }
@@ -64,156 +66,143 @@ func ResumeSortFileContext(ctx context.Context, inPath, outPath, scratchDir stri
 	if scratchDir == "" {
 		return nil, errors.New("balancesort: resume needs the scratch directory of the interrupted sort")
 	}
-	cfg.Robust.Journal = true
-	entries, err := pdm.LoadJournal(pdm.JournalPath(scratchDir))
-	if err != nil || len(entries) == 0 {
-		// Nothing was committed: run from scratch (the input file is the
-		// source of truth until the first commit lands).
-		return sortFile(ctx, inPath, outPath, scratchDir, cfg, false)
-	}
-	return sortFile(ctx, inPath, outPath, scratchDir, cfg, true)
-}
-
-// balanceSortFile is the Balance Sort engine behind sortFile (see
-// engine.go for the dispatch across engines).
-func balanceSortFile(ctx context.Context, inPath, outPath, scratchDir string, cfg Config, resume bool) (*Result, error) {
-	cfg.fill()
-	cfg.ctx = ctx
-	cfg.tracer = cfg.Obs.tracer()
-	cfg.Obs.attach("sort", cfg.tracer)
-
-	cleanup := func() {}
-	if scratchDir == "" {
-		if cfg.Robust.Journal {
-			return nil, errors.New("balancesort: journaling needs a persistent scratch directory")
-		}
-		dir, err := os.MkdirTemp("", "balancesort-scratch-*")
-		if err != nil {
-			return nil, err
-		}
-		scratchDir = dir
-		cleanup = func() { os.RemoveAll(dir) }
-	}
-	defer cleanup()
-
-	var (
-		arr   *pdm.Array
-		jnl   *pdm.Journal
-		done  []core.Region
-		work  []core.SourceDesc
-		prior core.Metrics
-		n     int
-	)
-
-	if resume {
-		var err error
-		arr, jnl, done, work, prior, err = reopenScratch(ctx, scratchDir, &cfg)
-		if err != nil {
-			return nil, err
-		}
-		n = prior.N
-	} else {
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		p := pdm.Params{D: cfg.Disks, B: cfg.BlockSize, M: cfg.Memory}
-
-		in, err := os.Open(inPath)
-		if err != nil {
-			return nil, err
-		}
-		st, err := in.Stat()
-		if err != nil {
-			in.Close()
-			return nil, err
-		}
-		if st.Size()%record.EncodedSize != 0 {
-			in.Close()
-			return nil, fmt.Errorf("balancesort: %s is %d bytes, not a whole number of %d-byte records",
-				inPath, st.Size(), record.EncodedSize)
-		}
-		n = int(st.Size() / record.EncodedSize)
-
-		arr, err = pdm.NewFileBackedOpts(p, scratchDir, pdm.FileOptions{
-			IO:          cfg.IO.layerConfig(ctx, cfg.tracer),
-			NoChecksums: cfg.Robust.NoChecksums,
-		})
-		if err != nil {
-			in.Close()
-			return nil, err
-		}
-
-		// Stream the input onto the array one stripe row at a time. The
-		// array reports store errors (a failed disk, a corrupt block) by
-		// panicking, so the load runs under the same classifier as the sort.
-		inOff, err := func() (off int, err error) {
-			defer func() {
-				if e := classifySortPanic(recover()); e != nil {
-					off, err = 0, e
-				}
-			}()
-			return loadFileStriped(arr, bufio.NewReaderSize(in, 1<<16), inPath, n)
-		}()
-		in.Close()
-		if err != nil {
-			arr.Close()
-			return nil, err
-		}
-		work = []core.SourceDesc{core.StripedDesc(inOff, n, 0)}
-		prior = core.Metrics{N: n}
-
-		if cfg.Robust.Journal {
-			jnl, err = pdm.CreateJournal(pdm.JournalPath(scratchDir))
-			if err != nil {
-				arr.Close()
-				return nil, err
-			}
-			// Commit the loaded-input state so even a crash before the
-			// first pass resumes without re-reading inPath.
-			if err := commitState(arr, jnl, cfg, core.CheckpointState{Work: work, Metrics: prior}); err != nil {
-				jnl.Close()
-				arr.Close()
-				return nil, err
-			}
-		}
-	}
-	defer arr.Close()
-	if jnl != nil {
-		defer jnl.Close()
-	}
-	defer startSortObs(cfg, arr)()
-
-	dc := cfg.diskConfig()
-	if jnl != nil {
-		dc.Checkpoint = func(st core.CheckpointState) error {
-			return commitState(arr, jnl, cfg, st)
-		}
-	}
-	ds := core.NewDiskSorter(arr, dc)
-
-	res, err := runAndDrain(ds, arr, done, work, prior, outPath, n, cfg)
+	from, err := lastCommit(scratchDir)
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	cfg.Robust.Journal = true
+	return sortFile(ctx, inPath, outPath, scratchDir, cfg, from)
 }
 
-// runAndDrain runs (or resumes) the sort and streams the sorted segments
-// into outPath, converting the sorter's panic-based operational errors
-// into returned ones and never leaving a partial output file behind.
-func runAndDrain(ds *core.DiskSorter, arr *pdm.Array, done []core.Region, work []core.SourceDesc, prior core.Metrics, outPath string, n int, cfg Config) (res *Result, err error) {
+// fileEngine is one external engine as sortScratch drives it. Its value
+// is the engine's resumable state, which serializes as its journal
+// payload.
+type fileEngine interface {
+	// validate checks a fresh sort's configuration before any file is
+	// touched.
+	validate(cfg Config) error
+	// start sets the state of a fresh sort of n records, loaded as the
+	// striped region at block offset off.
+	start(off, n int)
+	// size is the number of records being sorted.
+	size() int
+	// payload serializes the state as one journal commit.
+	payload(arr *pdm.Array, cfg Config) ([]byte, error)
+	// restore decodes and checks the payload of a resumed sort's last
+	// commit against arr, whose geometry cfg already carries, and restores
+	// any other Config field the payload records. The header fields were
+	// checked before.
+	restore(raw []byte, arr *pdm.Array, cfg *Config) error
+	// run sorts from the state, calling commit (when non-nil) at each of
+	// the sorter's commit points, and returns the sorted regions in output
+	// order and a Result holding the sort's model costs.
+	run(arr *pdm.Array, cfg Config, commit func() error) ([]core.Region, *Result)
+}
+
+// sortScratch runs either external engine on a file. It owns the scratch
+// directory and its array, the input load, the journal and its commits,
+// the run, the drain into outPath and the Result's I/O fields; e supplies
+// the rest. A fresh sort (from == nil) loads inPath onto a new array; a
+// resume reopens the array and continues from the commit from names. The
+// array and the sorters report operational errors (a failed disk, a
+// corrupt block, cancellation) by panicking, so sortScratch converts them
+// under classifySortPanic, and it never leaves a partial output file
+// behind.
+func sortScratch(ctx context.Context, e fileEngine, inPath, outPath, scratchDir string, cfg Config, from *commitPoint) (res *Result, err error) {
 	outCreated := false
 	defer func() {
-		if e := classifySortPanic(recover()); e != nil {
-			res, err = nil, e
+		if perr := classifySortPanic(recover()); perr != nil {
+			res, err = nil, perr
 		}
 		if err != nil && outCreated {
 			os.Remove(outPath)
 		}
 	}()
+	cfg.ctx = ctx
+	cfg.tracer = cfg.Obs.tracer()
+	cfg.Obs.attach("sort", cfg.tracer)
+	layer := cfg.IO.layerConfig(ctx, cfg.tracer)
 
-	segs := ds.Resume(done, work, prior)
-	m := ds.Metrics()
+	var arr *pdm.Array
+	var jnl *pdm.Journal
+	// commit makes one step durable: flush the array (data, checksums,
+	// manifest — in that order, so the manifest never describes missing
+	// bytes), then append the state to the journal and fsync it. Only
+	// after the append returns is the step committed.
+	commit := func() error {
+		if err := arr.Sync(); err != nil {
+			return err
+		}
+		payload, err := e.payload(arr, cfg)
+		if err != nil {
+			return err
+		}
+		_, err = jnl.Append(payload)
+		return err
+	}
+
+	if from != nil {
+		jnl = from.jnl
+		defer jnl.Close()
+		if arr, err = pdm.OpenFileBackedOpts(scratchDir, pdm.FileOptions{IO: layer}); err != nil {
+			return nil, err
+		}
+		defer arr.Close()
+		p := arr.Params()
+		cfg.Disks, cfg.BlockSize, cfg.Memory = p.D, p.B, p.M
+		if err := from.head.check(p); err != nil {
+			return nil, err
+		}
+		if err := e.restore(from.raw, arr, &cfg); err != nil {
+			return nil, err
+		}
+		arr.SetNextFree(from.head.NextFree)
+	} else {
+		if err := e.validate(cfg); err != nil {
+			return nil, err
+		}
+		if scratchDir == "" {
+			if cfg.Robust.Journal {
+				return nil, errors.New("balancesort: journaling needs a persistent scratch directory")
+			}
+			if scratchDir, err = os.MkdirTemp("", "balancesort-scratch-*"); err != nil {
+				return nil, err
+			}
+			defer os.RemoveAll(scratchDir)
+		}
+		n, err := statRecords(inPath)
+		if err != nil {
+			return nil, err
+		}
+		p := pdm.Params{D: cfg.Disks, B: cfg.BlockSize, M: cfg.Memory}
+		if arr, err = pdm.NewFileBackedOpts(p, scratchDir, pdm.FileOptions{IO: layer, NoChecksums: cfg.Robust.NoChecksums}); err != nil {
+			return nil, err
+		}
+		defer arr.Close()
+		off, err := loadFileStriped(arr, inPath, n)
+		if err != nil {
+			return nil, err
+		}
+		e.start(off, n)
+		if cfg.Robust.Journal {
+			if jnl, err = pdm.CreateJournal(pdm.JournalPath(scratchDir)); err != nil {
+				return nil, err
+			}
+			defer jnl.Close()
+			// Commit the loaded-input state so even a crash before the
+			// first pass resumes without re-reading inPath.
+			if err := commit(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	defer startSortObs(cfg, arr)()
+
+	if jnl == nil {
+		commit = nil
+	}
+	regs, res := e.run(arr, cfg, commit)
+	n := e.size()
 
 	out, err := os.Create(outPath)
 	if err != nil {
@@ -221,7 +210,7 @@ func runAndDrain(ds *core.DiskSorter, arr *pdm.Array, done []core.Region, work [
 	}
 	outCreated = true
 	w := bufio.NewWriterSize(out, 1<<16)
-	written, err := drainRegions(arr, segs, w)
+	written, err := drainRegions(arr, regs, w)
 	if err == nil {
 		err = w.Flush()
 	}
@@ -236,21 +225,12 @@ func runAndDrain(ds *core.DiskSorter, arr *pdm.Array, done []core.Region, work [
 		return nil, fmt.Errorf("balancesort: internal error: wrote %d of %d records", written, n)
 	}
 
-	ioStats := ioStatsFrom(arr.IOMetrics(), arr.B()*record.EncodedSize)
-	res = &Result{
-		IO:                 ioStats,
-		MeasuredThroughput: measuredThroughput(ioStats),
-		IOs:                m.IOs,
-		IOLowerBound:       core.LowerBoundIOs(n, arr.Params()),
-		PRAMTime:           m.PRAMTime,
-		PRAMWork:           m.PRAMWork,
-		MaxBucketReadRatio: m.MaxBucketReadRatio,
-		MaxBucketFrac:      m.MaxBucketFrac,
-		Depth:              m.Depth,
-		Passes:             m.Passes,
-		MemPeak:            m.MemPeak,
-		Trace:              traceFrom(cfg.tracer),
+	res.IO = ioStatsFrom(arr.IOMetrics(), arr.B()*record.EncodedSize)
+	if t := res.IO.MeasureThroughput(); t != (Throughput{}) {
+		res.MeasuredThroughput = &t
 	}
+	res.IOLowerBound = core.LowerBoundIOs(n, arr.Params())
+	res.Trace = traceFrom(cfg.tracer)
 	if cfg.Robust.ScrubAfter {
 		res.Scrub = scrubReportFrom(arr.Scrub())
 	}
@@ -295,97 +275,6 @@ func drainRegions(arr *pdm.Array, regs []core.Region, w io.Writer) (int, error) 
 	return written, nil
 }
 
-// commitState makes one pass durable: flush the array (data, checksums,
-// manifest — in that order, so the manifest never describes missing
-// bytes), then append the serialized sorter state to the journal and
-// fsync it. Only after the append returns is the pass committed.
-func commitState(arr *pdm.Array, jnl *pdm.Journal, cfg Config, st core.CheckpointState) error {
-	if err := arr.Sync(); err != nil {
-		return err
-	}
-	p := arr.Params()
-	v := cfg.VirtualDisks
-	if v == 0 {
-		v = p.D
-	}
-	js := sortJournalState{
-		Engine: string(EngineBalanceSort),
-		N:      st.Metrics.N, D: p.D, B: p.B, M: p.M, V: v, S: cfg.Buckets,
-		Passes: st.Metrics.Passes, Depth: st.Metrics.Depth,
-		IOs: st.Metrics.IOs, ReadIOs: st.Metrics.ReadIOs, WriteIOs: st.Metrics.WriteIOs,
-		BlocksRead: st.Metrics.BlocksRead, BlocksWrit: st.Metrics.BlocksWrit,
-		NextFree: arr.NextFree(),
-		Work:     st.Work,
-	}
-	for _, r := range st.Done {
-		js.Done = append(js.Done, jsReg{Off: r.Off, N: r.N})
-	}
-	payload, err := json.Marshal(js)
-	if err != nil {
-		return err
-	}
-	_, err = jnl.Append(payload)
-	return err
-}
-
-// reopenScratch reopens a journaled scratch directory for resumption: it
-// opens the array from its manifest, recovers the journal (truncating any
-// torn tail), validates the recovered state against the manifest, and
-// restores the allocation marks to the commit point. The model geometry
-// in cfg is overwritten from the manifest.
-func reopenScratch(ctx context.Context, scratchDir string, cfg *Config) (*pdm.Array, *pdm.Journal, []core.Region, []core.SourceDesc, core.Metrics, error) {
-	var none core.Metrics
-	arr, err := pdm.OpenFileBackedOpts(scratchDir, pdm.FileOptions{IO: cfg.IO.layerConfig(ctx, cfg.tracer)})
-	if err != nil {
-		return nil, nil, nil, nil, none, err
-	}
-	fail := func(err error) (*pdm.Array, *pdm.Journal, []core.Region, []core.SourceDesc, core.Metrics, error) {
-		arr.Close()
-		return nil, nil, nil, nil, none, err
-	}
-	p := arr.Params()
-	cfg.Disks, cfg.BlockSize, cfg.Memory = p.D, p.B, p.M
-
-	jnl, entries, err := pdm.OpenJournalAppend(pdm.JournalPath(scratchDir))
-	if err != nil {
-		return fail(err)
-	}
-	if len(entries) == 0 {
-		jnl.Close()
-		return fail(errors.New("balancesort: journal holds no committed state"))
-	}
-	var st sortJournalState
-	if err := json.Unmarshal(entries[len(entries)-1].Payload, &st); err != nil {
-		jnl.Close()
-		return fail(fmt.Errorf("balancesort: bad journal payload: %w", err))
-	}
-	if st.V == 0 {
-		st.V = st.D
-	}
-	cfg.VirtualDisks = st.V
-	cfg.Buckets = st.S
-	err = cfg.Validate()
-	if err == nil {
-		err = checkJournalState(&st, p, st.V)
-	}
-	if err != nil {
-		jnl.Close()
-		return fail(err)
-	}
-	arr.SetNextFree(st.NextFree)
-
-	var done []core.Region
-	for _, r := range st.Done {
-		done = append(done, core.Region{Off: r.Off, N: r.N})
-	}
-	prior := core.Metrics{
-		N: st.N, Passes: st.Passes, Depth: st.Depth,
-		IOs: st.IOs, ReadIOs: st.ReadIOs, WriteIOs: st.WriteIOs,
-		BlocksRead: st.BlocksRead, BlocksWrit: st.BlocksWrit,
-	}
-	return arr, jnl, done, st.Work, prior, nil
-}
-
 // RecordSize is the wire size of one record in SortFile's input and output
 // files.
 const RecordSize = record.EncodedSize
@@ -419,10 +308,17 @@ func ReadRecordFile(path string) ([]Record, error) {
 	return record.ReadAll(f)
 }
 
-// loadFileStriped streams n records from r onto a fresh striped region of
-// the array, stripeChunk records per striped transfer, and returns the
-// region's block offset.
-func loadFileStriped(arr *pdm.Array, r io.Reader, inPath string, n int) (int, error) {
+// loadFileStriped streams the n records of inPath onto a fresh striped
+// region of the array, stripeChunk records per striped transfer, and
+// returns the region's block offset.
+func loadFileStriped(arr *pdm.Array, inPath string, n int) (int, error) {
+	f, err := os.Open(inPath)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	r := bufio.NewReaderSize(f, 1<<16)
+
 	p := arr.Params()
 	blocks := (n + p.B - 1) / p.B
 	perDisk := (blocks + p.D - 1) / p.D
