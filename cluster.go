@@ -243,9 +243,6 @@ type WorkerOptions struct {
 	// InMemory sorts shards in memory instead of through the file-backed
 	// engine — for tests and small shards.
 	InMemory bool
-	// PhaseTimeout bounds a barrier wait for blocks that never arrive.
-	// 0 means 2 minutes.
-	PhaseTimeout time.Duration
 	// DialAttempts, DialBackoff, and IOTimeout tune peer redial/backoff.
 	DialAttempts int
 	DialBackoff  time.Duration
@@ -253,10 +250,6 @@ type WorkerOptions struct {
 	// DropAfterBlocks force-closes a peer connection once after that many
 	// sent blocks — fault injection for the retransmit path. 0 disables.
 	DropAfterBlocks int
-	// ResumeWindow bounds how long a worker parks its shard after losing its
-	// coordinator, waiting for a resumed coordinator to re-attach. Past
-	// the window the parked scratch is reclaimed. 0 means 2 minutes.
-	ResumeWindow time.Duration
 	// ObsAddr, when non-empty, serves this worker's Prometheus /metrics
 	// and pprof endpoints on the address for the lifetime of ServeWorker.
 	// Empty opens no listener.
@@ -273,15 +266,13 @@ type WorkerOptions struct {
 // SortFile path a single-process sort uses (unless InMemory is set).
 func ServeWorker(ctx context.Context, ln net.Listener, opt WorkerOptions) error {
 	wcfg := cluster.WorkerConfig{
-		ScratchDir:   opt.ScratchDir,
-		PhaseTimeout: opt.PhaseTimeout,
+		ScratchDir: opt.ScratchDir,
 		Dial: cluster.DialConfig{
 			Attempts:  opt.DialAttempts,
 			Backoff:   opt.DialBackoff,
 			IOTimeout: opt.IOTimeout,
 		},
 		DropAfterBlocks: opt.DropAfterBlocks,
-		ResumeWindow:    opt.ResumeWindow,
 		Sample:          opt.Sample,
 	}
 	if opt.ObsAddr != "" {

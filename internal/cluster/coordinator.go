@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -104,8 +105,8 @@ func (h Heartbeat) withDefaults() Heartbeat {
 //
 // Every barrier phase gets a deadline budget. An explicit HardBudget wins;
 // otherwise the budget is derived once at least half the active workers
-// have finished the phase, as BudgetFactor times the median finisher's
-// phase time, floored by MinBudget and capped by BudgetFactor times the
+// have finished the phase, as budgetFactor times the median finisher's
+// phase time, floored by minBudget and capped by budgetFactor times the
 // internal/plan cost model's predicted single-node wall-clock for the
 // shard — so one fast outlier cannot condemn honest peers, and one slow
 // cohort cannot stretch the budget without bound. A worker past its
@@ -115,9 +116,9 @@ func (h Heartbeat) withDefaults() Heartbeat {
 //
 // During the local-sort phase a gentler remedy runs first when Hedge is
 // set: the straggler's shard sort is speculatively re-executed on the
-// fastest finished peer (see SortSpec.Stall and the hedge messages), the
-// first finisher wins, and the loser is cancelled — the job pays one
-// redundant shard sort instead of a full failover epoch.
+// earliest finished peer (see SortSpec.Stall and msgHedgeSend), the first
+// finisher wins, and the loser is cancelled — the job pays one redundant
+// shard sort instead of a full failover epoch.
 type StragglerConfig struct {
 	// Enabled turns the detector (and budgets, and demotion) on.
 	Enabled bool
@@ -131,24 +132,16 @@ type StragglerConfig struct {
 	// demoted. Zero derives it from the median finisher and the plan
 	// model.
 	HardBudget time.Duration
-	// MinBudget floors every derived budget so short phases on small
-	// inputs cannot demote a healthy worker over scheduling jitter.
-	// Default 2s.
-	MinBudget time.Duration
-	// BudgetFactor scales the median finisher's phase time (and the plan
-	// model's ceiling) into a budget. Default 4.
-	BudgetFactor float64
 }
 
-func (s StragglerConfig) withDefaults() StragglerConfig {
-	if s.MinBudget <= 0 {
-		s.MinBudget = 2 * time.Second
-	}
-	if s.BudgetFactor <= 0 {
-		s.BudgetFactor = 4
-	}
-	return s
-}
+const (
+	// minBudget floors every derived budget so short phases on small
+	// inputs cannot demote a healthy worker over scheduling jitter.
+	minBudget = 2 * time.Second
+	// budgetFactor scales the median finisher's phase time (and the plan
+	// model's ceiling) into a budget.
+	budgetFactor = 4
+)
 
 // StallSpec is one injected slowdown for the chaos harness: the latency
 // dual of ChaosSpec's kill and hang. The victim stays connected and keeps
@@ -244,7 +237,6 @@ func (s SortSpec) withDefaults() (SortSpec, error) {
 			return s, fmt.Errorf("cluster: join has no address")
 		}
 	}
-	s.Straggler = s.Straggler.withDefaults()
 	if st := s.Stall; st != nil {
 		if st.Worker < 0 || st.Worker >= w {
 			return s, fmt.Errorf("cluster: stall targets worker %d of %d", st.Worker, w)
@@ -355,7 +347,8 @@ type frameMsg struct {
 
 // link is one framed coordinator->worker control connection. A dedicated
 // reader goroutine pushes inbound frames to ch so the coordinator can wait
-// on a frame and a loss signal simultaneously; writes go straight out.
+// on a frame and a loss signal simultaneously; writes go straight out, all
+// from the phase goroutine.
 type link struct {
 	id    int
 	conn  net.Conn
@@ -363,7 +356,6 @@ type link struct {
 	meter *netMeter // nil-safe; counts the link's frames and wire bytes
 	ch    chan frameMsg
 	done  chan struct{} // closed when the job ends; unblocks a stuck reader
-	wmu   sync.Mutex    // serializes writers: phase driver, watcher, hedge
 }
 
 func newLink(id int, conn net.Conn, cfg DialConfig, meter *netMeter) *link {
@@ -391,8 +383,6 @@ func newLink(id int, conn net.Conn, cfg DialConfig, meter *netMeter) *link {
 }
 
 func (l *link) send(typ byte, payload []byte) error {
-	l.wmu.Lock()
-	defer l.wmu.Unlock()
 	setWriteDeadline(l.conn, l.cfg)
 	if err := writeFrame(l.conn, typ, payload); err != nil {
 		return err
@@ -442,7 +432,8 @@ type coordinator struct {
 
 	// Straggler-detector state. The pmu domain is touched by the phase
 	// driver, the heartbeat monitors (progress pongs), and the per-phase
-	// watcher goroutine; it is never held together with mu.
+	// watcher goroutine (which nominates the hedge); it is never held
+	// together with mu.
 	pmu       sync.Mutex
 	prog      map[int]progTrack // per-worker progress, fed by the monitors
 	phaseT0   time.Time         // when the current phase was entered
@@ -450,16 +441,9 @@ type coordinator struct {
 	focus     int               // sequential-phase fetch target, -1 outside drain
 	focusT0   time.Time         // when the current fetch began
 	watchStop chan struct{}     // retires the current phase watcher
-	watchWG   sync.WaitGroup    // watchers and hedge supervisors
+	watchWG   sync.WaitGroup    // phase watchers
 	predicted time.Duration     // plan-model ceiling for one phase budget
-
-	// hctx outlives monCtx's availability conditions (heartbeats may be
-	// disabled) and bounds the hedge supervisor's dial and reads.
-	hctx    context.Context
-	hcancel context.CancelFunc
-
-	hmu    sync.Mutex
-	hedged *hedgeRun // the job's (single) hedged shard sort, nil before
+	hedge     *hedgeRun         // the job's one hedge, from its nomination on
 
 	owners []uint32 // bucket -> owning worker ID, current epoch's plan
 
@@ -490,24 +474,34 @@ type progTrack struct {
 	at    time.Time
 }
 
-// hedgeRun is the coordinator's side of one speculative shard-sort
-// re-execution: the victim's gather set is re-collected and re-sorted on
-// target over a dedicated connection, racing the victim's own sort. At
-// most one hedge runs per job; the race is decided exactly once (covered
-// xor lost), and a supervisor failure (failed) just abandons the hedge —
-// the barrier keeps waiting for the victim.
+// hedgeRun is the job's one speculative shard-sort re-execution: the
+// watcher nominates a lone straggling victim and the earliest finisher as
+// target, and the local-sort barrier runs the race over their control
+// links. Past the nomination only the phase goroutine writes it, stage
+// under pmu for the watcher.
 type hedgeRun struct {
 	victim, target int
-	epoch          uint32
-	won            chan struct{} // closed by the supervisor: mHedgeDone validated
-	recs           uint64        // set before won closes
+	stage          raceStage
+	epoch          uint32 // the epoch it was armed in
+	send           []byte // the encoded mHedgeSend
+	span           obs.Active
+}
 
-	// Under hmu from here down.
-	conn    net.Conn
-	br      *bufio.Reader
-	covered bool // hedge won the race; the victim's shard drains from conn
-	beaten  bool // victim's own mSortDone arrived first
-	failed  bool // supervisor error: hedge abandoned, no verdict
+// raceStage is where a hedge stands in its race.
+type raceStage uint8
+
+const (
+	raceNominated raceStage = iota // picked by the watcher, not yet armed
+	raceOpen                       // armed: the target races the victim
+	raceWon                        // the target's copy came first and covers the victim
+	raceLost                       // the victim finished first; the target is cancelled
+	raceFailed                     // the target could not make its copy, or the epoch ended
+)
+
+// covers reports that h won epoch's race for worker i's shard, so the
+// target's copy stands in for i's own.
+func (h *hedgeRun) covers(i int, epoch uint32) bool {
+	return h != nil && h.stage == raceWon && h.victim == i && h.epoch == epoch
 }
 
 // Sort externally sorts inPath into outPath across the cluster: it scatters
@@ -536,7 +530,7 @@ func Sort(ctx context.Context, inPath, outPath string, spec SortSpec) (*SortStat
 		return nil, fmt.Errorf("cluster: %s is %d bytes, not a whole number of %d-byte records",
 			inPath, st.Size(), record.EncodedSize)
 	}
-	c, teardown := newCoordinator(ctx, spec, in, inPath, outPath,
+	c, teardown := newCoordinator(spec, in, inPath, outPath,
 		int(st.Size()/record.EncodedSize), uint64(time.Now().UnixNano()))
 	defer teardown()
 	return c.run(ctx)
@@ -544,9 +538,9 @@ func Sort(ctx context.Context, inPath, outPath string, spec SortSpec) (*SortStat
 
 // newCoordinator builds the per-job coordinator state Sort and Resume
 // share, and attaches the resource source and sampler to the trace. The
-// returned teardown stops every watcher, monitor, and hedge, closes every
-// link and the journal, and detaches the trace.
-func newCoordinator(ctx context.Context, spec SortSpec, in *os.File, inPath, outPath string, n int, jobID uint64) (*coordinator, func()) {
+// returned teardown stops every watcher and monitor, closes every link and
+// the journal, and detaches the trace.
+func newCoordinator(spec SortSpec, in *os.File, inPath, outPath string, n int, jobID uint64) (*coordinator, func()) {
 	c := &coordinator{
 		spec:    spec,
 		W:       len(spec.Workers),
@@ -562,7 +556,6 @@ func newCoordinator(ctx context.Context, spec SortSpec, in *os.File, inPath, out
 		lostSig: make(chan struct{}, 1),
 		prog:    make(map[int]progTrack),
 	}
-	c.hctx, c.hcancel = context.WithCancel(ctx)
 	if spec.Straggler.Enabled {
 		// The plan model's predicted single-node wall-clock for the whole
 		// input is a generous per-phase ceiling for any one worker's 1/W
@@ -579,8 +572,6 @@ func newCoordinator(ctx context.Context, spec SortSpec, in *os.File, inPath, out
 			c.monCancel()
 			c.monWG.Wait()
 		}
-		c.hcancel()
-		c.closeHedge()
 		c.watchWG.Wait()
 		for _, l := range c.links {
 			if l != nil {
@@ -886,8 +877,8 @@ func (c *coordinator) sendTo(i int, typ byte, payload []byte) error {
 
 // triage handles the frames every wait on worker i must absorb: transport
 // losses, peer-loss reports, worker errors, and debris left over from an
-// epoch a failover aborted. skip=true means the frame was consumed
-// internally and the caller should keep reading.
+// epoch a failover aborted or from a decided hedge race. skip=true means
+// the frame was consumed internally and the caller should keep reading.
 func (c *coordinator) triage(i int, fr frameMsg) (typ byte, payload []byte, skip bool, err error) {
 	if fr.err != nil {
 		return 0, nil, false, c.lost(i, fr.err)
@@ -923,6 +914,13 @@ func (c *coordinator) triage(i int, fr frameMsg) (typ byte, payload []byte, skip
 		return fr.typ, fr.payload, false, nil
 	case mPong:
 		return 0, nil, true, nil // straggler from an aborted recovery exchange
+	case mSortDone, mHedgeArmed, mHedgeDone, mHedgeFailed:
+		// Debris of a decided hedge race: the covered victim's late finish,
+		// or a report from a target whose race is over.
+		h := c.currentHedge()
+		if fr.typ == mSortDone && h.covers(i, c.epoch) || fr.typ != mSortDone && h != nil && h.stage > raceOpen && i == h.target {
+			return 0, nil, true, nil
+		}
 	}
 	return fr.typ, fr.payload, false, nil
 }
@@ -1063,6 +1061,9 @@ func (c *coordinator) beginPhaseWatch(name string) {
 	c.phaseT0 = time.Now()
 	c.doneAt = make(map[int]time.Time)
 	c.focus = -1
+	if c.hedge != nil && c.hedge.stage == raceNominated {
+		c.hedge = nil // its barrier ended before arming it
+	}
 	arm := c.spec.Straggler.Enabled && name != "scatter"
 	var stop chan struct{}
 	if arm {
@@ -1134,10 +1135,10 @@ func (c *coordinator) progressWithin(i int, now time.Time, grace time.Duration) 
 }
 
 // watchPhase is the progress-rate failure detector for one barrier phase.
-// Each tick it derives the phase's deadline budget, hedges a straggling
-// local sort past the soft budget, and demotes a worker past the hard
-// budget — after one grace extension if its progress counters advanced
-// recently — to the failover path via a typed *StragglerError.
+// Each tick it derives the phase's deadline budget, nominates a straggling
+// local sort past the soft budget for a hedge, and demotes a worker past
+// the hard budget — after one grace extension if its progress counters
+// advanced recently — to the failover path via a typed *StragglerError.
 func (c *coordinator) watchPhase(phase string, stop chan struct{}) {
 	defer c.watchWG.Done()
 	st := c.spec.Straggler
@@ -1199,7 +1200,7 @@ func (c *coordinator) watchPhase(phase string, stop chan struct{}) {
 		// legitimately busy risks wasting it on a healthy one.
 		if phase == "local-sort" && st.Hedge && soft > 0 && elapsed > soft &&
 			len(unfinished) == 1 {
-			c.maybeHedge(unfinished[0], done)
+			c.nominateHedge(unfinished[0], stop)
 		}
 		var cands []int
 		limits := make(map[int]time.Duration)
@@ -1279,8 +1280,8 @@ func (c *coordinator) straggliest(cands []int) int {
 
 // phaseBudget derives the phase's hard deadline: the explicit HardBudget
 // when set; otherwise, once at least half the active workers have
-// finished, BudgetFactor times the median finisher's phase time, floored
-// by MinBudget and capped by BudgetFactor times the plan model's
+// finished, budgetFactor times the median finisher's phase time, floored
+// by minBudget and capped by budgetFactor times the plan model's
 // prediction. Zero means "no verdict yet".
 func (c *coordinator) phaseBudget(st StragglerConfig, durs []time.Duration, active int) time.Duration {
 	if st.HardBudget > 0 {
@@ -1289,12 +1290,12 @@ func (c *coordinator) phaseBudget(st StragglerConfig, durs []time.Duration, acti
 	if len(durs) == 0 || len(durs)*2 < active {
 		return 0
 	}
-	b := time.Duration(st.BudgetFactor * float64(medianDur(durs)))
-	if b < st.MinBudget {
-		b = st.MinBudget
+	b := budgetFactor * medianDur(durs)
+	if b < minBudget {
+		b = minBudget
 	}
 	if c.predicted > 0 {
-		if ceil := time.Duration(st.BudgetFactor * float64(c.predicted)); ceil > st.MinBudget && b > ceil {
+		if ceil := budgetFactor * c.predicted; ceil > minBudget && b > ceil {
 			b = ceil
 		}
 	}
@@ -1383,237 +1384,122 @@ func (c *coordinator) demote(i int, phase string, budget time.Duration) {
 	})
 }
 
-// maybeHedge starts the job's one hedged shard-sort re-execution against
-// victim, if none ran yet and a target exists: the fastest idle worker —
-// the earliest barrier finisher when one is known, otherwise the peer
-// with the most reported progress.
-func (c *coordinator) maybeHedge(victim int, done map[int]bool) {
-	c.hmu.Lock()
-	if c.hedged != nil {
-		c.hmu.Unlock()
-		return
-	}
-	target := c.pickHedgeTarget(victim, done)
-	if target < 0 {
-		c.hmu.Unlock()
-		return
-	}
-	c.mu.Lock()
-	epoch := c.epoch
-	c.mu.Unlock()
-	hr := &hedgeRun{victim: victim, target: target, epoch: epoch, won: make(chan struct{})}
-	c.hedged = hr
-	c.hmu.Unlock()
-	c.watchWG.Add(1)
-	go c.superviseHedge(hr)
-}
-
-func (c *coordinator) pickHedgeTarget(victim int, done map[int]bool) int {
+// nominateHedge names victim and its earliest-finishing peer as the job's
+// one hedge, for the local-sort barrier to arm. It nominates nothing once
+// a hedge exists, nor from a watcher whose phase has already moved on.
+func (c *coordinator) nominateHedge(victim int, stop chan struct{}) {
 	c.pmu.Lock()
-	doneAt := make(map[int]time.Time, len(c.doneAt))
+	defer c.pmu.Unlock()
+	if c.hedge != nil || c.watchStop != stop {
+		return
+	}
+	target := -1
 	for i, at := range c.doneAt {
-		doneAt[i] = at
-	}
-	prog := make(map[int]progTrack, len(c.prog))
-	for i, t := range c.prog {
-		prog[i] = t
-	}
-	c.pmu.Unlock()
-	best := -1
-	var bestAt time.Time
-	for _, i := range c.active() {
-		if i == victim || !done[i] {
-			continue
-		}
-		if at, ok := doneAt[i]; ok && (best < 0 || at.Before(bestAt)) {
-			best, bestAt = i, at
+		if i != victim && (target < 0 || at.Before(c.doneAt[target])) {
+			target = i
 		}
 	}
-	if best >= 0 {
-		return best
+	if target >= 0 {
+		c.hedge = &hedgeRun{victim: victim, target: target}
 	}
-	var bestProg progTrack
-	for _, i := range c.active() {
-		if i == victim {
-			continue
-		}
-		t := prog[i]
-		if best < 0 || t.phase > bestProg.phase || (t.phase == bestProg.phase && t.units > bestProg.units) {
-			best, bestProg = i, t
-		}
-	}
-	return best
-}
-
-// superviseHedge drives one hedge: dial the target on a dedicated
-// connection, arm it with mHedgeHello/mHedgeHelloAck, only then order
-// every active worker (the victim included — its control reader stays
-// responsive, and its resend path is not stall-throttled) to re-send the
-// victim's buckets as phase-3 streams, and wait for mHedgeDone. Closing
-// won publishes the verdict to the sort barrier, which decides the race.
-// Any failure just abandons the hedge; the job never depends on it.
-func (c *coordinator) superviseHedge(hr *hedgeRun) {
-	defer c.watchWG.Done()
-	sp := c.tr.Begin("cluster", "hedge", 0)
-	outcome := "failed"
-	defer func() {
-		sp.End(
-			obs.Attr{Key: "victim", Val: int64(hr.victim)},
-			obs.Attr{Key: "target", Val: int64(hr.target)},
-			obs.Attr{Key: "armed", Val: boolAttr(outcome == "armed")},
-		)
-	}()
-	fail := func() {
-		c.hmu.Lock()
-		if !hr.covered && !hr.beaten {
-			hr.failed = true
-		}
-		conn := hr.conn
-		c.hmu.Unlock()
-		if conn != nil {
-			conn.Close()
-		}
-	}
-	victimRecs := c.expectGather[hr.victim]
-	var buckets []uint32
-	for b, o := range c.owners {
-		if int(o) == hr.victim {
-			buckets = append(buckets, uint32(b))
-		}
-	}
-	conn, err := c.spec.Dial.dial(c.hctx, hr.target, c.addr(hr.target))
-	if err != nil {
-		fail()
-		return
-	}
-	// A job-end or explicit closeHedge must be able to cut a read that has
-	// no deadline (the sort can take arbitrarily long).
-	stopCut := context.AfterFunc(c.hctx, func() { conn.Close() })
-	defer stopCut()
-	br := bufio.NewReaderSize(conn, 1<<16)
-	c.hmu.Lock()
-	if hr.beaten { // the victim finished while we were dialing
-		c.hmu.Unlock()
-		conn.Close()
-		return
-	}
-	hr.conn, hr.br = conn, br
-	c.hmu.Unlock()
-	hh := &msgHedgeHello{
-		JobID: c.jobID, Epoch: hr.epoch, Victim: uint32(hr.victim),
-		Recs: victimRecs, Buckets: buckets,
-	}
-	setOpDeadline(conn, c.spec.Dial)
-	if err := writeFrame(conn, mHedgeHello, hh.encode()); err != nil {
-		fail()
-		return
-	}
-	setOpDeadline(conn, c.spec.Dial)
-	typ, _, err := readFrame(br)
-	if err != nil || typ != mHedgeHelloAck {
-		fail()
-		return
-	}
-	// The target is armed: order the resends. Serializing the broadcast
-	// after the ack means no phase-3 block can reach an unarmed target.
-	hs := (&msgHedgeSend{
-		Epoch: hr.epoch, Victim: uint32(hr.victim), Target: uint32(hr.target), Buckets: buckets,
-	}).encode()
-	for _, i := range c.active() {
-		_ = c.links[i].send(mHedgeSend, hs) // best effort: a missing sender just starves the hedge
-	}
-	clearDeadline(conn)
-	typ, payload, err := readFrame(br)
-	if err != nil || typ != mHedgeDone {
-		fail()
-		return
-	}
-	var m msgCount
-	if err := m.decode(payload); err != nil || m.Count != victimRecs {
-		fail()
-		return
-	}
-	hr.recs = m.Count
-	outcome = "armed"
-	close(hr.won)
-}
-
-// currentHedge returns the hedge belonging to the current epoch, if any.
-// Main-goroutine only (epoch is read bare).
-func (c *coordinator) currentHedge() *hedgeRun {
-	c.hmu.Lock()
-	defer c.hmu.Unlock()
-	if c.hedged != nil && c.hedged.epoch == c.epoch {
-		return c.hedged
-	}
-	return nil
 }
 
 // hedgeInFlightFor reports an undecided hedge covering worker i — the
 // watcher suspends demotion while one runs.
 func (c *coordinator) hedgeInFlightFor(i int) bool {
-	c.hmu.Lock()
-	defer c.hmu.Unlock()
-	hr := c.hedged
-	return hr != nil && hr.victim == i && !hr.covered && !hr.beaten && !hr.failed
+	c.pmu.Lock()
+	defer c.pmu.Unlock()
+	return c.hedge != nil && c.hedge.victim == i && c.hedge.stage <= raceOpen
 }
 
-// hedgeTakeover decides the race in the hedge's favor if it finished
-// first, exactly once: covered means the victim's shard is served from
-// the hedge connection at drain.
-func (c *coordinator) hedgeTakeover(hr *hedgeRun) bool {
-	c.hmu.Lock()
-	defer c.hmu.Unlock()
-	if hr.covered {
-		return true
+// currentHedge returns the job's hedge, if one was nominated.
+func (c *coordinator) currentHedge() *hedgeRun {
+	c.pmu.Lock()
+	defer c.pmu.Unlock()
+	return c.hedge
+}
+
+func (c *coordinator) setRace(h *hedgeRun, stage raceStage) {
+	c.pmu.Lock()
+	h.stage = stage
+	c.pmu.Unlock()
+}
+
+// raceHedge advances the hedge h, if any, by one local-sort barrier sweep
+// and reports whether it moved. A nomination whose victim is still pending
+// is armed: the target gets its mHedgeSend first, and every other worker's
+// copy waits for the target's ack, so no phase-3 block reaches an unarmed
+// target. Then the target's mHedgeDone or mHedgeFailed decides the race.
+func (c *coordinator) raceHedge(h *hedgeRun, pending []int) (bool, error) {
+	if h == nil {
+		return false, nil
 	}
-	if hr.beaten || hr.failed {
-		return false
+	if h.stage == raceNominated && slices.Contains(pending, h.victim) {
+		var buckets []uint32
+		for b, o := range c.owners {
+			if int(o) == h.victim {
+				buckets = append(buckets, uint32(b))
+			}
+		}
+		h.epoch = c.epoch
+		h.send = (&msgHedgeSend{
+			Epoch: c.epoch, Victim: uint32(h.victim), Target: uint32(h.target),
+			Recs: c.expectGather[h.victim], Buckets: buckets,
+		}).encode()
+		h.span = c.tr.Begin("cluster", "hedge", 0)
+		c.setRace(h, raceOpen)
+		return true, c.sendTo(h.target, mHedgeSend, h.send)
 	}
-	select {
-	case <-hr.won:
-		hr.covered = true
-		return true
+	if h.stage != raceOpen {
+		return false, nil
+	}
+	typ, payload, ok, err := c.recvPoll(h.target)
+	if err != nil || !ok {
+		return false, err
+	}
+	var m msgCount
+	switch {
+	case typ == mHedgeArmed:
+		for _, i := range c.active() {
+			if i != h.target {
+				_ = c.links[i].send(mHedgeSend, h.send) // best effort: a missing sender just starves the hedge
+			}
+		}
+	case typ == mHedgeDone && m.decode(payload) == nil && m.Count == c.expectGather[h.victim]:
+		c.settleHedge(h, raceWon)
+	case typ == mHedgeDone || typ == mHedgeFailed:
+		c.settleHedge(h, raceFailed)
 	default:
-		return false
+		return false, fmt.Errorf("expected a hedge report, got message %d", typ)
 	}
+	return true, nil
 }
 
-// hedgeBeaten decides the race in the victim's favor: its own mSortDone
-// arrived first. Closing the hedge connection aborts the target's
-// speculative work.
-func (c *coordinator) hedgeBeaten(hr *hedgeRun) {
-	c.hmu.Lock()
-	if hr.covered || hr.beaten {
-		c.hmu.Unlock()
-		return
-	}
-	hr.beaten = true
-	conn := hr.conn
-	already := hr.failed
-	c.hmu.Unlock()
-	if conn != nil {
-		conn.Close()
-	}
-	if !already {
+// settleHedge decides the race, once: the winner's result stands and the
+// loser's sort is cancelled (best effort: an undelivered cancel only
+// leaves a shard nobody drains). A failed hedge just ends.
+func (c *coordinator) settleHedge(h *hedgeRun, stage raceStage) {
+	c.setRace(h, stage)
+	h.span.End(
+		obs.Attr{Key: "victim", Val: int64(h.victim)},
+		obs.Attr{Key: "target", Val: int64(h.target)},
+		obs.Attr{Key: "armed", Val: boolAttr(stage == raceWon)},
+	)
+	switch stage {
+	case raceWon:
+		_ = c.links[h.victim].send(mSortCancel, nil)
+		c.tr.Count("cluster", "hedge-wins", 0, 1)
+		c.mu.Lock()
+		c.rec.HedgeWins++
+		c.mu.Unlock()
+		c.journal(journalEvent{Event: "hedge", Epoch: h.epoch, Phase: "local-sort", Worker: h.victim, Addr: c.addr(h.target)})
+		c.notePhaseDone(h.victim)
+	case raceLost:
+		_ = c.links[h.target].send(mSortCancel, nil)
 		c.tr.Count("cluster", "hedge-losses", 0, 1)
 		c.mu.Lock()
 		c.rec.HedgeLosses++
 		c.mu.Unlock()
-	}
-}
-
-// closeHedge tears down the hedge connection at job end or on a failover
-// unwind (the epoch bump makes the worker side abandon it anyway).
-func (c *coordinator) closeHedge() {
-	c.hmu.Lock()
-	var conn net.Conn
-	if c.hedged != nil {
-		conn = c.hedged.conn
-	}
-	c.hmu.Unlock()
-	if conn != nil {
-		conn.Close()
 	}
 }
 
@@ -1673,34 +1559,35 @@ func (c *coordinator) scatter(ctx context.Context) error {
 // and hedge-target choice feed off notePhaseDone). onFrame validates and
 // folds worker i's payload; folding must be order-independent, which
 // every barrier here is (sums, per-worker slots, count checks). With
-// hedge set (the local-sort barrier), a won hedge satisfies the victim's
-// slot: first finisher wins, the loser is cancelled.
+// hedge set (the local-sort barrier), the barrier also runs the hedge's
+// race: a won hedge satisfies the victim's slot, and the victim finishing
+// first loses it for the target.
 func (c *coordinator) collectBarrier(want byte, what string, hedge bool, onFrame func(i int, payload []byte) error) error {
+	if hedge {
+		defer func() {
+			// A race still open here unwinds to recovery, and the epoch turn
+			// cancels the target's copy.
+			if h := c.currentHedge(); h != nil && h.stage == raceOpen {
+				c.settleHedge(h, raceFailed)
+			}
+		}()
+	}
 	pending := c.active()
 	for len(pending) > 0 {
 		if c.pendingLoss() {
 			return errFailover
 		}
-		var hr *hedgeRun
+		var h *hedgeRun
 		if hedge {
-			hr = c.currentHedge()
+			h = c.currentHedge()
 		}
-		progressed := false
+		progressed, err := c.raceHedge(h, pending)
+		if err != nil {
+			return phaseErr("hedge on worker", h.target, err)
+		}
 		var next []int
 		for _, i := range pending {
-			if hr != nil && hr.victim == i && c.hedgeTakeover(hr) {
-				// The hedge finished first: cancel the victim's sort (best
-				// effort — if the cancel cannot be delivered the victim
-				// just computes a shard nobody drains) and cover its slot.
-				_ = c.links[i].send(mSortCancel, nil)
-				c.tr.Count("cluster", "hedge-wins", 0, 1)
-				c.mu.Lock()
-				c.rec.HedgeWins++
-				epoch := c.epoch
-				c.mu.Unlock()
-				c.journal(journalEvent{Event: "hedge", Epoch: epoch, Phase: "local-sort", Worker: i, Addr: c.addr(hr.target)})
-				c.notePhaseDone(i)
-				progressed = true
+			if h.covers(i, c.epoch) {
 				continue
 			}
 			typ, payload, ok, err := c.recvPoll(i)
@@ -1718,8 +1605,8 @@ func (c *coordinator) collectBarrier(want byte, what string, hedge bool, onFrame
 				return err
 			}
 			c.notePhaseDone(i)
-			if hr != nil && hr.victim == i {
-				c.hedgeBeaten(hr)
+			if h != nil && h.victim == i && h.stage == raceOpen {
+				c.settleHedge(h, raceLost)
 			}
 			progressed = true
 		}
@@ -1728,7 +1615,7 @@ func (c *coordinator) collectBarrier(want byte, what string, hedge bool, onFrame
 			continue
 		}
 		// Nothing ready: sleep a beat. A loss signal ends the lull early;
-		// frames and hedge verdicts are picked up on the next sweep.
+		// frames and hedge reports are picked up on the next sweep.
 		t := time.NewTimer(time.Millisecond)
 		select {
 		case <-c.lostSig:
@@ -2055,33 +1942,23 @@ func (c *coordinator) drainShards() (err error) {
 	first := true
 	written := uint64(0)
 	for _, i := range c.active() {
-		if hr := c.currentHedge(); hr != nil && hr.victim == i && c.hedgeTakeover(hr) {
-			// The victim's sort was cancelled when the hedge won; its shard
-			// — byte-identical, being the same record multiset under the
-			// same total order — is served by the target over the hedge
-			// connection, at the victim's position in the drain order. A
-			// failure here demotes the *target* (its speculative copy is
-			// what proved unusable) and reruns the epoch without a hedge.
-			c.setWatchFocus(hr.target)
-			got, derr := c.drainHedge(hr, w, &prev, &first)
-			if derr != nil {
-				return c.lost(hr.target, derr)
-			}
-			written += got
-			c.journalWDone("drain", i)
-			c.notePhaseDone(i)
-			continue
+		// A won hedge's target serves the victim's shard — byte-identical,
+		// being the same record multiset under the same total order — at
+		// the victim's position in the drain order.
+		src := i
+		if h := c.currentHedge(); h.covers(i, c.epoch) {
+			src = h.target
 		}
-		c.setWatchFocus(i)
-		if err := c.sendTo(i, mFetch, nil); err != nil {
+		c.setWatchFocus(src)
+		if err := c.sendTo(src, mFetch, (&msgCount{Count: uint64(i)}).encode()); err != nil {
 			return err
 		}
 		c.flowOut("drain", i)
 		var got uint64
 		for {
-			typ, payload, rerr := c.recvFrom(i)
+			typ, payload, rerr := c.recvFrom(src)
 			if rerr != nil {
-				return phaseErr("draining worker", i, rerr)
+				return phaseErr("draining worker", src, rerr)
 			}
 			if typ == mFetchDone {
 				var m msgCount
@@ -2125,58 +2002,6 @@ func (c *coordinator) drainShards() (err error) {
 	return out.Close()
 }
 
-// drainHedge pulls the hedged copy of the victim's sorted shard from the
-// target over the dedicated hedge connection, running the same sortedness
-// and conservation checks the normal drain does.
-func (c *coordinator) drainHedge(hr *hedgeRun, w *bufio.Writer, prev *record.Record, first *bool) (uint64, error) {
-	c.hmu.Lock()
-	conn, br := hr.conn, hr.br
-	c.hmu.Unlock()
-	defer conn.Close()
-	setOpDeadline(conn, c.spec.Dial)
-	if err := writeFrame(conn, mFetch, nil); err != nil {
-		return 0, err
-	}
-	want := c.expectGather[hr.victim]
-	var got uint64
-	for {
-		setOpDeadline(conn, c.spec.Dial)
-		typ, payload, err := readFrame(br)
-		if err != nil {
-			return got, err
-		}
-		c.net.in(len(payload))
-		if typ == mFetchDone {
-			var m msgCount
-			if derr := m.decode(payload); derr != nil {
-				return got, derr
-			}
-			if m.Count != got || got != want {
-				return got, fmt.Errorf("cluster: hedged shard drained %d records, reported %d, expected %d",
-					got, m.Count, want)
-			}
-			return got, nil
-		}
-		if typ != mRecords {
-			return got, fmt.Errorf("cluster: unexpected message %d while draining hedged shard", typ)
-		}
-		recs, derr := decodeRecords(payload)
-		if derr != nil {
-			return got, derr
-		}
-		for _, rec := range recs {
-			if !*first && rec.Less(*prev) {
-				return got, fmt.Errorf("cluster: output not sorted at hedged shard of worker %d", hr.victim)
-			}
-			*prev, *first = rec, false
-		}
-		if _, werr := w.Write(payload); werr != nil {
-			return got, werr
-		}
-		got += uint64(len(recs))
-	}
-}
-
 // recoverLost is the failover path: snapshot the dead set, check quorum,
 // open a new epoch on every survivor, re-stream the dead workers' chunk
 // extents round-robin across the survivors, and wait for every survivor to
@@ -2185,7 +2010,6 @@ func (c *coordinator) drainHedge(hr *hedgeRun, w *bufio.Writer, prev *record.Rec
 // to post-scatter is a complete recovery from loss at any phase.
 func (c *coordinator) recoverLost(ctx context.Context) error {
 	t0 := time.Now()
-	c.closeHedge() // the epoch bump orphans any in-flight hedge
 	sp := c.tr.Begin("cluster", "failover", 0)
 	defer func() {
 		c.mu.Lock()
@@ -2575,9 +2399,6 @@ func (c *coordinator) collectTrace(i int) error {
 			c.tr.Merge(m.Spans, shift, i+1)
 		case mTraceDone:
 			return nil
-		case mSortDone:
-			// Hedge debris: the victim's own finish, beaten to the barrier
-			// by the hedge after the cancel was already in flight.
 		default:
 			return fmt.Errorf("cluster: unexpected message %d during trace collection", typ)
 		}

@@ -106,8 +106,21 @@ func FuzzFrame(f *testing.F) {
 		{Layer: "cluster", Name: "gather", ID: 2, Dur: 5, SpanID: 3, Parent: 1, Flow: 99, FlowOut: true,
 			Attrs: []obs.Attr{{Key: "records", Val: 12}}},
 	}}).encode()))
-	f.Add(appendFrame(nil, mHedgeHello, (&msgHedgeHello{JobID: 7, Epoch: 1, Victim: 2, Recs: 300, Buckets: []uint32{4, 5}}).encode()))
-	f.Add(appendFrame(nil, mHedgeSend, (&msgHedgeSend{Epoch: 1, Victim: 2, Target: 0, Buckets: []uint32{4, 5}}).encode()))
+	f.Add(appendFrame(nil, mHedgeSend, (&msgHedgeSend{Epoch: 1, Victim: 2, Target: 0, Recs: 300, Buckets: []uint32{4, 5}}).encode()))
+	f.Add(appendFrame(nil, mHedgeDone, (&msgCount{Count: 300}).encode()))
+	f.Add(appendFrame(nil, mFetch, (&msgCount{Count: 2}).encode()))
+	f.Add(appendFrame(nil, mPivots, (&msgPivots{Pivots: []uint64{10, 20}}).encode()))
+	f.Add(appendFrame(nil, mCounts, (&msgCounts{PerBucket: []uint64{3, 0, 9}}).encode()))
+	f.Add(appendFrame(nil, mPlan, (&msgPlan{Dests: [][]uint32{{0, 1}, {1}}, ExpectRecvBlocks: 3, Owners: []uint32{0, 1}, ExpectGatherRecs: 40}).encode()))
+	f.Add(appendFrame(nil, mPhaseDone, (&msgPhaseDone{Phase: 2, BlocksSent: 4, BlocksRecv: 5, RecsRecv: 60}).encode()))
+	f.Add(appendFrame(nil, mPeerHello, (&msgPeerHello{JobID: 7, Src: 1, Epoch: 2}).encode()))
+	f.Add(appendFrame(nil, mHelloAck, (&msgVersion{Version: protocolVersion}).encode()))
+	f.Add(appendFrame(nil, mMonHello, (&msgMonHello{JobID: 7}).encode()))
+	f.Add(appendFrame(nil, mPing, (&msgPing{Seq: 4}).encode()))
+	f.Add(appendFrame(nil, mPeerLost, (&msgPeerLost{Worker: 3, Addr: "x", Text: "reset"}).encode()))
+	f.Add(appendFrame(nil, mRescatterDone, (&msgRescatterDone{Epoch: 2, Total: 5000}).encode()))
+	f.Add(appendFrame(nil, mRescatterAck, (&msgRescatterAck{Epoch: 2, ShardRecs: 5000}).encode()))
+	f.Add(appendFrame(nil, mBlockAck, (&msgBlockAck{Phase: 3, Bucket: 4, Seq: 5}).encode()))
 	trunc := appendFrame(nil, mPlan, []byte("truncate me"))
 	f.Add(trunc[:len(trunc)-3])
 	corrupt := appendFrame(nil, mPivots, []byte("corrupt me"))
@@ -152,7 +165,6 @@ func decodeAny(p []byte) {
 	_ = (&msgMonHello{}).decode(p)
 	_ = (&msgPing{}).decode(p)
 	_ = (&msgProgress{}).decode(p)
-	_ = (&msgHedgeHello{}).decode(p)
 	_ = (&msgHedgeSend{}).decode(p)
 	_ = (&msgCrash{}).decode(p)
 	_ = (&msgPeerLost{}).decode(p)

@@ -13,8 +13,9 @@ import (
 // in one binary, so there is exactly one dialect: every handshake (mHello,
 // mJoin and mResume, and their acks) must carry this version exactly, and
 // either side refuses a peer that speaks any other one before data moves.
-// Every message has one fixed layout.
-const protocolVersion = 7
+// Every message has one fixed layout. Since version 8 the straggler hedge
+// runs over the control links and mFetch names the shard to serve.
+const protocolVersion = 8
 
 // versionMismatch is the handshake check both sides run on a peer's
 // announced protocol version.
@@ -40,7 +41,7 @@ const (
 	mPhaseDone
 	mSortReq
 	mSortDone
-	mFetch
+	mFetch // coordinator -> worker: serve the named worker's sorted shard
 	mFetchDone
 	mBye
 	mPeerHello
@@ -62,11 +63,11 @@ const (
 	mJoin          // coordinator -> new worker: attach mid-job as an added virtual disk
 	mResume        // restarted coordinator -> worker: re-open the job's control link
 	mResumeState   // worker -> coordinator: the epoch-tagged shard state it still holds
-	mHedgeHello    // coordinator -> hedge target: re-run a straggler's shard sort
-	mHedgeHelloAck // hedge target -> coordinator: hedge session armed
-	mHedgeSend     // coordinator -> every worker: resend a victim's gather blocks to the target
+	mHedgeSend     // coordinator -> target (arm), then every other worker: resend a victim's gather blocks
+	mHedgeArmed    // hedge target -> coordinator: ready for the resends
 	mHedgeDone     // hedge target -> coordinator: hedged shard sorted, record count follows
-	mSortCancel    // coordinator -> straggler: hedge won, abandon the shard sort
+	mHedgeFailed   // hedge target -> coordinator: hedge abandoned, the victim's own sort decides
+	mSortCancel    // coordinator -> race loser: abandon the shard sort (the victim's or the hedge's)
 )
 
 // Hello flag bits.
@@ -251,7 +252,9 @@ func encodeRecords(recs []record.Record) []byte { return record.EncodeSlice(recs
 func decodeRecords(p []byte) ([]record.Record, error) { return record.DecodeSlice(p) }
 
 // msgCount is the one-u64 payload shared by ScatterDone, SortDone, and
-// FetchDone.
+// FetchDone, and by Fetch, where it is the ID of the worker whose sorted
+// shard to serve: a hedge target also holds the shard of the victim whose
+// race it won.
 type msgCount struct{ Count uint64 }
 
 func (m *msgCount) encode() []byte {
@@ -567,62 +570,21 @@ func (m *msgProgress) decode(p []byte) error {
 	return r.done()
 }
 
-// msgHedgeHello opens the coordinator's dedicated hedge connection to the
-// target worker: re-collect the victim's buckets (about to be re-sent as
-// phase-3 blocks by every active worker) and sort them as a speculative
-// copy of the victim's shard. The target answers mHedgeHelloAck, later
-// mHedgeDone with the sorted count, and finally serves the shard over the
-// same connection via mFetch. The connection doubling as the hedge's
-// lifetime handle is the cancellation protocol: the coordinator closing it
-// aborts the hedge, and a failover epoch bump closes it from the worker
-// side.
-type msgHedgeHello struct {
-	JobID   uint64
-	Epoch   uint32
-	Victim  uint32   // the straggler whose shard is being re-run
-	Recs    uint64   // exact records the hedged shard must contain
-	Buckets []uint32 // the buckets the victim owns, ascending
-}
-
-func (m *msgHedgeHello) encode() []byte {
-	var w wcur
-	w.u64(m.JobID)
-	w.u32(m.Epoch)
-	w.u32(m.Victim)
-	w.u64(m.Recs)
-	w.u32(uint32(len(m.Buckets)))
-	for _, b := range m.Buckets {
-		w.u32(b)
-	}
-	return w.b
-}
-
-func (m *msgHedgeHello) decode(p []byte) error {
-	r := rcur{b: p}
-	m.JobID = r.u64()
-	m.Epoch = r.u32()
-	m.Victim = r.u32()
-	m.Recs = r.u64()
-	n := int(r.u32())
-	if n < 0 || n > (len(p)-r.off+3)/4 {
-		return fmt.Errorf("cluster: hedge hello claims %d buckets in %d bytes", n, len(p))
-	}
-	m.Buckets = make([]uint32, 0, n)
-	for i := 0; i < n && !r.bad; i++ {
-		m.Buckets = append(m.Buckets, r.u32())
-	}
-	return r.done()
-}
-
-// msgHedgeSend orders one worker to re-send the listed buckets' gather
-// blocks to the hedge target as phase-3 mBlock frames (fresh streams, so
-// the receiver's per-stream dedup makes retransmission safe). The bucket
-// list rides the message so re-senders never have to consult their own
-// plan state from another goroutine.
+// msgHedgeSend drives the hedge, a speculative re-run of a straggling
+// victim's shard sort on the earliest finisher (the target). Sent to the
+// target, it arms it to collect Recs records of the victim's buckets and
+// sort them; the target answers mHedgeArmed, then mHedgeDone or — never
+// an mError — mHedgeFailed. Sent to every other worker once the target is
+// armed, it orders the re-send of the buckets' gather blocks to the target
+// as phase-3 mBlock frames (fresh streams, so the receiver's per-stream
+// dedup makes retransmission safe). The bucket list rides the message so
+// re-senders never have to consult their own plan state from another
+// goroutine.
 type msgHedgeSend struct {
 	Epoch   uint32
 	Victim  uint32
 	Target  uint32
+	Recs    uint64 // exact records the hedged shard must contain
 	Buckets []uint32
 }
 
@@ -631,6 +593,7 @@ func (m *msgHedgeSend) encode() []byte {
 	w.u32(m.Epoch)
 	w.u32(m.Victim)
 	w.u32(m.Target)
+	w.u64(m.Recs)
 	w.u32(uint32(len(m.Buckets)))
 	for _, b := range m.Buckets {
 		w.u32(b)
@@ -643,6 +606,7 @@ func (m *msgHedgeSend) decode(p []byte) error {
 	m.Epoch = r.u32()
 	m.Victim = r.u32()
 	m.Target = r.u32()
+	m.Recs = r.u64()
 	n := int(r.u32())
 	if n < 0 || n > (len(p)-r.off+3)/4 {
 		return fmt.Errorf("cluster: hedge send claims %d buckets in %d bytes", n, len(p))

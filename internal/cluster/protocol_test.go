@@ -115,10 +115,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	roundTrip(t, "resumestate", &msgResumeState{
 		Version: protocolVersion, HaveShard: 1, Epoch: 3, ShardRecs: 5000,
 	}, &msgResumeState{})
-	roundTrip(t, "hedgehello", &msgHedgeHello{
-		JobID: 7, Epoch: 2, Victim: 1, Recs: 5000, Buckets: []uint32{3, 4, 5},
-	}, &msgHedgeHello{})
-	roundTrip(t, "hedgesend", &msgHedgeSend{Epoch: 2, Victim: 1, Target: 3, Buckets: []uint32{3, 4}}, &msgHedgeSend{})
+	roundTrip(t, "hedgesend", &msgHedgeSend{Epoch: 2, Victim: 1, Target: 3, Recs: 5000, Buckets: []uint32{3, 4}}, &msgHedgeSend{})
 }
 
 // TestHandshakeVersionMismatch: one dialect means an exact version match on

@@ -134,7 +134,7 @@ func Resume(ctx context.Context, inPath, outPath string, spec SortSpec) (*SortSt
 			inPath, ist.Size(), st.records, record.EncodedSize)
 	}
 
-	c, teardown := newCoordinator(ctx, spec, in, inPath, outPath, st.records, st.jobID)
+	c, teardown := newCoordinator(spec, in, inPath, outPath, st.records, st.jobID)
 	defer teardown()
 	c.jr = jr
 	c.epoch = st.maxEpoch

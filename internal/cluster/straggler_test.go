@@ -1,11 +1,15 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,7 +108,7 @@ func TestHedgeBlockDedup(t *testing.T) {
 	}
 	defer f.Close()
 	s.mu.Lock()
-	s.hedge = &hedgeState{victim: 2, epoch: 0, want: 8, file: f}
+	s.hedge = &hedgeState{victim: 2, want: 8, file: f}
 	s.mu.Unlock()
 
 	store := func(seq uint32) bool {
@@ -237,56 +241,202 @@ func TestStallChaosMatrix(t *testing.T) {
 // The soft budget fires a speculative re-run of the victim's shard on the
 // fastest idle peer, the hedge finishes first, the victim's sort is
 // cancelled, and the job completes with no failover at all — and still
-// byte-identical output.
+// byte-identical output. Victims 0 and 3 put the covered shard before and
+// after the target's own in the drain order.
 func TestStallHedgeWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hedge race is slow under -short")
 	}
-	const victim = 1
-	addrs := startWorkers(t, 4, fastWorker)
-	jpath := filepath.Join(t.TempDir(), "cluster.journal")
-	stats := runClusterSort(t, addrs, 20000, 83, false, SortSpec{
+	for _, victim := range []int{1, 0, 3} {
+		t.Run(fmt.Sprintf("victim%d", victim), func(t *testing.T) {
+			addrs := startWorkers(t, 4, fastWorker)
+			jpath := filepath.Join(t.TempDir(), "cluster.journal")
+			tr := obs.New(0, nil)
+			stats := runClusterSort(t, addrs, 20000, 83, false, SortSpec{
+				BlockRecs: 128,
+				Dial:      fastDial,
+				Heartbeat: fastHeartbeat(),
+				Stall:     &StallSpec{Phase: "local-sort", Worker: victim, Factor: 5000},
+				Straggler: StragglerConfig{
+					Enabled:    true,
+					Hedge:      true,
+					SoftBudget: 150 * time.Millisecond,
+					// A hard budget the race can never reach: a hedge win must
+					// rescue the job on its own, not lean on demotion.
+					HardBudget: time.Minute,
+				},
+				JournalPath: jpath,
+				Trace:       tr,
+			})
+			rec := stats.Recovery
+			if rec == nil {
+				t.Fatal("hedge win left no recovery record")
+			}
+			if rec.HedgeWins != 1 {
+				t.Fatalf("HedgeWins = %d, want 1 (%+v)", rec.HedgeWins, rec)
+			}
+			if len(rec.LostWorkers) != 0 || rec.Failovers != 0 {
+				t.Fatalf("hedge win escalated to failover: %+v", rec)
+			}
+
+			entries, err := pdm.LoadJournal(jpath)
+			if err != nil {
+				t.Fatalf("load journal: %v", err)
+			}
+			sawHedge := false
+			for _, e := range entries {
+				var ev journalEvent
+				if err := json.Unmarshal(e.Payload, &ev); err != nil {
+					t.Fatalf("journal entry %d: %v", e.Seq, err)
+				}
+				if ev.Event == "hedge" && ev.Worker == victim {
+					sawHedge = true
+				}
+			}
+			if !sawHedge {
+				t.Fatal("journal never recorded the hedge win")
+			}
+
+			var hedges []obs.Span
+			for _, sp := range tr.Spans() {
+				if sp.Node == 0 && sp.Layer == "cluster" && sp.Name == "hedge" {
+					hedges = append(hedges, sp)
+				}
+			}
+			if len(hedges) != 1 {
+				t.Fatalf("coordinator recorded %d hedge spans, want 1", len(hedges))
+			}
+			attrs := map[string]int64{}
+			for _, a := range hedges[0].Attrs {
+				attrs[a.Key] = a.Val
+			}
+			if attrs["victim"] != int64(victim) || attrs["armed"] != 1 {
+				t.Fatalf("hedge span attrs %v, want victim %d and armed 1", attrs, victim)
+			}
+		})
+	}
+}
+
+// hedgeWorkers starts n in-memory workers whose shard sorter intercepts
+// one call: the first, anywhere in the cluster, that is some worker's
+// second sort. A worker's first sort is its own shard, and these tests
+// hedge before any failover, so that call is always the hedge's sort on
+// its target. intercept runs in its place with the sort's context, the
+// calling worker's ID, and a func that cancels that worker's Serve.
+func hedgeWorkers(t *testing.T, n int, intercept func(ctx context.Context, worker int, stopServe func()) error) []string {
+	t.Helper()
+	var once sync.Once
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		var sorts atomic.Int32
+		cfg := WorkerConfig{ScratchDir: t.TempDir(), Dial: fastDial}
+		cfg.SortShard = func(sctx context.Context, in, out, scratch string) error {
+			hit := false
+			if sorts.Add(1) == 2 {
+				once.Do(func() { hit = true })
+			}
+			if hit {
+				return intercept(sctx, i, cancel)
+			}
+			return memorySortShard(sctx, in, out, scratch)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			_ = NewWorker(cfg).Serve(ctx, ln)
+		}()
+		t.Cleanup(func() {
+			cancel()
+			<-done
+		})
+		addrs[i] = ln.Addr().String()
+	}
+	return addrs
+}
+
+// hedgedSpec stalls worker 1's local sort by factor under an early soft
+// budget and a hard budget no run reaches, so the hedge fires and the
+// victim is never demoted.
+func hedgedSpec(factor int) SortSpec {
+	return SortSpec{
 		BlockRecs: 128,
 		Dial:      fastDial,
 		Heartbeat: fastHeartbeat(),
-		Stall:     &StallSpec{Phase: "local-sort", Worker: victim, Factor: 5000},
+		Stall:     &StallSpec{Phase: "local-sort", Worker: 1, Factor: factor},
 		Straggler: StragglerConfig{
 			Enabled:    true,
 			Hedge:      true,
-			SoftBudget: 150 * time.Millisecond,
-			// A hard budget the race can never reach: a hedge win must
-			// rescue the job on its own, not lean on demotion.
+			SoftBudget: 30 * time.Millisecond,
 			HardBudget: time.Minute,
 		},
-		JournalPath: jpath,
-	})
-	rec := stats.Recovery
-	if rec == nil {
-		t.Fatal("hedge win left no recovery record")
 	}
-	if rec.HedgeWins != 1 {
-		t.Fatalf("HedgeWins = %d, want 1 (%+v)", rec.HedgeWins, rec)
+}
+
+// TestStallHedgeLoses: the hedge's sort never finishes, so the stalled
+// victim finishes first. The race must go to the victim — one loss, no
+// win — with the target's sort cancelled and no failover.
+func TestStallHedgeLoses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("hedge race is slow under -short")
+	}
+	addrs := hedgeWorkers(t, 4, func(ctx context.Context, _ int, _ func()) error {
+		<-ctx.Done()
+		return ctx.Err()
+	})
+	stats := runClusterSort(t, addrs, 20000, 97, false, hedgedSpec(200))
+	rec := stats.Recovery
+	if rec == nil || rec.HedgeLosses != 1 || rec.HedgeWins != 0 {
+		t.Fatalf("want one hedge loss and no win, got %+v", rec)
 	}
 	if len(rec.LostWorkers) != 0 || rec.Failovers != 0 {
-		t.Fatalf("hedge win escalated to failover: %+v", rec)
+		t.Fatalf("a lost hedge escalated to failover: %+v", rec)
 	}
+}
 
-	entries, err := pdm.LoadJournal(jpath)
-	if err != nil {
-		t.Fatalf("load journal: %v", err)
+// TestStallHedgeSortFails: a hedge whose sort fails on the target is
+// abandoned without a verdict. The barrier keeps waiting for the victim,
+// and the job ends as if no hedge had run.
+func TestStallHedgeSortFails(t *testing.T) {
+	if testing.Short() {
+		t.Skip("hedge race is slow under -short")
 	}
-	sawHedge := false
-	for _, e := range entries {
-		var ev journalEvent
-		if err := json.Unmarshal(e.Payload, &ev); err != nil {
-			t.Fatalf("journal entry %d: %v", e.Seq, err)
-		}
-		if ev.Event == "hedge" && ev.Worker == victim {
-			sawHedge = true
-		}
+	addrs := hedgeWorkers(t, 4, func(context.Context, int, func()) error {
+		return errors.New("injected hedge sort failure")
+	})
+	stats := runClusterSort(t, addrs, 20000, 101, false, hedgedSpec(200))
+	if stats.Recovery != nil {
+		t.Fatalf("a failed hedge left a recovery record: %+v", stats.Recovery)
 	}
-	if !sawHedge {
-		t.Fatal("journal never recorded the hedge win")
+}
+
+// TestStallHedgeTargetLost: the hedge target dies mid-hedge. Losing its
+// control link is a worker loss like any other: one failover, the target
+// recorded lost, and no hedge win.
+func TestStallHedgeTargetLost(t *testing.T) {
+	if testing.Short() {
+		t.Skip("hedge race is slow under -short")
+	}
+	var target atomic.Int32
+	target.Store(-1)
+	addrs := hedgeWorkers(t, 4, func(ctx context.Context, worker int, stopServe func()) error {
+		target.Store(int32(worker))
+		stopServe()
+		<-ctx.Done()
+		return ctx.Err()
+	})
+	stats := runClusterSort(t, addrs, 20000, 103, false, hedgedSpec(100))
+	rec := stats.Recovery
+	tg := int(target.Load())
+	if rec == nil || rec.Failovers != 1 || len(rec.LostWorkers) != 1 || rec.LostWorkers[0] != tg {
+		t.Fatalf("want one failover that lost the target %d, got %+v", tg, rec)
+	}
+	if rec.HedgeWins != 0 {
+		t.Fatalf("a lost target won its hedge: %+v", rec)
 	}
 }
 

@@ -33,10 +33,6 @@ type WorkerConfig struct {
 	SortShard func(ctx context.Context, inPath, outPath, scratchDir string) error
 	// Dial tunes peer connection retry/backoff and per-op timeouts.
 	Dial DialConfig
-	// PhaseTimeout bounds how long the worker waits at an exchange or
-	// gather barrier for blocks that never arrive (its peers' failure
-	// reports normally arrive much sooner). Default 2 minutes.
-	PhaseTimeout time.Duration
 	// DropAfterBlocks is a fault-injection knob: after this many blocks
 	// have been sent to peers, the worker force-closes that connection
 	// once, exercising the redial/retransmit/dedup path. 0 disables.
@@ -46,12 +42,6 @@ type WorkerConfig struct {
 	// miss counter must absorb the flap without declaring the worker lost.
 	PongDelay      time.Duration
 	PongDelayCount int
-	// ResumeWindow is how long a worker keeps a parked shard after its
-	// coordinator connection dies on a transport error, waiting for a
-	// restarted coordinator's mResume. Past the window the shard is
-	// deleted and a resume starts the worker from scratch (the coordinator
-	// re-streams its extents). Default 2 minutes.
-	ResumeWindow time.Duration
 	// Obs, when non-nil, receives each job's tracer under the key "job",
 	// so the worker's /metrics endpoint exposes live phase histograms and
 	// event counts. Independent of the Hello trace flag: a worker can
@@ -67,17 +57,24 @@ type WorkerConfig struct {
 
 func (c WorkerConfig) withDefaults() WorkerConfig {
 	c.Dial = c.Dial.withDefaults()
-	if c.PhaseTimeout <= 0 {
-		c.PhaseTimeout = 2 * time.Minute
-	}
 	if c.SortShard == nil {
 		c.SortShard = memorySortShard
 	}
-	if c.ResumeWindow <= 0 {
-		c.ResumeWindow = 2 * time.Minute
-	}
 	return c
 }
+
+const (
+	// phaseTimeout bounds how long a worker waits at an exchange, gather
+	// or hedge barrier for blocks that never arrive (its peers' failure
+	// reports normally arrive much sooner).
+	phaseTimeout = 2 * time.Minute
+	// resumeWindow is how long a worker keeps a parked shard after its
+	// coordinator connection dies on a transport error, waiting for a
+	// restarted coordinator's mResume. Past the window the shard is
+	// deleted and a resume starts the worker from scratch (the coordinator
+	// re-streams its extents).
+	resumeWindow = 2 * time.Minute
+)
 
 // memorySortShard is the fallback local sorter: whole shard in memory,
 // ordered by the strict (Key, Loc) record order.
@@ -202,7 +199,7 @@ func (w *Worker) maybePark(s *session, err error) bool {
 		jobID: s.jobID, worker: s.self, dir: s.dir,
 		epoch: epoch, shardRecs: s.shardRecs,
 	}
-	p.timer = time.AfterFunc(w.cfg.ResumeWindow, func() {
+	p.timer = time.AfterFunc(resumeWindow, func() {
 		w.mu.Lock()
 		expired := w.parked == p
 		if expired {
@@ -270,16 +267,16 @@ func NewWorker(cfg WorkerConfig) *Worker {
 // of this call touches ScratchDir any more and the caller may delete it.
 func (w *Worker) Serve(ctx context.Context, ln net.Listener) error {
 	var (
-		hmu      sync.Mutex
+		connMu   sync.Mutex
 		conns    = make(map[net.Conn]struct{})
 		handlers sync.WaitGroup
 	)
 	defer func() {
-		hmu.Lock()
+		connMu.Lock()
 		for c := range conns {
 			c.Close()
 		}
-		hmu.Unlock()
+		connMu.Unlock()
 		handlers.Wait()
 	}()
 	watchDone := make(chan struct{})
@@ -304,16 +301,16 @@ func (w *Worker) Serve(ctx context.Context, ln net.Listener) error {
 			}
 			return err
 		}
-		hmu.Lock()
+		connMu.Lock()
 		conns[conn] = struct{}{}
-		hmu.Unlock()
+		connMu.Unlock()
 		handlers.Add(1)
 		go func() {
 			defer handlers.Done()
 			w.handleConn(ctx, conn)
-			hmu.Lock()
+			connMu.Lock()
 			delete(conns, conn)
-			hmu.Unlock()
+			connMu.Unlock()
 		}()
 	}
 }
@@ -389,18 +386,6 @@ func (w *Worker) handleConn(ctx context.Context, conn net.Conn) {
 			return
 		}
 		s.serveMonitor(conn, br)
-	case mHedgeHello:
-		var hh msgHedgeHello
-		if err := hh.decode(payload); err != nil {
-			conn.Close()
-			return
-		}
-		s := w.current()
-		if s == nil || s.jobID != hh.JobID {
-			conn.Close()
-			return
-		}
-		s.runHedge(conn, br, &hh)
 	default:
 		conn.Close()
 	}
@@ -581,9 +566,9 @@ type session struct {
 	ctlConn        net.Conn
 	conns          map[net.Conn]struct{} // peer data conns: closed on abort and on epoch reset
 	monConns       map[net.Conn]struct{} // monitor conns: closed on abort only
-	hedge          *hedgeState           // armed hedge re-execution, nil when none
-	sortCancel     context.CancelFunc    // cancels the in-flight shard sort (hedge won)
-	sortCanceled   bool                  // coordinator sent mSortCancel: never send mSortDone
+	hedge          *hedgeState           // this epoch's hedge, as its target; nil when none
+	sortCancel     context.CancelFunc    // cancels the in-flight shard or hedge sort
+	sortCanceled   bool                  // coordinator sent mSortCancel: this worker lost its race
 
 	sentNet     atomic.Int64 // blocks pushed over the network, feeds DropAfterBlocks
 	dropOnce    sync.Once
@@ -599,18 +584,17 @@ type session struct {
 	stallFactor atomic.Int64
 }
 
-// hedgeState is a worker's side of one hedged shard-sort: it re-collects a
-// straggling peer's gather blocks as phase-3 streams and sorts them into a
-// speculative copy of that peer's shard. It lives under the session mutex;
-// an epoch reset or abort disarms it (and closes the hedge connection,
-// which is registered like any peer conn).
+// hedgeState is the hedge target's side of one hedged shard sort: it
+// re-collects a straggling peer's gather blocks as phase-3 streams and
+// sorts them into a speculative copy of that peer's shard. It lives under
+// the session mutex; an epoch reset disarms it.
 type hedgeState struct {
 	victim int
-	epoch  uint32
 	want   uint64 // exact records the hedged shard must contain
 	file   *os.File
 	size   int64
 	recs   uint64
+	sorted bool // the copy is sorted and the coordinator may fetch it
 }
 
 func newSession(w *Worker, h *msgHello) (*session, error) {
@@ -674,9 +658,11 @@ func (s *session) setShardRecs(n uint64) {
 	s.shardRecsA.Store(n)
 }
 
-func (s *session) shardPath() string  { return filepath.Join(s.dir, "in.shard") }
-func (s *session) gatherPath() string { return filepath.Join(s.dir, "gather.dat") }
-func (s *session) sortedPath() string { return filepath.Join(s.dir, "sorted.dat") }
+func (s *session) shardPath() string       { return filepath.Join(s.dir, "in.shard") }
+func (s *session) gatherPath() string      { return filepath.Join(s.dir, "gather.dat") }
+func (s *session) sortedPath() string      { return filepath.Join(s.dir, "sorted.dat") }
+func (s *session) hedgePath() string       { return filepath.Join(s.dir, "hedge.dat") }
+func (s *session) hedgeSortedPath() string { return filepath.Join(s.dir, "hedge-sorted.dat") }
 
 func (s *session) curEpoch() uint32 {
 	s.mu.Lock()
@@ -812,6 +798,9 @@ func (s *session) teardown() {
 	if s.gaFile != nil {
 		s.gaFile.Close()
 	}
+	if s.hedge != nil {
+		s.hedge.file.Close()
+	}
 	keep := s.keepDir
 	s.mu.Unlock()
 	if !keep {
@@ -880,9 +869,7 @@ func (s *session) resetEpoch(m *msgRescatter) error {
 	s.recvBlocks, s.recvGatherRecs = 0, 0
 	s.recvErr = nil
 	if s.hedge != nil {
-		// The hedge belonged to the dead epoch; its connection is in
-		// s.conns and closes below, which unwinds runHedge.
-		s.hedge.file.Close()
+		s.hedge.file.Close() // the hedge belonged to the dead epoch
 		s.hedge = nil
 	}
 	s.sortCanceled = false
@@ -959,25 +946,30 @@ func (s *session) readCtl(ctl *wlink) {
 			s.abort(errors.New("cluster: chaos kill"))
 			return
 		case mSortCancel:
-			// The coordinator's hedge won: stop the in-flight shard sort
-			// now, and forward the frame so a job goroutine blocked waiting
-			// for mFetch learns it will never be drained.
+			// This worker lost a hedge race — as the victim or as the
+			// target: stop the in-flight sort, or the hedge's collection,
+			// now. A cancel for a race already over here changes nothing.
 			s.mu.Lock()
 			s.sortCanceled = true
 			if s.sortCancel != nil {
 				s.sortCancel()
 			}
+			s.cond.Broadcast()
 			s.mu.Unlock()
-			s.pushCtl(frameMsg{typ: typ, payload: payload})
 		case mHedgeSend:
 			var hs msgHedgeSend
 			if err := hs.decode(payload); err != nil {
 				s.pushCtl(frameMsg{err: err})
 				return
 			}
-			// Re-send off the control reader: a hedge is speculative, so
-			// its deliveries must never block or fail the job.
-			go s.runHedgeResend(&hs)
+			if int(hs.Target) == s.self {
+				s.pushCtl(frameMsg{typ: typ, payload: payload}) // armed and run by the idle job goroutine
+				continue
+			}
+			// Re-send off the control reader: the victim's job goroutine is
+			// busy sorting, and a hedge's deliveries must never block or
+			// fail the job.
+			go s.resendHedge(&hs)
 		case mRescatter:
 			var m msgRescatter
 			if err := m.decode(payload); err != nil {
@@ -1142,197 +1134,76 @@ func (s *session) serveMonitor(conn net.Conn, br *bufio.Reader) {
 	}
 }
 
-// runHedge is the hedge target's side of a speculative shard re-execution:
-// arm the phase-3 receive state, collect the straggler's gather blocks as
-// every active worker re-sends them, sort them with the same local sorter
-// a first-run shard uses, report mHedgeDone, and serve the sorted shard
-// over the same connection when the coordinator fetches it. Everything is
-// best-effort: the hedge losing the race (the coordinator closes the
-// connection), an epoch bump, or any local error simply abandons the hedge
-// without touching the job.
-func (s *session) runHedge(conn net.Conn, br *bufio.Reader, m *msgHedgeHello) {
-	s.registerConn(conn)
-	defer func() {
-		s.unregisterConn(conn)
-		conn.Close()
-	}()
-	file, err := os.Create(filepath.Join(s.dir, "hedge.dat"))
+// sortHedge is the hedge target's side of the race: it arms phase-3
+// collection of the victim's buckets and acknowledges it (the coordinator
+// orders the other workers' resends only then), stores this worker's own
+// blocks of those buckets, waits for the rest, and sorts them with the
+// first run's sortShard into a copy of the victim's shard — unless the
+// coordinator cancels the race first (sortShard refuses to start once it
+// has).
+func (s *session) sortHedge(ctl *wlink, hs *msgHedgeSend) error {
+	file, err := os.Create(s.hedgePath())
 	if err != nil {
-		return
+		return err
 	}
-	st := &hedgeState{victim: int(m.Victim), epoch: m.Epoch, want: m.Recs, file: file}
+	st := &hedgeState{victim: int(hs.Victim), want: hs.Recs, file: file}
 	s.mu.Lock()
-	if s.aborted || s.epoch != m.Epoch || s.hedge != nil {
+	if s.epoch != hs.Epoch || s.hedge != nil {
 		s.mu.Unlock()
 		file.Close()
-		return
+		return fmt.Errorf("cluster: hedge of epoch %d refused", hs.Epoch)
 	}
 	s.hedge = st
 	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		if s.hedge == st {
-			s.hedge = nil
-		}
-		s.mu.Unlock()
-		file.Close()
-	}()
-	setOpDeadline(conn, s.dial)
-	if err := writeFrame(conn, mHedgeHelloAck, nil); err != nil {
-		return
+	if err := ctl.send(mHedgeArmed, nil); err != nil {
+		return err
 	}
-	// The coordinator's only further frame on this connection is the
-	// mFetch after we report mHedgeDone; a read error before that means
-	// the hedge lost and was abandoned. Either way the watch doubles as
-	// the cancellation signal for the collect wait and the sort.
-	hctx, hcancel := context.WithCancel(s.ectx())
-	defer hcancel()
-	fetchCh := make(chan bool, 1)
-	go func() {
-		clearDeadline(conn)
-		typ, _, rerr := readFrame(br)
-		ok := rerr == nil && typ == mFetch
-		if !ok {
-			hcancel()
-		}
-		fetchCh <- ok
-	}()
-	stopWake := context.AfterFunc(hctx, func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	defer stopWake()
-	sp := s.trace.Begin("cluster", "hedge-sort", s.self)
-	defer sp.End(
-		obs.Attr{Key: "victim", Val: int64(m.Victim)},
-		obs.Attr{Key: "records", Val: int64(m.Recs)},
-	)
-	s.mu.Lock()
-	for st.recs < m.Recs && !s.aborted && s.hedge == st && s.recvErr == nil && hctx.Err() == nil {
-		s.cond.Wait()
+	if err := s.resendHedge(hs); err != nil {
+		return err
 	}
-	ok := st.recs == m.Recs && !s.aborted && s.hedge == st && s.recvErr == nil && hctx.Err() == nil
-	s.mu.Unlock()
-	if !ok || st.file.Sync() != nil {
-		return
+	if err := s.waitRecv("hedge", func() bool { return st.recs >= st.want || s.sortCanceled }); err != nil {
+		return err
 	}
-	scratch := filepath.Join(s.dir, "hedgescratch")
-	if os.MkdirAll(scratch, 0o755) != nil {
-		return
+	if err := st.file.Sync(); err != nil {
+		return err
 	}
-	sorted := filepath.Join(s.dir, "hedge-sorted.dat")
-	if m.Recs == 0 {
-		f, cerr := os.Create(sorted)
-		if cerr != nil {
-			return
-		}
-		f.Close()
-	} else if s.w.cfg.SortShard(hctx, filepath.Join(s.dir, "hedge.dat"), sorted, scratch) != nil {
-		return
-	}
-	fst, err := os.Stat(sorted)
-	if err != nil || fst.Size() != int64(m.Recs)*int64(record.EncodedSize) {
-		return
-	}
-	setOpDeadline(conn, s.dial)
-	if writeFrame(conn, mHedgeDone, (&msgCount{Count: m.Recs}).encode()) != nil {
-		return
-	}
-	if !<-fetchCh {
-		return
-	}
-	// Stream the hedged shard exactly like a drain: record chunks, then
-	// the count. The coordinator verifies sortedness and byte identity.
-	f, err := os.Open(sorted)
+	n, err := s.sortShard(s.hedgePath(), s.hedgeSortedPath())
 	if err != nil {
-		return
+		return err
 	}
-	defer f.Close()
-	fr := bufio.NewReaderSize(f, 1<<16)
-	buf := make([]byte, scatterChunk*record.EncodedSize)
-	left := m.Recs
-	for left > 0 {
-		n := uint64(scatterChunk)
-		if n > left {
-			n = left
-		}
-		chunk := buf[:n*record.EncodedSize]
-		if _, err := readFull(fr, chunk); err != nil {
-			return
-		}
-		setOpDeadline(conn, s.dial)
-		if writeFrame(conn, mRecords, chunk) != nil {
-			return
-		}
-		s.net.out(len(chunk))
-		left -= n
+	if n != st.want {
+		return fmt.Errorf("cluster: hedge sorted %d of %d records", n, st.want)
 	}
-	setOpDeadline(conn, s.dial)
-	_ = writeFrame(conn, mFetchDone, (&msgCount{Count: m.Recs}).encode())
+	s.mu.Lock()
+	st.sorted = true
+	s.mu.Unlock()
+	return nil
 }
 
-// runHedgeResend re-sends this worker's stored exchange blocks for the
-// victim's buckets to the hedge target, as phase-3 streams: the same
-// dial/deliver/ack/dedup machinery the gather phase uses, with fresh
-// (phase, src) stream keys so retransmission after a dropped connection
-// stays idempotent. It runs off the control reader and swallows every
-// error — a hedge that cannot be fed is simply a lost hedge, never a
-// failed job. It is deliberately not subject to the crashStall throttle:
-// the stall models a slow data path (scan, sort, stream), while the resend
-// is a small positional re-read of already-spilled blocks.
-func (s *session) runHedgeResend(m *msgHedgeSend) {
-	ctx := s.ectx()
-	s.mu.Lock()
-	if s.aborted || s.epoch != m.Epoch {
-		s.mu.Unlock()
-		return
+// resendHedge feeds the hedge target this worker's stored exchange blocks
+// of the victim's buckets, as phase-3 streams through the gather path's
+// producer and senders; the target stores its own locally. It is
+// deliberately not subject to the crashStall throttle: the stall models a
+// slow data path (scan, sort, stream), while the resend is a positional
+// re-read of already-spilled blocks.
+func (s *session) resendHedge(hs *msgHedgeSend) error {
+	route := make([]uint32, s.s)
+	for b := range route {
+		route[b] = noDest
 	}
-	exFile := s.exFile
-	index := make(map[uint32][]blockLoc, len(m.Buckets))
-	for _, b := range m.Buckets {
-		index[b] = append([]blockLoc(nil), s.exIndex[int(b)]...)
-	}
-	s.mu.Unlock()
-	if int(m.Target) == s.self {
-		for _, b := range m.Buckets {
-			for i, loc := range index[b] {
-				data := make([]byte, loc.bytes)
-				if _, err := exFile.ReadAt(data, loc.off); err != nil {
-					return
-				}
-				blk := &msgBlock{Phase: 3, Src: uint32(s.self), Bucket: b, Seq: uint32(i), Data: data}
-				if stale, err := s.storeBlock(blk, m.Epoch); err != nil || stale {
-					return
-				}
-			}
+	for _, b := range hs.Buckets {
+		if int(b) >= s.s {
+			return fmt.Errorf("cluster: hedge of bucket %d of %d", b, s.s)
 		}
-		return
+		route[b] = hs.Target
 	}
-	ch := make(chan outBlock, 2)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = s.sendLoop(ctx, m.Epoch, 3, int(m.Target), ch)
-	}()
-feed:
-	for _, b := range m.Buckets {
-		for i, loc := range index[b] {
-			data := make([]byte, loc.bytes)
-			if _, err := exFile.ReadAt(data, loc.off); err != nil {
-				break feed
-			}
-			select {
-			case ch <- outBlock{bucket: b, seq: uint32(i), data: data}:
-			case <-ctx.Done():
-				break feed
-			case <-s.done:
-				break feed
-			}
-		}
+	if s.curEpoch() != hs.Epoch {
+		return errInterrupted
 	}
-	close(ch)
-	<-done
+	_, err := s.runSenders(3, func(emit func(int, outBlock) error) error {
+		return s.produceGather(route, emit)
+	})
+	return err
 }
 
 // storeBlock persists one self-delivered block, exactly once. It reports
@@ -1382,10 +1253,11 @@ func (s *session) storeFrom(b *msgBlock, epoch uint32, gen uint64) (stale bool, 
 		s.recvGatherRecs += uint64(len(b.Data) / record.EncodedSize)
 	case 3:
 		// Hedge stream: a straggler's gather blocks re-sent to this worker.
-		// Without an armed hedge for this epoch the sender is a zombie from
-		// an abandoned hedge; drop the connection like a stale epoch.
+		// Without an armed hedge (resetEpoch disarms it) the sender is a
+		// zombie from an abandoned hedge; drop the connection like a stale
+		// epoch.
 		st := s.hedge
-		if st == nil || st.epoch != epoch {
+		if st == nil {
 			return true, nil
 		}
 		if _, err := st.file.WriteAt(b.Data, st.size); err != nil {
@@ -1414,8 +1286,8 @@ func (s *session) storeFrom(b *msgBlock, epoch uint32, gen uint64) (stale bool, 
 // error lands, a re-scatter interrupts the epoch, the session aborts, or
 // the phase times out.
 func (s *session) waitRecv(phase string, done func() bool) error {
-	timer := time.AfterFunc(s.w.cfg.PhaseTimeout, func() {
-		s.fail(fmt.Errorf("cluster: %s barrier timed out after %v", phase, s.w.cfg.PhaseTimeout))
+	timer := time.AfterFunc(phaseTimeout, func() {
+		s.fail(fmt.Errorf("cluster: %s barrier timed out after %v", phase, phaseTimeout))
 	})
 	defer timer.Stop()
 	s.mu.Lock()
@@ -1448,14 +1320,18 @@ type outBlock struct {
 // runSenders spins up one sender goroutine per remote peer, runs produce to
 // emit blocks (self-destined blocks store locally, no network), and returns
 // the first error once every queue has drained. It returns the number of
-// blocks emitted.
+// blocks emitted. It reads the membership once, under the lock, because a
+// hedge resend runs it beside the job goroutine, which a re-scatter may be
+// resetting.
 func (s *session) runSenders(phase uint8, produce func(emit func(dest int, blk outBlock) error) error) (uint64, error) {
 	ctx := s.ectx()
-	epoch := s.curEpoch()
-	chans := make([]chan outBlock, s.workers)
-	errs := make([]error, s.workers)
+	s.mu.Lock()
+	epoch, peers := s.epoch, s.peers
+	s.mu.Unlock()
+	chans := make([]chan outBlock, len(peers))
+	errs := make([]error, len(peers))
 	var wg sync.WaitGroup
-	for d := 0; d < s.workers; d++ {
+	for d := range peers {
 		if d == s.self {
 			continue
 		}
@@ -1464,14 +1340,14 @@ func (s *session) runSenders(phase uint8, produce func(emit func(dest int, blk o
 		wg.Add(1)
 		go func(d int, ch chan outBlock) {
 			defer wg.Done()
-			errs[d] = s.sendLoop(ctx, epoch, phase, d, ch)
+			errs[d] = s.sendLoop(ctx, epoch, phase, d, peers[d], ch)
 		}(d, ch)
 	}
 	var emitted uint64
 	perr := produce(func(dest int, blk outBlock) error {
 		emitted++
-		if dest < 0 || dest >= s.workers {
-			return fmt.Errorf("cluster: plan routes a block to worker %d of %d", dest, s.workers)
+		if dest < 0 || dest >= len(peers) {
+			return fmt.Errorf("cluster: plan routes a block to worker %d of %d", dest, len(peers))
 		}
 		if dest == s.self {
 			stale, err := s.storeBlock(&msgBlock{
@@ -1518,7 +1394,7 @@ const maxDeliverRetries = 3
 // the receiver deduplicates. A peer that stays unreachable surfaces as a
 // typed *WorkerLostError. On failure the loop keeps draining its queue so
 // the producer never blocks.
-func (s *session) sendLoop(ctx context.Context, epoch uint32, phase uint8, dest int, ch chan outBlock) error {
+func (s *session) sendLoop(ctx context.Context, epoch uint32, phase uint8, dest int, addr string, ch chan outBlock) error {
 	var conn net.Conn
 	var br *bufio.Reader
 	closeConn := func() {
@@ -1541,13 +1417,13 @@ func (s *session) sendLoop(ctx context.Context, epoch uint32, phase uint8, dest 
 				break
 			}
 			if conn == nil {
-				c, b, err := s.dialPeer(ctx, epoch, dest)
+				c, b, err := s.dialPeer(ctx, epoch, dest, addr)
 				if err != nil {
 					var lost *WorkerLostError
 					if errors.As(err, &lost) || ctx.Err() != nil {
 						firstErr = err
 					} else if consec++; consec > maxDeliverRetries {
-						firstErr = &WorkerLostError{Worker: dest, Addr: s.peers[dest], Err: err}
+						firstErr = &WorkerLostError{Worker: dest, Addr: addr, Err: err}
 					} else {
 						continue
 					}
@@ -1561,7 +1437,7 @@ func (s *session) sendLoop(ctx context.Context, epoch uint32, phase uint8, dest 
 			}
 			closeConn()
 			if consec++; consec > maxDeliverRetries {
-				firstErr = &WorkerLostError{Worker: dest, Addr: s.peers[dest], Err: err}
+				firstErr = &WorkerLostError{Worker: dest, Addr: addr, Err: err}
 				break
 			}
 		}
@@ -1569,9 +1445,10 @@ func (s *session) sendLoop(ctx context.Context, epoch uint32, phase uint8, dest 
 	return firstErr
 }
 
-// dialPeer opens and handshakes a block connection to dest for one epoch.
-func (s *session) dialPeer(ctx context.Context, epoch uint32, dest int) (net.Conn, *bufio.Reader, error) {
-	conn, err := s.dial.dial(ctx, dest, s.peers[dest])
+// dialPeer opens and handshakes a block connection to dest, at addr, for
+// one epoch.
+func (s *session) dialPeer(ctx context.Context, epoch uint32, dest int, addr string) (net.Conn, *bufio.Reader, error) {
+	conn, err := s.dial.dial(ctx, dest, addr)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1771,7 +1648,13 @@ func (s *session) pipeline(ctl *wlink) error {
 	s.flowIn("gather")
 	s.phaseIdx.Store(4) // gather
 	spGather := s.trace.Begin("cluster", "gather", s.self)
-	sent, err = s.runSenders(2, s.produceGather)
+	sent, err = s.runSenders(2, func(emit func(int, outBlock) error) error {
+		start := time.Now()
+		if err := s.produceGather(plan.Owners, emit); err != nil {
+			return err
+		}
+		return s.throttleWork(s.ectx(), time.Since(start))
+	})
 	if err != nil {
 		return s.phaseFail(ctl, err)
 	}
@@ -1794,88 +1677,104 @@ func (s *session) pipeline(ctl *wlink) error {
 	s.flowIn("local-sort")
 	s.phaseIdx.Store(5) // shard-sort
 	spSort := s.trace.Begin("cluster", "shard-sort", s.self)
-	count, err := s.sortShard()
+	var count uint64
+	if err = s.gaFile.Sync(); err == nil {
+		count, err = s.sortShard(s.gatherPath(), s.sortedPath())
+	}
+	if s.sortWasCanceled() {
+		// The coordinator's hedge won: this shard will never be asked for,
+		// and a report would only be debris. Stay in the job for the
+		// endgame (trace, bye).
+		spSort.End(obs.Attr{Key: "canceled", Val: 1})
+		return s.awaitEnd(ctl, 0)
+	}
 	if err != nil {
 		if s.interrupted() {
 			return errInterrupted
 		}
-		if s.sortWasCanceled() {
-			// The coordinator's hedge won mid-sort: this shard will never
-			// be asked for. Stay in the job for the endgame (trace, bye).
-			spSort.End(obs.Attr{Key: "canceled", Val: 1})
-			return s.awaitEnd(ctl)
-		}
 		return fmt.Errorf("cluster: worker %d local sort: %w", s.self, err)
 	}
 	spSort.End(obs.Attr{Key: "records", Val: int64(count)})
-	if s.sortWasCanceled() {
-		// The cancel landed after the sort finished but before the report:
-		// the hedge already won, so the report would only be debris.
-		return s.awaitEnd(ctl)
-	}
 	if count != plan.ExpectGatherRecs {
 		return fmt.Errorf("cluster: worker %d sorted %d of %d records", s.self, count, plan.ExpectGatherRecs)
 	}
 	if err := ctl.send(mSortDone, (&msgCount{Count: count}).encode()); err != nil {
 		return err
 	}
-
-	// Drain the sorted shard back to the coordinator — unless the hedge
-	// won the race against our mSortDone, in which case mSortCancel (not
-	// mFetch) arrives and the shard is never drained.
-	for {
-		typ, payload, err := s.recvCtl()
-		if err != nil {
-			return err
-		}
-		if typ == mError {
-			var e msgError
-			if derr := e.decode(payload); derr != nil {
-				return derr
-			}
-			return wireToError(&e)
-		}
-		if typ == mSortCancel {
-			return s.awaitEnd(ctl)
-		}
-		if typ == mFetch {
-			break
-		}
-		return fmt.Errorf("cluster: expected message %d, got %d", mFetch, typ)
-	}
-	s.flowIn("drain")
-	s.phaseIdx.Store(6) // drain
-	spDrain := s.trace.Begin("cluster", "drain", s.self)
-	if err := s.sendSorted(ctl, count); err != nil {
-		return err
-	}
-	spDrain.End(obs.Attr{Key: "records", Val: int64(count)})
-
-	return s.awaitEnd(ctl)
+	return s.awaitEnd(ctl, count)
 }
 
-// awaitEnd is the pipeline's endgame: the coordinator may collect this
-// worker's trace; then Bye (or the coordinator just closing the
-// connection) ends the job. A re-scatter can still land here: another
-// worker died while the coordinator was draining a later shard. A stray
-// mSortCancel is hedge debris and is ignored.
-func (s *session) awaitEnd(ctl *wlink) error {
+// awaitEnd is the pipeline's endgame once the shard sort is reported or
+// cancelled: serve each mFetch (of the count-record sorted shard, or of a
+// won hedge's copy), run the hedge an mHedgeSend makes this worker the
+// target of, and ship the trace, until Bye or the connection's close.
+// Until the own shard is fetched, a dead control link is an error, so the
+// shard can be parked for a resume. A re-scatter can still land here:
+// another worker died mid-drain.
+func (s *session) awaitEnd(ctl *wlink, count uint64) error {
+	owed := true
 	for {
-		typ, _, err := s.recvCtl()
-		if errors.Is(err, errInterrupted) {
+		typ, payload, err := s.recvCtl()
+		if errors.Is(err, errInterrupted) || (err != nil && owed) {
 			return err
 		}
 		if err != nil || typ == mBye {
 			return nil
 		}
 		switch typ {
+		case mFetch:
+			var m msgCount
+			if err := m.decode(payload); err != nil {
+				return err
+			}
+			shard, path, n := int(m.Count), s.sortedPath(), count
+			if shard != s.self {
+				s.mu.Lock()
+				st := s.hedge
+				s.mu.Unlock()
+				if st == nil || st.victim != shard || !st.sorted {
+					return fmt.Errorf("cluster: fetch of worker %d's shard, which worker %d does not hold", shard, s.self)
+				}
+				path, n = s.hedgeSortedPath(), st.want
+			}
+			// The flow edge is keyed by the shard, so it binds to the
+			// coordinator's fetch of that shard whichever worker serves it.
+			s.trace.FlowPoint("cluster", "flow-drain", s.self, flowID("drain", s.curEpoch(), shard), false)
+			s.phaseIdx.Store(6) // drain
+			sp := s.trace.Begin("cluster", "drain", s.self)
+			if err := s.sendSorted(ctl, path, n); err != nil {
+				return err
+			}
+			sp.End(obs.Attr{Key: "records", Val: int64(n)})
+			owed = owed && shard != s.self
+		case mHedgeSend:
+			// This worker is the hedge target. A hedge that cannot finish —
+			// a lost race, a sort error, a wrong record count — is reported
+			// as failed and the job goes on; only an epoch turn or a dead
+			// control link ends the loop.
+			var hs msgHedgeSend
+			if err := hs.decode(payload); err != nil {
+				return err
+			}
+			sp := s.trace.Begin("cluster", "hedge-sort", s.self)
+			herr := s.sortHedge(ctl, &hs)
+			sp.End(obs.Attr{Key: "victim", Val: int64(hs.Victim)}, obs.Attr{Key: "records", Val: int64(hs.Recs)})
+			if s.interrupted() {
+				return errInterrupted
+			}
+			report, msg := mHedgeDone, (&msgCount{Count: hs.Recs}).encode()
+			if herr != nil {
+				report, msg = mHedgeFailed, nil
+			}
+			if err := ctl.send(report, msg); err != nil {
+				return err
+			}
 		case mTraceReq:
 			if err := s.sendTrace(ctl); err != nil {
 				return err
 			}
-		case mSortCancel:
 		default:
-			return fmt.Errorf("cluster: unexpected message %d after drain", typ)
+			return fmt.Errorf("cluster: unexpected message %d after the shard sort", typ)
 		}
 	}
 }
@@ -2248,47 +2147,50 @@ func (s *session) produceExchange(emit func(dest int, blk outBlock) error) error
 	return nil
 }
 
-// produceGather pushes every stored exchange block to its bucket's owner,
-// in ascending bucket order.
-func (s *session) produceGather(emit func(dest int, blk outBlock) error) error {
-	start := time.Now()
+// noDest routes a bucket nowhere in produceGather.
+const noDest = ^uint32(0)
+
+// produceGather pushes every stored exchange block of bucket b to worker
+// route[b], in ascending bucket order, skipping buckets routed to noDest:
+// the gather phase routes every bucket to its owner, a hedge resend routes
+// only the victim's buckets, to the target.
+func (s *session) produceGather(route []uint32, emit func(dest int, blk outBlock) error) error {
 	s.mu.Lock()
-	index := make(map[int][]blockLoc, len(s.exIndex))
-	for b, locs := range s.exIndex {
-		index[b] = append([]blockLoc(nil), locs...)
+	index := make([][]blockLoc, len(route))
+	for b, d := range route {
+		if d != noDest {
+			index[b] = append([]blockLoc(nil), s.exIndex[b]...)
+		}
 	}
 	exFile := s.exFile
 	s.mu.Unlock()
-	for b := 0; b < s.s; b++ {
-		owner := int(s.plan.Owners[b])
+	for b, d := range route {
 		for i, loc := range index[b] {
 			data := make([]byte, loc.bytes)
 			if _, err := exFile.ReadAt(data, loc.off); err != nil {
 				return err
 			}
-			if err := emit(owner, outBlock{bucket: uint32(b), seq: uint32(i), data: data}); err != nil {
+			if err := emit(int(d), outBlock{bucket: uint32(b), seq: uint32(i), data: data}); err != nil {
 				return err
 			}
 		}
 	}
-	return s.throttleWork(s.ectx(), time.Since(start))
+	return nil
 }
 
-// sortShard runs the configured local sorter over the gathered records,
-// under the epoch context so a failover cancels it promptly — and under a
-// per-sort cancel so the coordinator's mSortCancel (its hedge won) stops a
-// straggling sort without killing the session.
-func (s *session) sortShard() (uint64, error) {
-	s.mu.Lock()
-	size := s.gaSize
-	err := s.gaFile.Sync()
-	s.mu.Unlock()
+// sortShard sorts the record file in into out with the configured local
+// sorter — a gathered shard, or a hedge's copy of a straggler's — under
+// the epoch context so a failover cancels it promptly, and under a
+// per-sort cancel so the coordinator's mSortCancel stops the loser of a
+// hedge race without killing the session.
+func (s *session) sortShard(in, out string) (uint64, error) {
+	st, err := os.Stat(in)
 	if err != nil {
 		return 0, err
 	}
-	if size == 0 {
-		// Nothing gathered: the sorted shard is the empty file.
-		f, err := os.Create(s.sortedPath())
+	if st.Size() == 0 {
+		// Nothing to sort: the sorted shard is the empty file.
+		f, err := os.Create(out)
 		if err != nil {
 			return 0, err
 		}
@@ -2313,15 +2215,14 @@ func (s *session) sortShard() (uint64, error) {
 		s.mu.Unlock()
 	}()
 	start := time.Now()
-	if err := s.w.cfg.SortShard(ctx, s.gatherPath(), s.sortedPath(), sortScratch); err != nil {
+	if err := s.w.cfg.SortShard(ctx, in, out, sortScratch); err != nil {
 		return 0, err
 	}
 	s.workUnits.Add(1)
 	if err := s.throttleWork(ctx, time.Since(start)); err != nil {
 		return 0, err
 	}
-	st, err := os.Stat(s.sortedPath())
-	if err != nil {
+	if st, err = os.Stat(out); err != nil {
 		return 0, err
 	}
 	if st.Size()%record.EncodedSize != 0 {
@@ -2330,10 +2231,10 @@ func (s *session) sortShard() (uint64, error) {
 	return uint64(st.Size() / record.EncodedSize), nil
 }
 
-// sendSorted streams the sorted shard to the coordinator in chunks,
-// checking for epoch interruption between chunks.
-func (s *session) sendSorted(ctl *wlink, count uint64) error {
-	f, err := os.Open(s.sortedPath())
+// sendSorted streams the count-record sorted shard at path to the
+// coordinator in chunks, checking for epoch interruption between chunks.
+func (s *session) sendSorted(ctl *wlink, path string, count uint64) error {
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
