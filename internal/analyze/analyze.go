@@ -112,7 +112,7 @@ type Report struct {
 
 // StragglerReport summarizes the straggler detector's activity: demotions
 // (zero-length "straggler" marker spans) and hedged shard-sort
-// re-executions ("hedge" spans with victim/target/armed args).
+// re-executions ("hedge" spans with victim/target/armed/won args).
 type StragglerReport struct {
 	Detected []StragglerEvent `json:"detected,omitempty"`
 	Hedges   []HedgeEvent     `json:"hedges,omitempty"`
@@ -131,7 +131,8 @@ type StragglerEvent struct {
 type HedgeEvent struct {
 	Victim  int     `json:"victim"`
 	Target  int     `json:"target"`
-	Armed   bool    `json:"armed"` // false: the hedge failed before arming
+	Armed   bool    `json:"armed"`         // the target acknowledged the hedge
+	Won     *bool   `json:"won,omitempty"` // nil: the race ended undecided (the hedge failed)
 	StartUS float64 `json:"start_us"`
 	DurUS   float64 `json:"dur_us"`
 }
@@ -393,13 +394,18 @@ func collectStragglers(rep *Report, spans []Event, lo float64) {
 			}
 			sr.Detected = append(sr.Detected, ev)
 		case "hedge":
-			sr.Hedges = append(sr.Hedges, HedgeEvent{
+			h := HedgeEvent{
 				Victim:  argInt(e, "victim"),
 				Target:  argInt(e, "target"),
 				Armed:   argInt(e, "armed") == 1,
 				StartUS: e.Ts - lo,
 				DurUS:   e.Dur,
-			})
+			}
+			if won := argInt(e, "won"); won >= 0 {
+				h.Won = new(bool)
+				*h.Won = won == 1
+			}
+			sr.Hedges = append(sr.Hedges, h)
 		}
 	}
 	if len(sr.Detected) > 0 || len(sr.Hedges) > 0 {
@@ -471,9 +477,16 @@ func WriteText(w io.Writer, rep *Report) {
 				d.Worker, d.AtUS/1000, d.BudgetMS)
 		}
 		for _, h := range s.Hedges {
-			verdict := "failed before arming"
+			verdict := "failed"
+			if h.Won != nil && *h.Won {
+				verdict = "won"
+			} else if h.Won != nil {
+				verdict = "lost"
+			}
 			if h.Armed {
-				verdict = "armed"
+				verdict = "armed, " + verdict
+			} else {
+				verdict += " before arming"
 			}
 			fmt.Fprintf(w, "  hedge: worker %d re-ran worker %d's shard at %.1f ms for %.1f ms (%s)\n",
 				h.Target, h.Victim, h.StartUS/1000, h.DurUS/1000, verdict)

@@ -210,3 +210,40 @@ func TestEmptyTrace(t *testing.T) {
 		t.Fatalf("OverlapGate on empty trace: %v", err)
 	}
 }
+
+// TestHedgeVerdicts: the hedge line names whether the target was armed and
+// how the race ended — won, lost, or failed without a verdict, which the
+// coordinator's span marks by leaving out the won attribute.
+func TestHedgeVerdicts(t *testing.T) {
+	for _, tc := range []struct {
+		attrs []obs.Attr
+		want  string
+	}{
+		{[]obs.Attr{{Key: "armed", Val: 1}, {Key: "won", Val: 1}}, "(armed, won)"},
+		{[]obs.Attr{{Key: "armed", Val: 1}, {Key: "won", Val: 0}}, "(armed, lost)"},
+		{[]obs.Attr{{Key: "armed", Val: 1}}, "(armed, failed)"},
+		{[]obs.Attr{{Key: "armed", Val: 0}, {Key: "won", Val: 0}}, "(lost before arming)"},
+		{[]obs.Attr{{Key: "armed", Val: 0}}, "(failed before arming)"},
+	} {
+		hedge := obs.Span{Node: 0, Layer: "cluster", Name: "hedge", Start: 12 * time.Millisecond, Dur: 5 * time.Millisecond,
+			Attrs: append([]obs.Attr{{Key: "victim", Val: 1}, {Key: "target", Val: 0}}, tc.attrs...)}
+		var buf bytes.Buffer
+		if err := obs.WriteChromeTraceDropped(&buf, append(fixtureSpans(), hedge), 0); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := Load(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := Analyze(tr, 0)
+		if rep.Stragglers == nil || len(rep.Stragglers.Hedges) != 1 {
+			t.Fatalf("%s: report has no hedge: %+v", tc.want, rep.Stragglers)
+		}
+		buf.Reset()
+		WriteText(&buf, rep)
+		line := "hedge: worker 0 re-ran worker 1's shard at 12.0 ms for 5.0 ms " + tc.want
+		if !strings.Contains(buf.String(), line) {
+			t.Errorf("text report lacks %q:\n%s", line, buf.String())
+		}
+	}
+}

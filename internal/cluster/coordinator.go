@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"slices"
@@ -190,7 +191,7 @@ var CoordinatorPhases = []string{
 // WorkerPhases are the span names each worker records under the "cluster"
 // layer, in phase order.
 var WorkerPhases = []string{
-	"scatter-recv", "histogram", "partition-counts", "exchange", "gather", "shard-sort", "drain",
+	"scatter-recv", "histogram", "exchange", "gather", "shard-sort", "drain",
 }
 
 // scatterChunk is the record count of one scatter/drain frame.
@@ -348,23 +349,28 @@ type frameMsg struct {
 // link is one framed coordinator->worker control connection. A dedicated
 // reader goroutine pushes inbound frames to ch so the coordinator can wait
 // on a frame and a loss signal simultaneously; writes go straight out, all
-// from the phase goroutine.
+// from the phase goroutine. The reader reads payloads into buffers from
+// free, which the drain hands back once it has written a shard chunk out;
+// free holds as many buffers as can be out at once: ch's capacity, the
+// frame blocked on ch and the one being read.
 type link struct {
 	id    int
 	conn  net.Conn
 	cfg   DialConfig
 	meter *netMeter // nil-safe; counts the link's frames and wire bytes
 	ch    chan frameMsg
+	free  freeList
 	done  chan struct{} // closed when the job ends; unblocks a stuck reader
 }
 
 func newLink(id int, conn net.Conn, cfg DialConfig, meter *netMeter) *link {
-	l := &link{id: id, conn: conn, cfg: cfg, meter: meter, ch: make(chan frameMsg, 4), done: make(chan struct{})}
+	l := &link{id: id, conn: conn, cfg: cfg, meter: meter, ch: make(chan frameMsg, 4),
+		free: make(freeList, 4+2), done: make(chan struct{})}
 	go func() {
 		br := bufio.NewReaderSize(conn, 1<<16)
 		for {
 			clearDeadline(conn) // liveness comes from heartbeats, not read deadlines
-			typ, payload, err := readFrame(br)
+			typ, payload, err := readFrame(br, l.free.get())
 			if err == nil {
 				l.meter.in(len(payload))
 			}
@@ -483,6 +489,7 @@ type hedgeRun struct {
 	victim, target int
 	stage          raceStage
 	epoch          uint32 // the epoch it was armed in
+	armed          bool   // the target answered mHedgeArmed
 	send           []byte // the encoded mHedgeSend
 	span           obs.Active
 }
@@ -1049,9 +1056,9 @@ func (c *coordinator) maybeStall(phase string) {
 
 // beginPhaseWatch resets the per-phase completion table and (for barrier
 // phases, with the detector enabled) arms a watcher goroutine that
-// enforces the phase's deadline budget. Scatter is exempt: it is
-// coordinator-push with no per-worker barrier, so a stall there surfaces
-// at the histogram barrier (or as a transport write timeout).
+// enforces the phase's deadline budget. Scatter and plan are exempt: they
+// are coordinator-only with no per-worker barrier, so a stall there
+// surfaces at the next barrier (or as a transport write timeout).
 func (c *coordinator) beginPhaseWatch(name string) {
 	c.pmu.Lock()
 	if c.watchStop != nil {
@@ -1064,7 +1071,7 @@ func (c *coordinator) beginPhaseWatch(name string) {
 	if c.hedge != nil && c.hedge.stage == raceNominated {
 		c.hedge = nil // its barrier ended before arming it
 	}
-	arm := c.spec.Straggler.Enabled && name != "scatter"
+	arm := c.spec.Straggler.Enabled && name != "scatter" && name != "plan"
 	var stop chan struct{}
 	if arm {
 		stop = make(chan struct{})
@@ -1460,6 +1467,7 @@ func (c *coordinator) raceHedge(h *hedgeRun, pending []int) (bool, error) {
 	var m msgCount
 	switch {
 	case typ == mHedgeArmed:
+		h.armed = true
 		for _, i := range c.active() {
 			if i != h.target {
 				_ = c.links[i].send(mHedgeSend, h.send) // best effort: a missing sender just starves the hedge
@@ -1477,14 +1485,20 @@ func (c *coordinator) raceHedge(h *hedgeRun, pending []int) (bool, error) {
 
 // settleHedge decides the race, once: the winner's result stands and the
 // loser's sort is cancelled (best effort: an undelivered cancel only
-// leaves a shard nobody drains). A failed hedge just ends.
+// leaves a shard nobody drains). A failed hedge just ends. The hedge span
+// says whether the target was armed and, for a decided race, whether it
+// won; a failed race carries no won attribute.
 func (c *coordinator) settleHedge(h *hedgeRun, stage raceStage) {
 	c.setRace(h, stage)
-	h.span.End(
-		obs.Attr{Key: "victim", Val: int64(h.victim)},
-		obs.Attr{Key: "target", Val: int64(h.target)},
-		obs.Attr{Key: "armed", Val: boolAttr(stage == raceWon)},
-	)
+	attrs := []obs.Attr{
+		{Key: "victim", Val: int64(h.victim)},
+		{Key: "target", Val: int64(h.target)},
+		{Key: "armed", Val: boolAttr(h.armed)},
+	}
+	if stage != raceFailed {
+		attrs = append(attrs, obs.Attr{Key: "won", Val: boolAttr(stage == raceWon)})
+	}
+	h.span.End(attrs...)
 	switch stage {
 	case raceWon:
 		_ = c.links[h.victim].send(mSortCancel, nil)
@@ -1518,14 +1532,13 @@ func (c *coordinator) scatter(ctx context.Context) error {
 	}
 	c.perWorker = make([]uint64, c.W)
 	buf := make([]byte, scatterChunk*record.EncodedSize)
-	r := bufio.NewReaderSize(c.in, 1<<16)
 	for pos, turn := 0, 0; pos < c.n; turn++ {
 		m := scatterChunk
 		if pos+m > c.n {
 			m = c.n - pos
 		}
 		chunk := buf[:m*record.EncodedSize]
-		if _, err := readFull(r, chunk); err != nil {
+		if _, err := io.ReadFull(c.in, chunk); err != nil {
 			return fmt.Errorf("cluster: reading %s at record %d: %w", c.inPath, pos, err)
 		}
 		w := turn % c.W
@@ -1630,10 +1643,11 @@ func (c *coordinator) collectBarrier(want byte, what string, hedge bool, onFrame
 // pipeline runs the post-scatter phases for the current epoch. Any return
 // of errFailover unwinds to the recovery loop in run.
 func (c *coordinator) pipeline(ctx context.Context) error {
-	if err := c.histogramPhase(); err != nil {
+	bins, err := c.histogramPhase()
+	if err != nil {
 		return err
 	}
-	if err := c.planPhase(); err != nil {
+	if err := c.planPhase(bins); err != nil {
 		return err
 	}
 	if err := c.exchangePhase(); err != nil {
@@ -1648,24 +1662,34 @@ func (c *coordinator) pipeline(ctx context.Context) error {
 	return c.drainPhase()
 }
 
-func (c *coordinator) histogramPhase() error {
+// histogramPhase merges the active workers' histograms, picks the pivots
+// and sends them, and returns each worker's bins (indexed by worker ID),
+// from which the plan folds the per-bucket counts.
+func (c *coordinator) histogramPhase() ([][]uint64, error) {
 	if err := c.enterPhase("histogram-merge"); err != nil {
-		return err
+		return nil, err
 	}
 	sp := c.tr.Begin("cluster", "histogram-merge", 0)
 	merged := make([]uint64, histBins)
+	bins := make([][]uint64, c.W)
 	err := c.collectBarrier(mHistogram, "histogram from worker", false, func(i int, payload []byte) error {
 		var h msgHistogram
 		if err := h.decode(payload); err != nil {
 			return err
 		}
+		var total uint64
 		for b, v := range h.Bins {
 			merged[b] += v
+			total += v
 		}
+		if total != c.perWorker[i] {
+			return fmt.Errorf("cluster: worker %d binned %d of %d records", i, total, c.perWorker[i])
+		}
+		bins[i] = h.Bins
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	c.pivots = pickPivots(merged, uint64(c.n), c.S)
 	digest := histDigest(merged)
@@ -1678,21 +1702,25 @@ func (c *coordinator) histogramPhase() error {
 		// always partition the whole input — so any divergence across
 		// epochs (or across a crash, via the journal) means the shards no
 		// longer hold the input and the output could not be trusted.
-		return fmt.Errorf("cluster: epoch %d merged histogram diverged (digest %#x, committed %#x)",
+		return nil, fmt.Errorf("cluster: epoch %d merged histogram diverged (digest %#x, committed %#x)",
 			c.epoch, digest, c.wantDigest)
 	}
 	pv := (&msgPivots{Pivots: c.pivots}).encode()
 	for _, i := range c.active() {
 		if err := c.sendTo(i, mPivots, pv); err != nil {
-			return err
+			return nil, err
 		}
 		c.flowOut("pivots", i)
 	}
 	sp.End(obs.Attr{Key: "pivots", Val: int64(len(c.pivots))})
-	return nil
+	return bins, nil
 }
 
-func (c *coordinator) planPhase() error {
+// planPhase places every block and sends each worker its plan. It waits on
+// no worker: every worker's per-bucket counts are folded from the bins it
+// sent for the histogram, through the same bucket table the worker folds
+// and classifies with.
+func (c *coordinator) planPhase(bins [][]uint64) error {
 	if err := c.enterPhase("plan"); err != nil {
 		return err
 	}
@@ -1700,28 +1728,10 @@ func (c *coordinator) planPhase() error {
 	activeList := c.active()
 	H := len(activeList)
 
-	// Per-bucket record counts from every surviving worker.
+	table := bucketTable(c.pivots)
 	counts := make([][]uint64, c.W)
-	err := c.collectBarrier(mCounts, "counts from worker", false, func(i int, payload []byte) error {
-		var m msgCounts
-		if err := m.decode(payload); err != nil {
-			return err
-		}
-		if len(m.PerBucket) != c.S {
-			return fmt.Errorf("cluster: worker %d counted %d buckets, want %d", i, len(m.PerBucket), c.S)
-		}
-		var total uint64
-		for _, v := range m.PerBucket {
-			total += v
-		}
-		if total != c.perWorker[i] {
-			return fmt.Errorf("cluster: worker %d partitioned %d of %d records", i, total, c.perWorker[i])
-		}
-		counts[i] = m.PerBucket
-		return nil
-	})
-	if err != nil {
-		return err
+	for _, w := range activeList {
+		counts[w] = foldCounts(bins[w], table, c.S)
 	}
 
 	// Balance-Sort placement: enumerate every block each worker will form
@@ -1974,11 +1984,11 @@ func (c *coordinator) drainShards() (err error) {
 			if typ != mRecords {
 				return fmt.Errorf("cluster: unexpected message %d while draining worker %d", typ, i)
 			}
-			recs, derr := decodeRecords(payload)
-			if derr != nil {
-				return derr
+			if len(payload)%record.EncodedSize != 0 {
+				return fmt.Errorf("cluster: worker %d drained a chunk of %d bytes", i, len(payload))
 			}
-			for _, rec := range recs {
+			for off := 0; off < len(payload); off += record.EncodedSize {
+				rec := record.Decode(payload[off:])
 				if !first && rec.Less(prev) {
 					return fmt.Errorf("cluster: output not sorted at worker %d shard", i)
 				}
@@ -1987,7 +1997,8 @@ func (c *coordinator) drainShards() (err error) {
 			if _, werr := w.Write(payload); werr != nil {
 				return werr
 			}
-			got += uint64(len(recs))
+			got += uint64(len(payload) / record.EncodedSize)
+			c.links[src].free.put(payload)
 		}
 		written += got
 		c.journalWDone("drain", i)
@@ -2341,7 +2352,7 @@ func (c *coordinator) monitor(ctx context.Context, i int) {
 			return
 		}
 		_ = conn.SetReadDeadline(time.Now().Add(hb.Interval))
-		typ, payload, err := readFrame(br)
+		typ, payload, err := readFrame(br, nil)
 		if err != nil {
 			if ctx.Err() != nil {
 				return
@@ -2507,17 +2518,4 @@ func assignOwners(totals []uint64, workers int) []uint32 {
 		}
 	}
 	return owners
-}
-
-// readFull is io.ReadFull without the package import dance in callers.
-func readFull(r *bufio.Reader, p []byte) (int, error) {
-	n := 0
-	for n < len(p) {
-		m, err := r.Read(p[n:])
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
 }

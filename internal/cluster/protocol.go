@@ -13,9 +13,9 @@ import (
 // in one binary, so there is exactly one dialect: every handshake (mHello,
 // mJoin and mResume, and their acks) must carry this version exactly, and
 // either side refuses a peer that speaks any other one before data moves.
-// Every message has one fixed layout. Since version 8 the straggler hedge
-// runs over the control links and mFetch names the shard to serve.
-const protocolVersion = 8
+// Every message has one fixed layout. Since version 9 no message carries
+// per-bucket counts: both ends fold them from the histogram bins.
+const protocolVersion = 9
 
 // versionMismatch is the handshake check both sides run on a peer's
 // announced protocol version.
@@ -35,7 +35,6 @@ const (
 	mScatterDone
 	mHistogram
 	mPivots
-	mCounts
 	mPlan
 	mStartGather
 	mPhaseDone
@@ -245,12 +244,6 @@ func (m *msgHello) check() error {
 // per-worker allocations finite, not as a scaling target.
 const maxWorkers = 1 << 10
 
-// encodeRecords / decodeRecords carry raw record payloads (scatter chunks,
-// shard drains, exchange blocks all share the format).
-func encodeRecords(recs []record.Record) []byte { return record.EncodeSlice(recs) }
-
-func decodeRecords(p []byte) ([]record.Record, error) { return record.DecodeSlice(p) }
-
 // msgCount is the one-u64 payload shared by ScatterDone, SortDone, and
 // FetchDone, and by Fetch, where it is the ID of the worker whose sorted
 // shard to serve: a hedge target also holds the shard of the victim whose
@@ -294,8 +287,10 @@ func (m *msgHistogram) decode(p []byte) error {
 	return r.done()
 }
 
-// msgPivots broadcasts the S-1 deterministic bucket pivots. Bucket b covers
-// keys in [piv[b-1], piv[b]); bucketOf computes the index.
+// msgPivots broadcasts the S-1 deterministic bucket pivots: histogram bin
+// starts, nondecreasing, padded with MaxUint64 (checkPivots). Bucket b
+// covers the bins whose start lies in [piv[b-1], piv[b]); bucketTable maps
+// every bin to its bucket.
 type msgPivots struct {
 	Pivots []uint64
 }
@@ -336,32 +331,47 @@ func bucketOf(key uint64, pivots []uint64) int {
 	return lo
 }
 
-// msgCounts is a worker's per-bucket record counts after partitioning its
-// shard against the pivots.
-type msgCounts struct {
-	PerBucket []uint64
+// checkPivots validates a pivot message against the job's S before a
+// bucket table is built from it: S-1 nondecreasing pivots, each a bin start
+// or the MaxUint64 padding, so every bucket is a whole run of bins.
+func checkPivots(pivots []uint64, s int) error {
+	if len(pivots) != s-1 {
+		return fmt.Errorf("cluster: %d pivots for S=%d", len(pivots), s)
+	}
+	for i, p := range pivots {
+		if i > 0 && p < pivots[i-1] {
+			return fmt.Errorf("cluster: pivot %d (%#x) below pivot %d (%#x)", i, p, i-1, pivots[i-1])
+		}
+		if p != ^uint64(0) && p != binStart(keyBin(p)) {
+			return fmt.Errorf("cluster: pivot %d (%#x) is not a histogram bin start", i, p)
+		}
+	}
+	return nil
 }
 
-func (m *msgCounts) encode() []byte {
-	var w wcur
-	w.u32(uint32(len(m.PerBucket)))
-	for _, v := range m.PerBucket {
-		w.u64(v)
+// bucketTable maps every histogram bin to its bucket under pivots: bin j
+// goes to bucketOf(binStart(j)). The table is monotone in j, so each bucket
+// is a contiguous key range and equal keys never split across buckets. The
+// exchange classifies records through it (a record's bucket is its bin's),
+// and both ends fold the per-bucket counts from the bins through it, so
+// counts and blocks cannot disagree. Unlike a per-key bucketOf, key
+// MaxUint64 stays in bin histBins-1's bucket under a MaxUint64 pivot.
+func bucketTable(pivots []uint64) []int32 {
+	t := make([]int32, histBins)
+	for j := range t {
+		t[j] = int32(bucketOf(binStart(j), pivots))
 	}
-	return w.b
+	return t
 }
 
-func (m *msgCounts) decode(p []byte) error {
-	r := rcur{b: p}
-	n := int(r.u32())
-	if n < 0 || n > len(p)/8 {
-		return fmt.Errorf("cluster: counts message claims %d buckets in %d bytes", n, len(p))
+// foldCounts sums histogram bins into per-bucket record counts through a
+// bucketTable.
+func foldCounts(bins []uint64, table []int32, s int) []uint64 {
+	cnts := make([]uint64, s)
+	for j, v := range bins {
+		cnts[table[j]] += v
 	}
-	m.PerBucket = make([]uint64, n)
-	for i := range m.PerBucket {
-		m.PerBucket[i] = r.u64()
-	}
-	return r.done()
+	return cnts
 }
 
 // msgPlan carries one worker's marching orders for the exchange and gather
@@ -816,15 +826,19 @@ type msgBlock struct {
 	Data   []byte // raw encoded records
 }
 
-func (m *msgBlock) encode() []byte {
-	w := wcur{b: make([]byte, 0, 13+4+len(m.Data))}
+// header encodes the block's fields up to and including Data's length
+// prefix: a frame sends it and Data as two parts, without a copy.
+func (m *msgBlock) header() []byte {
+	w := wcur{b: make([]byte, 0, 17)}
 	w.u8(m.Phase)
 	w.u32(m.Src)
 	w.u32(m.Bucket)
 	w.u32(m.Seq)
-	w.bytes(m.Data)
+	w.u32(uint32(len(m.Data)))
 	return w.b
 }
+
+func (m *msgBlock) encode() []byte { return append(m.header(), m.Data...) }
 
 func (m *msgBlock) decode(p []byte) error {
 	r := rcur{b: p}

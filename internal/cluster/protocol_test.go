@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/rand/v2"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -69,7 +71,6 @@ func TestMessageRoundTrips(t *testing.T) {
 	}
 	roundTrip(t, "histogram", &msgHistogram{Bins: bins}, &msgHistogram{})
 	roundTrip(t, "pivots", &msgPivots{Pivots: []uint64{1, 99, ^uint64(0)}}, &msgPivots{})
-	roundTrip(t, "counts", &msgCounts{PerBucket: []uint64{0, 7, 1 << 33}}, &msgCounts{})
 	roundTrip(t, "plan", &msgPlan{
 		Dests:            [][]uint32{{0, 1, 2}, {}, {3}},
 		ExpectRecvBlocks: 12,
@@ -136,7 +137,7 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 			if err := writeFrame(conn, typ, h.encode()); err != nil {
 				t.Fatal(err)
 			}
-			rt, payload, err := readFrame(conn)
+			rt, payload, err := readFrame(bufio.NewReader(conn), nil)
 			conn.Close()
 			if err != nil {
 				t.Fatalf("message %d at protocol %d: %v, want an mError", typ, v, err)
@@ -176,7 +177,7 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 				defer fakes.Done()
 				defer conn.Close()
 				br := bufio.NewReader(conn)
-				typ, _, err := readFrame(br)
+				typ, _, err := readFrame(br, nil)
 				if err != nil {
 					return
 				}
@@ -184,7 +185,7 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 					joins.Add(1)
 				}
 				_ = writeFrame(conn, mHelloAck, (&msgVersion{Version: other}).encode())
-				_, _, _ = readFrame(br) // hold the connection until the coordinator drops it
+				_, _, _ = readFrame(br, nil) // hold the connection until the coordinator drops it
 			}()
 		}
 	}()
@@ -243,6 +244,103 @@ func TestBucketOf(t *testing.T) {
 	}
 	if got := bucketOf(5, nil); got != 0 {
 		t.Fatalf("bucketOf with no pivots = %d, want 0", got)
+	}
+}
+
+// TestCountsFromBins: per-bucket counts folded from a histogram through
+// the bucket table equal a per-key classification through the same table,
+// every bucket is an ascending, contiguous key range, and every key but
+// MaxUint64 lands where a per-key bucketOf puts it. The draws cover
+// uniform keys, every key in one bin, keys at bin starts, and a heavy
+// share of MaxUint64 keys, whose pivots include MaxUint64.
+func TestCountsFromBins(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	draws := []struct {
+		name string
+		key  func() uint64
+	}{
+		{"uniform", rng.Uint64},
+		{"one-bin", func() uint64 { return binStart(1234) | rng.Uint64()>>histBits }},
+		{"bin-starts", func() uint64 { return binStart(rng.IntN(histBins)) }},
+		{"max", func() uint64 {
+			if rng.IntN(2) == 0 {
+				return ^uint64(0)
+			}
+			return rng.Uint64()
+		}},
+	}
+	maxPivot := false
+	for _, d := range draws {
+		for s := 1; s <= 64; s++ {
+			keys := make([]uint64, 1000+rng.IntN(1000))
+			bins := make([]uint64, histBins)
+			for i := range keys {
+				keys[i] = d.key()
+				bins[keyBin(keys[i])]++
+			}
+			pivots := pickPivots(bins, uint64(len(keys)), s)
+			if err := checkPivots(pivots, s); err != nil {
+				t.Fatalf("%s S=%d: pickPivots output refused: %v", d.name, s, err)
+			}
+			maxPivot = maxPivot || slices.Contains(pivots, ^uint64(0))
+			table := bucketTable(pivots)
+			want := make([]uint64, s)
+			lo, hi := make([]uint64, s), make([]uint64, s)
+			for _, k := range keys {
+				b := table[keyBin(k)]
+				if k != ^uint64(0) && int(b) != bucketOf(k, pivots) {
+					t.Fatalf("%s S=%d: key %#x in bucket %d, bucketOf says %d", d.name, s, k, b, bucketOf(k, pivots))
+				}
+				if want[b] == 0 || k < lo[b] {
+					lo[b] = k
+				}
+				if want[b] == 0 || k > hi[b] {
+					hi[b] = k
+				}
+				want[b]++
+			}
+			if got := foldCounts(bins, table, s); !slices.Equal(got, want) {
+				t.Fatalf("%s S=%d: folded counts %v, per-key counts %v", d.name, s, got, want)
+			}
+			var prevHi uint64
+			seen := false
+			for b := 0; b < s; b++ {
+				if want[b] == 0 {
+					continue
+				}
+				if seen && lo[b] <= prevHi {
+					t.Fatalf("%s S=%d: bucket %d starts at %#x, not above the previous bucket's %#x", d.name, s, b, lo[b], prevHi)
+				}
+				prevHi, seen = hi[b], true
+			}
+			for j := 1; j < histBins; j++ {
+				if table[j] < table[j-1] {
+					t.Fatalf("%s S=%d: bucket table falls at bin %d", d.name, s, j)
+				}
+			}
+		}
+	}
+	if !maxPivot {
+		t.Fatal("no draw produced a MaxUint64 pivot")
+	}
+}
+
+// TestCheckPivots: a pivot set the bucket table cannot represent — out of
+// order, inside a bin, or the wrong count — is refused.
+func TestCheckPivots(t *testing.T) {
+	good := []uint64{binStart(3), binStart(3), binStart(9), ^uint64(0)}
+	if err := checkPivots(good, 5); err != nil {
+		t.Fatalf("valid pivots refused: %v", err)
+	}
+	for name, piv := range map[string][]uint64{
+		"out of order": {binStart(9), binStart(3), binStart(12), ^uint64(0)},
+		"inside a bin": {binStart(3), binStart(9) + 1, binStart(12), ^uint64(0)},
+		"below max":    {binStart(3), binStart(9), binStart(12), ^uint64(0) - 1},
+		"short":        {binStart(3), binStart(9), binStart(12)},
+	} {
+		if err := checkPivots(piv, 5); err == nil {
+			t.Errorf("%s: pivots %#x accepted", name, piv)
+		}
 	}
 }
 

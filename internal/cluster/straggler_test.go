@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,11 +9,13 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"balancesort/internal/analyze"
 	"balancesort/internal/obs"
 	"balancesort/internal/pdm"
 	"balancesort/internal/record"
@@ -297,24 +300,31 @@ func TestStallHedgeWins(t *testing.T) {
 				t.Fatal("journal never recorded the hedge win")
 			}
 
-			var hedges []obs.Span
-			for _, sp := range tr.Spans() {
-				if sp.Node == 0 && sp.Layer == "cluster" && sp.Name == "hedge" {
-					hedges = append(hedges, sp)
-				}
-			}
-			if len(hedges) != 1 {
-				t.Fatalf("coordinator recorded %d hedge spans, want 1", len(hedges))
-			}
-			attrs := map[string]int64{}
-			for _, a := range hedges[0].Attrs {
-				attrs[a.Key] = a.Val
-			}
-			if attrs["victim"] != int64(victim) || attrs["armed"] != 1 {
-				t.Fatalf("hedge span attrs %v, want victim %d and armed 1", attrs, victim)
+			if attrs := hedgeSpanAttrs(t, tr); attrs["victim"] != int64(victim) || attrs["armed"] != 1 || attrs["won"] != 1 {
+				t.Fatalf("hedge span attrs %v, want victim %d, armed 1 and won 1", attrs, victim)
 			}
 		})
 	}
+}
+
+// hedgeSpanAttrs returns the attributes of the coordinator's one hedge
+// span in tr.
+func hedgeSpanAttrs(t *testing.T, tr *obs.Tracer) map[string]int64 {
+	t.Helper()
+	var hedges []obs.Span
+	for _, sp := range tr.Spans() {
+		if sp.Node == 0 && sp.Layer == "cluster" && sp.Name == "hedge" {
+			hedges = append(hedges, sp)
+		}
+	}
+	if len(hedges) != 1 {
+		t.Fatalf("coordinator recorded %d hedge spans, want 1", len(hedges))
+	}
+	attrs := map[string]int64{}
+	for _, a := range hedges[0].Attrs {
+		attrs[a.Key] = a.Val
+	}
+	return attrs
 }
 
 // hedgeWorkers starts n in-memory workers whose shard sorter intercepts
@@ -379,7 +389,8 @@ func hedgedSpec(factor int) SortSpec {
 
 // TestStallHedgeLoses: the hedge's sort never finishes, so the stalled
 // victim finishes first. The race must go to the victim — one loss, no
-// win — with the target's sort cancelled and no failover.
+// win — with the target's sort cancelled and no failover. The target was
+// armed, and the trace, and the analyzer reading it, say so.
 func TestStallHedgeLoses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hedge race is slow under -short")
@@ -388,13 +399,31 @@ func TestStallHedgeLoses(t *testing.T) {
 		<-ctx.Done()
 		return ctx.Err()
 	})
-	stats := runClusterSort(t, addrs, 20000, 97, false, hedgedSpec(200))
+	spec := hedgedSpec(200)
+	spec.Trace = obs.New(0, nil)
+	stats := runClusterSort(t, addrs, 20000, 97, false, spec)
 	rec := stats.Recovery
 	if rec == nil || rec.HedgeLosses != 1 || rec.HedgeWins != 0 {
 		t.Fatalf("want one hedge loss and no win, got %+v", rec)
 	}
 	if len(rec.LostWorkers) != 0 || rec.Failovers != 0 {
 		t.Fatalf("a lost hedge escalated to failover: %+v", rec)
+	}
+	if attrs := hedgeSpanAttrs(t, spec.Trace); attrs["armed"] != 1 || attrs["won"] != 0 {
+		t.Fatalf("hedge span attrs %v, want armed 1 and won 0", attrs)
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteChromeTrace(&buf, spec.Trace.Spans()); err != nil {
+		t.Fatal(err)
+	}
+	at, err := analyze.Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	analyze.WriteText(&buf, analyze.Analyze(at, 0))
+	if !strings.Contains(buf.String(), "(armed, lost)") {
+		t.Fatalf("analyzer report does not call the hedge armed and lost:\n%s", buf.String())
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -337,7 +338,7 @@ func (w *Worker) clearSession(s *session) {
 func (w *Worker) handleConn(ctx context.Context, conn net.Conn) {
 	setOpDeadline(conn, w.cfg.Dial)
 	br := bufio.NewReaderSize(conn, 1<<16)
-	typ, payload, err := readFrame(br)
+	typ, payload, err := readFrame(br, nil)
 	if err != nil {
 		conn.Close()
 		return
@@ -534,10 +535,11 @@ type session struct {
 
 	// Control-plane state, touched only by the job goroutine.
 	shardRecs uint64
-	pivots    []uint64
+	table     []int32 // bin -> bucket under this epoch's pivots (bucketTable)
 	plan      *msgPlan
 	reFrame   *frameMsg // single-slot pushback for recvCtlRaw
 	ctlCh     chan frameMsg
+	ctlFree   freeList // payload buffers the control reader reuses: ctlCh's capacity plus 2, like link.free
 
 	// Shared receive state: peer-serving goroutines store blocks, the job
 	// goroutine waits on the barriers. done is closed exactly once, by
@@ -617,6 +619,7 @@ func newSession(w *Worker, h *msgHello) (*session, error) {
 		dir:       dir,
 		dial:      w.cfg.Dial,
 		ctlCh:     make(chan frameMsg, 16),
+		ctlFree:   make(freeList, 16+2),
 		done:      make(chan struct{}),
 		last:      make(map[streamKey]dedupEntry),
 		peerGen:   make(map[uint32]uint64),
@@ -887,7 +890,7 @@ func (s *session) resetEpoch(m *msgRescatter) error {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 
-	s.pivots, s.plan = nil, nil
+	s.table, s.plan = nil, nil
 	s.sentNet.Store(0)
 	if err := exFile.Truncate(0); err != nil {
 		return err
@@ -904,11 +907,12 @@ func (s *session) resetEpoch(m *msgRescatter) error {
 // coordinator connection, acts on chaos and re-scatter frames immediately
 // (even while the job goroutine is deep inside a phase), and forwards the
 // rest — including the re-scatter frame itself, which doubles as the
-// recovery sync point — to the job goroutine.
+// recovery sync point — to the job goroutine. Payloads land in buffers
+// from ctlFree, which the scatter consumers hand back once copied out.
 func (s *session) readCtl(ctl *wlink) {
 	for {
 		clearDeadline(ctl.conn)
-		typ, payload, err := readFrame(ctl.br)
+		typ, payload, err := readFrame(ctl.br, s.ctlFree.get())
 		if err == nil {
 			s.net.in(len(payload))
 		}
@@ -1044,19 +1048,23 @@ func (s *session) expectCtl(want byte) ([]byte, error) {
 // servePeer handles one inbound block stream for one epoch; gen is the
 // connection's generation from acceptPeer. A connection error here is not
 // fatal to the job: the sending side redials and retransmits, and the
-// per-stream dedup keeps replays idempotent.
+// per-stream dedup keeps replays idempotent. Every frame is read into the
+// connection's one buffer: storeFrom has written a block out before the
+// next read.
 func (s *session) servePeer(conn net.Conn, br *bufio.Reader, epoch uint32, gen uint64) {
 	s.registerConn(conn)
 	defer func() {
 		s.unregisterConn(conn)
 		conn.Close()
 	}()
+	var buf []byte
 	for {
 		clearDeadline(conn) // peers sit idle across phases legitimately
-		typ, payload, err := readFrame(br)
+		typ, payload, err := readFrame(br, buf)
 		if err != nil {
 			return
 		}
+		buf = payload
 		s.net.in(len(payload))
 		if typ != mBlock {
 			return
@@ -1092,7 +1100,7 @@ func (s *session) serveMonitor(conn net.Conn, br *bufio.Reader) {
 	}()
 	for {
 		clearDeadline(conn)
-		typ, payload, err := readFrame(br)
+		typ, payload, err := readFrame(br, nil)
 		if err != nil || typ != mPing {
 			return
 		}
@@ -1200,8 +1208,8 @@ func (s *session) resendHedge(hs *msgHedgeSend) error {
 	if s.curEpoch() != hs.Epoch {
 		return errInterrupted
 	}
-	_, err := s.runSenders(3, func(emit func(int, outBlock) error) error {
-		return s.produceGather(route, emit)
+	_, err := s.runSenders(3, func(bufs freeList, emit func(int, outBlock) error) error {
+		return s.produceGather(route, bufs, emit)
 	})
 	return err
 }
@@ -1232,6 +1240,10 @@ func (s *session) storeFrom(b *msgBlock, epoch uint32, gen uint64) (stale bool, 
 	}
 	if int(b.Bucket) >= s.s {
 		return false, fmt.Errorf("cluster: block for bucket %d of %d", b.Bucket, s.s)
+	}
+	if len(b.Data) > s.blockRecs*record.EncodedSize {
+		return false, fmt.Errorf("cluster: block of %d records, blocks hold at most %d",
+			len(b.Data)/record.EncodedSize, s.blockRecs)
 	}
 	if e, ok := s.last[sk]; ok && e.epoch == epoch && e.key == key {
 		return false, nil // retransmission after a lost ack: already stored
@@ -1322,12 +1334,16 @@ type outBlock struct {
 // the first error once every queue has drained. It returns the number of
 // blocks emitted. It reads the membership once, under the lock, because a
 // hedge resend runs it beside the job goroutine, which a re-scatter may be
-// resetting.
-func (s *session) runSenders(phase uint8, produce func(emit func(dest int, blk outBlock) error) error) (uint64, error) {
+// resetting. produce takes its block buffers from bufs, a free list sized
+// to the blocks in flight — two queued and one in delivery per remote
+// peer, plus the one being filled — and emit passes each buffer on: the
+// self path hands it back once stored, a sender once acked.
+func (s *session) runSenders(phase uint8, produce func(bufs freeList, emit func(dest int, blk outBlock) error) error) (uint64, error) {
 	ctx := s.ectx()
 	s.mu.Lock()
 	epoch, peers := s.epoch, s.peers
 	s.mu.Unlock()
+	bufs := make(freeList, 3*(len(peers)-1)+1)
 	chans := make([]chan outBlock, len(peers))
 	errs := make([]error, len(peers))
 	var wg sync.WaitGroup
@@ -1340,11 +1356,11 @@ func (s *session) runSenders(phase uint8, produce func(emit func(dest int, blk o
 		wg.Add(1)
 		go func(d int, ch chan outBlock) {
 			defer wg.Done()
-			errs[d] = s.sendLoop(ctx, epoch, phase, d, peers[d], ch)
+			errs[d] = s.sendLoop(ctx, epoch, phase, d, peers[d], ch, bufs)
 		}(d, ch)
 	}
 	var emitted uint64
-	perr := produce(func(dest int, blk outBlock) error {
+	perr := produce(bufs, func(dest int, blk outBlock) error {
 		emitted++
 		if dest < 0 || dest >= len(peers) {
 			return fmt.Errorf("cluster: plan routes a block to worker %d of %d", dest, len(peers))
@@ -1354,6 +1370,7 @@ func (s *session) runSenders(phase uint8, produce func(emit func(dest int, blk o
 				Phase: phase, Src: uint32(s.self),
 				Bucket: blk.bucket, Seq: blk.seq, Data: blk.data,
 			}, epoch)
+			bufs.put(blk.data)
 			if err == nil && stale {
 				return errInterrupted
 			}
@@ -1393,8 +1410,9 @@ const maxDeliverRetries = 3
 // block, await its ack; on any connection failure, redial and retransmit —
 // the receiver deduplicates. A peer that stays unreachable surfaces as a
 // typed *WorkerLostError. On failure the loop keeps draining its queue so
-// the producer never blocks.
-func (s *session) sendLoop(ctx context.Context, epoch uint32, phase uint8, dest int, addr string, ch chan outBlock) error {
+// the producer never blocks. Each block's buffer goes back to bufs once
+// the block is acked or drained.
+func (s *session) sendLoop(ctx context.Context, epoch uint32, phase uint8, dest int, addr string, ch chan outBlock, bufs freeList) error {
 	var conn net.Conn
 	var br *bufio.Reader
 	closeConn := func() {
@@ -1408,7 +1426,8 @@ func (s *session) sendLoop(ctx context.Context, epoch uint32, phase uint8, dest 
 	var firstErr error
 	for blk := range ch {
 		if firstErr != nil {
-			continue // drain
+			bufs.put(blk.data) // drain
+			continue
 		}
 		consec := 0
 		for {
@@ -1441,6 +1460,7 @@ func (s *session) sendLoop(ctx context.Context, epoch uint32, phase uint8, dest 
 				break
 			}
 		}
+		bufs.put(blk.data)
 	}
 	return firstErr
 }
@@ -1460,7 +1480,7 @@ func (s *session) dialPeer(ctx context.Context, epoch uint32, dest int, addr str
 		return nil, nil, err
 	}
 	s.net.out(len(hello))
-	typ, ackPayload, err := readFrame(br)
+	typ, ackPayload, err := readFrame(br, nil)
 	if err != nil {
 		conn.Close()
 		return nil, nil, err
@@ -1474,22 +1494,23 @@ func (s *session) dialPeer(ctx context.Context, epoch uint32, dest int, addr str
 	return conn, br, nil
 }
 
-// deliver pushes one block and waits for its ack.
+// deliver pushes one block, its header and data as two frame parts, and
+// waits for its ack.
 func (s *session) deliver(conn net.Conn, br *bufio.Reader, phase uint8, blk *outBlock) error {
 	m := msgBlock{Phase: phase, Src: uint32(s.self), Bucket: blk.bucket, Seq: blk.seq, Data: blk.data}
-	payload := m.encode()
+	hdr := m.header()
 	setOpDeadline(conn, s.dial)
-	if err := writeFrame(conn, mBlock, payload); err != nil {
+	if err := writeFrame(conn, mBlock, hdr, blk.data); err != nil {
 		return err
 	}
-	s.net.out(len(payload))
+	s.net.out(len(hdr) + len(blk.data))
 	// Fault injection: sever the connection once, after the configured
 	// number of network sends, before the ack is read — the retransmit
 	// path must recover without duplicating the block.
 	if n := s.sentNet.Add(1); s.w.cfg.DropAfterBlocks > 0 && n >= int64(s.w.cfg.DropAfterBlocks) {
 		s.dropOnce.Do(func() { conn.Close() })
 	}
-	typ, payload, err := readFrame(br)
+	typ, payload, err := readFrame(br, nil)
 	if err != nil {
 		return err
 	}
@@ -1578,7 +1599,9 @@ func (s *session) pipeline(ctl *wlink) error {
 	}
 	spHist.End()
 
-	// Pivots, then per-bucket counts.
+	// Pivots: the bucket table, and this shard's per-bucket counts folded
+	// from its bins through it — the same counts the coordinator plans
+	// with.
 	payload, err := s.expectCtl(mPivots)
 	if err != nil {
 		return err
@@ -1588,20 +1611,11 @@ func (s *session) pipeline(ctl *wlink) error {
 	if err := pv.decode(payload); err != nil {
 		return err
 	}
-	if len(pv.Pivots) != s.s-1 {
-		return fmt.Errorf("cluster: %d pivots for S=%d", len(pv.Pivots), s.s)
-	}
-	s.pivots = pv.Pivots
-	s.phaseIdx.Store(2) // partition-counts
-	spCounts := s.trace.Begin("cluster", "partition-counts", s.self)
-	cnts, err := s.scanCounts()
-	if err != nil {
+	if err := checkPivots(pv.Pivots, s.s); err != nil {
 		return err
 	}
-	if err := ctl.send(mCounts, (&msgCounts{PerBucket: cnts}).encode()); err != nil {
-		return err
-	}
-	spCounts.End(obs.Attr{Key: "buckets", Val: int64(s.s)})
+	s.table = bucketTable(pv.Pivots)
+	cnts := foldCounts(bins, s.table, s.s)
 
 	// Plan.
 	payload, err = s.expectCtl(mPlan)
@@ -1620,7 +1634,7 @@ func (s *session) pipeline(ctl *wlink) error {
 
 	// Exchange: partition the shard into balancer-placed blocks while
 	// receiving everyone else's.
-	s.phaseIdx.Store(3) // exchange
+	s.phaseIdx.Store(2) // exchange
 	spEx := s.trace.Begin("cluster", "exchange", s.self)
 	sent, err := s.runSenders(1, s.produceExchange)
 	if err != nil {
@@ -1646,11 +1660,11 @@ func (s *session) pipeline(ctl *wlink) error {
 		return err
 	}
 	s.flowIn("gather")
-	s.phaseIdx.Store(4) // gather
+	s.phaseIdx.Store(3) // gather
 	spGather := s.trace.Begin("cluster", "gather", s.self)
-	sent, err = s.runSenders(2, func(emit func(int, outBlock) error) error {
+	sent, err = s.runSenders(2, func(bufs freeList, emit func(int, outBlock) error) error {
 		start := time.Now()
-		if err := s.produceGather(plan.Owners, emit); err != nil {
+		if err := s.produceGather(plan.Owners, bufs, emit); err != nil {
 			return err
 		}
 		return s.throttleWork(s.ectx(), time.Since(start))
@@ -1675,7 +1689,7 @@ func (s *session) pipeline(ctl *wlink) error {
 		return err
 	}
 	s.flowIn("local-sort")
-	s.phaseIdx.Store(5) // shard-sort
+	s.phaseIdx.Store(4) // shard-sort
 	spSort := s.trace.Begin("cluster", "shard-sort", s.self)
 	var count uint64
 	if err = s.gaFile.Sync(); err == nil {
@@ -1740,7 +1754,7 @@ func (s *session) awaitEnd(ctl *wlink, count uint64) error {
 			// The flow edge is keyed by the shard, so it binds to the
 			// coordinator's fetch of that shard whichever worker serves it.
 			s.trace.FlowPoint("cluster", "flow-drain", s.self, flowID("drain", s.curEpoch(), shard), false)
-			s.phaseIdx.Store(6) // drain
+			s.phaseIdx.Store(5) // drain
 			sp := s.trace.Begin("cluster", "drain", s.self)
 			if err := s.sendSorted(ctl, path, n); err != nil {
 				return err
@@ -1884,6 +1898,7 @@ restart:
 				return err
 			}
 			got += uint64(len(f.payload) / record.EncodedSize)
+			s.ctlFree.put(f.payload)
 		case mRescatterDone:
 			var d msgRescatterDone
 			if err := d.decode(f.payload); err != nil {
@@ -1982,6 +1997,7 @@ func (s *session) recvScatter() error {
 				return err
 			}
 			got += uint64(len(payload) / record.EncodedSize)
+			s.ctlFree.put(payload)
 			s.workUnits.Add(1)
 			if err := s.throttleWork(s.ectx(), time.Since(chunkStart)); err != nil {
 				shard.Close()
@@ -2013,27 +2029,30 @@ func (s *session) recvScatter() error {
 	}
 }
 
-// scanShard streams the shard file, invoking fn with each record's key.
-// The whole pass counts as work units for the progress detector, and a
+// scanShard streams the shard file to fn in chunks of up to scatterChunk
+// records, one read each, into one reused buffer. Each chunk advances the
+// progress detector's work units by its record count, and a
 // crashStall-injected session pays the slowdown here — the scan is the
-// compute backbone of the histogram, partition, and exchange phases.
-func (s *session) scanShard(fn func(key uint64, raw []byte) error) error {
+// compute backbone of the histogram and exchange phases.
+func (s *session) scanShard(fn func(chunk []byte) error) error {
 	start := time.Now()
 	f, err := os.Open(s.shardPath())
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	buf := make([]byte, record.EncodedSize)
-	for i := uint64(0); i < s.shardRecs; i++ {
-		if _, err := readFull(br, buf); err != nil {
-			return fmt.Errorf("cluster: shard truncated at record %d: %w", i, err)
+	buf := make([]byte, scatterChunk*record.EncodedSize)
+	for done := uint64(0); done < s.shardRecs; {
+		m := min(s.shardRecs-done, scatterChunk)
+		chunk := buf[:m*record.EncodedSize]
+		if _, err := io.ReadFull(f, chunk); err != nil {
+			return fmt.Errorf("cluster: shard truncated at record %d: %w", done, err)
 		}
-		if err := fn(binary.LittleEndian.Uint64(buf[0:8]), buf); err != nil {
+		if err := fn(chunk); err != nil {
 			return err
 		}
-		s.workUnits.Add(1)
+		s.workUnits.Add(m)
+		done += m
 	}
 	return s.throttleWork(s.ectx(), time.Since(start))
 }
@@ -2062,20 +2081,13 @@ func (s *session) throttleWork(ctx context.Context, elapsed time.Duration) error
 
 func (s *session) scanHistogram() ([]uint64, error) {
 	bins := make([]uint64, histBins)
-	err := s.scanShard(func(key uint64, _ []byte) error {
-		bins[keyBin(key)]++
+	err := s.scanShard(func(chunk []byte) error {
+		for off := 0; off < len(chunk); off += record.EncodedSize {
+			bins[keyBin(binary.LittleEndian.Uint64(chunk[off:]))]++
+		}
 		return nil
 	})
 	return bins, err
-}
-
-func (s *session) scanCounts() ([]uint64, error) {
-	cnts := make([]uint64, s.s)
-	err := s.scanShard(func(key uint64, _ []byte) error {
-		cnts[bucketOf(key, s.pivots)]++
-		return nil
-	})
-	return cnts, err
 }
 
 // checkPlan validates the coordinator's plan against local reality before a
@@ -2103,37 +2115,45 @@ func (s *session) checkPlan(p *msgPlan, cnts []uint64) error {
 	return nil
 }
 
-// produceExchange partitions the shard into per-bucket blocks and emits
-// each to its balancer-assigned destination.
-func (s *session) produceExchange(emit func(dest int, blk outBlock) error) error {
+// produceExchange partitions the shard into per-bucket blocks, classifying
+// each record by its bin through the bucket table, and emits each block to
+// its balancer-assigned destination. A bucket fills a buffer from bufs and
+// hands it on whole.
+func (s *session) produceExchange(bufs freeList, emit func(dest int, blk outBlock) error) error {
 	blockBytes := s.blockRecs * record.EncodedSize
-	bufs := make([][]byte, s.s)
+	open := make([][]byte, s.s)
 	seqs := make([]uint32, s.s)
 	flush := func(b int) error {
-		data := make([]byte, len(bufs[b]))
-		copy(data, bufs[b])
-		dest := int(s.plan.Dests[b][seqs[b]])
-		blk := outBlock{bucket: uint32(b), seq: seqs[b], data: data}
-		seqs[b]++
-		bufs[b] = bufs[b][:0]
-		return emit(dest, blk)
-	}
-	err := s.scanShard(func(key uint64, raw []byte) error {
-		b := bucketOf(key, s.pivots)
-		if bufs[b] == nil {
-			bufs[b] = make([]byte, 0, blockBytes)
+		row := s.plan.Dests[b]
+		if int(seqs[b]) >= len(row) {
+			return fmt.Errorf("cluster: formed more than the plan's %d blocks for bucket %d", len(row), b)
 		}
-		bufs[b] = append(bufs[b], raw...)
-		if len(bufs[b]) == blockBytes {
-			return flush(b)
+		blk := outBlock{bucket: uint32(b), seq: seqs[b], data: open[b]}
+		seqs[b]++
+		open[b] = nil
+		return emit(int(row[blk.seq]), blk)
+	}
+	err := s.scanShard(func(chunk []byte) error {
+		for off := 0; off < len(chunk); off += record.EncodedSize {
+			raw := chunk[off : off+record.EncodedSize]
+			b := s.table[keyBin(binary.LittleEndian.Uint64(raw))]
+			if open[b] == nil {
+				open[b] = slices.Grow(bufs.get(), blockBytes)
+			}
+			open[b] = append(open[b], raw...)
+			if len(open[b]) == blockBytes {
+				if err := flush(int(b)); err != nil {
+					return err
+				}
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	for b := range bufs {
-		if len(bufs[b]) > 0 {
+	for b := range open {
+		if len(open[b]) > 0 {
 			if err := flush(b); err != nil {
 				return err
 			}
@@ -2153,8 +2173,11 @@ const noDest = ^uint32(0)
 // produceGather pushes every stored exchange block of bucket b to worker
 // route[b], in ascending bucket order, skipping buckets routed to noDest:
 // the gather phase routes every bucket to its owner, a hedge resend routes
-// only the victim's buckets, to the target.
-func (s *session) produceGather(route []uint32, emit func(dest int, blk outBlock) error) error {
+// only the victim's buckets, to the target. Each block is read into a
+// buffer from bufs; storeFrom bounds a stored block by BlockRecs, so it
+// fits.
+func (s *session) produceGather(route []uint32, bufs freeList, emit func(dest int, blk outBlock) error) error {
+	blockBytes := s.blockRecs * record.EncodedSize
 	s.mu.Lock()
 	index := make([][]blockLoc, len(route))
 	for b, d := range route {
@@ -2166,7 +2189,7 @@ func (s *session) produceGather(route []uint32, emit func(dest int, blk outBlock
 	s.mu.Unlock()
 	for b, d := range route {
 		for i, loc := range index[b] {
-			data := make([]byte, loc.bytes)
+			data := slices.Grow(bufs.get(), blockBytes)[:loc.bytes]
 			if _, err := exFile.ReadAt(data, loc.off); err != nil {
 				return err
 			}
@@ -2239,7 +2262,6 @@ func (s *session) sendSorted(ctl *wlink, path string, count uint64) error {
 		return err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
 	buf := make([]byte, scatterChunk*record.EncodedSize)
 	left := count
 	for left > 0 {
@@ -2252,7 +2274,7 @@ func (s *session) sendSorted(ctl *wlink, path string, count uint64) error {
 			m = left
 		}
 		chunk := buf[:m*record.EncodedSize]
-		if _, err := readFull(br, chunk); err != nil {
+		if _, err := io.ReadFull(f, chunk); err != nil {
 			return err
 		}
 		if err := ctl.send(mRecords, chunk); err != nil {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -12,6 +13,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"balancesort/internal/record"
 )
 
 // scratchTree lists every path under dir, relative to it.
@@ -128,5 +131,85 @@ func TestWorkerDiskErrorNotParked(t *testing.T) {
 	stop()
 	if left := scratchTree(t, scratch); len(left) != 0 {
 		t.Fatalf("the failed worker left %v in its ScratchDir", left)
+	}
+}
+
+// TestWorkerRefusesBadPivots drives a worker by hand through the scatter
+// and the histogram, then sends pivots a bucket table cannot represent:
+// out of order, or inside a histogram bin. The worker must fail the job —
+// its control connection ends before any plan is asked for — and must not
+// panic, which would take the test binary down with it.
+func TestWorkerRefusesBadPivots(t *testing.T) {
+	addrs := startWorkers(t, 1, fastWorker)
+	recs := record.Generate(record.Uniform, 500, 9)
+	for i, pivots := range [][]uint64{
+		{binStart(9), binStart(3), binStart(12)},
+		{binStart(3), binStart(9) + 1, binStart(12)},
+	} {
+		conn, err := net.DialTimeout("tcp", addrs[0], 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(20 * time.Second))
+		br := bufio.NewReader(conn)
+		h := msgHello{Version: protocolVersion, JobID: uint64(100 + i), Workers: 1, S: 4, BlockRecs: 16, Peers: addrs}
+		expect := func(want byte) {
+			t.Helper()
+			typ, _, err := readFrame(br, nil)
+			if err != nil || typ != want {
+				t.Fatalf("pivots %#x: got message %d (%v), want %d", pivots, typ, err, want)
+			}
+		}
+		for _, f := range []struct {
+			typ     byte
+			payload []byte
+		}{
+			{mHello, h.encode()},
+			{mRecords, record.EncodeSlice(recs)},
+			{mScatterDone, (&msgCount{Count: uint64(len(recs))}).encode()},
+		} {
+			if err := writeFrame(conn, f.typ, f.payload); err != nil {
+				t.Fatal(err)
+			}
+			if f.typ == mHello {
+				expect(mHelloAck)
+			}
+		}
+		expect(mHistogram)
+		if err := writeFrame(conn, mPivots, (&msgPivots{Pivots: pivots}).encode()); err != nil {
+			t.Fatal(err)
+		}
+		if typ, _, err := readFrame(br, nil); err == nil && typ != mError {
+			t.Fatalf("pivots %#x: worker answered with message %d, want the job to fail", pivots, typ)
+		}
+		conn.Close()
+	}
+}
+
+// TestStoreRefusesOversizedBlock: a block holding more than BlockRecs
+// records is an error in either phase, and nothing of it is stored; a
+// full block is stored.
+func TestStoreRefusesOversizedBlock(t *testing.T) {
+	w := NewWorker(WorkerConfig{ScratchDir: t.TempDir()})
+	s, err := newSession(w, &msgHello{JobID: 1, Worker: 0, Workers: 2, S: 4, BlockRecs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.teardown()
+	for _, phase := range []uint8{1, 2} {
+		big := &msgBlock{Phase: phase, Src: 1, Data: make([]byte, 5*record.EncodedSize)}
+		if _, err := s.storeBlock(big, 0); err == nil {
+			t.Fatalf("phase %d: a 5-record block stored under BlockRecs 4", phase)
+		}
+		full := &msgBlock{Phase: phase, Src: 1, Data: make([]byte, 4*record.EncodedSize)}
+		if stale, err := s.storeBlock(full, 0); err != nil || stale {
+			t.Fatalf("phase %d: a full block refused: stale %v, %v", phase, stale, err)
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.exIndex[0]) != 1 || s.exSize != 4*record.EncodedSize || s.recvGatherRecs != 4 {
+		t.Fatalf("stored %d exchange blocks (%d bytes) and %d gather records, want 1, 64 and 4",
+			len(s.exIndex[0]), s.exSize, s.recvGatherRecs)
 	}
 }
