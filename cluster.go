@@ -45,7 +45,8 @@ type ClusterJoin = cluster.JoinSpec
 
 // StragglerError is the typed error for a worker that stayed alive but
 // fell past its phase deadline budget without progress — the latency dual
-// of WorkerLostError. errors.As works on it across the process boundary.
+// of WorkerLostError. The coordinator builds it when it demotes the worker;
+// it reaches the caller wrapped in a ClusterDegradedError.
 type StragglerError = cluster.StragglerError
 
 // ClusterStraggler configures the progress-rate straggler detector and

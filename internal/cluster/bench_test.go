@@ -1,20 +1,16 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"balancesort/internal/obs"
-	"balancesort/internal/record"
 )
 
 // benchSort runs one cluster sort over w in-process workers and returns the
@@ -48,111 +44,6 @@ func benchSort(tb testing.TB, addrs []string, inPath string, n int, mods ...func
 	}
 }
 
-// outOfCoreSortShard returns a WorkerConfig.SortShard that external-sorts
-// the shard under a hard memory budget of memRecs records: sorted runs are
-// spilled to scratchDir and k-way merged into outPath. It stands in for the
-// root file-backed engine (which internal/cluster cannot import without a
-// cycle) so the bench can publish an honest larger-than-memory row.
-func outOfCoreSortShard(memRecs int) func(context.Context, string, string, string) error {
-	return func(ctx context.Context, inPath, outPath, scratchDir string) error {
-		in, err := os.Open(inPath)
-		if err != nil {
-			return err
-		}
-		defer in.Close()
-		var runs []*os.File
-		defer func() {
-			for _, f := range runs {
-				f.Close()
-			}
-		}()
-		buf := make([]byte, memRecs*record.EncodedSize)
-		for i := 0; ; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			n, rerr := io.ReadFull(in, buf)
-			if rerr == io.EOF {
-				break
-			}
-			if rerr != nil && rerr != io.ErrUnexpectedEOF {
-				return rerr
-			}
-			recs, derr := record.DecodeSlice(buf[:n])
-			if derr != nil {
-				return derr
-			}
-			sort.Slice(recs, func(a, b int) bool { return recs[a].Less(recs[b]) })
-			f, cerr := os.Create(filepath.Join(scratchDir, fmt.Sprintf("run-%d.dat", i)))
-			if cerr != nil {
-				return cerr
-			}
-			runs = append(runs, f)
-			if werr := record.WriteAll(f, recs); werr != nil {
-				return werr
-			}
-			if _, serr := f.Seek(0, io.SeekStart); serr != nil {
-				return serr
-			}
-			if rerr == io.ErrUnexpectedEOF {
-				break
-			}
-		}
-		out, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer out.Close()
-		w := bufio.NewWriterSize(out, 1<<16)
-		rd := make([]*bufio.Reader, len(runs))
-		heads := make([]record.Record, len(runs))
-		live := make([]bool, len(runs))
-		var tmp [record.EncodedSize]byte
-		advance := func(i int) error {
-			_, err := io.ReadFull(rd[i], tmp[:])
-			if err == io.EOF {
-				live[i] = false
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			heads[i] = record.Decode(tmp[:])
-			live[i] = true
-			return nil
-		}
-		for i := range runs {
-			rd[i] = bufio.NewReaderSize(runs[i], 1<<16)
-			if err := advance(i); err != nil {
-				return err
-			}
-		}
-		ebuf := make([]byte, 0, record.EncodedSize)
-		for {
-			best := -1
-			for i := range heads {
-				if live[i] && (best < 0 || heads[i].Less(heads[best])) {
-					best = i
-				}
-			}
-			if best < 0 {
-				break
-			}
-			ebuf = record.Encode(ebuf[:0], heads[best])
-			if _, err := w.Write(ebuf); err != nil {
-				return err
-			}
-			if err := advance(best); err != nil {
-				return err
-			}
-		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
-		return out.Sync()
-	}
-}
-
 // BenchmarkClusterSort measures end-to-end cluster sort wall time as the
 // worker count scales on one machine (loopback TCP, in-memory shard sorts,
 // so the measured quantity is runtime + protocol overhead, not disk).
@@ -169,194 +60,6 @@ func BenchmarkClusterSort(b *testing.B) {
 			}
 		})
 	}
-}
-
-// TestEmitClusterBench writes the 1/2/4-worker scaling measurement to
-// BENCH_cluster.json at the repository root. Gated on EMIT_BENCH so the
-// ordinary test run stays fast and side-effect free; CI sets the variable.
-func TestEmitClusterBench(t *testing.T) {
-	if os.Getenv("EMIT_BENCH") == "" {
-		t.Skip("set EMIT_BENCH=1 to emit BENCH_cluster.json")
-	}
-	const n = 1 << 18
-	type row struct {
-		Workers          int     `json:"workers"`
-		Seconds          float64 `json:"seconds"`
-		RecsPerSec       float64 `json:"records_per_sec"`
-		Speedup          float64 `json:"speedup_vs_1"`
-		ShardSort        string  `json:"shard_sort,omitempty"`
-		MemBudgetRecords int     `json:"mem_budget_records,omitempty"`
-		OutOfCore        bool    `json:"out_of_core,omitempty"`
-	}
-	out := struct {
-		Benchmark string `json:"benchmark"`
-		Records   int    `json:"records"`
-		Transport string `json:"transport"`
-		Results   []row  `json:"results"`
-	}{Benchmark: "cluster_scaling", Records: n, Transport: "loopback-tcp"}
-
-	var base float64
-	for _, w := range []int{1, 2, 4} {
-		addrs := startWorkers(t, w, nil)
-		inPath, _ := makeInput(t, n, 123, false)
-		benchSort(t, addrs, inPath, n) // warm-up: page cache, listener setup
-		d := benchSort(t, addrs, inPath, n)
-		sec := d.Seconds()
-		if w == 1 {
-			base = sec
-		}
-		out.Results = append(out.Results, row{
-			Workers:    w,
-			Seconds:    sec,
-			RecsPerSec: float64(n) / sec,
-			Speedup:    base / sec,
-			ShardSort:  "in-memory",
-		})
-		t.Logf("workers=%d: %.3fs (%.0f recs/s)", w, sec, float64(n)/sec)
-	}
-
-	// The honest out-of-core points: shards sorted through a disk-spilling
-	// external merge under an 8k-record memory budget. The 1-worker row is
-	// the baseline for the out-of-core speedup — comparing an
-	// external-merge run against the in-memory single-worker time mixes
-	// two different shard sorters and published a meaningless sub-1x
-	// "speedup" for a configuration that actually scales.
-	const memRecs = 8192
-	var oocBase float64
-	for _, w := range []int{1, 4} {
-		addrs := startWorkers(t, w, func(_ int, cfg *WorkerConfig) {
-			cfg.SortShard = outOfCoreSortShard(memRecs)
-		})
-		inPath, _ := makeInput(t, n, 123, false)
-		benchSort(t, addrs, inPath, n)
-		d := benchSort(t, addrs, inPath, n)
-		sec := d.Seconds()
-		if w == 1 {
-			oocBase = sec
-		}
-		out.Results = append(out.Results, row{
-			Workers:          w,
-			Seconds:          sec,
-			RecsPerSec:       float64(n) / sec,
-			Speedup:          oocBase / sec,
-			ShardSort:        "external-merge",
-			MemBudgetRecords: memRecs,
-			OutOfCore:        true,
-		})
-		t.Logf("workers=%d out-of-core (mem %d recs): %.3fs (%.0f recs/s)", w, memRecs, sec, float64(n)/sec)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join("..", "..", "BENCH_cluster.json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
-
-	// One more 4-worker run with tracing and utilization sampling on, so
-	// CI can feed the merged coordinator+worker timeline to
-	// cmd/sortanalyze. Written as TRACE_cluster.json at the repo root.
-	tr := obs.New(0, nil)
-	addrs := startWorkers(t, 4, func(_ int, cfg *WorkerConfig) {
-		cfg.Sample = 2 * time.Millisecond
-	})
-	inPath, _ := makeInput(t, n, 123, false)
-	benchSort(t, addrs, inPath, n, func(sp *SortSpec) {
-		sp.Trace = tr
-		sp.Sample = 2 * time.Millisecond
-	})
-	tracePath := filepath.Join("..", "..", "TRACE_cluster.json")
-	tf, err := os.Create(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tf.Close()
-	if err := obs.WriteChromeTraceDropped(tf, tr.Spans(), tr.Dropped()); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (%d spans)", tracePath, len(tr.Spans()))
-}
-
-// TestEmitFailoverBench measures what a mid-exchange worker kill costs a
-// 4-worker job against an identical clean run, and writes the comparison to
-// BENCH_failover.json plus a merged Chrome trace of the failover run
-// (TRACE_failover.json) whose timeline shows the failover span between the
-// aborted and re-run phases. Gated on EMIT_BENCH; CI uploads both.
-func TestEmitFailoverBench(t *testing.T) {
-	if os.Getenv("EMIT_BENCH") == "" {
-		t.Skip("set EMIT_BENCH=1 to emit BENCH_failover.json")
-	}
-	const n = 1 << 18
-	run := func(chaos *ChaosSpec, tr *obs.Tracer) (time.Duration, *SortStats) {
-		addrs := startWorkers(t, 4, fastWorker)
-		inPath, _ := makeInput(t, n, 321, false)
-		outPath := filepath.Join(t.TempDir(), "out.dat")
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-		defer cancel()
-		start := time.Now()
-		stats, err := Sort(ctx, inPath, outPath, SortSpec{
-			Workers:   addrs,
-			Dial:      fastDial,
-			Heartbeat: fastHeartbeat(),
-			Chaos:     chaos,
-			Trace:     tr,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start), stats
-	}
-
-	cleanDur, _ := run(nil, nil)
-	tr := obs.New(0, nil)
-	chaosDur, stats := run(&ChaosSpec{Phase: "exchange", Worker: 1}, tr)
-	if stats.Recovery == nil {
-		t.Fatal("chaos run recorded no recovery")
-	}
-
-	out := struct {
-		Benchmark          string  `json:"benchmark"`
-		Records            int     `json:"records"`
-		Workers            int     `json:"workers"`
-		ChaosPhase         string  `json:"chaos_phase"`
-		CleanSeconds       float64 `json:"clean_seconds"`
-		FailoverSeconds    float64 `json:"failover_seconds"`
-		OverheadRatio      float64 `json:"overhead_ratio"`
-		FailoverWallNanos  int64   `json:"failover_wall_nanos"`
-		RescatteredBlocks  int     `json:"rescattered_blocks"`
-		RescatteredRecords int     `json:"rescattered_records"`
-	}{
-		Benchmark: "cluster_failover", Records: n, Workers: 4, ChaosPhase: "exchange",
-		CleanSeconds:       cleanDur.Seconds(),
-		FailoverSeconds:    chaosDur.Seconds(),
-		OverheadRatio:      chaosDur.Seconds() / cleanDur.Seconds(),
-		FailoverWallNanos:  stats.Recovery.FailoverWallNanos,
-		RescatteredBlocks:  stats.Recovery.RescatteredBlocks,
-		RescatteredRecords: stats.Recovery.RescatteredRecords,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join("..", "..", "BENCH_failover.json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (clean %.3fs, failover %.3fs, %.2fx)", path,
-		cleanDur.Seconds(), chaosDur.Seconds(), out.OverheadRatio)
-
-	tracePath := filepath.Join("..", "..", "TRACE_failover.json")
-	f, err := os.Create(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := obs.WriteChromeTrace(f, tr.Spans()); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (%d spans)", tracePath, len(tr.Spans()))
 }
 
 // TestEmitStragglerBench measures what a 10x-slowed worker costs a

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -207,11 +209,15 @@ func TestClusterDegradedBelowQuorum(t *testing.T) {
 
 // TestFailoverJournal runs a chaos kill with journaling on and replays the
 // journal: it must narrate the job as phases, the loss, and the failover,
-// with the scatter extents needed to audit a re-scatter decision.
+// with the scatter extents needed to audit a re-scatter decision. The
+// scatter is the job's first epoch: one scatter-done entry, at epoch 0,
+// dealing chunk t to worker t mod 4, and none of it counted as recovery —
+// the failover re-deals exactly the victim's extent.
 func TestFailoverJournal(t *testing.T) {
 	addrs := startWorkers(t, 4, fastWorker)
 	jpath := filepath.Join(t.TempDir(), "cluster.journal")
-	runClusterSort(t, addrs, 20000, 41, false, SortSpec{
+	const n = 20000
+	stats := runClusterSort(t, addrs, n, 41, false, SortSpec{
 		BlockRecs:   128,
 		Dial:        fastDial,
 		Heartbeat:   fastHeartbeat(),
@@ -222,7 +228,8 @@ func TestFailoverJournal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load journal: %v", err)
 	}
-	var sawLost, sawFailover, sawExtents bool
+	var sawLost, sawFailover bool
+	var scatters []journalEvent
 	phases := make(map[string]bool)
 	for _, e := range entries {
 		var ev journalEvent
@@ -241,9 +248,7 @@ func TestFailoverJournal(t *testing.T) {
 				sawFailover = true
 			}
 		case "scatter-done":
-			if len(ev.Extents) == 4 {
-				sawExtents = true
-			}
+			scatters = append(scatters, ev)
 		}
 	}
 	for _, p := range CoordinatorPhases {
@@ -251,8 +256,86 @@ func TestFailoverJournal(t *testing.T) {
 			t.Fatalf("journal never entered phase %q (saw %v)", p, phases)
 		}
 	}
-	if !sawLost || !sawFailover || !sawExtents {
-		t.Fatalf("journal incomplete: lost=%v failover=%v extents=%v", sawLost, sawFailover, sawExtents)
+	if !sawLost || !sawFailover {
+		t.Fatalf("journal incomplete: lost=%v failover=%v", sawLost, sawFailover)
+	}
+	if len(scatters) != 1 {
+		t.Fatalf("journal holds %d scatter-done entries, want 1", len(scatters))
+	}
+	sc := scatters[0]
+	if sc.Epoch != 0 || len(sc.Extents) != 4 || len(sc.Assign) != (n+scatterChunk-1)/scatterChunk {
+		t.Fatalf("scatter-done at epoch %d with %d extents and %d chunks, want epoch 0, 4 and %d",
+			sc.Epoch, len(sc.Extents), len(sc.Assign), (n+scatterChunk-1)/scatterChunk)
+	}
+	for c, w := range sc.Assign {
+		if int(w) != c%4 {
+			t.Fatalf("scatter dealt chunk %d to worker %d, want %d", c, w, c%4)
+		}
+	}
+	if rec := stats.Recovery; rec == nil || rec.RescatteredRecords != int(sc.Extents[2]) {
+		t.Fatalf("recovery %+v, want the victim's %d scattered records re-dealt and nothing else",
+			stats.Recovery, sc.Extents[2])
+	}
+}
+
+// TestWorkerErrorIsTheLossCause: a worker whose part in the job fails says
+// why before it hangs up, and the coordinator fails it over with that
+// error as the cause. Heartbeats are off, so the control link is the only
+// detector. The last worker's shard sort fails: at W=2 its loss breaks
+// quorum and the job's error carries the worker's own; at W=3 the job
+// completes on the survivors and the journal's lost entry names the cause.
+func TestWorkerErrorIsTheLossCause(t *testing.T) {
+	const injected = "injected shard-sort failure"
+	for _, w := range []int{2, 3} {
+		t.Run(fmt.Sprintf("w%d", w), func(t *testing.T) {
+			addrs := startWorkers(t, w, func(i int, cfg *WorkerConfig) {
+				cfg.Dial = fastDial
+				if i == w-1 {
+					cfg.SortShard = func(context.Context, string, string, string) error {
+						return errors.New(injected)
+					}
+				}
+			})
+			inPath, want := makeInput(t, 6000, 29, false)
+			outPath := filepath.Join(t.TempDir(), "out.dat")
+			jpath := filepath.Join(t.TempDir(), "cluster.journal")
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			_, err := Sort(ctx, inPath, outPath, SortSpec{
+				Workers: addrs, BlockRecs: 128, Dial: fastDial,
+				Heartbeat: Heartbeat{Disable: true}, JournalPath: jpath,
+			})
+			if w == 2 {
+				var deg *ClusterDegradedError
+				var lost *WorkerLostError
+				if !errors.As(err, &deg) || !errors.As(err, &lost) || lost.Worker != 1 ||
+					!strings.Contains(err.Error(), injected) {
+					t.Fatalf("sort returned %v, want a ClusterDegradedError naming worker 1's %q", err, injected)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("sort with one of three workers failing: %v", err)
+			}
+			checkOutput(t, outPath, want)
+			entries, err := pdm.LoadJournal(jpath)
+			if err != nil {
+				t.Fatalf("load journal: %v", err)
+			}
+			var causes []string
+			for _, e := range entries {
+				var ev journalEvent
+				if err := json.Unmarshal(e.Payload, &ev); err != nil {
+					t.Fatalf("journal entry %d: %v", e.Seq, err)
+				}
+				if ev.Event == "lost" && ev.Worker == 2 {
+					causes = append(causes, ev.Error)
+				}
+			}
+			if len(causes) != 1 || !strings.Contains(causes[0], injected) {
+				t.Fatalf("journal's losses of worker 2 carry %q, want one naming %q", causes, injected)
+			}
+		})
 	}
 }
 

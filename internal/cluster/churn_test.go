@@ -318,7 +318,6 @@ func TestDedupEpochBounded(t *testing.T) {
 	}
 	defer s.teardown()
 	s.ctx = context.Background()
-	s.initEpoch()
 
 	data := make([]byte, 4*record.EncodedSize)
 	for src := uint32(0); src < 3; src++ {

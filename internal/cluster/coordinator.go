@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"slices"
@@ -39,8 +38,8 @@ type SortSpec struct {
 	Chaos *ChaosSpec
 	// Join, when non-nil, admits one extra worker mid-job: the moment the
 	// coordinator enters the named phase it dials Addr, attaches it as
-	// worker W via the mJoin handshake — an *added* virtual disk, the dual
-	// of failover's removed one — and reseeds the cluster under a new epoch.
+	// worker W with an mHello — an *added* virtual disk, the dual of
+	// failover's removed one — and opens a new epoch over the grown set.
 	Join *JoinSpec
 	// Straggler configures the progress-rate failure detector, the phase
 	// deadline budgets, and the hedged shard-sort re-execution. The zero
@@ -414,7 +413,7 @@ type coordinator struct {
 
 	mu       sync.Mutex
 	deadErr  map[int]error // worker -> first loss, as a *WorkerLostError
-	handled  int           // losses already absorbed by a completed failover
+	handled  int           // losses the current epoch's dealing absorbed
 	lastLost error
 	lostSig  chan struct{} // cap 1: wakes phase waits when a loss lands
 	phase    string
@@ -426,8 +425,9 @@ type coordinator struct {
 	jmu sync.Mutex
 	jr  *pdm.Journal
 
-	// Scatter bookkeeping: chunk t holds records [t·scatterChunk, …).
-	chunks    int
+	// Chunk ownership: chunk t holds records [t·scatterChunk, …); assign
+	// maps it to the worker whose shard holds it, and perWorker folds assign
+	// into shard sizes (extents).
 	assign    []int32 // chunk -> worker, -1 while unassigned
 	perWorker []uint64
 
@@ -562,6 +562,7 @@ func newCoordinator(spec SortSpec, in *os.File, inPath, outPath string, n int, j
 		deadErr: make(map[int]error),
 		lostSig: make(chan struct{}, 1),
 		prog:    make(map[int]progTrack),
+		doneAt:  make(map[int]time.Time),
 	}
 	if spec.Straggler.Enabled {
 		// The plan model's predicted single-node wall-clock for the whole
@@ -612,7 +613,7 @@ func (c *coordinator) run(ctx context.Context) (*SortStats, error) {
 	stop := c.watchCancel(ctx)
 	defer stop()
 	c.startMonitors(ctx)
-	return c.finish(ctx, c.scatter(ctx))
+	return c.finish(ctx, c.scatter())
 }
 
 // watchCancel tears the connections down when ctx is canceled so no phase
@@ -637,9 +638,9 @@ func (c *coordinator) watchCancel(ctx context.Context) func() {
 }
 
 // finish drives the pipeline/recovery/join loop to completion and builds
-// the final stats. run and resume both land here once their entry work —
-// scatter for a fresh job, the journal-replay reseed for a resumed one —
-// has produced its first verdict.
+// the final stats. run and resume both land here with the verdict of their
+// first epoch: the scatter for a fresh job, the journal-replay reseed for a
+// resumed one.
 func (c *coordinator) finish(ctx context.Context, err error) (*SortStats, error) {
 	for {
 		if err == nil {
@@ -657,7 +658,7 @@ func (c *coordinator) finish(ctx context.Context, err error) (*SortStats, error)
 			err = c.admitJoin(ctx)
 		case errors.Is(err, errFailover):
 			c.stopPhaseWatch()
-			err = c.recoverLost(ctx)
+			err = c.recoverLost()
 		default:
 			return nil, err
 		}
@@ -734,8 +735,8 @@ func (c *coordinator) connect(ctx context.Context) error {
 }
 
 // hello builds the job announcement for worker id of a membership whose
-// address table is peers: the mHello of a fresh job, or the mJoin/mResume
-// payload of a mid-job attach.
+// address table is peers: the mHello of a new job or of a joiner, or the
+// mResume of a restarted coordinator.
 func (c *coordinator) hello(id int, peers []string) *msgHello {
 	h := &msgHello{
 		Version: protocolVersion, JobID: c.jobID,
@@ -811,7 +812,7 @@ func (c *coordinator) lost(i int, err error) error {
 			l.conn.Close()
 		}
 		c.tr.Count("cluster", "workers-lost", 0, 1)
-		c.journal(journalEvent{Event: "lost", Epoch: epoch, Phase: phase, Worker: i})
+		c.journal(journalEvent{Event: "lost", Epoch: epoch, Phase: phase, Worker: i, Error: wl.Error()})
 	} else {
 		c.mu.Unlock()
 	}
@@ -884,8 +885,10 @@ func (c *coordinator) sendTo(i int, typ byte, payload []byte) error {
 
 // triage handles the frames every wait on worker i must absorb: transport
 // losses, peer-loss reports, worker errors, and debris left over from an
-// epoch a failover aborted or from a decided hedge race. skip=true means
-// the frame was consumed internally and the caller should keep reading.
+// epoch a failover aborted or from a decided hedge race. A worker's error
+// is its loss, with the error as the cause: the job fails over while
+// quorum holds. skip=true means the frame was consumed internally and the
+// caller should keep reading.
 func (c *coordinator) triage(i int, fr frameMsg) (typ byte, payload []byte, skip bool, err error) {
 	if fr.err != nil {
 		return 0, nil, false, c.lost(i, fr.err)
@@ -909,7 +912,7 @@ func (c *coordinator) triage(i int, fr frameMsg) (typ byte, payload []byte, skip
 		if derr := e.decode(fr.payload); derr != nil {
 			return 0, nil, false, derr
 		}
-		return 0, nil, false, wireToError(&e)
+		return 0, nil, false, c.lost(i, &WorkerLostError{Worker: i, Addr: c.addr(i), Err: wireToError(&e)})
 	case mRescatterAck:
 		var a msgRescatterAck
 		if err := a.decode(fr.payload); err != nil {
@@ -1056,9 +1059,10 @@ func (c *coordinator) maybeStall(phase string) {
 
 // beginPhaseWatch resets the per-phase completion table and (for barrier
 // phases, with the detector enabled) arms a watcher goroutine that
-// enforces the phase's deadline budget. Scatter and plan are exempt: they
-// are coordinator-only with no per-worker barrier, so a stall there
-// surfaces at the next barrier (or as a transport write timeout).
+// enforces the phase's deadline budget. Plan is exempt: it is
+// coordinator-only with no per-worker barrier, so a stall there surfaces
+// at the next barrier (or as a transport write timeout). The scatter is a
+// barrier: its epoch waits for every worker to write its shard.
 func (c *coordinator) beginPhaseWatch(name string) {
 	c.pmu.Lock()
 	if c.watchStop != nil {
@@ -1071,7 +1075,7 @@ func (c *coordinator) beginPhaseWatch(name string) {
 	if c.hedge != nil && c.hedge.stage == raceNominated {
 		c.hedge = nil // its barrier ended before arming it
 	}
-	arm := c.spec.Straggler.Enabled && name != "scatter" && name != "plan"
+	arm := c.spec.Straggler.Enabled && name != "plan"
 	var stop chan struct{}
 	if arm {
 		stop = make(chan struct{})
@@ -1517,51 +1521,21 @@ func (c *coordinator) settleHedge(h *hedgeRun, stage raceStage) {
 	}
 }
 
-// scatter streams the input round-robin, one chunk per frame, recording
-// which worker owns each chunk so a failover can re-stream exactly the
-// dead workers' extents.
-func (c *coordinator) scatter(ctx context.Context) error {
+// scatter opens the job's first epoch, epoch 0: every worker's shard
+// starts empty, and since no chunk has an owner yet, openEpoch deals chunk
+// t to worker t mod W.
+func (c *coordinator) scatter() error {
 	if err := c.enterPhase("scatter"); err != nil {
 		return err
 	}
 	sp := c.tr.Begin("cluster", "scatter", 0)
-	c.chunks = (c.n + scatterChunk - 1) / scatterChunk
-	c.assign = make([]int32, c.chunks)
-	for t := range c.assign {
-		c.assign[t] = -1
-	}
-	c.perWorker = make([]uint64, c.W)
-	buf := make([]byte, scatterChunk*record.EncodedSize)
-	for pos, turn := 0, 0; pos < c.n; turn++ {
-		m := scatterChunk
-		if pos+m > c.n {
-			m = c.n - pos
-		}
-		chunk := buf[:m*record.EncodedSize]
-		if _, err := io.ReadFull(c.in, chunk); err != nil {
-			return fmt.Errorf("cluster: reading %s at record %d: %w", c.inPath, pos, err)
-		}
-		w := turn % c.W
-		if c.isDead(w) {
-			return errFailover // recovery re-streams from here
-		}
-		if err := c.sendTo(w, mRecords, chunk); err != nil {
-			return err
-		}
-		c.assign[turn] = int32(w)
-		c.perWorker[w] += uint64(m)
-		pos += m
-	}
+	fresh := make(map[int]bool, c.W)
 	for i := 0; i < c.W; i++ {
-		if err := c.sendTo(i, mScatterDone, (&msgCount{Count: c.perWorker[i]}).encode()); err != nil {
-			return err
-		}
+		fresh[i] = true
 	}
-	c.journal(journalEvent{
-		Event: "scatter-done", Epoch: c.epoch,
-		Extents: append([]uint64(nil), c.perWorker...),
-		Assign:  append([]int32(nil), c.assign...),
-	})
+	if _, _, err := c.openEpoch(journalEvent{Event: "scatter-done"}, fresh); err != nil {
+		return err
+	}
 	sp.End(obs.Attr{Key: "records", Val: int64(c.n)}, obs.Attr{Key: "workers", Val: int64(c.W)})
 	return nil
 }
@@ -1574,7 +1548,10 @@ func (c *coordinator) scatter(ctx context.Context) error {
 // every barrier here is (sums, per-worker slots, count checks). With
 // hedge set (the local-sort barrier), the barrier also runs the hedge's
 // race: a won hedge satisfies the victim's slot, and the victim finishing
-// first loses it for the target.
+// first loses it for the target. An epoch's ack barrier (want
+// mRescatterAck) drops a worker's other frames: before its ack they are
+// what an aborted epoch left in flight, and TCP ordering makes the ack a
+// clean cut.
 func (c *coordinator) collectBarrier(want byte, what string, hedge bool, onFrame func(i int, payload []byte) error) error {
 	if hedge {
 		defer func() {
@@ -1607,8 +1584,9 @@ func (c *coordinator) collectBarrier(want byte, what string, hedge bool, onFrame
 			if err != nil {
 				return phaseErr(what, i, err)
 			}
-			if !ok {
+			if !ok || typ != want && want == mRescatterAck {
 				next = append(next, i)
+				progressed = progressed || ok
 				continue
 			}
 			if typ != want {
@@ -1951,7 +1929,11 @@ func (c *coordinator) drainShards() (err error) {
 	var prev record.Record
 	first := true
 	written := uint64(0)
-	for _, i := range c.active() {
+	active := c.active()
+	if c.pendingLoss() {
+		return errFailover // a shard of the plan is gone: the snapshot would miss it
+	}
+	for _, i := range active {
 		// A won hedge's target serves the victim's shard — byte-identical,
 		// being the same record multiset under the same total order — at
 		// the victim's position in the drain order.
@@ -2013,13 +1995,12 @@ func (c *coordinator) drainShards() (err error) {
 	return out.Close()
 }
 
-// recoverLost is the failover path: snapshot the dead set, check quorum,
-// open a new epoch on every survivor, re-stream the dead workers' chunk
-// extents round-robin across the survivors, and wait for every survivor to
-// acknowledge the reset. The pipeline then reruns from the histogram phase
-// — the shards are the only durable state a worker carries, so rewinding
-// to post-scatter is a complete recovery from loss at any phase.
-func (c *coordinator) recoverLost(ctx context.Context) error {
+// recoverLost is the failover path: check quorum, then open a new epoch
+// over the survivors, which re-deals the dead workers' chunks. The
+// pipeline then reruns from the histogram phase — the shards are the only
+// durable state a worker carries, so rewinding to the epoch cut is a
+// complete recovery from loss at any phase.
+func (c *coordinator) recoverLost() error {
 	t0 := time.Now()
 	sp := c.tr.Begin("cluster", "failover", 0)
 	defer func() {
@@ -2027,8 +2008,27 @@ func (c *coordinator) recoverLost(ctx context.Context) error {
 		c.rec.FailoverWallNanos += time.Since(t0).Nanoseconds()
 		c.mu.Unlock()
 	}()
-
+	if err := c.checkQuorum(); err != nil {
+		sp.End()
+		return err
+	}
 	c.mu.Lock()
+	c.rec.Failovers++
+	c.mu.Unlock()
+	blocks, recs, err := c.openEpoch(journalEvent{Event: "failover"}, nil)
+	sp.End(
+		obs.Attr{Key: "epoch", Val: int64(c.epoch)},
+		obs.Attr{Key: "rescattered-blocks", Val: int64(blocks)},
+		obs.Attr{Key: "rescattered-records", Val: int64(recs)},
+	)
+	return err
+}
+
+// checkQuorum absorbs the pending loss signal and fails the job with a
+// *ClusterDegradedError once fewer than ⌊W/2⌋+1 workers survive.
+func (c *coordinator) checkQuorum() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	select {
 	case <-c.lostSig:
 	default:
@@ -2039,116 +2039,77 @@ func (c *coordinator) recoverLost(ctx context.Context) error {
 			dead = append(dead, i)
 		}
 	}
-	lastLost := c.lastLost
-	c.mu.Unlock()
-
-	survivors := c.W - len(dead)
-	quorum := c.W/2 + 1
-	if survivors < quorum {
-		sp.End()
-		return &ClusterDegradedError{
-			Lost: dead, Workers: c.W, Quorum: quorum, Err: lastLost,
-		}
+	if quorum := c.W/2 + 1; c.W-len(dead) < quorum {
+		return &ClusterDegradedError{Lost: dead, Workers: c.W, Quorum: quorum, Err: c.lastLost}
 	}
-
-	activeList := c.active()
-	c.mu.Lock()
-	c.epoch++
-	c.rec.Failovers++
-	c.rec.ActiveWorkers = append([]int(nil), activeList...)
-	c.mu.Unlock()
-
-	pending, rescatteredRecs, err := c.reseed(nil)
-	if err != nil {
-		sp.End()
-		return err
-	}
-	c.journal(journalEvent{
-		Event: "failover", Epoch: c.epoch, Blocks: pending,
-		Extents: append([]uint64(nil), c.perWorker...),
-		Assign:  append([]int32(nil), c.assign...),
-	})
-	sp.End(
-		obs.Attr{Key: "epoch", Val: int64(c.epoch)},
-		obs.Attr{Key: "rescattered-blocks", Val: int64(pending)},
-		obs.Attr{Key: "rescattered-records", Val: int64(rescatteredRecs)},
-	)
 	return nil
 }
 
-// reseed opens the (already bumped) epoch on every active worker and
-// re-streams every chunk that no live, shard-intact worker owns. fresh[i]
-// marks workers whose shard must be rebuilt from scratch — a joiner, or a
-// resumed worker whose parked state did not survive: their announcement
-// carries the Fresh flag (truncate before appending) and every chunk they
-// own is re-fed to them. Chunks with no live owner are re-dealt
-// round-robin across the actives. The announcement also carries the full
-// peer table, so worker-side membership changes atomically with the epoch.
-func (c *coordinator) reseed(fresh map[int]bool) (pending int, rescatteredRecs uint64, err error) {
+// openEpoch is the one way the disk set changes: the scatter, a failover,
+// a join and a resume all open their epoch here. It announces the epoch to
+// every live worker with the full peer table, so a worker's membership
+// changes atomically with its epoch; deals every chunk that no live,
+// shard-intact worker holds; tells each worker its shard size and waits
+// for every ack; and journals ev, filled in with the epoch, the chunks
+// dealt, the extents and the ownership map. fresh[i] marks a worker whose
+// shard starts empty — every worker of the scatter, a joiner, or a resumed
+// worker whose parked shard did not survive: its announcement carries the
+// Fresh flag and every chunk it owns is dealt to it again. A chunk with no
+// live owner goes round-robin across the live workers, so the scatter,
+// where no chunk has an owner yet, deals chunk t to worker t mod W. The
+// scatter opens epoch 0 and counts nothing as recovery; every later epoch
+// is bumped before it is announced and counts what it dealt.
+func (c *coordinator) openEpoch(ev journalEvent, fresh map[int]bool) (dealt int, dealtRecs uint64, err error) {
+	first := ev.Event == "scatter-done"
 	activeList := c.active()
-	peers := append([]string(nil), c.spec.Workers...)
+	c.mu.Lock()
+	// The losses this epoch's dealing accounts for; one landing later stays
+	// pending and fails the epoch over.
+	c.handled = len(c.deadErr)
+	if !first {
+		c.epoch++
+		c.rec.ActiveWorkers = append([]int(nil), activeList...)
+	}
+	c.mu.Unlock()
 	if c.assign == nil {
-		// The interruption predates scatter-done: nothing is known to be
-		// delivered, so deal every chunk out as if scattering afresh.
-		c.chunks = (c.n + scatterChunk - 1) / scatterChunk
-		c.assign = make([]int32, c.chunks)
+		c.assign = make([]int32, (c.n+scatterChunk-1)/scatterChunk)
 		for t := range c.assign {
 			c.assign[t] = -1
 		}
 	}
 
-	// Open the epoch on every active worker. The worker's control reader
-	// acts on this immediately — canceling its in-flight phase — even if
-	// its job loop is deep inside exchange or sort.
+	// The worker's control reader acts on the announcement at once —
+	// canceling its in-flight phase — even deep inside exchange or sort.
+	peers := append([]string(nil), c.spec.Workers...)
 	for _, i := range activeList {
 		ann := (&msgRescatter{Epoch: c.epoch, Active: toU32(activeList), Fresh: fresh[i], Peers: peers}).encode()
 		if err := c.sendTo(i, mRescatter, ann); err != nil {
 			return 0, 0, err
 		}
 	}
-
-	// Re-stream every chunk owned by a dead or fresh worker (or never
-	// delivered, if the interruption hit mid-scatter). A fresh-but-live
-	// owner keeps its chunks — they are re-fed to it — while ownerless
-	// chunks go round-robin across the actives.
 	buf := make([]byte, scatterChunk*record.EncodedSize)
 	rr := 0
-	for t := 0; t < c.chunks; t++ {
-		w := int(c.assign[t])
-		if c.assign[t] >= 0 && !c.isDead(w) && !fresh[w] {
-			continue
+	for t, owner := range c.assign {
+		w := int(owner)
+		if w < 0 || c.isDead(w) {
+			w = activeList[rr%len(activeList)]
+			rr++
+		} else if !fresh[w] {
+			continue // its live owner's shard holds it
 		}
-		m := scatterChunk
-		if (t+1)*scatterChunk > c.n {
-			m = c.n - t*scatterChunk
-		}
+		m := c.chunkRecs(t)
 		chunk := buf[:m*record.EncodedSize]
 		if _, err := c.in.ReadAt(chunk, int64(t)*scatterChunk*record.EncodedSize); err != nil {
-			return 0, 0, fmt.Errorf("cluster: re-reading %s chunk %d: %w", c.inPath, t, err)
+			return 0, 0, fmt.Errorf("cluster: reading %s chunk %d: %w", c.inPath, t, err)
 		}
-		dest := w
-		if c.assign[t] < 0 || c.isDead(w) {
-			dest = activeList[rr%len(activeList)]
-			rr++
-		}
-		if err := c.sendTo(dest, mRecords, chunk); err != nil {
+		if err := c.sendTo(w, mRecords, chunk); err != nil {
 			return 0, 0, err
 		}
-		c.assign[t] = int32(dest)
-		pending++
-		rescatteredRecs += uint64(m)
+		c.assign[t] = int32(w)
+		dealt++
+		dealtRecs += uint64(m)
 	}
-
-	// Rebuild the extents from the assignment and tell each active worker
-	// its authoritative shard size.
-	c.perWorker = make([]uint64, c.W)
-	for t, w := range c.assign {
-		m := scatterChunk
-		if (t+1)*scatterChunk > c.n {
-			m = c.n - t*scatterChunk
-		}
-		c.perWorker[w] += uint64(m)
-	}
+	c.perWorker = c.extents()
 	for _, i := range activeList {
 		done := (&msgRescatterDone{Epoch: c.epoch, Total: c.perWorker[i]}).encode()
 		if err := c.sendTo(i, mRescatterDone, done); err != nil {
@@ -2156,114 +2117,104 @@ func (c *coordinator) reseed(fresh map[int]bool) (pending int, rescatteredRecs u
 		}
 	}
 
-	// Wait for every active worker's reset ack, discarding frames the
-	// aborted epoch left in flight. TCP ordering makes the first
-	// epoch-matching ack a clean cut: everything after it belongs to the
-	// new epoch.
-	for _, i := range activeList {
-		for {
-			typ, payload, err := c.recvFrom(i)
-			if err != nil {
-				return 0, 0, err
-			}
-			if typ != mRescatterAck {
-				continue
-			}
-			var a msgRescatterAck
-			if err := a.decode(payload); err != nil {
-				return 0, 0, err
-			}
-			if a.Epoch != c.epoch {
-				continue // ack of an earlier, superseded recovery
-			}
-			if a.ShardRecs != c.perWorker[i] {
-				return 0, 0, fmt.Errorf("cluster: worker %d holds %d records after re-scatter, coordinator expects %d",
-					i, a.ShardRecs, c.perWorker[i])
-			}
-			break
+	err = c.collectBarrier(mRescatterAck, "epoch ack from worker", false, func(i int, payload []byte) error {
+		var a msgRescatterAck
+		if err := a.decode(payload); err != nil {
+			return err
 		}
+		if a.ShardRecs != c.perWorker[i] {
+			return fmt.Errorf("cluster: worker %d holds %d records in epoch %d, coordinator expects %d",
+				i, a.ShardRecs, c.epoch, c.perWorker[i])
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, 0, err
 	}
 
-	c.mu.Lock()
-	c.handled = len(c.deadErr)
-	c.rec.RescatteredBlocks += pending
-	c.rec.RescatteredRecords += int(rescatteredRecs)
-	c.mu.Unlock()
-	c.tr.Count("cluster", "blocks-rescattered", 0, int64(pending))
-	return pending, rescatteredRecs, nil
+	if !first {
+		c.mu.Lock()
+		c.rec.RescatteredBlocks += dealt
+		c.rec.RescatteredRecords += int(dealtRecs)
+		c.mu.Unlock()
+		c.tr.Count("cluster", "blocks-rescattered", 0, int64(dealt))
+	}
+	ev.Epoch, ev.Blocks = c.epoch, dealt
+	ev.Extents = append([]uint64(nil), c.perWorker...)
+	ev.Assign = append([]int32(nil), c.assign...)
+	c.journal(ev)
+	return dealt, dealtRecs, nil
 }
 
-// admitJoin dials the scheduled joiner and runs the attach handshake;
-// only once the joiner is known good does it commit the membership growth
-// — worker W exists from the epoch bump onward, its whole (empty) shard
-// streamed to it under the Fresh flag while every incumbent rewinds to the
-// same epoch cut. A joiner that cannot be reached or refuses the
-// handshake is abandoned: the incumbents are reseeded as-is so the
-// interrupted pipeline restarts coherently.
+// extents folds the chunk-ownership map into per-worker shard sizes; an
+// unowned chunk counts for nobody.
+func (c *coordinator) extents() []uint64 {
+	out := make([]uint64, c.W)
+	for t, w := range c.assign {
+		if w >= 0 {
+			out[w] += uint64(c.chunkRecs(t))
+		}
+	}
+	return out
+}
+
+// chunkRecs is the record count of chunk t: scatterChunk, or the input's
+// remainder for the last chunk.
+func (c *coordinator) chunkRecs(t int) int {
+	return min(scatterChunk, c.n-t*scatterChunk)
+}
+
+// admitJoin dials the scheduled joiner and runs its hello; only once the
+// joiner is known good does it commit the membership growth. Worker W
+// then exists from the epoch that follows, its shard dealt to it fresh
+// while every incumbent rewinds to the same epoch cut. A joiner that
+// cannot be reached or refuses the handshake is abandoned: the epoch opens
+// over the incumbents as they are, so the interrupted pipeline restarts
+// coherently.
 func (c *coordinator) admitJoin(ctx context.Context) error {
 	j := c.spec.Join
 	sp := c.tr.Begin("cluster", "join", 0)
 	id := c.W
 	newPeers := append(append([]string(nil), c.spec.Workers...), j.Addr)
 	l, aerr := c.attachJoiner(ctx, id, j.Addr, newPeers)
-
-	c.mu.Lock()
-	c.epoch++
-	epoch := c.epoch
+	ev := journalEvent{Event: "join-failed", Addr: j.Addr}
+	var fresh map[int]bool
 	if aerr == nil {
 		// Commit: from here the joiner is a full member and its loss is a
 		// failover like any other's.
+		c.mu.Lock()
 		c.links = append(c.links, l)
 		c.spec.Workers = newPeers
 		c.W = id + 1
 		c.rec.Joins++
 		c.rec.JoinedWorkers = append(c.rec.JoinedWorkers, id)
-	}
-	c.mu.Unlock()
-
-	var fresh map[int]bool
-	if aerr == nil {
-		fresh = map[int]bool{id: true}
+		c.mu.Unlock()
 		c.startMonitor(id)
+		ev = journalEvent{Event: "join", Worker: id, Addr: j.Addr}
+		fresh = map[int]bool{id: true}
 	}
-	activeList := c.active()
-	c.mu.Lock()
-	c.rec.ActiveWorkers = append([]int(nil), activeList...)
-	c.mu.Unlock()
-
-	pending, recs, err := c.reseed(fresh)
-	if err != nil {
-		sp.End()
-		return err
-	}
-	if aerr == nil {
-		c.journal(journalEvent{
-			Event: "join", Epoch: epoch, Worker: id, Addr: j.Addr, Blocks: pending,
-			Extents: append([]uint64(nil), c.perWorker...),
-			Assign:  append([]int32(nil), c.assign...),
-		})
+	_, recs, err := c.openEpoch(ev, fresh)
+	if err == nil && aerr == nil {
 		c.tr.Count("cluster", "workers-joined", 0, 1)
-	} else {
-		c.journal(journalEvent{Event: "join-failed", Epoch: epoch, Addr: j.Addr})
 	}
 	sp.End(
-		obs.Attr{Key: "epoch", Val: int64(epoch)},
+		obs.Attr{Key: "epoch", Val: int64(c.epoch)},
 		obs.Attr{Key: "worker", Val: int64(id)},
 		obs.Attr{Key: "rescattered-records", Val: int64(recs)},
 		obs.Attr{Key: "admitted", Val: boolAttr(aerr == nil)},
 	)
-	return nil
+	return err
 }
 
-// attachJoiner performs the joiner's dial + mJoin handshake without
-// touching any membership state; the caller commits on success.
+// attachJoiner dials the joiner and runs its hello without touching any
+// membership state; the caller commits on success.
 func (c *coordinator) attachJoiner(ctx context.Context, id int, addr string, newPeers []string) (*link, error) {
 	conn, err := c.spec.Dial.dial(ctx, id, addr)
 	if err != nil {
 		return nil, err
 	}
 	l := newLink(id, conn, c.spec.Dial, c.net)
-	err = l.send(mJoin, c.hello(id, newPeers).encode())
+	err = l.send(mHello, c.hello(id, newPeers).encode())
 	if err == nil {
 		err = c.expectHelloAck(l)
 	}
@@ -2418,9 +2369,10 @@ func (c *coordinator) collectTrace(i int) error {
 
 // journalEvent is one checksummed line of the coordinator's recovery
 // journal. Beyond the failover bookkeeping (phase progress, per-worker
-// partition extents, losses), it now carries everything a restarted
-// coordinator needs to resume the job: the job identity ("start"), the
-// per-chunk ownership map (Assign, on "scatter-done"/"failover"/"join"/
+// partition extents, losses and their causes), it carries everything a
+// restarted coordinator needs to resume the job: the job identity
+// ("start"), the per-chunk ownership map (Assign, on every epoch's
+// opening: "scatter-done", "failover", "join", "join-failed" and
 // "reseed"), the committed pivot set and histogram digest ("pivots"),
 // per-worker phase completions ("wdone"), membership growth ("join"), and
 // the terminal "done".
@@ -2430,7 +2382,8 @@ type journalEvent struct {
 	Phase   string   `json:"phase,omitempty"`
 	Worker  int      `json:"worker,omitempty"`
 	Extents []uint64 `json:"extents,omitempty"` // per-worker shard records
-	Blocks  int      `json:"blocks,omitempty"`  // chunks re-scattered
+	Blocks  int      `json:"blocks,omitempty"`  // chunks the epoch dealt
+	Error   string   `json:"error,omitempty"`   // a loss's cause
 
 	JobID     uint64   `json:"job_id,omitempty"`
 	Addrs     []string `json:"addrs,omitempty"` // membership at "start"

@@ -50,8 +50,9 @@ func (e *ClusterDegradedError) Unwrap() error { return e.Err }
 // of WorkerLostError: the worker is reachable, just uselessly slow. A job
 // that survives the demotion never surfaces it (the failover rebuild
 // absorbs it, reported via RecoveryStats); it reaches the caller only when
-// the demotion breaks quorum, wrapped in a ClusterDegradedError.
-// jobs.Classify maps it to a retryable status.
+// the demotion breaks quorum, wrapped in a ClusterDegradedError. Like
+// ClusterDegradedError it is built on the coordinator and never crosses
+// the wire. jobs.Classify maps it to a retryable status.
 type StragglerError struct {
 	Worker int           // the straggling worker's ID in the job
 	Addr   string        // its address (still reachable, unlike a lost worker)
@@ -68,15 +69,8 @@ func (e *StragglerError) Error() string {
 func (e *StragglerError) Unwrap() error { return e.Err }
 
 // errorToWire flattens err into a msgError, preserving WorkerLostError's
-// and StragglerError's identity across the process boundary.
+// identity across the process boundary.
 func errorToWire(self int, err error) *msgError {
-	var straggler *StragglerError
-	if errors.As(err, &straggler) {
-		return &msgError{
-			Code: ecStraggler, Worker: uint32(straggler.Worker), Addr: straggler.Addr,
-			Text: straggler.Err.Error(), Phase: straggler.Phase, Budget: uint64(straggler.Budget),
-		}
-	}
 	var lost *WorkerLostError
 	if errors.As(err, &lost) {
 		return &msgError{Code: ecWorkerLost, Worker: uint32(lost.Worker), Addr: lost.Addr, Text: lost.Err.Error()}
@@ -90,11 +84,6 @@ func wireToError(m *msgError) error {
 	switch m.Code {
 	case ecWorkerLost:
 		return &WorkerLostError{Worker: int(m.Worker), Addr: m.Addr, Err: errors.New(m.Text)}
-	case ecStraggler:
-		return &StragglerError{
-			Worker: int(m.Worker), Addr: m.Addr, Phase: m.Phase,
-			Budget: time.Duration(m.Budget), Err: errors.New(m.Text),
-		}
 	default:
 		return fmt.Errorf("cluster: worker %d: %s", m.Worker, m.Text)
 	}

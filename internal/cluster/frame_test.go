@@ -184,12 +184,12 @@ func FuzzFrame(f *testing.F) {
 	f.Add(appendFrame(nil, mBlock, (&msgBlock{Phase: 1, Bucket: 3, Data: make([]byte, 32)}).encode()))
 	f.Add(appendFrame(nil, mError, (&msgError{Code: ecWorkerLost, Addr: "x", Text: "y"}).encode()))
 	f.Add(appendFrame(nil, mRescatter, (&msgRescatter{Epoch: 2, Active: []uint32{0, 2}, Fresh: true, Peers: []string{"a", "b", "c"}}).encode()))
-	f.Add(appendFrame(nil, mJoin, (&msgHello{Version: protocolVersion, JobID: 7, Worker: 4, Workers: 5, S: 16, BlockRecs: 128, Peers: []string{"a", "b", "c", "d", "e"}}).encode()))
+	f.Add(appendFrame(nil, mHello, (&msgHello{Version: protocolVersion, JobID: 7, Worker: 4, Workers: 5, S: 16, BlockRecs: 128, Peers: []string{"a", "b", "c", "d", "e"}}).encode()))
 	f.Add(appendFrame(nil, mResume, (&msgHello{Version: protocolVersion, JobID: 7, Worker: 0, Workers: 1, S: 16, BlockRecs: 128, Peers: []string{"a"}}).encode()))
 	f.Add(appendFrame(nil, mResumeState, (&msgResumeState{Version: protocolVersion, HaveShard: 1, Epoch: 3, ShardRecs: 5000}).encode()))
 	f.Add(appendFrame(nil, mPong, (&msgProgress{Seq: 4, Phase: 3, Units: 100, ShardRecs: 5000, RecvBlocks: 7, GatherRecs: 9}).encode()))
 	f.Add(appendFrame(nil, mCrash, (&msgCrash{Mode: crashStall, Factor: 10}).encode()))
-	f.Add(appendFrame(nil, mError, (&msgError{Code: ecStraggler, Worker: 1, Addr: "x", Text: "slow", Phase: "gather", Budget: 1 << 30}).encode()))
+	f.Add(appendFrame(nil, mError, (&msgError{Code: ecGeneric, Worker: 1, Text: "cluster: worker 1 local sort: no space left on device"}).encode()))
 	f.Add(appendFrame(nil, mTrace, (&msgTrace{EpochNanos: 1, Spans: []obs.Span{
 		{Layer: "cluster", Name: "gather", ID: 2, Dur: 5, SpanID: 3, Parent: 1, Flow: 99, FlowOut: true,
 			Attrs: []obs.Attr{{Key: "records", Val: 12}}},

@@ -10,12 +10,13 @@ import (
 )
 
 // protocolVersion is bumped on any wire change. Coordinator and worker ship
-// in one binary, so there is exactly one dialect: every handshake (mHello,
-// mJoin and mResume, and their acks) must carry this version exactly, and
-// either side refuses a peer that speaks any other one before data moves.
-// Every message has one fixed layout. Since version 9 no message carries
-// per-bucket counts: both ends fold them from the histogram bins.
-const protocolVersion = 9
+// in one binary, so there is exactly one dialect: every handshake (mHello
+// and mResume, and their acks) must carry this version exactly, and either
+// side refuses a peer that speaks any other one before data moves. Every
+// message has one fixed layout. Since version 9 no message carries
+// per-bucket counts: both ends fold them from the histogram bins. Since
+// version 10 every epoch, the scatter included, opens with mRescatter.
+const protocolVersion = 10
 
 // versionMismatch is the handshake check both sides run on a peer's
 // announced protocol version.
@@ -29,10 +30,9 @@ func versionMismatch(v uint32) error {
 // Message types. Coordinator<->worker control messages and worker<->worker
 // block messages share one frame namespace so a single decoder serves both.
 const (
-	mHello byte = iota + 1
+	mHello byte = iota + 1 // coordinator -> worker: a new job, or a joiner's attach as an added virtual disk
 	mHelloAck
 	mRecords
-	mScatterDone
 	mHistogram
 	mPivots
 	mPlan
@@ -56,10 +56,9 @@ const (
 	mPong          // worker liveness reply
 	mPeerLost      // worker -> coordinator: a peer stopped answering; keep me alive
 	mCrash         // coordinator -> worker chaos injection: die, hang, or stall now
-	mRescatter     // coordinator -> survivor: new epoch begins, extra shard records follow
-	mRescatterDone // coordinator -> survivor: re-scatter stream complete, total shard size
-	mRescatterAck  // survivor -> coordinator: reset done, ready for the new epoch
-	mJoin          // coordinator -> new worker: attach mid-job as an added virtual disk
+	mRescatter     // coordinator -> worker: an epoch begins, the shard records it deals follow
+	mRescatterDone // coordinator -> worker: the epoch's stream is complete, total shard size
+	mRescatterAck  // worker -> coordinator: reset done, ready for the new epoch
 	mResume        // restarted coordinator -> worker: re-open the job's control link
 	mResumeState   // worker -> coordinator: the epoch-tagged shard state it still holds
 	mHedgeSend     // coordinator -> target (arm), then every other worker: resend a victim's gather blocks
@@ -175,10 +174,11 @@ func (r *rcur) done() error {
 }
 
 // msgHello is the coordinator's job announcement to one worker. It is the
-// payload of mHello, and of mJoin (the recipient is a brand-new worker
-// added as an extra virtual disk mid-job) and mResume (the recipient may
-// still hold a parked session from before the coordinator crashed). An
-// attached worker learns its epoch from the mRescatter that follows.
+// payload of mHello, for a new job and for a joiner (a brand-new worker
+// added as an extra virtual disk mid-job) alike, and of mResume (the
+// recipient may still hold a parked session from before the coordinator
+// crashed). Every worker learns its epoch from the mRescatter that
+// follows.
 type msgHello struct {
 	Version   uint32
 	JobID     uint64
@@ -244,7 +244,7 @@ func (m *msgHello) check() error {
 // per-worker allocations finite, not as a scaling target.
 const maxWorkers = 1 << 10
 
-// msgCount is the one-u64 payload shared by ScatterDone, SortDone, and
+// msgCount is the one-u64 payload shared by SortDone, HedgeDone and
 // FetchDone, and by Fetch, where it is the ID of the worker whose sorted
 // shard to serve: a hedge target also holds the shard of the victim whose
 // race it won.
@@ -682,16 +682,17 @@ func (m *msgPeerLost) decode(p []byte) error {
 	return r.done()
 }
 
-// msgRescatter opens a failover epoch on a surviving worker: discard all
-// exchange/gather state, keep the scattered shard, adopt the new epoch and
-// the shrunk active set. The dead workers' shard records follow as
-// mRecords frames, then mRescatterDone closes the stream.
+// msgRescatter opens an epoch on a worker — the job's first, the
+// scatter, or one after a failover, a join or a resume: discard all
+// exchange/gather state, keep the shard, adopt the new epoch and active
+// set. The shard records the epoch deals this worker follow as mRecords
+// frames, then mRescatterDone closes the stream.
 //
-// Fresh forces the shard to be truncated before the stream (a joiner, or a
-// resumed worker whose shard no longer matches the journal, is re-fed from
-// scratch). Peers is the job's full peer address table as of the new
-// epoch: a join grows it, so the active set can name a worker the session
-// has never met.
+// Fresh forces the shard to be truncated before the stream (every worker
+// of the scatter, a joiner, or a resumed worker whose shard no longer
+// matches the journal starts from an empty one). Peers is the job's full
+// peer address table as of the new epoch: a join grows it, so the active
+// set can name a worker the session has never met.
 type msgRescatter struct {
 	Epoch  uint32
 	Active []uint32 // surviving worker IDs, ascending
@@ -741,7 +742,7 @@ func (m *msgRescatter) decode(p []byte) error {
 	return r.done()
 }
 
-// msgRescatterDone ends a re-scatter stream; Total is the shard size the
+// msgRescatterDone ends an epoch's stream; Total is the shard size the
 // coordinator now expects on this worker, which the worker cross-checks.
 type msgRescatterDone struct {
 	Epoch uint32
@@ -762,9 +763,9 @@ func (m *msgRescatterDone) decode(p []byte) error {
 	return r.done()
 }
 
-// msgRescatterAck reports a survivor reset and re-fed: old exchange and
-// gather state dropped, shard extended, ready to rerun from the histogram
-// phase under the new epoch.
+// msgRescatterAck reports a worker reset and fed: old exchange and gather
+// state dropped, shard extended, ready to run from the histogram phase
+// under the new epoch.
 type msgRescatterAck struct {
 	Epoch     uint32
 	ShardRecs uint64
@@ -884,17 +885,15 @@ func (m *msgBlockAck) decode(p []byte) error {
 const (
 	ecGeneric uint32 = iota
 	ecWorkerLost
-	ecStraggler // a live worker demoted for falling past its phase budget
 )
 
-// msgError propagates a fatal job error in either direction.
+// msgError carries a worker's fatal job error to the coordinator: a
+// refused handshake, or the error that ended the worker's part in the job.
 type msgError struct {
 	Code   uint32
 	Worker uint32
 	Addr   string
 	Text   string
-	Phase  string // ecStraggler only: the coordinator phase that blew its budget
-	Budget uint64 // ecStraggler only: the phase deadline budget, in nanoseconds
 }
 
 func (m *msgError) encode() []byte {
@@ -903,8 +902,6 @@ func (m *msgError) encode() []byte {
 	w.u32(m.Worker)
 	w.str(m.Addr)
 	w.str(m.Text)
-	w.str(m.Phase)
-	w.u64(m.Budget)
 	return w.b
 }
 
@@ -914,8 +911,6 @@ func (m *msgError) decode(p []byte) error {
 	m.Worker = r.u32()
 	m.Addr = r.str()
 	m.Text = r.str()
-	m.Phase = r.str()
-	m.Budget = r.u64()
 	return r.done()
 }
 

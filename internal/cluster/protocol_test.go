@@ -82,10 +82,6 @@ func TestMessageRoundTrips(t *testing.T) {
 	roundTrip(t, "block", &msgBlock{Phase: 1, Src: 2, Bucket: 3, Seq: 4, Data: make([]byte, 64)}, &msgBlock{})
 	roundTrip(t, "blockack", &msgBlockAck{Phase: 1, Bucket: 3, Seq: 4}, &msgBlockAck{})
 	roundTrip(t, "error", &msgError{Code: ecWorkerLost, Worker: 2, Addr: "h:1", Text: "gone"}, &msgError{})
-	roundTrip(t, "error-straggler", &msgError{
-		Code: ecStraggler, Worker: 1, Addr: "h:2", Text: "progress flat",
-		Phase: "local-sort", Budget: uint64(750 * time.Millisecond),
-	}, &msgError{})
 	roundTrip(t, "trace", &msgTrace{
 		EpochNanos: 0x1122334455667788,
 		Spans: []obs.Span{
@@ -120,13 +116,13 @@ func TestMessageRoundTrips(t *testing.T) {
 }
 
 // TestHandshakeVersionMismatch: one dialect means an exact version match on
-// every handshake. A worker refuses mHello, mJoin and mResume at any other
+// every handshake. A worker refuses mHello and mResume at any other
 // version with an mError naming both versions; a coordinator whose worker
 // acks with another version fails the job at once, with no failover; and a
 // joiner that acks with another version is not admitted.
 func TestHandshakeVersionMismatch(t *testing.T) {
 	addrs := startWorkers(t, 1, fastWorker)
-	for _, typ := range []byte{mHello, mJoin, mResume} {
+	for _, typ := range []byte{mHello, mResume} {
 		for _, v := range []uint32{protocolVersion - 1, protocolVersion + 1} {
 			h := msgHello{Version: v, JobID: 9, Worker: 0, Workers: 1, S: 4, BlockRecs: 16, Peers: addrs}
 			conn, err := net.DialTimeout("tcp", addrs[0], 5*time.Second)
@@ -159,8 +155,8 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var (
-		fakes sync.WaitGroup
-		joins atomic.Int32 // mJoin handshakes the fake answered
+		fakes  sync.WaitGroup
+		hellos atomic.Int32 // mHello handshakes the fake answered
 	)
 	defer fakes.Wait()
 	defer ln.Close()
@@ -181,8 +177,8 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 				if err != nil {
 					return
 				}
-				if typ == mJoin {
-					joins.Add(1)
+				if typ == mHello {
+					hellos.Add(1)
 				}
 				_ = writeFrame(conn, mHelloAck, (&msgVersion{Version: other}).encode())
 				_, _, _ = readFrame(br, nil) // hold the connection until the coordinator drops it
@@ -207,12 +203,13 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	}
 
 	addrs = startWorkers(t, 2, fastWorker)
+	hellos.Store(0)
 	stats := runClusterSort(t, addrs, 3000, 13, false, SortSpec{
 		BlockRecs: 128, Dial: fastDial, Heartbeat: fastHeartbeat(),
 		Join: &JoinSpec{Phase: "plan", Addr: ln.Addr().String()},
 	})
-	if joins.Load() != 1 {
-		t.Fatalf("the fake joiner saw %d mJoin handshakes, want 1", joins.Load())
+	if hellos.Load() != 1 {
+		t.Fatalf("the fake joiner saw %d mHello handshakes, want 1", hellos.Load())
 	}
 	if stats.Workers != 2 || (stats.Recovery != nil && stats.Recovery.Joins != 0) {
 		t.Fatalf("a protocol-%d joiner was admitted: workers %d, recovery %+v", other, stats.Workers, stats.Recovery)

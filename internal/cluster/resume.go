@@ -138,94 +138,54 @@ func Resume(ctx context.Context, inPath, outPath string, spec SortSpec) (*SortSt
 	defer teardown()
 	c.jr = jr
 	c.epoch = st.maxEpoch
+	c.phase = "resume"
 	c.wantPivots, c.wantDigest = st.pivots, st.digest
-	if len(st.assign) > 0 {
-		c.chunks = (c.n + scatterChunk - 1) / scatterChunk
-		if len(st.assign) == c.chunks {
-			c.assign = append([]int32(nil), st.assign...)
-		} else {
-			c.chunks = 0 // corrupt ownership map: reseed re-deals everything
-		}
+	if len(st.assign) == (c.n+scatterChunk-1)/scatterChunk {
+		// Otherwise the crash predates the scatter's end or the map is
+		// corrupt, and the resumed epoch deals every chunk afresh.
+		c.assign = st.assign
 	}
 	return c.resume(ctx, st)
 }
 
+// resume re-attaches every worker it can reach — one it cannot is lost
+// under the phase name "resume" — and, if quorum holds, opens the resumed
+// job's first epoch.
 func (c *coordinator) resume(ctx context.Context, st *journalState) (*SortStats, error) {
 	sp := c.tr.Begin("cluster", "resume", 0)
 	c.links = make([]*link, c.W)
 	fresh := make(map[int]bool)
-	expected := c.expectedPerWorker()
+	expected := c.extents()
 	for i := range c.spec.Workers {
 		if err := c.attachResume(ctx, i, expected, fresh); err != nil {
 			if ctx.Err() != nil {
 				sp.End()
 				return nil, ctx.Err()
 			}
-			c.markDeadEarly(i, err)
+			_ = c.lost(i, err) // the quorum check below decides whether the job goes on
 		}
 	}
-
-	c.mu.Lock()
-	dead := make([]int, 0, len(c.deadErr))
-	for i := 0; i < c.W; i++ {
-		if _, d := c.deadErr[i]; d {
-			dead = append(dead, i)
-		}
-	}
-	lastLost := c.lastLost
-	c.mu.Unlock()
-	quorum := c.W/2 + 1
-	if c.W-len(dead) < quorum {
+	if err := c.checkQuorum(); err != nil {
 		sp.End()
-		return nil, &ClusterDegradedError{Lost: dead, Workers: c.W, Quorum: quorum, Err: lastLost}
+		return nil, err
 	}
 
 	stop := c.watchCancel(ctx)
 	defer stop()
 	c.startMonitors(ctx)
-
-	activeList := c.active()
 	c.mu.Lock()
-	c.epoch++
-	epoch := c.epoch
 	c.rec.Resumed = true
 	c.rec.ResumePhase = st.lastPhase
-	c.rec.ActiveWorkers = append([]int(nil), activeList...)
 	c.mu.Unlock()
-	c.journal(journalEvent{Event: "resume", Epoch: epoch, Phase: st.lastPhase})
-
-	pending, recs, err := c.reseed(fresh)
-	if err == nil {
-		c.journal(journalEvent{
-			Event: "reseed", Epoch: epoch, Blocks: pending,
-			Extents: append([]uint64(nil), c.perWorker...),
-			Assign:  append([]int32(nil), c.assign...),
-		})
-	}
+	// Journaled at the epoch openEpoch is about to open.
+	c.journal(journalEvent{Event: "resume", Epoch: c.epoch + 1, Phase: st.lastPhase})
+	_, recs, err := c.openEpoch(journalEvent{Event: "reseed"}, fresh)
 	sp.End(
-		obs.Attr{Key: "epoch", Val: int64(epoch)},
+		obs.Attr{Key: "epoch", Val: int64(c.epoch)},
 		obs.Attr{Key: "phase", Val: int64(len(st.lastPhase))},
 		obs.Attr{Key: "rescattered-records", Val: int64(recs)},
 	)
 	return c.finish(ctx, err)
-}
-
-// expectedPerWorker derives each worker's shard size from the journaled
-// chunk-ownership map; a worker whose parked shard does not match exactly
-// is treated as fresh and re-fed.
-func (c *coordinator) expectedPerWorker() []uint64 {
-	out := make([]uint64, c.W)
-	for t, w := range c.assign {
-		if w < 0 {
-			continue
-		}
-		m := scatterChunk
-		if (t+1)*scatterChunk > c.n {
-			m = c.n - t*scatterChunk
-		}
-		out[w] += uint64(m)
-	}
-	return out
 }
 
 // attachResume re-opens worker i's control link with the mResume
@@ -271,27 +231,6 @@ func (c *coordinator) attachResume(ctx context.Context, i int, expected []uint64
 		return nil
 	}
 	return lastErr
-}
-
-// markDeadEarly records worker i as lost during resume's reconnect, before
-// links or monitors exist for it. Unlike lost() it does not fire the loss
-// signal — there are no phase waiters yet; quorum alone decides whether
-// the resumed job proceeds.
-func (c *coordinator) markDeadEarly(i int, err error) {
-	c.mu.Lock()
-	if _, dup := c.deadErr[i]; !dup {
-		wl := c.asLost(i, err)
-		c.deadErr[i] = wl
-		c.lastLost = wl
-		c.rec.LostWorkers = append(c.rec.LostWorkers, i)
-		c.rec.LostPhases = append(c.rec.LostPhases, "resume")
-	}
-	l := c.links[i]
-	c.mu.Unlock()
-	if l != nil {
-		l.conn.Close()
-	}
-	c.journal(journalEvent{Event: "lost", Epoch: c.epoch, Phase: "resume", Worker: i})
 }
 
 // histDigest is an FNV-1a fold of the merged histogram, journaled with the

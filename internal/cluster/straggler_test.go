@@ -49,38 +49,6 @@ func TestStragglerErrorIdentity(t *testing.T) {
 	}
 }
 
-// TestStragglerErrorSurvivesWire: a StragglerError flattened to a msgError
-// on one side of the TCP connection must reconstruct as the same typed
-// error — phase and budget included — on the other.
-func TestStragglerErrorSurvivesWire(t *testing.T) {
-	orig := &StragglerError{
-		Worker: 1, Addr: "peer:9", Phase: "exchange",
-		Budget: 750 * time.Millisecond, Err: errors.New("progress flat for 3 ticks"),
-	}
-	wrapped := fmt.Errorf("job: %w", orig)
-
-	m := errorToWire(0, wrapped)
-	if m.Code != ecStraggler {
-		t.Fatalf("wire code %d, want ecStraggler", m.Code)
-	}
-	var back msgError
-	if err := back.decode(m.encode()); err != nil {
-		t.Fatal(err)
-	}
-	rebuilt := wireToError(&back)
-
-	var slow *StragglerError
-	if !errors.As(rebuilt, &slow) {
-		t.Fatalf("rebuilt error %T is not a *StragglerError", rebuilt)
-	}
-	if slow.Worker != 1 || slow.Addr != "peer:9" || slow.Phase != "exchange" {
-		t.Fatalf("rebuilt %+v", slow)
-	}
-	if slow.Budget != 750*time.Millisecond {
-		t.Fatalf("budget lost on the wire: %v", slow.Budget)
-	}
-}
-
 // TestHedgeBlockDedup drives the phase-3 hedge stream through storeBlock
 // directly: a retransmitted hedge block must be a stored-nothing no-op
 // (hedged output would otherwise gain duplicate records), and a hedge

@@ -344,7 +344,7 @@ func (w *Worker) handleConn(ctx context.Context, conn net.Conn) {
 		return
 	}
 	switch typ {
-	case mHello, mJoin, mResume:
+	case mHello, mResume:
 		var h msgHello
 		if err := h.decode(payload); err != nil {
 			conn.Close()
@@ -393,8 +393,9 @@ func (w *Worker) handleConn(ctx context.Context, conn net.Conn) {
 }
 
 // runJob executes one coordinator session on the calling goroutine. typ is
-// the opening handshake: mHello starts a job with a scatter; mJoin (a new
-// virtual disk) and mResume (a restarted coordinator) attach mid-job.
+// the opening handshake: mHello opens a new session — a new job's, or a
+// joiner's, an added virtual disk — on an empty shard; mResume re-attaches
+// a restarted coordinator to the shard parked for it, if any.
 func (w *Worker) runJob(ctx context.Context, conn net.Conn, br *bufio.Reader, typ byte, h *msgHello) {
 	defer conn.Close()
 	sendErr := func(self int, err error) {
@@ -420,11 +421,11 @@ func (w *Worker) runJob(ctx context.Context, conn net.Conn, br *bufio.Reader, ty
 		s.setShardRecs(parked.shardRecs)
 		s.epoch = parked.epoch
 	}
-	// An attach does not wait for a finishing session the way a new job
+	// A resume does not wait for a finishing session the way a new session
 	// does: the parked shard was taken above, before the old session could
 	// park it, and a resuming coordinator retries a refusal itself.
 	handoff := sessionHandoff
-	if typ != mHello {
+	if typ == mResume {
 		handoff = 0
 	}
 	if !w.claim(s, handoff) {
@@ -449,8 +450,13 @@ func (w *Worker) runJob(ctx context.Context, conn net.Conn, br *bufio.Reader, ty
 		if w.maybePark(s, err) {
 			return // shard kept for a coordinator resume; defers abort + close
 		}
+		// Tell the coordinator why before hanging up: it fails this worker
+		// over with the error as the cause. A hung session stays silent, and
+		// a killed one has already closed its control link.
+		if !s.isHung() {
+			sendErr(s.self, err)
+		}
 		s.abort(err)
-		sendErr(s.self, err)
 	}
 }
 
@@ -821,14 +827,7 @@ func (s *session) fail(err error) {
 	s.cond.Broadcast()
 }
 
-// initEpoch arms the first epoch's context.
-func (s *session) initEpoch() {
-	s.mu.Lock()
-	s.epochCtx, s.epochCancel = context.WithCancel(s.ctx)
-	s.mu.Unlock()
-}
-
-// noteRescatter is the control reader's half of a failover: record the
+// noteRescatter is the control reader's half of an epoch turn: record the
 // announced epoch, cancel the current one so senders and sorts stop, and
 // wake the barrier waiters. The job goroutine completes the switch in
 // doRecover.
@@ -844,12 +843,12 @@ func (s *session) noteRescatter(m *msgRescatter) {
 	s.mu.Unlock()
 }
 
-// resetEpoch rewinds the session to its post-scatter state for epoch m:
-// received blocks, plan, pivots, and peer connections all belong to the
-// dead epoch and are discarded; the shard file is the one durable input.
-// The announcement's peer table replaces the session's (a join may have
-// grown the cluster), so the new width takes effect atomically with the
-// epoch.
+// resetEpoch rewinds the session to the start of epoch m: received
+// blocks, plan, pivots, and peer connections all belong to the dead epoch
+// and are discarded; the shard file is the one durable input. The
+// announcement's peer table replaces the session's (a join may have grown
+// the cluster), so the new width takes effect atomically with the epoch.
+// The session's first reset creates its epoch context.
 func (s *session) resetEpoch(m *msgRescatter) error {
 	s.mu.Lock()
 	s.epoch = m.Epoch
@@ -907,8 +906,8 @@ func (s *session) resetEpoch(m *msgRescatter) error {
 // coordinator connection, acts on chaos and re-scatter frames immediately
 // (even while the job goroutine is deep inside a phase), and forwards the
 // rest — including the re-scatter frame itself, which doubles as the
-// recovery sync point — to the job goroutine. Payloads land in buffers
-// from ctlFree, which the scatter consumers hand back once copied out.
+// epoch's sync point — to the job goroutine. Payloads land in buffers
+// from ctlFree, which doRecover hands back once a chunk is written out.
 func (s *session) readCtl(ctl *wlink) {
 	for {
 		clearDeadline(ctl.conn)
@@ -1026,18 +1025,11 @@ func (s *session) recvCtl() (byte, []byte, error) {
 }
 
 // expectCtl reads the next control frame and requires it to be of type
-// want, converting a coordinator-reported mError into its typed Go error.
+// want.
 func (s *session) expectCtl(want byte) ([]byte, error) {
 	typ, payload, err := s.recvCtl()
 	if err != nil {
 		return nil, err
-	}
-	if typ == mError {
-		var e msgError
-		if derr := e.decode(payload); derr != nil {
-			return nil, derr
-		}
-		return nil, wireToError(&e)
 	}
 	if typ != want {
 		return nil, fmt.Errorf("cluster: expected message %d, got %d", want, typ)
@@ -1530,13 +1522,11 @@ func (s *session) deliver(conn net.Conn, br *bufio.Reader, phase uint8, blk *out
 }
 
 // run is the worker side of the job protocol: answer the handshake, then
-// run epochs of the phase pipeline, re-entered through doRecover whenever
-// the coordinator announces a re-scatter. A new job (mHello) acks and
-// receives the scatter first. A joiner (mJoin) acks and starts from an
-// empty shard; a resumed worker (mResume) answers with mResumeState,
-// reporting the epoch-tagged shard it still holds, if any (adopted). Either
-// attach waits for the mRescatter that opens the attach epoch, and enters
-// the pipeline through doRecover exactly like a failover survivor.
+// run epochs of the phase pipeline, each entered through doRecover when the
+// coordinator opens it with mRescatter — the job's first epoch, its
+// scatter, included. A new session (mHello) acks; a resumed one (mResume)
+// answers with mResumeState, reporting the epoch-tagged shard it still
+// holds, if any (adopted).
 func (s *session) run(ctl *wlink, typ byte, adopted bool) error {
 	var err error
 	if typ == mResume {
@@ -1551,33 +1541,14 @@ func (s *session) run(ctl *wlink, typ byte, adopted bool) error {
 	if err != nil {
 		return err
 	}
-	if typ == mJoin {
-		// A joiner's durable input starts empty: the attach epoch's
-		// re-scatter streams its whole shard with Fresh set.
-		if err := os.WriteFile(s.shardPath(), nil, 0o644); err != nil {
-			return err
-		}
-	}
-	s.initEpoch()
 	go s.readCtl(ctl)
-
-	err = errInterrupted // an attach has no scatter: its epoch opens with mRescatter
-	if typ == mHello {
-		sp := s.trace.Begin("cluster", "scatter-recv", s.self)
-		err = s.recvScatter()
-		sp.End(obs.Attr{Key: "records", Val: int64(s.shardRecs)})
-	}
 	for {
-		if err == nil {
+		if err = s.doRecover(ctl); err == nil {
 			err = s.pipeline(ctl)
-		}
-		if err == nil {
-			return nil
 		}
 		if !errors.Is(err, errInterrupted) {
 			return err
 		}
-		err = s.doRecover(ctl)
 	}
 }
 
@@ -1835,12 +1806,16 @@ func (s *session) phaseFail(ctl *wlink, err error) error {
 	return err
 }
 
-// doRecover joins the epoch a re-scatter announced: sync to the re-scatter
-// frame (discarding the dead epoch's stragglers), rewind the session to its
-// post-scatter state, append the re-streamed chunks to the shard, and ack.
-// A newer re-scatter arriving mid-recovery preempts the current one.
+// doRecover enters the epoch an mRescatter announced: sync to the
+// announcement (discarding the dead epoch's stragglers), rewind the session
+// to the epoch's start, append the chunks the epoch deals this worker to
+// its shard — or write them to an empty one under the Fresh flag — and
+// ack. Each chunk is a unit of work and pays a stall injected at scatter.
+// A newer announcement arriving mid-stream preempts the current one: the
+// chunks already written are this worker's to keep. Each epoch's stream
+// is one scatter-recv span.
 func (s *session) doRecover(ctl *wlink) error {
-	s.phaseIdx.Store(0) // back to scatter-recv: the new epoch re-feeds the shard
+	s.phaseIdx.Store(0) // scatter-recv
 	var m msgRescatter
 	for {
 		f, err := s.recvCtlRaw()
@@ -1860,12 +1835,10 @@ restart:
 	if err := s.resetEpoch(&m); err != nil {
 		return err
 	}
+	sp := s.trace.Begin("cluster", "scatter-recv", s.self)
 	flags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
 	got := s.shardRecs
 	if m.Fresh {
-		// The coordinator is re-streaming this worker's whole shard (it is
-		// a joiner, or its shard did not survive the crash): drop whatever
-		// is on disk and count from zero.
 		flags = os.O_CREATE | os.O_WRONLY | os.O_TRUNC
 		got = 0
 	}
@@ -1891,14 +1864,22 @@ restart:
 		case mRecords:
 			if len(f.payload)%record.EncodedSize != 0 {
 				shard.Close()
-				return fmt.Errorf("cluster: re-scatter chunk of %d bytes", len(f.payload))
+				return fmt.Errorf("cluster: scatter chunk of %d bytes", len(f.payload))
 			}
+			chunkStart := time.Now()
 			if _, err := bw.Write(f.payload); err != nil {
 				shard.Close()
 				return err
 			}
 			got += uint64(len(f.payload) / record.EncodedSize)
 			s.ctlFree.put(f.payload)
+			s.workUnits.Add(1)
+			// A newer epoch cancels the throttle; the chunks still queued
+			// ahead of its announcement are written all the same.
+			if err := s.throttleWork(s.ectx(), time.Since(chunkStart)); err != nil && !s.interrupted() {
+				shard.Close()
+				return err
+			}
 		case mRescatterDone:
 			var d msgRescatterDone
 			if err := d.decode(f.payload); err != nil {
@@ -1907,31 +1888,32 @@ restart:
 			}
 			if d.Epoch != m.Epoch {
 				shard.Close()
-				return fmt.Errorf("cluster: re-scatter done for epoch %d inside epoch %d", d.Epoch, m.Epoch)
+				return fmt.Errorf("cluster: scatter done for epoch %d inside epoch %d", d.Epoch, m.Epoch)
 			}
 			if d.Total != got {
 				shard.Close()
-				return fmt.Errorf("cluster: re-scatter left %d records, coordinator says %d", got, d.Total)
+				return fmt.Errorf("cluster: scatter left %d records, coordinator says %d", got, d.Total)
 			}
 			if err := finish(); err != nil {
 				return err
 			}
 			s.setShardRecs(got)
+			sp.End(obs.Attr{Key: "records", Val: int64(got)})
 			a := msgRescatterAck{Epoch: m.Epoch, ShardRecs: got}
 			return ctl.send(mRescatterAck, a.encode())
 		case mRescatter:
-			// A newer failover preempts this recovery.
 			if err := finish(); err != nil {
 				return err
 			}
 			s.setShardRecs(got)
+			sp.End(obs.Attr{Key: "records", Val: int64(got)})
 			if err := m.decode(f.payload); err != nil {
 				return err
 			}
 			goto restart
 		default:
 			shard.Close()
-			return fmt.Errorf("cluster: unexpected message %d during re-scatter", f.typ)
+			return fmt.Errorf("cluster: unexpected message %d during scatter", f.typ)
 		}
 	}
 }
@@ -1961,72 +1943,6 @@ func (s *session) sendTrace(ctl *wlink) error {
 // coordinator's flowOut for the outbound half and the id derivation.
 func (s *session) flowIn(phase string) {
 	s.trace.FlowPoint("cluster", "flow-"+phase, s.self, flowID(phase, s.curEpoch(), s.self), false)
-}
-
-// recvScatter streams the coordinator's record chunks into the shard file.
-// A re-scatter landing mid-stream (the coordinator lost some other worker
-// while scattering) flushes what arrived — those records are ours to keep —
-// and hands control to doRecover.
-func (s *session) recvScatter() error {
-	s.phaseIdx.Store(0) // scatter-recv
-	shard, err := os.Create(s.shardPath())
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(shard, 1<<16)
-	var got uint64
-	for {
-		typ, payload, err := s.recvCtl()
-		if err != nil {
-			ferr := bw.Flush()
-			cerr := shard.Close()
-			if errors.Is(err, errInterrupted) && ferr == nil && cerr == nil {
-				s.setShardRecs(got)
-			}
-			return err
-		}
-		switch typ {
-		case mRecords:
-			if len(payload)%record.EncodedSize != 0 {
-				shard.Close()
-				return fmt.Errorf("cluster: scatter chunk of %d bytes", len(payload))
-			}
-			chunkStart := time.Now()
-			if _, err := bw.Write(payload); err != nil {
-				shard.Close()
-				return err
-			}
-			got += uint64(len(payload) / record.EncodedSize)
-			s.ctlFree.put(payload)
-			s.workUnits.Add(1)
-			if err := s.throttleWork(s.ectx(), time.Since(chunkStart)); err != nil {
-				shard.Close()
-				return err
-			}
-		case mScatterDone:
-			var c msgCount
-			if err := c.decode(payload); err != nil {
-				shard.Close()
-				return err
-			}
-			if c.Count != got {
-				shard.Close()
-				return fmt.Errorf("cluster: scatter delivered %d records, coordinator sent %d", got, c.Count)
-			}
-			if err := bw.Flush(); err != nil {
-				shard.Close()
-				return err
-			}
-			if err := shard.Close(); err != nil {
-				return err
-			}
-			s.setShardRecs(got)
-			return nil
-		default:
-			shard.Close()
-			return fmt.Errorf("cluster: unexpected message %d during scatter", typ)
-		}
-	}
 }
 
 // scanShard streams the shard file to fn in chunks of up to scatterChunk

@@ -135,10 +135,11 @@ func TestWorkerDiskErrorNotParked(t *testing.T) {
 }
 
 // TestWorkerRefusesBadPivots drives a worker by hand through the scatter
-// and the histogram, then sends pivots a bucket table cannot represent:
-// out of order, or inside a histogram bin. The worker must fail the job —
-// its control connection ends before any plan is asked for — and must not
-// panic, which would take the test binary down with it.
+// (the job's first epoch) and the histogram, then sends pivots a bucket
+// table cannot represent: out of order, or inside a histogram bin. The
+// worker must fail the job and say why — an mError before its control
+// connection ends, no plan asked for — and must not panic, which would take
+// the test binary down with it.
 func TestWorkerRefusesBadPivots(t *testing.T) {
 	addrs := startWorkers(t, 1, fastWorker)
 	recs := record.Generate(record.Uniform, 500, 9)
@@ -165,8 +166,9 @@ func TestWorkerRefusesBadPivots(t *testing.T) {
 			payload []byte
 		}{
 			{mHello, h.encode()},
+			{mRescatter, (&msgRescatter{Active: []uint32{0}, Fresh: true, Peers: addrs}).encode()},
 			{mRecords, record.EncodeSlice(recs)},
-			{mScatterDone, (&msgCount{Count: uint64(len(recs))}).encode()},
+			{mRescatterDone, (&msgRescatterDone{Total: uint64(len(recs))}).encode()},
 		} {
 			if err := writeFrame(conn, f.typ, f.payload); err != nil {
 				t.Fatal(err)
@@ -175,13 +177,12 @@ func TestWorkerRefusesBadPivots(t *testing.T) {
 				expect(mHelloAck)
 			}
 		}
+		expect(mRescatterAck)
 		expect(mHistogram)
 		if err := writeFrame(conn, mPivots, (&msgPivots{Pivots: pivots}).encode()); err != nil {
 			t.Fatal(err)
 		}
-		if typ, _, err := readFrame(br, nil); err == nil && typ != mError {
-			t.Fatalf("pivots %#x: worker answered with message %d, want the job to fail", pivots, typ)
-		}
+		expect(mError)
 		conn.Close()
 	}
 }

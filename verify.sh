@@ -52,8 +52,8 @@ echo "== go test -race (cluster churn matrix: worker kills, coordinator kill+res
 go test -race -count=1 -run 'Chaos|Degraded|Flap|FailoverJournal|Join|Resume|Dedup' ./internal/cluster/
 go test -race -count=1 -run 'ServerCluster' ./internal/jobs/
 
-echo "== go test -count=20 (worker teardown repeat gate: Serve returns only after its sessions have torn down) =="
-go test -count=20 -run 'TestJoinThenLossBelowQuorum|TestClusterDegradedBelowQuorum|TestServeWaitsForHandlers' ./internal/cluster/
+echo "== go test -count=20 (worker teardown repeat gate: Serve returns only after its sessions have torn down, and a worker's job error is its loss's cause) =="
+go test -count=20 -run 'TestJoinThenLossBelowQuorum|TestClusterDegradedBelowQuorum|TestServeWaitsForHandlers|TestWorkerErrorIsTheLossCause' ./internal/cluster/
 
 echo "== go test -race (straggler matrix: stalls at every phase, hedged re-execution, and demotion fallback) =="
 go test -race -count=1 -run 'Stall|Straggler|Hedge' ./internal/cluster/
