@@ -79,12 +79,14 @@ func errorToWire(self int, err error) *msgError {
 }
 
 // wireToError is the inverse: it rebuilds the typed error a msgError
-// describes, so errors.As keeps working for callers on the far side.
+// describes, so errors.As keeps working for callers on the far side. A
+// generic error comes back as the worker's own text: every caller wraps
+// it in an error that names the worker, and the text mostly names it too.
 func wireToError(m *msgError) error {
 	switch m.Code {
 	case ecWorkerLost:
 		return &WorkerLostError{Worker: int(m.Worker), Addr: m.Addr, Err: errors.New(m.Text)}
 	default:
-		return fmt.Errorf("cluster: worker %d: %s", m.Worker, m.Text)
+		return errors.New(m.Text)
 	}
 }

@@ -328,16 +328,40 @@ func (s *Sorter) merge(group []Run) Run {
 		out.add(it.rec)
 		written++
 		c := &curs[it.run]
-		if len(c.buf) == 0 {
-			refill(it.run)
-		}
-		if len(c.buf) > 0 {
-			h[0] = mergeItem{rec: c.buf[0], run: it.run}
-			c.buf = c.buf[1:]
-			h.down(0)
-		} else {
+		if len(c.buf) == 0 && !refill(it.run) {
 			h.pop()
+			continue
 		}
+		// The winner keeps the lead while the best other head, h[j], does
+		// not precede its next record. That is down's own test, so a streak
+		// ends exactly where a sift would hand the lead over, and it goes
+		// out in one copy.
+		j := h.minChild(0)
+		if j < 0 || !h[j].rec.Less(c.buf[0]) {
+			for {
+				n := 1
+				if j < 0 {
+					n = len(c.buf)
+				}
+				for n < len(c.buf) && !h[j].rec.Less(c.buf[n]) {
+					n++
+				}
+				out.addRun(c.buf[:n])
+				written += n
+				c.buf = c.buf[n:]
+				if len(c.buf) > 0 || !refill(it.run) || j >= 0 && h[j].rec.Less(c.buf[0]) {
+					break
+				}
+			}
+			if len(c.buf) == 0 {
+				h.pop()
+				continue
+			}
+		}
+		// h[j] precedes the run's next record: the sift's first swap.
+		h[0], h[j] = h[j], mergeItem{rec: c.buf[0], run: it.run}
+		c.buf = c.buf[1:]
+		h.down(j)
 	}
 	out.close()
 	if written != total {
@@ -363,17 +387,24 @@ func (h mergeHeap) init() {
 	}
 }
 
+// minChild returns the child of i that down would swap i with, or -1 if
+// i has none.
+func (h mergeHeap) minChild(i int) int {
+	j := 2*i + 1
+	if j >= len(h) {
+		return -1
+	}
+	if r := j + 1; r < len(h) && h[r].rec.Less(h[j].rec) {
+		j = r
+	}
+	return j
+}
+
 // down restores the heap order below position i.
 func (h mergeHeap) down(i int) {
 	for {
-		j := 2*i + 1
-		if j >= len(h) {
-			return
-		}
-		if r := j + 1; r < len(h) && h[r].rec.Less(h[j].rec) {
-			j = r
-		}
-		if !h[j].rec.Less(h[i].rec) {
+		j := h.minChild(i)
+		if j < 0 || !h[j].rec.Less(h[i].rec) {
 			return
 		}
 		h[i], h[j] = h[j], h[i]
@@ -431,6 +462,19 @@ func (w *regionWriter) add(r record.Record) {
 	w.buf = append(w.buf, r)
 	if len(w.buf) == cap(w.buf) {
 		w.flush()
+	}
+}
+
+// addRun adds rs in order, flushing each time the buffer fills, at the
+// same records as one add per record would.
+func (w *regionWriter) addRun(rs []record.Record) {
+	for len(rs) > 0 {
+		k := copy(w.buf[len(w.buf):cap(w.buf)], rs)
+		w.buf = w.buf[:len(w.buf)+k]
+		rs = rs[k:]
+		if len(w.buf) == cap(w.buf) {
+			w.flush()
+		}
 	}
 }
 

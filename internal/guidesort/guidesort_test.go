@@ -3,6 +3,7 @@ package guidesort
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"balancesort/internal/core"
@@ -58,6 +59,13 @@ func check(t *testing.T, in, out []record.Record) {
 	}
 }
 
+// TestSortsAllWorkloads sorts every workload, then duplicate-heavy inputs
+// whose merges hand one run the lead for a streak of equal keys: at
+// pTest's geometry (32-record rows, 512-record runs and flushes) the
+// streaks cross row refills, drain their runs, and cross region-writer
+// flushes, and in the two-level inputs a streak spans a whole merged run.
+// Their output must be the oracle's and their I/O counts those of the
+// record-at-a-time merge.
 func TestSortsAllWorkloads(t *testing.T) {
 	for _, w := range record.AllWorkloads {
 		for _, n := range []int{1, 7, 64, 500, 4000} {
@@ -67,6 +75,37 @@ func TestSortsAllWorkloads(t *testing.T) {
 			if met.MemPeak > pTest().M {
 				t.Fatalf("%v n=%d: mem peak %d exceeds M=%d", w, n, met.MemPeak, pTest().M)
 			}
+		}
+	}
+
+	oneKey := record.Generate(record.Uniform, 9000, 5)
+	for i := range oneKey {
+		oneKey[i].Key = 42
+	}
+	shuffled := record.Generate(record.FewDistinct, 4000, 7)
+	g := record.NewRNG(3)
+	for i := len(shuffled) - 1; i > 0; i-- {
+		j := g.Intn(i + 1)
+		shuffled[i].Loc, shuffled[j].Loc = shuffled[j].Loc, shuffled[i].Loc
+	}
+	for _, tc := range []struct {
+		name               string
+		in                 []record.Record
+		ios, reads, writes int64
+	}{
+		{"fewdistinct", record.Generate(record.FewDistinct, 4000, 11), 500, 250, 250},
+		{"fewdistinct-shuffled-locs", shuffled, 500, 250, 250},
+		{"zipf-two-levels", record.Generate(record.Zipf, 9000, 11), 1640, 820, 820},
+		{"one-key-two-levels", oneKey, 1640, 820, 820},
+	} {
+		out, met := run(t, pTest(), Config{}, tc.in)
+		want := slices.Clone(tc.in)
+		slices.SortFunc(want, record.Record.Compare)
+		if !slices.Equal(out, want) {
+			t.Fatalf("%s: output differs from the oracle", tc.name)
+		}
+		if met.IOs != tc.ios || met.ReadIOs != tc.reads || met.WriteIOs != tc.writes {
+			t.Errorf("%s: IOs %d (read %d, write %d), want %d (%d, %d)", tc.name, met.IOs, met.ReadIOs, met.WriteIOs, tc.ios, tc.reads, tc.writes)
 		}
 	}
 }

@@ -27,13 +27,29 @@ func checkRadix(t *testing.T, name string, rs []record.Record) {
 	}
 }
 
+// shuffleLocs permutes the Locs of rs among its records, so that runs of
+// equal keys arrive out of Loc order, as they do in a Balance Sort bucket
+// or a cluster shard.
+func shuffleLocs(rs []record.Record, seed uint64) []record.Record {
+	g := record.NewRNG(seed)
+	for i := len(rs) - 1; i > 0; i-- {
+		j := g.Intn(i + 1)
+		rs[i].Loc, rs[j].Loc = rs[j].Loc, rs[i].Loc
+	}
+	return rs
+}
+
 // TestSortRadixMatchesComparison compares the radix kernel with the
 // comparison sort on every workload at sizes around the digit and
-// memoryload boundaries, and on inputs built to hit the shared-digit skip.
+// memoryload boundaries, each also with its Locs shuffled, and on inputs
+// built to hit the shared-digit skip. Shuffled, zipf from n = 255 on
+// holds runs of equal keys both up to shortGroup long and longer, so
+// both tie fix-ups run within one input.
 func TestSortRadixMatchesComparison(t *testing.T) {
 	for _, w := range record.AllWorkloads {
 		for _, n := range []int{0, 1, 2, 255, 256, 257, 5000, 8191, 8192, 65537} {
 			checkRadix(t, fmt.Sprintf("%v/n=%d", w, n), record.Generate(w, n, uint64(n)+17))
+			checkRadix(t, fmt.Sprintf("%v/n=%d/shuffled-locs", w, n), shuffleLocs(record.Generate(w, n, uint64(n)+17), uint64(n)))
 		}
 	}
 
@@ -183,12 +199,26 @@ func TestSortRadixConcurrent(t *testing.T) {
 }
 
 // BenchmarkSortRadix times the kernel on memoryload-sized and larger
-// inputs; each iteration sorts a fresh copy of the same input.
+// inputs; each iteration sorts a fresh copy of the same input. The
+// shuffled-locs cases are the tie fix-up's worst case: heavy duplicates
+// out of Loc order, as in duplicate-heavy Balance Sort base cases and
+// cluster shards.
 func BenchmarkSortRadix(b *testing.B) {
-	for _, w := range []record.Workload{record.Uniform, record.Zipf} {
+	type input struct {
+		w        record.Workload
+		shuffled bool
+	}
+	for _, in := range []input{{record.Uniform, false}, {record.Zipf, false}, {record.Zipf, true}, {record.FewDistinct, true}} {
 		for _, n := range []int{256, 8 << 10, 64 << 10, 1 << 20} {
-			b.Run(fmt.Sprintf("%v/n=%d", w, n), func(b *testing.B) {
-				src := record.Generate(w, n, 11)
+			name := fmt.Sprintf("%v/n=%d", in.w, n)
+			if in.shuffled {
+				name = fmt.Sprintf("%v-shuffled-locs/n=%d", in.w, n)
+			}
+			b.Run(name, func(b *testing.B) {
+				src := record.Generate(in.w, n, 11)
+				if in.shuffled {
+					shuffleLocs(src, 12)
+				}
 				rs := make([]record.Record, n)
 				m := New(1)
 				b.ReportAllocs()

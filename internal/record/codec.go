@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"unsafe"
 )
 
 // Wire format: 16 bytes per record, little-endian Key then Loc. This is
@@ -35,21 +36,52 @@ func EncodeSlice(rs []Record) []byte {
 	return AppendSlice(make([]byte, 0, len(rs)*EncodedSize), rs)
 }
 
+// littleEndian reports whether this host stores a uint64 least
+// significant byte first. A Record is two uint64s with no padding, so
+// there its memory already is its wire form, and the codec is one copy.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// wireView returns the memory of rs as bytes: on a little-endian host,
+// its wire form.
+func wireView(rs []Record) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(rs))), len(rs)*EncodedSize)
+}
+
 // AppendSlice appends the wire form of rs to buf and returns the extended
 // slice.
 func AppendSlice(buf []byte, rs []Record) []byte {
 	n := len(buf)
 	buf = slices.Grow(buf, len(rs)*EncodedSize)[:n+len(rs)*EncodedSize]
-	for i, r := range rs {
-		b := buf[n+i*EncodedSize : n+(i+1)*EncodedSize]
-		binary.LittleEndian.PutUint64(b[0:8], r.Key)
-		binary.LittleEndian.PutUint64(b[8:16], r.Loc)
+	if littleEndian {
+		copy(buf[n:], wireView(rs))
+	} else {
+		encodeLoop(buf[n:], rs)
 	}
 	return buf
 }
 
 // DecodeInto fills dst from the first len(dst)*EncodedSize bytes of buf.
 func DecodeInto(dst []Record, buf []byte) {
+	buf = buf[:len(dst)*EncodedSize]
+	if littleEndian {
+		copy(wireView(dst), buf)
+	} else {
+		decodeLoop(dst, buf)
+	}
+}
+
+// encodeLoop writes the wire form of rs into buf record by record, on any
+// host; the codec uses it where a Record's memory is not its wire form.
+func encodeLoop(buf []byte, rs []Record) {
+	for i, r := range rs {
+		b := buf[i*EncodedSize : (i+1)*EncodedSize]
+		binary.LittleEndian.PutUint64(b[0:8], r.Key)
+		binary.LittleEndian.PutUint64(b[8:16], r.Loc)
+	}
+}
+
+// decodeLoop is encodeLoop's inverse.
+func decodeLoop(dst []Record, buf []byte) {
 	for i := range dst {
 		dst[i] = Decode(buf[i*EncodedSize:])
 	}
@@ -61,22 +93,22 @@ func DecodeSlice(buf []byte) ([]Record, error) {
 		return nil, fmt.Errorf("record: %d bytes is not a whole number of records", len(buf))
 	}
 	out := make([]Record, len(buf)/EncodedSize)
-	for i := range out {
-		out[i] = Decode(buf[i*EncodedSize:])
-	}
+	DecodeInto(out, buf)
 	return out, nil
 }
 
 // WriteAll writes rs to w in wire form.
 func WriteAll(w io.Writer, rs []Record) error {
+	if littleEndian {
+		_, err := w.Write(wireView(rs))
+		return err
+	}
 	// Stream in modest chunks to avoid a full-size staging buffer.
 	const chunk = 4096
+	var buf []byte
 	for lo := 0; lo < len(rs); lo += chunk {
-		hi := lo + chunk
-		if hi > len(rs) {
-			hi = len(rs)
-		}
-		if _, err := w.Write(EncodeSlice(rs[lo:hi])); err != nil {
+		buf = AppendSlice(buf[:0], rs[lo:min(lo+chunk, len(rs))])
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
 	}

@@ -245,6 +245,53 @@ func TestCodecInPackage(t *testing.T) {
 	}
 }
 
+// TestCodecMatchesByteLoop checks the codec's one-copy path against the
+// record-by-record byte loop, called directly, on random, zero, all-ones
+// and high-bit values: both must give the same bytes, Key then Loc
+// little-endian, and the same records back, whatever the buffer's
+// alignment or prefix.
+func TestCodecMatchesByteLoop(t *testing.T) {
+	rs := Generate(Uniform, 300, 41)
+	for _, v := range []uint64{0, ^uint64(0), 1 << 63, 0x8000000000000001, 0x0102030405060708} {
+		rs = append(rs, Record{Key: v, Loc: v}, Record{Key: v, Loc: ^v}, Record{Key: ^v, Loc: v})
+	}
+	want := make([]byte, len(rs)*EncodedSize)
+	encodeLoop(want, rs)
+	for i, r := range rs {
+		if one := Encode(nil, r); !bytes.Equal(want[i*EncodedSize:(i+1)*EncodedSize], one) {
+			t.Fatalf("record %d: byte loop wrote %x, Encode %x", i, want[i*EncodedSize:(i+1)*EncodedSize], one)
+		}
+	}
+
+	prefix := []byte{0xaa, 0xbb, 0xcc}
+	got := AppendSlice(append([]byte(nil), prefix...), rs)
+	if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+		t.Fatal("AppendSlice's bytes differ from the byte loop's")
+	}
+	var sb bytes.Buffer
+	if err := WriteAll(&sb, rs); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sb.Bytes(), want) {
+		t.Fatal("WriteAll's bytes differ from the byte loop's")
+	}
+
+	loop := make([]Record, len(rs))
+	decodeLoop(loop, want)
+	odd := got[len(prefix):] // 3 bytes past the allocation's start, so unaligned
+	native := make([]Record, len(rs))
+	DecodeInto(native, odd)
+	whole, err := DecodeSlice(odd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rs {
+		if loop[i] != rs[i] || native[i] != rs[i] || whole[i] != rs[i] {
+			t.Fatalf("record %d: byte loop %v, DecodeInto %v, DecodeSlice %v, want %v", i, loop[i], native[i], whole[i], rs[i])
+		}
+	}
+}
+
 func TestWriteReadAll(t *testing.T) {
 	rs := Generate(Uniform, 5000, 9) // spans multiple WriteAll chunks
 	var sb bytes.Buffer

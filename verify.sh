@@ -18,6 +18,10 @@ fi
 echo "== go vet =="
 go vet ./...
 
+echo "== big-endian build (the codec's byte loop is the only path there) =="
+GOARCH=s390x go vet ./internal/record ./internal/pdm
+GOARCH=s390x go test -c -o /dev/null ./internal/record
+
 echo "== staticcheck =="
 if command -v staticcheck >/dev/null 2>&1; then
     staticcheck ./...
