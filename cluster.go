@@ -93,10 +93,10 @@ type ClusterConfig struct {
 	DialAttempts int
 	DialBackoff  time.Duration
 	IOTimeout    time.Duration
-	// Heartbeat tunes the failure detector: a dedicated ping connection
-	// per worker whose missed-pong budget declares a silent worker lost.
-	// The zero value means 500ms pings with a budget of 3 misses; set
-	// Disable to turn monitoring off.
+	// Heartbeat tunes the failure detector: every worker beats on its
+	// control link, and a worker whose link stays silent past the missed-
+	// beat budget is declared lost. The zero value means a beat every
+	// 500ms with a budget of 3 misses; set Disable to turn it off.
 	Heartbeat ClusterHeartbeat
 	// Chaos, when non-nil, kills (or hangs) one worker at the start of the
 	// named coordinator phase — the built-in chaos harness behind the
@@ -120,7 +120,7 @@ type ClusterConfig struct {
 	// Stall, when non-nil, slows one worker by a multiplicative factor
 	// from the start of the named coordinator phase — the latency chaos
 	// harness behind `-chaos-stall`. Unlike Chaos the victim stays alive
-	// and keeps answering heartbeats; only the Straggler detector can get
+	// and keeps beating; only the Straggler detector can get
 	// the job off its critical path.
 	Stall *ClusterStall
 	// JournalPath, when non-empty, appends a crash-consistent journal of

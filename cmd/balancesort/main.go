@@ -87,7 +87,7 @@ func main() {
 		hedge      = flag.Bool("hedge", false, "with -cluster: speculatively re-run a straggling shard sort on the fastest finished worker, first result wins (implies -straggle)")
 		softBudget = flag.Duration("straggle-soft", 0, "with -straggle: hedge a shard sort that exceeds this budget (0 = derive from the median finisher and the plan cost model)")
 		hardBudget = flag.Duration("straggle-hard", 0, "with -straggle: demote a worker whose phase exceeds this budget (0 = derive from the median finisher and the plan cost model)")
-		hbEvery    = flag.Duration("heartbeat", 0, "with -cluster: heartbeat ping interval (0 = 500ms default, negative disables the failure detector)")
+		hbEvery    = flag.Duration("heartbeat", 0, "with -cluster: the interval at which workers send heartbeats on their control links, at least 1ms; a worker silent for 4 intervals is lost (0 = 500ms default, negative disables the failure detector)")
 		cjournal   = flag.String("cjournal", "", "with -cluster: append the coordinator's phase/loss/failover journal to this file")
 		cresume    = flag.Bool("cresume", false, "with -cluster: resume a crashed coordinator's job from the -cjournal phase-commit log instead of starting over")
 

@@ -51,7 +51,7 @@ func ColumnSortDisk(arr *pdm.Array, off, n, p int) (Region, Metrics, error) {
 		// Single column: one memoryload sort.
 		buf := make([]record.Record, n)
 		arr.Mem.Use(n)
-		readAlignedFrom(arr, off, 0, buf)
+		arr.ReadStripe(off, 0, buf)
 		cpu.Sort(buf)
 		out := allocStripeFor(arr, n)
 		arr.WriteStripe(out, 0, buf)
@@ -79,9 +79,9 @@ func ColumnSortDisk(arr *pdm.Array, off, n, p int) (Region, Metrics, error) {
 		buf := make([]record.Record, r)
 		arr.Mem.Use(r)
 		for j := 0; j < s; j++ {
-			readAlignedFrom(arr, reg, j*r, buf)
+			arr.ReadStripe(reg, j*r/par.B, buf)
 			cpu.Sort(buf)
-			writeAlignedTo(arr, reg, j*r, buf)
+			arr.WriteStripe(reg, j*r/par.B, buf)
 			colSorts++
 		}
 		arr.Mem.Release(r)
@@ -129,13 +129,13 @@ func dealPass(arr *pdm.Array, src, dst, total, r, s int, par pdm.Params, inverse
 			if t+m > total {
 				m = total - t
 			}
-			readAlignedFrom(arr, src, t, chunk[:m])
+			arr.ReadStripe(src, t/par.B, chunk[:m])
 			for i := 0; i < m; i++ {
 				j := (t + i) % s
 				bufs[j][fill[j]] = chunk[i]
 				fill[j]++
 				if fill[j] == par.B {
-					writeAlignedTo(arr, dst, j*r+rows[j], bufs[j][:fill[j]])
+					arr.WriteStripe(dst, (j*r+rows[j])/par.B, bufs[j][:fill[j]])
 					rows[j] += fill[j]
 					fill[j] = 0
 				}
@@ -143,7 +143,7 @@ func dealPass(arr *pdm.Array, src, dst, total, r, s int, par pdm.Params, inverse
 		}
 		for j := 0; j < s; j++ {
 			if fill[j] > 0 {
-				writeAlignedTo(arr, dst, j*r+rows[j], bufs[j][:fill[j]])
+				arr.WriteStripe(dst, (j*r+rows[j])/par.B, bufs[j][:fill[j]])
 				rows[j] += fill[j]
 				fill[j] = 0
 			}
@@ -162,20 +162,20 @@ func dealPass(arr *pdm.Array, src, dst, total, r, s int, par pdm.Params, inverse
 				if r-srcPos[j] < m {
 					m = r - srcPos[j]
 				}
-				readAlignedFrom(arr, src, j*r+srcPos[j], bufs[j][:m])
+				arr.ReadStripe(src, (j*r+srcPos[j])/par.B, bufs[j][:m])
 				cur[j] = bufs[j][:m]
 				srcPos[j] += m
 			}
 			out = append(out, cur[j][0])
 			cur[j] = cur[j][1:]
 			if len(out) == cap(out) {
-				writeAlignedTo(arr, dst, outPos, out)
+				arr.WriteStripe(dst, outPos/par.B, out)
 				outPos += len(out)
 				out = out[:0]
 			}
 		}
 		if len(out) > 0 {
-			writeAlignedTo(arr, dst, outPos, out)
+			arr.WriteStripe(dst, outPos/par.B, out)
 		}
 	}
 	arr.Mem.Release(s*par.B + par.D*par.B)
@@ -189,9 +189,9 @@ func shiftSortDisk(arr *pdm.Array, cpu *pram.Machine, reg, r, s int, colSorts *i
 	half := r / 2
 	total := r * s
 	sortWindow := func(pos, m int) {
-		readAlignedFrom(arr, reg, pos, buf[:m])
+		arr.ReadStripe(reg, pos/arr.B(), buf[:m])
 		cpu.Sort(buf[:m])
-		writeAlignedTo(arr, reg, pos, buf[:m])
+		arr.WriteStripe(reg, pos/arr.B(), buf[:m])
 		*colSorts++
 	}
 	sortWindow(0, half)
@@ -214,13 +214,12 @@ func loadPadded(arr *pdm.Array, off, n, dst, total int) {
 		if pos+m > n {
 			m = n - pos
 		}
-		readAlignedFrom(arr, off, pos, chunk[:m])
-		writeAlignedTo(arr, dst, pos, chunk[:m])
+		arr.ReadStripe(off, pos/par.B, chunk[:m])
+		arr.WriteStripe(dst, pos/par.B, chunk[:m])
 		pos += m
 	}
 	// Sentinel padding. The final partial data block was already sentinel-
-	// padded by writeAlignedTo, so padding resumes at the next block
-	// boundary.
+	// padded by WriteStripe, so padding resumes at the next block boundary.
 	for i := range chunk {
 		chunk[i] = record.Record{Key: ^uint64(0), Loc: ^uint64(0)}
 	}
@@ -230,7 +229,7 @@ func loadPadded(arr *pdm.Array, off, n, dst, total int) {
 		if pos+m > total {
 			m = total - pos
 		}
-		writeAlignedTo(arr, dst, pos, chunk[:m])
+		arr.WriteStripe(dst, pos/par.B, chunk[:m])
 		pos += m
 	}
 	arr.Mem.Release(len(chunk))
@@ -267,63 +266,4 @@ func allocStripeFor(arr *pdm.Array, n int) int {
 		perDisk = 1
 	}
 	return arr.AllocStripe(perDisk)
-}
-
-// readAlignedFrom / writeAlignedTo move a record range within a striped
-// region; pos must be block-aligned except for a final partial block.
-func readAlignedFrom(arr *pdm.Array, off, pos int, buf []record.Record) {
-	p := arr.Params()
-	if pos%p.B != 0 {
-		panic("baseline: unaligned region read")
-	}
-	first := pos / p.B
-	nblocks := (len(buf) + p.B - 1) / p.B
-	for base := 0; base < nblocks; base += p.D {
-		var ops []pdm.Op
-		var dsts [][]record.Record
-		for j := 0; j < p.D && base+j < nblocks; j++ {
-			blk := first + base + j
-			b := make([]record.Record, p.B)
-			dsts = append(dsts, b)
-			ops = append(ops, pdm.Op{Disk: blk % p.D, Off: off + blk/p.D, Data: b})
-		}
-		arr.ParallelIO(ops)
-		for j, b := range dsts {
-			lo := (base + j) * p.B
-			hi := lo + p.B
-			if hi > len(buf) {
-				hi = len(buf)
-			}
-			if lo < len(buf) {
-				copy(buf[lo:hi], b[:hi-lo])
-			}
-		}
-	}
-}
-
-func writeAlignedTo(arr *pdm.Array, off, pos int, buf []record.Record) {
-	p := arr.Params()
-	if pos%p.B != 0 {
-		panic("baseline: unaligned region write")
-	}
-	first := pos / p.B
-	nblocks := (len(buf) + p.B - 1) / p.B
-	for base := 0; base < nblocks; base += p.D {
-		var ops []pdm.Op
-		for j := 0; j < p.D && base+j < nblocks; j++ {
-			blk := first + base + j
-			b := make([]record.Record, p.B)
-			lo := (base + j) * p.B
-			hi := lo + p.B
-			if hi > len(buf) {
-				hi = len(buf)
-			}
-			copy(b, buf[lo:hi])
-			for k := hi - lo; k < p.B; k++ {
-				b[k] = record.Record{Key: ^uint64(0), Loc: ^uint64(0)}
-			}
-			ops = append(ops, pdm.Op{Disk: blk % p.D, Off: off + blk/p.D, Write: true, Data: b})
-		}
-		arr.ParallelIO(ops)
-	}
 }

@@ -401,9 +401,9 @@ func sortWindowsPass(arr *pdm.Array, cpu *pram.Machine, reg Region, w, start int
 		if pos+m > reg.N {
 			m = reg.N - pos
 		}
-		readAlignedFrom(arr, reg.Off, pos, buf[:m])
+		arr.ReadStripe(reg.Off, pos/arr.B(), buf[:m])
 		cpu.Sort(buf[:m])
-		writeAlignedTo(arr, reg.Off, pos, buf[:m])
+		arr.WriteStripe(reg.Off, pos/arr.B(), buf[:m])
 	}
 	arr.Mem.Release(w)
 }
@@ -421,7 +421,7 @@ func regionSorted(arr *pdm.Array, reg Region) bool {
 		if pos+m > reg.N {
 			m = reg.N - pos
 		}
-		readAlignedFrom(arr, reg.Off, pos, chunk[:m])
+		arr.ReadStripe(reg.Off, pos/p.B, chunk[:m])
 		for _, r := range chunk[:m] {
 			if !first && r.Less(prev) {
 				return false

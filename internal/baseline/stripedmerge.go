@@ -140,10 +140,10 @@ func (ms *mergeSorter) formRunsWithMinima(off, n, memload int) ([]Region, [][]re
 		ms.arr.Mem.Use(sz)
 		buf := make([]record.Record, sz)
 		// The input region is block-aligned; pos is a multiple of memload,
-		// itself a multiple of B, so we can address whole stripe rows.
-		ms.readAligned(off, pos, buf)
+		// itself a multiple of B, so it starts at block pos/B.
+		ms.arr.ReadStripe(off, pos/p.B, buf)
 		ms.cpu.Sort(buf)
-		outOff := ms.allocStripe(sz)
+		outOff := allocStripeFor(ms.arr, sz)
 		ms.arr.WriteStripe(outOff, 0, buf)
 		runs = append(runs, Region{Off: outOff, N: sz})
 		mins := make([]record.Record, 0, (sz+p.B-1)/p.B)
@@ -154,45 +154,6 @@ func (ms *mergeSorter) formRunsWithMinima(off, n, memload int) ([]Region, [][]re
 		ms.arr.Mem.Release(sz)
 	}
 	return runs, minima
-}
-
-// readAligned reads buf's worth of records starting at record index pos of
-// the striped region at block offset off. pos must be a multiple of B.
-func (ms *mergeSorter) readAligned(off, pos int, buf []record.Record) {
-	p := ms.arr.Params()
-	if pos%p.B != 0 {
-		panic("baseline: unaligned region read")
-	}
-	first := pos / p.B
-	nblocks := (len(buf) + p.B - 1) / p.B
-	for base := 0; base < nblocks; base += p.D {
-		var ops []pdm.Op
-		var dsts [][]record.Record
-		for j := 0; j < p.D && base+j < nblocks; j++ {
-			blk := first + base + j
-			b := make([]record.Record, p.B)
-			dsts = append(dsts, b)
-			ops = append(ops, pdm.Op{Disk: blk % p.D, Off: off + blk/p.D, Data: b})
-		}
-		ms.arr.ParallelIO(ops)
-		for j, b := range dsts {
-			lo := (base+j)*p.B - 0
-			hi := lo + p.B
-			if hi > len(buf) {
-				hi = len(buf)
-			}
-			if lo < len(buf) {
-				copy(buf[lo:hi], b[:hi-lo])
-			}
-		}
-	}
-}
-
-func (ms *mergeSorter) allocStripe(n int) int {
-	p := ms.arr.Params()
-	blocks := (n + p.B - 1) / p.B
-	perDisk := (blocks + p.D - 1) / p.D
-	return ms.arr.AllocStripe(perDisk)
 }
 
 // runCursor walks one run block by block during a merge. pos counts the
@@ -266,34 +227,19 @@ func (ms *mergeSorter) mergeOnce(runs []Region) Region {
 		total += r.N
 	}
 
-	outOff := ms.allocStripe(total)
+	outOff := allocStripeFor(ms.arr, total)
 	outBuf := make([]record.Record, 0, p.D*p.B)
 	outBlock := 0
 	written := 0
 	ms.arr.Mem.Use(p.D * p.B) // output buffer
 
+	// flushOut writes the output buffer as the next stripe row once it is
+	// full, or, forced, whatever is left (WriteStripe pads the last block).
 	flushOut := func(force bool) {
-		for len(outBuf) >= p.B*p.D || (force && len(outBuf) > 0) {
-			var ops []pdm.Op
-			for j := 0; j < p.D && len(outBuf) > 0; j++ {
-				blk := make([]record.Record, p.B)
-				take := copy(blk, outBuf)
-				if take < p.B {
-					for k := take; k < p.B; k++ {
-						blk[k] = record.Record{Key: ^uint64(0), Loc: ^uint64(0)}
-					}
-					if !force {
-						break
-					}
-				}
-				outBuf = outBuf[take:]
-				ops = append(ops, pdm.Op{Disk: outBlock % p.D, Off: outOff + outBlock/p.D, Write: true, Data: blk})
-				outBlock++
-			}
-			ms.arr.ParallelIO(ops)
-			if force && len(outBuf) == 0 {
-				break
-			}
+		if len(outBuf) == cap(outBuf) || force && len(outBuf) > 0 {
+			ms.arr.WriteStripe(outOff, outBlock, outBuf)
+			outBlock += p.D
+			outBuf = outBuf[:0]
 		}
 	}
 
@@ -369,7 +315,7 @@ func (ms *mergeSorter) refillStriped(cursors []*runCursor, needy []int) {
 			want = rc.reg.N - rc.pos
 		}
 		buf := make([]record.Record, want)
-		ms.readAligned(rc.reg.Off, rc.pos, buf)
+		ms.arr.ReadStripe(rc.reg.Off, rc.pos/p.B, buf)
 		rc.pos += want
 		rc.buf = buf
 	}

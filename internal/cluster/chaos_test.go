@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"net"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -111,39 +113,217 @@ func TestChaosKillDuringDrain(t *testing.T) {
 	}
 }
 
-// TestChaosHangDetectedByHeartbeat makes the victim go silent instead of
-// dying: its connections stay open but it stops answering pings and stops
-// making progress. Only the heartbeat detector can notice that, so a
-// passing run proves the ping monitors work end to end.
+// TestChaosHangDetectedByHeartbeat makes one of four workers go silent
+// instead of dying, at the start of every coordinator phase, victim i mod 4
+// as in TestChaosMatrix: its connections stay open but it stops beating
+// and stops making progress. Only the heartbeat detector can notice that,
+// whichever worker the coordinator is waiting on, so a passing run proves
+// the link readers' silence budget works end to end.
 func TestChaosHangDetectedByHeartbeat(t *testing.T) {
-	addrs := startWorkers(t, 4, fastWorker)
-	stats := runClusterSort(t, addrs, 20000, 53, false, SortSpec{
-		BlockRecs: 128,
-		Dial:      fastDial,
-		Heartbeat: Heartbeat{Interval: 25 * time.Millisecond, MissBudget: 2},
-		Chaos:     &ChaosSpec{Phase: "plan", Worker: 1, Hang: true},
-	})
-	checkRecovery(t, stats, 4, 1)
+	for i, phase := range CoordinatorPhases {
+		victim := i % 4
+		t.Run(phase, func(t *testing.T) {
+			addrs := startWorkers(t, 4, fastWorker)
+			stats := runClusterSort(t, addrs, 20000, int64(53+i), false, SortSpec{
+				BlockRecs: 128,
+				Dial:      fastDial,
+				Heartbeat: Heartbeat{Interval: 25 * time.Millisecond, MissBudget: 2},
+				Chaos:     &ChaosSpec{Phase: phase, Worker: victim, Hang: true},
+			})
+			checkRecovery(t, stats, 4, victim)
+		})
+	}
 }
 
-// TestHeartbeatFlapNoFailover injects pong latency spikes that each exceed
-// the ping interval but never exhaust the miss budget. The run must finish
-// with no failover at all: a slow pong resets the miss counter even when it
-// arrives a full interval late.
-func TestHeartbeatFlapNoFailover(t *testing.T) {
-	addrs := startWorkers(t, 4, func(i int, cfg *WorkerConfig) {
-		cfg.Dial = fastDial
-		cfg.PongDelay = 60 * time.Millisecond
-		cfg.PongDelayCount = 2
+// TestChaosSilentWorkerLost: worker 1, a fake, answers its hello and then
+// falls silent, while the coordinator waits on worker 0, a fake that holds
+// back its answer until the coordinator has hung up on worker 1 and then
+// sends nothing but beats. The phase goroutine never reads worker 1's link
+// meanwhile, so only that link's reader can declare worker 1 lost: once
+// the link has been silent for Interval·(MissBudget+1), give or take
+// scheduling slack, and the journal files the loss under "connect".
+// Worker 0 is not lost, and with one of two workers gone the job falls
+// below quorum.
+func TestChaosSilentWorkerLost(t *testing.T) {
+	hb := Heartbeat{Interval: 20 * time.Millisecond, MissBudget: 2}
+	const slack = time.Second
+	var (
+		fakes       sync.WaitGroup
+		silentSince time.Time                 // worker 1's answer is out
+		hungUp      = make(chan time.Time, 1) // the coordinator closed worker 1's link
+		released    = make(chan struct{})     // worker 0 may answer
+		quit        = make(chan struct{})     // the test is over
+	)
+	defer fakes.Wait()
+	defer close(quit)
+	serve := func(ln net.Listener, worker int) {
+		defer fakes.Done()
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		if typ, _, err := readFrame(br, nil); err != nil || typ != mHello {
+			return
+		}
+		if worker == 0 {
+			select {
+			case <-released:
+			case <-quit:
+				return
+			}
+		}
+		if writeFrame(conn, mHelloAck, (&msgVersion{Version: protocolVersion}).encode()) != nil {
+			return
+		}
+		if worker == 1 {
+			silentSince = time.Now()
+			for {
+				if _, _, err := readFrame(br, nil); err != nil {
+					hungUp <- time.Now()
+					close(released)
+					return
+				}
+			}
+		}
+		// Worker 0 reads and drops what the coordinator sends, and beats
+		// four times per interval until its link closes.
+		fakes.Add(1)
+		go func() {
+			defer fakes.Done()
+			for {
+				if _, _, err := readFrame(br, nil); err != nil {
+					conn.Close()
+					return
+				}
+			}
+		}()
+		beat := (&msgProgress{}).encode()
+		for writeFrame(conn, mProgress, beat) == nil {
+			time.Sleep(hb.Interval / 4)
+		}
+	}
+	addrs := make([]string, 2)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		addrs[i] = ln.Addr().String()
+		fakes.Add(1)
+		go serve(ln, i)
+	}
+
+	inPath, _ := makeInput(t, 1000, 71, false)
+	dial := fastDial
+	dial.IOTimeout = 5 * time.Second // bounds worker 0's answer when worker 1's loss never comes
+	jpath := filepath.Join(t.TempDir(), "cluster.journal")
+	_, err := Sort(context.Background(), inPath, filepath.Join(t.TempDir(), "out.dat"), SortSpec{
+		Workers: addrs, BlockRecs: 128, Dial: dial, Heartbeat: hb, JournalPath: jpath,
 	})
+	var deg *ClusterDegradedError
+	var lost *WorkerLostError
+	if !errors.As(err, &deg) || !errors.As(err, &lost) {
+		t.Fatalf("sort with a silent worker returned %v, want a ClusterDegradedError", err)
+	}
+	if len(deg.Lost) != 1 || deg.Lost[0] != 1 || lost.Worker != 1 || !strings.Contains(lost.Error(), "silent") {
+		t.Fatalf("lost %v with cause %v, want worker 1 alone, lost to its silence", deg.Lost, lost)
+	}
+	budget := hb.Interval * time.Duration(hb.MissBudget+1)
+	if silent := (<-hungUp).Sub(silentSince); silent < budget || silent > budget+slack {
+		t.Fatalf("worker 1 declared lost after %v of silence, want %v plus at most %v", silent, budget, slack)
+	}
+	entries, err := pdm.LoadJournal(jpath)
+	if err != nil {
+		t.Fatalf("load journal: %v", err)
+	}
+	var losses []journalEvent
+	for _, e := range entries {
+		var ev journalEvent
+		if err := json.Unmarshal(e.Payload, &ev); err != nil {
+			t.Fatalf("journal entry %d: %v", e.Seq, err)
+		}
+		if ev.Event == "lost" {
+			losses = append(losses, ev)
+		}
+	}
+	if len(losses) != 1 || losses[0].Worker != 1 || losses[0].Phase != "connect" {
+		t.Fatalf("journal files losses %+v, want worker 1's alone, under \"connect\"", losses)
+	}
+}
+
+// flapWorker makes every beat of a worker's sessions go 40ms late, so at
+// the 20ms interval of flapHeartbeat its link falls silent for 60ms at a
+// time, and holds its shard sort for 300ms: through the local sort a
+// worker sends nothing but beats, so the job runs through several such
+// silences with no other frame to restart the budget.
+func flapWorker(_ int, cfg *WorkerConfig) {
+	cfg.Dial = fastDial
+	cfg.BeatDelay = 40 * time.Millisecond
+	cfg.BeatDelayCount = 1000
+	cfg.SortShard = func(ctx context.Context, in, out, scratch string) error {
+		if err := sleepCtx(ctx, 300*time.Millisecond); err != nil {
+			return err
+		}
+		return memorySortShard(ctx, in, out, scratch)
+	}
+}
+
+// flapHeartbeat beats every 20ms and declares a worker lost after
+// missBudget+1 intervals of silence: 5 gives a 120ms budget, above
+// flapWorker's 60ms silences, and 1 a 40ms one, below them.
+func flapHeartbeat(missBudget int) Heartbeat {
+	return Heartbeat{Interval: 20 * time.Millisecond, MissBudget: missBudget}
+}
+
+// flapControl reruns a flap test's job on fresh flapping workers with a
+// silence budget below the flap's silences, which must fail it over:
+// without that the flap test's clean run would prove nothing. The job
+// either finishes on the survivors, byte-identically, or fails over until
+// it drops below quorum.
+func flapControl(t *testing.T, workers int, seed int64, spec SortSpec) {
+	t.Helper()
+	addrs := startWorkers(t, workers, flapWorker)
+	spec.Workers, spec.Heartbeat = addrs, flapHeartbeat(1)
+	if spec.Join != nil {
+		spec.Workers, spec.Join.Addr = addrs[:workers-1], addrs[workers-1]
+	}
+	inPath, want := makeInput(t, 10000, seed, false)
+	outPath := filepath.Join(t.TempDir(), "out.dat")
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	stats, err := Sort(ctx, inPath, outPath, spec)
+	var deg *ClusterDegradedError
+	switch {
+	case errors.As(err, &deg):
+	case err != nil:
+		t.Fatalf("control run returned %v, want a failover", err)
+	case stats.Recovery == nil || stats.Recovery.Failovers == 0:
+		t.Fatalf("control run with a %v budget did not fail over: %+v", 2*spec.Heartbeat.Interval, stats.Recovery)
+	default:
+		checkOutput(t, outPath, want)
+	}
+}
+
+// TestHeartbeatFlapNoFailover: every beat of every worker goes late, each
+// leaving its link silent for well over the beat interval but inside the
+// silence budget, through a local sort where beats are the only frames.
+// The run must finish with no failover at all: a late beat restarts the
+// budget however late it is. The control run, with a budget below the
+// silences, must fail over.
+func TestHeartbeatFlapNoFailover(t *testing.T) {
+	addrs := startWorkers(t, 4, flapWorker)
 	stats := runClusterSort(t, addrs, 10000, 59, false, SortSpec{
 		BlockRecs: 128,
 		Dial:      fastDial,
-		Heartbeat: Heartbeat{Interval: 30 * time.Millisecond, MissBudget: 3},
+		Heartbeat: flapHeartbeat(5),
 	})
 	if stats.Recovery != nil {
 		t.Fatalf("heartbeat flap escalated to failover: %+v", stats.Recovery)
 	}
+	flapControl(t, 4, 59, SortSpec{BlockRecs: 128, Dial: fastDial})
 }
 
 // TestClusterDegradedBelowQuorum kills two of four workers at local sort,
@@ -275,6 +455,49 @@ func TestFailoverJournal(t *testing.T) {
 	if rec := stats.Recovery; rec == nil || rec.RescatteredRecords != int(sc.Extents[2]) {
 		t.Fatalf("recovery %+v, want the victim's %d scattered records re-dealt and nothing else",
 			stats.Recovery, sc.Extents[2])
+	}
+}
+
+// TestFailoverJournalNoLossOnCancel: a job canceled during its local sort
+// tears its links down itself, so neither the phase goroutine nor a link
+// reader may count the failures that follow as a worker's loss: Sort
+// returns the context's error and the journal records no loss.
+func TestFailoverJournalNoLossOnCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	addrs := startWorkers(t, 3, func(_ int, cfg *WorkerConfig) {
+		cfg.Dial = fastDial
+		cfg.SortShard = func(sctx context.Context, _, _, _ string) error {
+			cancel()
+			<-sctx.Done() // the coordinator's cancel closes the worker's link
+			return sctx.Err()
+		}
+	})
+	inPath, _ := makeInput(t, 20000, 67, false)
+	jpath := filepath.Join(t.TempDir(), "cluster.journal")
+	_, err := Sort(ctx, inPath, filepath.Join(t.TempDir(), "out.dat"), SortSpec{
+		Workers: addrs, BlockRecs: 128, Dial: fastDial, Heartbeat: fastHeartbeat(), JournalPath: jpath,
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("sort canceled during local sort returned %v, want context.Canceled", err)
+	}
+	entries, err := pdm.LoadJournal(jpath)
+	if err != nil {
+		t.Fatalf("load journal: %v", err)
+	}
+	sorting := false
+	for _, e := range entries {
+		var ev journalEvent
+		if err := json.Unmarshal(e.Payload, &ev); err != nil {
+			t.Fatalf("journal entry %d: %v", e.Seq, err)
+		}
+		sorting = sorting || ev.Event == "phase" && ev.Phase == "local-sort"
+		if ev.Event == "lost" {
+			t.Errorf("canceled job journaled a loss: %s", e.Payload)
+		}
+	}
+	if !sorting {
+		t.Fatal("journal never entered local-sort")
 	}
 }
 

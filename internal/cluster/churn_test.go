@@ -198,19 +198,17 @@ func TestJoinThenLossBelowQuorum(t *testing.T) {
 	}
 }
 
-// TestHeartbeatFlapDuringJoin injects pong latency spikes on every incumbent
-// while a joiner is admitted mid-job. The join's epoch bump and re-plan must
-// not let the flapping pongs escalate into a spurious failover.
+// TestHeartbeatFlapDuringJoin makes every beat of the incumbents and of
+// the joiner go late while the joiner is admitted mid-job. The join's
+// epoch bump and re-plan must not let the late beats escalate into a
+// spurious failover; the control run, with a silence budget below the
+// flap's silences, must fail over.
 func TestHeartbeatFlapDuringJoin(t *testing.T) {
-	addrs := startWorkers(t, 5, func(i int, cfg *WorkerConfig) {
-		cfg.Dial = fastDial
-		cfg.PongDelay = 60 * time.Millisecond
-		cfg.PongDelayCount = 2
-	})
+	addrs := startWorkers(t, 5, flapWorker)
 	stats := runClusterSort(t, addrs[:4], 10000, 61, false, SortSpec{
 		BlockRecs: 128,
 		Dial:      fastDial,
-		Heartbeat: Heartbeat{Interval: 30 * time.Millisecond, MissBudget: 3},
+		Heartbeat: flapHeartbeat(5),
 		Join:      &JoinSpec{Phase: "histogram-merge", Addr: addrs[4]},
 	})
 	rec := stats.Recovery
@@ -220,6 +218,7 @@ func TestHeartbeatFlapDuringJoin(t *testing.T) {
 	if rec.Failovers != 0 || len(rec.LostWorkers) != 0 {
 		t.Fatalf("heartbeat flap during join escalated to failover: %+v", rec)
 	}
+	flapControl(t, 5, 61, SortSpec{BlockRecs: 128, Dial: fastDial, Join: &JoinSpec{Phase: "histogram-merge"}})
 }
 
 // TestResumeJournalReplay replays the phase-commit log a kill-and-resume

@@ -46,7 +46,7 @@ type SortSpec struct {
 	// value disables all three; see StragglerConfig.
 	Straggler StragglerConfig
 	// Stall, when non-nil, injects one slowdown: the named worker keeps
-	// answering heartbeats but does every unit of work Factor times slower
+	// beating but does every unit of work Factor times slower
 	// from the moment the coordinator enters the named phase — the latency
 	// dual of Chaos's kill/hang.
 	Stall *StallSpec
@@ -69,20 +69,20 @@ type SortSpec struct {
 	Sample time.Duration
 }
 
-// Heartbeat configures the coordinator's failure detector: a dedicated
-// monitor connection per worker carrying mPing/mPong. A worker whose
-// pong is late Interval·(MissBudget+1) in a row is declared lost. Any pong
-// — however late — resets the miss counter, so a flapping link does not
-// trigger failover.
+// Heartbeat configures the coordinator's failure detector. Every worker
+// sends a heartbeat, a small progress frame, on its control link once per
+// Interval, and a worker whose link brings no byte for
+// Interval·(MissBudget+1) is declared lost. Any frame — however late —
+// restarts that budget, so a flapping link does not trigger failover.
 type Heartbeat struct {
-	// Interval is the ping period and the per-ping pong deadline.
-	// Default 500ms.
+	// Interval is the beat period the hello asks of every worker; a
+	// worker refuses one under 1ms. Default 500ms.
 	Interval time.Duration
-	// MissBudget is how many consecutive missed pongs are tolerated
-	// before the worker is declared lost. Default 3.
+	// MissBudget is how many beats in a row may go missing before the
+	// worker is declared lost. Default 3.
 	MissBudget int
-	// Disable turns the ping monitors off. Failover still triggers on
-	// connection errors and worker peer-loss reports.
+	// Disable turns the beats and the silence budget off. Failover still
+	// triggers on connection errors and worker peer-loss reports.
 	Disable bool
 }
 
@@ -99,7 +99,7 @@ func (h Heartbeat) withDefaults() Heartbeat {
 // StragglerConfig tunes the straggler mitigation: a progress-rate
 // failure detector that runs alongside the liveness heartbeat. The
 // heartbeat can only see a dead or hung worker; this detector sees a live
-// worker that answers every ping yet makes no useful progress — a
+// worker that sends every beat yet makes no useful progress — a
 // throttled disk, a paging host, a half-broken NIC — and bounds how long
 // such a worker may hold a phase barrier hostage.
 //
@@ -111,7 +111,7 @@ func (h Heartbeat) withDefaults() Heartbeat {
 // shard — so one fast outlier cannot condemn honest peers, and one slow
 // cohort cannot stretch the budget without bound. A worker past its
 // deadline earns a single grace extension if its progress counters (carried
-// on every pong) advanced recently; past that it is demoted to the
+// on every beat) advanced recently; past that it is demoted to the
 // failover path with a typed *StragglerError, exactly as if it had died.
 //
 // During the local-sort phase a gentler remedy runs first when Hedge is
@@ -145,7 +145,7 @@ const (
 
 // StallSpec is one injected slowdown for the chaos harness: the latency
 // dual of ChaosSpec's kill and hang. The victim stays connected and keeps
-// answering heartbeats — only the progress detector can see it.
+// beating — only the progress detector can see it.
 type StallSpec struct {
 	// Phase is the coordinator phase (a CoordinatorPhases name) at whose
 	// start the stall fires.
@@ -164,7 +164,7 @@ type ChaosSpec struct {
 	Phase string
 	// Worker is the victim's ID.
 	Worker int
-	// Hang makes the victim go silent (stop ponging, stop progressing)
+	// Hang makes the victim go silent (stop beating, stop progressing)
 	// instead of dying; only the heartbeat detector can see it.
 	Hang bool
 	// Coordinator makes the coordinator itself the victim: entering the
@@ -291,7 +291,7 @@ type SortStats struct {
 type RecoveryStats struct {
 	// LostWorkers are the dead workers' IDs, in detection order;
 	// LostPhases[i] is the coordinator phase during which loss i was
-	// detected.
+	// detected, or "connect" or "resume" while the workers attach.
 	LostWorkers []int    `json:"lost_workers"`
 	LostPhases  []string `json:"lost_phases"`
 	// Failovers counts recovery epochs (a single failover can absorb
@@ -346,12 +346,12 @@ type frameMsg struct {
 }
 
 // link is one framed coordinator->worker control connection. A dedicated
-// reader goroutine pushes inbound frames to ch so the coordinator can wait
-// on a frame and a loss signal simultaneously; writes go straight out, all
-// from the phase goroutine. The reader reads payloads into buffers from
-// free, which the drain hands back once it has written a shard chunk out;
-// free holds as many buffers as can be out at once: ch's capacity, the
-// frame blocked on ch and the one being read.
+// reader goroutine, readLink, pushes inbound frames to ch so the
+// coordinator can wait on a frame and a loss signal simultaneously; writes
+// go straight out, all from the phase goroutine. The reader reads payloads
+// into buffers from free, which the drain hands back once it has written a
+// shard chunk out; free holds as many buffers as can be out at once: ch's
+// capacity, the frame blocked on ch and the one being read.
 type link struct {
 	id    int
 	conn  net.Conn
@@ -362,29 +362,78 @@ type link struct {
 	done  chan struct{} // closed when the job ends; unblocks a stuck reader
 }
 
-func newLink(id int, conn net.Conn, cfg DialConfig, meter *netMeter) *link {
-	l := &link{id: id, conn: conn, cfg: cfg, meter: meter, ch: make(chan frameMsg, 4),
+// newLink makes conn worker id's link and starts its reader, whose silence
+// budget is Interval·(MissBudget+1), or forever under Disable.
+func (c *coordinator) newLink(id int, conn net.Conn) *link {
+	l := &link{id: id, conn: conn, cfg: c.spec.Dial, meter: c.net, ch: make(chan frameMsg, 4),
 		free: make(freeList, 4+2), done: make(chan struct{})}
-	go func() {
-		br := bufio.NewReaderSize(conn, 1<<16)
-		for {
-			clearDeadline(conn) // liveness comes from heartbeats, not read deadlines
-			typ, payload, err := readFrame(br, l.free.get())
-			if err == nil {
-				l.meter.in(len(payload))
-			}
-			fr := frameMsg{typ: typ, payload: payload, err: err}
-			select {
-			case l.ch <- fr:
-			case <-l.done:
-				return
-			}
-			if err != nil {
-				return
-			}
-		}
-	}()
+	var budget time.Duration
+	if hb := c.spec.Heartbeat; !hb.Disable {
+		budget = hb.Interval * time.Duration(hb.MissBudget+1)
+	}
+	c.readers.Add(1)
+	go c.readLink(l, budget)
 	return l
+}
+
+// readLink is l's reader and its worker's failure detector. Every read of
+// the connection must bring a byte within a limit, the handshake's answer
+// within the dial IOTimeout and every later byte within the heartbeat
+// budget, so any byte, even one of a frame still arriving, restarts the
+// budget. Beats update the progress table and go neither to ch nor to the
+// meter. While the job is live and l is its worker's link, a read error,
+// an expired budget or the worker's own error is that worker's loss,
+// whichever worker the phase goroutine is waiting on.
+func (c *coordinator) readLink(l *link, budget time.Duration) {
+	defer c.readers.Done()
+	sr := &silenceReader{conn: l.conn, limit: l.cfg.IOTimeout}
+	br := bufio.NewReaderSize(sr, 1<<16)
+	for {
+		typ, payload, err := readFrame(br, l.free.get())
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			err = fmt.Errorf("cluster: worker silent for %v", sr.limit)
+		}
+		sr.limit = budget
+		if err == nil && typ == mProgress {
+			var pg msgProgress
+			if pg.decode(payload) == nil {
+				c.noteProgress(l.id, pg)
+			}
+			l.free.put(payload)
+			continue
+		}
+		if err == nil {
+			l.meter.in(len(payload))
+		}
+		fr := frameMsg{typ: typ, payload: payload, err: err}
+		if (err != nil || typ == mError) && c.member(l) {
+			c.lostAsync(l.id, c.failure(l.id, fr))
+		}
+		select {
+		case l.ch <- fr:
+		case <-l.done:
+			return
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// silenceReader sets a read deadline limit ahead, or none for a zero
+// limit, before every read of conn.
+type silenceReader struct {
+	conn  net.Conn
+	limit time.Duration
+}
+
+func (r *silenceReader) Read(p []byte) (int, error) {
+	var deadline time.Time
+	if r.limit > 0 {
+		deadline = time.Now().Add(r.limit)
+	}
+	_ = r.conn.SetReadDeadline(deadline)
+	return r.conn.Read(p)
 }
 
 func (l *link) send(typ byte, payload []byte) error {
@@ -408,8 +457,9 @@ type coordinator struct {
 	net     *netMeter
 	jobID   uint64
 
-	links  []*link // grows only on join (under mu); dead entries keep a closed conn
-	joined bool    // the configured Join already fired
+	links   []*link        // written under mu; dead entries keep a closed conn
+	readers sync.WaitGroup // the links' readers
+	joined  bool           // the configured Join already fired
 
 	mu       sync.Mutex
 	deadErr  map[int]error // worker -> first loss, as a *WorkerLostError
@@ -417,10 +467,9 @@ type coordinator struct {
 	lastLost error
 	lostSig  chan struct{} // cap 1: wakes phase waits when a loss lands
 	phase    string
-
-	monCtx    context.Context
-	monCancel context.CancelFunc
-	monWG     sync.WaitGroup
+	// live: the membership is attached and the job has not hung up (cancel,
+	// goodbye, teardown); only then is a failure a loss.
+	live bool
 
 	jmu sync.Mutex
 	jr  *pdm.Journal
@@ -437,11 +486,11 @@ type coordinator struct {
 	rec        RecoveryStats
 
 	// Straggler-detector state. The pmu domain is touched by the phase
-	// driver, the heartbeat monitors (progress pongs), and the per-phase
+	// driver, the link readers (progress beats), and the per-phase
 	// watcher goroutine (which nominates the hedge); it is never held
 	// together with mu.
 	pmu       sync.Mutex
-	prog      map[int]progTrack // per-worker progress, fed by the monitors
+	prog      map[int]progTrack // per-worker progress, fed by the link readers
 	phaseT0   time.Time         // when the current phase was entered
 	doneAt    map[int]time.Time // worker -> barrier completion, this phase
 	focus     int               // sequential-phase fetch target, -1 outside drain
@@ -471,10 +520,9 @@ type coordinator struct {
 }
 
 // progTrack is one worker's latest progress report, decoded from its
-// pong. at is when the (phase, units) pair last changed — the
+// beat. at is when the (phase, units) pair last changed — the
 // detector's notion of "recent progress".
 type progTrack struct {
-	have  bool
 	phase uint8
 	units uint64
 	at    time.Time
@@ -545,8 +593,8 @@ func Sort(ctx context.Context, inPath, outPath string, spec SortSpec) (*SortStat
 
 // newCoordinator builds the per-job coordinator state Sort and Resume
 // share, and attaches the resource source and sampler to the trace. The
-// returned teardown stops every watcher and monitor, closes every link and
-// the journal, and detaches the trace.
+// returned teardown hangs up, stops every watcher, closes every link,
+// waits for the link readers, closes the journal, and detaches the trace.
 func newCoordinator(spec SortSpec, in *os.File, inPath, outPath string, n int, jobID uint64) (*coordinator, func()) {
 	c := &coordinator{
 		spec:    spec,
@@ -559,8 +607,10 @@ func newCoordinator(spec SortSpec, in *os.File, inPath, outPath string, n int, j
 		tr:      spec.Trace,
 		net:     &netMeter{},
 		jobID:   jobID,
+		links:   make([]*link, len(spec.Workers)),
 		deadErr: make(map[int]error),
 		lostSig: make(chan struct{}, 1),
+		phase:   "connect", // Resume attaches under "resume"
 		prog:    make(map[int]progTrack),
 		doneAt:  make(map[int]time.Time),
 	}
@@ -575,11 +625,8 @@ func newCoordinator(spec SortSpec, in *os.File, inPath, outPath string, n int, j
 	c.tr.SetResourceSource(c.net.resourceSource(), "cluster")
 	smp := obs.StartSampler(c.tr, spec.Sample, append(obs.RuntimeGauges(), c.net.gauges()...))
 	return c, func() {
+		c.hangUp()
 		c.stopPhaseWatch()
-		if c.monCancel != nil {
-			c.monCancel()
-			c.monWG.Wait()
-		}
 		c.watchWG.Wait()
 		for _, l := range c.links {
 			if l != nil {
@@ -587,6 +634,7 @@ func newCoordinator(spec SortSpec, in *os.File, inPath, outPath string, n int, j
 				close(l.done)
 			}
 		}
+		c.readers.Wait()
 		if c.jr != nil {
 			c.jr.Close()
 		}
@@ -607,22 +655,27 @@ func (c *coordinator) run(ctx context.Context) (*SortStats, error) {
 		Event: "start", JobID: c.jobID, Addrs: c.spec.Workers,
 		S: c.S, BlockRecs: c.spec.BlockRecs, Records: c.n,
 	})
+	stop := c.goLive(ctx)
+	defer stop()
 	if err := c.connect(ctx); err != nil {
 		return nil, err
 	}
-	stop := c.watchCancel(ctx)
-	defer stop()
-	c.startMonitors(ctx)
 	return c.finish(ctx, c.scatter())
 }
 
-// watchCancel tears the connections down when ctx is canceled so no phase
-// can block past it; the returned func retires the watcher.
-func (c *coordinator) watchCancel(ctx context.Context) func() {
+// goLive makes the job live: from here on a member's failure is its loss.
+// When ctx is canceled it hangs up and tears the connections down, so no
+// phase can block past it and none of the failures it causes is a loss;
+// the returned func retires that watcher.
+func (c *coordinator) goLive(ctx context.Context) func() {
+	c.mu.Lock()
+	c.live = true
+	c.mu.Unlock()
 	watchDone := make(chan struct{})
 	go func() {
 		select {
 		case <-ctx.Done():
+			c.hangUp()
 			c.mu.Lock()
 			links := append([]*link(nil), c.links...)
 			c.mu.Unlock()
@@ -635,6 +688,14 @@ func (c *coordinator) watchCancel(ctx context.Context) func() {
 		}
 	}()
 	return func() { close(watchDone) }
+}
+
+// hangUp ends the job's liveness before the coordinator closes its links
+// itself: no failure after it is a loss.
+func (c *coordinator) hangUp() {
+	c.mu.Lock()
+	c.live = false
+	c.mu.Unlock()
 }
 
 // finish drives the pipeline/recovery/join loop to completion and builds
@@ -676,11 +737,7 @@ func (c *coordinator) finish(ctx context.Context, err error) (*SortStats, error)
 		}
 	}
 
-	if c.monCancel != nil {
-		c.monCancel()
-		c.monWG.Wait()
-		c.monCancel = nil
-	}
+	c.hangUp()
 	for _, i := range c.active() {
 		_ = c.links[i].send(mBye, nil) // best effort: workers also reset on conn close
 	}
@@ -713,13 +770,15 @@ func (c *coordinator) finish(ctx context.Context, err error) (*SortStats, error)
 // handshake. A worker unreachable here fails the job fast with a typed
 // *WorkerLostError — failover only covers workers that joined the job.
 func (c *coordinator) connect(ctx context.Context) error {
-	c.links = make([]*link, c.W)
 	for i, addr := range c.spec.Workers {
 		conn, derr := c.spec.Dial.dial(ctx, i, addr)
 		if derr != nil {
 			return fmt.Errorf("cluster: dialing worker %d: %w", i, derr)
 		}
-		c.links[i] = newLink(i, conn, c.spec.Dial, c.net)
+		l := c.newLink(i, conn)
+		c.mu.Lock()
+		c.links[i] = l
+		c.mu.Unlock()
 	}
 	for i, l := range c.links {
 		if err := l.send(mHello, c.hello(i, c.spec.Workers).encode()); err != nil {
@@ -747,6 +806,9 @@ func (c *coordinator) hello(id int, peers []string) *msgHello {
 	if c.tr != nil {
 		h.Flags |= helloFlagTrace
 	}
+	if !c.spec.Heartbeat.Disable {
+		h.Beat = c.spec.Heartbeat.Interval
+	}
 	return h
 }
 
@@ -764,38 +826,33 @@ func (c *coordinator) expectHelloAck(l *link) error {
 	return versionMismatch(v.Version)
 }
 
-// expectHandshakeOn reads one frame from l with the handshake timeout (the
-// only read the coordinator bounds by a deadline: past this point liveness
-// comes from the failure detector).
+// expectHandshakeOn reads one frame from l, which its reader bounds by
+// the dial IOTimeout.
 func (c *coordinator) expectHandshakeOn(l *link, want byte) ([]byte, error) {
-	t := time.NewTimer(c.spec.Dial.IOTimeout)
-	defer t.Stop()
-	select {
-	case fr := <-l.ch:
-		if fr.err != nil {
-			return nil, fr.err
-		}
-		if fr.typ == mError {
-			var e msgError
-			if derr := e.decode(fr.payload); derr != nil {
-				return nil, derr
-			}
-			return nil, wireToError(&e)
-		}
-		if fr.typ != want {
-			return nil, fmt.Errorf("cluster: expected message %d, got %d", want, fr.typ)
-		}
-		return fr.payload, nil
-	case <-t.C:
-		return nil, fmt.Errorf("cluster: handshake timed out after %v", c.spec.Dial.IOTimeout)
+	fr := <-l.ch
+	if fr.err != nil {
+		return nil, fr.err
 	}
+	if fr.typ == mError {
+		var e msgError
+		if derr := e.decode(fr.payload); derr != nil {
+			return nil, derr
+		}
+		return nil, wireToError(&e)
+	}
+	if fr.typ != want {
+		return nil, fmt.Errorf("cluster: expected message %d, got %d", want, fr.typ)
+	}
+	return fr.payload, nil
 }
 
 // lost marks worker i dead (idempotently), closes its control connection,
 // and returns errFailover, which unwinds the caller to the recovery loop.
+// Once the job has hung up it marks nothing: the coordinator closed the
+// connections itself.
 func (c *coordinator) lost(i int, err error) error {
 	c.mu.Lock()
-	if _, dup := c.deadErr[i]; !dup {
+	if _, dup := c.deadErr[i]; !dup && c.live {
 		wl := c.asLost(i, err)
 		c.deadErr[i] = wl
 		c.lastLost = wl
@@ -819,9 +876,29 @@ func (c *coordinator) lost(i int, err error) error {
 	return errFailover
 }
 
-// lostAsync is lost() for the monitor goroutines, which have no phase
-// error to return into.
+// lostAsync is lost() for the link readers and the phase watcher, which
+// have no phase error to return into.
 func (c *coordinator) lostAsync(i int, err error) { _ = c.lost(i, err) }
+
+// member reports whether l is its worker's link in the live job.
+func (c *coordinator) member(l *link) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.live && l.id < len(c.links) && c.links[l.id] == l
+}
+
+// failure returns the loss a frame from worker i reports, or nil: its
+// link's read error, or the job error the worker sent before hanging up.
+func (c *coordinator) failure(i int, fr frameMsg) error {
+	if fr.err != nil || fr.typ != mError {
+		return fr.err
+	}
+	var e msgError
+	if err := e.decode(fr.payload); err != nil {
+		return err
+	}
+	return &WorkerLostError{Worker: i, Addr: c.addr(i), Err: wireToError(&e)}
+}
 
 // asLost wraps err as a *WorkerLostError naming worker i, unless it
 // already carries a typed identity — a lost worker's, or a demoted
@@ -844,7 +921,7 @@ func (c *coordinator) isDead(i int) bool {
 }
 
 // addr returns worker i's address under the lock: a join grows the peer
-// table mid-job, so monitor goroutines cannot read it bare.
+// table mid-job, so the link readers cannot read it bare.
 func (c *coordinator) addr(i int) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -890,8 +967,8 @@ func (c *coordinator) sendTo(i int, typ byte, payload []byte) error {
 // quorum holds. skip=true means the frame was consumed internally and the
 // caller should keep reading.
 func (c *coordinator) triage(i int, fr frameMsg) (typ byte, payload []byte, skip bool, err error) {
-	if fr.err != nil {
-		return 0, nil, false, c.lost(i, fr.err)
+	if err := c.failure(i, fr); err != nil {
+		return 0, nil, false, c.lost(i, err)
 	}
 	switch fr.typ {
 	case mPeerLost:
@@ -907,12 +984,6 @@ func (c *coordinator) triage(i int, fr frameMsg) (typ byte, payload []byte, skip
 			return 0, nil, true, nil // duplicate report of a loss already being handled
 		}
 		return 0, nil, false, c.lost(t, &WorkerLostError{Worker: t, Addr: pl.Addr, Err: errors.New(pl.Text)})
-	case mError:
-		var e msgError
-		if derr := e.decode(fr.payload); derr != nil {
-			return 0, nil, false, derr
-		}
-		return 0, nil, false, c.lost(i, &WorkerLostError{Worker: i, Addr: c.addr(i), Err: wireToError(&e)})
 	case mRescatterAck:
 		var a msgRescatterAck
 		if err := a.decode(fr.payload); err != nil {
@@ -922,8 +993,6 @@ func (c *coordinator) triage(i int, fr frameMsg) (typ byte, payload []byte, skip
 			return 0, nil, true, nil // ack of a superseded recovery exchange
 		}
 		return fr.typ, fr.payload, false, nil
-	case mPong:
-		return 0, nil, true, nil // straggler from an aborted recovery exchange
 	case mSortDone, mHedgeArmed, mHedgeDone, mHedgeFailed:
 		// Debris of a decided hedge race: the covered victim's late finish,
 		// or a report from a target whose race is over.
@@ -1121,28 +1190,28 @@ func (c *coordinator) notePhaseDone(i int) {
 	c.pmu.Unlock()
 }
 
-// noteProgress folds one pong's progress counters into the table,
+// noteProgress folds one beat's progress counters into the table,
 // timestamping only actual advancement so the watcher's grace check reads
-// "made progress recently", not "answered a ping recently".
+// "made progress recently", not "sent a beat recently".
 func (c *coordinator) noteProgress(i int, pg msgProgress) {
 	c.pmu.Lock()
-	t := c.prog[i]
-	if !t.have || t.phase != pg.Phase || t.units != pg.Units {
+	t, ok := c.prog[i]
+	if !ok || t.phase != pg.Phase || t.units != pg.Units {
 		t.at = time.Now()
 	}
-	t.have, t.phase, t.units = true, pg.Phase, pg.Units
+	t.phase, t.units = pg.Phase, pg.Units
 	c.prog[i] = t
 	c.pmu.Unlock()
 }
 
 // progressWithin reports whether worker i's progress counters advanced in
-// the last grace window. Without a pong there is no progress evidence, so
+// the last grace window. Without a beat there is no progress evidence, so
 // no grace.
 func (c *coordinator) progressWithin(i int, now time.Time, grace time.Duration) bool {
 	c.pmu.Lock()
 	defer c.pmu.Unlock()
 	t, ok := c.prog[i]
-	return ok && t.have && now.Sub(t.at) <= grace
+	return ok && now.Sub(t.at) <= grace
 }
 
 // watchPhase is the progress-rate failure detector for one barrier phase.
@@ -1270,20 +1339,20 @@ func (c *coordinator) straggliest(cands []int) int {
 	c.pmu.Lock()
 	defer c.pmu.Unlock()
 	v := cands[0]
-	vt := c.prog[v]
+	vt, vok := c.prog[v]
 	for _, i := range cands[1:] {
-		t := c.prog[i]
+		t, ok := c.prog[i]
 		behind := false
 		switch {
-		case t.have != vt.have:
-			behind = !t.have
+		case ok != vok:
+			behind = !ok
 		case t.phase != vt.phase:
 			behind = t.phase < vt.phase
 		case t.units != vt.units:
 			behind = t.units < vt.units
 		}
 		if behind {
-			v, vt = i, t
+			v, vt, vok = i, t, ok
 		}
 	}
 	return v
@@ -1374,7 +1443,7 @@ func (c *coordinator) demote(i int, phase string, budget time.Duration) {
 	t, haveProg := c.prog[i]
 	c.pmu.Unlock()
 	detail := "no progress reports"
-	if haveProg && t.have {
+	if haveProg {
 		detail = fmt.Sprintf("last progress %v ago (%s, %d units)",
 			time.Since(t.at).Round(time.Millisecond), WorkerPhases[int(t.phase)%len(WorkerPhases)], t.units)
 	}
@@ -2189,7 +2258,6 @@ func (c *coordinator) admitJoin(ctx context.Context) error {
 		c.rec.Joins++
 		c.rec.JoinedWorkers = append(c.rec.JoinedWorkers, id)
 		c.mu.Unlock()
-		c.startMonitor(id)
 		ev = journalEvent{Event: "join", Worker: id, Addr: j.Addr}
 		fresh = map[int]bool{id: true}
 	}
@@ -2213,7 +2281,7 @@ func (c *coordinator) attachJoiner(ctx context.Context, id int, addr string, new
 	if err != nil {
 		return nil, err
 	}
-	l := newLink(id, conn, c.spec.Dial, c.net)
+	l := c.newLink(id, conn)
 	err = l.send(mHello, c.hello(id, newPeers).encode())
 	if err == nil {
 		err = c.expectHelloAck(l)
@@ -2240,100 +2308,6 @@ func boolAttr(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-// startMonitors launches one heartbeat goroutine per worker. Monitors are
-// the only detector that can see a hung-but-connected worker.
-func (c *coordinator) startMonitors(ctx context.Context) {
-	if c.spec.Heartbeat.Disable {
-		return
-	}
-	mctx, cancel := context.WithCancel(ctx)
-	c.monCtx, c.monCancel = mctx, cancel
-	for i := 0; i < c.W; i++ {
-		c.startMonitor(i)
-	}
-}
-
-// startMonitor adds a heartbeat monitor for one worker — used at startup
-// and when a join grows the membership mid-job.
-func (c *coordinator) startMonitor(i int) {
-	if c.monCtx == nil || c.monCtx.Err() != nil || c.isDead(i) {
-		return
-	}
-	c.monWG.Add(1)
-	go c.monitor(c.monCtx, i)
-}
-
-func (c *coordinator) monitor(ctx context.Context, i int) {
-	defer c.monWG.Done()
-	hb := c.spec.Heartbeat
-	conn, err := c.spec.Dial.dial(ctx, i, c.addr(i))
-	if err != nil {
-		if ctx.Err() == nil {
-			c.lostAsync(i, fmt.Errorf("cluster: heartbeat dial: %w", err))
-		}
-		return
-	}
-	defer conn.Close()
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-stop:
-		}
-	}()
-	setOpDeadline(conn, c.spec.Dial)
-	if err := writeFrame(conn, mMonHello, (&msgMonHello{JobID: c.jobID}).encode()); err != nil {
-		if ctx.Err() == nil {
-			c.lostAsync(i, err)
-		}
-		return
-	}
-	br := bufio.NewReaderSize(conn, 1<<12)
-	misses := 0
-	for seq := uint64(1); ; seq++ {
-		setOpDeadline(conn, c.spec.Dial)
-		if err := writeFrame(conn, mPing, (&msgPing{Seq: seq}).encode()); err != nil {
-			if ctx.Err() == nil {
-				c.lostAsync(i, err)
-			}
-			return
-		}
-		_ = conn.SetReadDeadline(time.Now().Add(hb.Interval))
-		typ, payload, err := readFrame(br, nil)
-		if err != nil {
-			if ctx.Err() != nil {
-				return
-			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				// A miss. A later pong still counts — the next read will
-				// find it buffered and clear the counter (flap, not death).
-				misses++
-				if misses > hb.MissBudget {
-					c.lostAsync(i, fmt.Errorf("cluster: heartbeat: %d consecutive pongs missed at %v interval",
-						misses, hb.Interval))
-					return
-				}
-				continue
-			}
-			c.lostAsync(i, err)
-			return
-		}
-		if typ == mPong {
-			misses = 0
-			var pg msgProgress
-			if pg.decode(payload) == nil {
-				c.noteProgress(i, pg)
-			}
-		}
-		if sleepCtx(ctx, hb.Interval) != nil {
-			return
-		}
-	}
 }
 
 // collectTrace requests worker i's recorded spans and merges them into the

@@ -44,7 +44,7 @@ func (e *ClusterDegradedError) Error() string {
 
 func (e *ClusterDegradedError) Unwrap() error { return e.Err }
 
-// StragglerError reports a worker that stayed alive — it kept answering
+// StragglerError reports a worker that stayed alive — it kept sending
 // heartbeats — but fell past its phase deadline budget without making
 // progress, and was demoted to the failover path. It is the latency dual
 // of WorkerLostError: the worker is reachable, just uselessly slow. A job

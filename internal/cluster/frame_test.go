@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"testing"
+	"time"
 
 	"balancesort/internal/obs"
 	"balancesort/internal/record"
@@ -187,7 +188,7 @@ func FuzzFrame(f *testing.F) {
 	f.Add(appendFrame(nil, mHello, (&msgHello{Version: protocolVersion, JobID: 7, Worker: 4, Workers: 5, S: 16, BlockRecs: 128, Peers: []string{"a", "b", "c", "d", "e"}}).encode()))
 	f.Add(appendFrame(nil, mResume, (&msgHello{Version: protocolVersion, JobID: 7, Worker: 0, Workers: 1, S: 16, BlockRecs: 128, Peers: []string{"a"}}).encode()))
 	f.Add(appendFrame(nil, mResumeState, (&msgResumeState{Version: protocolVersion, HaveShard: 1, Epoch: 3, ShardRecs: 5000}).encode()))
-	f.Add(appendFrame(nil, mPong, (&msgProgress{Seq: 4, Phase: 3, Units: 100, ShardRecs: 5000, RecvBlocks: 7, GatherRecs: 9}).encode()))
+	f.Add(appendFrame(nil, mProgress, (&msgProgress{Phase: 3, Units: 100}).encode()))
 	f.Add(appendFrame(nil, mCrash, (&msgCrash{Mode: crashStall, Factor: 10}).encode()))
 	f.Add(appendFrame(nil, mError, (&msgError{Code: ecGeneric, Worker: 1, Text: "cluster: worker 1 local sort: no space left on device"}).encode()))
 	f.Add(appendFrame(nil, mTrace, (&msgTrace{EpochNanos: 1, Spans: []obs.Span{
@@ -203,8 +204,8 @@ func FuzzFrame(f *testing.F) {
 	f.Add(appendFrame(nil, mPhaseDone, (&msgPhaseDone{Phase: 2, BlocksSent: 4, BlocksRecv: 5, RecsRecv: 60}).encode()))
 	f.Add(appendFrame(nil, mPeerHello, (&msgPeerHello{JobID: 7, Src: 1, Epoch: 2}).encode()))
 	f.Add(appendFrame(nil, mHelloAck, (&msgVersion{Version: protocolVersion}).encode()))
-	f.Add(appendFrame(nil, mMonHello, (&msgMonHello{JobID: 7}).encode()))
-	f.Add(appendFrame(nil, mPing, (&msgPing{Seq: 4}).encode()))
+	f.Add(appendFrame(nil, mHello, (&msgHello{Version: protocolVersion, JobID: 7, Worker: 1, Workers: 2, S: 8, BlockRecs: 64, Beat: 25 * time.Millisecond, Peers: []string{"a", "b"}}).encode()))
+	f.Add(appendFrame(nil, mHello, (&msgHello{Version: protocolVersion, JobID: 7, Worker: 1, Workers: 2, S: 8, BlockRecs: 64, Beat: 500 * time.Microsecond, Peers: []string{"a", "b"}}).encode()))
 	f.Add(appendFrame(nil, mPeerLost, (&msgPeerLost{Worker: 3, Addr: "x", Text: "reset"}).encode()))
 	f.Add(appendFrame(nil, mRescatterDone, (&msgRescatterDone{Epoch: 2, Total: 5000}).encode()))
 	f.Add(appendFrame(nil, mRescatterAck, (&msgRescatterAck{Epoch: 2, ShardRecs: 5000}).encode()))
@@ -255,8 +256,6 @@ func decodeAny(p []byte) {
 	_ = (&msgPhaseDone{}).decode(p)
 	_ = (&msgPeerHello{}).decode(p)
 	_ = (&msgVersion{}).decode(p)
-	_ = (&msgMonHello{}).decode(p)
-	_ = (&msgPing{}).decode(p)
 	_ = (&msgProgress{}).decode(p)
 	_ = (&msgHedgeSend{}).decode(p)
 	_ = (&msgCrash{}).decode(p)

@@ -8,8 +8,8 @@ import (
 )
 
 // netMeter counts the frames and wire bytes one process moves over its
-// cluster connections (control, peer block, and handshake traffic; monitor
-// pings are excluded as constant-rate noise). Byte counts include the
+// cluster connections (control, peer block, and handshake traffic;
+// heartbeats are excluded as constant-rate noise). Byte counts include the
 // frame overhead, so they reflect what actually crossed the socket. A nil
 // meter is a no-op, so un-instrumented paths cost nothing.
 type netMeter struct {

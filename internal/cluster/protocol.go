@@ -16,7 +16,10 @@ import (
 // message has one fixed layout. Since version 9 no message carries
 // per-bucket counts: both ends fold them from the histogram bins. Since
 // version 10 every epoch, the scatter included, opens with mRescatter.
-const protocolVersion = 10
+// Since version 11 each worker has one coordinator connection: the hello
+// carries the beat period, and the worker sends its heartbeats, mProgress
+// frames, on the control link.
+const protocolVersion = 11
 
 // versionMismatch is the handshake check both sides run on a peer's
 // announced protocol version.
@@ -51,9 +54,7 @@ const (
 	mTraceReq
 	mTrace
 	mTraceDone
-	mMonHello      // coordinator opens a heartbeat connection to a worker
-	mPing          // coordinator liveness probe on the monitor connection
-	mPong          // worker liveness reply
+	mProgress      // worker -> coordinator: a heartbeat on the control link, carrying the worker's progress
 	mPeerLost      // worker -> coordinator: a peer stopped answering; keep me alive
 	mCrash         // coordinator -> worker chaos injection: die, hang, or stall now
 	mRescatter     // coordinator -> worker: an epoch begins, the shard records it deals follow
@@ -182,11 +183,12 @@ func (r *rcur) done() error {
 type msgHello struct {
 	Version   uint32
 	JobID     uint64
-	Worker    uint32 // the recipient's ID in this job
-	Workers   uint32 // cluster width W
-	S         uint32 // bucket count
-	BlockRecs uint32 // records per exchange block
-	Flags     uint32 // helloFlag* bits
+	Worker    uint32        // the recipient's ID in this job
+	Workers   uint32        // cluster width W
+	S         uint32        // bucket count
+	BlockRecs uint32        // records per exchange block
+	Flags     uint32        // helloFlag* bits
+	Beat      time.Duration // heartbeat period; 0: send none
 	Peers     []string
 }
 
@@ -199,6 +201,7 @@ func (m *msgHello) encode() []byte {
 	w.u32(m.S)
 	w.u32(m.BlockRecs)
 	w.u32(m.Flags)
+	w.u64(uint64(m.Beat))
 	w.u32(uint32(len(m.Peers)))
 	for _, p := range m.Peers {
 		w.str(p)
@@ -215,6 +218,7 @@ func (m *msgHello) decode(p []byte) error {
 	m.S = r.u32()
 	m.BlockRecs = r.u32()
 	m.Flags = r.u32()
+	m.Beat = time.Duration(r.u64())
 	n := int(r.u32())
 	if n > maxWorkers {
 		return fmt.Errorf("cluster: hello lists %d peers", n)
@@ -236,6 +240,9 @@ func (m *msgHello) check() error {
 		m.S < 1 || m.BlockRecs < 1 || int(m.BlockRecs)*record.EncodedSize+64 > MaxFramePayload {
 		return fmt.Errorf("cluster: malformed hello: W=%d self=%d peers=%d S=%d blockRecs=%d",
 			m.Workers, m.Worker, len(m.Peers), m.S, m.BlockRecs)
+	}
+	if m.Beat != 0 && m.Beat < time.Millisecond { // a shorter period keeps the worker busy beating
+		return fmt.Errorf("cluster: malformed hello: beat period %v is under 1ms", m.Beat)
 	}
 	return nil
 }
@@ -505,78 +512,27 @@ func (m *msgVersion) decode(p []byte) error {
 	return r.done()
 }
 
-// msgMonHello opens the coordinator's heartbeat connection to a worker.
-// The worker attaches it to the running job's session (so chaos kills and
-// session teardown close it) and answers every mPing with an mPong.
-type msgMonHello struct {
-	JobID uint64
-}
-
-func (m *msgMonHello) encode() []byte {
-	var w wcur
-	w.u64(m.JobID)
-	return w.b
-}
-
-func (m *msgMonHello) decode(p []byte) error {
-	r := rcur{b: p}
-	m.JobID = r.u64()
-	return r.done()
-}
-
-// msgPing / msgPong carry a sequence number so a delayed pong is still
-// recognizably a liveness signal (any pong resets the miss counter; the
-// sequence exists for debugging, not matching).
-type msgPing struct {
-	Seq uint64
-}
-
-func (m *msgPing) encode() []byte {
-	var w wcur
-	w.u64(m.Seq)
-	return w.b
-}
-
-func (m *msgPing) decode(p []byte) error {
-	r := rcur{b: p}
-	m.Seq = r.u64()
-	return r.done()
-}
-
-// msgProgress is the mPong payload: the echoed ping sequence followed by
-// the worker's per-phase progress counters. Units is a monotone count of
-// work items finished in the current phase (records scanned, blocks
-// stored, chunks sent, ...): the detector only compares successive values
-// of the same worker, so the unit does not have to mean the same thing
-// across phases or peers.
+// msgProgress is the mProgress payload, a worker's heartbeat: its current
+// phase and a monotone count of work items finished in it (records
+// scanned, blocks stored, chunks sent, ...). The detector only compares
+// successive values of the same worker, so the unit does not have to mean
+// the same thing across phases or peers.
 type msgProgress struct {
-	Seq        uint64
-	Phase      uint8 // index into WorkerPhases
-	Units      uint64
-	ShardRecs  uint64 // records scattered into the shard
-	RecvBlocks uint64 // exchange blocks received
-	GatherRecs uint64 // gather records received
+	Phase uint8 // index into WorkerPhases
+	Units uint64
 }
 
 func (m *msgProgress) encode() []byte {
 	var w wcur
-	w.u64(m.Seq)
 	w.u8(m.Phase)
 	w.u64(m.Units)
-	w.u64(m.ShardRecs)
-	w.u64(m.RecvBlocks)
-	w.u64(m.GatherRecs)
 	return w.b
 }
 
 func (m *msgProgress) decode(p []byte) error {
 	r := rcur{b: p}
-	m.Seq = r.u64()
 	m.Phase = r.u8()
 	m.Units = r.u64()
-	m.ShardRecs = r.u64()
-	m.RecvBlocks = r.u64()
-	m.GatherRecs = r.u64()
 	return r.done()
 }
 
@@ -631,8 +587,8 @@ func (m *msgHedgeSend) decode(p []byte) error {
 // Chaos modes carried by msgCrash.
 const (
 	crashKill  uint8 = iota // drop the session and close every connection
-	crashHang               // go silent: stop ponging and stop making progress
-	crashStall              // keep ponging but slow every unit of work by Factor
+	crashHang               // go silent: stop beating and stop making progress
+	crashStall              // keep beating but slow every unit of work by Factor
 )
 
 // msgCrash is the chaos-harness injection: the worker dies, hangs, or

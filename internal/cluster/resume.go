@@ -148,12 +148,13 @@ func Resume(ctx context.Context, inPath, outPath string, spec SortSpec) (*SortSt
 	return c.resume(ctx, st)
 }
 
-// resume re-attaches every worker it can reach — one it cannot is lost
-// under the phase name "resume" — and, if quorum holds, opens the resumed
-// job's first epoch.
+// resume makes the job live and re-attaches every worker it can reach —
+// one it cannot is lost under the phase name "resume" — and, if quorum
+// holds, opens the resumed job's first epoch.
 func (c *coordinator) resume(ctx context.Context, st *journalState) (*SortStats, error) {
 	sp := c.tr.Begin("cluster", "resume", 0)
-	c.links = make([]*link, c.W)
+	stop := c.goLive(ctx)
+	defer stop()
 	fresh := make(map[int]bool)
 	expected := c.extents()
 	for i := range c.spec.Workers {
@@ -170,9 +171,6 @@ func (c *coordinator) resume(ctx context.Context, st *journalState) (*SortStats,
 		return nil, err
 	}
 
-	stop := c.watchCancel(ctx)
-	defer stop()
-	c.startMonitors(ctx)
 	c.mu.Lock()
 	c.rec.Resumed = true
 	c.rec.ResumePhase = st.lastPhase
@@ -191,7 +189,8 @@ func (c *coordinator) resume(ctx context.Context, st *journalState) (*SortStats,
 // attachResume re-opens worker i's control link with the mResume
 // handshake. A worker may still be tearing its old session down moments
 // after the coordinator's crash severed the links, so a busy/handshake
-// failure is retried a few times before the worker counts as lost.
+// failure is retried a few times before the worker counts as lost. The
+// link joins the job only once its handshake is through.
 func (c *coordinator) attachResume(ctx context.Context, i int, expected []uint64, fresh map[int]bool) error {
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
@@ -205,8 +204,7 @@ func (c *coordinator) attachResume(ctx context.Context, i int, expected []uint64
 			lastErr = err
 			continue
 		}
-		l := newLink(i, conn, c.spec.Dial, c.net)
-		c.links[i] = l
+		l := c.newLink(i, conn)
 		var rs msgResumeState
 		err = l.send(mResume, c.hello(i, c.spec.Workers).encode())
 		if err == nil {
@@ -221,10 +219,12 @@ func (c *coordinator) attachResume(ctx context.Context, i int, expected []uint64
 		if err != nil {
 			conn.Close()
 			close(l.done)
-			c.links[i] = nil
 			lastErr = err
 			continue
 		}
+		c.mu.Lock()
+		c.links[i] = l
+		c.mu.Unlock()
 		if rs.HaveShard != 1 || rs.ShardRecs != expected[i] {
 			fresh[i] = true
 		}

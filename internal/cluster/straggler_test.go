@@ -149,7 +149,7 @@ func TestScaleShardBudget(t *testing.T) {
 }
 
 // TestStallChaosMatrix slows one of four workers 20000x at the start of
-// every coordinator phase. The worker stays alive and keeps ponging — only
+// every coordinator phase. The worker stays alive and keeps beating — only
 // the progress-rate detector can see it. Each run must demote the
 // straggler past its hard budget, fail over, record the demotion, and
 // still produce byte-identical sorted output. The factor is huge because

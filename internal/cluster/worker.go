@@ -38,11 +38,12 @@ type WorkerConfig struct {
 	// have been sent to peers, the worker force-closes that connection
 	// once, exercising the redial/retransmit/dedup path. 0 disables.
 	DropAfterBlocks int
-	// PongDelay and PongDelayCount inject heartbeat flap: the first
-	// PongDelayCount pongs are answered PongDelay late. The coordinator's
-	// miss counter must absorb the flap without declaring the worker lost.
-	PongDelay      time.Duration
-	PongDelayCount int
+	// BeatDelay and BeatDelayCount inject heartbeat flap: each of the
+	// first BeatDelayCount beats of a session goes BeatDelay late. The
+	// coordinator's silence budget must absorb a flap shorter than it
+	// without declaring the worker lost.
+	BeatDelay      time.Duration
+	BeatDelayCount int
 	// Obs, when non-nil, receives each job's tracer under the key "job",
 	// so the worker's /metrics endpoint exposes live phase histograms and
 	// event counts. Independent of the Hello trace flag: a worker can
@@ -262,8 +263,8 @@ func NewWorker(cfg WorkerConfig) *Worker {
 }
 
 // Serve accepts connections on ln until ctx is canceled or the listener
-// fails. Coordinator connections run jobs; peer and monitor connections
-// attach to the active job. Before it returns, Serve closes every accepted
+// fails. Coordinator connections run jobs; peer connections attach to the
+// active job. Before it returns, Serve closes every accepted
 // connection and waits for its handler, so once Serve returns no session
 // of this call touches ScratchDir any more and the caller may delete it.
 func (w *Worker) Serve(ctx context.Context, ln net.Listener) error {
@@ -375,18 +376,6 @@ func (w *Worker) handleConn(ctx context.Context, conn net.Conn) {
 			return
 		}
 		s.servePeer(conn, br, ph.Epoch, gen)
-	case mMonHello:
-		var mh msgMonHello
-		if err := mh.decode(payload); err != nil {
-			conn.Close()
-			return
-		}
-		s := w.current()
-		if s == nil || s.jobID != mh.JobID {
-			conn.Close()
-			return
-		}
-		s.serveMonitor(conn, br)
 	default:
 		conn.Close()
 	}
@@ -418,7 +407,7 @@ func (w *Worker) runJob(ctx context.Context, conn net.Conn, br *bufio.Reader, ty
 		return
 	}
 	if parked != nil {
-		s.setShardRecs(parked.shardRecs)
+		s.shardRecs = parked.shardRecs
 		s.epoch = parked.epoch
 	}
 	// A resume does not wait for a finishing session the way a new session
@@ -446,7 +435,7 @@ func (w *Worker) runJob(ctx context.Context, conn net.Conn, br *bufio.Reader, ty
 	s.ctlConn = conn
 	s.mu.Unlock()
 
-	if err := s.run(&wlink{conn: conn, br: br, cfg: w.cfg.Dial, s: s}, typ, parked != nil); err != nil {
+	if err := s.run(&wlink{conn: conn, br: br, s: s}, typ, parked != nil); err != nil {
 		if w.maybePark(s, err) {
 			return // shard kept for a coordinator resume; defers abort + close
 		}
@@ -461,26 +450,33 @@ func (w *Worker) runJob(ctx context.Context, conn net.Conn, br *bufio.Reader, ty
 }
 
 // wlink is the worker's framed control connection to the coordinator. Only
-// the control reader goroutine reads from it; sends stay on the job
-// goroutine. A hung session (chaos) blocks every send until the session
-// dies, simulating a live TCP peer that has stopped participating.
+// the control reader goroutine reads from it; the job goroutine and the
+// beat goroutine write to it, a frame at a time under mu. A hung session
+// (chaos) blocks every send until the session dies, simulating a live TCP
+// peer that has stopped participating.
 type wlink struct {
 	conn net.Conn
 	br   *bufio.Reader
-	cfg  DialConfig
 	s    *session
+	mu   sync.Mutex
 }
 
+// send writes one frame. Beats stay out of the session's net meter, so
+// wire counts do not depend on how long a job runs.
 func (l *wlink) send(typ byte, payload []byte) error {
 	if l.s.isHung() {
 		<-l.s.done
 		return errors.New("cluster: worker hung")
 	}
-	setWriteDeadline(l.conn, l.cfg)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	setWriteDeadline(l.conn, l.s.dial)
 	if err := writeFrame(l.conn, typ, payload); err != nil {
 		return err
 	}
-	l.s.net.out(len(payload))
+	if typ != mProgress {
+		l.s.net.out(len(payload))
+	}
 	return nil
 }
 
@@ -530,6 +526,7 @@ type session struct {
 	workers   int
 	s         int // bucket count S
 	blockRecs int
+	beat      time.Duration // heartbeat period from the hello; 0: none
 	peers     []string
 	dir       string
 	dial      DialConfig
@@ -573,22 +570,19 @@ type session struct {
 	recvGatherRecs uint64
 	ctlConn        net.Conn
 	conns          map[net.Conn]struct{} // peer data conns: closed on abort and on epoch reset
-	monConns       map[net.Conn]struct{} // monitor conns: closed on abort only
 	hedge          *hedgeState           // this epoch's hedge, as its target; nil when none
 	sortCancel     context.CancelFunc    // cancels the in-flight shard or hedge sort
 	sortCanceled   bool                  // coordinator sent mSortCancel: this worker lost its race
 
-	sentNet     atomic.Int64 // blocks pushed over the network, feeds DropAfterBlocks
-	dropOnce    sync.Once
-	pongsServed atomic.Int64 // feeds PongDelayCount
+	sentNet  atomic.Int64 // blocks pushed over the network, feeds DropAfterBlocks
+	dropOnce sync.Once
 
-	// Progress state the monitor goroutine reads for each pong.
-	// workUnits is a monotone count of work items finished (records
-	// scanned, blocks moved, chunks streamed); phaseIdx indexes
-	// WorkerPhases; stallFactor is the crashStall slowdown multiplier.
+	// Progress state the beat goroutine reads for each beat. workUnits is
+	// a monotone count of work items finished (records scanned, blocks
+	// moved, chunks streamed); phaseIdx indexes WorkerPhases; stallFactor
+	// is the crashStall slowdown multiplier.
 	workUnits   atomic.Uint64
 	phaseIdx    atomic.Int32
-	shardRecsA  atomic.Uint64 // mirrors shardRecs for the monitor goroutine
 	stallFactor atomic.Int64
 }
 
@@ -621,6 +615,7 @@ func newSession(w *Worker, h *msgHello) (*session, error) {
 		workers:   int(h.Workers),
 		s:         int(h.S),
 		blockRecs: int(h.BlockRecs),
+		beat:      h.Beat,
 		peers:     append([]string(nil), h.Peers...),
 		dir:       dir,
 		dial:      w.cfg.Dial,
@@ -631,7 +626,6 @@ func newSession(w *Worker, h *msgHello) (*session, error) {
 		peerGen:   make(map[uint32]uint64),
 		exIndex:   make(map[int][]blockLoc),
 		conns:     make(map[net.Conn]struct{}),
-		monConns:  make(map[net.Conn]struct{}),
 	}
 	s.net = &netMeter{}
 	if h.Flags&helloFlagTrace != 0 || w.cfg.Obs != nil {
@@ -658,13 +652,6 @@ func newSession(w *Worker, h *msgHello) (*session, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// setShardRecs records the shard size for the job goroutine and mirrors it
-// for the monitor goroutine's progress reports.
-func (s *session) setShardRecs(n uint64) {
-	s.shardRecs = n
-	s.shardRecsA.Store(n)
 }
 
 func (s *session) shardPath() string       { return filepath.Join(s.dir, "in.shard") }
@@ -744,22 +731,6 @@ func (s *session) unregisterConn(c net.Conn) {
 	delete(s.conns, c)
 }
 
-func (s *session) registerMonConn(c net.Conn) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.aborted {
-		c.Close()
-		return
-	}
-	s.monConns[c] = struct{}{}
-}
-
-func (s *session) unregisterMonConn(c net.Conn) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.monConns, c)
-}
-
 // abort marks the session dead, closes every connection so no goroutine can
 // block on I/O, cancels the job context, and wakes everything.
 func (s *session) abort(err error) {
@@ -775,9 +746,6 @@ func (s *session) abort(err error) {
 		s.ctlConn.Close()
 	}
 	for c := range s.conns {
-		c.Close()
-	}
-	for c := range s.monConns {
 		c.Close()
 	}
 	cancel := s.cancel
@@ -909,8 +877,8 @@ func (s *session) resetEpoch(m *msgRescatter) error {
 // epoch's sync point — to the job goroutine. Payloads land in buffers
 // from ctlFree, which doRecover hands back once a chunk is written out.
 func (s *session) readCtl(ctl *wlink) {
+	_ = ctl.conn.SetReadDeadline(time.Time{}) // the handshake's; the beat goroutine sets write deadlines
 	for {
-		clearDeadline(ctl.conn)
 		typ, payload, err := readFrame(ctl.br, s.ctlFree.get())
 		if err == nil {
 			s.net.in(len(payload))
@@ -938,7 +906,7 @@ func (s *session) readCtl(ctl *wlink) {
 				continue
 			}
 			if mc.Mode == crashStall {
-				// Stall: keep ponging, keep participating, but make every
+				// Stall: keep beating, keep participating, but make every
 				// unit of work Factor times slower from here on.
 				s.stallFactor.Store(int64(mc.Factor))
 				continue
@@ -1079,58 +1047,6 @@ func (s *session) servePeer(conn net.Conn, br *bufio.Reader, epoch uint32, gen u
 			return
 		}
 		s.net.out(len(ack))
-	}
-}
-
-// serveMonitor answers the coordinator's heartbeat pings. A hung session
-// goes silent — the whole point of the monitor is to notice that.
-func (s *session) serveMonitor(conn net.Conn, br *bufio.Reader) {
-	s.registerMonConn(conn)
-	defer func() {
-		s.unregisterMonConn(conn)
-		conn.Close()
-	}()
-	for {
-		clearDeadline(conn)
-		typ, payload, err := readFrame(br, nil)
-		if err != nil || typ != mPing {
-			return
-		}
-		if s.isHung() {
-			<-s.done
-			return
-		}
-		if d := s.w.cfg.PongDelay; d > 0 && s.pongsServed.Add(1) <= int64(s.w.cfg.PongDelayCount) {
-			t := time.NewTimer(d)
-			select {
-			case <-t.C:
-			case <-s.done:
-				t.Stop()
-				return
-			}
-		}
-		// The pong carries the progress counters the coordinator's
-		// straggler detector rates. A stalled worker keeps ponging — that
-		// is the point: it is alive, just not advancing.
-		var ping msgPing
-		if err := ping.decode(payload); err != nil {
-			return
-		}
-		s.mu.Lock()
-		recvBlocks, gatherRecs := s.recvBlocks, s.recvGatherRecs
-		s.mu.Unlock()
-		payload = (&msgProgress{
-			Seq:        ping.Seq,
-			Phase:      uint8(s.phaseIdx.Load()),
-			Units:      s.workUnits.Load(),
-			ShardRecs:  s.shardRecsA.Load(),
-			RecvBlocks: recvBlocks,
-			GatherRecs: gatherRecs,
-		}).encode()
-		setOpDeadline(conn, s.dial)
-		if err := writeFrame(conn, mPong, payload); err != nil {
-			return
-		}
 	}
 }
 
@@ -1542,6 +1458,8 @@ func (s *session) run(ctl *wlink, typ byte, adopted bool) error {
 		return err
 	}
 	go s.readCtl(ctl)
+	stopBeats := s.startBeats(ctl)
+	defer stopBeats()
 	for {
 		if err = s.doRecover(ctl); err == nil {
 			err = s.pipeline(ctl)
@@ -1549,6 +1467,38 @@ func (s *session) run(ctl *wlink, typ byte, adopted bool) error {
 		if !errors.Is(err, errInterrupted) {
 			return err
 		}
+	}
+}
+
+// startBeats starts the session's heartbeat: once per beat period the
+// progress counters go out on the control link, until the returned stop,
+// which waits for the last beat, or the session's abort. A stalled session
+// keeps beating; a hung one stops, because its sends block.
+func (s *session) startBeats(ctl *wlink) (stop func()) {
+	quit, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		for n := 0; s.beat > 0; n++ {
+			wait := s.beat
+			if n < s.w.cfg.BeatDelayCount {
+				wait += s.w.cfg.BeatDelay
+			}
+			select {
+			case <-time.After(wait):
+			case <-quit:
+				return
+			case <-s.done:
+				return
+			}
+			pg := msgProgress{Phase: uint8(s.phaseIdx.Load()), Units: s.workUnits.Load()}
+			if ctl.send(mProgress, pg.encode()) != nil {
+				return
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-exited
 	}
 }
 
@@ -1897,7 +1847,7 @@ restart:
 			if err := finish(); err != nil {
 				return err
 			}
-			s.setShardRecs(got)
+			s.shardRecs = got
 			sp.End(obs.Attr{Key: "records", Val: int64(got)})
 			a := msgRescatterAck{Epoch: m.Epoch, ShardRecs: got}
 			return ctl.send(mRescatterAck, a.encode())
@@ -1905,7 +1855,7 @@ restart:
 			if err := finish(); err != nil {
 				return err
 			}
-			s.setShardRecs(got)
+			s.shardRecs = got
 			sp.End(obs.Attr{Key: "records", Val: int64(got)})
 			if err := m.decode(f.payload); err != nil {
 				return err

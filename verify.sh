@@ -52,12 +52,12 @@ go test -race -count=1 -run 'KillRestart|DrainRestart|RecoveryQuarantine' ./inte
 echo "== go test -race -count=100 (cancel repeat gate: a job reads canceled only after its reservation is returned) =="
 go test -race -count=100 -run 'TestServerCancelRunning$' ./internal/jobs/
 
-echo "== go test -race (cluster churn matrix: worker kills, coordinator kill+resume, and joins at every phase) =="
+echo "== go test -race (cluster churn matrix: worker kills and hangs, coordinator kill+resume, and joins at every phase; heartbeat flaps and silences) =="
 go test -race -count=1 -run 'Chaos|Degraded|Flap|FailoverJournal|Join|Resume|Dedup' ./internal/cluster/
 go test -race -count=1 -run 'ServerCluster' ./internal/jobs/
 
-echo "== go test -count=20 (worker teardown repeat gate: Serve returns only after its sessions have torn down, and a worker's job error is its loss's cause) =="
-go test -count=20 -run 'TestJoinThenLossBelowQuorum|TestClusterDegradedBelowQuorum|TestServeWaitsForHandlers|TestWorkerErrorIsTheLossCause' ./internal/cluster/
+echo "== go test -count=20 (worker teardown and heartbeat repeat gate: Serve returns only after its sessions have torn down, a worker's job error is its loss's cause, late beats within the silence budget never fail a worker over, and a silent worker is lost within it) =="
+go test -count=20 -run 'TestJoinThenLossBelowQuorum|TestClusterDegradedBelowQuorum|TestServeWaitsForHandlers|TestWorkerErrorIsTheLossCause|TestHeartbeatFlapNoFailover|TestHeartbeatFlapDuringJoin|TestChaosSilentWorkerLost' ./internal/cluster/
 
 echo "== go test -race (straggler matrix: stalls at every phase, hedged re-execution, and demotion fallback) =="
 go test -race -count=1 -run 'Stall|Straggler|Hedge' ./internal/cluster/
