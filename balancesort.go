@@ -125,10 +125,6 @@ type Config struct {
 	// lets the cost-model planner pick and records its decision in
 	// Result.Plan.
 	Engine Engine
-	// Throughput is the per-disk bandwidth the planner assumes for
-	// EngineAuto; the zero value assumes symmetric commodity disks. Derive
-	// a measured one from a prior run with MeasureThroughput.
-	Throughput Throughput
 	// CRCW charges internal work at concurrent-read/concurrent-write PRAM
 	// rates (Section 5's requirement when log(M/B) = o(log M)).
 	CRCW bool
@@ -186,11 +182,8 @@ func (c Config) diskConfig() core.DiskConfig {
 func (c Config) Validate() error {
 	c.fill()
 	p := pdm.Params{D: c.Disks, B: c.BlockSize, M: c.Memory}
-	if err := p.Validate(); err != nil {
+	if err := checkGeometry(p); err != nil {
 		return err
-	}
-	if 4*p.D*p.B > p.M {
-		return fmt.Errorf("balancesort: DB = %d needs M >= %d (got %d)", p.D*p.B, 4*p.D*p.B, p.M)
 	}
 	v := c.VirtualDisks
 	if v == 0 {
@@ -201,6 +194,18 @@ func (c Config) Validate() error {
 	}
 	if err := core.CheckBuckets(p, c.Disks/v*c.BlockSize, c.Buckets); err != nil {
 		return fmt.Errorf("balancesort: Buckets = %d: %w", c.Buckets, err)
+	}
+	return nil
+}
+
+// checkGeometry reports a geometry the model rejects, or one with
+// DB > M/4, where neither external engine's phase buffers fit together.
+func checkGeometry(p pdm.Params) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if 4*p.D*p.B > p.M {
+		return fmt.Errorf("balancesort: DB = %d needs M >= %d (got %d)", p.D*p.B, 4*p.D*p.B, p.M)
 	}
 	return nil
 }
@@ -250,11 +255,6 @@ type Result struct {
 	// scratch array (SortFile and ResumeSortFile); nil otherwise, as for
 	// an in-memory sort or the inmem engine.
 	IO *IOStats `json:"io,omitempty"`
-	// MeasuredThroughput is the per-disk device bandwidth the I/O layer
-	// observed during this sort (bytes over device-busy time). Feed it into
-	// Config.Throughput so EngineAuto plans with measured rates; cluster
-	// workers do this automatically between shard sorts. Nil when IO is.
-	MeasuredThroughput *Throughput `json:"measured_throughput,omitempty"`
 	// Scrub carries the post-sort integrity sweep when the sort ran with
 	// Config.Robust.ScrubAfter; nil otherwise.
 	Scrub *ScrubReport `json:"scrub,omitempty"`
@@ -325,6 +325,7 @@ const (
 	AlgoBalanceSort Algorithm = iota
 	// AlgoStripedMerge is merge sort over the D disks striped as one
 	// logical disk — deterministic but suboptimal by Θ(log(M/B)/log(M/DB)).
+	// It is the EngineStripedMerge sorter that SortFile runs.
 	AlgoStripedMerge
 	// AlgoForecastMerge is a merge sort with Greed Sort's independent
 	// per-disk greedy reads — the deterministic optimal merge-based
@@ -359,15 +360,20 @@ func (a Algorithm) String() string {
 
 // SortWith runs the chosen algorithm on the same simulated disk array that
 // Sort uses, so the returned I/O counts are directly comparable. For
-// AlgoBalanceSort it defers to Sort; the baselines fill the Result's I/O
-// and PRAM fields and leave the Balance-specific measurements zero.
+// AlgoBalanceSort it defers to Sort; AlgoStripedMerge fills the fields a
+// stripedmerge SortFile does; the other baselines fill the Result's I/O,
+// PRAM and pass fields. Balance-specific measurements stay zero.
 func SortWith(algo Algorithm, recs []Record, cfg Config) (*Result, error) {
 	if algo == AlgoBalanceSort {
 		return Sort(recs, cfg)
 	}
 	cfg.fill()
 	p := pdm.Params{D: cfg.Disks, B: cfg.BlockSize, M: cfg.Memory}
-	if err := p.Validate(); err != nil {
+	err := p.Validate()
+	if algo == AlgoStripedMerge {
+		err = checkGeometry(p)
+	}
+	if err != nil {
 		return nil, err
 	}
 	arr := pdm.New(p)
@@ -381,41 +387,40 @@ func SortWith(algo Algorithm, recs []Record, cfg Config) (*Result, error) {
 	off := arr.AllocStripe(perDisk)
 	arr.WriteStripe(off, 0, recs)
 
+	var res *Result
 	var reg baseline.Region
 	var met baseline.Metrics
 	switch algo {
 	case AlgoStripedMerge:
-		_, reg, met = baseline.StripedMergeSort(arr, off, len(recs), cfg.Processors)
+		js := &guideJournalState{}
+		js.start(off, len(recs))
+		var regs []core.Region
+		regs, res = js.run(arr, cfg, nil)
+		reg = baseline.Region(regs[0])
 	case AlgoForecastMerge:
 		_, reg, met = baseline.ForecastMergeSort(arr, off, len(recs), cfg.Processors)
 	case AlgoColumnSort:
-		var err error
 		reg, met, err = baseline.ColumnSortDisk(arr, off, len(recs), cfg.Processors)
-		if err != nil {
-			return nil, err
-		}
 	case AlgoGreedSort:
-		gReg, gMet, err := baseline.GreedSort(arr, off, len(recs), cfg.Processors)
-		if err != nil {
-			return nil, err
-		}
-		reg, met = gReg, gMet.Metrics
+		var gMet baseline.GreedSortMetrics
+		reg, gMet, err = baseline.GreedSort(arr, off, len(recs), cfg.Processors)
+		met = gMet.Metrics
 	default:
 		return nil, fmt.Errorf("balancesort: unknown algorithm %d", algo)
 	}
-	out := make([]Record, reg.N)
-	arr.ReadStripe(reg.Off, 0, out)
-	if !record.IsSorted(out) {
+	if err != nil {
+		return nil, err
+	}
+	if res == nil {
+		res = &Result{IOs: met.IOs, PRAMTime: met.PRAMTime, PRAMWork: met.PRAMWork, Passes: met.Passes}
+	}
+	res.Records = make([]Record, reg.N)
+	arr.ReadStripe(reg.Off, 0, res.Records)
+	if !record.IsSorted(res.Records) {
 		return nil, errors.New("balancesort: internal error: baseline output not sorted")
 	}
-	return &Result{
-		Records:      out,
-		IOs:          met.IOs,
-		IOLowerBound: core.LowerBoundIOs(len(recs), p),
-		PRAMTime:     met.PRAMTime,
-		PRAMWork:     met.PRAMWork,
-		Passes:       met.Passes,
-	}, nil
+	res.IOLowerBound = core.LowerBoundIOs(len(recs), p)
+	return res, nil
 }
 
 // HierarchyModel names a memory-hierarchy kind for SortHierarchy.

@@ -11,7 +11,6 @@ package balancesort
 import (
 	"context"
 	"net"
-	"sync/atomic"
 	"time"
 
 	"balancesort/internal/cluster"
@@ -291,22 +290,8 @@ func ServeWorker(ctx context.Context, ln net.Listener, opt WorkerOptions) error 
 			// the cheapest engine per shard unless the operator pinned one.
 			sortCfg.Engine = EngineAuto
 		}
-		// Feed each shard sort's measured device bandwidth into the next
-		// one's planner, so after the first shard EngineAuto ranks engines
-		// with this host's real throughput instead of the 200 MB/s default.
-		// An operator-pinned Throughput wins over the feedback loop.
-		var measured atomic.Pointer[Throughput]
 		wcfg.SortShard = func(ctx context.Context, inPath, outPath, scratchDir string) error {
-			cfg := sortCfg
-			if cfg.Throughput == (Throughput{}) {
-				if t := measured.Load(); t != nil {
-					cfg.Throughput = *t
-				}
-			}
-			res, err := SortFileContext(ctx, inPath, outPath, scratchDir, cfg)
-			if err == nil && res.MeasuredThroughput != nil {
-				measured.Store(res.MeasuredThroughput)
-			}
+			_, err := SortFileContext(ctx, inPath, outPath, scratchDir, sortCfg)
 			return err
 		}
 	}

@@ -478,10 +478,6 @@ func main() {
 		if res.MaxBucketReadRatio > 0 {
 			fmt.Printf("  bucket read balance:   %.2fx of optimal\n", res.MaxBucketReadRatio)
 		}
-		if t := res.MeasuredThroughput; t != nil {
-			fmt.Printf("  measured throughput:   %.0f MB/s read, %.0f MB/s write per disk\n",
-				t.ReadBytesPerSec/(1<<20), t.WriteBytesPerSec/(1<<20))
-		}
 		fmt.Println("  verification:          OK (checked while streaming out)")
 		if res.Scrub != nil {
 			fmt.Printf("  scrub:                 %d blocks checked, %d corrupt\n",

@@ -61,16 +61,6 @@ type Plan = plan.Plan
 // Prediction is one engine's predicted cost within a Plan.
 type Prediction = plan.Prediction
 
-// Throughput is the per-disk bandwidth assumption the planner ranks
-// engines with; the zero value assumes symmetric commodity disks.
-type Throughput = plan.Throughput
-
-// MeasureThroughput derives a Throughput from a prior run's aggregate
-// byte counts (e.g. Result.IO.Aggregate()) and wall-clock.
-func MeasureThroughput(readBytes, writeBytes int64, disks int, seconds float64) Throughput {
-	return plan.Measure(readBytes, writeBytes, disks, seconds)
-}
-
 // PlanFile runs the cost-model planner for sorting inPath at cfg's
 // geometry without sorting anything: it stats the input, predicts every
 // engine's pass count, I/O volume, and wall-clock, and returns the
@@ -84,7 +74,7 @@ func PlanFile(inPath string, cfg Config) (*Plan, error) {
 	return plan.Choose(plan.Geometry{
 		N: n, D: cfg.Disks, B: cfg.BlockSize, M: cfg.Memory, V: cfg.VirtualDisks,
 		RecordBytes: RecordSize,
-	}, cfg.Throughput)
+	})
 }
 
 // statRecords counts the records in a wire-format file.
@@ -204,14 +194,7 @@ type guideJournalState struct {
 
 // validate requires a geometry the model accepts with 4DB ≤ M.
 func (js *guideJournalState) validate(cfg Config) error {
-	p := pdm.Params{D: cfg.Disks, B: cfg.BlockSize, M: cfg.Memory}
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if 4*p.D*p.B > p.M {
-		return fmt.Errorf("balancesort: DB = %d needs M >= %d (got %d)", p.D*p.B, 4*p.D*p.B, p.M)
-	}
-	return nil
+	return checkGeometry(pdm.Params{D: cfg.Disks, B: cfg.BlockSize, M: cfg.Memory})
 }
 
 func (js *guideJournalState) start(off, n int) {

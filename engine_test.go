@@ -11,6 +11,7 @@ import (
 
 	"balancesort/internal/core"
 	"balancesort/internal/pdm"
+	"balancesort/internal/record"
 )
 
 func sortFileWithEngine(t *testing.T, dir, name, inPath string, cfg Config, eng Engine) ([]byte, *Result) {
@@ -48,6 +49,64 @@ func TestEngineParityMatrix(t *testing.T) {
 		if string(got) != string(want) {
 			t.Fatalf("%s: stripedmerge output differs from balancesort", w)
 		}
+	}
+}
+
+// TestSortWithStripedMergeIsTheEngine pins that there is one striped
+// merge: SortWith(AlgoStripedMerge) runs the stripedmerge engine on an
+// in-memory array, so it reports a stripedmerge SortFile's model costs and
+// writes its bytes, for every generator at BENCH_sort.json's geometry and
+// at an unaligned N, and it refuses DB > M/4 with SortFile's error.
+func TestSortWithStripedMergeIsTheEngine(t *testing.T) {
+	dir := t.TempDir()
+	bench := Config{Disks: 8, BlockSize: 64, Memory: 1 << 15}
+	type cost struct {
+		IOs                int64
+		PRAMTime, PRAMWork float64
+		Passes, Depth      int
+		MemPeak            int
+	}
+	costOf := func(r *Result) cost {
+		return cost{r.IOs, r.PRAMTime, r.PRAMWork, r.Passes, r.Depth, r.MemPeak}
+	}
+	type tc struct {
+		name string
+		in   []Record
+		cfg  Config
+	}
+	var cases []tc
+	for _, w := range []Workload{Uniform, FewDistinct, NearlySorted, Reversed, BucketSkew, Zipf} {
+		cases = append(cases, tc{w.String(), NewWorkload(w, 1<<16, 42), bench})
+	}
+	cases = append(cases, tc{"unaligned", NewWorkload(Uniform, 100003, 42), Config{Disks: 8, BlockSize: 64, Memory: 1 << 12}})
+	for _, c := range cases {
+		inPath := filepath.Join(dir, c.name+".bin")
+		if err := WriteRecordFile(inPath, c.in); err != nil {
+			t.Fatal(err)
+		}
+		want, file := sortFileWithEngine(t, dir, c.name, inPath, c.cfg, EngineStripedMerge)
+		mem, err := SortWith(AlgoStripedMerge, c.in, c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got, wantCost := costOf(mem), costOf(file); got != wantCost {
+			t.Errorf("%s: SortWith costs %+v, SortFile %+v", c.name, got, wantCost)
+		}
+		if string(record.EncodeSlice(mem.Records)) != string(want) {
+			t.Errorf("%s: SortWith's records differ from SortFile's bytes", c.name)
+		}
+	}
+
+	tight := Config{Disks: 8, BlockSize: 64, Memory: 1 << 10} // DB = 512 > M/4
+	inPath := filepath.Join(dir, "tight.bin")
+	if err := WriteRecordFile(inPath, NewWorkload(Uniform, 1000, 1)); err != nil {
+		t.Fatal(err)
+	}
+	tight.Engine = EngineStripedMerge
+	_, fileErr := SortFile(inPath, filepath.Join(dir, "tight.out"), "", tight)
+	_, memErr := SortWith(AlgoStripedMerge, NewWorkload(Uniform, 1000, 1), tight)
+	if fileErr == nil || memErr == nil || memErr.Error() != fileErr.Error() {
+		t.Fatalf("DB > M/4: SortWith error %v, SortFile error %v", memErr, fileErr)
 	}
 }
 

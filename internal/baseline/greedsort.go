@@ -45,7 +45,7 @@ func GreedSort(arr *pdm.Array, off, n, p int) (Region, GreedSortMetrics, error) 
 		return Region{}, met, nil
 	}
 
-	ms := &mergeSorter{arr: arr, cpu: cpu, striped: false}
+	ms := &mergeSorter{arr: arr, cpu: cpu}
 	memload := (par.M / 2 / par.B) * par.B
 	runs, minima := ms.formRunsWithMinima(off, n, memload)
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -1055,18 +1056,6 @@ func (c *coordinator) recvPoll(i int) (typ byte, payload []byte, ok bool, err er
 	}
 }
 
-// expectFrom is recvFrom constrained to one message type.
-func (c *coordinator) expectFrom(i int, want byte) ([]byte, error) {
-	typ, payload, err := c.recvFrom(i)
-	if err != nil {
-		return nil, err
-	}
-	if typ != want {
-		return nil, fmt.Errorf("cluster: expected message %d from worker %d, got %d", want, i, typ)
-	}
-	return payload, nil
-}
-
 // enterPhase records the phase for loss attribution and the journal, bails
 // to the recovery loop if a loss is pending, and fires chaos or the
 // scheduled join if this is their phase.
@@ -1370,7 +1359,7 @@ func (c *coordinator) phaseBudget(st StragglerConfig, durs []time.Duration, acti
 	if len(durs) == 0 || len(durs)*2 < active {
 		return 0
 	}
-	b := budgetFactor * medianDur(durs)
+	b := budgetFactor * median(durs)
 	if b < minBudget {
 		b = minBudget
 	}
@@ -1397,7 +1386,7 @@ func (c *coordinator) scaleShardBudget(phase string, i int, doneShards []uint64,
 		i >= len(c.expectGather) || len(doneShards) == 0 {
 		return hard
 	}
-	m := medianU64(doneShards)
+	m := median(doneShards)
 	if m == 0 {
 		// The median finisher's shard was empty (extreme duplicate skew can
 		// put every record in one worker's buckets): its time says nothing
@@ -1414,23 +1403,10 @@ func (c *coordinator) scaleShardBudget(phase string, i int, doneShards []uint64,
 	return hard
 }
 
-func medianU64(v []uint64) uint64 {
-	s := append([]uint64(nil), v...)
-	for i := 1; i < len(s); i++ { // insertion sort: W is small
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	return s[len(s)/2]
-}
-
-func medianDur(durs []time.Duration) time.Duration {
-	s := append([]time.Duration(nil), durs...)
-	for i := 1; i < len(s); i++ { // insertion sort: W is small
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+// median returns the middle value of v, the upper one of an even count.
+func median[T cmp.Ordered](v []T) T {
+	s := slices.Clone(v)
+	slices.Sort(s)
 	return s[len(s)/2]
 }
 
@@ -1744,7 +1720,7 @@ func (c *coordinator) histogramPhase() ([][]uint64, error) {
 		c.wantPivots = append([]uint64(nil), c.pivots...)
 		c.wantDigest = digest
 		c.journal(journalEvent{Event: "pivots", Epoch: c.epoch, Pivots: c.pivots, Digest: digest})
-	} else if digest != c.wantDigest || !equalU64(c.pivots, c.wantPivots) {
+	} else if digest != c.wantDigest || !slices.Equal(c.pivots, c.wantPivots) {
 		// The merged histogram is membership-independent — the shards
 		// always partition the whole input — so any divergence across
 		// epochs (or across a crash, via the journal) means the shards no

@@ -187,10 +187,10 @@ func (c *coordinator) resume(ctx context.Context, st *journalState) (*SortStats,
 }
 
 // attachResume re-opens worker i's control link with the mResume
-// handshake. A worker may still be tearing its old session down moments
-// after the coordinator's crash severed the links, so a busy/handshake
-// failure is retried a few times before the worker counts as lost. The
-// link joins the job only once its handshake is through.
+// handshake. The worker waits up to sessionHandoff for the session the
+// crash severed to finish; a handshake that still fails is retried a few
+// times before the worker counts as lost. The link joins the job only once
+// its handshake is through.
 func (c *coordinator) attachResume(ctx context.Context, i int, expected []uint64, fresh map[int]bool) error {
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
@@ -245,16 +245,4 @@ func histDigest(bins []uint64) uint64 {
 		}
 	}
 	return h
-}
-
-func equalU64(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

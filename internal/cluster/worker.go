@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net"
 	"os"
 	"path/filepath"
@@ -126,11 +127,12 @@ type Worker struct {
 	parked *parkedShard
 }
 
-// sessionHandoff bounds how long a new job waits for the worker's previous
-// session to finish. A coordinator returns as soon as it has said Bye, so
-// its next job's hello can overtake the old session's last steps; a
-// session still running after this long belongs to a concurrent job, and
-// the new one is refused as busy.
+// sessionHandoff bounds how long a new session waits for the worker's
+// previous one to finish. A coordinator returns as soon as it has said Bye,
+// so its next job's hello can overtake the old session's last steps, and a
+// restarted coordinator's resume can arrive while the crashed one's session
+// is still parking its shard; a session still running after this long
+// belongs to a concurrent job, and the new one is refused as busy.
 const sessionHandoff = time.Second
 
 // claim makes s the worker's session, waiting up to handoff for a
@@ -395,29 +397,12 @@ func (w *Worker) runJob(ctx context.Context, conn net.Conn, br *bufio.Reader, ty
 		sendErr(int(h.Worker), err)
 		return
 	}
-	var parked *parkedShard
-	if typ == mResume {
-		// A matching parked shard lives in the exact directory newSession
-		// derives from (jobID, worker), so adoption is just not deleting it.
-		parked = w.takeParked(h.JobID, int(h.Worker))
-	}
 	s, err := newSession(w, h)
 	if err != nil {
 		sendErr(int(h.Worker), err)
 		return
 	}
-	if parked != nil {
-		s.shardRecs = parked.shardRecs
-		s.epoch = parked.epoch
-	}
-	// A resume does not wait for a finishing session the way a new session
-	// does: the parked shard was taken above, before the old session could
-	// park it, and a resuming coordinator retries a refusal itself.
-	handoff := sessionHandoff
-	if typ == mResume {
-		handoff = 0
-	}
-	if !w.claim(s, handoff) {
+	if !w.claim(s, sessionHandoff) {
 		s.teardown()
 		sendErr(int(h.Worker), errors.New("worker busy with another job"))
 		return
@@ -426,6 +411,9 @@ func (w *Worker) runJob(ctx context.Context, conn net.Conn, br *bufio.Reader, ty
 		w.clearSession(s)
 		s.teardown()
 	}()
+	// The claim waited for the crashed coordinator's session to finish,
+	// and so to park its shard, before a resume looks for it.
+	adopted := typ == mResume && s.adopt(w.takeParked(h.JobID, int(h.Worker)))
 
 	jobCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -435,7 +423,7 @@ func (w *Worker) runJob(ctx context.Context, conn net.Conn, br *bufio.Reader, ty
 	s.ctlConn = conn
 	s.mu.Unlock()
 
-	if err := s.run(&wlink{conn: conn, br: br, s: s}, typ, parked != nil); err != nil {
+	if err := s.run(&wlink{conn: conn, br: br, s: s}, typ, adopted); err != nil {
 		if w.maybePark(s, err) {
 			return // shard kept for a coordinator resume; defers abort + close
 		}
@@ -604,8 +592,17 @@ func newSession(w *Worker, h *msgHello) (*session, error) {
 	if scratch == "" {
 		scratch = os.TempDir()
 	}
-	dir := filepath.Join(scratch, fmt.Sprintf("cluster-job-%016x-w%d", h.JobID, h.Worker))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	// Each session has a directory of its own, which its teardown removes:
+	// two sessions of one (job, worker) overlap when a resume claims the
+	// worker while the session before it tears down.
+	prefix := fmt.Sprintf("cluster-job-%016x-w%d-", h.JobID, h.Worker)
+	dir, err := os.MkdirTemp(scratch, prefix)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err = os.MkdirAll(scratch, 0o755); err == nil {
+			dir, err = os.MkdirTemp(scratch, prefix)
+		}
+	}
+	if err != nil {
 		return nil, err
 	}
 	s := &session{
@@ -641,7 +638,6 @@ func newSession(w *Worker, h *msgHello) (*session, error) {
 		}
 	}
 	s.cond = sync.NewCond(&s.mu)
-	var err error
 	if s.exFile, err = os.Create(filepath.Join(dir, "exchange.dat")); err != nil {
 		os.RemoveAll(dir)
 		return nil, err
@@ -652,6 +648,25 @@ func newSession(w *Worker, h *msgHello) (*session, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// adopt moves a parked shard's file into the session's directory and takes
+// its epoch and record count. It reports false, leaving the session on an
+// empty shard, when there is no parked shard or its file cannot be moved;
+// the parked directory goes either way.
+func (s *session) adopt(p *parkedShard) bool {
+	if p == nil {
+		return false
+	}
+	defer os.RemoveAll(p.dir)
+	if err := os.Rename(filepath.Join(p.dir, "in.shard"), s.shardPath()); err != nil {
+		return false
+	}
+	s.shardRecs = p.shardRecs
+	s.mu.Lock()
+	s.epoch = p.epoch
+	s.mu.Unlock()
+	return true
 }
 
 func (s *session) shardPath() string       { return filepath.Join(s.dir, "in.shard") }

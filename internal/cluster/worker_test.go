@@ -214,3 +214,31 @@ func TestStoreRefusesOversizedBlock(t *testing.T) {
 			len(s.exIndex[0]), s.exSize, s.recvGatherRecs)
 	}
 }
+
+// TestSessionsOfOneJobKeepTheirFiles: two sessions of one (job, worker)
+// overlap when a resume claims the worker while the session before it
+// tears down. The teardown must leave the other session's shard,
+// exchange and gather files in place.
+func TestSessionsOfOneJobKeepTheirFiles(t *testing.T) {
+	w := NewWorker(WorkerConfig{ScratchDir: t.TempDir()})
+	h := &msgHello{JobID: 1, Worker: 0, Workers: 2, S: 4, BlockRecs: 4}
+	old, err := newSession(w, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newSession(w, h)
+	if err != nil {
+		old.teardown()
+		t.Fatal(err)
+	}
+	defer s.teardown()
+	if err := os.WriteFile(s.shardPath(), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old.teardown()
+	for _, p := range []string{s.shardPath(), filepath.Join(s.dir, "exchange.dat"), s.gatherPath()} {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("the other session's teardown took %s: %v", filepath.Base(p), err)
+		}
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"balancesort/internal/balance"
 	"balancesort/internal/baseline"
 	"balancesort/internal/core"
+	"balancesort/internal/guidesort"
 	"balancesort/internal/matching"
 	"balancesort/internal/pdm"
 	"balancesort/internal/record"
@@ -311,7 +312,9 @@ func E11(s Scale) *stats.Table {
 
 		arr := pdm.New(p)
 		off := writeInput(arr, n, 6)
-		_, _, sm := baseline.StripedMergeSort(arr, off, n, 1)
+		sorter := guidesort.NewSorter(arr, guidesort.Config{P: 1})
+		sorter.Sort(off, n)
+		sm := sorter.Metrics()
 		arr.Close()
 
 		arr2 := pdm.New(p)

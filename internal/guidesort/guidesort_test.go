@@ -68,7 +68,7 @@ func check(t *testing.T, in, out []record.Record) {
 // record-at-a-time merge.
 func TestSortsAllWorkloads(t *testing.T) {
 	for _, w := range record.AllWorkloads {
-		for _, n := range []int{1, 7, 64, 500, 4000} {
+		for _, n := range []int{0, 1, 7, 64, 500, 4000} {
 			in := record.Generate(w, n, 11)
 			out, met := run(t, pTest(), Config{}, in)
 			check(t, in, out)

@@ -151,31 +151,3 @@ func stragglerMetric(layer, event string, val int64) (Metric, bool) {
 		Value:  float64(val),
 	}, true
 }
-
-// StragglerMetrics renders a tracer's straggler-detector counters as the
-// balancesort_stragglers_total family (empty when the job saw none).
-func StragglerMetrics(t *Tracer) []Metric {
-	var ms []Metric
-	for _, c := range t.Counts() {
-		if m, ok := stragglerMetric(c.Layer, c.Name, c.Val); ok {
-			ms = append(ms, m)
-		}
-	}
-	return ms
-}
-
-// TracerMetrics renders a tracer's event counters as one counter family.
-func TracerMetrics(t *Tracer) []Metric {
-	counts := t.Counts()
-	ms := make([]Metric, 0, len(counts))
-	for _, c := range counts {
-		ms = append(ms, Metric{
-			Name:   "balancesort_events_total",
-			Type:   "counter",
-			Help:   "Observability event counts by layer and event.",
-			Labels: []Label{{"layer", c.Layer}, {"event", c.Name}},
-			Value:  float64(c.Val),
-		})
-	}
-	return ms
-}

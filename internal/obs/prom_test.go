@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"fmt"
 	"math"
 	"regexp"
 	"strconv"
@@ -187,22 +186,5 @@ func TestWritePhaseHistogramsFormat(t *testing.T) {
 	}
 	if samples["balancesort_phase_seconds_count"] != 2 || samples["balancesort_phase_seconds_sum"] != 2 {
 		t.Fatalf("samples = %v", samples)
-	}
-}
-
-func TestTracerMetrics(t *testing.T) {
-	tr := New(4, nil)
-	tr.Count("disk", "retry", 0, 7)
-	ms := TracerMetrics(tr)
-	if len(ms) != 1 || ms[0].Value != 7 || ms[0].Name != "balancesort_events_total" {
-		t.Fatalf("metrics = %+v", ms)
-	}
-	var b strings.Builder
-	if err := WriteMetrics(&b, ms); err != nil {
-		t.Fatal(err)
-	}
-	parsePromText(t, b.String())
-	if !strings.Contains(b.String(), fmt.Sprintf("balancesort_events_total{layer=%q,event=%q} 7", "disk", "retry")) {
-		t.Fatalf("output:\n%s", b.String())
 	}
 }

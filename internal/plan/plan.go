@@ -1,13 +1,13 @@
 // Package plan is the engine-selection subsystem: a cost-model planner
 // that, given the sort geometry (N records of a known width over D disks,
-// B-record blocks, M records of memory) and the measured or assumed
-// per-disk throughput, predicts the pass count, parallel I/O count, and
-// wall-clock of every available engine and picks the cheapest feasible
-// one. It is the "engineering over theory" layer of Rahn/Sanders/Singler
-// ("Scalable Distributed-Memory External Sorting", PAPERS.md) applied to
-// this repository's single-node hot path: the asymptotically optimal
-// algorithm is not always the fastest at a concrete geometry, so measure
-// the constants and choose per instance.
+// B-record blocks, M records of memory), predicts the pass count, parallel
+// I/O count, byte volume, and nominal wall-clock of every available engine
+// and picks the cheapest feasible one. It is the "engineering over theory"
+// layer of Rahn/Sanders/Singler ("Scalable Distributed-Memory External
+// Sorting", PAPERS.md) applied to this repository's single-node hot path:
+// the asymptotically optimal algorithm is not always the cheapest at a
+// concrete geometry, so count each engine's passes there and choose per
+// instance.
 //
 // The model is deliberately simple and closed-form. Every external engine
 // moves the dataset passes × 2 times (read + write) in ⌈N/DB⌉-I/O sweeps;
@@ -22,9 +22,11 @@
 //   - inmem:        one read + one write pass, only when N fits a
 //     half-memory load.
 //
-// Predictions divide bytes moved by the aggregate disk bandwidth, so a
-// measured Throughput (e.g. derived from diskio metrics of a prior run)
-// changes which engine wins on hardware where reads and writes differ.
+// The ranking is by predicted passes, that is, by I/O volume. Seconds is
+// that volume at a nominal 200 MiB/s per disk: every engine reads half
+// its bytes and writes the other half, so any per-disk read and write
+// bandwidth, measured or assumed, scales every candidate by one factor
+// and cannot change the pick.
 package plan
 
 import (
@@ -61,32 +63,9 @@ type Geometry struct {
 	RecordBytes int `json:"record_bytes,omitempty"`
 }
 
-// Throughput is the assumed or measured per-disk bandwidth. Zero fields
-// take DefaultThroughput's values. Derive a measured one from diskio
-// metrics with Measure.
-type Throughput struct {
-	// ReadBytesPerSec and WriteBytesPerSec are per-disk, not aggregate.
-	ReadBytesPerSec  float64 `json:"read_bps,omitempty"`
-	WriteBytesPerSec float64 `json:"write_bps,omitempty"`
-}
-
-// DefaultThroughput is the planner's assumption when nothing was measured:
-// a commodity disk doing 200 MB/s either way. With symmetric defaults the
-// ranking reduces to predicted I/O volume, which is what the model-only
-// tests pin.
-var DefaultThroughput = Throughput{ReadBytesPerSec: 200 << 20, WriteBytesPerSec: 200 << 20}
-
-// Measure builds a Throughput from observed byte counts and elapsed time
-// of a prior run on the same disks (per-disk counts, wall seconds).
-func Measure(readBytes, writeBytes int64, disks int, seconds float64) Throughput {
-	if disks < 1 || seconds <= 0 {
-		return Throughput{}
-	}
-	return Throughput{
-		ReadBytesPerSec:  float64(readBytes) / float64(disks) / seconds,
-		WriteBytesPerSec: float64(writeBytes) / float64(disks) / seconds,
-	}
-}
+// diskBytesPerSec is the nominal per-disk bandwidth Seconds is priced at,
+// a commodity disk's 200 MiB/s either way.
+const diskBytesPerSec = 200 << 20
 
 // Prediction is one engine's predicted cost at the geometry.
 type Prediction struct {
@@ -99,7 +78,7 @@ type Prediction struct {
 	// initial load counts as one).
 	Passes int `json:"passes"`
 	// IOs is the predicted parallel I/O count; Bytes the total volume
-	// moved; Seconds the predicted wall-clock at the throughput.
+	// moved; Seconds that volume at the nominal per-disk bandwidth.
 	IOs     float64 `json:"ios"`
 	Bytes   float64 `json:"bytes"`
 	Seconds float64 `json:"seconds"`
@@ -126,7 +105,7 @@ func (p *Plan) Predicted() Prediction {
 
 // Choose validates the geometry, predicts every engine, and picks the
 // cheapest feasible one (ties break by the Engines preference order).
-func Choose(g Geometry, t Throughput) (*Plan, error) {
+func Choose(g Geometry) (*Plan, error) {
 	if g.N < 0 {
 		return nil, fmt.Errorf("plan: negative N %d", g.N)
 	}
@@ -140,12 +119,6 @@ func Choose(g Geometry, t Throughput) (*Plan, error) {
 	if g.RecordBytes <= 0 {
 		g.RecordBytes = 16
 	}
-	if t.ReadBytesPerSec <= 0 {
-		t.ReadBytesPerSec = DefaultThroughput.ReadBytesPerSec
-	}
-	if t.WriteBytesPerSec <= 0 {
-		t.WriteBytesPerSec = DefaultThroughput.WriteBytesPerSec
-	}
 
 	rank := make(map[string]int, len(Engines))
 	for i, e := range Engines {
@@ -153,7 +126,7 @@ func Choose(g Geometry, t Throughput) (*Plan, error) {
 	}
 	var cands []Prediction
 	for _, e := range Engines {
-		cands = append(cands, predict(e, g, p, t))
+		cands = append(cands, predict(e, g, p))
 	}
 	sort.SliceStable(cands, func(a, b int) bool {
 		ca, cb := cands[a], cands[b]
@@ -176,7 +149,7 @@ func Choose(g Geometry, t Throughput) (*Plan, error) {
 }
 
 // predict models one engine at the geometry.
-func predict(engine string, g Geometry, p pdm.Params, t Throughput) Prediction {
+func predict(engine string, g Geometry, p pdm.Params) Prediction {
 	pr := Prediction{Engine: engine}
 	sweeps := math.Ceil(float64(g.N) / float64(p.D*p.B)) // I/Os per full read or write of the data
 	memload := core.Memoryload(p)
@@ -224,15 +197,13 @@ func predict(engine string, g Geometry, p pdm.Params, t Throughput) Prediction {
 	pr.IOs = float64(pr.Passes) * 2 * sweeps
 
 	pr.Bytes = pr.IOs * float64(p.D*p.B) * float64(g.RecordBytes)
-	// Half the volume is read, half written, across D disks in parallel.
-	pr.Seconds = pr.Bytes/2/(float64(p.D)*t.ReadBytesPerSec) +
-		pr.Bytes/2/(float64(p.D)*t.WriteBytesPerSec)
+	pr.Seconds = pr.Bytes / (float64(p.D) * diskBytesPerSec) // D disks in parallel
 	return pr
 }
 
 // PhaseBudgetSeconds predicts the single-node wall-clock of sorting
 // `records` records of `recordBytes` width at a nominal geometry (D=4
-// disks, 64-record blocks, a 64Ki-record memory) and default throughput.
+// disks, 64-record blocks, a 64Ki-record memory) and nominal bandwidth.
 // The cluster's straggler detector uses it as an absolute ceiling on
 // derived per-phase deadline budgets: no phase of a healthy worker's
 // shard should take longer than a whole local sort of the full input,
@@ -243,7 +214,7 @@ func PhaseBudgetSeconds(records, recordBytes int) float64 {
 	if records <= 0 {
 		return 0
 	}
-	p, err := Choose(Geometry{N: records, D: 4, B: 64, M: 1 << 16, RecordBytes: recordBytes}, Throughput{})
+	p, err := Choose(Geometry{N: records, D: 4, B: 64, M: 1 << 16, RecordBytes: recordBytes})
 	if err != nil {
 		return 0
 	}

@@ -10,7 +10,7 @@ var benchGeometries = []Geometry{
 
 func mustChoose(t *testing.T, g Geometry) *Plan {
 	t.Helper()
-	pl, err := Choose(g, Throughput{})
+	pl, err := Choose(g)
 	if err != nil {
 		t.Fatalf("Choose(%+v): %v", g, err)
 	}
@@ -106,48 +106,38 @@ func TestPredictFollowsVirtualDisks(t *testing.T) {
 		}
 	}
 	g.V = 3
-	if _, err := Choose(g, Throughput{}); err == nil {
+	if _, err := Choose(g); err == nil {
 		t.Error("accepted V = 3, which does not divide D = 8")
 	}
 }
 
-func TestAsymmetricThroughputChangesSeconds(t *testing.T) {
+// TestSecondsPriceBytesAtNominalBandwidth pins what Seconds means: every
+// candidate's predicted volume, IOs full stripes of 16-byte records, at
+// 200 MiB/s on each of the D disks.
+func TestSecondsPriceBytesAtNominalBandwidth(t *testing.T) {
 	g := benchGeometries[0]
-	fast, err := Choose(g, Throughput{ReadBytesPerSec: 1 << 30, WriteBytesPerSec: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := Choose(g, Throughput{ReadBytesPerSec: 1 << 20, WriteBytesPerSec: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Predicted().Seconds >= slow.Predicted().Seconds {
-		t.Fatal("faster disks did not predict a faster sort")
-	}
-}
-
-func TestMeasure(t *testing.T) {
-	th := Measure(4<<20, 2<<20, 4, 2.0)
-	if th.ReadBytesPerSec != float64(4<<20)/4/2 || th.WriteBytesPerSec != float64(2<<20)/4/2 {
-		t.Fatalf("Measure wrong: %+v", th)
-	}
-	if z := Measure(1, 1, 0, 1); z != (Throughput{}) {
-		t.Fatalf("degenerate Measure should zero out, got %+v", z)
+	for _, c := range mustChoose(t, g).Candidates {
+		if want := c.IOs * float64(g.D*g.B) * 16; c.Bytes != want {
+			t.Errorf("%s: Bytes = %.0f, want %.0f", c.Engine, c.Bytes, want)
+		}
+		if want := c.Bytes / (float64(g.D) * (200 << 20)); c.Seconds != want {
+			t.Errorf("%s: Seconds = %g, want %g", c.Engine, c.Seconds, want)
+		}
 	}
 }
 
 func TestChooseRejectsBadGeometry(t *testing.T) {
-	if _, err := Choose(Geometry{N: 100, D: 0, B: 8, M: 64}, Throughput{}); err == nil {
+	if _, err := Choose(Geometry{N: 100, D: 0, B: 8, M: 64}); err == nil {
 		t.Fatal("want error for D=0")
 	}
-	if _, err := Choose(Geometry{N: -1, D: 4, B: 8, M: 1024}, Throughput{}); err == nil {
+	if _, err := Choose(Geometry{N: -1, D: 4, B: 8, M: 1024}); err == nil {
 		t.Fatal("want error for negative N")
 	}
 }
 
 func TestInfeasibleGeometryErrors(t *testing.T) {
 	// M < 4DB: no external engine fits, and N > M/2 rules out inmem.
-	if _, err := Choose(Geometry{N: 1 << 20, D: 8, B: 64, M: 1024}, Throughput{}); err == nil {
+	if _, err := Choose(Geometry{N: 1 << 20, D: 8, B: 64, M: 1024}); err == nil {
 		t.Fatal("want no-engine-feasible error")
 	}
 }
@@ -168,7 +158,7 @@ func FuzzPlan(f *testing.F) {
 			t.Skip()
 		}
 		g := Geometry{N: n, D: d, B: b, M: m}
-		pl, err := Choose(g, Throughput{})
+		pl, err := Choose(g)
 		if err != nil {
 			return // invalid or infeasible geometry is allowed to error
 		}

@@ -107,27 +107,6 @@ func (s *IOStats) Aggregate() DiskIOStats {
 	return t
 }
 
-// MeasureThroughput derives the per-disk device bandwidth this sort
-// actually observed: bytes moved over device-busy seconds, summed across
-// disks, so host-side stalls and idle time do not dilute the estimate.
-// Feed the result into Config.Throughput so the planner ranks engines with
-// measured rates instead of the 200 MB/s default. Fields stay zero where
-// nothing was measured.
-func (s *IOStats) MeasureThroughput() Throughput {
-	if s == nil {
-		return Throughput{}
-	}
-	agg := s.Aggregate()
-	var t Throughput
-	if agg.ReadNanos > 0 {
-		t.ReadBytesPerSec = float64(agg.BytesRead) / (float64(agg.ReadNanos) / 1e9)
-	}
-	if agg.WriteNanos > 0 {
-		t.WriteBytesPerSec = float64(agg.BytesWritten) / (float64(agg.WriteNanos) / 1e9)
-	}
-	return t
-}
-
 // ioStatsFrom converts an I/O layer snapshot of blockBytes-byte blocks to
 // the public form.
 func ioStatsFrom(snap *diskio.Snapshot, blockBytes int) *IOStats {

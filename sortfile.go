@@ -226,9 +226,6 @@ func sortScratch(ctx context.Context, e fileEngine, inPath, outPath, scratchDir 
 	}
 
 	res.IO = ioStatsFrom(arr.IOMetrics(), arr.B()*record.EncodedSize)
-	if t := res.IO.MeasureThroughput(); t != (Throughput{}) {
-		res.MeasuredThroughput = &t
-	}
 	res.IOLowerBound = core.LowerBoundIOs(n, arr.Params())
 	res.Trace = traceFrom(cfg.tracer)
 	if cfg.Robust.ScrubAfter {

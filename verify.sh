@@ -56,8 +56,8 @@ echo "== go test -race (cluster churn matrix: worker kills and hangs, coordinato
 go test -race -count=1 -run 'Chaos|Degraded|Flap|FailoverJournal|Join|Resume|Dedup' ./internal/cluster/
 go test -race -count=1 -run 'ServerCluster' ./internal/jobs/
 
-echo "== go test -count=20 (worker teardown and heartbeat repeat gate: Serve returns only after its sessions have torn down, a worker's job error is its loss's cause, late beats within the silence budget never fail a worker over, and a silent worker is lost within it) =="
-go test -count=20 -run 'TestJoinThenLossBelowQuorum|TestClusterDegradedBelowQuorum|TestServeWaitsForHandlers|TestWorkerErrorIsTheLossCause|TestHeartbeatFlapNoFailover|TestHeartbeatFlapDuringJoin|TestChaosSilentWorkerLost' ./internal/cluster/
+echo "== go test -count=20 (worker teardown, resume and heartbeat repeat gate: Serve returns only after its sessions have torn down, a session's teardown leaves another session's files of the same job in place, a coordinator killed at any phase resumes, a worker's job error is its loss's cause, late beats within the silence budget never fail a worker over, and a silent worker is lost within it) =="
+go test -count=20 -run 'TestJoinThenLossBelowQuorum|TestClusterDegradedBelowQuorum|TestServeWaitsForHandlers|TestSessionsOfOneJobKeepTheirFiles|TestChaosCoordinatorResumeMatrix|TestWorkerErrorIsTheLossCause|TestHeartbeatFlapNoFailover|TestHeartbeatFlapDuringJoin|TestChaosSilentWorkerLost' ./internal/cluster/
 
 echo "== go test -race (straggler matrix: stalls at every phase, hedged re-execution, and demotion fallback) =="
 go test -race -count=1 -run 'Stall|Straggler|Hedge' ./internal/cluster/
