@@ -116,7 +116,7 @@ type Config struct {
 	// Placement selects the block placement discipline.
 	Placement PlacementStrategy
 	// NoRadix sorts memoryloads with the comparison sort instead of the
-	// parallel LSD radix sort that Section 5 invokes. The radix base case
+	// radix sort that Section 5 invokes. The radix base case
 	// is the default for every engine; the output is byte-identical either
 	// way (pinned by the parity tests).
 	NoRadix bool

@@ -63,7 +63,7 @@ func main() {
 
 		// Engine selection (with -infile and inside -serve/-join sorts).
 		engine   = flag.String("engine", "", "file-sort engine: auto|balancesort|stripedmerge|inmem (empty = balancesort; auto asks the cost-model planner)")
-		noCRadix = flag.Bool("nocradix", false, "sort memoryloads with the comparison sort instead of the default LSD radix sort")
+		noCRadix = flag.Bool("nocradix", false, "sort memoryloads with the comparison sort instead of the default radix sort")
 
 		// Disk I/O layer knobs (with -infile).
 		stats     = flag.Bool("stats", false, "print the I/O layer's per-disk metrics")

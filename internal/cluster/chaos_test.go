@@ -89,6 +89,26 @@ func TestChaosMatrix(t *testing.T) {
 	}
 }
 
+// TestStalePeerLossReportDropped pins the race behind a rare
+// TestChaosMatrix failure: after a failover, a survivor that has entered
+// the new epoch refuses a slower survivor's old-epoch connections, and the
+// slower one, its retries spent before its own re-scatter arrives, reports
+// the live peer lost. The coordinator must drop a report from a replaced
+// epoch and still act on one from the current epoch.
+func TestStalePeerLossReportDropped(t *testing.T) {
+	c := &coordinator{W: 4, epoch: 2, deadErr: make(map[int]error)}
+	report := func(epoch uint32) frameMsg {
+		pl := msgPeerLost{Epoch: epoch, Worker: 2, Addr: "w2", Text: "EOF"}
+		return frameMsg{typ: mPeerLost, payload: pl.encode()}
+	}
+	if _, _, skip, err := c.triage(0, report(1)); !skip || err != nil {
+		t.Fatalf("report from epoch 1 at epoch 2: skip=%v err=%v, want it dropped", skip, err)
+	}
+	if _, _, skip, err := c.triage(0, report(2)); skip || !errors.Is(err, errFailover) {
+		t.Fatalf("report from the current epoch: skip=%v err=%v, want a failover", skip, err)
+	}
+}
+
 // TestChaosKillDuringDrain pins down the hardest edge of the matrix: the
 // victim dies while the coordinator is already streaming sorted shards into
 // the output file. The partial output must be thrown away and rebuilt, and

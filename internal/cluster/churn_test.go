@@ -53,7 +53,11 @@ func killResume(t *testing.T, phase string, seed int64, n int) *SortStats {
 // TestChaosCoordinatorResumeMatrix kills the coordinator at the start of
 // every phase and resumes from the journal. Each resumed run must produce
 // byte-identical output, report itself as resumed, and keep Invariant 2 on
-// the re-planned exchange matrix.
+// the re-planned exchange matrix. After the scatter, every worker holds its
+// whole shard when the coordinator dies, so every resumed worker must adopt
+// its parked shard and the resume must re-stream nothing; a kill at the
+// exchange aborts the workers mid-barrier, where the job goroutine sees
+// only the abort's consequence, not the dead link.
 func TestChaosCoordinatorResumeMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("coordinator resume matrix is slow under -short")
@@ -62,6 +66,10 @@ func TestChaosCoordinatorResumeMatrix(t *testing.T) {
 		t.Run(phase, func(t *testing.T) {
 			stats := killResume(t, phase, int64(200+i), 20000)
 			checkBalanceBound(t, stats.X)
+			if rec := stats.Recovery; phase != "scatter" && rec.RescatteredRecords != 0 {
+				t.Errorf("resume after a kill at %q re-streamed %d records; every worker should have adopted its parked shard",
+					phase, rec.RescatteredRecords)
+			}
 		})
 	}
 }

@@ -981,6 +981,11 @@ func (c *coordinator) triage(i int, fr frameMsg) (typ byte, payload []byte, skip
 		if t < 0 || t >= c.W {
 			return 0, nil, false, fmt.Errorf("cluster: worker %d reported peer %d lost", i, t)
 		}
+		if pl.Epoch != c.epoch {
+			// Sent before the reporter heard of the current epoch: the peer
+			// refused its stale connections, it did not die.
+			return 0, nil, true, nil
+		}
 		if c.isDead(t) {
 			return 0, nil, true, nil // duplicate report of a loss already being handled
 		}

@@ -206,7 +206,7 @@ func FuzzFrame(f *testing.F) {
 	f.Add(appendFrame(nil, mHelloAck, (&msgVersion{Version: protocolVersion}).encode()))
 	f.Add(appendFrame(nil, mHello, (&msgHello{Version: protocolVersion, JobID: 7, Worker: 1, Workers: 2, S: 8, BlockRecs: 64, Beat: 25 * time.Millisecond, Peers: []string{"a", "b"}}).encode()))
 	f.Add(appendFrame(nil, mHello, (&msgHello{Version: protocolVersion, JobID: 7, Worker: 1, Workers: 2, S: 8, BlockRecs: 64, Beat: 500 * time.Microsecond, Peers: []string{"a", "b"}}).encode()))
-	f.Add(appendFrame(nil, mPeerLost, (&msgPeerLost{Worker: 3, Addr: "x", Text: "reset"}).encode()))
+	f.Add(appendFrame(nil, mPeerLost, (&msgPeerLost{Epoch: 1, Worker: 3, Addr: "x", Text: "reset"}).encode()))
 	f.Add(appendFrame(nil, mRescatterDone, (&msgRescatterDone{Epoch: 2, Total: 5000}).encode()))
 	f.Add(appendFrame(nil, mRescatterAck, (&msgRescatterAck{Epoch: 2, ShardRecs: 5000}).encode()))
 	f.Add(appendFrame(nil, mBlockAck, (&msgBlockAck{Phase: 3, Bucket: 4, Seq: 5}).encode()))

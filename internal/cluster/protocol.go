@@ -18,8 +18,9 @@ import (
 // version 10 every epoch, the scatter included, opens with mRescatter.
 // Since version 11 each worker has one coordinator connection: the hello
 // carries the beat period, and the worker sends its heartbeats, mProgress
-// frames, on the control link.
-const protocolVersion = 11
+// frames, on the control link. Since version 12 a peer-loss report carries
+// the epoch it was seen in.
+const protocolVersion = 12
 
 // versionMismatch is the handshake check both sides run on a peer's
 // announced protocol version.
@@ -615,8 +616,12 @@ func (m *msgCrash) decode(p []byte) error {
 
 // msgPeerLost is a worker's report that a peer stopped answering during
 // the exchange or gather phase. The reporter stays alive and waits for the
-// coordinator's recovery instructions.
+// coordinator's recovery instructions. Epoch is the epoch the reporter's
+// phase ran in: a peer that has already entered a newer epoch refuses the
+// reporter's stale connections, so a report from a replaced epoch says
+// nothing about the peer.
 type msgPeerLost struct {
+	Epoch  uint32
 	Worker uint32
 	Addr   string
 	Text   string
@@ -624,6 +629,7 @@ type msgPeerLost struct {
 
 func (m *msgPeerLost) encode() []byte {
 	var w wcur
+	w.u32(m.Epoch)
 	w.u32(m.Worker)
 	w.str(m.Addr)
 	w.str(m.Text)
@@ -632,6 +638,7 @@ func (m *msgPeerLost) encode() []byte {
 
 func (m *msgPeerLost) decode(p []byte) error {
 	r := rcur{b: p}
+	m.Epoch = r.u32()
 	m.Worker = r.u32()
 	m.Addr = r.str()
 	m.Text = r.str()

@@ -99,7 +99,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	roundTrip(t, "progress", &msgProgress{Phase: 5, Units: 1 << 40}, &msgProgress{})
 	roundTrip(t, "crash", &msgCrash{Mode: crashHang}, &msgCrash{})
 	roundTrip(t, "crash-stall", &msgCrash{Mode: crashStall, Factor: 20}, &msgCrash{})
-	roundTrip(t, "peerlost", &msgPeerLost{Worker: 2, Addr: "h:9", Text: "conn reset"}, &msgPeerLost{})
+	roundTrip(t, "peerlost", &msgPeerLost{Epoch: 4, Worker: 2, Addr: "h:9", Text: "conn reset"}, &msgPeerLost{})
 	roundTrip(t, "rescatter", &msgRescatter{Epoch: 1, Active: []uint32{0, 2, 3}}, &msgRescatter{})
 	roundTrip(t, "rescatter-churn", &msgRescatter{
 		Epoch: 3, Active: []uint32{0, 1, 4}, Fresh: true, Peers: []string{"a:1", "b:2", "", "d:4", "e:5"},

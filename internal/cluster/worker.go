@@ -179,7 +179,10 @@ type parkedShard struct {
 // coordinator resume: the failure must look like the coordinator dying (a
 // transport error — not a chaos kill, not a local cancellation or disk
 // error, not a lost peer the coordinator would have handled), and the
-// shard file must be exactly the records the session accounted for.
+// shard file must be exactly the records the session accounted for. The
+// job goroutine may return only the abort's consequence ("job aborted", a
+// canceled context) when the dead control link aborted the session first,
+// so the session's first abort cause counts too.
 func (w *Worker) maybePark(s *session, err error) bool {
 	if s.isHung() {
 		return false
@@ -188,7 +191,7 @@ func (w *Worker) maybePark(s *session, err error) bool {
 	if errors.As(err, &lost) {
 		return false
 	}
-	if !isTransportErr(err) {
+	if !isTransportErr(err) && !isTransportErr(s.abortReason()) {
 		return false
 	}
 	st, serr := os.Stat(s.shardPath())
@@ -369,7 +372,9 @@ func (w *Worker) handleConn(ctx context.Context, conn net.Conn) {
 		if !ok {
 			// Unknown job or a stale epoch: refuse silently. The dialing
 			// peer retries with backoff; a stale-epoch sender is about to
-			// be canceled by its own re-scatter anyway.
+			// be canceled by its own re-scatter anyway, and if its retries
+			// run out first, the coordinator drops its peer-loss report as
+			// one from a replaced epoch.
 			conn.Close()
 			return
 		}
@@ -1747,7 +1752,7 @@ func (s *session) phaseFail(ctl *wlink, err error) error {
 	}
 	var lost *WorkerLostError
 	if errors.As(err, &lost) {
-		pl := msgPeerLost{Worker: uint32(lost.Worker), Addr: lost.Addr, Text: lost.Err.Error()}
+		pl := msgPeerLost{Epoch: s.curEpoch(), Worker: uint32(lost.Worker), Addr: lost.Addr, Text: lost.Err.Error()}
 		if serr := ctl.send(mPeerLost, pl.encode()); serr != nil {
 			return err
 		}

@@ -170,11 +170,10 @@ type DiskSorter struct {
 	// nothing at steady state. They are not model memory: the MemTracker
 	// charges stay on the records they hold. loadBuf receives a level's
 	// memoryloads, stageBuf one round of a chain source's virtual blocks,
-	// trackBuf a run's phase-3 tracks and labels their buckets,
-	// freeBlocks holds VB-record block buffers whose writes have completed,
-	// and sampleBuf backs a pass's phase-1 sample.
+	// trackBuf a run's phase-3 tracks, freeBlocks holds VB-record block
+	// buffers whose writes have completed, and sampleBuf backs a pass's
+	// phase-1 sample.
 	loadBuf, stageBuf, trackBuf []record.Record
-	labels                      []int
 	freeBlocks                  [][]record.Record
 	sampleBuf                   []record.Record
 
@@ -602,20 +601,9 @@ func (ds *DiskSorter) distribute(pass obs.Active, src source, depth int) []Sourc
 			}
 			ds.arr.Mem.Use(want)
 			recs := rsrc.ReadSome(want)
-			ds.labels = ds.cpu.Partition(recs, pivots, ds.labels)
+			ds.cpu.ChargePartition(len(recs), len(pivots)+1)
 			ds.cpu.ChargeScan(len(recs))
-			for i, r := range recs {
-				b := ds.labels[i]
-				counts[b]++
-				if pools[b] == nil {
-					pools[b] = ds.newBlock()
-				}
-				pools[b] = append(pools[b], r)
-				if len(pools[b]) == vb {
-					pending = append(pending, formedBlock{bucket: b, recs: pools[b], count: vb})
-					pools[b] = nil
-				}
-			}
+			pending = ds.poolTrack(recs, pivots, pools, counts, pending)
 			placeTracks(false)
 		}
 	}
@@ -677,6 +665,53 @@ func (ds *DiskSorter) distribute(pass obs.Active, src source, depth int) []Sourc
 		kids = append(kids, SourceDesc{Kind: KindChains, Depth: depth + 1, Chains: buckets[b].perDisk})
 	}
 	return kids
+}
+
+// poolTrack appends recs, a track of a sorted run, to the bucket pools
+// and returns pending with every block that filled appended. Bucket b
+// holds the records r with pivots[b-1] <= r < pivots[b], so a record equal
+// to a pivot goes to the upper bucket, and in a sorted track each bucket's
+// records form one stretch: a binary search finds where it ends against
+// the next pivot, and copies of at most VB records move it into the pool.
+// counts gains each stretch's length.
+func (ds *DiskSorter) poolTrack(recs, pivots []record.Record, pools [][]record.Record, counts []int, pending []formedBlock) []formedBlock {
+	vb := ds.vd.VB()
+	for b := 0; len(recs) > 0; b++ {
+		// The next record lies at or past pivots[b-1], so its bucket is b
+		// plus the later pivots at most it: more than one when buckets are
+		// empty in this track, as repeated pivots bound an empty bucket.
+		b += bucketOf(recs[0], pivots[b:])
+		end := len(recs)
+		if b < len(pivots) {
+			p := pivots[b]
+			lo, hi := 1, len(recs) // recs[0] < p
+			for lo < hi {
+				mid := int(uint(lo+hi) >> 1)
+				if recs[mid].Less(p) {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			end = lo
+		}
+		stretch := recs[:end]
+		recs = recs[end:]
+		counts[b] += len(stretch)
+		for len(stretch) > 0 {
+			if pools[b] == nil {
+				pools[b] = ds.newBlock()
+			}
+			k := min(vb-len(pools[b]), len(stretch))
+			pools[b] = append(pools[b], stretch[:k]...)
+			stretch = stretch[k:]
+			if len(pools[b]) == vb {
+				pending = append(pending, formedBlock{bucket: b, recs: pools[b], count: vb})
+				pools[b] = nil
+			}
+		}
+	}
+	return pending
 }
 
 // flushWrites performs the parallel write I/Os for one track's placements,

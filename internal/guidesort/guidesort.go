@@ -4,8 +4,9 @@
 // sorts M/2-record memoryloads in memory and writes each as a striped run;
 // merges of up to M/(2DB) runs then read and write whole stripe rows, so
 // every parallel I/O is full-width. A memoryload moves in one striped
-// transfer, and a merge's output collects in the idle formation buffer, so
-// each disk's share of either moves in one device call. The narrow fan-in
+// transfer, a merge's output collects in the idle formation buffer, and a
+// merge refills each run with its share of the other M/2 records, so each
+// disk's share of any of them moves in one device call. The narrow fan-in
 // costs the Θ(log(M/B)/log(M/DB)) extra factor of experiment E11. The
 // package and its run-formation span keep the name of Hagerup's guided
 // merge, which issued more parallel I/Os than this merge at every geometry
@@ -35,7 +36,7 @@ type Config struct {
 	// P is the PRAM processor count for internal-work accounting.
 	P int
 	// NoRadix sorts memoryloads with the comparison sort instead of the
-	// LSD radix sort (the radix base case is the default).
+	// radix sort (the radix base case is the default).
 	NoRadix bool
 	// Context, when non-nil, cancels the sort between memoryloads and
 	// stripe-row reads (panics core.Abort, like the core sorter).
@@ -105,11 +106,9 @@ type Sorter struct {
 	prior   Metrics
 	commits int
 
-	// Reused buffers: the formation memoryload, which the merges take as
-	// their output buffer once the runs are formed, and the striped
-	// merge's per-run stripe rows.
+	// The formation memoryload, which the merges take as their output
+	// buffer once the runs are formed.
 	load []record.Record
-	rows [][]record.Record
 }
 
 // NewSorter builds a sorter for the array. Requires 4·D·B ≤ M (the same
@@ -272,8 +271,13 @@ func (s *Sorter) loadBuf() []record.Record {
 	return s.load
 }
 
-// merge merges the group of runs into one fresh run, reading one stripe
-// row per run and writing full stripe rows through the output buffer.
+// merge merges the group of g runs into one fresh run, writing full
+// stripe rows through the output buffer. Each run gets an equal share of
+// the M/2 records beside that buffer, ⌊M/(2·DB·g)⌋ stripe rows and at
+// least one, and a refill reads a run's share in one striped transfer:
+// one device call per disk, charged one parallel I/O per row as a
+// row-at-a-time refill is. The shares live in a pooled radix buffer,
+// which merges leave idle.
 func (s *Sorter) merge(group []Run) Run {
 	total := 0
 	level := 0
@@ -284,30 +288,27 @@ func (s *Sorter) merge(group []Run) Run {
 		}
 	}
 	p := s.arr.Params()
-	row := p.D * p.B
+	share := max(1, p.M/(2*p.D*p.B*len(group))) * p.D * p.B
 	out := s.newRegionWriter(total)
-	resident := len(group)*row + cap(out.buf) // ≤ M/2 + M/2
+	resident := len(group)*share + cap(out.buf) // ≤ M/2 + M/2
 	s.arr.Mem.Use(resident)
+	shares := pram.TakeBuffer(len(group) * share)
+	defer shares.Release()
+	bufs := shares.Records()
 
 	type runCur struct {
 		pos int
 		buf []record.Record
 	}
 	curs := make([]runCur, len(group))
-	for len(s.rows) < len(group) {
-		s.rows = append(s.rows, make([]record.Record, row))
-	}
 	refill := func(i int) bool {
 		c := &curs[i]
 		if c.pos >= group[i].N {
 			return false
 		}
-		want := row
-		if group[i].N-c.pos < want {
-			want = group[i].N - c.pos
-		}
+		want := min(share, group[i].N-c.pos)
 		s.checkCtx()
-		buf := s.rows[i][:want]
+		buf := bufs[i*share : i*share+want]
 		s.readAligned(group[i].Off, c.pos, buf)
 		c.pos += want
 		c.buf = buf

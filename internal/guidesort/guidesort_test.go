@@ -62,8 +62,9 @@ func check(t *testing.T, in, out []record.Record) {
 // TestSortsAllWorkloads sorts every workload, then duplicate-heavy inputs
 // whose merges hand one run the lead for a streak of equal keys: at
 // pTest's geometry (32-record rows, 512-record runs and flushes) the
-// streaks cross row refills, drain their runs, and cross region-writer
-// flushes, and in the two-level inputs a streak spans a whole merged run.
+// streaks cross refills of one or two rows, drain their runs, and cross
+// region-writer flushes, and in the two-level inputs a streak spans a
+// whole merged run.
 // Their output must be the oracle's and their I/O counts those of the
 // record-at-a-time merge.
 func TestSortsAllWorkloads(t *testing.T) {
@@ -107,6 +108,48 @@ func TestSortsAllWorkloads(t *testing.T) {
 		if met.IOs != tc.ios || met.ReadIOs != tc.reads || met.WriteIOs != tc.writes {
 			t.Errorf("%s: IOs %d (read %d, write %d), want %d (%d, %d)", tc.name, met.IOs, met.ReadIOs, met.WriteIOs, tc.ios, tc.reads, tc.writes)
 		}
+	}
+}
+
+// TestMergeRefillsReadSeveralRows sorts 16 memoryloads at D=8 B=64
+// M=64Ki on a file-backed array, so one merge takes all 16 runs and gives
+// each ⌊M/(2·DB·16)⌋ = 4 stripe rows per refill. A refill is one device
+// read per disk, so the merge issues a quarter of the device reads of a
+// row-at-a-time refill, fewer than the blocks it reads, while the model
+// I/Os stay 4N/(DB), the output is the oracle's and MemPeak stays ≤ M.
+// Refilled a row at a time, the sort issued 8320 device reads.
+func TestMergeRefillsReadSeveralRows(t *testing.T) {
+	p := pdm.Params{D: 8, B: 64, M: 64 << 10}
+	arr, err := pdm.NewFileBacked(p, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer arr.Close()
+	const runs = 16
+	n := runs * p.M / 2
+	in := record.Generate(record.Uniform, n, 23)
+	off := loadInput(arr, in)
+	before := arr.IOMetrics().Aggregate().Reads
+	s := NewSorter(arr, Config{})
+	reg := s.Sort(off, n)
+	met := s.Metrics()
+	reads := arr.IOMetrics().Aggregate().Reads - before
+	out := make([]record.Record, reg.N)
+	readRegion(arr, reg.Off, out)
+	check(t, in, out)
+
+	rows := int64(n / (p.D * p.B))
+	if met.Passes != 1 || met.IOs != 4*rows {
+		t.Errorf("%d merges, %d I/Os, want 1 merge and %d I/Os", met.Passes, met.IOs, 4*rows)
+	}
+	if met.MemPeak > p.M {
+		t.Errorf("mem peak %d exceeds M = %d", met.MemPeak, p.M)
+	}
+	// Formation reads each memoryload in one device read per disk; the
+	// merge reads its 4·DB-record shares, one device read per disk each.
+	share := int64(p.M / (2 * p.D * p.B * runs))
+	if want := int64(runs*p.D) + rows/share*int64(p.D); reads != want || reads >= met.BlocksRead {
+		t.Errorf("%d device reads for %d blocks read, want %d", reads, met.BlocksRead, want)
 	}
 }
 

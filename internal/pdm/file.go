@@ -110,14 +110,14 @@ func (x *blockIndex) checksummed() bool { return x.crc != nil }
 // record marks block off written with the given wire bytes.
 func (x *blockIndex) record(off int, wire []byte) {
 	if off >= len(x.written) {
-		x.written = append(x.written, make([]bool, off+1-len(x.written))...)
+		x.written = extend(x.written, off+1)
 	}
 	x.written[off] = true
 	if x.crc == nil {
 		return
 	}
 	if off >= len(x.sums) {
-		x.sums = append(x.sums, make([]uint32, off+1-len(x.sums))...)
+		x.sums = extend(x.sums, off+1)
 	}
 	x.sums[off] = crc32.Checksum(wire, castagnoli)
 	if x.dirtyLo == x.dirtyHi {
@@ -125,6 +125,22 @@ func (x *blockIndex) record(off int, wire []byte) {
 	} else {
 		x.dirtyLo, x.dirtyHi = min(x.dirtyLo, off), max(x.dirtyHi, off+1)
 	}
+}
+
+// extend returns s lengthened to n > len(s) entries, zeroing the new ones.
+// A reallocation at least doubles the capacity, so a table that grows a
+// block at a time is reallocated O(log n) times in all; append would grow
+// it by about 1.25x past 256 entries and copy it some four times over.
+func extend[T any](s []T, n int) []T {
+	if n > cap(s) {
+		t := make([]T, len(s), max(n, 2*cap(s)))
+		copy(t, s)
+		s = t
+	}
+	old := len(s)
+	s = s[:n]
+	clear(s[old:])
+	return s
 }
 
 // verify checks a written block's wire bytes against its table entry.

@@ -341,48 +341,3 @@ func mergeInto(a, b, out []record.Record) {
 	copy(out[k:], a[i:])
 	copy(out[k+len(a)-i:], b[j:])
 }
-
-// Partition assigns each record of rs its bucket among the sorted pivots:
-// bucket(r) = number of pivots <= r, so records below pivots[0] map to 0 and
-// records >= pivots[len-1] map to len(pivots). The labels are written into
-// dst, which is grown only when its capacity is short, and returned. It
-// charges a parallel binary search and runs fanned out for large inputs.
-func (m *Machine) Partition(rs []record.Record, pivots []record.Record, dst []int) []int {
-	m.ChargePartition(len(rs), len(pivots)+1)
-	out := slices.Grow(dst[:0], len(rs))[:len(rs)]
-	w := m.workers(len(rs))
-	if w <= 1 {
-		for i, r := range rs {
-			out[i] = bucketOf(r, pivots)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	n := len(rs)
-	for t := 0; t < w; t++ {
-		lo, hi := t*n/w, (t+1)*n/w
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = bucketOf(rs[i], pivots)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return out
-}
-
-// bucketOf returns the number of pivots <= r by binary search.
-func bucketOf(r record.Record, pivots []record.Record) int {
-	lo, hi := 0, len(pivots)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if pivots[mid].Less(r) || pivots[mid] == r {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}

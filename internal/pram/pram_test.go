@@ -180,81 +180,6 @@ func TestSortQuickProperty(t *testing.T) {
 	}
 }
 
-func TestPartition(t *testing.T) {
-	m := New(2)
-	pivots := []record.Record{{Key: 10}, {Key: 20}, {Key: 30}}
-	rs := []record.Record{
-		{Key: 5}, {Key: 10}, {Key: 15}, {Key: 25}, {Key: 35},
-	}
-	got := m.Partition(rs, pivots, nil)
-	// bucket = number of pivots <= r: 5→0, 10→1 (pivot {10,0} equals it... pivot Loc=0, record Loc=0), 15→1, 25→2, 35→3.
-	want := []int{0, 1, 1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("partition = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestPartitionMatchesLinearScan(t *testing.T) {
-	f := func(keys []uint64, nPivotRaw uint8) bool {
-		rs := make([]record.Record, len(keys))
-		for i, k := range keys {
-			rs[i] = record.Record{Key: k % 64, Loc: uint64(i)}
-		}
-		np := int(nPivotRaw%5) + 1
-		pivots := make([]record.Record, np)
-		for i := range pivots {
-			pivots[i] = record.Record{Key: uint64((i + 1) * 10), Loc: 0}
-		}
-		m := New(3)
-		got := m.Partition(rs, pivots, nil)
-		for i, r := range rs {
-			count := 0
-			for _, p := range pivots {
-				if p.Less(r) || p == r {
-					count++
-				}
-			}
-			if got[i] != count {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPartitionBucketsAreOrdered(t *testing.T) {
-	// Records in bucket b must all be < records in bucket b+1.
-	rs := record.Generate(record.Uniform, 5000, 11)
-	sorted := append([]record.Record(nil), rs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
-	pivots := []record.Record{sorted[1000], sorted[2500], sorted[4000]}
-	m := New(4)
-	buckets := m.Partition(rs, pivots, nil)
-	maxOf := make(map[int]record.Record)
-	minOf := make(map[int]record.Record)
-	for i, b := range buckets {
-		r := rs[i]
-		if mx, ok := maxOf[b]; !ok || mx.Less(r) {
-			maxOf[b] = r
-		}
-		if mn, ok := minOf[b]; !ok || r.Less(mn) {
-			minOf[b] = r
-		}
-	}
-	for b := 0; b < 3; b++ {
-		hi, ok1 := maxOf[b]
-		lo, ok2 := minOf[b+1]
-		if ok1 && ok2 && lo.Less(hi) {
-			t.Fatalf("bucket %d max %v >= bucket %d min %v", b, hi, b+1, lo)
-		}
-	}
-}
-
 func TestCRCWVariantDepths(t *testing.T) {
 	e := New(1)
 	c := NewVariant(1, CRCW)

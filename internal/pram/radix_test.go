@@ -3,6 +3,7 @@ package pram
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -71,6 +72,94 @@ func TestSortRadixMatchesComparison(t *testing.T) {
 		highLoc[i].Loc = uint64(n-i)<<52 | uint64(i)
 	}
 	checkRadix(t, "high-loc-bits", highLoc)
+
+	// Half the keys equal and high, half random below them: the first MSD
+	// pass leaves a bucket of equal keys longer than short.
+	split := record.Generate(record.Uniform, n, 7)
+	for i := range split {
+		if i%2 == 0 {
+			split[i].Key = 1 << 63
+		} else {
+			split[i].Key >>= 1
+		}
+	}
+	checkRadix(t, "equal-key-bucket", split)
+	checkRadix(t, "equal-key-bucket/shuffled-locs", shuffleLocs(split, 8))
+
+	for _, sh := range radixShapes {
+		checkRadix(t, sh.name, sh.records())
+	}
+}
+
+// radixShape describes an input built to reach one path of SortRadix: n
+// records whose keys are base with the bits of mask drawn at random, and
+// whose Locs ascend, descend, are drawn at random, or are all equal
+// (locs 0 to 3).
+type radixShape struct {
+	name       string
+	n          int
+	base, mask uint64
+	locs       uint8
+	seed       uint64
+}
+
+func (sh radixShape) records() []record.Record {
+	g := record.NewRNG(sh.seed)
+	rs := make([]record.Record, sh.n)
+	for i := range rs {
+		rs[i].Key = sh.base ^ g.Uint64()&sh.mask
+		switch sh.locs % 4 {
+		case 0:
+			rs[i].Loc = uint64(i)
+		case 1:
+			rs[i].Loc = uint64(sh.n - i)
+		case 2:
+			rs[i].Loc = g.Uint64()
+		}
+	}
+	return rs
+}
+
+// radixShapes are the fixed cases of TestSortRadixMatchesComparison and the
+// seeds of FuzzSortRadix: equal records, equal keys out of Loc order past
+// the insertion cutoff, keys that differ in one end bit or share their top
+// 40 bits, spans of varying bits on either side of the LSD/MSD split, a
+// mask that takes the MSD recursion to its deepest level, equal keys with
+// ascending Locs in the short buckets of the first and second MSD passes
+// (which must stay in input order), and sizes on either side of the
+// insertion cutoff and of the first MSD pass's digit widths.
+var radixShapes = func() []radixShape {
+	shapes := []radixShape{
+		{"all-records-equal", 3000, 0x5555, 0, 3, 1},
+		{"equal-keys-descending-locs", short + 9, 7, 0, 1, 2},
+		{"equal-keys-descending-locs-long", 5000, 7, 0, 1, 3},
+		{"bit-63-only", 4000, 0x1234, 1 << 63, 2, 4},
+		{"bit-0-only", 4000, 0x1234 << 40, 1, 2, 5},
+		{"top-40-bits-shared", 8192, 0xabcdef0123 << 24, 1<<24 - 1, 2, 6},
+		{"span-16-bits", 5000, 0, 0xffff << 20, 2, 7},
+		{"span-17-bits", 5000, 0, 0x1ffff << 20, 2, 8},
+		{"deepest-msd", 8192, 0, 0x8101010101010101, 2, 9},
+		{"deepest-msd-ascending-locs", 8192, 0, 0x8101010101010101, 0, 10},
+		{"equal-keys-in-short-buckets", 5000, 0, 0xffe0000000000001, 0, 11},
+		{"equal-keys-in-short-deeper-buckets", 8192, 0, 0x8000000000ff0001, 0, 12},
+	}
+	for _, n := range []int{short - 1, short, short + 1, 255, 256, 257, 2047, 2048, 4095, 4096, 8191, 8192, 16384} {
+		shapes = append(shapes, radixShape{fmt.Sprintf("uniform-n=%d", n), n, 0, ^uint64(0), 2, uint64(n)})
+	}
+	return shapes
+}()
+
+// FuzzSortRadix checks SortRadix against the comparison sort on inputs
+// drawn like radixShapes: n records (up to 8Ki + 2) with keys varying in
+// the bits of mask around base, and Locs in one of four orders.
+func FuzzSortRadix(f *testing.F) {
+	for _, sh := range radixShapes {
+		f.Add(uint16(sh.n), sh.base, sh.mask, sh.locs, sh.seed)
+	}
+	f.Fuzz(func(t *testing.T, n uint16, base, mask uint64, locs uint8, seed uint64) {
+		sh := radixShape{"fuzz", int(n) % (1<<13 + 3), base, mask, locs, seed}
+		checkRadix(t, fmt.Sprintf("n=%d base=%#x mask=%#x locs=%d seed=%d", sh.n, base, mask, locs, seed), sh.records())
+	})
 }
 
 func TestSortRadixTiny(t *testing.T) {
@@ -171,7 +260,9 @@ func TestSortRadixAllocFree(t *testing.T) {
 
 // TestSortRadixConcurrent shares one Machine, and the scratch pool, among
 // goroutines sorting different inputs at once, as cluster shard sorts and
-// served jobs do.
+// served jobs do. Between sorts each goroutine also borrows a buffer from
+// the pool and fills it, as an in-process worker's merges do while another
+// worker forms runs: a buffer lent out must be nobody else's.
 func TestSortRadixConcurrent(t *testing.T) {
 	const goroutines = 4
 	m := New(2)
@@ -189,6 +280,14 @@ func TestSortRadixConcurrent(t *testing.T) {
 					t.Errorf("goroutine %d round %d: radix output differs from the comparison sort", g, i)
 					return
 				}
+				b := TakeBuffer(len(rs))
+				lent := b.Records()[:len(rs)]
+				copy(lent, rs)
+				runtime.Gosched()
+				if !slices.Equal(lent, want) {
+					t.Errorf("goroutine %d round %d: a lent buffer changed while lent", g, i)
+				}
+				b.Release()
 			}
 		}(g)
 	}

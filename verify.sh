@@ -1,8 +1,10 @@
 #!/bin/sh
 # verify.sh — the per-PR gate. Formatting, static checks, the full test
 # suite, and a race-checked pass over the concurrency-bearing packages
-# (the pdm disk arrays and their diskio layer, the cluster runtime, and
-# the job server).
+# (the pdm disk arrays and their diskio layer, the radix kernel's scratch
+# pool, which run formation and merges share across in-process cluster
+# workers, the stripedmerge engine, the cluster runtime, and the job
+# server).
 set -eu
 
 cd "$(dirname "$0")"
@@ -42,11 +44,10 @@ echo "== parallel I/O benchmark smoke (one iteration per store kind) =="
 go test -run '^$' -bench ParallelIO -benchtime 1x ./internal/pdm/
 
 echo "== go test -race (concurrency layer) =="
-go test -race ./internal/diskio/... ./internal/pdm/... ./internal/cluster/... ./internal/jobs/...
+go test -race ./internal/diskio/... ./internal/pdm/... ./internal/pram ./internal/guidesort ./internal/cluster/... ./internal/jobs/...
 
 echo "== go test -race (crash recovery + engine parity) =="
 go test -race -run 'Robust|Crash|Resume|Cancel|Scrub|EngineParity|EngineAuto' .
-go test -race -count=1 -run 'Crash|Cancel' ./internal/guidesort/
 go test -race -count=1 -run 'KillRestart|DrainRestart|RecoveryQuarantine' ./internal/jobs/
 
 echo "== go test -race -count=100 (cancel repeat gate: a job reads canceled only after its reservation is returned) =="
