@@ -1,20 +1,25 @@
-// Package diskio is the one I/O path of the file-backed disk arrays. Every
-// block transfer runs on the calling goroutine through a guarded device per
-// drive, which adds what protects a sort from a misbehaving device:
+// Package diskio is the one I/O path of the file-backed disk arrays. An
+// array's D disks share one device, which holds their blocks in stripe
+// order: block o of disk d is array block o·D + d, so a striped transfer
+// is a run of consecutive array blocks. Every transfer runs on the calling
+// goroutine through the device's guard, which adds what protects a sort
+// from a misbehaving device:
 //
-//   - a fault-injection layer (per-disk error rate, latency jitter, torn
-//     writes), so the recovery paths can be exercised on demand;
-//   - retry with exponential backoff and a per-disk circuit breaker, so
-//     transient I/O errors are absorbed instead of aborting a sort, and a
-//     typed fail-fast *DiskFailedError once a disk stops recovering;
+//   - a fault-injection layer (error rate, latency jitter, torn writes),
+//     so the recovery paths can be exercised on demand;
+//   - retry with exponential backoff and a circuit breaker, so transient
+//     I/O errors are absorbed instead of aborting a sort, and a typed
+//     fail-fast *DiskFailedError once the device stops recovering;
 //   - context-aware sleeps, so a canceled sort never waits out a backoff
 //     or a breaker cooldown;
 //   - per-disk counters (device ops, bytes, retries, faults, device time).
 //
-// A transfer is any whole number of consecutive blocks and is one device
-// op, and every guard above acts per op. The layer starts no goroutine and
-// holds no byte past the call that moves it: on page-cached scratch files,
-// overlapping device I/O with the sort costs more time than it hides.
+// A transfer is any run of consecutive array blocks and is one device op:
+// one device call, or two when its last block comes from a buffer of its
+// own. Every guard above acts once per op. The disks share the guard, so
+// they fail together. The layer starts no goroutine and holds no byte past
+// the call that moves it: on page-cached scratch files, overlapping device
+// I/O with the sort costs more time than it hides.
 //
 // The layer moves raw bytes and knows nothing about records or the cost
 // model: parallel-I/O counting stays in internal/pdm, one layer up, so the
@@ -31,7 +36,8 @@ import (
 	"balancesort/internal/obs"
 )
 
-// Device is the raw storage behind one drive. *os.File satisfies it.
+// Device is the raw storage behind an array's disks. *os.File satisfies
+// it.
 type Device interface {
 	ReadAt(p []byte, off int64) (int, error)
 	WriteAt(p []byte, off int64) (int, error)
@@ -49,14 +55,14 @@ type Config struct {
 	MaxRetries int
 	// RetryBase is the first retry's backoff. Default 100µs.
 	RetryBase time.Duration
-	// BreakerThreshold is the consecutive-failure count that trips a
-	// disk's circuit breaker. Default 8.
+	// BreakerThreshold is the consecutive-failure count that trips the
+	// device's circuit breaker. Default 8.
 	BreakerThreshold int
-	// BreakerCooldown is how long a tripped disk rests before the breaker
-	// half-opens and ops are attempted again. Default 2ms.
+	// BreakerCooldown is how long a tripped device rests before the
+	// breaker half-opens and ops are attempted again. Default 2ms.
 	BreakerCooldown time.Duration
 	// FailThreshold is the number of consecutive circuit-breaker trips
-	// (with no intervening success) after which a disk is declared
+	// (with no intervening success) after which the device is declared
 	// permanently failed: every subsequent op on it fails fast with a
 	// typed *DiskFailedError instead of burning retries op by op.
 	// Default 4; negative disables the fail-fast path.
@@ -66,8 +72,8 @@ type Config struct {
 	Context context.Context
 	// Trace, when non-nil, records breaker-cooldown spans plus
 	// retry/fault/breaker-trip/disk-failed event counts under the "disk"
-	// layer, keyed by disk id. The nil default costs nothing: every tracer
-	// method on nil is a no-op.
+	// layer, keyed by the disk of the op's first block. The nil default
+	// costs nothing: every tracer method on nil is a no-op.
 	Trace *obs.Tracer
 	// Fault configures the injection layer. Zero value injects nothing.
 	Fault FaultConfig
@@ -97,14 +103,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// DiskFailedError reports a disk whose circuit breaker is permanently
+// DiskFailedError reports a device whose circuit breaker is permanently
 // open: FailThreshold consecutive breaker trips passed without a single
-// successful device op. Every subsequent op on the disk returns the same
-// error immediately, so a dead device costs one diagnosis, not one
-// retry storm per op.
+// successful device op. Every subsequent op returns it immediately, so a
+// dead device costs one diagnosis, not one retry storm per op. The disks
+// of an array share their device, so they fail together; Disk names the
+// disk of the failing op's first block.
 type DiskFailedError struct {
 	Disk  int
-	Trips int64 // breaker trips observed when the disk was declared failed
+	Trips int64 // breaker trips observed when the device was declared failed
 	Err   error // the last device error
 }
 
@@ -114,131 +121,120 @@ func (e *DiskFailedError) Error() string {
 
 func (e *DiskFailedError) Unwrap() error { return e.Err }
 
-// Drives owns one guarded device per drive of an array, plus their
-// counters. Metrics may be called from any goroutine at any time; Close
-// must not race with transfers.
+// Drives guards the one device that holds the blocks of an array's disks,
+// in stripe order, and keeps each disk's counters. Read and Write run on
+// the calling goroutine and must not be called concurrently; Metrics may
+// be called from any goroutine at any time; Close must not race with
+// transfers.
 type Drives struct {
-	cfg    Config
-	drives []Drive
+	cfg   Config
+	disks int
+	dev   Device
+	inj   *injector
+	m     []counters // per disk
+	// consecFails feeds the circuit breaker; consecTrips counts breaker
+	// trips with no intervening success and feeds the fail-fast path;
+	// trips counts them all.
+	consecFails int
+	consecTrips int64
+	trips       int64
+	// failed, once set, short-circuits every further op.
+	failed *DiskFailedError
 	closed bool
 }
 
-// New guards the given devices. Drives owns them from here on: Close
-// closes them.
-func New(cfg Config, devs []Device) (*Drives, error) {
+// New guards dev, which holds the blocks of the given number of disks in
+// stripe order: array block o·disks + d is block o of disk d. Drives owns
+// dev from here on: Close closes it.
+func New(cfg Config, disks int, dev Device) (*Drives, error) {
 	if cfg.BlockBytes <= 0 {
 		return nil, fmt.Errorf("diskio: BlockBytes = %d, want > 0", cfg.BlockBytes)
 	}
-	if len(devs) == 0 {
-		return nil, errors.New("diskio: no devices")
+	if disks < 1 || dev == nil {
+		return nil, errors.New("diskio: no disks")
 	}
-	s := &Drives{cfg: cfg.withDefaults(), drives: make([]Drive, len(devs))}
-	for i, dev := range devs {
-		d := &s.drives[i]
-		d.id, d.cfg, d.dev = i, &s.cfg, dev
-		if s.cfg.Fault.enabled() {
-			d.inj = newInjector(s.cfg.Fault, i)
-		}
+	s := &Drives{cfg: cfg.withDefaults(), disks: disks, dev: dev, m: make([]counters, disks)}
+	if s.cfg.Fault.enabled() {
+		s.inj = newInjector(s.cfg.Fault)
 	}
 	return s, nil
 }
 
-// Drive returns the guarded device of drive i.
-func (s *Drives) Drive(i int) *Drive { return &s.drives[i] }
-
-// Close closes every device and returns the first error.
+// Close closes the device.
 func (s *Drives) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
-	var firstErr error
-	for i := range s.drives {
-		if err := s.drives[i].dev.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return s.dev.Close()
 }
 
-// Drive is one guarded device. Read and Write run on the calling goroutine
-// and must not be called concurrently on the same drive; distinct drives
-// are independent.
-type Drive struct {
-	id  int
-	cfg *Config
-	dev Device
-	inj *injector
-	m   counters
-	// consecFails feeds the circuit breaker; consecTrips counts breaker
-	// trips with no intervening success and feeds the fail-fast path.
-	consecFails int
-	consecTrips int64
-	// failed, once set, short-circuits every further op on this drive.
-	failed *DiskFailedError
-}
+// Read fills the consecutive array blocks starting at blk, in one device
+// op: body, a whole number of blocks, then, when tail is not nil, the one
+// block tail, which a second device call moves. Either may be empty, not
+// both.
+func (s *Drives) Read(blk int64, body, tail []byte) error { return s.transfer(blk, body, tail, false) }
 
-// Read fills dst, a positive whole number of blocks, with the consecutive
-// blocks starting at blk, in one device op.
-func (d *Drive) Read(blk int64, dst []byte) error { return d.transfer(blk, dst, false) }
-
-// Write stores src, a positive whole number of blocks, as the consecutive
+// Write stores body and then tail (see Read) as the consecutive array
 // blocks starting at blk, in one device op. The device holds every byte
 // when Write returns.
-func (d *Drive) Write(blk int64, src []byte) error { return d.transfer(blk, src, true) }
+func (s *Drives) Write(blk int64, body, tail []byte) error { return s.transfer(blk, body, tail, true) }
 
 // transfer runs one device op with exponential backoff on failure and
 // trips the circuit breaker after BreakerThreshold consecutive failures:
-// the disk rests for BreakerCooldown, then the breaker half-opens and the
-// op is attempted again. FailThreshold consecutive trips without a single
-// success declare the disk permanently failed; from then on every op
-// short-circuits with the same *DiskFailedError. All sleeps abort early
-// when the context is canceled.
-func (d *Drive) transfer(blk int64, buf []byte, write bool) error {
-	if len(buf) == 0 || len(buf)%d.cfg.BlockBytes != 0 {
-		return fmt.Errorf("diskio: buffer is %d bytes, not a positive whole number of %d-byte blocks", len(buf), d.cfg.BlockBytes)
+// the device rests for BreakerCooldown, then the breaker half-opens and
+// the op is attempted again. FailThreshold consecutive trips without a
+// single success declare the device permanently failed; from then on every
+// op short-circuits with a *DiskFailedError. All sleeps abort early when
+// the context is canceled. Retries, faults and trips count on the disk of
+// the op's first block.
+func (s *Drives) transfer(blk int64, body, tail []byte, write bool) error {
+	bb := s.cfg.BlockBytes
+	if len(body)%bb != 0 || (tail != nil && len(tail) != bb) || len(body)+len(tail) == 0 || blk < 0 {
+		return fmt.Errorf("diskio: %d+%d bytes at block %d, not a positive whole number of %d-byte blocks then at most one more",
+			len(body), len(tail), blk, bb)
 	}
-	if d.failed != nil {
-		return d.failed
-	}
-	off := blk * int64(d.cfg.BlockBytes)
-	backoff := d.cfg.RetryBase
-	for attempt := 0; ; attempt++ {
-		var err error
-		if write {
-			err = d.deviceWrite(buf, off)
-		} else {
-			err = d.deviceRead(buf, off)
+	disk := int(blk % int64(s.disks))
+	if f := s.failed; f != nil {
+		if f.Disk != disk {
+			f = &DiskFailedError{Disk: disk, Trips: f.Trips, Err: f.Err}
 		}
+		return f
+	}
+	m := &s.m[disk]
+	backoff := s.cfg.RetryBase
+	for attempt := 0; ; attempt++ {
+		err := s.attempt(blk, body, tail, write)
 		if err == nil {
-			d.consecFails = 0
-			d.consecTrips = 0
+			s.consecFails = 0
+			s.consecTrips = 0
 			return nil
 		}
-		d.consecFails++
-		if d.consecFails >= d.cfg.BreakerThreshold {
-			d.m.breakerTrips.Add(1)
-			d.cfg.Trace.Count("disk", "breaker-trip", d.id, 1)
-			d.consecFails = 0
-			d.consecTrips++
-			if d.cfg.FailThreshold > 0 && d.consecTrips >= int64(d.cfg.FailThreshold) {
-				d.failed = &DiskFailedError{Disk: d.id, Trips: d.m.breakerTrips.Load(), Err: err}
-				d.cfg.Trace.Count("disk", "disk-failed", d.id, 1)
-				return d.failed
+		s.consecFails++
+		if s.consecFails >= s.cfg.BreakerThreshold {
+			m.breakerTrips.Add(1)
+			s.cfg.Trace.Count("disk", "breaker-trip", disk, 1)
+			s.consecFails = 0
+			s.consecTrips++
+			s.trips++
+			if s.cfg.FailThreshold > 0 && s.consecTrips >= int64(s.cfg.FailThreshold) {
+				s.failed = &DiskFailedError{Disk: disk, Trips: s.trips, Err: err}
+				s.cfg.Trace.Count("disk", "disk-failed", disk, 1)
+				return s.failed
 			}
-			sp := d.cfg.Trace.Begin("disk", "breaker-cooldown", d.id)
-			serr := d.sleep(d.cfg.BreakerCooldown)
+			sp := s.cfg.Trace.Begin("disk", "breaker-cooldown", disk)
+			serr := s.sleep(s.cfg.BreakerCooldown)
 			sp.End()
 			if serr != nil {
 				return serr
 			}
 		}
-		if attempt >= d.cfg.MaxRetries {
+		if attempt >= s.cfg.MaxRetries {
 			return err
 		}
-		d.m.retries.Add(1)
-		d.cfg.Trace.Count("disk", "retry", d.id, 1)
-		if serr := d.sleep(backoff); serr != nil {
+		m.retries.Add(1)
+		s.cfg.Trace.Count("disk", "retry", disk, 1)
+		if serr := s.sleep(backoff); serr != nil {
 			return serr
 		}
 		backoff *= 2
@@ -247,8 +243,8 @@ func (d *Drive) transfer(blk int64, buf []byte, write bool) error {
 
 // sleep waits for dur or until the context is canceled, whichever comes
 // first.
-func (d *Drive) sleep(dur time.Duration) error {
-	done := d.cfg.Context.Done()
+func (s *Drives) sleep(dur time.Duration) error {
+	done := s.cfg.Context.Done()
 	if done == nil {
 		time.Sleep(dur)
 		return nil
@@ -259,71 +255,88 @@ func (d *Drive) sleep(dur time.Duration) error {
 	case <-t.C:
 		return nil
 	case <-done:
-		return d.cfg.Context.Err()
+		return s.cfg.Context.Err()
 	}
 }
 
-// deviceRead and deviceWrite are the only two functions that touch the
-// Device; the fault injector sits here so every other layer sees faults
-// exactly as it would see real ones.
-func (d *Drive) deviceRead(dst []byte, off int64) error {
+// attempt makes one try at an op: the device calls, and the fault
+// injector in front of them, so every other layer sees faults exactly as
+// it would see real ones. It is the only function that touches the
+// Device.
+func (s *Drives) attempt(blk int64, body, tail []byte, write bool) error {
 	start := time.Now()
-	if d.inj != nil {
-		d.inj.jitter()
-		if d.inj.failRead() {
-			d.fault(start)
-			return ErrInjected
-		}
+	off := blk * int64(s.cfg.BlockBytes)
+	if s.inj != nil {
+		s.inj.jitter()
 	}
-	_, err := d.dev.ReadAt(dst, off)
-	took := time.Since(start).Nanoseconds()
-	d.m.busyNanos.Add(took)
-	if err != nil {
-		return err
-	}
-	d.m.reads.Add(1)
-	d.m.bytesRead.Add(int64(len(dst)))
-	d.m.readNanos.Add(took)
-	return nil
-}
-
-func (d *Drive) deviceWrite(src []byte, off int64) error {
-	start := time.Now()
-	if d.inj != nil {
-		d.inj.jitter()
-		if fail, torn := d.inj.failWrite(); fail {
-			if torn && len(src) >= 2 {
-				// A torn write: half the transfer reaches the platter
-				// before the fault. The retry must overwrite all of it.
-				d.dev.WriteAt(src[:len(src)/2], off)
+	var err error
+	switch {
+	case s.inj != nil && s.inj.fail():
+		if write && s.inj.torn() {
+			// A torn write: half the first call reaches the platter
+			// before the fault. The retry must overwrite all of it.
+			first := body
+			if len(first) == 0 {
+				first = tail
 			}
-			d.fault(start)
-			return ErrInjected
+			s.dev.WriteAt(first[:len(first)/2], off)
+		}
+		s.m[blk%int64(s.disks)].faults.Add(1)
+		s.cfg.Trace.Count("disk", "fault", int(blk%int64(s.disks)), 1)
+		err = ErrInjected
+	case write:
+		if len(body) > 0 {
+			_, err = s.dev.WriteAt(body, off)
+		}
+		if err == nil && tail != nil {
+			_, err = s.dev.WriteAt(tail, off+int64(len(body)))
+		}
+	default:
+		if len(body) > 0 {
+			_, err = s.dev.ReadAt(body, off)
+		}
+		if err == nil && tail != nil {
+			_, err = s.dev.ReadAt(tail, off+int64(len(body)))
 		}
 	}
-	_, err := d.dev.WriteAt(src, off)
-	took := time.Since(start).Nanoseconds()
-	d.m.busyNanos.Add(took)
-	if err != nil {
-		return err
-	}
-	d.m.writes.Add(1)
-	d.m.bytesWritten.Add(int64(len(src)))
-	d.m.writeNanos.Add(took)
-	return nil
+	s.spend(blk, (len(body)+len(tail))/s.cfg.BlockBytes, time.Since(start).Nanoseconds(), err == nil, write)
+	return err
 }
 
-// fault counts an injected failure of an attempt that began at start.
-func (d *Drive) fault(start time.Time) {
-	d.m.busyNanos.Add(time.Since(start).Nanoseconds())
-	d.m.faults.Add(1)
-	d.cfg.Trace.Count("disk", "fault", d.id, 1)
+// spend charges an attempt at an op of n blocks from array block blk that
+// took the given device time to every disk the op touches: disk
+// (blk+i) mod D holds ⌈(n−i)/D⌉ of the blocks, and its share of the time
+// is weighted by them, so the shares add up to the time. A successful
+// attempt also charges each disk one op and its own blocks' bytes.
+func (s *Drives) spend(blk int64, n int, took int64, ok, write bool) {
+	d := s.disks
+	first, bb := int(blk%int64(d)), int64(s.cfg.BlockBytes)
+	done := 0
+	for i := 0; i < min(n, d); i++ {
+		k := (n - i + d - 1) / d
+		share := took*int64(done+k)/int64(n) - took*int64(done)/int64(n)
+		done += k
+		m := &s.m[(first+i)%d]
+		m.busyNanos.Add(share)
+		switch {
+		case !ok:
+		case write:
+			m.writes.Add(1)
+			m.bytesWritten.Add(int64(k) * bb)
+			m.writeNanos.Add(share)
+		default:
+			m.reads.Add(1)
+			m.bytesRead.Add(int64(k) * bb)
+			m.readNanos.Add(share)
+		}
+	}
 }
 
 // counters are the per-disk atomic tallies behind DiskStats. reads and
-// writes count successful device ops, whatever their block count. readNanos
-// and writeNanos sum the duration of successful device ops (the basis for
-// measured throughput); busyNanos sums all device-op time including failed
+// writes count successful device ops that touched the disk, whatever
+// their block count. readNanos and writeNanos sum the disk's shares of the
+// device time of successful ops (the basis for measured throughput);
+// busyNanos sums its shares of all device-op time including failed
 // attempts (the basis for the busy-fraction utilization track).
 type counters struct {
 	reads, writes           atomic.Int64

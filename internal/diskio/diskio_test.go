@@ -10,28 +10,26 @@ import (
 
 const testBlock = 64
 
-func testDrives(t *testing.T, cfg Config, disks int) (*Drives, []*memDevice) {
+// testDrives guards one in-memory device holding the given number of
+// disks.
+func testDrives(t *testing.T, cfg Config, disks int) (*Drives, *memDevice) {
 	t.Helper()
 	if cfg.BlockBytes == 0 {
 		cfg.BlockBytes = testBlock
 	}
-	devs := make([]Device, disks)
-	mems := make([]*memDevice, disks)
-	for i := range devs {
-		mems[i] = &memDevice{}
-		devs[i] = mems[i]
-	}
-	e, err := New(cfg, devs)
+	dev := &memDevice{}
+	e, err := New(cfg, disks, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e, mems
+	return e, dev
 }
 
-func pattern(blk int64, disk int) []byte {
+// pattern returns the bytes of array block blk.
+func pattern(blk int64) []byte {
 	buf := make([]byte, testBlock)
 	for i := range buf {
-		buf[i] = byte(int64(i) + blk*7 + int64(disk)*13)
+		buf[i] = byte(int64(i) + blk*7)
 	}
 	return buf
 }
@@ -39,40 +37,48 @@ func pattern(blk int64, disk int) []byte {
 func TestEngineRoundTrip(t *testing.T) {
 	e, _ := testDrives(t, Config{}, 3)
 	defer e.Close()
-	for disk := 0; disk < 3; disk++ {
-		for blk := int64(0); blk < 10; blk++ {
-			if err := e.Drive(disk).Write(blk, pattern(blk, disk)); err != nil {
-				t.Fatal(err)
-			}
+	for blk := int64(0); blk < 30; blk++ {
+		if err := e.Write(blk, pattern(blk), nil); err != nil {
+			t.Fatal(err)
 		}
 	}
 	got := make([]byte, testBlock)
-	for disk := 0; disk < 3; disk++ {
-		for blk := int64(9); blk >= 0; blk-- {
-			if err := e.Drive(disk).Read(blk, got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, pattern(blk, disk)) {
-				t.Fatalf("disk %d block %d corrupted", disk, blk)
-			}
+	for blk := int64(29); blk >= 0; blk-- {
+		if err := e.Read(blk, got, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, pattern(blk)) {
+			t.Fatalf("block %d corrupted", blk)
+		}
+	}
+	// Each disk counted its own ten blocks.
+	for d, m := range e.Metrics().PerDisk {
+		if m.Writes != 10 || m.Reads != 10 || m.BytesWritten != 10*testBlock || m.BytesRead != 10*testBlock {
+			t.Fatalf("disk %d counters %+v, want 10 one-block ops each way", d, m)
 		}
 	}
 }
 
 func TestEngineRejectsBadArgs(t *testing.T) {
-	if _, err := New(Config{}, []Device{&memDevice{}}); err == nil {
+	if _, err := New(Config{}, 1, &memDevice{}); err == nil {
 		t.Fatal("BlockBytes = 0 accepted")
 	}
-	if _, err := New(Config{BlockBytes: 8}, nil); err == nil {
-		t.Fatal("no devices accepted")
+	if _, err := New(Config{BlockBytes: 8}, 0, &memDevice{}); err == nil {
+		t.Fatal("no disks accepted")
+	}
+	if _, err := New(Config{BlockBytes: 8}, 2, nil); err == nil {
+		t.Fatal("no device accepted")
 	}
 	e, _ := testDrives(t, Config{}, 1)
 	defer e.Close()
-	if err := e.Drive(0).Write(0, make([]byte, 3)); err == nil {
+	if err := e.Write(0, make([]byte, 3), nil); err == nil {
 		t.Fatal("short write buffer accepted")
 	}
-	if err := e.Drive(0).Read(0, make([]byte, 3)); err == nil {
+	if err := e.Read(0, make([]byte, 3), nil); err == nil {
 		t.Fatal("short read buffer accepted")
+	}
+	if err := e.Read(-1, make([]byte, testBlock), nil); err == nil {
+		t.Fatal("negative block accepted")
 	}
 }
 
@@ -81,22 +87,22 @@ func TestEngineRejectsBadArgs(t *testing.T) {
 func TestReadYourWrites(t *testing.T) {
 	e, _ := testDrives(t, Config{}, 1)
 	defer e.Close()
-	if err := e.Drive(0).Write(3, pattern(3, 0)); err != nil {
+	if err := e.Write(3, pattern(3), nil); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, testBlock)
-	if err := e.Drive(0).Read(3, got); err != nil {
+	if err := e.Read(3, got, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, pattern(3, 0)) {
+	if !bytes.Equal(got, pattern(3)) {
 		t.Fatal("read missed the write")
 	}
 	// Overwrite; the fresh bytes must win.
-	fresh := pattern(99, 0)
-	if err := e.Drive(0).Write(3, fresh); err != nil {
+	fresh := pattern(99)
+	if err := e.Write(3, fresh, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Drive(0).Read(3, got); err != nil {
+	if err := e.Read(3, got, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, fresh) {
@@ -112,22 +118,18 @@ func TestFaultRetryRecovers(t *testing.T) {
 		Fault:     FaultConfig{ErrorRate: 0.3, TornWriteRate: 0.5, Seed: 7},
 	}, 2)
 	defer e.Close()
-	for disk := 0; disk < 2; disk++ {
-		for blk := int64(0); blk < 32; blk++ {
-			if err := e.Drive(disk).Write(blk, pattern(blk, disk)); err != nil {
-				t.Fatal(err)
-			}
+	for blk := int64(0); blk < 64; blk++ {
+		if err := e.Write(blk, pattern(blk), nil); err != nil {
+			t.Fatal(err)
 		}
 	}
 	got := make([]byte, testBlock)
-	for disk := 0; disk < 2; disk++ {
-		for blk := int64(0); blk < 32; blk++ {
-			if err := e.Drive(disk).Read(blk, got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, pattern(blk, disk)) {
-				t.Fatalf("disk %d block %d corrupted under faults", disk, blk)
-			}
+	for blk := int64(0); blk < 64; blk++ {
+		if err := e.Read(blk, got, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, pattern(blk)) {
+			t.Fatalf("block %d corrupted under faults", blk)
 		}
 	}
 	m := e.Metrics().Aggregate()
@@ -139,20 +141,20 @@ func TestFaultRetryRecovers(t *testing.T) {
 // TestTornWriteRepaired forces every first write attempt to fail torn and
 // checks the retry leaves a whole block, not half of one.
 func TestTornWriteRepaired(t *testing.T) {
-	e, mems := testDrives(t, Config{
+	e, dev := testDrives(t, Config{
 		RetryBase:  10 * time.Microsecond,
 		MaxRetries: 8,
 		Fault:      FaultConfig{ErrorRate: 0.5, TornWriteRate: 1, Seed: 3},
 	}, 1)
-	want := pattern(0, 0)
-	if err := e.Drive(0).Write(0, want); err != nil {
+	want := pattern(0)
+	if err := e.Write(0, want, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, testBlock)
-	if _, err := mems[0].ReadAt(got, 0); err != nil {
+	if _, err := dev.ReadAt(got, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
@@ -171,7 +173,7 @@ func TestPermanentFailureSurfaces(t *testing.T) {
 		Fault:            FaultConfig{ErrorRate: 1, Seed: 1},
 	}, 1)
 	defer e.Close()
-	err := e.Drive(0).Read(0, make([]byte, testBlock))
+	err := e.Read(0, make([]byte, testBlock), nil)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("got %v, want ErrInjected", err)
 	}
@@ -184,30 +186,33 @@ func TestPermanentFailureSurfaces(t *testing.T) {
 	}
 }
 
-// TestConcurrentDisks drives every disk from its own goroutine while
-// snapshotting metrics — the race detector's view of the layer.
+// TestConcurrentDisks drives each disk from its own goroutine, serialized
+// by a mutex as the array above serializes its transfers, while another
+// goroutine snapshots metrics — the race detector's view of the layer.
 func TestConcurrentDisks(t *testing.T) {
 	const disks = 4
 	e, _ := testDrives(t, Config{}, disks)
+	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for disk := 0; disk < disks; disk++ {
 		wg.Add(1)
 		go func(disk int) {
 			defer wg.Done()
 			buf := make([]byte, testBlock)
-			for blk := int64(0); blk < 50; blk++ {
-				if err := e.Drive(disk).Write(blk, pattern(blk, disk)); err != nil {
+			for off := int64(0); off < 50; off++ {
+				blk := off*disks + int64(disk)
+				mu.Lock()
+				err := e.Write(blk, pattern(blk), nil)
+				if err == nil {
+					err = e.Read(blk, buf, nil)
+				}
+				mu.Unlock()
+				if err != nil {
 					t.Error(err)
 					return
 				}
-			}
-			for blk := int64(0); blk < 50; blk++ {
-				if err := e.Drive(disk).Read(blk, buf); err != nil {
-					t.Error(err)
-					return
-				}
-				if !bytes.Equal(buf, pattern(blk, disk)) {
-					t.Errorf("disk %d block %d corrupted", disk, blk)
+				if !bytes.Equal(buf, pattern(blk)) {
+					t.Errorf("disk %d block %d corrupted", disk, off)
 					return
 				}
 			}
@@ -226,6 +231,11 @@ func TestConcurrentDisks(t *testing.T) {
 	}()
 	wg.Wait()
 	close(stop)
+	for d, m := range e.Metrics().PerDisk {
+		if m.Reads != 50 || m.Writes != 50 {
+			t.Fatalf("disk %d counted %d reads and %d writes, want 50 each", d, m.Reads, m.Writes)
+		}
+	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -241,12 +251,12 @@ func TestFaultDeterminism(t *testing.T) {
 		defer e.Close()
 		buf := make([]byte, testBlock)
 		for blk := int64(0); blk < 40; blk++ {
-			if err := e.Drive(0).Write(blk, pattern(blk, 0)); err != nil {
+			if err := e.Write(blk, pattern(blk), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for blk := int64(0); blk < 40; blk++ {
-			if err := e.Drive(0).Read(blk, buf); err != nil {
+			if err := e.Read(blk, buf, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

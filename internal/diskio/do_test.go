@@ -18,20 +18,21 @@ func (failingDevice) ReadAt([]byte, int64) (int, error)  { return 0, errDead }
 func (failingDevice) WriteAt([]byte, int64) (int, error) { return 0, errDead }
 func (failingDevice) Close() error                       { return nil }
 
-// writeRow writes block blk on every disk and returns each transfer's
-// outcome.
-func writeRow(s *Drives, disks int, blk int64) []error {
+// writeRow writes stripe row row, one block on every disk, one op per
+// block, and returns each op's outcome.
+func writeRow(s *Drives, disks int, row int64) []error {
 	errs := make([]error, disks)
 	for d := range errs {
-		errs[d] = s.Drive(d).Write(blk, pattern(blk, d))
+		blk := row*int64(disks) + int64(d)
+		errs[d] = s.Write(blk, pattern(blk), nil)
 	}
 	return errs
 }
 
-// TestEngineDo checks the per-transfer contract of a parallel I/O's
-// block transfers: each transfer has its own outcome, faults are retried,
-// a dead disk fails fast while the other disks complete, a canceled
-// context ends the backoff, and a warmed transfer allocates nothing.
+// TestEngineDo checks the per-op contract of the guard: each op has its
+// own outcome, faults are retried, a dead device fails every disk's ops
+// and then fails them fast, a canceled context ends the backoff, and a
+// warmed op allocates nothing.
 func TestEngineDo(t *testing.T) {
 	const disks = 4
 
@@ -41,22 +42,20 @@ func TestEngineDo(t *testing.T) {
 			Fault:     FaultConfig{ErrorRate: 0.3, TornWriteRate: 0.5, Seed: 7},
 		}, disks)
 		defer e.Close()
-		for blk := int64(0); blk < 16; blk++ {
-			for d, err := range writeRow(e, disks, blk) {
+		for row := int64(0); row < 16; row++ {
+			for d, err := range writeRow(e, disks, row) {
 				if err != nil {
-					t.Fatalf("disk %d block %d: %v", d, blk, err)
+					t.Fatalf("disk %d row %d: %v", d, row, err)
 				}
 			}
 		}
 		got := make([]byte, testBlock)
-		for blk := int64(0); blk < 16; blk++ {
-			for d := 0; d < disks; d++ {
-				if err := e.Drive(d).Read(blk, got); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, pattern(blk, d)) {
-					t.Fatalf("disk %d block %d corrupted under faults", d, blk)
-				}
+		for blk := int64(0); blk < 16*disks; blk++ {
+			if err := e.Read(blk, got, nil); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, pattern(blk)) {
+				t.Fatalf("block %d corrupted under faults", blk)
 			}
 		}
 		if m := e.Metrics().Aggregate(); m.Faults == 0 || m.Retries == 0 {
@@ -65,11 +64,9 @@ func TestEngineDo(t *testing.T) {
 	})
 
 	t.Run("failed-disk", func(t *testing.T) {
-		devs := make([]Device, disks)
-		for d := range devs {
-			devs[d] = &memDevice{}
-		}
-		devs[2] = failingDevice{}
+		// The disks share one device: when it dies, every disk's op fails
+		// with a *DiskFailedError naming the disk of the op's first block,
+		// and once the device is declared failed no op retries.
 		e, err := New(Config{
 			BlockBytes:       testBlock,
 			MaxRetries:       6,
@@ -77,36 +74,25 @@ func TestEngineDo(t *testing.T) {
 			BreakerCooldown:  time.Microsecond,
 			RetryBase:        time.Microsecond,
 			FailThreshold:    3,
-		}, devs)
+		}, disks, failingDevice{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer e.Close()
-		for round := 0; round < 2; round++ {
-			// The second round hits the failed disk's fail-fast path.
-			retries := e.Metrics().PerDisk[2].Retries
-			errs := writeRow(e, disks, int64(round))
-			var failed *DiskFailedError
-			if !errors.As(errs[2], &failed) || failed.Disk != 2 || !errors.Is(errs[2], errDead) {
-				t.Fatalf("round %d: write to a dead disk got %v, want *DiskFailedError for disk 2", round, errs[2])
-			}
-			if got := e.Metrics().PerDisk[2].Retries; round > 0 && got != retries {
-				t.Fatalf("fail-fast write retried (%d -> %d)", retries, got)
-			}
-			for d, err := range errs {
-				if d != 2 && err != nil {
-					t.Fatalf("healthy disk %d's transfer failed: %v", d, err)
+		for row := int64(0); row < 2; row++ {
+			retries := e.Metrics().Aggregate().Retries
+			for d, err := range writeRow(e, disks, row) {
+				var failed *DiskFailedError
+				if !errors.As(err, &failed) || failed.Disk != d || !errors.Is(err, errDead) {
+					t.Fatalf("row %d: write to disk %d of a dead device got %v, want *DiskFailedError for disk %d", row, d, err, d)
 				}
 			}
+			if got := e.Metrics().Aggregate().Retries; row > 0 && got != retries {
+				t.Fatalf("fail-fast writes retried (%d -> %d)", retries, got)
+			}
 		}
-		got := make([]byte, testBlock)
-		for d := 0; d < disks; d++ {
-			if d == 2 {
-				continue
-			}
-			if err := e.Drive(d).Read(1, got); err != nil || !bytes.Equal(got, pattern(1, d)) {
-				t.Fatalf("disk %d did not complete its write (err %v)", d, err)
-			}
+		if m := e.Metrics().PerDisk; m[0].Retries == 0 || m[1].Retries != 0 {
+			t.Fatalf("retries on disks 0 and 1: %d and %d; want the first op's on disk 0 only", m[0].Retries, m[1].Retries)
 		}
 	})
 
@@ -134,45 +120,52 @@ func TestEngineDo(t *testing.T) {
 		defer e.Close()
 		bufs := make([][]byte, disks)
 		for d := range bufs {
-			bufs[d] = pattern(0, d)
-			if err := e.Drive(d).Write(0, bufs[d]); err != nil {
+			bufs[d] = pattern(int64(d))
+			if err := e.Write(int64(d), bufs[d], nil); err != nil {
 				t.Fatal(err)
 			}
 		}
+		tail := pattern(disks)
 		allocs := testing.AllocsPerRun(100, func() {
 			for d, buf := range bufs {
-				if err := e.Drive(d).Write(0, buf); err != nil {
+				if err := e.Write(int64(d), buf, nil); err != nil {
 					t.Fatal(err)
 				}
-				if err := e.Drive(d).Read(0, buf); err != nil {
+				if err := e.Read(int64(d), buf, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
+			if err := e.Write(1, bufs[0], tail); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Read(1, bufs[0], tail); err != nil {
+				t.Fatal(err)
+			}
 		})
 		if allocs != 0 {
-			t.Fatalf("a warmed write plus read on %d disks made %.1f allocations, want 0", disks, allocs)
+			t.Fatalf("warmed ops on %d disks made %.1f allocations, want 0", disks, allocs)
 		}
 	})
 }
 
 // TestNoGoroutines checks the layer runs every transfer on its caller:
-// guarding devices, moving blocks through them (retries included) and
-// closing them starts no goroutine.
+// guarding a device, moving blocks through it (retries included) and
+// closing it starts no goroutine.
 func TestNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e, _ := testDrives(t, Config{
 		RetryBase: time.Microsecond,
 		Fault:     FaultConfig{ErrorRate: 0.2, TornWriteRate: 0.5, Seed: 4},
 	}, 4)
-	for blk := int64(0); blk < 8; blk++ {
-		for d, err := range writeRow(e, 4, blk) {
+	for row := int64(0); row < 8; row++ {
+		for d, err := range writeRow(e, 4, row) {
 			if err != nil {
-				t.Fatalf("disk %d block %d: %v", d, blk, err)
+				t.Fatalf("disk %d row %d: %v", d, row, err)
 			}
 		}
 	}
 	if got := runtime.NumGoroutine(); got > before {
-		t.Fatalf("%d goroutines with the drives open, %d before", got, before)
+		t.Fatalf("%d goroutines with the device open, %d before", got, before)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)

@@ -12,21 +12,21 @@ import (
 var ErrInjected = errors.New("diskio: injected transient fault")
 
 // FaultConfig parameterizes the injection layer. Injection is
-// deterministic given Seed: each disk derives its own PRNG stream, so a
-// failing run replays exactly.
+// deterministic given Seed, so a failing run replays exactly.
 type FaultConfig struct {
 	// ErrorRate is the probability in [0, 1] that a device op fails with
-	// ErrInjected: one draw per op, however many blocks it moves.
+	// ErrInjected: one draw per op, however many blocks and disks it
+	// spans.
 	ErrorRate float64
 	// TornWriteRate is the probability, given a failing write, that half
-	// the transfer reaches the device before the fault — the classic torn
-	// write a retry must repair by rewriting the whole transfer.
+	// the op's first device call reaches the device before the fault — the
+	// classic torn write a retry must repair by rewriting the whole op.
 	TornWriteRate float64
 	// LatencyJitter adds a uniform random delay in [0, LatencyJitter) to
 	// every device op, however many blocks it moves, modeling
 	// rotational/seek variance.
 	LatencyJitter time.Duration
-	// Seed feeds the per-disk PRNG streams.
+	// Seed feeds the PRNG stream.
 	Seed uint64
 }
 
@@ -34,18 +34,15 @@ func (f FaultConfig) enabled() bool {
 	return f.ErrorRate > 0 || f.LatencyJitter > 0
 }
 
-// injector is one disk's fault source. Only its drive's transfers use it,
+// injector is the device's fault source. Only its device's ops use it,
 // and they never run concurrently.
 type injector struct {
 	cfg FaultConfig
 	rng *rand.Rand
 }
 
-func newInjector(cfg FaultConfig, disk int) *injector {
-	return &injector{
-		cfg: cfg,
-		rng: rand.New(rand.NewPCG(cfg.Seed, uint64(disk)*0x9e3779b97f4a7c15+1)),
-	}
+func newInjector(cfg FaultConfig) *injector {
+	return &injector{cfg: cfg, rng: rand.New(rand.NewPCG(cfg.Seed, 1))}
 }
 
 func (in *injector) jitter() {
@@ -54,13 +51,12 @@ func (in *injector) jitter() {
 	}
 }
 
-func (in *injector) failRead() bool {
+// fail draws whether an op fails.
+func (in *injector) fail() bool {
 	return in.cfg.ErrorRate > 0 && in.rng.Float64() < in.cfg.ErrorRate
 }
 
-func (in *injector) failWrite() (fail, torn bool) {
-	if in.cfg.ErrorRate > 0 && in.rng.Float64() < in.cfg.ErrorRate {
-		return true, in.rng.Float64() < in.cfg.TornWriteRate
-	}
-	return false, false
+// torn draws whether a failing write is torn.
+func (in *injector) torn() bool {
+	return in.rng.Float64() < in.cfg.TornWriteRate
 }

@@ -2,17 +2,22 @@ package diskio
 
 // DiskStats is a snapshot of one disk's counters.
 type DiskStats struct {
-	// Reads and Writes count completed device ops, each moving one or more
-	// consecutive blocks; BytesRead/BytesWritten count the bytes moved.
+	// Reads and Writes count completed device ops that touched the disk,
+	// each moving one or more of its blocks; BytesRead/BytesWritten count
+	// the bytes of its blocks moved.
 	Reads, Writes           int64
 	BytesRead, BytesWritten int64
 	// Retries counts backoff-then-retry rounds; Faults counts injected
-	// failures; BreakerTrips counts circuit-breaker cooldowns.
+	// failures; BreakerTrips counts circuit-breaker cooldowns. Each counts
+	// on the disk of the op's first block.
 	Retries, Faults int64
 	BreakerTrips    int64
-	// ReadNanos/WriteNanos sum the device time of successful ops —
-	// BytesRead/ReadNanos is this disk's measured read bandwidth.
-	// BusyNanos sums all device-op time, failed attempts included.
+	// ReadNanos/WriteNanos sum this disk's shares of the device time of
+	// successful ops, an op's time split over the disks it touched by
+	// their blocks — BytesRead/ReadNanos is this disk's measured read
+	// bandwidth. BusyNanos sums its shares of all device-op time, failed
+	// attempts included, so the disks' BusyNanos add up to the time spent
+	// in device calls.
 	ReadNanos, WriteNanos int64
 	BusyNanos             int64
 }
@@ -31,7 +36,7 @@ func (s *DiskStats) Add(o DiskStats) {
 	s.BusyNanos += o.BusyNanos
 }
 
-// Snapshot is every drive's metrics at one instant.
+// Snapshot is every disk's metrics at one instant.
 type Snapshot struct {
 	PerDisk []DiskStats
 }
@@ -45,12 +50,12 @@ func (s Snapshot) Aggregate() DiskStats {
 	return total
 }
 
-// Metrics snapshots every drive's counters. Safe to call at any time,
+// Metrics snapshots every disk's counters. Safe to call at any time,
 // including while a transfer is in flight.
 func (s *Drives) Metrics() Snapshot {
-	snap := Snapshot{PerDisk: make([]DiskStats, len(s.drives))}
-	for i := range s.drives {
-		m := &s.drives[i].m
+	snap := Snapshot{PerDisk: make([]DiskStats, len(s.m))}
+	for i := range s.m {
+		m := &s.m[i]
 		snap.PerDisk[i] = DiskStats{
 			Reads:        m.reads.Load(),
 			Writes:       m.writes.Load(),

@@ -7,10 +7,11 @@ import (
 	"time"
 )
 
-// TestDiskFailedErrorFailFast drives a disk into permanent failure — with
-// BreakerThreshold 1 every failed attempt trips the breaker, so one op's
-// retries accumulate FailThreshold consecutive trips — and checks both the
-// typed error and the fail-fast short-circuit on subsequent ops.
+// TestDiskFailedErrorFailFast drives the device into permanent failure —
+// with BreakerThreshold 1 every failed attempt trips the breaker, so one
+// op's retries accumulate FailThreshold consecutive trips — and checks
+// both the typed error and the fail-fast short-circuit on subsequent ops,
+// on every disk the device holds.
 func TestDiskFailedErrorFailFast(t *testing.T) {
 	e, _ := testDrives(t, Config{
 		MaxRetries:       6,
@@ -23,7 +24,7 @@ func TestDiskFailedErrorFailFast(t *testing.T) {
 	defer e.Close()
 
 	buf := make([]byte, testBlock)
-	err := e.Drive(0).Read(0, buf)
+	err := e.Read(0, buf, nil)
 	var failed *DiskFailedError
 	if !errors.As(err, &failed) {
 		t.Fatalf("got %v, want *DiskFailedError", err)
@@ -35,27 +36,26 @@ func TestDiskFailedErrorFailFast(t *testing.T) {
 		t.Fatal("DiskFailedError does not unwrap to the root cause")
 	}
 
-	// Subsequent ops on the failed disk short-circuit: same typed error,
-	// no further retries.
-	retries := e.Metrics().PerDisk[0].Retries
-	if err := e.Drive(0).Read(1, buf); !errors.As(err, &failed) {
-		t.Fatalf("second op: got %v, want fail-fast *DiskFailedError", err)
-	}
-	if got := e.Metrics().PerDisk[0].Retries; got != retries {
-		t.Fatalf("fail-fast op retried (%d -> %d)", retries, got)
+	// Subsequent ops short-circuit: the same typed error, no further
+	// retries.
+	retries := e.Metrics().Aggregate().Retries
+	if err := e.Read(2, buf, nil); !errors.As(err, &failed) || failed.Disk != 0 {
+		t.Fatalf("second op: got %v, want fail-fast *DiskFailedError for disk 0", err)
 	}
 
 	// The write path surfaces it too.
-	if err := e.Drive(0).Write(0, pattern(0, 0)); !errors.As(err, &failed) {
+	if err := e.Write(0, pattern(0), nil); !errors.As(err, &failed) {
 		t.Fatalf("write on failed disk: got %v", err)
 	}
 
-	// The other disk is unaffected by disk 0's failure — but with
-	// ErrorRate 1 it fails its own retries with the root cause, not a
-	// premature permanent-failure verdict (its trips are independent).
-	err = e.Drive(1).Read(0, buf)
-	if err == nil {
-		t.Fatal("disk 1 read with ErrorRate 1 succeeded")
+	// Disk 1 shares the device, so it fails with it: its op names disk 1
+	// and keeps the trips and the cause.
+	trips := failed.Trips
+	if err := e.Read(1, buf, nil); !errors.As(err, &failed) || failed.Disk != 1 || failed.Trips != trips || !errors.Is(err, ErrInjected) {
+		t.Fatalf("disk 1 op on the failed device: got %v, want *DiskFailedError for disk 1", err)
+	}
+	if got := e.Metrics().Aggregate().Retries; got != retries {
+		t.Fatalf("fail-fast ops retried (%d -> %d)", retries, got)
 	}
 }
 
@@ -71,7 +71,7 @@ func TestFailThresholdDisabled(t *testing.T) {
 		Fault:            FaultConfig{ErrorRate: 1, Seed: 3},
 	}, 1)
 	defer e.Close()
-	err := e.Drive(0).Read(0, make([]byte, testBlock))
+	err := e.Read(0, make([]byte, testBlock), nil)
 	var failed *DiskFailedError
 	if errors.As(err, &failed) {
 		t.Fatal("FailThreshold < 0 still declared the disk failed")
@@ -95,7 +95,7 @@ func TestContextCancelAbortsRetries(t *testing.T) {
 	defer e.Close()
 
 	done := make(chan error, 1)
-	go func() { done <- e.Drive(0).Read(0, make([]byte, testBlock)) }()
+	go func() { done <- e.Read(0, make([]byte, testBlock), nil) }()
 	time.Sleep(10 * time.Millisecond) // let the op enter its backoff sleep
 	cancel()
 	select {
@@ -119,7 +119,7 @@ func TestContextPreCanceled(t *testing.T) {
 		Context:    ctx,
 		Fault:      FaultConfig{ErrorRate: 1, Seed: 9},
 	}, 1)
-	err := e.Drive(0).Read(0, make([]byte, testBlock))
+	err := e.Read(0, make([]byte, testBlock), nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}

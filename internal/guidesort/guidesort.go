@@ -6,7 +6,7 @@
 // every parallel I/O is full-width. A memoryload moves in one striped
 // transfer, a merge's output collects in the idle formation buffer, and a
 // merge refills each run with its share of the other M/2 records, so each
-// disk's share of any of them moves in one device call. The narrow fan-in
+// of them moves in one device call. The narrow fan-in
 // costs the Θ(log(M/B)/log(M/DB)) extra factor of experiment E11. The
 // package and its run-formation span keep the name of Hagerup's guided
 // merge, which issued more parallel I/Os than this merge at every geometry
@@ -275,8 +275,8 @@ func (s *Sorter) loadBuf() []record.Record {
 // stripe rows through the output buffer. Each run gets an equal share of
 // the M/2 records beside that buffer, ⌊M/(2·DB·g)⌋ stripe rows and at
 // least one, and a refill reads a run's share in one striped transfer:
-// one device call per disk, charged one parallel I/O per row as a
-// row-at-a-time refill is. The shares live in a pooled radix buffer,
+// one device call, charged one parallel I/O per row as a row-at-a-time
+// refill is. The shares live in a pooled radix buffer,
 // which merges leave idle.
 func (s *Sorter) merge(group []Run) Run {
 	total := 0

@@ -3,42 +3,51 @@ package pdm
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"balancesort/internal/diskio"
 	"balancesort/internal/record"
 )
 
-// File-backed disk arrays: each simulated drive persists its blocks to one
-// file under a directory, in the 16-byte wire format of internal/record.
-// The cost model is unchanged — parallel I/O counting and the
-// one-block-per-disk rule work exactly as with the in-memory store — but
-// the data outlives the process and its footprint is disk, not RAM, so the
-// library genuinely sorts datasets larger than host memory.
+// File-backed disk arrays: the D simulated disks persist their blocks to
+// one data file under a directory (disks.bin), in the 16-byte wire format
+// of internal/record and in stripe order — block o of disk d is array
+// block o·D + d, at byte (o·D + d)·B·16. The cost model is unchanged —
+// parallel I/O counting and the one-block-per-disk rule work exactly as
+// with the in-memory store — but the data outlives the process and its
+// footprint is disk, not RAM, so the library genuinely sorts datasets
+// larger than host memory.
 //
-// Every transfer moves on the calling goroutine through the drive's guarded
-// device (internal/diskio) as one device op, however many consecutive
-// blocks it holds: fault injection, retry with backoff, the circuit breaker
-// and fail-fast *diskio.DiskFailedError, and the per-disk counters
-// IOMetrics reports. FileOptions.IO configures that layer.
+// Every transfer moves on the calling goroutine through the array's
+// guarded device (internal/diskio) as one device op, however many
+// consecutive array blocks it holds: fault injection, retry with backoff,
+// the circuit breaker and fail-fast *diskio.DiskFailedError, and the
+// per-disk counters IOMetrics reports. FileOptions.IO configures that
+// layer. On a little-endian host the whole blocks of a transfer move
+// straight from and into the caller's records, and a short last block
+// through a one-block buffer, as a second device call of the same op.
 //
 // Integrity: unless disabled, every block carries a CRC32C (Castagnoli) of
-// its wire bytes. Each drive keeps the checksums in an in-memory table,
-// recorded on every block write and verified on every block read, and
-// writes the entries changed since the last flush to its sidecar file
-// (disk%03d.crc, 4 little-endian bytes per block) at every Sync and Close,
-// before the manifest names the blocks. A mismatch surfaces as a typed
-// *CorruptBlockError, and Scrub sweeps every written block without the
-// sort having to touch it.
+// its wire bytes. Each disk keeps the checksums of its blocks in an
+// in-memory table, recorded on every block write and verified on every
+// block read, and writes the entries changed since the last flush to its
+// sidecar file (disk%03d.crc, 4 little-endian bytes per block of the disk)
+// at every Sync and Close, before the manifest names the blocks. A
+// mismatch surfaces as a typed *CorruptBlockError, and Scrub sweeps every
+// written block without the sort having to touch it.
 //
-// Close writes a manifest (parameters, mode, allocation and write marks,
-// checksum algorithm) so a later OpenFileBacked can resume against the
-// same directory; the manifest is also rewritten on every Sync, and always
-// via write-to-temp-then-rename so a crash can never leave a torn
-// manifest behind.
+// Close writes a manifest (parameters, mode, per-disk allocation and write
+// marks, checksum algorithm) so a later OpenFileBacked can resume against
+// the same directory; the manifest is also rewritten on every Sync, and
+// always via write-to-temp-then-rename so a crash can never leave a torn
+// manifest behind. Earlier versions kept one data file per disk
+// (disk%03d.bin); OpenFileBacked converts such a directory.
 
 // castagnoli is the CRC32C polynomial table shared by the block sidecars
 // and the journal line checksums.
@@ -70,13 +79,16 @@ func (e *CorruptBlockError) Error() string {
 }
 
 // TruncatedDiskError reports a scratch file that disagrees with the
-// manifest at open time: shorter than the recorded write high-water mark,
-// or not a whole number of blocks. Catching this at OpenFileBacked beats
-// failing later, deep inside a read.
+// manifest at open time: too short to hold a disk's blocks below its
+// recorded write high-water mark, or not a whole number of blocks.
+// Catching this at OpenFileBacked beats failing later, deep inside a read.
 type TruncatedDiskError struct {
-	Disk       int
-	Path       string
-	WantBlocks int   // manifest's write high-water mark
+	Disk int
+	Path string
+	// WantBlocks is how many of the file's blocks the disk needs: for the
+	// data file, its last written block's array block plus one; for a
+	// sidecar or a per-disk file, the disk's write mark.
+	WantBlocks int
 	GotBytes   int64 // actual file size
 	BlockBytes int
 }
@@ -86,10 +98,11 @@ func (e *TruncatedDiskError) Error() string {
 		e.Disk, e.Path, e.GotBytes, e.WantBlocks, e.BlockBytes)
 }
 
-// blockIndex is the bookkeeping of one file-backed drive: which blocks hold
-// data and, with checksums on, the CRC32C table. The table costs 4 bytes of
-// host memory per written block and reaches the sidecar only at flush
-// (Sync and Close), so a block transfer is the data transfer alone.
+// blockIndex is the bookkeeping of one disk of a file-backed array, in
+// the disk's own block offsets: which blocks hold data and, with
+// checksums on, the CRC32C table. The table costs 4 bytes of host memory
+// per written block and reaches the sidecar only at flush (Sync and
+// Close), so a block transfer is the data transfer alone.
 type blockIndex struct {
 	disk    int
 	written []bool
@@ -191,7 +204,7 @@ func (x *blockIndex) flush() error {
 	return nil
 }
 
-// load resumes a reopened drive: its first n blocks count as written and,
+// load resumes a reopened disk: its first n blocks count as written and,
 // with checksums on, their table entries come from the sidecar.
 func (x *blockIndex) load(n int) error {
 	x.written = make([]bool, n)
@@ -250,93 +263,155 @@ func (x *blockIndex) scrub(buf []byte, readRaw func(off int, buf []byte) error) 
 	return checked, bad
 }
 
-// fileStore backs one drive with one file; block i occupies bytes
-// [i*B*EncodedSize, (i+1)*B*EncodedSize). A store call moves its k
-// consecutive blocks as one device op on the calling goroutine, through the
-// drive's guarded device.
+// fileStore backs an array's disks with one data file; array block i
+// occupies bytes [i*B*EncodedSize, (i+1)*B*EncodedSize). A store call
+// moves its consecutive array blocks as one device op on the calling
+// goroutine, through the array's guarded device, and records and verifies
+// each block's checksum in its own disk's index.
 type fileStore struct {
-	blockIndex
-	dev *diskio.Drive
-	b   int // records per block
-	// wire holds one call's wire bytes. The array's stores share it: the
-	// array serializes its transfers, and Peek and Scrub are contractually
-	// never concurrent with one.
-	wire *[]byte
+	disks []blockIndex // disk d's bookkeeping, in d's own block offsets
+	dev   *diskio.Drives
+	b, bb int // records and bytes per block
+	// last holds a transfer's short last block, and a scrub's block.
+	last []byte
+	// wire holds a whole transfer's wire bytes on a host whose records'
+	// memory is not their wire form; nil until one needs it.
+	wire []byte
 }
 
-// newFileStores puts one store over each drive, all sharing one wire
-// buffer.
-func newFileStores(drives *diskio.Drives, p Params) []*fileStore {
-	wire := new([]byte)
-	stores := make([]*fileStore, p.D)
-	for i := range stores {
-		stores[i] = &fileStore{blockIndex: blockIndex{disk: i}, dev: drives.Drive(i), b: p.B, wire: wire}
+// newFileStore puts a store over the guarded device of a p-shaped array.
+func newFileStore(dev *diskio.Drives, p Params) *fileStore {
+	s := &fileStore{disks: make([]blockIndex, p.D), dev: dev, b: p.B, bb: p.B * record.EncodedSize}
+	for d := range s.disks {
+		s.disks[d].disk = d
 	}
-	return stores
+	s.last = make([]byte, s.bb)
+	return s
 }
 
-// wireBuf returns the shared wire buffer resliced to n bytes, growing it
-// only when it is short.
-func (s *fileStore) wireBuf(n int) []byte {
-	if cap(*s.wire) < n {
-		*s.wire = make([]byte, n)
+// index returns the bookkeeping of array block blk's disk and the block's
+// offset on it.
+func (s *fileStore) index(blk int) (*blockIndex, int) {
+	d := len(s.disks)
+	return &s.disks[blk%d], blk / d
+}
+
+func (s *fileStore) isWritten(blk int) bool {
+	x, off := s.index(blk)
+	return x.isWritten(off)
+}
+
+func (s *fileStore) highWater(d int) int { return s.disks[d].highWater() }
+
+func (s *fileStore) checksummed() bool { return s.disks[0].checksummed() }
+
+// wireOf returns the wire bytes a transfer of recs moves: body holds its
+// whole blocks and tail, when the last block is short, the store's
+// one-block buffer. On a little-endian host body is recs' own memory
+// (direct is true); on any other it is the store's wire buffer, sized for
+// every block, and tail is nil.
+func (s *fileStore) wireOf(recs []record.Record) (body, tail []byte, direct bool) {
+	whole := len(recs) / s.b * s.b
+	if body, ok := record.WireView(recs[:whole]); ok {
+		if whole < len(recs) {
+			tail = s.last
+		}
+		return body, tail, true
 	}
-	return (*s.wire)[:n]
+	n := (len(recs) + s.b - 1) / s.b
+	if cap(s.wire) < n*s.bb {
+		s.wire = make([]byte, n*s.bb)
+	}
+	return s.wire[:n*s.bb], nil, false
 }
 
-func (s *fileStore) read(off, stride int, recs []record.Record) error {
-	k := (len(recs) + stride - 1) / stride
-	for j := 0; j < k; j++ {
-		if !s.isWritten(off + j) {
-			return fmt.Errorf("pdm: read of unwritten block off=%d", off+j)
+// block returns block j of a transfer's wire bytes.
+func (s *fileStore) block(body, tail []byte, j int) []byte {
+	if lo := j * s.bb; lo < len(body) {
+		return body[lo : lo+s.bb]
+	}
+	return tail
+}
+
+// pad fills dst with the wire form of recs and +inf sentinels after them
+// (a sentinel record is all one bits).
+func pad(dst []byte, recs []record.Record) {
+	for i := len(record.AppendSlice(dst[:0], recs)); i < len(dst); i++ {
+		dst[i] = 0xff
+	}
+}
+
+func (s *fileStore) read(blk int, recs []record.Record) error {
+	n := (len(recs) + s.b - 1) / s.b
+	for j := 0; j < n; j++ {
+		if !s.isWritten(blk + j) {
+			return unwrittenError(blk+j, len(s.disks))
 		}
 	}
-	bb := s.b * record.EncodedSize
-	wire := s.wireBuf(k * bb)
-	if err := s.dev.Read(int64(off), wire); err != nil {
+	body, tail, direct := s.wireOf(recs)
+	if err := s.dev.Read(int64(blk), body, tail); err != nil {
 		return fmt.Errorf("pdm: file read: %w", err)
 	}
-	for j := 0; j < k; j++ {
-		blk := wire[j*bb : (j+1)*bb]
-		if err := s.verify(off+j, blk); err != nil {
+	for j := 0; j < n; j++ {
+		x, off := s.index(blk + j)
+		if err := x.verify(off, s.block(body, tail, j)); err != nil {
 			return err
 		}
-		record.DecodeInto(blockOf(recs, j, stride, s.b), blk)
+	}
+	switch {
+	case !direct:
+		record.DecodeInto(recs, body)
+	case tail != nil:
+		record.DecodeInto(recs[len(body)/record.EncodedSize:], tail)
 	}
 	return nil
 }
 
-func (s *fileStore) write(off, stride int, recs []record.Record) error {
-	k := (len(recs) + stride - 1) / stride
-	bb := s.b * record.EncodedSize
-	wire := s.wireBuf(k * bb)
-	for j := 0; j < k; j++ {
-		src, blk := blockOf(recs, j, stride, s.b), wire[j*bb:(j+1)*bb]
-		record.AppendSlice(blk[:0], src)
-		for i := len(src) * record.EncodedSize; i < bb; i++ {
-			blk[i] = 0xff // a +inf sentinel record is all one bits
-		}
+func (s *fileStore) write(blk int, recs []record.Record) error {
+	n := (len(recs) + s.b - 1) / s.b
+	body, tail, direct := s.wireOf(recs)
+	switch {
+	case !direct:
+		pad(body, recs)
+	case tail != nil:
+		pad(tail, recs[len(body)/record.EncodedSize:])
 	}
-	if err := s.dev.Write(int64(off), wire); err != nil {
+	if err := s.dev.Write(int64(blk), body, tail); err != nil {
 		return fmt.Errorf("pdm: file write: %w", err)
 	}
-	for j := 0; j < k; j++ {
-		s.record(off+j, wire[j*bb:(j+1)*bb])
+	for j := 0; j < n; j++ {
+		x, off := s.index(blk + j)
+		x.record(off, s.block(body, tail, j))
 	}
 	return nil
 }
 
-// close flushes the checksum table to the sidecar; the data files are
-// closed with the drives (see the array's onClose).
-func (s *fileStore) close() error { return s.closeSidecar() }
-
-func (s *fileStore) verifyAll() (int, []*CorruptBlockError) {
-	return s.scrub(s.wireBuf(s.b*record.EncodedSize), func(off int, buf []byte) error {
-		return s.dev.Read(int64(off), buf)
-	})
+// close flushes the checksum tables to the sidecars; the data file is
+// closed with the device (see the array's onClose).
+func (s *fileStore) close() error {
+	var firstErr error
+	for d := range s.disks {
+		if err := s.disks[d].closeSidecar(); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
 }
 
-// Manifest is the JSON persisted next to the disk files. It is exported
+func (s *fileStore) verifyAll() (int, []*CorruptBlockError) {
+	checked := 0
+	var bad []*CorruptBlockError
+	for d := range s.disks {
+		n, corrupt := s.disks[d].scrub(s.last, func(off int, buf []byte) error {
+			return s.dev.Read(int64(off*len(s.disks)+d), nil, buf)
+		})
+		checked += n
+		bad = append(bad, corrupt...)
+	}
+	return checked, bad
+}
+
+// Manifest is the JSON persisted next to the data file. It is exported
 // so its parser can be fuzzed and so tools can inspect scratch
 // directories without opening the array.
 type Manifest struct {
@@ -391,6 +466,12 @@ func ParseManifest(raw []byte) (*Manifest, error) {
 }
 
 func manifestPath(dir string) string { return filepath.Join(dir, "manifest.json") }
+
+// dataPath is the file that holds every disk's blocks, in stripe order.
+func dataPath(dir string) string { return filepath.Join(dir, "disks.bin") }
+
+// diskPath is disk i's data file in the per-disk layout of earlier
+// versions, which OpenFileBacked converts.
 func diskPath(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("disk%03d.bin", i))
 }
@@ -426,9 +507,9 @@ func NewFileBackedMode(p Params, dir string, mode Mode) (*Array, error) {
 }
 
 // NewFileBackedOpts creates a file-backed array under dir with the given
-// options. Any existing array files in dir are truncated, and a manifest
-// is written immediately so even a freshly crashed run leaves a readable
-// directory behind.
+// options. The data file is created empty, truncating any existing one,
+// and a manifest is written immediately so even a freshly crashed run
+// leaves a readable directory behind.
 func NewFileBackedOpts(p Params, dir string, o FileOptions) (*Array, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -439,31 +520,22 @@ func NewFileBackedOpts(p Params, dir string, o FileOptions) (*Array, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	files := make([]*os.File, p.D)
+	data, err := os.Create(dataPath(dir))
+	if err != nil {
+		return nil, err
+	}
 	var crcs []*os.File
 	if !o.NoChecksums {
 		crcs = make([]*os.File, p.D)
-	}
-	fail := func(err error) (*Array, error) {
-		closeFiles(files)
-		closeFiles(crcs)
-		return nil, err
-	}
-	for i := range files {
-		f, err := os.Create(diskPath(dir, i))
-		if err != nil {
-			return fail(err)
-		}
-		files[i] = f
-		if crcs != nil {
-			c, err := os.Create(crcPath(dir, i))
-			if err != nil {
-				return fail(err)
+		for i := range crcs {
+			if crcs[i], err = os.Create(crcPath(dir, i)); err != nil {
+				data.Close()
+				closeFiles(crcs)
+				return nil, err
 			}
-			crcs[i] = c
 		}
 	}
-	a, err := assembleFileBacked(p, dir, o.Mode, o.IO, files, crcs, nil, nil)
+	a, err := assembleFileBacked(p, dir, o.Mode, o.IO, data, crcs, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -482,10 +554,12 @@ func OpenFileBacked(dir string) (*Array, error) {
 
 // OpenFileBackedOpts resumes the array persisted under dir. The manifest
 // decides the mode and the checksum discipline (o.Mode and o.NoChecksums
-// are ignored); o.IO configures the drives' I/O layer. Per-disk file
-// sizes are validated against the manifest's write marks at open time —
-// a truncated or ragged scratch file is a typed *TruncatedDiskError here
-// rather than a confusing failure deep inside a later read.
+// are ignored); o.IO configures the array's I/O layer. The data file's
+// size is validated against every disk's write mark at open time — a
+// truncated or ragged scratch file is a typed *TruncatedDiskError here
+// rather than a confusing failure deep inside a later read. A directory
+// in the per-disk layout of earlier versions is converted first (see
+// openData).
 func OpenFileBackedOpts(dir string, o FileOptions) (*Array, error) {
 	raw, err := os.ReadFile(manifestPath(dir))
 	if err != nil {
@@ -498,96 +572,209 @@ func OpenFileBackedOpts(dir string, o FileOptions) (*Array, error) {
 	p := Params{D: m.D, B: m.B, M: m.M}
 	blockBytes := p.B * record.EncodedSize
 
-	files := make([]*os.File, p.D)
-	var crcs []*os.File
-	if m.Checksum == ChecksumCRC32C {
-		crcs = make([]*os.File, p.D)
+	data, err := openData(dir, m, blockBytes)
+	if err != nil {
+		return nil, err
 	}
+	var crcs []*os.File
 	fail := func(err error) (*Array, error) {
-		closeFiles(files)
+		data.Close()
 		closeFiles(crcs)
 		return nil, err
 	}
+	st, err := data.Stat()
+	if err != nil {
+		return fail(err)
+	}
+	size := st.Size()
+	blocks := int(size / int64(blockBytes))
+	if size%int64(blockBytes) != 0 {
+		return fail(&TruncatedDiskError{
+			Disk: blocks % p.D, Path: dataPath(dir),
+			WantBlocks: blocks + 1, GotBytes: size, BlockBytes: blockBytes,
+		})
+	}
 	written := make([]int, p.D)
-	for i := range files {
-		f, err := os.OpenFile(diskPath(dir, i), os.O_RDWR, 0)
-		if err != nil {
-			return fail(err)
+	for d := range written {
+		if m.Written == nil {
+			// Legacy manifest without write marks: trust the file extent.
+			written[d] = max(0, (blocks-d+p.D-1)/p.D)
+			continue
 		}
-		files[i] = f
-		st, err := f.Stat()
-		if err != nil {
-			return fail(err)
-		}
-		want := 0
-		if m.Written != nil {
-			want = m.Written[i]
-		}
-		if st.Size()%int64(blockBytes) != 0 || st.Size() < int64(want)*int64(blockBytes) {
+		written[d] = m.Written[d]
+		if want := (written[d]-1)*p.D + d + 1; written[d] > 0 && blocks < want {
 			return fail(&TruncatedDiskError{
-				Disk: i, Path: diskPath(dir, i),
-				WantBlocks: want, GotBytes: st.Size(), BlockBytes: blockBytes,
+				Disk: d, Path: dataPath(dir),
+				WantBlocks: want, GotBytes: size, BlockBytes: blockBytes,
 			})
 		}
-		if m.Written != nil {
-			written[i] = want
-		} else {
-			// Legacy manifest without write marks: trust the file extent.
-			written[i] = int(st.Size()) / blockBytes
-		}
-		if crcs != nil {
-			c, err := os.OpenFile(crcPath(dir, i), os.O_RDWR, 0)
+	}
+	if m.Checksum == ChecksumCRC32C {
+		crcs = make([]*os.File, p.D)
+		for d := range crcs {
+			c, err := os.OpenFile(crcPath(dir, d), os.O_RDWR, 0)
 			if err != nil {
 				return fail(fmt.Errorf("pdm: checksum sidecar: %w", err))
 			}
-			crcs[i] = c
+			crcs[d] = c
 			cst, err := c.Stat()
 			if err != nil {
 				return fail(err)
 			}
-			if cst.Size() < int64(written[i])*crcSize {
+			if cst.Size() < int64(written[d])*crcSize {
 				return fail(&TruncatedDiskError{
-					Disk: i, Path: crcPath(dir, i),
-					WantBlocks: written[i], GotBytes: cst.Size(), BlockBytes: crcSize,
+					Disk: d, Path: crcPath(dir, d),
+					WantBlocks: written[d], GotBytes: cst.Size(), BlockBytes: crcSize,
 				})
 			}
 		}
 	}
-	return assembleFileBacked(p, dir, m.Mode, o.IO, files, crcs, m.NextFree, written)
+	return assembleFileBacked(p, dir, m.Mode, o.IO, data, crcs, m.NextFree, written)
+}
+
+// openData opens dir's data file. A directory in the per-disk layout of
+// earlier versions, one diskNNN.bin per disk, is converted first: the
+// disks' blocks below their write marks are interleaved in stripe order
+// into a temporary file, which is fsynced and renamed into place before
+// the disk files are removed. A manifest without write marks takes the
+// disk files' extents as its marks, and is rewritten with them before the
+// rename. A crash at any point leaves a directory that opens:
+// the disk files stay until the data file is whole, and disk files left
+// beside a data file, as a crash after the rename leaves them, are
+// removed. A disk file shorter than its write mark, or missing while its
+// mark is above zero, is a *TruncatedDiskError, and the directory is left
+// as it was.
+func openData(dir string, m *Manifest, blockBytes int) (*os.File, error) {
+	f, err := os.OpenFile(dataPath(dir), os.O_RDWR, 0)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err := convertDiskFiles(dir, m, blockBytes); err != nil {
+			return nil, err
+		}
+		f, err = os.OpenFile(dataPath(dir), os.O_RDWR, 0)
+	}
+	if err != nil {
+		return nil, err
+	}
+	removeDiskFiles(dir, m.D)
+	return f, nil
+}
+
+// convertDiskFiles writes the data file from a per-disk directory and
+// renames it into place (see openData); it closes every file it opened
+// before it returns.
+func convertDiskFiles(dir string, m *Manifest, blockBytes int) error {
+	disks := make([]*os.File, m.D)
+	defer closeFiles(disks)
+	marks := make([]int, m.D)
+	for d := range disks {
+		path := diskPath(dir, d)
+		var size int64
+		f, err := os.Open(path)
+		switch {
+		case err == nil:
+			disks[d] = f
+			st, err := f.Stat()
+			if err != nil {
+				return err
+			}
+			size = st.Size()
+		case !errors.Is(err, fs.ErrNotExist):
+			return err
+		}
+		if m.Written == nil {
+			marks[d] = int(size / int64(blockBytes))
+		} else {
+			marks[d] = m.Written[d]
+		}
+		if size%int64(blockBytes) != 0 || size < int64(marks[d])*int64(blockBytes) {
+			return &TruncatedDiskError{Disk: d, Path: path, WantBlocks: marks[d], GotBytes: size, BlockBytes: blockBytes}
+		}
+	}
+
+	tmp := dataPath(dir) + ".tmp"
+	out, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	defer out.Close()
+	// Interleave a piece of rows at a time: row o holds block o of every
+	// disk, zero where a disk's mark lies below the row.
+	rows := slices.Max(marks)
+	piece := max(1, (1<<16)/blockBytes)
+	in := make([]byte, piece*blockBytes)
+	buf := make([]byte, piece*m.D*blockBytes)
+	for lo := 0; lo < rows; lo += piece {
+		hi := min(lo+piece, rows)
+		clear(buf)
+		for d, f := range disks {
+			k := min(hi, marks[d]) - lo
+			if k <= 0 {
+				continue
+			}
+			if _, err := f.ReadAt(in[:k*blockBytes], int64(lo)*int64(blockBytes)); err != nil {
+				return fmt.Errorf("pdm: converting %s: %w", diskPath(dir, d), err)
+			}
+			for j := 0; j < k; j++ {
+				copy(buf[(j*m.D+d)*blockBytes:], in[j*blockBytes:(j+1)*blockBytes])
+			}
+		}
+		if _, err := out.Write(buf[:(hi-lo)*m.D*blockBytes]); err != nil {
+			return err
+		}
+	}
+	if err := out.Sync(); err != nil {
+		return err
+	}
+	if err := out.Close(); err != nil {
+		return err
+	}
+	if m.Written == nil {
+		// A manifest without write marks trusts each disk file's extent,
+		// which the data file does not keep: record the extents first.
+		m.Written = marks
+		if err := writeManifest(dir, *m); err != nil {
+			return err
+		}
+	}
+	return os.Rename(tmp, dataPath(dir))
+}
+
+// removeDiskFiles removes the per-disk data files of earlier versions,
+// which a data file in place supersedes.
+func removeDiskFiles(dir string, d int) {
+	for i := 0; i < d; i++ {
+		// A file that is absent, or cannot be removed, is only stale.
+		_ = os.Remove(diskPath(dir, i))
+	}
 }
 
 // assembleFileBacked builds the array over the opened files, one
-// fileStore per drive behind the guarded devices, and arranges for Sync
-// and Close to persist the checksum tables and the manifest. A resumed
-// array passes its allocation marks and per-disk write marks; its
-// checksum tables are loaded from the sidecars up to the write marks.
-func assembleFileBacked(p Params, dir string, mode Mode, cfg diskio.Config, files, crcs []*os.File, nextFree, written []int) (*Array, error) {
+// fileStore over the guarded data file, and arranges for Sync and Close to
+// persist the checksum tables and the manifest. A resumed array passes its
+// allocation marks and per-disk write marks; its checksum tables are
+// loaded from the sidecars up to the write marks.
+func assembleFileBacked(p Params, dir string, mode Mode, cfg diskio.Config, data *os.File, crcs []*os.File, nextFree, written []int) (*Array, error) {
 	fail := func(err error) (*Array, error) {
-		closeFiles(files)
+		data.Close()
 		closeFiles(crcs)
 		return nil, err
 	}
 	cfg.BlockBytes = p.B * record.EncodedSize
-	devs := make([]diskio.Device, p.D)
-	for i, f := range files {
-		devs[i] = f
-	}
-	drives, err := diskio.New(cfg, devs)
+	drives, err := diskio.New(cfg, p.D, data)
 	if err != nil {
 		return fail(err)
 	}
-	idx := make([]*blockIndex, p.D)
-	stores := make([]blockStore, p.D)
-	for i, fs := range newFileStores(drives, p) {
+	store := newFileStore(drives, p)
+	for d := range store.disks {
+		x := &store.disks[d]
 		if crcs != nil {
-			fs.crc = crcs[i]
+			x.crc = crcs[d]
 		}
 		if written != nil {
-			if err := fs.load(written[i]); err != nil {
+			if err := x.load(written[d]); err != nil {
 				return fail(err)
 			}
 		}
-		idx[i], stores[i] = &fs.blockIndex, fs
 	}
 	checksum := ""
 	if crcs != nil {
@@ -595,16 +782,20 @@ func assembleFileBacked(p Params, dir string, mode Mode, cfg diskio.Config, file
 	}
 	var a *Array
 	persist := func() error {
+		marks := make([]int, p.D)
+		for d := range marks {
+			marks[d] = store.highWater(d)
+		}
 		return writeManifest(dir, Manifest{
 			D: p.D, B: p.B, M: p.M, Mode: mode,
 			NextFree: append([]int(nil), a.nextFree...),
-			Written:  a.writtenMarks(),
+			Written:  marks,
 			Checksum: checksum,
 		})
 	}
-	a = newWithStores(p, mode, stores, func() error {
-		// The stores have flushed their checksum tables and closed the
-		// sidecars; the data files close before the manifest is written.
+	a = newWithStore(p, mode, store, func() error {
+		// The store has flushed its checksum tables and closed the
+		// sidecars; the data file closes before the manifest is written.
 		firstErr := drives.Close()
 		if err := persist(); err != nil && firstErr == nil {
 			firstErr = err
@@ -616,15 +807,13 @@ func assembleFileBacked(p Params, dir string, mode Mode, cfg diskio.Config, file
 	// builds on: the changed checksum entries reach the sidecars, then
 	// data, sidecars, and manifest are made durable in that order.
 	a.syncFn = func() error {
-		for _, x := range idx {
-			if err := x.flush(); err != nil {
+		for d := range store.disks {
+			if err := store.disks[d].flush(); err != nil {
 				return err
 			}
 		}
-		for _, f := range files {
-			if err := f.Sync(); err != nil {
-				return err
-			}
+		if err := data.Sync(); err != nil {
+			return err
 		}
 		for _, c := range crcs {
 			if err := c.Sync(); err != nil {
@@ -641,7 +830,9 @@ func assembleFileBacked(p Params, dir string, mode Mode, cfg diskio.Config, file
 }
 
 // IOMetrics snapshots the I/O layer's per-disk counters of a file-backed
-// array, or returns nil for an in-memory one.
+// array, or returns nil for an in-memory one. A transfer counts as one
+// device op on every disk it touches, with the bytes of that disk's
+// blocks and a share of its device time weighted by them.
 func (a *Array) IOMetrics() *diskio.Snapshot {
 	if a.drives == nil {
 		return nil

@@ -28,8 +28,8 @@ func TestFileBackedRoundTrip(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The disk files and manifest exist on disk.
-	if _, err := os.Stat(filepath.Join(dir, "disk001.bin")); err != nil {
+	// The data file and manifest exist on disk.
+	if _, err := os.Stat(filepath.Join(dir, "disks.bin")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); err != nil {

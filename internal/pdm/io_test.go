@@ -12,11 +12,13 @@ import (
 )
 
 // faultyIO is an I/O layer that injects transient faults and torn writes
-// for its retries to absorb.
+// for its retries to absorb. Eight retries make an op fail only after nine
+// faults in a row, about one op in 10⁹.
 func faultyIO() diskio.Config {
 	return diskio.Config{
-		RetryBase: 10 * time.Microsecond,
-		Fault:     diskio.FaultConfig{ErrorRate: 0.1, TornWriteRate: 0.5, Seed: 17},
+		MaxRetries: 8,
+		RetryBase:  10 * time.Microsecond,
+		Fault:      diskio.FaultConfig{ErrorRate: 0.1, TornWriteRate: 0.5, Seed: 17},
 	}
 }
 
@@ -93,15 +95,21 @@ func TestEngineBackedModelCostsIdentical(t *testing.T) {
 
 // TestEngineBackedFaultsRecover checks an array under transient faults
 // still serves every block correctly (the retry layer absorbs them below
-// the model).
+// the model). It moves the region a block per transfer, 100 device ops,
+// so a 10% fault rate shows.
 func TestEngineBackedFaultsRecover(t *testing.T) {
 	a := newFileArray(t, testParams(), faultyIO())
 	defer a.Close()
+	b := a.B()
 	data := record.Generate(record.BucketSkew, 400, 5)
 	off := a.AllocStripe(32)
-	a.WriteStripe(off, 0, data)
+	for lo := 0; lo < len(data); lo += b {
+		a.WriteStripe(off, lo/b, data[lo:min(lo+b, len(data))])
+	}
 	got := make([]record.Record, 400)
-	a.ReadStripe(off, 0, got)
+	for lo := 0; lo < len(got); lo += b {
+		a.ReadStripe(off, lo/b, got[lo:min(lo+b, len(got))])
+	}
 	for i := range data {
 		if got[i] != data[i] {
 			t.Fatalf("data corrupted under faults at %d", i)

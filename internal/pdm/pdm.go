@@ -6,18 +6,22 @@
 // The simulator is the measurement instrument for every disk experiment in
 // this repository: it executes the real data movement, counts parallel I/O
 // operations, and enforces the model's two rules — at most one block per
-// disk per I/O, and at most M records resident in internal memory. A
-// parallel I/O runs on the calling goroutine: in memory, or through each
-// file-backed drive's guarded device (internal/diskio), one device call per
-// disk. A striped transfer of many rows makes one device call per disk too,
-// and is charged as the rows it stands for. An
-// AgV compatibility mode (Figure 1, the Aggarwal–Vitter model) relaxes the
+// disk per I/O, and at most M records resident in internal memory. The
+// array stores its D disks in stripe order: block o of disk d is array
+// block o·D + d, so the blocks of a striped region, which sits at one
+// offset on every disk, are consecutive. A parallel I/O runs on the
+// calling goroutine: in memory, or through the file-backed array's
+// guarded device (internal/diskio), one device call per block. A striped
+// transfer of any number of rows is one device call (two when its last
+// block is short), and is charged as the rows it stands for. An AgV
+// compatibility mode (Figure 1, the Aggarwal–Vitter model) relaxes the
 // one-block-per-disk rule so the two models can be compared head to head
 // (experiment E14).
 package pdm
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"balancesort/internal/diskio"
@@ -120,15 +124,15 @@ type Array struct {
 	params Params
 	mode   Mode
 
-	stores []blockStore
+	store blockStore
 
-	// ioMu serializes transfers: the scratch below and the file stores'
-	// wire buffer are reused by every one.
+	// ioMu serializes transfers: the scratch below and the file store's
+	// buffers are reused by every one.
 	ioMu sync.Mutex
 	// claimed[d] marks disk d as taken by the I/O being validated (PDM
 	// mode's one-block-per-disk rule).
 	claimed []bool
-	// drives guards a file-backed array's devices; nil in memory (see
+	// drives guards a file-backed array's device; nil in memory (see
 	// IOMetrics).
 	drives *diskio.Drives
 
@@ -148,73 +152,75 @@ type Array struct {
 	syncFn func() error
 }
 
-// blockStore is the storage behind one simulated drive. The in-memory
-// store is the default; the file-backed store in file.go persists blocks to
-// a real file so the library can sort datasets larger than host memory.
+// blockStore is the storage behind an array's D disks. It addresses them
+// in array blocks, in stripe order: block o of disk d is array block
+// o·D + d. The in-memory store is the default; the file-backed store in
+// file.go persists blocks to a real file so the library can sort datasets
+// larger than host memory.
 //
-// One call moves the consecutive blocks off, off+1, ... of the drive: block
-// j of the call is recs[j*stride : min(j*stride+B, len(recs))], so a call
-// moves ⌈len(recs)/stride⌉ blocks, and a striped transfer hands each disk
-// its share of the stripe with stride DB. Only the last block may be short:
-// a write pads it with +inf sentinels, a read fills only the records it
-// has. ParallelIO moves one whole block per call. The stores copy recs
-// before returning, and run on the calling goroutine.
+// One call moves the consecutive array blocks blk, blk+1, ...: block j of
+// the call is recs[j*B : min((j+1)*B, len(recs))], so a call moves
+// ⌈len(recs)/B⌉ blocks. Only the last may be short: a write pads it with
+// +inf sentinels, a read fills only the records it has. ParallelIO moves
+// one whole block per call, a striped transfer all of its blocks in one.
+// The stores copy recs before returning, and run on the calling goroutine.
 type blockStore interface {
-	// read fills recs from the blocks starting at off; it errors on a
+	// read fills recs from the blocks starting at blk; it errors on a
 	// block that was never written.
-	read(off, stride int, recs []record.Record) error
-	// write stores recs as the blocks starting at off.
-	write(off, stride int, recs []record.Record) error
-	// isWritten reports whether block off (≥ 0) holds data.
-	isWritten(off int) bool
+	read(blk int, recs []record.Record) error
+	// write stores recs as the blocks starting at blk.
+	write(blk int, recs []record.Record) error
+	// isWritten reports whether array block blk (≥ 0) holds data.
+	isWritten(blk int) bool
 	close() error
 }
 
 // sentinel pads the short last block of a write.
 var sentinel = record.Record{Key: ^uint64(0), Loc: ^uint64(0)}
 
-// blockOf returns block j of a store call's records (see blockStore).
-func blockOf(recs []record.Record, j, stride, b int) []record.Record {
-	lo := j * stride
-	return recs[lo:min(lo+b, len(recs))]
-}
-
-// memStore keeps blocks in a growable slice.
+// memStore keeps blocks in a growable slice indexed by array block.
 type memStore struct {
-	b      int
+	b, d   int
 	blocks [][]record.Record
 }
 
-func (s *memStore) isWritten(off int) bool { return off < len(s.blocks) && s.blocks[off] != nil }
+func (s *memStore) isWritten(blk int) bool { return blk < len(s.blocks) && s.blocks[blk] != nil }
 
-func (s *memStore) read(off, stride int, recs []record.Record) error {
-	for j := 0; j*stride < len(recs); j++ {
-		if !s.isWritten(off + j) {
-			return fmt.Errorf("pdm: read of unwritten block off=%d", off+j)
+func (s *memStore) read(blk int, recs []record.Record) error {
+	for j := 0; j*s.b < len(recs); j++ {
+		if !s.isWritten(blk + j) {
+			return unwrittenError(blk+j, s.d)
 		}
-		copy(blockOf(recs, j, stride, s.b), s.blocks[off+j])
+		copy(recs[j*s.b:], s.blocks[blk+j])
 	}
 	return nil
 }
 
-func (s *memStore) write(off, stride int, recs []record.Record) error {
-	for j := 0; j*stride < len(recs); j++ {
-		for off+j >= len(s.blocks) {
-			s.blocks = append(s.blocks, nil)
+func (s *memStore) write(blk int, recs []record.Record) error {
+	n := (len(recs) + s.b - 1) / s.b
+	if blk+n > len(s.blocks) {
+		s.blocks = extend(s.blocks, blk+n)
+	}
+	for j := 0; j < n; j++ {
+		dst := s.blocks[blk+j]
+		if dst == nil {
+			dst = make([]record.Record, s.b)
+			s.blocks[blk+j] = dst
 		}
-		blk := s.blocks[off+j]
-		if blk == nil {
-			blk = make([]record.Record, s.b)
-			s.blocks[off+j] = blk
-		}
-		for k := copy(blk, blockOf(recs, j, stride, s.b)); k < s.b; k++ {
-			blk[k] = sentinel
+		for k := copy(dst, recs[j*s.b:]); k < s.b; k++ {
+			dst[k] = sentinel
 		}
 	}
 	return nil
 }
 
 func (s *memStore) close() error { return nil }
+
+// unwrittenError reports a read of array block blk of a d-disk array that
+// no transfer wrote.
+func unwrittenError(blk, d int) error {
+	return fmt.Errorf("pdm: read of unwritten block %d of disk %d", blk/d, blk%d)
+}
 
 // New creates a disk array with the given parameters in PDM mode.
 // It panics if the parameters are invalid; model parameters are chosen by
@@ -225,23 +231,19 @@ func New(p Params) *Array {
 
 // NewMode creates a disk array enforcing the given model's I/O rule.
 func NewMode(p Params, mode Mode) *Array {
-	stores := make([]blockStore, p.D)
-	for i := range stores {
-		stores[i] = &memStore{b: p.B}
-	}
-	return newWithStores(p, mode, stores, nil)
+	return newWithStore(p, mode, &memStore{b: p.B, d: p.D}, nil)
 }
 
-// newWithStores wires an array over the given per-disk stores; onClose (if
-// non-nil) runs after the stores are closed.
-func newWithStores(p Params, mode Mode, stores []blockStore, onClose func() error) *Array {
+// newWithStore wires an array over the given store; onClose (if non-nil)
+// runs after the store is closed.
+func newWithStore(p Params, mode Mode, store blockStore, onClose func() error) *Array {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
 	a := &Array{
 		params:   p,
 		mode:     mode,
-		stores:   stores,
+		store:    store,
 		claimed:  make([]bool, p.D),
 		nextFree: make([]int, p.D),
 		Mem:      NewMemTracker(p.M),
@@ -260,16 +262,11 @@ func (a *Array) Params() Params { return a.params }
 // Mode returns which model's I/O rule the array enforces.
 func (a *Array) Mode() Mode { return a.mode }
 
-// Close releases the backing stores (for file-backed arrays this flushes
+// Close releases the backing store (for file-backed arrays this flushes
 // the checksum tables and persists the manifest). The array must not be
 // used afterwards.
 func (a *Array) Close() error {
-	var firstErr error
-	for _, s := range a.stores {
-		if err := s.close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
+	firstErr := a.store.close()
 	if a.onClose != nil {
 		if err := a.onClose(); err != nil && firstErr == nil {
 			firstErr = err
@@ -312,15 +309,19 @@ func (a *Array) SetNextFree(marks []int) {
 // file-backed array. Reading any other block fails. Like Peek, it must not
 // be called while a transfer is in flight.
 func (a *Array) Written(d, off int) bool {
-	return off >= 0 && a.stores[d].isWritten(off)
+	if d < 0 || d >= a.params.D {
+		panic(fmt.Sprintf("pdm: disk %d of %d", d, a.params.D))
+	}
+	// The bound keeps off·D + d from overflowing: no store holds a block
+	// that far out.
+	return off >= 0 && off <= (math.MaxInt-d)/a.params.D && a.store.isWritten(off*a.params.D+d)
 }
 
 // scrubbable is implemented by stores that maintain block checksums.
 type scrubbable interface {
-	highWater() int
 	checksummed() bool
-	// verifyAll re-reads every written block, returning how many were
-	// checked and the ones whose checksum did not match.
+	// verifyAll re-reads every written block, disk by disk, returning how
+	// many were checked and the ones whose checksum did not match.
 	verifyAll() (int, []*CorruptBlockError)
 }
 
@@ -341,29 +342,11 @@ type ScrubReport struct {
 // it must not run concurrently with a ParallelIO.
 func (a *Array) Scrub() ScrubReport {
 	var rep ScrubReport
-	for _, st := range a.stores {
-		s, ok := st.(scrubbable)
-		if !ok || !s.checksummed() {
-			continue
-		}
+	if s, ok := a.store.(scrubbable); ok && s.checksummed() {
 		rep.Checksummed = true
-		n, bad := s.verifyAll()
-		rep.BlocksChecked += n
-		rep.Corrupt = append(rep.Corrupt, bad...)
+		rep.BlocksChecked, rep.Corrupt = s.verifyAll()
 	}
 	return rep
-}
-
-// writtenMarks returns the per-disk write high-water marks in blocks, for
-// the manifest.
-func (a *Array) writtenMarks() []int {
-	marks := make([]int, len(a.stores))
-	for i, st := range a.stores {
-		if s, ok := st.(interface{ highWater() int }); ok {
-			marks[i] = s.highWater()
-		}
-	}
-	return marks
 }
 
 // ParallelIO performs one parallel I/O consisting of the given block
@@ -453,12 +436,12 @@ func (a *Array) validate(ops []Op) {
 // a panic in ParallelIO).
 func (a *Array) transfer(ops []Op) error {
 	for _, op := range ops {
-		s := a.stores[op.Disk]
+		blk := op.Off*a.params.D + op.Disk
 		var err error
 		if op.Write {
-			err = s.write(op.Off, a.params.B, op.Data)
+			err = a.store.write(blk, op.Data)
 		} else {
-			err = s.read(op.Off, a.params.B, op.Data)
+			err = a.store.read(blk, op.Data)
 		}
 		if err != nil {
 			return err
@@ -511,7 +494,7 @@ func (a *Array) Peek(d, off int) []record.Record {
 	dst := make([]record.Record, a.params.B)
 	a.ioMu.Lock()
 	defer a.ioMu.Unlock()
-	if err := a.stores[d].read(off, a.params.B, dst); err != nil {
+	if err := a.store.read(off*a.params.D+d, dst); err != nil {
 		panic(err)
 	}
 	return dst
@@ -542,19 +525,19 @@ func (a *Array) AllocStripe(n int) int {
 
 // WriteStripe writes data as blocks first, first+1, ... of the striped
 // region at block offset off: block i of the call goes to disk (first+i)%D
-// at offset off+(first+i)/D. Records beyond the last full block are padded
-// with +inf sentinels the caller must track. Each disk's share of the call
-// is consecutive on that disk and moves in one store call, straight from
-// data. The model is charged exactly what the row-by-row loop the call
-// stands for would cost: one parallel I/O per D consecutive blocks, ⌈n/D⌉
-// for n blocks, which it returns.
+// at offset off+(first+i)/D, which is array block off·D+first+i. Records
+// beyond the last full block are padded with +inf sentinels the caller
+// must track. The call's blocks are consecutive in the array and move in
+// one store call, straight from data. The model is charged exactly what
+// the row-by-row loop the call stands for would cost: one parallel I/O per
+// D consecutive blocks, ⌈n/D⌉ for n blocks, which it returns.
 func (a *Array) WriteStripe(off, first int, data []record.Record) int {
 	return a.stripe(off, first, data, true)
 }
 
 // ReadStripe reads len(dst) records from blocks first, first+1, ... of the
-// striped region at block offset off (the layout WriteStripe writes), one
-// store call per disk, straight into dst. It is charged and returns its
+// striped region at block offset off (the layout WriteStripe writes), in
+// one store call, straight into dst. It is charged and returns its
 // parallel I/Os like WriteStripe.
 func (a *Array) ReadStripe(off, first int, dst []record.Record) int {
 	return a.stripe(off, first, dst, false)
@@ -571,18 +554,14 @@ func (a *Array) stripe(off, first int, recs []record.Record, write bool) int {
 	}
 	a.ioMu.Lock()
 	defer a.ioMu.Unlock()
-	for i := 0; i < min(n, d); i++ {
-		blk := first + i
-		s, share := a.stores[blk%d], recs[i*b:]
-		var err error
-		if write {
-			err = s.write(off+blk/d, d*b, share)
-		} else {
-			err = s.read(off+blk/d, d*b, share)
-		}
-		if err != nil {
-			panic(err)
-		}
+	var err error
+	if write {
+		err = a.store.write(off*d+first, recs)
+	} else {
+		err = a.store.read(off*d+first, recs)
+	}
+	if err != nil {
+		panic(err)
 	}
 
 	// Row r of the loop moves blocks rD .. rD+D-1 of the call: the full

@@ -41,6 +41,11 @@ func layer(faults bool) diskio.Config {
 	return diskio.Config{}
 }
 
+// blockByte returns the data file offset of block off of disk d.
+func blockByte(p Params, d, off int) int64 {
+	return int64(off*p.D+d) * int64(p.B*record.EncodedSize)
+}
+
 // flipByte flips one byte of the file at the given offset.
 func flipByte(t *testing.T, path string, off int64) {
 	t.Helper()
@@ -77,8 +82,7 @@ func TestChecksumCatchesFlippedByte(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			blockBytes := a.B() * record.EncodedSize
-			flipByte(t, filepath.Join(dir, "disk002.bin"), int64(blockBytes)+5) // block 1
+			flipByte(t, dataPath(dir), blockByte(a.Params(), 2, 1)+5)
 
 			err = readRecovered(a, 2, 1)
 			var corrupt *CorruptBlockError
@@ -168,8 +172,7 @@ func TestChecksumsPersistAtSync(t *testing.T) {
 			b.Close()
 
 			// Damage block 1 of disk 2 (stripe row 1 of the synced region).
-			blockBytes := p.B * record.EncodedSize
-			flipByte(t, filepath.Join(crashed, "disk002.bin"), int64(off+1)*int64(blockBytes)+3)
+			flipByte(t, dataPath(crashed), blockByte(p, 2, off+1)+3)
 			b, err = open(crashed)
 			if err != nil {
 				t.Fatal(err)
@@ -204,15 +207,16 @@ func TestChecksumFlushInPieces(t *testing.T) {
 	if err := a.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	blockBytes := p.B * record.EncodedSize
+	blockBytes := int64(p.B * record.EncodedSize)
+	data, err := os.ReadFile(dataPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for d := 0; d < p.D; d++ {
-		data, err := os.ReadFile(diskPath(dir, d))
-		if err != nil {
-			t.Fatal(err)
-		}
 		var want []byte
 		for off := 0; off < perDisk; off++ {
-			want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(data[off*blockBytes:(off+1)*blockBytes], castagnoli))
+			at := blockByte(p, d, off)
+			want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(data[at:at+blockBytes], castagnoli))
 		}
 		got, err := os.ReadFile(crcPath(dir, d))
 		if err != nil {
@@ -285,15 +289,15 @@ func TestNoChecksumsOption(t *testing.T) {
 	b.Close()
 }
 
-// TestOpenRejectsTruncatedDisk checks OpenFileBacked validates per-disk
-// file sizes against the manifest's write marks at open time.
+// TestOpenRejectsTruncatedDisk checks OpenFileBacked validates the data
+// file's size against every disk's write mark at open time.
 func TestOpenRejectsTruncatedDisk(t *testing.T) {
 	dir := t.TempDir()
-	a, err := NewFileBacked(testParams(), dir)
+	p := testParams()
+	a, err := NewFileBacked(p, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blockBytes := a.B() * record.EncodedSize
 	a.Alloc(1, 3)
 	for off := 0; off < 3; off++ {
 		a.ParallelIO([]Op{{Disk: 1, Off: off, Write: true, Data: block(a.B(), uint64(off))}})
@@ -302,9 +306,11 @@ func TestOpenRejectsTruncatedDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(dir, "disk001.bin")
-	// Shorter than the recorded write mark: rejected with the typed error.
-	if err := os.Truncate(path, int64(2*blockBytes)); err != nil {
+	path := dataPath(dir)
+	end := blockByte(p, 1, 2) + int64(p.B*record.EncodedSize) // disk 1's block 2 ends the file
+	// Too short for disk 1's block below its write mark: rejected with the
+	// typed error.
+	if err := os.Truncate(path, end-1); err != nil {
 		t.Fatal(err)
 	}
 	_, err = OpenFileBacked(dir)
@@ -312,12 +318,18 @@ func TestOpenRejectsTruncatedDisk(t *testing.T) {
 	if !errors.As(err, &trunc) {
 		t.Fatalf("truncated disk open: got %v, want *TruncatedDiskError", err)
 	}
-	if trunc.Disk != 1 || trunc.WantBlocks != 3 {
+	if trunc.Disk != 1 || trunc.Path != path {
 		t.Fatalf("bad truncation report: %+v", trunc)
+	}
+	if err := os.Truncate(path, blockByte(p, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenFileBacked(dir); !errors.As(err, &trunc) || trunc.Disk != 1 || trunc.WantBlocks != 2*p.D+2 {
+		t.Fatalf("truncated disk open: got %v, want *TruncatedDiskError for disk 1 wanting %d blocks", err, 2*p.D+2)
 	}
 
 	// A ragged (non-block-multiple) file is rejected even at full length.
-	if err := os.Truncate(path, int64(3*blockBytes-7)); err != nil {
+	if err := os.Truncate(path, end+7); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenFileBacked(dir); !errors.As(err, &trunc) {
@@ -325,7 +337,7 @@ func TestOpenRejectsTruncatedDisk(t *testing.T) {
 	}
 
 	// A truncated checksum sidecar is caught the same way.
-	if err := os.Truncate(path, int64(3*blockBytes)); err != nil {
+	if err := os.Truncate(path, end); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Truncate(filepath.Join(dir, "disk001.crc"), 4); err != nil {

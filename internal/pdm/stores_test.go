@@ -163,8 +163,7 @@ func TestParallelVIOAllocFree(t *testing.T) {
 
 // BenchmarkParallelIO times one full-width write plus one full-width read
 // per op on each store kind, at D=8 B=64: the per-block host cost of the
-// I/O layer, with its allocations. The -striped variants move 16 rows per
-// op through WriteStripe and ReadStripe, one device call per disk each.
+// I/O layer, with its allocations.
 func BenchmarkParallelIO(b *testing.B) {
 	p := Params{D: 8, B: 64, M: 1 << 14}
 	for _, name := range []string{"mem", "file"} {
@@ -181,12 +180,20 @@ func BenchmarkParallelIO(b *testing.B) {
 				a.ParallelIO(read)
 			}
 		})
-		b.Run(name+"-striped", func(b *testing.B) {
-			const rows = 16
+	}
+}
+
+// BenchmarkStripe times one memoryload, M/2 records in 16 full-width rows
+// at D=8 B=64 M=16Ki, written by WriteStripe and read back by ReadStripe
+// per op, on each store kind: on a file, one device call each way.
+func BenchmarkStripe(b *testing.B) {
+	p := Params{D: 8, B: 64, M: 1 << 14}
+	for _, name := range []string{"mem", "file"} {
+		b.Run(name, func(b *testing.B) {
 			a := testArrays(p)[name](b)
 			defer a.Close()
-			off := a.AllocStripe(rows)
-			data := record.Generate(record.Uniform, rows*p.D*p.B, 1)
+			data := record.Generate(record.Uniform, p.M/2, 1)
+			off := a.AllocStripe(len(data) / (p.D * p.B))
 			a.WriteStripe(off, 0, data)
 			b.ReportAllocs()
 			b.SetBytes(int64(2 * len(data) * record.EncodedSize))

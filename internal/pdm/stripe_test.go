@@ -117,13 +117,7 @@ func TestStripeTransferMatchesRowLoop(t *testing.T) {
 
 // holds reports whether block off of disk d was ever written.
 func holds(a *Array, d, off int) bool {
-	switch s := a.stores[d].(type) {
-	case *memStore:
-		return off < len(s.blocks) && s.blocks[off] != nil
-	case *fileStore:
-		return s.isWritten(off)
-	}
-	panic("unknown store")
+	return a.store.isWritten(off*a.D() + d)
 }
 
 // newFileArrayMode is newFileArray in the given model mode.
@@ -160,49 +154,83 @@ func (c *countingDevice) WriteAt(p []byte, off int64) (int, error) {
 
 func (c *countingDevice) Close() error { return nil }
 
-// newCountingArray is a file-store array over counting in-memory devices.
-func newCountingArray(t *testing.T, p Params) (*Array, []*countingDevice) {
+// newCountingArray is a file-store array over a counting in-memory device.
+func newCountingArray(t *testing.T, p Params) (*Array, *countingDevice) {
 	t.Helper()
-	devs := make([]diskio.Device, p.D)
-	counts := make([]*countingDevice, p.D)
-	for i := range devs {
-		counts[i] = &countingDevice{}
-		devs[i] = counts[i]
-	}
-	drives, err := diskio.New(diskio.Config{BlockBytes: p.B * record.EncodedSize}, devs)
+	dev := &countingDevice{}
+	drives, err := diskio.New(diskio.Config{BlockBytes: p.B * record.EncodedSize}, p.D, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stores := make([]blockStore, p.D)
-	for i, fs := range newFileStores(drives, p) {
-		stores[i] = fs
-	}
-	return newWithStores(p, ModePDM, stores, drives.Close), counts
+	a := newWithStore(p, ModePDM, newFileStore(drives, p), drives.Close)
+	a.drives = drives
+	return a, dev
 }
 
-// TestStripeOneDeviceCallPerDisk checks a striped transfer of R full rows
-// costs each disk one device call in each direction, not R, while the
-// model still charges R parallel I/Os.
-func TestStripeOneDeviceCallPerDisk(t *testing.T) {
+// TestStripeDeviceCalls counts the device calls behind each kind of
+// transfer: a striped transfer of n blocks, full-width rows or not, is one
+// call in each direction (n calls on a row loop, min(n, D) with one file
+// per disk); a short last block adds one, through the one-block buffer;
+// and k ParallelIO ops are k calls. The model charges ⌈n/D⌉ parallel I/Os
+// either way, and the counters charge each disk one op per transfer that
+// touches it.
+func TestStripeDeviceCalls(t *testing.T) {
 	p := Params{D: 4, B: 8, M: 1024}
-	const rows = 6
-	a, devs := newCountingArray(t, p)
-	defer a.Close()
-	off := a.AllocStripe(rows)
-	data := record.Generate(record.Uniform, rows*p.D*p.B, 3)
-	if ios := a.WriteStripe(off, 0, data); ios != rows {
-		t.Fatalf("write charged %d parallel I/Os, want %d", ios, rows)
+	for _, tc := range []struct {
+		name         string
+		first, n     int // first block and records
+		calls, rows  int
+		touchedDisks int
+	}{
+		{"full-rows", 0, 6 * 4 * 8, 1, 6, 4},
+		{"from-mid-row", 3, 5 * 8, 1, 2, 4},
+		{"short-last-block", 0, 6*4*8 - 3, 2, 6, 4},
+		{"one-short-block", 2, 5, 1, 1, 1},
+		{"one-block", 1, 8, 1, 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, dev := newCountingArray(t, p)
+			defer a.Close()
+			off := a.AllocStripe(8)
+			data := record.Generate(record.Uniform, tc.n, 3)
+			if ios := a.WriteStripe(off, tc.first, data); ios != tc.rows {
+				t.Fatalf("write charged %d parallel I/Os, want %d", ios, tc.rows)
+			}
+			got := make([]record.Record, len(data))
+			if ios := a.ReadStripe(off, tc.first, got); ios != tc.rows {
+				t.Fatalf("read charged %d parallel I/Os, want %d", ios, tc.rows)
+			}
+			if !slices.Equal(got, data) {
+				t.Fatal("striped read differs from the striped write")
+			}
+			if dev.writes != tc.calls || dev.reads != tc.calls {
+				t.Fatalf("%d device writes and %d reads, want %d each", dev.writes, dev.reads, tc.calls)
+			}
+			touched := 0
+			for _, m := range a.IOMetrics().PerDisk {
+				if m.Reads > 1 || m.Writes > 1 || m.Reads != m.Writes {
+					t.Fatalf("a disk counted %d reads and %d writes, want one of each or none", m.Reads, m.Writes)
+				}
+				touched += int(m.Reads)
+			}
+			if touched != tc.touchedDisks {
+				t.Fatalf("%d disks counted the transfer, want %d", touched, tc.touchedDisks)
+			}
+		})
 	}
-	got := make([]record.Record, len(data))
-	if ios := a.ReadStripe(off, 0, got); ios != rows {
-		t.Fatalf("read charged %d parallel I/Os, want %d", ios, rows)
-	}
-	if !slices.Equal(got, data) {
-		t.Fatal("striped read differs from the striped write")
-	}
-	for d, dev := range devs {
-		if dev.writes != 1 || dev.reads != 1 {
-			t.Fatalf("disk %d: %d device writes and %d reads for %d rows, want 1 and 1", d, dev.writes, dev.reads, rows)
+
+	t.Run("parallel-io", func(t *testing.T) {
+		a, dev := newCountingArray(t, p)
+		defer a.Close()
+		write, read := fullWidth(p, a.AllocStripe(1))
+		ops := 0
+		for i := 0; i < 5; i++ {
+			a.ParallelIO(write[:1+i%p.D])
+			ops += 1 + i%p.D
 		}
-	}
+		a.ParallelIO(read)
+		if dev.writes != ops || dev.reads != len(read) {
+			t.Fatalf("%d device writes and %d reads for %d and %d ops, want one call per op", dev.writes, dev.reads, ops, len(read))
+		}
+	})
 }

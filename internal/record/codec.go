@@ -47,6 +47,18 @@ func wireView(rs []Record) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(rs))), len(rs)*EncodedSize)
 }
 
+// WireView returns the wire form of rs without a copy, and true, on a
+// little-endian host: the bytes are the records' own memory, so reading
+// into them fills rs and writing them out writes rs. On any other host it
+// returns nil and false, and the caller encodes through a buffer of its
+// own.
+func WireView(rs []Record) ([]byte, bool) {
+	if !littleEndian {
+		return nil, false
+	}
+	return wireView(rs), true
+}
+
 // AppendSlice appends the wire form of rs to buf and returns the extended
 // slice.
 func AppendSlice(buf []byte, rs []Record) []byte {
@@ -111,6 +123,30 @@ func WriteAll(w io.Writer, rs []Record) error {
 		if _, err := w.Write(buf); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// ReadFull fills dst with the next len(dst) records of r in wire form,
+// the inverse of WriteAll: on a little-endian host it reads straight into
+// dst's memory. Like io.ReadFull, it returns io.EOF only if r ended before
+// the first byte, and io.ErrUnexpectedEOF if it ended partway.
+func ReadFull(r io.Reader, dst []Record) error {
+	if littleEndian {
+		_, err := io.ReadFull(r, wireView(dst))
+		return err
+	}
+	const chunk = 4096
+	buf := make([]byte, min(chunk, len(dst))*EncodedSize)
+	for lo := 0; lo < len(dst); lo += chunk {
+		part := dst[lo:min(lo+chunk, len(dst))]
+		if _, err := io.ReadFull(r, buf[:len(part)*EncodedSize]); err != nil {
+			if err == io.EOF && lo > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		decodeLoop(part, buf)
 	}
 	return nil
 }

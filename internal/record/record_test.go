@@ -2,6 +2,8 @@ package record
 
 import (
 	"bytes"
+	"io"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -308,6 +310,37 @@ func TestWriteReadAll(t *testing.T) {
 	for i := range rs {
 		if back[i] != rs[i] {
 			t.Fatalf("mismatch at %d", i)
+		}
+	}
+}
+
+// TestReadFull checks ReadFull reads back what WriteAll wrote, on the
+// one-copy path and on the byte loop a big-endian host takes, and reports
+// a stream that ends before the first record as io.EOF and one that ends
+// inside the records, mid-record or at a chunk of the loop, as
+// io.ErrUnexpectedEOF.
+func TestReadFull(t *testing.T) {
+	rs := Generate(Uniform, 5000, 9) // spans several of the loop's chunks
+	var sb bytes.Buffer
+	if err := WriteAll(&sb, rs); err != nil {
+		t.Fatal(err)
+	}
+	wire := sb.Bytes()
+	native := littleEndian
+	defer func() { littleEndian = native }()
+	for _, oneCopy := range []bool{native, false} {
+		littleEndian = oneCopy
+		got := make([]Record, len(rs))
+		if err := ReadFull(bytes.NewReader(wire), got); err != nil || !slices.Equal(got, rs) {
+			t.Fatalf("one-copy %v: read back other records (err %v)", oneCopy, err)
+		}
+		for _, c := range []struct {
+			n    int
+			want error
+		}{{0, io.EOF}, {len(wire) - 1, io.ErrUnexpectedEOF}, {4096 * EncodedSize, io.ErrUnexpectedEOF}} {
+			if err := ReadFull(bytes.NewReader(wire[:c.n]), got); err != c.want {
+				t.Fatalf("one-copy %v: a stream of %d bytes read as %v, want %v", oneCopy, c.n, err, c.want)
+			}
 		}
 	}
 }

@@ -52,15 +52,18 @@ func (c IOConfig) layerConfig(ctx context.Context, tr *obs.Tracer) diskio.Config
 
 // DiskIOStats are one disk's I/O layer counters (see IOStats).
 type DiskIOStats struct {
-	// Reads and Writes count completed device ops; a striped transfer
-	// moves each disk's consecutive blocks in one op, so an op may carry
-	// many blocks. BytesRead/BytesWritten are the bytes moved.
+	// Reads and Writes count completed device ops that touched the disk.
+	// The disks share one data file, in stripe order, and a transfer of
+	// consecutive blocks, such as a striped transfer of many rows, is one
+	// op counted on every disk it touches, so an op may carry many of a
+	// disk's blocks. BytesRead/BytesWritten are the bytes of this disk's
+	// own blocks moved.
 	Reads        int64 `json:"reads"`
 	Writes       int64 `json:"writes"`
 	BytesRead    int64 `json:"bytes_read"`
 	BytesWritten int64 `json:"bytes_written"`
 	// Retries, Faults, and BreakerTrips describe the fault-handling
-	// layer's activity.
+	// layer's activity, each counted on the disk of the op's first block.
 	Retries      int64 `json:"retries"`
 	Faults       int64 `json:"faults"`
 	BreakerTrips int64 `json:"breaker_trips"`
@@ -75,9 +78,12 @@ type DiskIOStats struct {
 	PrefetchIssued int64 `json:"prefetch_issued"`
 	PrefetchHits   int64 `json:"prefetch_hits"`
 	QueueMax       int64 `json:"queue_max"`
-	// ReadNanos/WriteNanos sum the device time of successful ops;
-	// BytesRead/ReadNanos is the disk's measured read bandwidth. BusyNanos
-	// sums all device-op time including failed attempts.
+	// ReadNanos/WriteNanos sum this disk's shares of the device time of
+	// successful ops, an op's time split over the disks it touched by
+	// their blocks; BytesRead/ReadNanos is the disk's measured read
+	// bandwidth. BusyNanos sums its shares of all device-op time including
+	// failed attempts, so the disks' BusyNanos add up to the time spent in
+	// device calls.
 	ReadNanos  int64 `json:"read_nanos,omitempty"`
 	WriteNanos int64 `json:"write_nanos,omitempty"`
 	BusyNanos  int64 `json:"busy_nanos,omitempty"`

@@ -246,7 +246,7 @@ func TestResumeRefusesCorruptScratch(t *testing.T) {
 
 	// Block 0 of disk 0 holds the start of the striped input region the
 	// journal's work list points at; the resume must re-read it.
-	flipFileByte(t, filepath.Join(scratch, "disk000.bin"), 0)
+	flipFileByte(t, filepath.Join(scratch, "disks.bin"), 0)
 
 	_, err := ResumeSortFile(inPath, outPath, scratch, matrixConfig())
 	var corrupt *pdm.CorruptBlockError
@@ -408,7 +408,7 @@ func TestScrubStandalone(t *testing.T) {
 		t.Fatalf("clean scrub: %+v", rep)
 	}
 
-	flipFileByte(t, filepath.Join(scratch, "disk000.bin"), 3)
+	flipFileByte(t, filepath.Join(scratch, "disks.bin"), 3)
 	rep, err = Scrub(scratch)
 	if err != nil {
 		t.Fatal(err)
@@ -571,6 +571,28 @@ func TestResumeCommittedScratch(t *testing.T) {
 		if !bytes.Equal(got, wantBytes) {
 			t.Fatalf("%s: resumed output differs from the uninterrupted sort", eng)
 		}
+	}
+}
+
+// TestResumeRefusesMissingDiskData resumes a crashed scratch directory in
+// the per-disk layout with one disk's file gone: the resume fails with a
+// *pdm.TruncatedDiskError naming that disk and writes no output.
+func TestResumeRefusesMissingDiskData(t *testing.T) {
+	dir := t.TempDir()
+	inPath := writeTinyInput(t, dir)
+	scratch := filepath.Join(dir, "scratch")
+	copyDir(t, filepath.Join("testdata", "crashed-scratch", string(EngineStripedMerge)), scratch)
+	if err := os.Remove(filepath.Join(scratch, "disk001.bin")); err != nil {
+		t.Fatal(err)
+	}
+	outPath := filepath.Join(dir, "out.bin")
+	_, err := ResumeSortFile(inPath, outPath, scratch, Config{})
+	var trunc *pdm.TruncatedDiskError
+	if !errors.As(err, &trunc) || trunc.Disk != 1 {
+		t.Fatalf("resume without disk 1's file: got %v, want a *pdm.TruncatedDiskError for disk 1", err)
+	}
+	if _, err := os.Stat(outPath); !os.IsNotExist(err) {
+		t.Fatal("refused resume left an output file")
 	}
 }
 

@@ -24,11 +24,13 @@ import (
 // The returned Result carries the model costs but not the records (they
 // are in outPath).
 //
-// Every scratch block moves on the sorting goroutine through the I/O
-// layer of internal/diskio: fault injection (cfg.IO), retries with
-// backoff, a per-disk circuit breaker, and per-disk counters, which
-// Result.IO reports. The layer changes wall-clock behavior only; the
-// model's parallel I/O counts are identical whatever cfg.IO says.
+// The scratch array keeps its disks' blocks in one data file, in stripe
+// order, so a striped transfer of any width is one device call. Every
+// scratch block moves on the sorting goroutine through the I/O layer of
+// internal/diskio: fault injection (cfg.IO), retries with backoff, a
+// circuit breaker, and per-disk counters, which Result.IO reports. The
+// layer changes wall-clock behavior only; the model's parallel I/O counts
+// are identical whatever cfg.IO says.
 //
 // Every scratch block is checksummed (CRC32C) and verified on read unless
 // cfg.Robust.NoChecksums is set; with cfg.Robust.Journal, every completed
@@ -48,8 +50,9 @@ func SortFileContext(ctx context.Context, inPath, outPath, scratchDir string, cf
 }
 
 // ResumeSortFile continues an interrupted journaled SortFile from its last
-// committed pass, reusing the scratch directory's disk files, manifest,
-// and journal. The output is byte-identical to what the uninterrupted run
+// committed pass, reusing the scratch directory's data file, checksum
+// sidecars, manifest, and journal; a directory an earlier version left in
+// its one-file-per-disk layout is converted first. The output is byte-identical to what the uninterrupted run
 // would have produced. If the journal is missing or holds no committed
 // state (the sort crashed before its first commit, or never ran), the sort
 // simply starts fresh; any other error reading it is returned, and the
@@ -209,11 +212,7 @@ func sortScratch(ctx context.Context, e fileEngine, inPath, outPath, scratchDir 
 		return nil, err
 	}
 	outCreated = true
-	w := bufio.NewWriterSize(out, 1<<16)
-	written, err := drainRegions(arr, regs, w)
-	if err == nil {
-		err = w.Flush()
-	}
+	written, err := drainRegions(arr, regs, out)
 	if err != nil {
 		out.Close()
 		return nil, err
@@ -235,8 +234,8 @@ func sortScratch(ctx context.Context, e fileEngine, inPath, outPath, scratchDir 
 }
 
 // stripeChunk is how many records the load and the drain move per striped
-// transfer: D stripe rows, so each disk moves D consecutive blocks in one
-// device call, but never more than a memoryload.
+// transfer, and per read or write of the input or output file: D stripe
+// rows, but never more than a memoryload.
 func stripeChunk(p pdm.Params) int {
 	return min(p.D, p.M/(2*p.D*p.B)) * p.D * p.B
 }
@@ -244,13 +243,12 @@ func stripeChunk(p pdm.Params) int {
 // drainRegions streams the sorted striped regions into w, in order, and
 // returns the number of records written. It reads stripeChunk records per
 // striped transfer into a reused buffer, checks the order across regions,
-// and encodes into a reused byte buffer, so the drain allocates nothing
+// and writes the buffer out in one call, so the drain allocates nothing
 // per transfer.
 func drainRegions(arr *pdm.Array, regs []core.Region, w io.Writer) (int, error) {
 	p := arr.Params()
 	chunk := stripeChunk(p)
 	buf := make([]record.Record, chunk)
-	wire := make([]byte, 0, chunk*record.EncodedSize)
 	var prev record.Record
 	written := 0
 	for _, reg := range regs {
@@ -264,7 +262,7 @@ func drainRegions(arr *pdm.Array, regs []core.Region, w io.Writer) (int, error) 
 				prev = r
 				written++
 			}
-			if _, err := w.Write(record.AppendSlice(wire[:0], recs)); err != nil {
+			if err := record.WriteAll(w, recs); err != nil {
 				return written, err
 			}
 		}
@@ -306,15 +304,15 @@ func ReadRecordFile(path string) ([]Record, error) {
 }
 
 // loadFileStriped streams the n records of inPath onto a fresh striped
-// region of the array, stripeChunk records per striped transfer, and
-// returns the region's block offset.
+// region of the array, stripeChunk records per read, straight into a
+// reused buffer, and per striped transfer, and returns the region's block
+// offset.
 func loadFileStriped(arr *pdm.Array, inPath string, n int) (int, error) {
 	f, err := os.Open(inPath)
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
 
 	p := arr.Params()
 	blocks := (n + p.B - 1) / p.B
@@ -325,15 +323,13 @@ func loadFileStriped(arr *pdm.Array, inPath string, n int) (int, error) {
 	off := arr.AllocStripe(perDisk)
 
 	chunk := stripeChunk(p)
-	buf := make([]byte, chunk*record.EncodedSize)
 	recs := make([]record.Record, chunk)
 	for pos := 0; pos < n; pos += chunk {
 		m := min(chunk, n-pos)
-		if _, err := io.ReadFull(r, buf[:m*record.EncodedSize]); err != nil {
+		if err := record.ReadFull(f, recs[:m]); err != nil {
 			return 0, fmt.Errorf("balancesort: reading %s at record %d (byte offset %d): %w",
 				inPath, pos, int64(pos)*record.EncodedSize, err)
 		}
-		record.DecodeInto(recs[:m], buf)
 		arr.WriteStripe(off, pos/p.B, recs[:m])
 	}
 	return off, nil

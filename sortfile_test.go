@@ -95,13 +95,13 @@ func TestSortFileScratchPersists(t *testing.T) {
 	if _, err := SortFile(inPath, outPath, scratch, Config{Disks: 4, BlockSize: 16, Memory: 4096}); err != nil {
 		t.Fatal(err)
 	}
-	// The scratch directory holds the disk files, their checksum
+	// The scratch directory holds the data file, the disks' checksum
 	// sidecars, and the manifest.
 	if _, err := os.Stat(filepath.Join(scratch, "manifest.json")); err != nil {
 		t.Fatal("scratch manifest missing")
 	}
 	ents, err := os.ReadDir(scratch)
-	if err != nil || len(ents) != 9 { // 4 disks + 4 crc sidecars + manifest
+	if err != nil || len(ents) != 6 { // data file + 4 crc sidecars + manifest
 		t.Fatalf("scratch contents: %v err=%v", ents, err)
 	}
 }

@@ -40,8 +40,8 @@ go test ./...
 echo "== radix kernel benchmark smoke (one iteration per size) =="
 go test -run '^$' -bench SortRadix -benchtime 1x ./internal/pram/
 
-echo "== parallel I/O benchmark smoke (one iteration per store kind) =="
-go test -run '^$' -bench ParallelIO -benchtime 1x ./internal/pdm/
+echo "== parallel I/O and striped transfer benchmark smoke (one iteration per store kind; a file-backed memoryload written and read at D=8 B=64) =="
+go test -run '^$' -bench 'ParallelIO|Stripe' -benchtime 1x ./internal/pdm/
 
 echo "== go test -race (concurrency layer) =="
 go test -race ./internal/diskio/... ./internal/pdm/... ./internal/pram ./internal/guidesort ./internal/cluster/... ./internal/jobs/...
